@@ -66,7 +66,7 @@ struct Args {
     scale: f64,
     reps: usize,
     /// Write `BENCH_*.json` per-operator execution profiles
-    /// (`--profile`, or the `NRA_OBS=1` environment variable).
+    /// (`--profile`).
     profile: bool,
     /// Refresh the committed baselines under `crates/bench/baselines/`.
     baseline_write: bool,
@@ -115,7 +115,7 @@ fn parse_args() -> Args {
     let mut args = Args {
         scale: 0.5,
         reps: 3,
-        profile: std::env::var("NRA_OBS").is_ok_and(|v| v == "1"),
+        profile: false,
         baseline_write: false,
         baseline_check: false,
         wall_factor: baseline::Tolerance::default().wall_factor,

@@ -6,7 +6,7 @@
 //! bundles the profiles of every series for one query and serializes the
 //! bundle as JSON (hand-rolled — the workspace carries no serde), which
 //! the `experiments` binary writes as `BENCH_<name>.json` under
-//! `--profile` (or `NRA_OBS=1`).
+//! `--profile`.
 
 use std::io::Write as _;
 

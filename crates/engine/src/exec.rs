@@ -8,17 +8,18 @@
 //! threads while keeping the output **byte-identical** to the sequential
 //! engine:
 //!
-//! * a thread-local worker budget ([`threads`]), settable per query
-//!   ([`set_threads`], driven by `QueryOptions::threads`) with an
-//!   `NRA_THREADS` environment fallback;
+//! * a per-query worker budget ([`threads`]) read from the thread's
+//!   [`QueryCtx`](crate::ctx::QueryCtx) ([`set_threads`] writes it;
+//!   unset, the process [`Config`]'s `NRA_THREADS` applies);
 //! * a morsel-size floor ([`partitions`]) so tiny inputs never pay the
 //!   spawn cost;
 //! * [`run_partitioned`] — scoped fork/join (`std::thread::scope`, no
 //!   external dependencies) that returns worker results *in partition
 //!   order*, merges worker-side [`nra_obs`] collections back into the
-//!   coordinating thread deterministically, carries the installed
-//!   [`crate::governor`] onto every worker, and **contains worker
-//!   panics**: a panic anywhere inside a partition closure surfaces as
+//!   coordinating thread deterministically, carries the coordinator's
+//!   whole [`QueryCtx`](crate::ctx::QueryCtx) onto every worker, and
+//!   **contains worker panics**: a panic anywhere inside a partition
+//!   closure surfaces as
 //!   [`EngineError::WorkerPanicked`] after all sibling partitions have
 //!   drained, never as a process abort;
 //! * [`chunks`] — contiguous input splitting, so concatenating worker
@@ -38,10 +39,11 @@
 //! one reported (first-error-wins in partition order, not in completion
 //! order).
 
-use std::cell::Cell;
 use std::cmp::Ordering;
 use std::ops::Range;
 
+use crate::config::Config;
+use crate::ctx::{self, CtxGuard};
 use crate::error::EngineError;
 use crate::{faultinject, governor};
 
@@ -55,79 +57,34 @@ pub const DEFAULT_MORSEL_ROWS: usize = 1024;
 /// spawn thousands of threads).
 pub const MAX_THREADS: usize = 64;
 
-thread_local! {
-    /// Per-thread override of the worker budget (`None` = consult the
-    /// `NRA_THREADS` environment variable).
-    static THREADS: Cell<Option<usize>> = const { Cell::new(None) };
-    /// Per-thread morsel floor (tests shrink it to exercise the parallel
-    /// paths on small corpora).
-    static MORSEL_ROWS: Cell<usize> = const { Cell::new(DEFAULT_MORSEL_ROWS) };
-}
-
-fn env_threads() -> Option<usize> {
-    std::env::var("NRA_THREADS")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-}
-
-/// The worker budget for operators on this thread: the per-query override
-/// when set, else `NRA_THREADS`, else 1 (sequential). Always in
-/// `1..=MAX_THREADS`.
+/// The worker budget for operators on this thread: the context's budget
+/// when set, else the process [`Config`]'s `NRA_THREADS`, else 1
+/// (sequential). Always in `1..=MAX_THREADS`.
 pub fn threads() -> usize {
-    THREADS
-        .with(Cell::get)
-        .or_else(env_threads)
+    ctx::with(|c| c.threads.get())
+        .or_else(|| Config::process().threads)
         .unwrap_or(1)
         .clamp(1, MAX_THREADS)
 }
 
-/// Restores the previous worker budget on drop (see [`set_threads`]).
-#[must_use = "dropping the guard immediately restores the previous budget"]
-pub struct ThreadsGuard {
-    prev: Option<usize>,
-}
-
-impl Drop for ThreadsGuard {
-    fn drop(&mut self) {
-        THREADS.with(|t| t.set(self.prev));
-    }
-}
-
-/// Set (or with `None`, clear) this thread's worker-budget override for
-/// the lifetime of the returned guard. Queries install this from
-/// `QueryOptions::threads`; clearing falls back to `NRA_THREADS`.
-pub fn set_threads(n: Option<usize>) -> ThreadsGuard {
-    ThreadsGuard {
-        prev: THREADS.with(|t| t.replace(n.map(|n| n.clamp(1, MAX_THREADS)))),
-    }
+/// Set (or with `None`, clear) this thread's worker budget for the
+/// lifetime of the returned guard. `Database::execute` resolves
+/// `QueryOptions::threads` over this ambient value; clearing falls back
+/// to the process [`Config`].
+pub fn set_threads(n: Option<usize>) -> CtxGuard {
+    ctx::update(|c| c.threads = n.map(|n| n.clamp(1, MAX_THREADS)))
 }
 
 /// The current morsel floor (minimum rows per worker).
 pub fn morsel_rows() -> usize {
-    MORSEL_ROWS.with(Cell::get)
-}
-
-/// Restores the previous morsel floor on drop (see [`set_morsel_rows`]).
-#[must_use = "dropping the guard immediately restores the previous floor"]
-pub struct MorselGuard {
-    prev: usize,
-}
-
-impl Drop for MorselGuard {
-    fn drop(&mut self) {
-        MORSEL_ROWS.with(|m| m.set(self.prev));
-    }
+    ctx::with(|c| c.morsel_rows.get()).unwrap_or(DEFAULT_MORSEL_ROWS)
 }
 
 /// Override the morsel floor for the lifetime of the returned guard.
 /// Agreement tests set this to 1 so that even 10-row corpora exercise
 /// every parallel code path.
-pub fn set_morsel_rows(n: usize) -> MorselGuard {
-    MorselGuard {
-        prev: MORSEL_ROWS.with(|m| m.replace(n.max(1))),
-    }
+pub fn set_morsel_rows(n: usize) -> CtxGuard {
+    ctx::update(|c| c.morsel_rows = Some(n.max(1)))
 }
 
 /// How many partitions a scan of `rows` rows should use: bounded by the
@@ -170,15 +127,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Run `f`, converting a panic into a structured
 /// [`EngineError::WorkerPanicked`] instead of unwinding further. Used
 /// around every partition closure (including partition 0, which runs
-/// inline on the coordinator) so a panicking operator can never abort
-/// the process or poison the scheduler.
-fn contain<T>(site: &str, f: impl FnOnce() -> Result<T, EngineError>) -> Result<T, EngineError> {
+/// inline on the coordinator) and around the whole statement by the
+/// query lifecycle, so a panicking operator can never abort the process
+/// or poison the scheduler.
+pub fn contain<T, E: From<EngineError>>(
+    site: &str,
+    f: impl FnOnce() -> Result<T, E>,
+) -> Result<T, E> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(result) => result,
-        Err(payload) => Err(EngineError::WorkerPanicked {
+        Err(payload) => Err(E::from(EngineError::WorkerPanicked {
             site: site.to_string(),
             message: panic_message(payload.as_ref()),
-        }),
+        })),
     }
 }
 
@@ -187,8 +148,8 @@ fn contain<T>(site: &str, f: impl FnOnce() -> Result<T, EngineError>) -> Result<
 ///
 /// Partition 0 runs inline on the calling thread (its observability spans
 /// reach the parent collector directly); partitions `1..` run on scoped
-/// worker threads under an [`nra_obs::Handoff`] plus the calling thread's
-/// [`crate::governor`], and their collected profiles are absorbed into
+/// worker threads under the calling thread's captured context
+/// ([`ctx::capture`]), and their collected profiles are absorbed into
 /// the parent collector *in partition order* after the join — so merged
 /// counters are deterministic regardless of how the OS schedules the
 /// workers. With `parts == 1` this degenerates to a plain call with zero
@@ -209,23 +170,17 @@ where
     if parts <= 1 {
         return Ok(vec![contain("partition-0", || f(0))?]);
     }
-    let handoff = nra_obs::Handoff::capture();
-    let gov = governor::current();
-    let batch_rows = crate::vec::batch_rows_override();
+    let worker_ctx = ctx::capture();
     let mut results: Vec<Result<T, EngineError>> = Vec::with_capacity(parts);
     let mut profiles: Vec<Option<nra_obs::Profile>> = Vec::with_capacity(parts - 1);
     std::thread::scope(|s| {
         let handles: Vec<_> = (1..parts)
             .map(|p| {
-                let handoff = &handoff;
-                let gov = gov.clone();
-                let f = &f;
+                let (worker_ctx, f) = (&worker_ctx, &f);
                 s.spawn(move || {
-                    let _gov = governor::install(gov);
-                    let _bsz = crate::vec::set_batch_rows(batch_rows);
-                    // Contain inside the handoff so the worker's
+                    // Contain inside the context so the worker's
                     // collector is torn down normally even on panic.
-                    handoff.run(|| {
+                    worker_ctx.enter(|| {
                         contain("worker", || {
                             governor::checkpoint("worker-start")?;
                             f(p)
@@ -391,7 +346,7 @@ mod tests {
     fn default_budget_is_sequential() {
         // No override and (in the test environment) no NRA_THREADS: every
         // operator sees exactly one partition.
-        if std::env::var("NRA_THREADS").is_err() {
+        if Config::process().threads.is_none() {
             assert_eq!(threads(), 1);
             assert_eq!(partitions(1 << 20), 1);
         }
@@ -511,15 +466,47 @@ mod tests {
         assert!(matches!(result, Err(EngineError::Cancelled { .. })));
     }
 
+    /// A worker sees the coordinator's whole context — thread budget,
+    /// morsel floor, batch width, governor, per-query metrics, progress —
+    /// and the coordinator's own context is restored afterwards.
     #[test]
-    fn workers_inherit_the_governor() {
-        use nra_storage::{Tuple, Value};
-        // A 2-byte budget must trip charges made from worker threads.
-        // Each worker transposes a real batch and charges its actual
-        // lane allocation (not a flat per-worker constant) through the
+    fn workers_inherit_the_whole_context() -> Result<(), EngineError> {
+        use nra_obs::{metrics, progress};
+        let gov = Arc::new(governor::Governor::new().mem_limit(1 << 30));
+        let registry = Arc::new(metrics::Registry::default());
+        let state = Arc::new(progress::ProgressState::new());
+        {
+            let _metrics = metrics::install_query(Some(registry.clone()));
+            let _progress = progress::install(Some(state.clone()));
+            let _gov = governor::install(Some(gov.clone()));
+            let _batch = crate::vec::set_batch_rows(Some(3));
+            let _threads = set_threads(Some(4));
+            let _morsel = set_morsel_rows(7);
+            let seen = run_partitioned(4, |_| {
+                governor::charge("worker", 100)?;
+                metrics::both(|m| m.counter_add("nra_ctx_test_total", &[], 1));
+                progress::on_rows(10, "ctx-test");
+                let same_gov = ctx::current()
+                    .governor
+                    .is_some_and(|g| Arc::ptr_eq(&g, &gov));
+                Ok((threads(), morsel_rows(), crate::vec::batch_rows(), same_gov))
+            })?;
+            assert_eq!(seen, vec![(4, 7, 3, true); 4]);
+        }
+        // Every thread's pending charges were flushed on the way out.
+        assert_eq!(gov.mem_used(), 400);
+        assert_eq!(registry.snapshot().counter_total("nra_ctx_test_total"), 4);
+        assert_eq!(state.snapshot().rows_processed, 40);
+        let after = ctx::current();
+        assert!(after.governor.is_none() && after.morsel_rows.is_none());
+        assert!(after.threads.is_none() && after.batch_rows.is_none());
+
+        // Enforcement crosses threads too: a 2-byte budget must trip
+        // charges made from workers. Each worker transposes a real batch
+        // and charges its actual lane allocation through the
         // batch-amortized path.
-        let gov = Arc::new(governor::Governor::new().mem_limit(2));
-        let _g = governor::install(Some(gov));
+        use nra_storage::{Tuple, Value};
+        let _g = governor::install(Some(Arc::new(governor::Governor::new().mem_limit(2))));
         let result = with_budget(4, || {
             run_partitioned(4, |p| {
                 let rows: Vec<Tuple> = (0..64).map(|i| vec![Value::Int((p + i) as i64)]).collect();
@@ -530,6 +517,7 @@ mod tests {
             })
         });
         assert!(matches!(result, Err(EngineError::ResourceExhausted { .. })));
+        Ok(())
     }
 
     #[test]

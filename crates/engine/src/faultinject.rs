@@ -3,7 +3,7 @@
 //! The governor's recovery guarantees — structured errors instead of
 //! process death, no poisoned state — are only trustworthy if every
 //! failure path is actually exercised. This module lets tests (and the
-//! `NRA_FAULT` environment variable) plant a synthetic failure at a
+//! `NRA_FAULT` knob, parsed by [`crate::config`]) plant a synthetic failure at a
 //! *named site* in the execution stack:
 //!
 //! * [`JOIN_BUILD`] — right before a hash join materializes its build
@@ -62,17 +62,6 @@ pub enum FaultKind {
     Delay(u64),
 }
 
-impl FaultKind {
-    fn parse(kind: &str, ms: Option<u64>) -> Option<FaultKind> {
-        match kind {
-            "alloc" => Some(FaultKind::AllocFail),
-            "panic" => Some(FaultKind::Panic),
-            "delay" => Some(FaultKind::Delay(ms.unwrap_or(10))),
-            _ => None,
-        }
-    }
-}
-
 /// One armed fault: trigger `kind` on the `nth` (1-based) pass through
 /// `site`. The hit counter is shared across all workers of the query via
 /// the governor's `Arc`, so "nth pass" is counted globally.
@@ -85,7 +74,8 @@ pub struct FaultSpec {
 }
 
 /// The set of faults armed for one query. Empty by default; built from
-/// `QueryOptions::fault(..)` or parsed from `NRA_FAULT`.
+/// `QueryOptions::fault(..)` or from the `NRA_FAULT` entries of a
+/// [`Config`](crate::config::Config).
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     specs: Vec<FaultSpec>,
@@ -105,42 +95,6 @@ impl FaultPlan {
             kind,
             hits: AtomicU64::new(0),
         });
-    }
-
-    /// Parse a comma-separated `site:nth[:kind[:ms]]` list (the
-    /// `NRA_FAULT` grammar). Malformed entries are skipped — fault
-    /// injection is a test harness, not an input surface worth failing
-    /// a query over.
-    pub fn parse(spec: &str) -> FaultPlan {
-        let mut plan = FaultPlan::default();
-        for entry in spec.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let mut parts = entry.split(':');
-            let (Some(site), Some(nth)) = (parts.next(), parts.next()) else {
-                continue;
-            };
-            let Ok(nth) = nth.trim().parse::<u64>() else {
-                continue;
-            };
-            let kind = parts.next().unwrap_or("panic").trim();
-            let ms = parts.next().and_then(|m| m.trim().parse::<u64>().ok());
-            let Some(kind) = FaultKind::parse(kind, ms) else {
-                continue;
-            };
-            plan.push(site.trim(), nth, kind);
-        }
-        plan
-    }
-
-    /// The plan described by `NRA_FAULT`, empty when unset.
-    pub fn from_env() -> FaultPlan {
-        match std::env::var("NRA_FAULT") {
-            Ok(spec) => FaultPlan::parse(&spec),
-            Err(_) => FaultPlan::default(),
-        }
     }
 
     /// Count one pass through `site` and trigger any fault whose turn it
@@ -184,8 +138,7 @@ impl FaultPlan {
 }
 
 /// Pass through the named fault site. A single thread-local flag check
-/// when no fault plan is armed (the common case, including all release
-/// deployments with `NRA_FAULT` unset).
+/// when no fault plan is armed (the common case).
 #[inline]
 pub fn hit(site: &str) -> Result<(), EngineError> {
     if !governor::faults_armed() {
@@ -197,33 +150,6 @@ pub fn hit(site: &str) -> Result<(), EngineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_grammar() {
-        let plan = FaultPlan::parse("join-build:1:panic, nest-flush:3:alloc,linking-scan:2");
-        assert_eq!(plan.specs.len(), 3);
-        assert_eq!(plan.specs[0].site, "join-build");
-        assert_eq!(plan.specs[0].nth, 1);
-        assert_eq!(plan.specs[0].kind, FaultKind::Panic);
-        assert_eq!(plan.specs[1].kind, FaultKind::AllocFail);
-        // Kind defaults to panic.
-        assert_eq!(plan.specs[2].kind, FaultKind::Panic);
-    }
-
-    #[test]
-    fn parse_skips_malformed_entries() {
-        let plan = FaultPlan::parse("nonsense,,join-build:x:panic,join-build:2:explode,ok:1:alloc");
-        assert_eq!(plan.specs.len(), 1);
-        assert_eq!(plan.specs[0].site, "ok");
-    }
-
-    #[test]
-    fn parse_delay_with_ms() {
-        let plan = FaultPlan::parse("nest-flush:1:delay:25");
-        assert_eq!(plan.specs[0].kind, FaultKind::Delay(25));
-        let plan = FaultPlan::parse("nest-flush:1:delay");
-        assert_eq!(plan.specs[0].kind, FaultKind::Delay(10));
-    }
 
     #[test]
     fn nth_counting_triggers_once() {

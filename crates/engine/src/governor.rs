@@ -1,19 +1,16 @@
-//! Per-query resource governance: memory budgets, cooperative
-//! cancellation, and the thread-local plumbing that carries both across
-//! the morsel scheduler's worker threads.
+//! Per-query resource governance: memory budgets and cooperative
+//! cancellation, plus admission control across queries.
 //!
-//! A [`Governor`] is built per query (from `QueryOptions` limits, the
-//! `NRA_MEM_LIMIT` / `NRA_FAULT` environment, an explicit
+//! A [`Governor`] is built per query (from `QueryOptions` limits over
+//! the database's [`Config`](crate::config::Config), an explicit
 //! [`CancelToken`], or a `timeout_ms` deadline), wrapped in an `Arc`,
-//! and [`install`]ed on the coordinating thread for the query's
-//! lifetime. `exec::run_partitioned` captures the installed governor and
-//! re-installs it on every worker, the same way `nra_obs::Handoff`
-//! carries the stats collector across.
+//! and carried in the query's [`QueryCtx`](crate::ctx::QueryCtx) on the
+//! coordinating thread and on every `exec::run_partitioned` worker.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Zero cost when idle.** [`charge`] and [`checkpoint`] open with an
-//!    `#[inline]` check of a thread-local flag byte; with no limit, no
+//!    `#[inline]` check of the context's flag byte; with no limit, no
 //!    deadline, no token, and no fault plan the flag is 0 and both are a
 //!    single thread-local load. The committed benchmark baselines run
 //!    with the governor compiled in but disarmed.
@@ -36,11 +33,11 @@
 //! morsel-sized unit of work and surfaces
 //! [`EngineError::Cancelled`] naming the interrupted phase.
 
-use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::ctx::{self, CtxGuard};
 use crate::error::EngineError;
 use crate::faultinject::FaultPlan;
 
@@ -128,26 +125,9 @@ impl Governor {
         self
     }
 
-    /// Overlay environment defaults: `NRA_MEM_LIMIT` when no limit was
-    /// set programmatically, `NRA_FAULT` when no fault plan was.
-    pub fn with_env(mut self) -> Governor {
-        if self.mem_limit.is_none() {
-            if let Some(bytes) = std::env::var("NRA_MEM_LIMIT")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-            {
-                self = self.mem_limit(bytes);
-            }
-        }
-        if self.faults.is_empty() {
-            self.faults = FaultPlan::from_env();
-        }
-        self
-    }
-
     /// Whether installing this governor would arm anything at all.
     /// Ungoverned queries skip installation entirely, keeping the
-    /// thread-local flag byte at 0.
+    /// context's flag byte at 0.
     pub fn is_armed(&self) -> bool {
         self.mem_limit.is_some()
             || self.deadline.is_some()
@@ -161,7 +141,14 @@ impl Governor {
         self.mem_used.load(Ordering::Relaxed)
     }
 
-    fn flags(&self) -> u8 {
+    /// Add a thread's `pending` bytes to the shared counter.
+    pub(crate) fn flush(&self, pending: u64) {
+        if pending > 0 {
+            self.mem_used.fetch_add(pending, Ordering::Relaxed);
+        }
+    }
+
+    pub(crate) fn flags(&self) -> u8 {
         let mut f = 0;
         if self.mem_limit.is_some() {
             f |= F_MEM;
@@ -180,57 +167,12 @@ const F_MEM: u8 = 1;
 const F_CANCEL: u8 = 2;
 const F_FAULT: u8 = 4;
 
-thread_local! {
-    /// The governor of the query currently executing on this thread.
-    static CURRENT: RefCell<Option<Arc<Governor>>> = const { RefCell::new(None) };
-    /// Which of the governor's facilities are armed (fast-path gate for
-    /// [`charge`] / [`checkpoint`] / `faultinject::hit`).
-    static FLAGS: Cell<u8> = const { Cell::new(0) };
-    /// This thread's un-flushed memory charges, in bytes.
-    static PENDING: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Restores the previously installed governor on drop, flushing this
-/// thread's pending charges into the departing governor first.
-#[must_use = "dropping the guard immediately uninstalls the governor"]
-pub struct GovernorGuard {
-    prev: Option<Arc<Governor>>,
-    prev_flags: u8,
-    prev_pending: u64,
-}
-
-impl Drop for GovernorGuard {
-    fn drop(&mut self) {
-        let pending = PENDING.with(|p| p.replace(self.prev_pending));
-        CURRENT.with(|c| {
-            let mut cur = c.borrow_mut();
-            if let (Some(g), true) = (cur.as_ref(), pending > 0) {
-                g.mem_used.fetch_add(pending, Ordering::Relaxed);
-            }
-            *cur = self.prev.take();
-        });
-        FLAGS.with(|f| f.set(self.prev_flags));
-    }
-}
-
 /// Install `gov` (or, with `None`, nothing) as this thread's governor
-/// for the lifetime of the returned guard. `Database::execute` installs
-/// on the coordinator; `exec::run_partitioned` re-installs the captured
-/// governor on each worker.
-pub fn install(gov: Option<Arc<Governor>>) -> GovernorGuard {
-    let flags = gov.as_ref().map_or(0, |g| g.flags());
-    let prev = CURRENT.with(|c| std::mem::replace(&mut *c.borrow_mut(), gov));
-    GovernorGuard {
-        prev,
-        prev_flags: FLAGS.with(|f| f.replace(flags)),
-        prev_pending: PENDING.with(|p| p.replace(0)),
-    }
-}
-
-/// The governor installed on this thread, if any (captured by the
-/// scheduler to hand to workers).
-pub fn current() -> Option<Arc<Governor>> {
-    CURRENT.with(|c| c.borrow().clone())
+/// for the lifetime of the returned guard, leaving the rest of the
+/// context as it is. Dropping the guard flushes this thread's pending
+/// charges into `gov`.
+pub fn install(gov: Option<Arc<Governor>>) -> CtxGuard {
+    ctx::update(|c| c.governor = gov)
 }
 
 /// Charge `bytes` of governed allocation against the query budget on
@@ -238,24 +180,24 @@ pub fn current() -> Option<Arc<Governor>> {
 /// limit is armed.
 #[inline]
 pub fn charge(site: &str, bytes: u64) -> Result<(), EngineError> {
-    if FLAGS.with(Cell::get) & F_MEM == 0 {
+    if ctx::with(|c| c.flags.get()) & F_MEM == 0 {
         return Ok(());
     }
     charge_armed(site, bytes)
 }
 
 fn charge_armed(site: &str, bytes: u64) -> Result<(), EngineError> {
-    CURRENT.with(|c| {
-        let cur = c.borrow();
+    ctx::with(|c| {
+        let cur = c.governor.borrow();
         let Some(g) = cur.as_ref() else {
             return Ok(());
         };
-        let pending = PENDING.with(Cell::get) + bytes;
+        let pending = c.pending.get() + bytes;
         if pending < g.flush_step {
-            PENDING.with(|p| p.set(pending));
+            c.pending.set(pending);
             return Ok(());
         }
-        PENDING.with(|p| p.set(0));
+        c.pending.set(0);
         let total = g.mem_used.fetch_add(pending, Ordering::Relaxed) + pending;
         // Live-progress hook: the flushed running total is the best
         // cross-thread memory figure available, published at flush-step
@@ -330,7 +272,7 @@ impl BatchCharger {
 /// when neither a token nor a deadline is armed.
 #[inline]
 pub fn checkpoint(phase: &str) -> Result<(), EngineError> {
-    if FLAGS.with(Cell::get) & F_CANCEL == 0 {
+    if ctx::with(|c| c.flags.get()) & F_CANCEL == 0 {
         return Ok(());
     }
     checkpoint_armed(phase)
@@ -357,8 +299,8 @@ pub fn tick(i: usize, phase: &str) -> Result<(), EngineError> {
 }
 
 fn checkpoint_armed(phase: &str) -> Result<(), EngineError> {
-    CURRENT.with(|c| {
-        let cur = c.borrow();
+    ctx::with(|c| {
+        let cur = c.governor.borrow();
         let Some(g) = cur.as_ref() else {
             return Ok(());
         };
@@ -388,14 +330,14 @@ fn checkpoint_armed(phase: &str) -> Result<(), EngineError> {
 /// (fast-path gate for [`crate::faultinject::hit`]).
 #[inline]
 pub(crate) fn faults_armed() -> bool {
-    FLAGS.with(Cell::get) & F_FAULT != 0
+    ctx::with(|c| c.flags.get()) & F_FAULT != 0
 }
 
 /// Count a pass through the named fault site against the installed
 /// governor's plan.
 pub(crate) fn observe_fault(site: &str) -> Result<(), EngineError> {
-    CURRENT.with(|c| {
-        let cur = c.borrow();
+    ctx::with(|c| {
+        let cur = c.governor.borrow();
         let Some(g) = cur.as_ref() else {
             return Ok(());
         };
@@ -468,31 +410,6 @@ impl AdmissionConfig {
 
     pub fn queue_timeout_ms(mut self, ms: u64) -> AdmissionConfig {
         self.queue_timeout_ms = ms;
-        self
-    }
-
-    /// Overlay the environment: `NRA_MAX_CONCURRENT`,
-    /// `NRA_ADMISSION_MEM` (bytes) and `NRA_ADMISSION_TIMEOUT_MS`, each
-    /// only where nothing was set programmatically.
-    pub fn with_env(mut self) -> AdmissionConfig {
-        let parse = |var: &str| {
-            std::env::var(var)
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-        };
-        if self.max_concurrent.is_none() {
-            if let Some(n) = parse("NRA_MAX_CONCURRENT") {
-                self = self.max_concurrent(n as usize);
-            }
-        }
-        if self.mem_cap_bytes.is_none() {
-            if let Some(b) = parse("NRA_ADMISSION_MEM") {
-                self = self.mem_cap_bytes(b);
-            }
-        }
-        if let Some(ms) = parse("NRA_ADMISSION_TIMEOUT_MS") {
-            self = self.queue_timeout_ms(ms);
-        }
         self
     }
 

@@ -4,11 +4,16 @@
 //!
 //! * [`expr`] — compilation of bound expressions to index-resolved form,
 //!   evaluated under SQL three-valued logic;
-//! * [`exec`] — the morsel-style partition scheduler: worker budget,
-//!   contiguous chunking, deterministic fork/join and a stable parallel
-//!   sort (see `DESIGN.md` §10);
-//! * [`governor`] — per-query resource governance: memory budgets,
-//!   cooperative cancellation, and the worker handoff for both;
+//! * [`config`] — the one strict parser of every `NRA_*` knob
+//!   ([`Config`]), read once per database / once per process;
+//! * [`ctx`] — the one per-thread query context ([`QueryCtx`]: worker
+//!   budget, morsel floor, batch width, governor) and its worker
+//!   handoff;
+//! * [`exec`] — the morsel-style partition scheduler: contiguous
+//!   chunking, deterministic fork/join and a stable parallel sort (see
+//!   `DESIGN.md` §10);
+//! * [`governor`] — per-query resource governance (memory budgets,
+//!   cooperative cancellation) and admission control;
 //! * [`faultinject`] — deterministic fault injection at named execution
 //!   sites (`NRA_FAULT`), proving every recovery path;
 //! * [`ops`] — physical operators (scan, filter, project, sort, Cartesian
@@ -27,6 +32,7 @@
 
 pub mod baseline;
 pub mod config;
+pub mod ctx;
 pub mod error;
 pub mod exec;
 pub mod expr;
@@ -37,6 +43,8 @@ pub mod planning;
 pub mod reference;
 pub mod vec;
 
+pub use config::Config;
+pub use ctx::QueryCtx;
 pub use error::EngineError;
 pub use expr::{CExpr, CPred};
 pub use faultinject::{FaultKind, FaultPlan};

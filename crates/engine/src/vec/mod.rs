@@ -28,9 +28,10 @@
 //! baselines are byte-identical at any batch size and thread count.
 //!
 //! The batch width defaults to [`DEFAULT_BATCH_ROWS`] (matching the
-//! morsel floor and the governor's `CHECK_ROWS` cadence) and can be
-//! overridden per thread with [`set_batch_rows`] or globally with the
-//! `NRA_BATCH_ROWS` environment variable.
+//! morsel floor and the governor's `CHECK_ROWS` cadence); it is read
+//! from the thread's [`QueryCtx`](crate::ctx::QueryCtx)
+//! ([`set_batch_rows`] writes it), falling back to the process
+//! [`Config`]'s `NRA_BATCH_ROWS`.
 
 pub mod batch;
 pub mod eval;
@@ -40,8 +41,8 @@ pub use batch::{Lane, LaneKind, SelVec, Validity, ValueBatch};
 pub use eval::{eval_expr_column, eval_pred, select_rows, ExprCol};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 
-use std::cell::Cell;
-
+use crate::config::Config;
+use crate::ctx::{self, CtxGuard};
 use crate::error::EngineError;
 use crate::governor;
 use nra_storage::tuple::group_eq_on;
@@ -53,58 +54,22 @@ use nra_storage::Tuple;
 /// bookkeeping.
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
 
-thread_local! {
-    /// Per-thread override of the batch width (`None` = consult the
-    /// `NRA_BATCH_ROWS` environment variable).
-    static BATCH_ROWS: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-fn env_batch_rows() -> Option<usize> {
-    std::env::var("NRA_BATCH_ROWS")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-}
-
-/// The batch width for vectorized scans on this thread: the per-query
-/// override when set, else `NRA_BATCH_ROWS`, else
+/// The batch width for vectorized scans on this thread: the context's
+/// width when set, else the process [`Config`]'s `NRA_BATCH_ROWS`, else
 /// [`DEFAULT_BATCH_ROWS`]. Always at least 1.
 pub fn batch_rows() -> usize {
-    BATCH_ROWS
-        .with(Cell::get)
-        .or_else(env_batch_rows)
+    ctx::with(|c| c.batch_rows.get())
+        .or_else(|| Config::process().batch_rows)
         .unwrap_or(DEFAULT_BATCH_ROWS)
         .max(1)
 }
 
-/// Restores the previous batch width on drop (see [`set_batch_rows`]).
-#[must_use = "dropping the guard immediately restores the previous width"]
-pub struct BatchRowsGuard {
-    prev: Option<usize>,
-}
-
-impl Drop for BatchRowsGuard {
-    fn drop(&mut self) {
-        BATCH_ROWS.with(|b| b.set(self.prev));
-    }
-}
-
-/// Set (or with `None`, clear) this thread's batch-width override for the
+/// Set (or with `None`, clear) this thread's batch width for the
 /// lifetime of the returned guard. Tests shrink it to 1 or 3 to shake
-/// batch-boundary handling; clearing falls back to `NRA_BATCH_ROWS`.
-pub fn set_batch_rows(n: Option<usize>) -> BatchRowsGuard {
-    BatchRowsGuard {
-        prev: BATCH_ROWS.with(|b| b.replace(n.map(|n| n.max(1)))),
-    }
-}
-
-/// This thread's raw batch-width override, for handoff to worker threads:
-/// `exec::run_partitioned` captures it on the dispatching thread and
-/// re-installs it on each worker (like the governor), so a per-query
-/// override applies across all partitions.
-pub fn batch_rows_override() -> Option<usize> {
-    BATCH_ROWS.with(Cell::get)
+/// batch-boundary handling; `exec::run_partitioned` workers inherit it
+/// with the rest of the context.
+pub fn set_batch_rows(n: Option<usize>) -> CtxGuard {
+    ctx::update(|c| c.batch_rows = n.map(|n| n.max(1)))
 }
 
 /// Group boundaries of a relation sorted (or grouped) on `cols`:
@@ -174,7 +139,7 @@ mod tests {
 
     #[test]
     fn batch_rows_default_and_override() {
-        if std::env::var("NRA_BATCH_ROWS").is_err() {
+        if Config::process().batch_rows.is_none() {
             assert_eq!(batch_rows(), DEFAULT_BATCH_ROWS);
         }
         {

@@ -4,7 +4,7 @@
 //! This is the data behind the `nra_sys.running` / `nra_sys.queries`
 //! system tables and the CLI's `:ps` / `:history` — and the state a
 //! future serving front end's `SHOW PROCESSLIST` will read. The query
-//! entry point [`register`]s each statement before execution (sharing
+//! entry point [`QueryRegistry::register`]s each statement before execution (sharing
 //! the query's [`crate::progress::ProgressState`], so any thread can
 //! watch it advance) and [`QueryRegistry::complete`]s it afterwards,
 //! moving it into the completed ring. Introspection queries themselves
@@ -28,7 +28,8 @@ pub const RING_CAPACITY: usize = 256;
 pub struct QueryRecord {
     /// Process-wide query id (monotonically increasing from 1).
     pub id: u64,
-    /// The statement, whitespace-normalized (see [`normalize_sql`]).
+    /// The statement as the plan cache keyed it (normalized by the
+    /// caller with `nra_sql::normalize`).
     pub sql: String,
     /// `"ok"`, `"cancelled"`, `"resource-exhausted"`, `"worker-panicked"`,
     /// `"sql"`, `"storage"`, or `"error"`.
@@ -55,7 +56,7 @@ pub struct QueryRecord {
 #[derive(Clone)]
 pub struct RunningQuery {
     pub id: u64,
-    /// The statement, whitespace-normalized.
+    /// The statement, already normalized by the caller.
     pub sql: String,
     /// Live progress, shared with the executing threads.
     pub progress: Arc<ProgressState>,
@@ -90,17 +91,21 @@ impl QueryRegistry {
     }
 
     /// Enter a query into the running table, assigning its process-wide
-    /// id. The statement is whitespace-normalized for display.
+    /// id. `sql` is stored as given: the caller passes the normalized
+    /// statement, so nothing is normalized under the registry lock.
     pub fn register(&self, sql: &str, progress: Arc<ProgressState>) -> u64 {
+        let sql = sql.to_string();
         let mut inner = self.lock();
         let id = inner.next_id;
         inner.next_id += 1;
-        inner.running.push(RunningQuery {
-            id,
-            sql: normalize_sql(sql),
-            progress,
-        });
+        inner.running.push(RunningQuery { id, sql, progress });
         id
+    }
+
+    /// Drop query `id` from the running table without a completed
+    /// record (a lifecycle unwinding before it could report).
+    pub fn forget(&self, id: u64) {
+        self.lock().running.retain(|r| r.id != id);
     }
 
     /// Move query `record.id` from the running table into the completed
@@ -133,36 +138,6 @@ pub fn global() -> &'static QueryRegistry {
     GLOBAL.get_or_init(|| QueryRegistry::with_capacity(RING_CAPACITY))
 }
 
-/// Collapse runs of whitespace to single spaces and trim — the canonical
-/// statement form stored by the registry and the slow-query log.
-///
-/// CONTRACT: this is a byte-for-byte copy of `nra_sql::normalize::
-/// normalize`, the plan-cache key normalizer. The two cannot share code
-/// (`nra-sql` depends on this crate for trace events, so this crate
-/// cannot call into it), but they must never diverge — a registry record
-/// must display exactly the string the plan cache keyed on. The
-/// agreement is pinned by a corpus test in `nra-sql::normalize`; change
-/// both together or that suite fails.
-pub fn normalize_sql(sql: &str) -> String {
-    let mut out = String::with_capacity(sql.len());
-    let mut last_space = true;
-    for ch in sql.chars() {
-        if ch.is_whitespace() {
-            if !last_space {
-                out.push(' ');
-                last_space = true;
-            }
-        } else {
-            out.push(ch);
-            last_space = false;
-        }
-    }
-    if out.ends_with(' ') {
-        out.pop();
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,19 +158,10 @@ mod tests {
     }
 
     #[test]
-    fn normalization_collapses_whitespace() {
-        assert_eq!(
-            normalize_sql("  select *\n\t from   t  "),
-            "select * from t"
-        );
-        assert_eq!(normalize_sql("select 1"), "select 1");
-    }
-
-    #[test]
     fn register_complete_lifecycle() {
         let reg = QueryRegistry::with_capacity(8);
         let p = Arc::new(ProgressState::new());
-        let id = reg.register("select *  from t", p);
+        let id = reg.register("select * from t", p);
         assert_eq!(reg.running().len(), 1);
         assert_eq!(reg.running()[0].sql, "select * from t");
         reg.complete(record(id, "select * from t"));

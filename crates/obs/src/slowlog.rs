@@ -2,8 +2,8 @@
 //! time crossed a threshold.
 //!
 //! The query entry point builds a [`SlowRecord`] when a query's wall
-//! time reaches `QueryOptions::slow_ms` (or the `NRA_SLOW_MS`
-//! environment variable; `0` logs every query) and appends its
+//! time reaches `QueryOptions::slow_ms` (default: the `NRA_SLOW_MS`
+//! knob; `0` logs every query) and appends its
 //! [`SlowRecord::to_jsonl`] line to the `NRA_SLOW_LOG` path — the same
 //! append-JSONL idiom the `NRA_METRICS` sink uses. Every string goes
 //! through [`crate::json`]'s single escaping routine, and [`validate`] /
@@ -28,6 +28,8 @@ use crate::Profile;
 
 /// Everything one slow-query record carries.
 pub struct SlowRecord<'a> {
+    /// The statement as the plan cache keyed it (already normalized by
+    /// the caller).
     pub statement: &'a str,
     pub outcome: &'a str,
     pub wall_ms: u64,
@@ -71,19 +73,6 @@ impl SlowRecord<'_> {
         out.push_str("}\n");
         out
     }
-}
-
-/// The effective slow-query threshold from the environment, in
-/// milliseconds (`NRA_SLOW_MS`; `None` when unset or unparsable).
-pub fn env_threshold_ms() -> Option<u64> {
-    std::env::var("NRA_SLOW_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-}
-
-/// The slow-query log path from the environment (`NRA_SLOW_LOG`).
-pub fn env_log_path() -> Option<String> {
-    std::env::var("NRA_SLOW_LOG").ok().filter(|p| !p.is_empty())
 }
 
 fn require_u64(v: &Json, key: &str) -> Result<(), String> {

@@ -587,17 +587,17 @@ pub fn emit<F: FnOnce() -> TraceEvent>(f: F) {
     });
 }
 
-/// The sinks requested by the environment: [`StderrSink`] when
-/// `NRA_TRACE=1`, plus a [`JsonlSink`] when `NRA_TRACE_FILE=<path>` is set
-/// (unwritable paths are reported on stderr and skipped). Empty when
-/// neither variable is set.
-pub fn env_sinks() -> Vec<Box<dyn TraceSink>> {
+/// The mirror sinks a configuration asks for beside the in-memory ring:
+/// a [`StderrSink`] when `stderr` (`NRA_TRACE`), plus a [`JsonlSink`]
+/// on `file` (`NRA_TRACE_FILE`; an unwritable path is reported on
+/// stderr and skipped).
+pub fn mirror_sinks(stderr: bool, file: Option<&str>) -> Vec<Box<dyn TraceSink>> {
     let mut sinks: Vec<Box<dyn TraceSink>> = Vec::new();
-    if std::env::var("NRA_TRACE").is_ok_and(|v| v == "1") {
+    if stderr {
         sinks.push(Box::new(StderrSink));
     }
-    if let Ok(path) = std::env::var("NRA_TRACE_FILE") {
-        match JsonlSink::create(std::path::Path::new(&path)) {
+    if let Some(path) = file {
+        match JsonlSink::create(std::path::Path::new(path)) {
             Ok(sink) => sinks.push(Box::new(sink)),
             Err(e) => eprintln!("NRA_TRACE_FILE: cannot open {path}: {e}"),
         }

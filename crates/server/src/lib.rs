@@ -40,10 +40,6 @@
 //! The framing is identical for commands and SQL so clients need exactly
 //! one parser ([`Client`] is that parser, used by the integration tests
 //! and the `bench --serve` driver).
-//!
-//! `NRA_SERVER_POLL_MS` tunes how often blocked readers wake up (both
-//! the server's shutdown poll and the client's read timeout); the
-//! default is 100 ms, and malformed values are rejected up front.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -54,28 +50,10 @@ use std::time::Duration;
 
 use nra::{Database, Engine, NraError, QueryOptions, Session, Strategy};
 
-/// Default wake-up cadence for blocked socket readers, in milliseconds.
-const DEFAULT_POLL_MS: u64 = 100;
-
 /// How often a blocked reader wakes up — to check the shutdown flag on
 /// the server side, or to re-poll the socket in [`Client`]. Bounds
-/// shutdown latency; invisible on the wire otherwise. Configurable via
-/// the `NRA_SERVER_POLL_MS` environment variable; a malformed or zero
-/// value is an `InvalidInput` error (from [`serve`] and
-/// [`Client::connect`]), not a silent fallback.
-fn poll_interval() -> io::Result<Duration> {
-    let raw = match std::env::var("NRA_SERVER_POLL_MS") {
-        Err(_) => return Ok(Duration::from_millis(DEFAULT_POLL_MS)),
-        Ok(v) => v,
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(ms) if ms > 0 => Ok(Duration::from_millis(ms)),
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("invalid NRA_SERVER_POLL_MS=`{raw}`: must be a positive millisecond count"),
-        )),
-    }
-}
+/// shutdown latency; invisible on the wire otherwise.
+const POLL: Duration = Duration::from_millis(100);
 
 // ---------------------------------------------------------------------
 // Wire format: escaping and response framing shared by server + client.
@@ -145,7 +123,6 @@ pub struct Response {
 /// port). Returns immediately; the accept loop runs on a background
 /// thread until [`ServerHandle::shutdown`].
 pub fn serve(db: Database, addr: impl ToSocketAddrs) -> io::Result<ServerHandle> {
-    let poll = poll_interval()?;
     let listener = TcpListener::bind(addr)?;
     let local_addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
@@ -172,7 +149,7 @@ pub fn serve(db: Database, addr: impl ToSocketAddrs) -> io::Result<ServerHandle>
                                 // Connection errors only affect that
                                 // connection; the socket closing is the
                                 // ordinary end of a conversation.
-                                let _ = Connection::new(stream, session, stop, poll).run();
+                                let _ = Connection::new(stream, session, stop).run();
                             })
                             .expect("spawn connection thread");
                         conns.lock().unwrap().push(handle);
@@ -208,7 +185,7 @@ impl ServerHandle {
 
     /// Stop accepting, wake the accept loop, and join every connection
     /// thread. In-flight queries finish; blocked readers notice the
-    /// flag within one poll interval (`NRA_SERVER_POLL_MS`).
+    /// flag within one `POLL` interval (100 ms).
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock the accept() call with a throwaway connection.
@@ -273,30 +250,23 @@ struct Connection {
     session: Session,
     config: ConnConfig,
     stop: Arc<AtomicBool>,
-    poll: Duration,
     /// Bytes received but not yet terminated by a newline.
     pending: Vec<u8>,
 }
 
 impl Connection {
-    fn new(
-        stream: TcpStream,
-        session: Session,
-        stop: Arc<AtomicBool>,
-        poll: Duration,
-    ) -> Connection {
+    fn new(stream: TcpStream, session: Session, stop: Arc<AtomicBool>) -> Connection {
         Connection {
             stream,
             session,
             config: ConnConfig::default(),
             stop,
-            poll,
             pending: Vec::new(),
         }
     }
 
     fn run(mut self) -> io::Result<()> {
-        self.stream.set_read_timeout(Some(self.poll))?;
+        self.stream.set_read_timeout(Some(POLL))?;
         self.stream.set_nodelay(true).ok();
         loop {
             let line = match self.read_line()? {
@@ -524,13 +494,12 @@ pub struct Client {
 
 impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        let poll = poll_interval()?;
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         // The same poll cadence the server uses: reads wake up at this
         // interval (and retry) instead of blocking indefinitely in one
-        // syscall, so `NRA_SERVER_POLL_MS` tunes both sides.
-        stream.set_read_timeout(Some(poll))?;
+        // syscall.
+        stream.set_read_timeout(Some(POLL))?;
         Ok(Client {
             stream,
             pending: Vec::new(),

@@ -16,18 +16,8 @@
 //! replaced by `?`) would raise plan-cache hit rates on ad-hoc traffic,
 //! but it would also make the displayed statement lie about what ran;
 //! when that trade-off is revisited it must change here, for every
-//! consumer at once.
-//!
-//! # Layering
-//!
-//! `nra-obs` sits *below* this crate (the parser emits trace events), so
-//! the observability registry cannot call into here. Its copy —
-//! [`queryreg::normalize_sql`] — must stay byte-for-byte identical to
-//! [`normalize`]; the [`tests::agrees_with_the_slow_log_normalizer`]
-//! property test pins the agreement over structured and adversarial
-//! corpora, so a drift in either copy fails this crate's suite.
-//!
-//! [`queryreg::normalize_sql`]: nra_obs::queryreg::normalize_sql
+//! consumer at once. The query lifecycle calls [`normalize`] once per
+//! statement and hands the same string to all three.
 
 /// Normalize `sql` to its canonical single-line form: runs of whitespace
 /// (spaces, tabs, newlines — anything `char::is_whitespace`) collapse to
@@ -90,49 +80,5 @@ mod tests {
              display-oriented; keys for literal-sensitive use must quote \
              responsibly"
         );
-    }
-
-    /// The layering-enforced duplicate in `nra_obs::queryreg` must agree
-    /// byte-for-byte on every input: structured SQL, pathological
-    /// whitespace, unicode, and a seeded pseudo-random corpus.
-    #[test]
-    fn agrees_with_the_slow_log_normalizer() {
-        let corpus = [
-            "",
-            " ",
-            "select 1",
-            "  select *\n\t from   t  ",
-            "select a,\n       b\nfrom t\nwhere a in (select b from s)",
-            "\u{00a0}nbsp\u{00a0}is\u{00a0}whitespace\u{00a0}",
-            "tab\tand\u{2028}line-sep\u{2029}para-sep",
-            "ünïcode  テキスト \u{3000}ideographic",
-            "trailing newline\n",
-            "\n\nleading\n\n",
-        ];
-        for s in corpus {
-            assert_eq!(
-                normalize(s),
-                nra_obs::queryreg::normalize_sql(s),
-                "normalizers diverge on {s:?}"
-            );
-        }
-        // Seeded pseudo-random byte soup (printable + whitespace mix):
-        // a cheap xorshift so the corpus is deterministic and offline.
-        let mut state: u64 = 0x9e3779b97f4a7c15;
-        let alphabet: Vec<char> = " \t\n\r\u{000b}\u{000c}abcXYZ().,'=*".chars().collect();
-        for _ in 0..500 {
-            let mut s = String::new();
-            for _ in 0..64 {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                s.push(alphabet[(state % alphabet.len() as u64) as usize]);
-            }
-            assert_eq!(
-                normalize(&s),
-                nra_obs::queryreg::normalize_sql(&s),
-                "normalizers diverge on {s:?}"
-            );
-        }
     }
 }

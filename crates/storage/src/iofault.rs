@@ -2,9 +2,9 @@
 //!
 //! The engine-side harness (`nra_engine::faultinject`) covers in-memory
 //! operator sites; this module covers the storage-side I/O sites that the
-//! crash-recovery harness exercises. It reuses the same `NRA_FAULT`
-//! grammar — `site:nth[:kind[:ms]]`, comma-separated — with its own site
-//! and kind vocabulary:
+//! crash-recovery harness exercises. It shares the `NRA_FAULT` grammar —
+//! `site:nth[:kind[:ms]]`, comma-separated, parsed once by
+//! `nra_engine::config` — with its own site and kind vocabulary:
 //!
 //! * sites: `wal-append`, `wal-fsync`, `checkpoint-write`,
 //!   `snapshot-rename`
@@ -12,15 +12,15 @@
 //!   (the process "dies" before the bytes land), `io-error` (a transient
 //!   failure with no on-disk effect), `delay` (sleep `ms`, then succeed)
 //!
-//! Entries naming engine sites or engine kinds are ignored here (and vice
-//! versa), so one `NRA_FAULT` value can arm both harnesses. Tests install
-//! a plan thread-locally via [`install`] so parallel tests cannot see each
-//! other's faults; the process-wide `NRA_FAULT` fallback (parsed once) is
-//! what CLI/CI smokes use.
+//! One `NRA_FAULT` value can arm both harnesses: each is built from the
+//! entries naming its sites. Plans are armed thread-locally via
+//! [`install`] — by tests directly, and by a durable `Database` around
+//! each of its writes when its `Config` carries I/O entries — so
+//! parallel tests cannot see each other's faults.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Fault site: appending a record to the write-ahead log.
@@ -46,20 +46,6 @@ pub enum IoFaultKind {
     IoError,
     /// Sleep for the given milliseconds, then proceed normally.
     Delay(u64),
-}
-
-impl IoFaultKind {
-    fn parse(kind: &str, ms: Option<&str>) -> Option<IoFaultKind> {
-        match (kind, ms) {
-            ("short-write", None) => Some(IoFaultKind::ShortWrite),
-            ("crash", None) => Some(IoFaultKind::Crash),
-            ("io-error", None) => Some(IoFaultKind::IoError),
-            ("delay", ms) => Some(IoFaultKind::Delay(
-                ms.and_then(|m| m.parse().ok()).unwrap_or(10),
-            )),
-            _ => None,
-        }
-    }
 }
 
 /// The observable failure returned to the I/O call site when a fault
@@ -97,36 +83,6 @@ impl IoFaultPlan {
         });
     }
 
-    /// Parse the `NRA_FAULT` grammar, keeping only entries whose site is
-    /// one of [`IO_SITES`] and whose kind is an I/O kind. Anything else
-    /// is ignored here — `nra_engine::config::validate_env` is the strict
-    /// gate that rejects genuinely malformed specs up front.
-    pub fn parse(spec: &str) -> IoFaultPlan {
-        let mut plan = IoFaultPlan::default();
-        for entry in spec.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let mut parts = entry.split(':');
-            let (site, nth, kind, ms) = (parts.next(), parts.next(), parts.next(), parts.next());
-            let (Some(site), Some(nth)) = (site, nth) else {
-                continue;
-            };
-            if !IO_SITES.contains(&site) {
-                continue;
-            }
-            let Ok(nth) = nth.parse::<u64>() else {
-                continue;
-            };
-            let Some(kind) = IoFaultKind::parse(kind.unwrap_or("io-error"), ms) else {
-                continue;
-            };
-            plan.push(site, nth, kind);
-        }
-        plan
-    }
-
     pub fn is_empty(&self) -> bool {
         self.specs.is_empty()
     }
@@ -158,64 +114,37 @@ thread_local! {
     static LOCAL: RefCell<Option<Arc<IoFaultPlan>>> = const { RefCell::new(None) };
 }
 
-static FROM_ENV: OnceLock<Option<Arc<IoFaultPlan>>> = OnceLock::new();
-
-/// Arm `plan` for the current thread; disarmed when the guard drops.
-pub fn install(plan: IoFaultPlan) -> IoFaultGuard {
-    LOCAL.with(|l| *l.borrow_mut() = Some(Arc::new(plan)));
-    IoFaultGuard { _priv: () }
+/// Arm `plan` for the current thread; the previously armed plan (if
+/// any) is restored when the guard drops.
+pub fn install(plan: impl Into<Arc<IoFaultPlan>>) -> IoFaultGuard {
+    IoFaultGuard {
+        prev: LOCAL.with(|l| l.borrow_mut().replace(plan.into())),
+    }
 }
 
 /// RAII guard returned by [`install`].
 #[derive(Debug)]
 pub struct IoFaultGuard {
-    _priv: (),
+    prev: Option<Arc<IoFaultPlan>>,
 }
 
 impl Drop for IoFaultGuard {
     fn drop(&mut self) {
-        LOCAL.with(|l| *l.borrow_mut() = None);
+        LOCAL.with(|l| *l.borrow_mut() = self.prev.take());
     }
 }
 
-/// Probe an I/O fault site. Returns the failure to simulate, or `None`
-/// to proceed normally. The thread-local plan (tests) takes precedence;
-/// otherwise the process-wide plan parsed once from `NRA_FAULT` applies.
+/// Probe an I/O fault site against the plan armed on this thread.
+/// Returns the failure to simulate, or `None` to proceed normally.
 pub fn hit(site: &str) -> Option<IoFailure> {
-    if let Some(f) = LOCAL
+    LOCAL
         .with(|l| l.borrow().clone())
-        .and_then(|p| p.observe(site))
-    {
-        return Some(f);
-    }
-    FROM_ENV
-        .get_or_init(|| {
-            std::env::var("NRA_FAULT")
-                .ok()
-                .map(|s| IoFaultPlan::parse(&s))
-                .filter(|p| !p.is_empty())
-                .map(Arc::new)
-        })
-        .as_ref()
         .and_then(|p| p.observe(site))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_keeps_io_entries_only() {
-        let plan = IoFaultPlan::parse(
-            "join-build:1:panic,wal-append:2:short-write,wal-fsync:1:alloc,\
-             checkpoint-write:1:io-error,snapshot-rename:1:crash,wal-append:1:delay:5,bogus",
-        );
-        assert_eq!(plan.specs.len(), 4);
-        assert_eq!(plan.specs[0].site, WAL_APPEND);
-        assert_eq!(plan.specs[0].nth, 2);
-        assert_eq!(plan.specs[0].kind, IoFaultKind::ShortWrite);
-        assert_eq!(plan.specs[3].kind, IoFaultKind::Delay(5));
-    }
 
     #[test]
     fn nth_counting_fires_once() {

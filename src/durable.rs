@@ -26,13 +26,13 @@
 //! always taken *before* the durability mutex, never the other way.
 
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use nra_engine::EngineError;
+use nra_engine::{Config, EngineError};
 use nra_obs::metrics;
-use nra_storage::disk;
+use nra_storage::iofault::{self, IoFaultPlan};
 use nra_storage::wal::{self, WalRecord, WalWriter};
-use nra_storage::{Catalog, StorageError};
+use nra_storage::{disk, Catalog, StorageError};
 
 use crate::{Database, NraError};
 
@@ -90,6 +90,9 @@ pub(crate) struct Durability {
     snapshot_lsn: u64,
     records_since_checkpoint: u64,
     checkpoint_every: u64,
+    /// The I/O-site entries of the database's `NRA_FAULT`, armed around
+    /// every durable write (`None` when there are none).
+    io_faults: Option<Arc<IoFaultPlan>>,
     report: RecoveryReport,
     poisoned: Option<String>,
 }
@@ -106,19 +109,6 @@ fn storage_err(e: StorageError) -> NraError {
 
 fn io_nra(context: &str, e: std::io::Error) -> NraError {
     NraError::Storage(StorageError::Io(format!("{context}: {e}")))
-}
-
-fn checkpoint_every_from_env() -> Result<u64, NraError> {
-    match std::env::var("NRA_CHECKPOINT_EVERY") {
-        Err(_) => Ok(DEFAULT_CHECKPOINT_EVERY),
-        Ok(v) => v.trim().parse::<u64>().map_err(|_| {
-            NraError::Engine(EngineError::Config {
-                var: "NRA_CHECKPOINT_EVERY".into(),
-                value: v.clone(),
-                detail: "must be a record count (0 disables automatic checkpoints)".into(),
-            })
-        }),
-    }
 }
 
 /// Apply one replayed record to the recovering catalog. Records passed
@@ -151,8 +141,16 @@ impl Database {
     /// with a structured [`EngineError::Corruption`]. The schema version
     /// is restored to the last applied LSN.
     pub fn open(path: impl AsRef<Path>) -> Result<Database, NraError> {
-        nra_engine::config::validate_env().map_err(NraError::Engine)?;
-        let checkpoint_every = checkpoint_every_from_env()?;
+        // A malformed environment refuses the open before anything is
+        // created on disk.
+        let config = Config::from_env().map_err(NraError::Engine)?;
+        let io_faults = (!config.faults.io.is_empty()).then(|| {
+            let mut plan = IoFaultPlan::default();
+            for (site, nth, kind) in &config.faults.io {
+                plan.push(site, *nth, *kind);
+            }
+            Arc::new(plan)
+        });
         let dir = path.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).map_err(|e| io_nra("create db directory", e))?;
 
@@ -206,7 +204,8 @@ impl Database {
             wal: wal_writer,
             last_lsn,
             snapshot_lsn,
-            checkpoint_every,
+            checkpoint_every: config.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
+            io_faults,
             report,
             poisoned: None,
         };
@@ -214,6 +213,7 @@ impl Database {
             catalog,
             last_lsn,
             Some(Mutex::new(durability)),
+            Ok(config),
         ))
     }
 
@@ -265,6 +265,7 @@ impl Database {
             ))));
         }
         let lsn = d.last_lsn;
+        let _faults = d.io_faults.clone().map(iofault::install);
         disk::write_snapshot(&d.dir, &cat, lsn).map_err(storage_err)?;
         // The snapshot is installed; resetting the log is safe even if
         // the process dies first — replay skips lsn ≤ snapshot lsn.
@@ -290,6 +291,7 @@ impl Database {
             ))));
         }
         let lsn = d.last_lsn + 1;
+        let _faults = d.io_faults.clone().map(iofault::install);
         match d.wal.append_sync(lsn, rec) {
             Ok(bytes) => {
                 d.last_lsn = lsn;

@@ -33,6 +33,7 @@
 
 use std::collections::HashMap;
 
+use crate::lifecycle::Caller;
 use crate::{sys, Database, NraError, QueryOptions, QueryOutcome};
 use nra_sql::SqlError;
 
@@ -63,18 +64,8 @@ impl Database {
 }
 
 impl Session {
-    /// The transient session behind [`Database::execute`]: id 0, stock
-    /// defaults.
-    pub(crate) fn one_shot(db: &Database) -> Session {
-        Session {
-            db: db.clone(),
-            id: 0,
-            defaults: QueryOptions::new(),
-            prepared: HashMap::new(),
-        }
-    }
-
-    /// This session's id (0 only for the internal one-shot session).
+    /// This session's id (ids start at 1; 0 marks one-shot
+    /// [`Database::execute`] calls in the query registry).
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -97,8 +88,7 @@ impl Session {
 
     /// Execute `sql` under the session's default options.
     pub fn execute(&self, sql: &str) -> Result<QueryOutcome, NraError> {
-        let defaults = self.defaults.clone();
-        self.execute_with(sql, &defaults)
+        self.execute_with(sql, &self.defaults)
     }
 
     /// Execute `sql` with explicit per-call options (the session id
@@ -108,9 +98,11 @@ impl Session {
         sql: &str,
         options: &QueryOptions,
     ) -> Result<QueryOutcome, NraError> {
-        let mut options = options.clone();
-        options.session = self.id;
-        self.db.execute_inner(sql, &options)
+        let caller = Caller {
+            session: self.id,
+            introspection: false,
+        };
+        self.db.execute_inner(sql, options, caller)
     }
 
     /// Validate `sql` now — parse it, and bind every block against the

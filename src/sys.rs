@@ -24,13 +24,14 @@
 //!   plan cache (normalized statement, resolved strategy, hit count,
 //!   schema version), in insertion order.
 //!
-//! Introspection queries run with the crate-private `introspection`
-//! flag set, which excludes them from the query registry, progress
+//! Introspection queries run with the crate-private
+//! [`Caller::introspection`] flag set, which excludes them from the query registry, progress
 //! tracking and the slow-query log — querying `nra_sys.queries` must
 //! not insert itself into `nra_sys.queries` (no self-recursion).
 
 use std::collections::BTreeSet;
 
+use crate::lifecycle::Caller;
 use crate::{plancache, Database, NraError, QueryOptions, QueryOutcome};
 use nra_obs::metrics::{self, Metric};
 use nra_obs::queryreg;
@@ -54,32 +55,31 @@ pub(crate) fn dispatch(
     db: &Database,
     sql: &str,
     options: &QueryOptions,
+    session: u64,
 ) -> Option<Result<QueryOutcome, NraError>> {
     let query = nra_sql::parse_query(sql).ok()?;
     let tables = referenced_tables(&query);
     if !tables.iter().any(|t| t.starts_with(PREFIX)) {
         return None;
     }
-    Some(run(db, sql, options, &tables))
-}
-
-fn run(
-    db: &Database,
-    sql: &str,
-    options: &QueryOptions,
-    tables: &BTreeSet<String>,
-) -> Result<QueryOutcome, NraError> {
-    let mut overlay = Catalog::new();
-    for name in tables {
-        let table = match name.strip_prefix(PREFIX) {
-            Some(kind) => build_sys_table(db, name, kind)?,
-            None => db.catalog().table(name)?.clone(),
+    let run = || {
+        let mut overlay = Catalog::new();
+        for name in &tables {
+            let table = match name.strip_prefix(PREFIX) {
+                Some(kind) => build_sys_table(db, name, kind)?,
+                None => db.catalog().table(name)?.clone(),
+            };
+            overlay.add_table(table)?;
+        }
+        // The overlay inherits this database's configuration instead of
+        // re-reading the environment.
+        let caller = Caller {
+            session,
+            introspection: true,
         };
-        overlay.add_table(table)?;
-    }
-    let mut opts = options.clone();
-    opts.introspection = true;
-    Database::from_catalog(overlay).execute(sql, &opts)
+        db.overlay(overlay).execute_inner(sql, options, caller)
+    };
+    Some(run())
 }
 
 /// Every table name appearing in a `FROM` clause anywhere in the query,

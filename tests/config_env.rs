@@ -1,11 +1,9 @@
-//! Strict environment-variable validation (its own test binary: the
+//! The environment reaches the engine through one door: `Config` is
+//! read when a `Database` is built. One smoke per entry point (the
+//! knob-by-knob matrix is `nra_engine::config`'s table-driven unit test,
+//! which needs no process-env mutation). Its own test binary: the
 //! environment is process-global, so these tests serialize behind one
-//! mutex and never run alongside other suites' processes).
-//!
-//! A malformed `NRA_FAULT` / `NRA_MEM_LIMIT` / `NRA_BATCH_ROWS` used to
-//! be silently ignored by the lenient runtime parsers; it is now a
-//! structured `EngineError::Config` from both query execution and
-//! `Database::open`.
+//! mutex and never run alongside other suites' processes.
 
 use std::sync::Mutex;
 
@@ -46,52 +44,56 @@ fn expect_config(result: Result<impl std::fmt::Debug, NraError>, var: &str) {
     }
 }
 
+/// The infallible constructors keep a malformed environment and return
+/// it from every `execute`; a database built under a valid one runs
+/// under it — and keeps running under it after the environment changes.
 #[test]
-fn malformed_fault_spec_is_a_structured_error() {
-    let db = test_db();
-    for bad in [
-        "nonsense",
-        "join-build:x:panic",
-        "wal-apend:1:crash",
-        "join-build:1:explode",
+fn execute_reports_the_environment_the_database_was_built_under() {
+    for (var, bad) in [
+        ("NRA_FAULT", "join-build:x:panic"),
+        ("NRA_MEM_LIMIT", "1GB"),
+        ("NRA_THREADS", "four"),
+        ("NRA_PLAN_CACHE", "maybe"),
     ] {
-        with_env(&[("NRA_FAULT", bad)], || {
+        let db = with_env(&[(var, bad)], test_db);
+        // The variable is unset again; the database still reports it.
+        for _ in 0..2 {
             let err = db.execute("select a from t", &QueryOptions::new());
-            expect_config(err, "NRA_FAULT");
-            let msg = db
-                .execute("select a from t", &QueryOptions::new())
-                .unwrap_err()
-                .to_string();
-            assert!(msg.contains("invalid NRA_FAULT"), "spec `{bad}`: {msg}");
-        });
+            expect_config(err, var);
+        }
+        let msg = db
+            .connect()
+            .execute("select a from t")
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains(&format!("invalid {var}=`{bad}`")), "{msg}");
     }
-}
 
-#[test]
-fn malformed_mem_limit_and_batch_rows_are_structured_errors() {
+    // Valid values (engine and storage fault sites side by side; the
+    // storage entries are dormant on a query) take effect.
+    let db = with_env(
+        &[
+            ("NRA_THREADS", "3"),
+            ("NRA_MEM_LIMIT", "1073741824"),
+            ("NRA_BATCH_ROWS", "512"),
+            ("NRA_FAULT", "wal-append:1:short-write"),
+        ],
+        test_db,
+    );
+    let out = db.execute("select a from t", &QueryOptions::new()).unwrap();
+    assert_eq!((out.rows.len(), out.threads), (2, 3));
+
+    // Built under a clean environment, a later malformed value is never
+    // seen: nothing reads the environment per query.
     let db = test_db();
     with_env(&[("NRA_MEM_LIMIT", "1GB")], || {
-        expect_config(
-            db.execute("select a from t", &QueryOptions::new()),
-            "NRA_MEM_LIMIT",
-        );
-    });
-    with_env(&[("NRA_BATCH_ROWS", "0")], || {
-        expect_config(
-            db.execute("select a from t", &QueryOptions::new()),
-            "NRA_BATCH_ROWS",
-        );
-    });
-    with_env(&[("NRA_BATCH_ROWS", "lots")], || {
-        expect_config(
-            db.execute("select a from t", &QueryOptions::new()),
-            "NRA_BATCH_ROWS",
-        );
+        let out = db.execute("select a from t", &QueryOptions::new()).unwrap();
+        assert_eq!(out.rows.len(), 2);
     });
 }
 
 #[test]
-fn database_open_applies_the_same_gate() {
+fn open_refuses_a_malformed_environment_up_front() {
     let dir = std::env::temp_dir().join(format!("nra-config-env-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     with_env(&[("NRA_FAULT", "bogus")], || {
@@ -101,23 +103,18 @@ fn database_open_applies_the_same_gate() {
     with_env(&[("NRA_CHECKPOINT_EVERY", "often")], || {
         expect_config(Database::open(&dir), "NRA_CHECKPOINT_EVERY");
     });
-    let _ = std::fs::remove_dir_all(&dir);
-}
 
-#[test]
-fn valid_values_still_work() {
-    let db = test_db();
-    // A well-formed spec naming engine and storage sites passes the
-    // gate (the storage entries are simply dormant on a query).
-    with_env(
-        &[
-            ("NRA_MEM_LIMIT", "1073741824"),
-            ("NRA_BATCH_ROWS", "512"),
-            ("NRA_FAULT", "wal-append:1:short-write"),
-        ],
-        || {
-            let out = db.execute("select a from t", &QueryOptions::new()).unwrap();
-            assert_eq!(out.rows.len(), 2);
-        },
-    );
+    // A valid I/O fault entry arms the durable write path of the
+    // database opened under it.
+    let db = with_env(&[("NRA_FAULT", "wal-append:2:io-error")], || {
+        Database::open(&dir).unwrap()
+    });
+    db.create_table("t", vec![Column::not_null("a", ColumnType::Int)], &["a"])
+        .unwrap();
+    let err = db.insert("t", vec![vec![Value::Int(1)]]).unwrap_err();
+    assert!(matches!(err, NraError::Storage(_)), "{err:?}");
+    db.insert("t", vec![vec![Value::Int(1)]])
+        .expect("the fault fires once; the failed insert left no trace");
+    assert_eq!(db.catalog().table("t").unwrap().len(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,8 +5,10 @@
 
 use nra::engine::{faultinject, EngineError};
 use nra::obs::trace::{self, RingSink, TraceEvent};
-use nra::tpch::paper_example::{rst_catalog, QUERY_Q};
-use nra::{CancelToken, Database, Engine, FaultKind, NraError, QueryOptions, Strategy};
+use nra::tpch::paper_example::{expected_query_q_result, rst_catalog, QUERY_Q};
+use nra::{
+    AdmissionConfig, CancelToken, Database, Engine, FaultKind, NraError, QueryOptions, Strategy,
+};
 use nra_storage::Relation;
 
 fn paper_db() -> Database {
@@ -25,6 +27,107 @@ fn baseline(db: &Database, opts: &QueryOptions) -> Relation {
         .execute_with(QUERY_Q, opts)
         .expect("clean run")
         .rows
+}
+
+/// Every lifecycle stage armed at once, so a failing query has
+/// something to leave behind at each of them.
+fn all_stages() -> QueryOptions {
+    QueryOptions::new()
+        .strategy(Strategy::Original)
+        .collect_profile(true)
+        .collect_trace(true)
+        .collect_metrics(true)
+        .simulate_io(true)
+        .mem_limit_bytes(64 << 20)
+}
+
+/// After a query that failed at `point`, nothing of it is left on this
+/// thread or in the process-wide tables, and the same thread answers
+/// Query Q correctly. `sql` is the (uniquely spelled) statement that
+/// failed: other tests in this binary register queries concurrently.
+fn assert_lifecycle_balanced(db: &Database, sql: &str, point: &str) {
+    assert!(!nra::obs::is_enabled(), "{point}: collector left enabled");
+    assert!(!trace::enabled(), "{point}: tracer left running");
+    assert!(!nra::storage::iosim::is_enabled(), "{point}: iosim left on");
+    let ctx = nra::engine::ctx::current();
+    assert!(ctx.governor.is_none(), "{point}: governor left installed");
+    let running = db
+        .connect()
+        .execute("select sql from nra_sys.running")
+        .expect("introspection works after a failure")
+        .rows;
+    let statement = nra::sql::normalize::normalize(sql);
+    assert!(
+        !running
+            .rows()
+            .iter()
+            .any(|r| r[0] == nra::storage::Value::str(&statement)),
+        "{point}: still in nra_sys.running"
+    );
+    assert_eq!(db.admission().snapshot().0, 0, "{point}: permit leaked");
+    let next = db
+        .connect()
+        .execute_with(QUERY_Q, &all_stages())
+        .unwrap_or_else(|e| panic!("{point}: next query failed: {e}"));
+    let golden = Relation::with_rows(next.rows.schema().clone(), expected_query_q_result());
+    assert!(
+        next.rows.multiset_eq(&golden),
+        "{point}: next query drifted from the golden answer"
+    );
+}
+
+/// Failure points before, at the edge of, and inside execution — each
+/// with every stage armed — leave the lifecycle balanced. (Injected
+/// panics at every fault site: `fault_matrix_structured_errors_and_recovery`.)
+#[test]
+fn lifecycle_balances_on_every_failure_path() {
+    let db = paper_db();
+    db.set_admission(AdmissionConfig::new().max_concurrent(1).queue_timeout_ms(0));
+    let q = |marker: u32| format!("{QUERY_Q} limit {marker}");
+    let cancelled = CancelToken::new();
+    cancelled.cancel();
+    type Expect = fn(&EngineError) -> bool;
+    let cases: [(&str, String, QueryOptions, Option<Expect>); 4] = [
+        (
+            "admission refused",
+            q(880_001),
+            all_stages(),
+            Some(|e| matches!(e, EngineError::Admission { .. })),
+        ),
+        (
+            "cancelled at query-start",
+            q(880_002),
+            all_stages().cancel(cancelled),
+            Some(|e| matches!(e, EngineError::Cancelled { phase } if phase == "query-start")),
+        ),
+        (
+            "bind error",
+            "select nope from r limit 880003".to_string(),
+            all_stages(),
+            None,
+        ),
+        (
+            "resource exhausted",
+            q(880_004),
+            all_stages().mem_limit_bytes(256),
+            Some(|e| matches!(e, EngineError::ResourceExhausted { .. })),
+        ),
+    ];
+    for (point, sql, opts, expect) in cases {
+        // Only the first case runs against a saturated gate.
+        let held = (point == "admission refused").then(|| db.admission().admit(0).unwrap());
+        let err = db
+            .connect()
+            .execute_with(&sql, &opts)
+            .map(|out| out.rows.len())
+            .expect_err(point);
+        drop(held);
+        match expect {
+            Some(expect) => assert!(expect(&engine_err(err.clone())), "{point}: {err:?}"),
+            None => assert!(matches!(err, NraError::Sql(_)), "{point}: {err:?}"),
+        }
+        assert_lifecycle_balanced(&db, &sql, point);
+    }
 }
 
 /// A budget far too small for Query Q fails with ResourceExhausted, and
@@ -138,13 +241,14 @@ fn fault_matrix_structured_errors_and_recovery() {
     let db = paper_db();
     let opts = || QueryOptions::new().engine(Engine::NestedRelational(Strategy::Original));
     let clean = baseline(&db, &opts());
+    let sql = format!("{QUERY_Q} limit 880005");
 
     for threads in [1usize, 4] {
         for site in faultinject::SITES {
             for kind in [FaultKind::AllocFail, FaultKind::Panic] {
                 let err = db
                     .connect()
-                    .execute_with(QUERY_Q, &opts().threads(threads).fault(site, 1, kind))
+                    .execute_with(&sql, &all_stages().threads(threads).fault(site, 1, kind))
                     .map(|out| out.rows.len())
                     .expect_err(&format!(
                         "fault {site}:{kind:?} at {threads} threads must surface"
@@ -161,6 +265,7 @@ fn fault_matrix_structured_errors_and_recovery() {
                     ),
                     FaultKind::Delay(_) => unreachable!(),
                 }
+                assert_lifecycle_balanced(&db, &sql, &format!("{site}:{kind:?} x{threads}"));
 
                 let again = baseline(&db, &opts().threads(threads));
                 assert_eq!(
