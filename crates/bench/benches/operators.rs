@@ -51,7 +51,9 @@ fn main() {
         });
         let link = FusedLink::from_selection(&sel, rel.schema(), &[0, 1]).unwrap();
         g.bench("fused-select", rows, || {
-            harness::black_box(fused_nest_select(&rel, &[0, 1], link.clone(), false, &[]).unwrap());
+            harness::black_box(
+                fused_nest_select(rel.clone(), &[0, 1], link.clone(), false, &[]).unwrap(),
+            );
         });
         // Hash joins: self outer join on the group key.
         g.bench("left-outer-join", rows, || {

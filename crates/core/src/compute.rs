@@ -32,10 +32,11 @@
 //! driver; the single-sort cascade for linear queries lives in
 //! [`crate::optimize::pipeline`].
 
+pub use nra_engine::planning::rid_column;
 use nra_engine::planning::{block_base, project_select, split_join_conds};
 use nra_engine::{join, CExpr, EngineError, JoinKind, JoinSpec};
 use nra_sql::{BExpr, BoundQuery, LinkOp, QueryBlock, SubqueryEdge};
-use nra_storage::{Catalog, Column, ColumnType, Relation, Schema, Value};
+use nra_storage::{Catalog, Column, ColumnType, Relation, Schema};
 
 use crate::linking::{LinkSelection, SetQuant};
 use crate::nest::nest_sort_idx;
@@ -82,12 +83,7 @@ pub fn execute_with_style(
     };
     let rel = prepare_base(&query.root, catalog)?;
     let rel = compute(&ctx, &query.root, rel)?;
-    project_select(&rel, &query.root)
-}
-
-/// The synthesized row-id column name for block `id`.
-pub fn rid_column(id: usize) -> String {
-    format!("__b{id}.rid")
+    project_select(rel, &query.root)
 }
 
 /// Name of the materialized linked-value column for block `id` (used when
@@ -103,41 +99,27 @@ pub fn oval_column(parent: usize, child: usize) -> String {
     format!("__b{parent}.oval{child}")
 }
 
-/// Build `T_i` for a block: base (FROM product + local predicates) with the
-/// synthesized rid appended.
+/// Build `T_i` for a block: the carried columns of the rows passing the
+/// local predicates, with the synthesized rid appended.
 pub fn prepare_base(block: &QueryBlock, catalog: &Catalog) -> Result<Relation, EngineError> {
-    let base = block_base(block, catalog)?;
-    Ok(append_rid(&base, block.id))
+    block_base(block, catalog, true)
 }
 
-/// Append a non-null row-id column named `__b{id}.rid`.
-pub fn append_rid(rel: &Relation, id: usize) -> Relation {
-    let mut schema_cols = rel.schema().columns().to_vec();
-    schema_cols.push(Column::not_null(rid_column(id), ColumnType::Int));
-    let mut out = Relation::new(Schema::new(schema_cols));
-    for (i, row) in rel.rows().iter().enumerate() {
-        let mut r = row.clone();
-        r.push(Value::Int(i as i64));
-        out.push_unchecked(r);
-    }
-    out
-}
-
-/// Append a computed column to a relation.
-pub fn append_computed(rel: &Relation, name: &str, expr: &BExpr) -> Result<Relation, EngineError> {
+/// Append a computed column to a relation (consumed: every row it
+/// already owns is extended in place).
+pub fn append_computed(rel: Relation, name: &str, expr: &BExpr) -> Result<Relation, EngineError> {
     let compiled = CExpr::compile(expr, rel.schema())?;
     let mut schema_cols = rel.schema().columns().to_vec();
     // The computed value's type is not statically known in this small type
     // system; declare Int-compatible and rely on unchecked pushes (the
     // column only feeds comparisons, which are dynamically typed).
     schema_cols.push(Column::new(name.to_string(), ColumnType::Int));
-    let mut out = Relation::new(Schema::new(schema_cols));
-    for row in rel.rows() {
-        let mut r = row.clone();
-        r.push(compiled.eval(row));
-        out.push_unchecked(r);
+    let mut rows = rel.into_rows();
+    for row in &mut rows {
+        let value = compiled.eval(row);
+        row.push(value);
     }
-    Ok(out)
+    Ok(Relation::with_rows(Schema::new(schema_cols), rows))
 }
 
 /// For each edge (keyed by child block id): must the linking selection be a
@@ -199,7 +181,7 @@ pub(crate) fn resolve_link_columns(
         Some(BExpr::Col(c)) => Some(c.clone()),
         Some(expr) => {
             let name = oval_column(parent.id, edge.block.id);
-            rel = append_computed(&rel, &name, expr)?;
+            rel = append_computed(rel, &name, expr)?;
             Some(name)
         }
     };
@@ -208,7 +190,7 @@ pub(crate) fn resolve_link_columns(
         Some(BExpr::Col(c)) => Some(c.clone()),
         Some(expr) => {
             let name = lval_column(edge.block.id);
-            rel = append_computed(&rel, &name, expr)?;
+            rel = append_computed(rel, &name, expr)?;
             Some(name)
         }
     };
@@ -312,7 +294,7 @@ fn compute(ctx: &Ctx<'_>, block: &QueryBlock, mut rel: Relation) -> Result<Relat
             NestStyle::Fused => {
                 let pad = owned_columns(&rel.schema().project(&n1), block);
                 let link = FusedLink::from_selection(&selection, rel.schema(), &n1)?;
-                fused_nest_select(&rel, &n1, link, use_pseudo, &pad)?
+                fused_nest_select(rel, &n1, link, use_pseudo, &pad)?
             }
         };
     }

@@ -99,33 +99,29 @@ impl NestedRelation {
             subs: vec![(sub.to_string(), member_schema)],
         };
 
-        let mut order: Vec<GroupKey> = Vec::new();
-        let mut groups: std::collections::HashMap<GroupKey, Vec<NestedTuple>> =
-            std::collections::HashMap::new();
+        // One output tuple per distinct key, in first-occurrence order;
+        // the map holds each key's position and is probed with one
+        // reused scratch key.
+        let mut tuples: Vec<NestedTuple> = Vec::new();
+        let mut position: nra_engine::vec::FxHashMap<GroupKey, usize> = Default::default();
+        let mut key = GroupKey(Vec::with_capacity(n1_idx.len()));
         for t in &self.tuples {
-            let key = GroupKey(n1_idx.iter().map(|&i| t.atoms[i].clone()).collect());
+            key.refill(&t.atoms, &n1_idx);
             let member = NestedTuple {
                 atoms: rest_idx.iter().map(|&i| t.atoms[i].clone()).collect(),
                 sets: t.sets.clone(),
             };
-            match groups.get_mut(&key) {
-                Some(g) => g.push(member),
+            match position.get(&key) {
+                Some(&g) => tuples[g].sets[0].push(member),
                 None => {
-                    groups.insert(key.clone(), vec![member]);
-                    order.push(key);
+                    position.insert(key.clone(), tuples.len());
+                    tuples.push(NestedTuple {
+                        atoms: key.0.clone(),
+                        sets: vec![vec![member]],
+                    });
                 }
             }
         }
-        let tuples = order
-            .into_iter()
-            .map(|key| {
-                let set = groups.remove(&key).unwrap();
-                NestedTuple {
-                    atoms: key.0,
-                    sets: vec![set],
-                }
-            })
-            .collect();
         Some(NestedRelation { schema, tuples })
     }
 

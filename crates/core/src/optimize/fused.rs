@@ -163,8 +163,8 @@ impl FusedLink {
 
 /// One-pass nest + linking selection.
 ///
-/// Sorts a copy of `rel` by the nesting attributes `n1`, scans the groups
-/// once, evaluates `link` per group, and emits the `N1` projection of each
+/// Sorts `rel` (consumed, so in place) by the nesting attributes `n1`,
+/// scans the groups once, evaluates `link` per group, and emits the `N1` projection of each
 /// passing group head. With `use_pseudo`, failing groups are emitted with
 /// the output columns in `pad_out` (indices into the `n1` projection)
 /// nulled instead of being dropped.
@@ -173,13 +173,12 @@ impl FusedLink {
 /// of the nesting attributes), so evaluating it against each member row via
 /// [`FusedLink::eval`] is exactly the set comparison `A θ L {B}`.
 pub fn fused_nest_select(
-    rel: &Relation,
+    mut rel: Relation,
     n1: &[usize],
     link: FusedLink,
     use_pseudo: bool,
     pad_out: &[usize],
 ) -> Result<Relation, EngineError> {
-    let mut sorted = rel.clone();
     {
         let mut sp = nra_obs::span(|| "nest[sort]".to_string());
         sp.rows_in(rel.len());
@@ -192,11 +191,9 @@ pub fn fused_nest_select(
             sp.partitions(parts);
         }
         // Parallel stable sort — byte-identical to `sort_by_columns`.
-        exec::sort_rows_by(sorted.rows_mut(), |a, b| {
-            nra_storage::tuple::cmp_on(a, b, n1)
-        })?;
+        exec::sort_rows_by(rel.rows_mut(), |a, b| nra_storage::tuple::cmp_on(a, b, n1))?;
     }
-    fused_nest_select_presorted(&sorted, n1, link, use_pseudo, pad_out)
+    fused_nest_select_presorted(&rel, n1, link, use_pseudo, pad_out)
 }
 
 /// Like [`fused_nest_select`] but assumes `rel` is already grouped
@@ -311,7 +308,7 @@ mod tests {
         .atoms_as_relation();
         // Fused.
         let link = FusedLink::from_selection(sel, rel.schema(), &n1).unwrap();
-        let fused = fused_nest_select(&rel, &n1, link, use_pseudo, &[0]).unwrap();
+        let fused = fused_nest_select(rel.clone(), &n1, link, use_pseudo, &[0]).unwrap();
         assert!(
             fused.multiset_eq(&two_pass),
             "fused != two-pass for {sel:?} (pseudo={use_pseudo})\nfused:\n{fused}\ntwo-pass:\n{two_pass}"
@@ -353,7 +350,7 @@ mod tests {
         let rel = sample();
         let sel = selection(CmpOp::Gt, SetQuant::All);
         let link = FusedLink::from_selection(&sel, rel.schema(), &[0]).unwrap();
-        let out = fused_nest_select(&rel, &[0], link, true, &[0]).unwrap();
+        let out = fused_nest_select(rel, &[0], link, true, &[0]).unwrap();
         assert_eq!(out.len(), 3, "pseudo keeps every group");
         // a=1 fails (1 > 10 false) -> padded; a=2 empty -> passes.
         let nulls = out.rows().iter().filter(|r| r[0].is_null()).count();

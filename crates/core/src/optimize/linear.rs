@@ -10,6 +10,7 @@
 //! all their members.
 
 use nra_engine::planning::{project_select, split_join_conds};
+use nra_engine::vec::FxHashMap;
 use nra_engine::{faultinject, governor, join, EngineError, JoinKind, JoinSpec};
 use nra_sql::{BoundQuery, LinkOp, QueryBlock, SubqueryEdge};
 use nra_storage::{Catalog, GroupKey, Relation, Truth, Value};
@@ -71,11 +72,11 @@ pub fn execute_bottom_up(query: &BoundQuery, catalog: &Catalog) -> Result<Relati
             let selection = edge_selection(edge, outer.as_deref(), inner.as_deref())?;
             let link = FusedLink::from_selection(&selection, joined.schema(), &n1)?;
             // Plain σ at every level: see the module docs.
-            rel = fused_nest_select(&joined, &n1, link, false, &[])?;
+            rel = fused_nest_select(joined, &n1, link, false, &[])?;
         }
         reduced = Some(rel);
     }
-    project_select(&reduced.expect("at least the root block"), &query.root)
+    project_select(reduced.expect("at least the root block"), &query.root)
 }
 
 /// Project a reduced child relation down to the columns its parent level
@@ -161,7 +162,7 @@ pub fn execute_bottom_up_pushdown(
                 Some(nra_sql::BExpr::Col(c)) => Some(c.clone()),
                 Some(expr) => {
                     let name = crate::compute::oval_column(blocks[k].id, edge.block.id);
-                    rel = crate::compute::append_computed(&rel, &name, expr)?;
+                    rel = crate::compute::append_computed(rel, &name, expr)?;
                     Some(name)
                 }
             };
@@ -170,7 +171,7 @@ pub fn execute_bottom_up_pushdown(
                 Some(nra_sql::BExpr::Col(c)) => Some(c.clone()),
                 Some(expr) => {
                     let name = crate::compute::lval_column(edge.block.id);
-                    child = crate::compute::append_computed(&child, &name, expr)?;
+                    child = crate::compute::append_computed(child, &name, expr)?;
                     Some(name)
                 }
             };
@@ -201,19 +202,20 @@ pub fn execute_bottom_up_pushdown(
                 "nest[hash]",
                 governor::tuple_bytes(child.len(), 1 + child_keys.len()),
             )?;
-            let mut groups: std::collections::HashMap<GroupKey, Vec<Value>> =
-                std::collections::HashMap::new();
+            let mut groups: FxHashMap<GroupKey, Vec<Value>> = FxHashMap::default();
             {
                 let mut sp = nra_obs::span(|| "nest[hash]".to_string());
                 sp.rows_in(child.len());
                 for (i, row) in child.rows().iter().enumerate() {
                     governor::tick(i, "nest-build")?;
-                    let key = GroupKey::from_tuple(row, &child_keys);
-                    if key.has_null() {
+                    if child_keys.iter().any(|&c| row[c].is_null()) {
                         continue; // can never match an SQL equality
                     }
                     let v = inner_idx.map(|i| row[i].clone()).unwrap_or(Value::Null);
-                    groups.entry(key).or_default().push(v);
+                    groups
+                        .entry(GroupKey::from_tuple(row, &child_keys))
+                        .or_default()
+                        .push(v);
                 }
                 if sp.active() {
                     let mut entries = 0usize;
@@ -241,15 +243,18 @@ pub fn execute_bottom_up_pushdown(
             sp.rows_in(rel.len());
             faultinject::hit(faultinject::LINKING_SCAN)?;
             governor::charge("link", governor::tuple_bytes(rel.len(), rel.schema().len()))?;
-            let mut out = Relation::new(rel.schema().clone());
-            static EMPTY: Vec<Value> = Vec::new();
-            for (i, row) in rel.rows().iter().enumerate() {
+            let schema = rel.schema().clone();
+            let mut out = Vec::new();
+            // Scratch probe key, reused across rows.
+            let mut key = GroupKey(Vec::with_capacity(parent_keys.len()));
+            for (i, row) in rel.into_rows().into_iter().enumerate() {
                 governor::tick(i, "linking-scan")?;
-                let key = GroupKey::from_tuple(row, &parent_keys);
-                let members = if key.has_null() {
-                    &EMPTY
+                // A NULL key matches nothing: an empty set, never probed.
+                let members: &[Value] = if parent_keys.iter().any(|&c| row[c].is_null()) {
+                    &[]
                 } else {
-                    groups.get(&key).unwrap_or(&EMPTY)
+                    key.refill(&row, &parent_keys);
+                    groups.get(&key).map_or(&[], Vec::as_slice)
                 };
                 let truth = match edge.link {
                     LinkOp::Exists => Truth::from_bool(!members.is_empty()),
@@ -286,16 +291,16 @@ pub fn execute_bottom_up_pushdown(
                 };
                 sp.outcome(truth);
                 if truth == Truth::True {
-                    out.push_unchecked(row.clone());
+                    out.push(row);
                 }
             }
             sp.rows_out(out.len());
             drop(sp);
-            rel = out;
+            rel = Relation::with_rows(schema, out);
         }
         reduced = Some(rel);
     }
-    project_select(&reduced.expect("at least the root block"), &query.root)
+    project_select(reduced.expect("at least the root block"), &query.root)
 }
 
 #[cfg(test)]

@@ -103,20 +103,10 @@ pub fn execute_linear_cascade(
     }
 
     // Phase 1 (top-down): the unnesting outer joins.
-    let mut rel = prepare_base(blocks[0], catalog)?;
-    for edge in &edges {
-        let _sc = nra_obs::scope(|| format!("b{}", edge.block.id));
-        let child = prepare_base(&edge.block, catalog)?;
-        let split = split_join_conds(&edge.block.correlated_preds, rel.schema(), child.schema())?;
-        rel = join(
-            &rel,
-            &child,
-            &JoinSpec::new(JoinKind::LeftOuter, split.eq, split.residual),
-        )?;
-    }
+    let mut rel = unnest_join_phase(query, catalog)?;
 
     if edges.is_empty() {
-        return project_select(&rel, &query.root);
+        return project_select(rel, &query.root);
     }
 
     // Materialize computed linking attributes (no-ops when the linking
@@ -170,34 +160,41 @@ pub fn execute_linear_cascade(
     }
 
     faultinject::hit(faultinject::LINKING_SCAN)?;
-    let survivors = Cascade {
-        rows: rel.rows(),
+    let schema = rel.schema().clone();
+    let mut cascade = Cascade {
+        rows: rel.into_rows(),
         levels: &levels,
-    }
-    .reduce(0, rel.len(), 0)?;
-    let result = Relation::with_rows(rel.schema().clone(), survivors);
-    project_select(&result, &query.root)
+    };
+    let survivors = cascade.reduce(0, cascade.rows.len(), 0)?;
+    let rows = survivors
+        .into_iter()
+        .map(|i| std::mem::take(&mut cascade.rows[i]))
+        .collect();
+    project_select(Relation::with_rows(schema, rows), &query.root)
 }
 
+/// The sorted intermediate, owned: σ̄ pads in place and the final
+/// survivors are moved out, so no level copies a row.
 struct Cascade<'a> {
-    rows: &'a [Tuple],
+    rows: Vec<Tuple>,
     levels: &'a [Level],
 }
 
 impl Cascade<'_> {
     /// Reduce the rows in `[lo, hi)` — which agree on the rids of blocks
-    /// `0..k` — to the surviving block-`k` representative tuples.
+    /// `0..k` — to the indices of the surviving block-`k` representative
+    /// tuples.
     ///
-    /// For `k == levels.len()` (the deepest block) every row is a member.
-    /// Otherwise the range is scanned in subgroups of constant `rid_k`;
-    /// each subgroup's members come from the recursive reduction one level
-    /// down, the level-`k` linking predicate is folded over them, and the
-    /// subgroup head survives (σ), is padded (σ̄), or is dropped.
-    fn reduce(&self, lo: usize, hi: usize, k: usize) -> Result<Vec<Tuple>, EngineError> {
-        if k == self.levels.len() {
-            return Ok(self.rows[lo..hi].to_vec());
-        }
-        let lv = &self.levels[k];
+    /// The range is scanned in subgroups of constant `rid_k`. A subgroup's
+    /// members are its own rows at the deepest level, else the survivors of
+    /// the recursive reduction one level down; the level-`k` linking
+    /// predicate is folded over them, and the subgroup head survives (σ),
+    /// is padded in place (σ̄), or is dropped. Padding a head only touches
+    /// block `k`'s columns, which nothing below level `k` reads again.
+    fn reduce(&mut self, lo: usize, hi: usize, k: usize) -> Result<Vec<usize>, EngineError> {
+        let levels = self.levels;
+        let lv = &levels[k];
+        let deepest = k + 1 == levels.len();
         let mut out = Vec::new();
         let mut i = lo;
         let mut groups = 0usize;
@@ -208,24 +205,32 @@ impl Cascade<'_> {
             while j < hi && self.rows[j][lv.rid].group_eq(&self.rows[i][lv.rid]) {
                 j += 1;
             }
-            let members = self.reduce(i, j, k + 1)?;
-            let truth = lv.link.eval(members.iter().map(|m| m.as_slice()));
+            let (truth, members) = if deepest {
+                let members = &self.rows[i..j];
+                (lv.link.eval(members.iter().map(|m| m.as_slice())), j - i)
+            } else {
+                let members = self.reduce(i, j, k + 1)?;
+                let rows = &self.rows;
+                (
+                    lv.link.eval(members.iter().map(|&m| rows[m].as_slice())),
+                    members.len(),
+                )
+            };
             let is_padded = truth != Truth::True && lv.use_pseudo;
             nra_obs::record(&lv.obs_name, |s| {
-                s.record_group(members.len());
+                s.record_group(members);
                 s.record_outcome(truth);
                 if is_padded {
                     s.padded += 1;
                 }
             });
-            if truth == Truth::True {
-                out.push(self.rows[i].clone());
-            } else if lv.use_pseudo {
-                let mut padded = self.rows[i].clone();
+            if is_padded {
                 for &p in &lv.pad {
-                    padded[p] = Value::Null;
+                    self.rows[i][p] = Value::Null;
                 }
-                out.push(padded);
+            }
+            if truth == Truth::True || is_padded {
+                out.push(i);
             }
             i = j;
         }

@@ -14,8 +14,7 @@
 //! with nest-after-join is exercised by this module's tests and by the
 //! property suite.
 
-use std::collections::HashMap;
-
+use nra_engine::vec::FxHashMap;
 use nra_engine::EngineError;
 use nra_engine::{faultinject, governor};
 use nra_storage::{Column, GroupKey, Relation};
@@ -62,16 +61,18 @@ pub fn outer_join_nested(
         governor::tuple_bytes(right.len(), n2_idx.len())
             + governor::tuple_bytes(left.len(), left.schema().len()),
     )?;
-    let mut groups: HashMap<GroupKey, Vec<NestedTuple>> = HashMap::new();
+    let mut groups: FxHashMap<GroupKey, Vec<NestedTuple>> = FxHashMap::default();
     for (i, row) in right.rows().iter().enumerate() {
         governor::tick(i, "nest-build")?;
-        let key = GroupKey::from_tuple(row, &rk);
-        if key.has_null() {
+        if rk.iter().any(|&c| row[c].is_null()) {
             continue; // a NULL key never satisfies the equality join
         }
-        groups.entry(key).or_default().push(NestedTuple::flat(
-            n2_idx.iter().map(|&i| row[i].clone()).collect(),
-        ));
+        groups
+            .entry(GroupKey::from_tuple(row, &rk))
+            .or_default()
+            .push(NestedTuple::flat(
+                n2_idx.iter().map(|&i| row[i].clone()).collect(),
+            ));
     }
 
     let schema = NestedSchema {
@@ -88,16 +89,18 @@ pub fn outer_join_nested(
         )],
     };
     let mut tuples = Vec::with_capacity(left.len());
+    // Scratch probe key, reused across rows.
+    let mut key = GroupKey(Vec::with_capacity(lk.len()));
     for (i, row) in left.rows().iter().enumerate() {
         governor::tick(i, "nest-attach")?;
-        let key = GroupKey::from_tuple(row, &lk);
-        let set = if key.has_null() {
+        let set = if lk.iter().any(|&c| row[c].is_null()) {
             vec![]
         } else {
+            key.refill(row, &lk);
             groups.get(&key).cloned().unwrap_or_default()
         };
         tuples.push(NestedTuple {
-            atoms: row.clone(),
+            atoms: row.clone(), // copy-lint: allow (borrowed input becomes nested tuples)
             sets: vec![set],
         });
     }

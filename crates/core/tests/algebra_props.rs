@@ -97,7 +97,8 @@ fn fused_equals_two_pass() {
                     .atoms_as_relation();
 
                     let link = FusedLink::from_selection(&sel, rel.schema(), &[0, 1]).unwrap();
-                    let fused = fused_nest_select(&rel, &[0, 1], link, pseudo, &[0, 1]).unwrap();
+                    let fused =
+                        fused_nest_select(rel.clone(), &[0, 1], link, pseudo, &[0, 1]).unwrap();
                     assert!(
                         fused.multiset_eq(&two_pass),
                         "op {op:?} quant {q:?} pseudo {pseudo} case {case}\nfused:\n{fused}\ntwo-pass:\n{two_pass}"
@@ -129,7 +130,7 @@ fn fused_equals_two_pass_emptiness() {
                 }
                 .atoms_as_relation();
                 let link = FusedLink::from_selection(&sel, rel.schema(), &[0, 1]).unwrap();
-                let fused = fused_nest_select(&rel, &[0, 1], link, pseudo, &[0, 1]).unwrap();
+                let fused = fused_nest_select(rel.clone(), &[0, 1], link, pseudo, &[0, 1]).unwrap();
                 assert!(
                     fused.multiset_eq(&two_pass),
                     "not_empty {not_empty} pseudo {pseudo} case {case}"

@@ -69,7 +69,7 @@ struct IterEdge {
 
 impl NestedIterPlan {
     pub fn prepare(query: &BoundQuery, catalog: &Catalog) -> Result<NestedIterPlan, EngineError> {
-        let root_base = super::unnest::block_base(&query.root, catalog)?;
+        let root_base = crate::planning::block_base(&query.root, catalog, false)?;
         let mut edges = Vec::new();
         for child in &query.root.children {
             edges.push(IterEdge::build(child, catalog, root_base.schema())?);

@@ -19,23 +19,18 @@ use nra_storage::{Catalog, Relation};
 
 use crate::error::EngineError;
 use crate::ops::{join, JoinKind, JoinSpec};
-use crate::planning::split_join_conds;
+use crate::planning::{block_base, project_select, split_join_conds};
 
 /// Execute a linear correlated query bottom-up.
 pub fn execute(query: &BoundQuery, catalog: &Catalog) -> Result<Relation, EngineError> {
     let reduced = reduce(&query.root, catalog)?;
-    crate::planning::project_select(&reduced, &query.root)
-}
-
-/// Materialize a block's base (FROM product + local predicates).
-pub(crate) fn block_base(block: &QueryBlock, catalog: &Catalog) -> Result<Relation, EngineError> {
-    crate::planning::block_base(block, catalog)
+    project_select(reduced, &query.root)
 }
 
 /// Reduce a block to the set of its tuples satisfying all linking
 /// predicates, by reducing children first and then semi/antijoining.
 fn reduce(block: &QueryBlock, catalog: &Catalog) -> Result<Relation, EngineError> {
-    let mut rel = block_base(block, catalog)?;
+    let mut rel = block_base(block, catalog, false)?;
 
     for edge in &block.children {
         let _sc = nra_obs::scope(|| format!("b{}", edge.block.id));
@@ -92,25 +87,9 @@ pub fn execute_positive(query: &BoundQuery, catalog: &Catalog) -> Result<Relatio
             "positive unnesting applies only when every linking operator is positive",
         ));
     }
-    let rel = with_rid(&block_base(&query.root, catalog)?, query.root.id);
+    let rel = block_base(&query.root, catalog, true)?;
     let rel = reduce_positive(&query.root, rel, catalog)?;
-    crate::planning::project_select(&rel, &query.root)
-}
-
-/// Append a synthesized non-null row id (`__b{id}.rid`) to a relation.
-fn with_rid(rel: &Relation, id: usize) -> Relation {
-    let mut cols = rel.schema().columns().to_vec();
-    cols.push(nra_storage::Column::not_null(
-        format!("__b{id}.rid"),
-        nra_storage::ColumnType::Int,
-    ));
-    let mut out = Relation::new(nra_storage::Schema::new(cols));
-    for (i, row) in rel.rows().iter().enumerate() {
-        let mut r = row.clone();
-        r.push(nra_storage::Value::Int(i as i64));
-        out.push_unchecked(r);
-    }
-    out
+    project_select(rel, &query.root)
 }
 
 fn reduce_positive(
@@ -120,7 +99,7 @@ fn reduce_positive(
 ) -> Result<Relation, EngineError> {
     for edge in &block.children {
         let _sc = nra_obs::scope(|| format!("b{}", edge.block.id));
-        let child = with_rid(&block_base(&edge.block, catalog)?, edge.block.id);
+        let child = block_base(&edge.block, catalog, true)?;
 
         let mut conds: Vec<BPred> = edge.block.correlated_preds.clone();
         if let LinkOp::Some(op) = edge.link {

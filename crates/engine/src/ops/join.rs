@@ -169,8 +169,7 @@ pub fn join(left: &Relation, right: &Relation, spec: &JoinSpec) -> Result<Relati
                 // SQL equality: a NULL key matches nothing — skip the
                 // probe without even building the key.
                 if !left_keys.iter().any(|&c| l[c].is_null()) {
-                    key.0.clear();
-                    key.0.extend(left_keys.iter().map(|&c| l[c].clone()));
+                    key.refill(l, &left_keys);
                     if let Some(rids) = probe(&tables, &key) {
                         // Match lists are never empty.
                         match (&spec.residual, spec.kind) {
@@ -260,8 +259,7 @@ fn build_tables(
                 if right_keys.iter().any(|&c| r[c].is_null()) {
                     u32::MAX
                 } else {
-                    key.0.clear();
-                    key.0.extend(right_keys.iter().map(|&c| r[c].clone()));
+                    key.refill(r, right_keys);
                     (exec::key_hash(&key) % bparts as u64) as u32
                 }
             })

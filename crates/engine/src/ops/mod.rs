@@ -17,11 +17,15 @@ use crate::error::EngineError;
 use crate::expr::CPred;
 use crate::vec;
 
-/// Scan a base table, exposing its columns qualified by `exposed`.
+/// Scan a base table, exposing its columns qualified by `exposed`: a
+/// full-width copy of every stored row. Only the reference evaluator (the
+/// oracle, which must not share the engine's scan) and nested iteration's
+/// inner probe tables use it; query blocks go through
+/// [`crate::planning::block_base`], which copies nothing it does not carry.
 pub fn scan(table: &Table, exposed: &str) -> Relation {
     Relation::with_rows(
         table.schema().qualified(exposed),
-        table.data().rows().to_vec(),
+        table.data().rows().to_vec(), // copy-lint: allow (oracle scan)
     )
 }
 

@@ -41,6 +41,7 @@
 //! one parser ([`Client`] is that parser, used by the integration tests
 //! and the `bench --serve` driver).
 
+use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -59,22 +60,60 @@ const POLL: Duration = Duration::from_millis(100);
 // Wire format: escaping and response framing shared by server + client.
 // ---------------------------------------------------------------------
 
-/// Escape a field for the tab-separated wire format.
-fn escape(field: &str) -> String {
-    let mut out = String::with_capacity(field.len());
-    for c in field.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
+/// Escapes what is written through it for the tab-separated wire
+/// format, straight into the response buffer.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let special = |b: u8| matches!(b, b'\\' | b'\t' | b'\n' | b'\r');
+        if !s.bytes().any(special) {
+            self.0.push_str(s);
+            return Ok(());
         }
+        for c in s.chars() {
+            match c {
+                '\\' => self.0.push_str("\\\\"),
+                '\t' => self.0.push_str("\\t"),
+                '\n' => self.0.push_str("\\n"),
+                '\r' => self.0.push_str("\\r"),
+                c => self.0.push(c),
+            }
+        }
+        Ok(())
     }
-    out
 }
 
-/// Inverse of [`escape`]; unknown escapes pass through verbatim.
+/// Encode an `ok` frame into `buf` (cleared first): status line, header,
+/// one line per row, terminator — every field formatted and escaped in
+/// place, no intermediate strings.
+fn encode_table<D: fmt::Display>(buf: &mut String, columns: &[&str], rows: &[Vec<D>]) {
+    use fmt::Write;
+    buf.clear();
+    // Writing into a `String` cannot fail.
+    let _ = writeln!(buf, "ok {} {}", rows.len(), columns.len());
+    if !columns.is_empty() {
+        for (i, column) in columns.iter().enumerate() {
+            if i > 0 {
+                buf.push('\t');
+            }
+            let _ = Escaped(buf).write_str(column);
+        }
+        buf.push('\n');
+        for row in rows {
+            for (i, field) in row.iter().enumerate() {
+                if i > 0 {
+                    buf.push('\t');
+                }
+                let _ = write!(Escaped(buf), "{field}");
+            }
+            buf.push('\n');
+        }
+    }
+    buf.push_str(".\n");
+}
+
+/// Inverse of [`Escaped`]; unknown escapes pass through verbatim.
 fn unescape(field: &str) -> String {
     let mut out = String::with_capacity(field.len());
     let mut chars = field.chars();
@@ -252,6 +291,8 @@ struct Connection {
     stop: Arc<AtomicBool>,
     /// Bytes received but not yet terminated by a newline.
     pending: Vec<u8>,
+    /// The response being encoded; reused from one response to the next.
+    out: String,
 }
 
 impl Connection {
@@ -262,6 +303,7 @@ impl Connection {
             config: ConnConfig::default(),
             stop,
             pending: Vec::new(),
+            out: String::new(),
         }
     }
 
@@ -321,8 +363,8 @@ impl Connection {
             match name {
                 "ping" => self.ok_empty(),
                 "session" => {
-                    let id = self.session.id().to_string();
-                    self.ok_table(&["session"], &[vec![id]])
+                    encode_table(&mut self.out, &["session"], &[vec![self.session.id()]]);
+                    self.send()
                 }
                 "set" => match self.cmd_set(args) {
                     Ok(()) => self.ok_empty(),
@@ -422,45 +464,23 @@ impl Connection {
     }
 
     fn ok_outcome(&mut self, out: &nra::QueryOutcome) -> io::Result<()> {
-        let columns: Vec<String> = out
-            .rows
-            .schema()
-            .names()
-            .iter()
-            .map(|n| n.to_string())
-            .collect();
-        let rows: Vec<Vec<String>> = out
-            .rows
-            .rows()
-            .iter()
-            .map(|r| r.iter().map(|v| v.to_string()).collect())
-            .collect();
-        self.ok_table(
-            &columns.iter().map(String::as_str).collect::<Vec<_>>(),
-            &rows,
-        )
-    }
-
-    fn ok_table(&mut self, columns: &[&str], rows: &[Vec<String>]) -> io::Result<()> {
-        let mut out = format!("ok {} {}\n", rows.len(), columns.len());
-        if !columns.is_empty() {
-            let header: Vec<String> = columns.iter().map(|c| escape(c)).collect();
-            out.push_str(&header.join("\t"));
-            out.push('\n');
-            for row in rows {
-                let fields: Vec<String> = row.iter().map(|f| escape(f)).collect();
-                out.push_str(&fields.join("\t"));
-                out.push('\n');
-            }
-        }
-        out.push_str(".\n");
-        self.stream.write_all(out.as_bytes())?;
-        self.stream.flush()
+        let rel = &out.rows;
+        encode_table(&mut self.out, &rel.schema().names(), rel.rows());
+        self.send()
     }
 
     fn err(&mut self, kind: &str, message: &str) -> io::Result<()> {
-        let line = format!("err {kind}: {}\n.\n", escape(message));
-        self.stream.write_all(line.as_bytes())?;
+        use fmt::Write;
+        self.out.clear();
+        let _ = write!(self.out, "err {kind}: ");
+        let _ = Escaped(&mut self.out).write_str(message);
+        self.out.push_str("\n.\n");
+        self.send()
+    }
+
+    /// One `write_all` + `flush` per response.
+    fn send(&mut self) -> io::Result<()> {
+        self.stream.write_all(self.out.as_bytes())?;
         self.stream.flush()
     }
 }
@@ -603,16 +623,95 @@ fn bad_frame(line: &str) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nra::storage::Value;
+
+    /// The encoder this crate shipped before the single-buffer writer,
+    /// kept as the byte-for-byte reference: one `String` per value, one
+    /// per escaped field, one per joined row.
+    fn escape(field: &str) -> String {
+        let mut out = String::with_capacity(field.len());
+        for c in field.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '\t' => out.push_str("\\t"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    fn ok_table(columns: &[&str], rows: &[Vec<String>]) -> String {
+        let mut out = format!("ok {} {}\n", rows.len(), columns.len());
+        if !columns.is_empty() {
+            let header: Vec<String> = columns.iter().map(|c| escape(c)).collect();
+            out.push_str(&header.join("\t"));
+            out.push('\n');
+            for row in rows {
+                let fields: Vec<String> = row.iter().map(|f| escape(f)).collect();
+                out.push_str(&fields.join("\t"));
+                out.push('\n');
+            }
+        }
+        out.push_str(".\n");
+        out
+    }
 
     #[test]
     fn escape_roundtrips() {
+        use fmt::Write;
         for s in ["", "plain", "tab\there", "line\nbreak", "back\\slash\r"] {
-            assert_eq!(unescape(&escape(s)), s, "{s:?}");
+            let mut wire = String::new();
+            Escaped(&mut wire).write_str(s).unwrap();
+            assert_eq!(wire, escape(s), "{s:?}");
+            assert_eq!(unescape(&wire), s, "{s:?}");
         }
     }
 
     #[test]
     fn unknown_escapes_pass_through() {
         assert_eq!(unescape("\\x\\"), "\\x\\");
+    }
+
+    #[test]
+    fn single_buffer_writer_matches_the_old_encoder_byte_for_byte() {
+        let columns = ["t.plain", "t.tab\there", "back\\slash"];
+        let rows: Vec<Vec<Value>> = vec![
+            vec![Value::Null, Value::Decimal(-1205), Value::Date(9298)],
+            vec![
+                Value::str(""),
+                Value::str("a\tb"),
+                Value::str("line\nbreak"),
+            ],
+            vec![
+                Value::str("cr\rhere"),
+                Value::str("back\\slash"),
+                Value::str("it's"),
+            ],
+            vec![Value::Int(-7), Value::Float(0.5), Value::Bool(true)],
+            vec![
+                Value::str("\\t literal"),
+                Value::str("\u{e9}\t\u{4e16}"),
+                Value::Int(0),
+            ],
+        ];
+        let stringified: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| r.iter().map(|v| v.to_string()).collect())
+            .collect();
+        // A non-empty buffer must be overwritten, not appended to.
+        let mut buf = "stale".to_string();
+        encode_table(&mut buf, &columns, &rows);
+        assert_eq!(buf, ok_table(&columns, &stringified));
+
+        // Zero columns and zero rows frame the same way too.
+        encode_table::<Value>(&mut buf, &[], &[]);
+        assert_eq!(buf, ok_table(&[], &[]));
+        encode_table::<Value>(&mut buf, &["only.header"], &[]);
+        assert_eq!(buf, ok_table(&["only.header"], &[]));
+        // `.session`: a bare integer renders as its decimal digits.
+        encode_table(&mut buf, &["session"], &[vec![42u64]]);
+        assert_eq!(buf, ok_table(&["session"], &[vec!["42".to_string()]]));
     }
 }

@@ -118,6 +118,7 @@ impl<'a> Binder<'a> {
             tables.push(BoundTable {
                 table: tref.table.clone(),
                 exposed,
+                carry: Vec::new(), // recorded once the block's subtree is bound
             });
         }
         scopes.push(scope);
@@ -307,7 +308,34 @@ impl<'a> Binder<'a> {
             }
         }
 
-        scopes.pop();
+        // The carry lists. SQL scoping lets only this block and its
+        // descendants name its columns, and all of them are bound by now:
+        // everything they mention outside this block's local predicates.
+        let mut mentioned: Vec<&str> = Vec::new();
+        for expr in select.iter().map(|(_, e)| e).chain(&inner_expr) {
+            expr.collect_columns(&mut mentioned);
+        }
+        for pred in &correlated_preds {
+            pred.collect_columns(&mut mentioned);
+        }
+        for edge in &children {
+            collect_mentioned(edge, &mut mentioned);
+        }
+        let scope = scopes.pop().expect("pushed above");
+        for (t, (_, _, schema)) in tables.iter_mut().zip(&scope.tables) {
+            t.carry = mentioned
+                .iter()
+                .filter_map(|name| match name.rsplit_once('.') {
+                    Some((qualifier, column)) if qualifier == t.exposed => {
+                        schema.try_resolve(column)
+                    }
+                    _ => None,
+                })
+                .collect();
+            t.carry.sort_unstable();
+            t.carry.dedup();
+        }
+
         Ok((
             QueryBlock {
                 id,
@@ -446,6 +474,22 @@ impl<'a> Binder<'a> {
                 ))
             }
         })
+    }
+}
+
+/// Every column name a subquery mentions that could belong to an
+/// enclosing block: its linking and linked expressions, its correlated
+/// predicates, and the same for the subqueries nested in it (a grandchild
+/// correlated to the root mentions the root's column).
+fn collect_mentioned<'a>(edge: &'a SubqueryEdge, out: &mut Vec<&'a str>) {
+    for expr in edge.outer_expr.iter().chain(&edge.inner_expr) {
+        expr.collect_columns(out);
+    }
+    for pred in &edge.block.correlated_preds {
+        pred.collect_columns(out);
+    }
+    for child in &edge.block.children {
+        collect_mentioned(child, out);
     }
 }
 
@@ -632,6 +676,111 @@ mod tests {
         assert!(bq.root.is_linear());
         assert!(!bq.is_linear_correlated(), "block 3 references block 1");
         assert!(!bq.has_mixed_links(), "both links are negative");
+    }
+
+    /// Every table's carry list as `exposed -> carried column names`, in
+    /// depth-first block order.
+    fn carried(bq: &BoundQuery, cat: &Catalog) -> Vec<(String, Vec<String>)> {
+        let mut out = Vec::new();
+        bq.root.visit(&mut |block, _| {
+            for t in &block.tables {
+                let schema = cat.table(&t.table).unwrap().schema();
+                let names = t.carry.iter().map(|&i| schema.column(i).name.clone());
+                out.push((t.exposed.clone(), names.collect()));
+            }
+        });
+        out
+    }
+
+    fn carry_of(sql: &str) -> Vec<(String, Vec<String>)> {
+        let cat = rst_catalog();
+        let bq = parse_and_bind(sql, &cat).unwrap();
+        carried(&bq, &cat)
+    }
+
+    fn entry(table: &str, cols: &[&str]) -> (String, Vec<String>) {
+        (
+            table.to_string(),
+            cols.iter().map(|c| c.to_string()).collect(),
+        )
+    }
+
+    #[test]
+    fn carry_list_of_query_q_skips_local_only_columns() {
+        // r.a and s.f appear in local predicates alone; t.k = r.c is a
+        // grandchild's (non-adjacent) correlated predicate, so r.c is
+        // carried although block 2 never mentions it.
+        assert_eq!(
+            carry_of(QUERY_Q),
+            vec![
+                entry("r", &["b", "c", "d"]),
+                entry("s", &["e", "g", "h", "i"]),
+                entry("t", &["j", "k", "l"]),
+            ]
+        );
+    }
+
+    #[test]
+    fn carry_list_keeps_a_column_only_a_grandchild_mentions() {
+        // r.a is in no select list and no predicate of blocks 1 or 2.
+        assert_eq!(
+            carry_of(
+                "select r.b from r where exists (select * from s where s.g = r.d \
+                 and exists (select * from t where t.j = r.a and t.k = 1))"
+            ),
+            vec![
+                entry("r", &["a", "b", "d"]),
+                entry("s", &["g"]),
+                entry("t", &["j"])
+            ]
+        );
+    }
+
+    #[test]
+    fn carry_list_covers_computed_linking_and_linked_expressions() {
+        assert_eq!(
+            carry_of(
+                "select r.d from r where r.a + r.b > all (select s.e + 1 from s where s.f = 5)"
+            ),
+            vec![entry("r", &["a", "b", "d"]), entry("s", &["e"])]
+        );
+        // COUNT(*) has no linked attribute; an uncorrelated EXISTS block
+        // with only local predicates carries nothing at all.
+        assert_eq!(
+            carry_of("select r.d from r where r.a > (select count(*) from s where s.f = 5)"),
+            vec![entry("r", &["a", "d"]), entry("s", &[])]
+        );
+        assert_eq!(
+            carry_of("select r.d from r where exists (select * from s where s.f = 5)"),
+            vec![entry("r", &["d"]), entry("s", &[])]
+        );
+    }
+
+    #[test]
+    fn carry_list_is_per_table_instance_and_in_table_order() {
+        // The same table twice: each instance carries its own mentions,
+        // listed in schema order whatever order the query names them in.
+        assert_eq!(
+            carry_of("select r.d, r.b from r where r.c in (select a from r where b = 1 and c > 2)"),
+            vec![entry("r", &["b", "c", "d"]), entry("r_2", &["a"])]
+        );
+        // A two-table block: the join predicate between its own tables is
+        // local, so t carries nothing and s only what others mention.
+        assert_eq!(
+            carry_of(
+                "select r.b from r where r.b in \
+                 (select s.e from s, t where s.g = t.j and t.k > 1 and s.h = r.d)"
+            ),
+            vec![
+                entry("r", &["b", "d"]),
+                entry("s", &["e", "h"]),
+                entry("t", &[])
+            ]
+        );
+        assert_eq!(
+            carry_of("select * from t where t.k > 1"),
+            vec![entry("t", &["j", "k", "l"])]
+        );
     }
 
     #[test]

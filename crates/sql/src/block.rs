@@ -79,6 +79,14 @@ pub struct BoundTable {
     pub table: String,
     /// Unique qualifier used in all bound column names.
     pub exposed: String,
+    /// The *carry list*: indices (ascending, into the base table's
+    /// schema) of the columns mentioned anywhere outside their block's
+    /// own local predicates — the root `select`, any block's correlated
+    /// predicates, and the linking/linked expressions on any edge. A
+    /// block's scan evaluates `Δ_i` on the stored rows and copies out only
+    /// these; everything else never leaves the table. Recorded once by
+    /// the binder, so it is cached with the plan.
+    pub carry: Vec<usize>,
 }
 
 /// A subquery hanging off an outer block.

@@ -24,6 +24,14 @@ impl GroupKey {
         GroupKey(cols.iter().map(|&c| tuple[c].clone()).collect())
     }
 
+    /// Overwrite this key with the one formed by `cols` from `tuple`,
+    /// keeping its allocation: probe loops reuse one scratch key instead
+    /// of building a `Vec` per row.
+    pub fn refill(&mut self, tuple: &[Value], cols: &[usize]) {
+        self.0.clear();
+        self.0.extend(cols.iter().map(|&c| tuple[c].clone()));
+    }
+
     /// True when any component is `NULL` (such a key can never satisfy an
     /// SQL equality predicate).
     pub fn has_null(&self) -> bool {
@@ -85,6 +93,14 @@ mod tests {
         let t = vec![Value::Int(1), Value::str("a"), Value::Int(3)];
         let k = GroupKey::from_tuple(&t, &[2, 0]);
         assert_eq!(k.0, vec![Value::Int(3), Value::Int(1)]);
+    }
+
+    #[test]
+    fn refill_overwrites_in_place() {
+        let t = vec![Value::Int(1), Value::str("a"), Value::Int(3)];
+        let mut k = GroupKey(vec![Value::Null; 4]);
+        k.refill(&t, &[2, 0]);
+        assert_eq!(k, GroupKey::from_tuple(&t, &[2, 0]));
     }
 
     #[test]

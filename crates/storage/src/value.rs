@@ -288,7 +288,16 @@ impl fmt::Display for Value {
             }
             Value::Float(x) => write!(f, "{x}"),
             // SQL string literal form: embedded quotes are doubled.
-            Value::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
+            Value::Str(s) => {
+                f.write_str("'")?;
+                for (i, part) in s.split('\'').enumerate() {
+                    if i > 0 {
+                        f.write_str("''")?;
+                    }
+                    f.write_str(part)?;
+                }
+                f.write_str("'")
+            }
             Value::Date(d) => {
                 let (y, m, day) = civil_from_days(*d);
                 write!(f, "date '{y:04}-{m:02}-{day:02}'")
@@ -348,6 +357,19 @@ mod tests {
         assert_eq!(Value::Date(0).to_string(), "date '1970-01-01'");
         assert_eq!(Value::Date(9298).to_string(), "date '1995-06-17'");
         assert_eq!(Value::Date(-1).to_string(), "date '1969-12-31'");
+    }
+
+    #[test]
+    fn string_displays_as_sql_literal_with_doubled_quotes() {
+        for (raw, literal) in [
+            ("", "''"),
+            ("plain", "'plain'"),
+            ("it's", "'it''s'"),
+            ("'", "''''"),
+            ("''a'", "'''''a'''"),
+        ] {
+            assert_eq!(Value::str(raw).to_string(), literal, "{raw:?}");
+        }
     }
 
     #[test]

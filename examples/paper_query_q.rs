@@ -26,11 +26,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // ---- Algorithm 1 by hand -------------------------------------------
-    // Step 1: reduce each block: T1 = σ_{a>1}(R), T2 = σ_{f=5}(S), T3 = T.
+    // Step 1: reduce each block: T1 = σ_{a>1}(R), T2 = σ_{f=5}(S), T3 = T —
+    // keeping only the columns the rest of the query mentions (r.a and s.f
+    // appear in the local predicates alone, so they stay in the tables).
     let bq = parse_and_bind(QUERY_Q, &cat)?;
-    let t1 = nra::engine::planning::block_base(&bq.root, &cat)?;
-    let t2 = nra::engine::planning::block_base(&bq.root.children[0].block, &cat)?;
-    let t3 = nra::engine::planning::block_base(&bq.root.children[0].block.children[0].block, &cat)?;
+    let block_base = nra::engine::planning::block_base;
+    let t1 = block_base(&bq.root, &cat, false)?;
+    let t2 = block_base(&bq.root.children[0].block, &cat, false)?;
+    let t3 = block_base(&bq.root.children[0].block.children[0].block, &cat, false)?;
     println!("T1 = σ(r.a > 1)(R): {} tuples", t1.len());
     println!("T2 = σ(s.f = 5)(S): {} tuples", t2.len());
     println!("T3 = T: {} tuples\n", t3.len());
@@ -56,9 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Step 3 (up): Temp2 = υ nest by the R++S columns keeping T's.
     let temp2 = nest(
         &temp1,
-        &[
-            "r.a", "r.b", "r.c", "r.d", "s.e", "s.f", "s.g", "s.h", "s.i",
-        ],
+        &["r.b", "r.c", "r.d", "s.e", "s.g", "s.h", "s.i"],
         &["t.j", "t.l"],
         "tset",
     )?;
@@ -70,19 +71,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // attributes on failure (the NOT IN above still needs the R tuple!).
     let l2 = LinkSelection::quant("s.h", CmpOp::Gt, SetQuant::All, "t.j", Some("t.l"));
     let temp3 = l2
-        .pseudo_select(&temp2, "tset", &["s.e", "s.f", "s.g", "s.h", "s.i"])?
+        .pseudo_select(&temp2, "tset", &["s.e", "s.g", "s.h", "s.i"])?
         .atoms_as_relation();
     println!("Temp3 = σ̄(s.h > ALL {{t.j}}) — failing S tuples padded, not dropped:");
     println!("{}\n", temp3);
 
     // Temp4: nest by R's attributes keeping (s.e, s.i), then the plain
     // linking selection for L1: r.b <> ALL {s.e} (i.e. NOT IN).
-    let temp4_nested = nest(
-        &temp3,
-        &["r.a", "r.b", "r.c", "r.d"],
-        &["s.e", "s.i"],
-        "sset",
-    )?;
+    let temp4_nested = nest(&temp3, &["r.b", "r.c", "r.d"], &["s.e", "s.i"], "sset")?;
     println!("υ(R-attrs),(s.e, s.i)(Temp3):\n{}\n", temp4_nested);
     let l1 = LinkSelection::quant("r.b", CmpOp::Ne, SetQuant::All, "s.e", Some("s.i"));
     let temp4 = l1.select(&temp4_nested, "sset")?.atoms_as_relation();

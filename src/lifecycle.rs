@@ -34,7 +34,8 @@ use nra_obs::{queryreg, slowlog, Profile};
 use nra_sql::{BoundQuery, SqlError};
 use nra_storage::{iosim, Catalog, Relation};
 
-use crate::{plancache, sys, Database, Engine, NraError, QueryOptions, QueryOutcome};
+use crate::plancache::{self, CachedPlan};
+use crate::{sys, Database, Engine, NraError, QueryOptions, QueryOutcome};
 
 /// Who is executing: the session stamped into the query registry, and
 /// whether this is the nested call answering an `nra_sys.*` query — which
@@ -60,7 +61,9 @@ struct Query<'a> {
     threads: usize,
 }
 
-type Executed = Result<(Relation, Option<BoundQuery>), NraError>;
+/// The result plus the plan it ran from (shared with the plan cache),
+/// from which `finish` renders single-statement plans.
+type Executed = Result<(Relation, Arc<CachedPlan>), NraError>;
 
 impl Database {
     /// The real entry point behind [`Database::execute`] and
@@ -335,7 +338,11 @@ impl Stages {
             metrics::global().gauge_max("nra_query_mem_high_water_bytes", &[], mem_high_water);
         }
 
-        let bound = result.as_ref().ok().and_then(|(_, b)| b.as_ref());
+        // Plans are rendered for single statements only.
+        let bound = match &result {
+            Ok((_, plan)) if plan.query.compounds.is_empty() => Some(&plan.bound_first),
+            _ => None,
+        };
         let estimates = match (&profile, bound) {
             (Some(_), Some(bound)) => Some(nra_core::estimate(bound, cat)),
             _ => None,
@@ -550,9 +557,8 @@ impl Database {
     }
 
     /// Parse and run a full (possibly compound) query through the
-    /// engine in `options`, returning the result and — for
-    /// single-statement queries — the bound form of the statement for
-    /// plan rendering.
+    /// engine in `options`, returning the result and the shared plan it
+    /// ran from.
     ///
     /// Repeat statements are answered from the process-wide plan cache
     /// (keyed on this database's id plus the normalized SQL, valid
@@ -570,15 +576,13 @@ impl Database {
         let use_cache =
             !q.caller.introspection && q.options.plan_cache.or(q.config.plan_cache).unwrap_or(true);
         let cache_key = use_cache.then_some(q.statement.as_str());
-        let cached = cache_key.and_then(|key| plancache::lookup(self.shared.id, version, key));
-        let hit = cached.is_some();
-        let (query, bound_first, bound_rest) = match cached {
+        let plan = match cache_key.and_then(|key| plancache::lookup(self.shared.id, version, key)) {
             Some(plan) => {
                 trace::emit(|| TraceEvent::Governor {
                     action: "plan-cache".to_string(),
                     detail: "hit".to_string(),
                 });
-                (plan.query, plan.bound_first, plan.bound_rest)
+                plan
             }
             None => {
                 let query = nra_sql::parse_query(q.sql)?;
@@ -588,33 +592,29 @@ impl Database {
                     .iter()
                     .map(|part| nra_sql::bind(&part.stmt, cat))
                     .collect::<Result<Vec<_>, _>>()?;
-                (query, bound_first, bound_rest)
+                let plan = Arc::new(CachedPlan {
+                    strategy: strategy_label(engine, Some(&bound_first)),
+                    query,
+                    bound_first,
+                    bound_rest,
+                });
+                if let Some(key) = cache_key {
+                    plancache::insert(self.shared.id, version, key.to_string(), Arc::clone(&plan));
+                }
+                plan
             }
         };
-        if let (Some(key), false) = (cache_key, hit) {
-            plancache::insert(
-                self.shared.id,
-                version,
-                key.to_string(),
-                plancache::CachedPlan {
-                    query: query.clone(),
-                    bound_first: bound_first.clone(),
-                    bound_rest: bound_rest.clone(),
-                    strategy: strategy_label(engine, Some(&bound_first)),
-                },
-            );
-        }
-        let single = query.compounds.is_empty();
+        let (query, bound_first, bound_rest) = (&plan.query, &plan.bound_first, &plan.bound_rest);
         // Seed the progress denominator from the planner's cardinality
         // estimates for the first block (compound arms only add to the
         // numerator, which the 99%-cap before `finish` absorbs).
         if let Some(p) = progress::current() {
-            let est = nra_core::estimate(&bound_first, cat);
+            let est = nra_core::estimate(bound_first, cat);
             p.set_estimated(est.iter().map(|(_, v)| v).sum());
         }
         let mut exec_phase = trace::phase(|| "execute".to_string());
-        let mut rel = self.run_bound(cat, &bound_first, engine)?;
-        for (part, bound) in query.compounds.iter().zip(&bound_rest) {
+        let mut rel = self.run_bound(cat, bound_first, engine)?;
+        for (part, bound) in query.compounds.iter().zip(bound_rest) {
             let right = self.run_bound(cat, bound, engine)?;
             use nra_engine::ops::setops;
             use nra_sql::SetOpKind;
@@ -668,7 +668,7 @@ impl Database {
         }
         exec_phase.set_rows(rel.len() as u64);
         drop(exec_phase);
-        Ok((rel, single.then_some(bound_first)))
+        Ok((rel, plan))
     }
 
     /// Execute a prepared (bound) single statement.

@@ -22,7 +22,7 @@
 //! across runs and thread counts — never sees them.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use nra_obs::metrics;
 use nra_sql::{BoundQuery, Query};
@@ -31,8 +31,10 @@ use nra_sql::{BoundQuery, Query};
 pub(crate) const CAPACITY: usize = 256;
 
 /// Everything needed to skip the parser and binder on a repeat of the
-/// same statement.
-#[derive(Debug, Clone)]
+/// same statement. Built once per miss and shared from then on: the
+/// cache, every hit and the lifecycle's `finish` hold the same
+/// allocation through an [`Arc`].
+#[derive(Debug)]
 pub(crate) struct CachedPlan {
     /// The parsed query (compound arms, `ORDER BY`, `LIMIT`).
     pub query: Query,
@@ -48,7 +50,7 @@ pub(crate) struct CachedPlan {
 struct Entry {
     version: u64,
     hits: u64,
-    plan: CachedPlan,
+    plan: Arc<CachedPlan>,
 }
 
 #[derive(Debug, Default)]
@@ -75,33 +77,44 @@ fn publish_len(len: usize) {
 /// at the current schema `version`. A version mismatch drops the stale
 /// entry (counted as an invalidation); both that and a plain absence
 /// count as a miss.
-pub(crate) fn lookup(db: u64, version: u64, sql_norm: &str) -> Option<CachedPlan> {
-    let mut c = cache();
+///
+/// The process-global lock covers the map probe and one refcount bump:
+/// the key is built before it is taken and the counters are published
+/// after it is released, so what a plan holds never lengthens the
+/// critical section two callers contend for.
+pub(crate) fn lookup(db: u64, version: u64, sql_norm: &str) -> Option<Arc<CachedPlan>> {
     let key = (db, sql_norm.to_string());
-    match c.map.get_mut(&key) {
-        Some(entry) if entry.version == version => {
-            entry.hits += 1;
-            metrics::global().counter_add("nra_plan_cache_hits_total", &[], 1);
-            Some(entry.plan.clone())
+    let (found, invalidated) = {
+        let mut c = cache();
+        match c.map.get_mut(&key) {
+            Some(entry) if entry.version == version => {
+                entry.hits += 1;
+                (Some(Arc::clone(&entry.plan)), false)
+            }
+            Some(_) => {
+                c.map.remove(&key);
+                c.fifo.retain(|k| k != &key);
+                publish_len(c.map.len());
+                (None, true)
+            }
+            None => (None, false),
         }
-        Some(_) => {
-            c.map.remove(&key);
-            c.fifo.retain(|k| k != &key);
-            publish_len(c.map.len());
-            metrics::global().counter_add("nra_plan_cache_invalidations_total", &[], 1);
-            metrics::global().counter_add("nra_plan_cache_misses_total", &[], 1);
-            None
-        }
-        None => {
-            metrics::global().counter_add("nra_plan_cache_misses_total", &[], 1);
-            None
-        }
+    };
+    let outcome = if found.is_some() {
+        "nra_plan_cache_hits_total"
+    } else {
+        "nra_plan_cache_misses_total"
+    };
+    if invalidated {
+        metrics::global().counter_add("nra_plan_cache_invalidations_total", &[], 1);
     }
+    metrics::global().counter_add(outcome, &[], 1);
+    found
 }
 
 /// Insert (or refresh) the plan for `(db, sql_norm)` as of schema
 /// `version`, evicting the oldest entry at capacity.
-pub(crate) fn insert(db: u64, version: u64, sql_norm: String, plan: CachedPlan) {
+pub(crate) fn insert(db: u64, version: u64, sql_norm: String, plan: Arc<CachedPlan>) {
     let mut c = cache();
     let key = (db, sql_norm);
     if !c.map.contains_key(&key) {
@@ -176,4 +189,39 @@ pub(crate) fn snapshot_db(db: u64) -> Vec<CacheRow> {
             })
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nra_storage::{Catalog, Column, ColumnType, Schema, Table};
+
+    #[test]
+    fn a_hit_shares_the_inserted_allocation() {
+        let mut cat = Catalog::new();
+        let schema = Schema::new(vec![Column::new("a", ColumnType::Int)]);
+        cat.add_table(Table::new("t", schema)).unwrap();
+        let query = nra_sql::parse_query("select a from t").unwrap();
+        let bound_first = nra_sql::bind(&query.first, &cat).unwrap();
+        let plan = Arc::new(CachedPlan {
+            query,
+            bound_first,
+            bound_rest: Vec::new(),
+            strategy: "auto",
+        });
+        // A database id no `Database` in this process is ever given.
+        let db = u64::MAX;
+        insert(db, 3, "select a from t".to_string(), Arc::clone(&plan));
+        let first = lookup(db, 3, "select a from t").expect("hit");
+        let second = lookup(db, 3, "select a from t").expect("hit");
+        assert!(Arc::ptr_eq(&first, &plan) && Arc::ptr_eq(&second, &plan));
+        assert_eq!(snapshot_db(db)[0].hits, 2);
+
+        // A schema-version mismatch drops the entry instead of serving it.
+        assert!(lookup(db, 4, "select a from t").is_none());
+        assert!(snapshot_db(db).is_empty());
+        // The cache's own reference is gone; ours and the two hits remain.
+        assert_eq!(Arc::strong_count(&plan), 3);
+        forget_db(db);
+    }
 }
