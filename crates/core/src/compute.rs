@@ -83,7 +83,7 @@ pub fn execute_with_style(
     };
     let rel = prepare_base(&query.root, catalog)?;
     let rel = compute(&ctx, &query.root, rel)?;
-    project_select(rel, &query.root)
+    project_select(rel, &query.root, catalog)
 }
 
 /// Name of the materialized linked-value column for block `id` (used when

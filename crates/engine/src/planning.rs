@@ -4,7 +4,7 @@
 
 use nra_sql::{BPred, BoundTable, QueryBlock};
 use nra_storage::{
-    Catalog, CmpOp, Column, ColumnType, Relation, Schema, Table, Truth, Tuple, Value,
+    Catalog, CmpOp, Column, ColumnStore, ColumnType, Relation, Schema, Table, Truth, Tuple, Value,
 };
 
 use crate::error::EngineError;
@@ -76,26 +76,21 @@ pub fn rid_column(id: usize) -> String {
     format!("__b{id}.rid")
 }
 
-/// One pass over `rows` by reference: evaluate `pred` in batch windows and
-/// build, for each qualifying row, one tuple of the `keep` columns — with
-/// the row's ordinal among the survivors appended when `rid` is set.
-fn select_columns(
-    rows: &[Tuple],
-    width: usize,
-    pred: &CPred,
-    keep: &[usize],
-    rid: bool,
-) -> Vec<Tuple> {
+/// The scan proper: evaluate `pred` on `table`'s stored lanes window by
+/// window and build, for each selected row, one tuple of the `keep`
+/// columns — with the stored row ordinal appended when `rid` is set.
+fn scan_columns(table: &Table, pred: &CPred, keep: &[usize], rid: bool) -> Vec<Tuple> {
     let cols = pred.columns();
+    let width = vec::batch_rows();
     let mut out: Vec<Tuple> = Vec::new();
-    for window in rows.chunks(vec::batch_rows()) {
-        let batch = vec::ValueBatch::with_columns(window, width, &cols);
+    for start in (0..table.len()).step_by(width) {
+        let batch = vec::ValueBatch::window(table, &cols, start, width.min(table.len() - start));
         for i in vec::select_rows(pred, &batch).iter() {
-            let row = &window[i];
+            let row = start + i;
             let mut tuple = Vec::with_capacity(keep.len() + usize::from(rid));
-            tuple.extend(keep.iter().map(|&c| row[c].clone()));
+            tuple.extend(keep.iter().map(|&c| table.column(c).value(row)));
             if rid {
-                tuple.push(Value::Int(out.len() as i64));
+                tuple.push(Value::Int(row as i64));
             }
             out.push(tuple);
         }
@@ -105,16 +100,21 @@ fn select_columns(
 
 /// Materialize a query block's base — the paper's first step,
 /// `T_i = σ_{Δi}(R_i)`, as a *reduced* relation: the block's local
-/// predicates are evaluated on the stored rows in place, and only the
+/// predicates are evaluated on the stored lanes in place, and only the
 /// columns on the binder's carry list ([`BoundTable::carry`]: everything
-/// the rest of the query mentions) are copied out, in table order. With
+/// the rest of the query compares) are copied out, in table order. With
 /// `with_rid` the non-null `__b{id}.rid` column — the paper's carried
-/// primary key — is appended in the same pass.
+/// primary key, here the stored row ordinal — is appended in the same
+/// pass, and the root's [`BoundTable::select_only`] columns stay in
+/// storage for [`project_select`] to fetch by that rid; without it there
+/// is nothing to fetch by, so they are copied along with the carry list.
 ///
-/// A block with several `FROM` tables keeps its local-predicate columns
-/// until the product is filtered, then projects onto the carry lists.
+/// A block with several `FROM` tables scans each table's carried and
+/// local-predicate columns, filters the product row at a time, then
+/// projects onto the carry lists; its rid is the survivor's ordinal.
 ///
 /// [`BoundTable::carry`]: nra_sql::BoundTable::carry
+/// [`BoundTable::select_only`]: nra_sql::BoundTable::select_only
 pub fn block_base(
     block: &QueryBlock,
     catalog: &Catalog,
@@ -142,8 +142,22 @@ pub fn block_base(
     let (mut columns, rows) = if let [t] = block.tables.as_slice() {
         let (table, full) = open(t, catalog, &mut sp)?;
         let local = CPred::compile_all(&block.local_preds, &full)?;
-        let rows = select_columns(table.data().rows(), full.len(), &local, &t.carry, with_rid);
-        (project(&full, &t.carry), rows)
+        // Without a rid there is nothing to fetch late columns by.
+        let merged: Vec<usize>;
+        let keep = if with_rid || t.select_only.is_empty() {
+            &t.carry
+        } else {
+            merged = {
+                let mut all = [t.carry.as_slice(), &t.select_only].concat();
+                all.sort_unstable();
+                all
+            };
+            &merged
+        };
+        (
+            project(&full, keep),
+            scan_columns(table, &local, keep, with_rid),
+        )
     } else {
         let local_cols: Vec<&str> = block.local_preds.iter().flat_map(BPred::columns).collect();
         let all = CPred::Const(Truth::True);
@@ -163,10 +177,8 @@ pub fn block_base(
                     .filter(|(_, c)| t.carry.contains(c))
                     .map(|(pos, _)| offset + pos),
             );
-            let scanned = Relation::with_rows(
-                full.project(&wide),
-                select_columns(table.data().rows(), full.len(), &all, &wide, false),
-            );
+            let scanned =
+                Relation::with_rows(full.project(&wide), scan_columns(table, &all, &wide, false));
             product = Some(match product {
                 None => scanned,
                 Some(acc) => ops::cartesian(&acc, &scanned),
@@ -174,8 +186,15 @@ pub fn block_base(
         }
         let product = product.expect("binder guarantees at least one table");
         let local = CPred::compile_all(&block.local_preds, product.schema())?;
-        let width = product.schema().len();
-        let rows = select_columns(product.rows(), width, &local, &keep, with_rid);
+        let mut rows: Vec<Tuple> = Vec::new();
+        for row in product.rows().iter().filter(|row| local.accepts(row)) {
+            let mut tuple = Vec::with_capacity(keep.len() + usize::from(with_rid));
+            tuple.extend(keep.iter().map(|&c| row[c].clone()));
+            if with_rid {
+                tuple.push(Value::Int(rows.len() as i64));
+            }
+            rows.push(tuple);
+        }
         (project(product.schema(), &keep), rows)
     };
     if with_rid {
@@ -185,53 +204,93 @@ pub fn block_base(
     Ok(Relation::with_rows(Schema::new(columns), rows))
 }
 
+/// Where one item of the `SELECT` list comes from.
+enum SelectItem<'c> {
+    /// A column of the reduced relation.
+    Col(usize),
+    /// A [`BoundTable::select_only`](nra_sql::BoundTable::select_only)
+    /// column the scan left in storage, fetched at the row's rid.
+    Late(&'c ColumnStore),
+    Expr(CExpr),
+}
+
 /// Project a relation onto a block's `SELECT` list (supports computed
-/// expressions), applying `DISTINCT` when requested. The input is
-/// consumed: a select list of distinct bare columns moves its values out
-/// of the rows instead of cloning them.
-pub fn project_select(rel: Relation, root: &QueryBlock) -> Result<Relation, EngineError> {
+/// expressions), applying `DISTINCT` when requested. A bare select item
+/// missing from `rel` is one the root's scan did not carry: it is read
+/// from the base table at the row's `__b{root}.rid` (a NULL rid yields
+/// NULL — a guard, not a path: the root block is never σ̄-padded). The
+/// input is consumed: a select list of distinct bare columns moves its
+/// values out of the rows instead of cloning them.
+pub fn project_select(
+    rel: Relation,
+    root: &QueryBlock,
+    catalog: &Catalog,
+) -> Result<Relation, EngineError> {
     let mut sp = nra_obs::span(|| "project".to_string());
     sp.rows_in(rel.len());
-    let exprs: Vec<CExpr> = root
-        .select
-        .iter()
-        .map(|(_, e)| CExpr::compile(e, rel.schema()))
-        .collect::<Result<_, _>>()?;
-    let schema = Schema::new(
-        root.select
-            .iter()
-            .zip(&exprs)
-            .map(|((name, _), c)| match c.as_col() {
-                Some(i) => {
-                    let col = rel.schema().column(i);
-                    Column {
-                        name: name.clone(),
-                        ty: col.ty,
-                        nullable: true,
-                    }
+    let mut items = Vec::with_capacity(root.select.len());
+    let mut columns = Vec::with_capacity(root.select.len());
+    for (name, expr) in &root.select {
+        let (item, ty) = match expr.as_column() {
+            Some(col) => match (rel.schema().try_resolve(col), root.tables.as_slice()) {
+                (Some(i), _) => (SelectItem::Col(i), rel.schema().column(i).ty),
+                (None, [t]) if !t.select_only.is_empty() => {
+                    let table = catalog.table(&t.table)?;
+                    let base = col.rsplit_once('.').map_or(col, |(_, base)| base);
+                    let i = (table.schema().try_resolve(base))
+                        .filter(|i| t.select_only.contains(i))
+                        .ok_or_else(|| EngineError::Column(col.to_string()))?;
+                    (
+                        SelectItem::Late(table.column(i)),
+                        table.schema().column(i).ty,
+                    )
                 }
-                None => Column::new(name.clone(), ColumnType::Int),
-            })
-            .collect(),
-    );
-    let bare: Option<Vec<usize>> = exprs.iter().map(CExpr::as_col).collect();
-    let rows: Vec<Tuple> = match bare {
-        Some(cols) if (1..cols.len()).all(|i| !cols[..i].contains(&cols[i])) => rel
-            .into_rows()
-            .into_iter()
-            .map(|mut row| {
-                cols.iter()
-                    .map(|&c| std::mem::replace(&mut row[c], Value::Null))
-                    .collect()
-            })
-            .collect(),
-        _ => rel
-            .rows()
-            .iter()
-            .map(|row| exprs.iter().map(|e| e.eval(row)).collect())
-            .collect(),
+                _ => return Err(EngineError::Column(col.to_string())),
+            },
+            None => (
+                SelectItem::Expr(CExpr::compile(expr, rel.schema())?),
+                ColumnType::Int,
+            ),
+        };
+        items.push(item);
+        columns.push(Column::new(name.clone(), ty));
+    }
+    let late = items.iter().any(|i| matches!(i, SelectItem::Late(_)));
+    // Resolved only when something is fetched by it.
+    let rid = if late {
+        let name = rid_column(root.id);
+        Some((rel.schema().try_resolve(&name)).ok_or(EngineError::Column(name))?)
+    } else {
+        None
     };
-    let out = Relation::with_rows(schema, rows);
+    let fetch = |col: &ColumnStore, row: &[Value]| match rid.map(|rid| &row[rid]) {
+        Some(Value::Int(ordinal)) => col.value(*ordinal as usize),
+        _ => Value::Null,
+    };
+    // Values can be moved out of the rows when no expression may still
+    // read them and no column is selected twice.
+    let movable = items.iter().enumerate().all(|(i, item)| match item {
+        SelectItem::Col(c) => !items[..i]
+            .iter()
+            .any(|earlier| matches!(earlier, SelectItem::Col(d) if d == c)),
+        SelectItem::Late(_) => true,
+        SelectItem::Expr(_) => false,
+    });
+    let rows: Vec<Tuple> = rel
+        .into_rows()
+        .into_iter()
+        .map(|mut row| {
+            (items.iter())
+                .map(|item| match item {
+                    SelectItem::Col(c) if movable => std::mem::replace(&mut row[*c], Value::Null),
+                    SelectItem::Col(c) => row[*c].clone(),
+                    SelectItem::Late(col) => fetch(col, &row),
+                    SelectItem::Expr(e) => e.eval(&row),
+                })
+                .collect()
+        })
+        .collect();
+    let out = Relation::with_rows(Schema::new(columns), rows);
     let out = if root.distinct { out.distinct() } else { out };
     sp.rows_out(out.len());
     Ok(out)

@@ -1,51 +1,31 @@
-//! Column-major value batches: typed lanes, validity bitmaps, selection
-//! vectors.
+//! Column-major value batches: borrowed lanes, validity windows,
+//! selection vectors.
 //!
-//! A [`ValueBatch`] is a *view* over a contiguous run of row-major tuples
-//! (one morsel-sized window). Building it transposes the requested
-//! columns into typed lanes — a `Vec<i64>`/`Vec<f64>` of payloads plus a
-//! [`Validity`] bitmap — when every non-NULL value of the column in the
-//! window shares one representable type. Columns that mix types or hold
-//! strings keep a [`Lane::Ref`] marker and are read straight from the row
-//! storage, so the fallback costs nothing to build.
-//!
-//! The transposition copies only machine words (no `Value` clones, no
-//! heap traffic), and downstream kernels then run tight branch-light
-//! loops over the lanes instead of matching on enum tags per value.
+//! Base tables are stored as typed columns (`nra_storage::column`), so a
+//! [`ValueBatch`] transposes nothing: it is a *window* `[start, start+n)`
+//! over the stored lanes of the columns a kernel asked for. An `i64`- or
+//! `f64`-mapped lane is a sub-slice of the stored vector; a string lane
+//! is a sub-slice of the offsets plus the column's arena; validity is the
+//! stored bitmap read at a bit offset. Building a batch allocates one
+//! small `Vec` of lane descriptors and copies no data.
 
-use nra_storage::{Tuple, Value};
+use nra_storage::{ColumnData, ColumnStore, ColumnType, Table, Value};
 
-/// A bitmap of per-row validity (1 = value present, 0 = SQL `NULL`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Validity {
-    bits: Vec<u64>,
+/// Per-row validity of a window (1 = value present, 0 = SQL `NULL`):
+/// bit `i` of the window is bit `offset + i` of the stored bitmap.
+#[derive(Debug, Clone, Copy)]
+pub struct Validity<'a> {
+    words: &'a [u64],
+    offset: usize,
     len: usize,
 }
 
-impl Validity {
-    pub fn with_capacity(rows: usize) -> Validity {
-        Validity {
-            bits: Vec::with_capacity(rows.div_ceil(64)),
-            len: 0,
-        }
-    }
-
-    /// Append one row's validity.
-    #[inline]
-    pub fn push(&mut self, valid: bool) {
-        let (word, bit) = (self.len / 64, self.len % 64);
-        if bit == 0 {
-            self.bits.push(0);
-        }
-        if valid {
-            self.bits[word] |= 1u64 << bit;
-        }
-        self.len += 1;
-    }
-
+impl Validity<'_> {
     #[inline]
     pub fn get(&self, i: usize) -> bool {
-        self.bits[i / 64] >> (i % 64) & 1 == 1
+        debug_assert!(i < self.len);
+        let bit = self.offset + i;
+        self.words[bit / 64] >> (bit % 64) & 1 == 1
     }
 
     pub fn len(&self) -> usize {
@@ -54,21 +34,6 @@ impl Validity {
 
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Number of valid (non-NULL) rows.
-    pub fn count_valid(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True when no row is NULL (lets kernels skip the bitmap entirely).
-    pub fn all_valid(&self) -> bool {
-        self.count_valid() == self.len
-    }
-
-    /// Heap bytes held by the bitmap.
-    pub fn alloc_bytes(&self) -> u64 {
-        (self.bits.capacity() * std::mem::size_of::<u64>()) as u64
     }
 }
 
@@ -83,204 +48,120 @@ pub enum LaneKind {
     Date,
 }
 
-/// One column of a batch.
-#[derive(Debug, Clone)]
-pub enum Lane {
-    /// All non-NULL values share one `i64`-representable kind.
+/// One column of a batch, borrowed from storage. A NULL slot's payload is
+/// `0` / `0.0` / the empty string; kernels consult `valid` first.
+#[derive(Debug, Clone, Copy)]
+pub enum Lane<'a> {
     I64 {
         kind: LaneKind,
-        vals: Vec<i64>,
-        valid: Validity,
+        vals: &'a [i64],
+        valid: Validity<'a>,
     },
-    /// All non-NULL values are floats.
-    F64 { vals: Vec<f64>, valid: Validity },
-    /// Mixed or string column: read from the row storage.
-    Ref,
+    F64 {
+        vals: &'a [f64],
+        valid: Validity<'a>,
+    },
+    /// Row `i` is `arena[offsets[i]..offsets[i + 1]]`, compared as `&str`.
+    Str {
+        offsets: &'a [usize],
+        arena: &'a str,
+        valid: Validity<'a>,
+    },
 }
 
-impl Lane {
-    fn alloc_bytes(&self) -> u64 {
-        match self {
-            Lane::I64 { vals, valid, .. } => {
-                (vals.capacity() * std::mem::size_of::<i64>()) as u64 + valid.alloc_bytes()
-            }
-            Lane::F64 { vals, valid } => {
-                (vals.capacity() * std::mem::size_of::<f64>()) as u64 + valid.alloc_bytes()
-            }
-            Lane::Ref => 0,
-        }
-    }
-}
-
-fn i64_kind(v: &Value) -> Option<(LaneKind, i64)> {
-    match v {
-        Value::Bool(b) => Some((LaneKind::Bool, i64::from(*b))),
-        Value::Int(i) => Some((LaneKind::Int, *i)),
-        Value::Decimal(d) => Some((LaneKind::Decimal, *d)),
-        Value::Date(d) => Some((LaneKind::Date, i64::from(*d))),
-        _ => None,
-    }
-}
-
-fn build_lane(rows: &[Tuple], col: usize) -> Lane {
-    // One probing pass decides the lane type from the first non-NULL
-    // value; the transposing pass bails to `Ref` on the first mismatch.
-    let mut first = None;
-    for row in rows {
-        match &row[col] {
-            Value::Null => continue,
-            v => {
-                first = Some(v);
-                break;
-            }
-        }
-    }
-    match first {
-        None => {
-            // All-NULL column: an Int lane of zeros with an all-0 bitmap
-            // behaves correctly under every kernel.
-            let mut valid = Validity::with_capacity(rows.len());
-            for _ in rows {
-                valid.push(false);
-            }
-            Lane::I64 {
-                kind: LaneKind::Int,
-                vals: vec![0; rows.len()],
+impl<'a> Lane<'a> {
+    fn window(col: &'a ColumnStore, start: usize, n: usize) -> Lane<'a> {
+        let valid = Validity {
+            words: col.validity().words(),
+            offset: start,
+            len: n,
+        };
+        match col.values() {
+            ColumnData::I64(vals) => Lane::I64 {
+                kind: match col.ty() {
+                    ColumnType::Bool => LaneKind::Bool,
+                    ColumnType::Decimal => LaneKind::Decimal,
+                    ColumnType::Date => LaneKind::Date,
+                    _ => LaneKind::Int,
+                },
+                vals: &vals[start..start + n],
                 valid,
-            }
+            },
+            ColumnData::F64(vals) => Lane::F64 {
+                vals: &vals[start..start + n],
+                valid,
+            },
+            ColumnData::Str { offsets, arena } => Lane::Str {
+                offsets: &offsets[start..=start + n],
+                arena,
+                valid,
+            },
         }
-        Some(Value::Float(_)) => {
-            let mut vals = Vec::with_capacity(rows.len());
-            let mut valid = Validity::with_capacity(rows.len());
-            for row in rows {
-                match &row[col] {
-                    Value::Null => {
-                        vals.push(0.0);
-                        valid.push(false);
-                    }
-                    Value::Float(f) => {
-                        vals.push(*f);
-                        valid.push(true);
-                    }
-                    _ => return Lane::Ref,
-                }
-            }
-            Lane::F64 { vals, valid }
+    }
+
+    pub fn valid(&self) -> Validity<'a> {
+        match self {
+            Lane::I64 { valid, .. } | Lane::F64 { valid, .. } | Lane::Str { valid, .. } => *valid,
         }
-        Some(v) => {
-            let Some((kind, _)) = i64_kind(v) else {
-                return Lane::Ref; // strings and future variants
-            };
-            let mut vals = Vec::with_capacity(rows.len());
-            let mut valid = Validity::with_capacity(rows.len());
-            for row in rows {
-                match &row[col] {
-                    Value::Null => {
-                        vals.push(0);
-                        valid.push(false);
-                    }
-                    v => match i64_kind(v) {
-                        Some((k, x)) if k == kind => {
-                            vals.push(x);
-                            valid.push(true);
-                        }
-                        _ => return Lane::Ref,
-                    },
-                }
-            }
-            Lane::I64 { kind, vals, valid }
-        }
+    }
+
+    /// Row `i` of a string lane.
+    #[inline]
+    pub(super) fn str_of(offsets: &[usize], arena: &'a str, i: usize) -> &'a str {
+        &arena[offsets[i]..offsets[i + 1]]
     }
 }
 
-/// A column-major window over `rows` with typed lanes for the columns a
-/// kernel asked for. Lifetime-tied to the underlying row storage; `Ref`
-/// lanes and generic fallbacks read the original `Value`s in place.
+/// A window of `len` rows over the stored lanes of a table's columns.
+/// Lifetime-tied to the table; holds a lane for exactly the columns the
+/// kernel named.
 pub struct ValueBatch<'a> {
-    rows: &'a [Tuple],
-    lanes: Vec<Option<Lane>>,
+    table: &'a Table,
+    start: usize,
+    lanes: Vec<Option<Lane<'a>>>,
+    len: usize,
 }
 
 impl<'a> ValueBatch<'a> {
-    /// Build a batch over `rows` (a window of a relation of `width`
-    /// columns), transposing exactly the columns in `cols`.
-    pub fn with_columns(rows: &'a [Tuple], width: usize, cols: &[usize]) -> ValueBatch<'a> {
-        let mut lanes: Vec<Option<Lane>> = (0..width).map(|_| None).collect();
+    /// The window `[start, start + n)` of `table`, with lanes for `cols`.
+    pub fn window(table: &'a Table, cols: &[usize], start: usize, n: usize) -> ValueBatch<'a> {
+        let mut lanes = vec![None; table.schema().len()];
         for &c in cols {
-            if c < width && lanes[c].is_none() {
-                lanes[c] = Some(build_lane(rows, c));
-            }
+            lanes[c] = Some(Lane::window(table.column(c), start, n));
         }
-        ValueBatch { rows, lanes }
+        ValueBatch {
+            table,
+            start,
+            lanes,
+            len: n,
+        }
     }
 
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
-    /// The underlying row window.
-    pub fn rows(&self) -> &'a [Tuple] {
-        self.rows
-    }
-
-    /// The raw value at (`row`, `col`) — the generic fallback accessor.
+    /// The lane for `col`.
+    ///
+    /// # Panics
+    /// If the batch was built without `col` — a kernel bug: a batch is
+    /// built over the columns its predicate reads.
     #[inline]
-    pub fn value(&self, row: usize, col: usize) -> &'a Value {
-        &self.rows[row][col]
+    pub fn lane(&self, col: usize) -> &Lane<'a> {
+        self.lanes[col]
+            .as_ref()
+            .expect("batch holds a lane for every column its predicate reads")
     }
 
-    /// The transposed lane for `col`, if one was built.
-    pub fn lane(&self, col: usize) -> Option<&Lane> {
-        self.lanes.get(col).and_then(Option::as_ref)
-    }
-
-    /// Heap bytes held by the batch's transposed lanes (the quantity the
-    /// batch-amortized governor charge accounts for).
-    pub fn alloc_bytes(&self) -> u64 {
-        self.lanes
-            .iter()
-            .flatten()
-            .map(Lane::alloc_bytes)
-            .sum::<u64>()
-    }
-
-    /// Set `fresh[i] = true` for every row `i >= 1` whose value in `col`
-    /// differs from row `i - 1` under grouping equality (`NULL` matches
-    /// `NULL`). `fresh[0]` is left untouched. Typed lanes compare machine
-    /// words; `Ref` columns fall back to `Value::group_eq`.
-    pub fn mark_adjacent_neq(&self, col: usize, fresh: &mut [bool]) {
-        match self.lane(col) {
-            Some(Lane::I64 { vals, valid, .. }) => {
-                for i in 1..vals.len() {
-                    let (va, vb) = (valid.get(i - 1), valid.get(i));
-                    if va != vb || (va && vals[i - 1] != vals[i]) {
-                        fresh[i] = true;
-                    }
-                }
-            }
-            Some(Lane::F64 { vals, valid }) => {
-                // Grouping equality on floats is total-order equality,
-                // which is bit equality.
-                for i in 1..vals.len() {
-                    let (va, vb) = (valid.get(i - 1), valid.get(i));
-                    if va != vb || (va && vals[i - 1].to_bits() != vals[i].to_bits()) {
-                        fresh[i] = true;
-                    }
-                }
-            }
-            Some(Lane::Ref) | None => {
-                let n = self.rows.len().min(fresh.len());
-                for (i, f) in fresh[..n].iter_mut().enumerate().skip(1) {
-                    if !self.rows[i - 1][col].group_eq(&self.rows[i][col]) {
-                        *f = true;
-                    }
-                }
-            }
-        }
+    /// The one `Value` at (`row`, `col`), rebuilt from storage — what the
+    /// scalar fallbacks compare.
+    pub fn value(&self, row: usize, col: usize) -> Value {
+        debug_assert!(row < self.len);
+        self.table.column(col).value(self.start + row)
     }
 }
 
@@ -318,60 +199,92 @@ impl SelVec {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use nra_storage::Truth;
+    use nra_storage::{Column, Schema, Truth, Tuple};
 
-    #[test]
-    fn typed_lane_for_homogeneous_ints() {
-        let rows: Vec<Tuple> = vec![vec![Value::Int(1)], vec![Value::Null], vec![Value::Int(3)]];
-        let b = ValueBatch::with_columns(&rows, 1, &[0]);
-        match b.lane(0) {
-            Some(Lane::I64 { kind, vals, valid }) => {
-                assert_eq!(*kind, LaneKind::Int);
-                assert_eq!(vals, &vec![1, 0, 3]);
-                assert!(valid.get(0) && !valid.get(1) && valid.get(2));
-                assert_eq!(valid.count_valid(), 2);
-                assert!(!valid.all_valid());
-            }
-            other => panic!("expected Int lane, got {other:?}"),
-        }
-        assert!(b.alloc_bytes() > 0);
+    /// A one-off table of nullable columns `c0, c1, …` holding `rows`.
+    pub(crate) fn table(types: &[ColumnType], rows: Vec<Tuple>) -> Table {
+        let cols = (types.iter().enumerate())
+            .map(|(i, ty)| Column::new(format!("c{i}"), *ty))
+            .collect();
+        let mut t = Table::new("t", Schema::new(cols));
+        t.insert_many(rows).unwrap();
+        t
     }
 
     #[test]
-    fn mixed_column_falls_back_to_ref() {
-        let rows: Vec<Tuple> = vec![vec![Value::Int(1)], vec![Value::Decimal(100)]];
-        let b = ValueBatch::with_columns(&rows, 1, &[0]);
-        assert!(matches!(b.lane(0), Some(Lane::Ref)));
-        let rows2: Vec<Tuple> = vec![vec![Value::str("a")], vec![Value::str("b")]];
-        let b2 = ValueBatch::with_columns(&rows2, 1, &[0]);
-        assert!(matches!(b2.lane(0), Some(Lane::Ref)));
+    fn typed_lane_for_homogeneous_ints() {
+        let t = table(
+            &[ColumnType::Int],
+            vec![vec![Value::Int(1)], vec![Value::Null], vec![Value::Int(3)]],
+        );
+        let b = ValueBatch::window(&t, &[0], 0, 3);
+        match b.lane(0) {
+            Lane::I64 { kind, vals, valid } => {
+                assert_eq!(*kind, LaneKind::Int);
+                assert_eq!(*vals, [1, 0, 3]);
+                assert!(valid.get(0) && !valid.get(1) && valid.get(2));
+            }
+            other => panic!("expected Int lane, got {other:?}"),
+        }
+        assert_eq!(b.value(1, 0), Value::Null);
+        assert_eq!(b.value(2, 0), Value::Int(3));
+    }
+
+    #[test]
+    fn string_column_is_a_str_lane_over_the_arena() {
+        let t = table(
+            &[ColumnType::Str],
+            vec![
+                vec![Value::str("ab")],
+                vec![Value::Null],
+                vec![Value::str("")],
+                vec![Value::str("çé")],
+            ],
+        );
+        // A window that starts mid-column reads the right slices.
+        let b = ValueBatch::window(&t, &[0], 1, 3);
+        match b.lane(0) {
+            Lane::Str { offsets, arena, .. } => {
+                assert_eq!(offsets.len(), 4);
+                assert_eq!(Lane::str_of(offsets, arena, 2), "çé");
+            }
+            other => panic!("expected Str lane, got {other:?}"),
+        }
+        assert_eq!(b.value(0, 0), Value::Null);
+        assert_eq!(b.value(1, 0), Value::str(""));
+        assert_eq!(b.value(2, 0), Value::str("çé"));
     }
 
     #[test]
     fn all_null_column_is_invalid_int_lane() {
-        let rows: Vec<Tuple> = vec![vec![Value::Null], vec![Value::Null]];
-        let b = ValueBatch::with_columns(&rows, 1, &[0]);
-        match b.lane(0) {
-            Some(Lane::I64 { valid, .. }) => assert_eq!(valid.count_valid(), 0),
+        let t = table(
+            &[ColumnType::Int],
+            vec![vec![Value::Null], vec![Value::Null]],
+        );
+        match ValueBatch::window(&t, &[0], 0, 2).lane(0) {
+            Lane::I64 { valid, .. } => assert!(!valid.get(0) && !valid.get(1)),
             other => panic!("expected lane, got {other:?}"),
         }
     }
 
     #[test]
     fn float_lane_and_bit_equality() {
-        let rows: Vec<Tuple> = vec![
-            vec![Value::Float(0.5)],
-            vec![Value::Float(0.5)],
-            vec![Value::Float(-0.0)],
-            vec![Value::Float(0.0)],
-        ];
-        let b = ValueBatch::with_columns(&rows, 1, &[0]);
-        let mut fresh = vec![false; 4];
-        b.mark_adjacent_neq(0, &mut fresh);
-        // -0.0 and +0.0 differ under total-order grouping equality.
-        assert_eq!(fresh, vec![false, false, true, true]);
+        // The lane is the stored payload: -0.0 and NaN keep their bits.
+        let floats = [0.5, -0.0, 0.0, f64::NAN];
+        let t = table(
+            &[ColumnType::Float],
+            floats.iter().map(|f| vec![Value::Float(*f)]).collect(),
+        );
+        match ValueBatch::window(&t, &[0], 0, 4).lane(0) {
+            Lane::F64 { vals, .. } => {
+                for (got, want) in vals.iter().zip(&floats) {
+                    assert_eq!(got.to_bits(), want.to_bits());
+                }
+            }
+            other => panic!("expected float lane, got {other:?}"),
+        }
     }
 
     #[test]
@@ -385,14 +298,26 @@ mod tests {
 
     #[test]
     fn validity_bitmap_spans_words() {
-        let mut v = Validity::with_capacity(130);
-        for i in 0..130 {
-            v.push(i % 3 == 0);
+        let t = table(
+            &[ColumnType::Int],
+            (0..130)
+                .map(|i| {
+                    vec![if i % 3 == 0 {
+                        Value::Int(i)
+                    } else {
+                        Value::Null
+                    }]
+                })
+                .collect(),
+        );
+        // Windows of 1, 3 and 65 rows at offsets on both sides of a word seam.
+        for (start, n) in [(0, 130), (63, 1), (62, 3), (60, 65), (64, 65), (127, 3)] {
+            let b = ValueBatch::window(&t, &[0], start, n);
+            let valid = b.lane(0).valid();
+            assert_eq!(valid.len(), n);
+            for i in 0..n {
+                assert_eq!(valid.get(i), (start + i) % 3 == 0, "window {start}+{i}");
+            }
         }
-        assert_eq!(v.len(), 130);
-        for i in 0..130 {
-            assert_eq!(v.get(i), i % 3 == 0, "bit {i}");
-        }
-        assert_eq!(v.count_valid(), (0..130).filter(|i| i % 3 == 0).count());
     }
 }

@@ -3,55 +3,72 @@
 //! [`eval_pred`] computes a whole column of [`Truth`] values for a
 //! [`CPred`](crate::expr::CPred); [`select_rows`] turns that into a
 //! [`SelVec`] (SQL `WHERE` semantics: only `TRUE` selects). Comparisons
-//! between typed lanes run as tight machine-word loops that replicate
-//! [`Value::sql_cmp`] exactly — including `Int`↔`Decimal` scaling
-//! overflow (`checked_mul(100)` failure is *unknown*), `NULL`
-//! propagation via the validity bitmaps, and incomparable type pairs.
-//! Everything else (string columns, mixed columns, arithmetic) falls
-//! back to the row-at-a-time evaluator per element, so results are
-//! bit-identical to `CPred::eval` by construction; the differential
-//! property tests in `tests/vectorized.rs` hold both paths to that.
+//! between lanes run as tight loops over the stored payloads that
+//! replicate [`Value::sql_cmp`] exactly — including `Int`↔`Decimal`
+//! scaling overflow (`checked_mul(100)` failure is *unknown*), `NULL`
+//! propagation via the validity bitmaps, string lanes compared as `&str`,
+//! and incomparable type pairs. Everything else (arithmetic, a string
+//! against a number) builds the one `Value` from the lane and calls the
+//! scalar comparison, so results are bit-identical to `CPred::eval` by
+//! construction; the differential property tests in `tests/vectorized.rs`
+//! hold both paths to that.
 //!
 //! Kleene `AND`/`OR` are commutative and associative, so the columnar
 //! or-fold used for `IN` lists matches the row evaluator's early-`TRUE`
 //! break, and `AND`/`OR` zips match its (non-short-circuiting) two-sided
 //! evaluation.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
+use nra_sql::BExpr;
 use nra_storage::{CmpOp, Truth, Value};
 
 use super::batch::{Lane, LaneKind, SelVec, Validity, ValueBatch};
 use crate::expr::{CExpr, CPred};
 
 /// A scalar expression resolved against one batch: either a column of
-/// the batch (possibly with a typed lane), a broadcast literal, or
-/// row-wise computed values (arithmetic).
+/// the batch, a broadcast literal, or row-wise computed values
+/// (arithmetic).
 pub enum ExprCol {
     Col(usize),
     Const(Value),
     Owned(Vec<Value>),
 }
 
+/// `expr` at one row of `batch`, built from the lanes: `CExpr::eval` with
+/// the batch standing in for the row.
+fn eval_at(expr: &CExpr, batch: &ValueBatch<'_>, row: usize) -> Value {
+    match expr {
+        CExpr::Col(i) => batch.value(row, *i),
+        CExpr::Lit(v) => v.clone(),
+        CExpr::Arith { op, left, right } => {
+            BExpr::eval_arith(*op, &eval_at(left, batch, row), &eval_at(right, batch, row))
+        }
+    }
+}
+
 /// Resolve `expr` against `batch`. Bare columns and literals are
-/// zero-cost; arithmetic materializes one value per row via the
-/// row-at-a-time evaluator (exactness over speed for the rare case).
+/// zero-cost; arithmetic materializes one value per row (exactness over
+/// speed for the rare case).
 pub fn eval_expr_column(expr: &CExpr, batch: &ValueBatch<'_>) -> ExprCol {
     match expr {
         CExpr::Col(i) => ExprCol::Col(*i),
         CExpr::Lit(v) => ExprCol::Const(v.clone()),
-        CExpr::Arith { .. } => ExprCol::Owned(batch.rows().iter().map(|r| expr.eval(r)).collect()),
+        CExpr::Arith { .. } => {
+            ExprCol::Owned((0..batch.len()).map(|r| eval_at(expr, batch, r)).collect())
+        }
     }
 }
 
 impl ExprCol {
-    /// Generic per-row accessor (the row-at-a-time fallback).
+    /// Generic per-row accessor (the scalar fallback).
     #[inline]
-    fn value<'x>(&'x self, batch: &'x ValueBatch<'_>, row: usize) -> &'x Value {
+    fn value<'x>(&'x self, batch: &ValueBatch<'_>, row: usize) -> Cow<'x, Value> {
         match self {
-            ExprCol::Col(i) => batch.value(row, *i),
-            ExprCol::Const(v) => v,
-            ExprCol::Owned(vs) => &vs[row],
+            ExprCol::Col(i) => Cow::Owned(batch.value(row, *i)),
+            ExprCol::Const(v) => Cow::Borrowed(v),
+            ExprCol::Owned(vs) => Cow::Borrowed(&vs[row]),
         }
     }
 }
@@ -83,116 +100,97 @@ fn ord_i64_f64(k: LaneKind, a: i64, b: f64) -> Option<Ordering> {
     }
 }
 
+/// One comparison kernel: for each of `n` rows, `Unknown` where `valid`
+/// says a side is NULL, else `op` applied to `ord(row)` (`None` =
+/// incomparable = `Unknown`). Monomorphized per call site, so each lane
+/// pairing is its own tight loop.
 #[inline]
-fn truth_of(op: CmpOp, ord: Option<Ordering>) -> Truth {
-    match ord {
+fn push_cmp(
+    out: &mut Vec<Truth>,
+    n: usize,
+    op: CmpOp,
+    valid: impl Fn(usize) -> bool,
+    ord: impl Fn(usize) -> Option<Ordering>,
+) {
+    out.extend((0..n).map(|r| match valid(r).then(|| ord(r)).flatten() {
         Some(ord) => Truth::from_bool(op.eval(ord)),
         None => Truth::Unknown,
-    }
+    }));
 }
 
-/// A literal classified for lane-typed comparison.
-enum ConstSide {
-    I64(LaneKind, i64),
-    F64(f64),
-    Null,
-    Other,
-}
-
-fn classify(v: &Value) -> ConstSide {
-    match v {
-        Value::Null => ConstSide::Null,
-        Value::Bool(b) => ConstSide::I64(LaneKind::Bool, i64::from(*b)),
-        Value::Int(i) => ConstSide::I64(LaneKind::Int, *i),
-        Value::Decimal(d) => ConstSide::I64(LaneKind::Decimal, *d),
-        Value::Date(d) => ConstSide::I64(LaneKind::Date, i64::from(*d)),
-        Value::Float(f) => ConstSide::F64(*f),
-        Value::Str(_) => ConstSide::Other,
-    }
+#[inline]
+fn both<'a>(a: Validity<'a>, b: Validity<'a>) -> impl Fn(usize) -> bool + 'a {
+    move |r| a.get(r) && b.get(r)
 }
 
 /// Vectorized `a op b`, one [`Truth`] per batch row appended to `out`.
 fn cmp_cols(batch: &ValueBatch<'_>, a: &ExprCol, op: CmpOp, b: &ExprCol, out: &mut Vec<Truth>) {
     let n = batch.len();
     match (a, b) {
-        (ExprCol::Col(i), ExprCol::Col(j)) => match (batch.lane(*i), batch.lane(*j)) {
+        (ExprCol::Col(i), ExprCol::Col(j)) => match (*batch.lane(*i), *batch.lane(*j)) {
             (
-                Some(Lane::I64 {
+                Lane::I64 {
                     kind: ka,
                     vals: va,
                     valid: la,
-                }),
-                Some(Lane::I64 {
+                },
+                Lane::I64 {
                     kind: kb,
                     vals: vb,
                     valid: lb,
-                }),
-            ) => {
-                for r in 0..n {
-                    out.push(if la.get(r) && lb.get(r) {
-                        truth_of(op, ord_i64(*ka, va[r], *kb, vb[r]))
-                    } else {
-                        Truth::Unknown
-                    });
-                }
-            }
+                },
+            ) => push_cmp(out, n, op, both(la, lb), |r| ord_i64(ka, va[r], kb, vb[r])),
             (
-                Some(Lane::I64 {
-                    kind: ka,
+                Lane::I64 {
+                    kind,
                     vals: va,
                     valid: la,
-                }),
-                Some(Lane::F64 {
+                },
+                Lane::F64 {
                     vals: vb,
                     valid: lb,
-                }),
-            ) => {
-                for r in 0..n {
-                    out.push(if la.get(r) && lb.get(r) {
-                        truth_of(op, ord_i64_f64(*ka, va[r], vb[r]))
-                    } else {
-                        Truth::Unknown
-                    });
-                }
-            }
+                },
+            ) => push_cmp(out, n, op, both(la, lb), |r| {
+                ord_i64_f64(kind, va[r], vb[r])
+            }),
+            // `a θ b ⇔ b θ.flip() a`; reuse the i64-vs-f64 kernel.
             (
-                Some(Lane::F64 {
+                Lane::F64 {
                     vals: va,
                     valid: la,
-                }),
-                Some(Lane::I64 {
-                    kind: kb,
+                },
+                Lane::I64 {
+                    kind,
                     vals: vb,
                     valid: lb,
-                }),
-            ) => {
-                // `a θ b ⇔ b θ.flip() a`; reuse the i64-vs-f64 kernel.
-                for r in 0..n {
-                    out.push(if la.get(r) && lb.get(r) {
-                        truth_of(op.flip(), ord_i64_f64(*kb, vb[r], va[r]))
-                    } else {
-                        Truth::Unknown
-                    });
-                }
-            }
+                },
+            ) => push_cmp(out, n, op.flip(), both(la, lb), |r| {
+                ord_i64_f64(kind, vb[r], va[r])
+            }),
             (
-                Some(Lane::F64 {
+                Lane::F64 {
                     vals: va,
                     valid: la,
-                }),
-                Some(Lane::F64 {
+                },
+                Lane::F64 {
                     vals: vb,
                     valid: lb,
-                }),
-            ) => {
-                for r in 0..n {
-                    out.push(if la.get(r) && lb.get(r) {
-                        truth_of(op, va[r].partial_cmp(&vb[r]))
-                    } else {
-                        Truth::Unknown
-                    });
-                }
-            }
+                },
+            ) => push_cmp(out, n, op, both(la, lb), |r| va[r].partial_cmp(&vb[r])),
+            (
+                Lane::Str {
+                    offsets: oa,
+                    arena: sa,
+                    valid: la,
+                },
+                Lane::Str {
+                    offsets: ob,
+                    arena: sb,
+                    valid: lb,
+                },
+            ) => push_cmp(out, n, op, both(la, lb), |r| {
+                Some(Lane::str_of(oa, sa, r).cmp(Lane::str_of(ob, sb, r)))
+            }),
             _ => cmp_generic(batch, a, op, b, out),
         },
         (ExprCol::Col(i), ExprCol::Const(v)) => {
@@ -206,62 +204,60 @@ fn cmp_cols(batch: &ValueBatch<'_>, a: &ExprCol, op: CmpOp, b: &ExprCol, out: &m
     }
 }
 
-/// `lane(col) op const` (operands already oriented lane-first).
-fn cmp_lane_const(batch: &ValueBatch<'_>, col: usize, op: CmpOp, v: &Value, out: &mut Vec<Truth>) {
-    let n = batch.len();
-    match (batch.lane(col), classify(v)) {
-        (_, ConstSide::Null) => {
-            // Anything compared with NULL is unknown, valid or not.
-            out.resize(out.len() + n, Truth::Unknown);
-        }
-        (Some(Lane::I64 { kind, vals, valid }), ConstSide::I64(kc, c)) => {
-            for (r, &val) in vals.iter().enumerate().take(n) {
-                out.push(if valid.get(r) {
-                    truth_of(op, ord_i64(*kind, val, kc, c))
-                } else {
-                    Truth::Unknown
-                });
-            }
-        }
-        (Some(Lane::I64 { kind, vals, valid }), ConstSide::F64(c)) => {
-            for (r, &val) in vals.iter().enumerate().take(n) {
-                out.push(if valid.get(r) {
-                    truth_of(op, ord_i64_f64(*kind, val, c))
-                } else {
-                    Truth::Unknown
-                });
-            }
-        }
-        (Some(Lane::F64 { vals, valid }), ConstSide::F64(c)) => {
-            for (r, &val) in vals.iter().enumerate().take(n) {
-                out.push(if valid.get(r) {
-                    truth_of(op, val.partial_cmp(&c))
-                } else {
-                    Truth::Unknown
-                });
-            }
-        }
-        (Some(Lane::F64 { vals, valid }), ConstSide::I64(kc, c)) => {
-            for (r, &val) in vals.iter().enumerate().take(n) {
-                out.push(if valid.get(r) {
-                    truth_of(op.flip(), ord_i64_f64(kc, c, val))
-                } else {
-                    Truth::Unknown
-                });
-            }
-        }
-        _ => {
-            for r in 0..n {
-                out.push(batch.value(r, col).sql_compare(op, v));
-            }
-        }
+/// A literal classified for lane-typed comparison.
+enum ConstSide<'v> {
+    I64(LaneKind, i64),
+    F64(f64),
+    Str(&'v str),
+    Null,
+}
+
+fn classify(v: &Value) -> ConstSide<'_> {
+    match v {
+        Value::Null => ConstSide::Null,
+        Value::Bool(b) => ConstSide::I64(LaneKind::Bool, i64::from(*b)),
+        Value::Int(i) => ConstSide::I64(LaneKind::Int, *i),
+        Value::Decimal(d) => ConstSide::I64(LaneKind::Decimal, *d),
+        Value::Date(d) => ConstSide::I64(LaneKind::Date, i64::from(*d)),
+        Value::Float(f) => ConstSide::F64(*f),
+        Value::Str(s) => ConstSide::Str(s),
     }
 }
 
-/// Row-at-a-time fallback: exactly `left.sql_compare(op, right)` per row.
+/// `lane(col) op const` (operands already oriented lane-first).
+fn cmp_lane_const(batch: &ValueBatch<'_>, col: usize, op: CmpOp, v: &Value, out: &mut Vec<Truth>) {
+    let n = batch.len();
+    let lane = *batch.lane(col);
+    let valid = lane.valid();
+    let valid = |r| valid.get(r);
+    match (lane, classify(v)) {
+        // Anything compared with NULL is unknown, valid or not.
+        (_, ConstSide::Null) => out.resize(out.len() + n, Truth::Unknown),
+        (Lane::I64 { kind, vals, .. }, ConstSide::I64(kc, c)) => {
+            push_cmp(out, n, op, valid, |r| ord_i64(kind, vals[r], kc, c))
+        }
+        (Lane::I64 { kind, vals, .. }, ConstSide::F64(c)) => {
+            push_cmp(out, n, op, valid, |r| ord_i64_f64(kind, vals[r], c))
+        }
+        (Lane::F64 { vals, .. }, ConstSide::F64(c)) => {
+            push_cmp(out, n, op, valid, |r| vals[r].partial_cmp(&c))
+        }
+        (Lane::F64 { vals, .. }, ConstSide::I64(kc, c)) => {
+            push_cmp(out, n, op.flip(), valid, |r| ord_i64_f64(kc, c, vals[r]))
+        }
+        (Lane::Str { offsets, arena, .. }, ConstSide::Str(c)) => push_cmp(out, n, op, valid, |r| {
+            Some(Lane::str_of(offsets, arena, r).cmp(c))
+        }),
+        // A string against a number, or the reverse: incomparable, decided
+        // by the scalar comparison itself.
+        _ => out.extend((0..n).map(|r| batch.value(r, col).sql_compare(op, v))),
+    }
+}
+
+/// Scalar fallback: exactly `left.sql_compare(op, right)` per row.
 fn cmp_generic(batch: &ValueBatch<'_>, a: &ExprCol, op: CmpOp, b: &ExprCol, out: &mut Vec<Truth>) {
     for r in 0..batch.len() {
-        out.push(a.value(batch, r).sql_compare(op, b.value(batch, r)));
+        out.push(a.value(batch, r).sql_compare(op, &b.value(batch, r)));
     }
 }
 
@@ -273,27 +269,16 @@ fn maybe_not(t: Truth, negated: bool) -> Truth {
     }
 }
 
-/// Null-ness of a resolved expression per row; typed lanes answer from
-/// the validity bitmap without touching row storage.
+/// Null-ness of a resolved expression per row; a column answers from its
+/// validity bitmap without touching the payload.
 fn nulls_of(batch: &ValueBatch<'_>, e: &ExprCol, out: &mut Vec<bool>) {
     match e {
-        ExprCol::Col(i) => match batch.lane(*i) {
-            Some(Lane::I64 { valid, .. }) => push_invalid(valid, out),
-            Some(Lane::F64 { valid, .. }) => push_invalid(valid, out),
-            _ => {
-                for r in 0..batch.len() {
-                    out.push(batch.value(r, *i).is_null());
-                }
-            }
-        },
+        ExprCol::Col(i) => {
+            let valid = batch.lane(*i).valid();
+            out.extend((0..valid.len()).map(|r| !valid.get(r)));
+        }
         ExprCol::Const(v) => out.resize(out.len() + batch.len(), v.is_null()),
         ExprCol::Owned(vs) => out.extend(vs.iter().map(Value::is_null)),
-    }
-}
-
-fn push_invalid(valid: &Validity, out: &mut Vec<bool>) {
-    for r in 0..valid.len() {
-        out.push(!valid.get(r));
     }
 }
 
@@ -386,6 +371,8 @@ pub fn select_rows(pred: &CPred, batch: &ValueBatch<'_>) -> SelVec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vec::batch::tests::table;
+    use nra_storage::ColumnType::{self, Bool, Date, Decimal, Float, Int};
     use nra_storage::Tuple;
 
     fn col(i: usize) -> CExpr {
@@ -401,9 +388,21 @@ mod tests {
         rows.iter().map(|r| pred.eval(r)).collect()
     }
 
-    fn check(pred: &CPred, rows: &[Tuple], width: usize, cols: &[usize]) {
-        let batch = ValueBatch::with_columns(rows, width, cols);
-        assert_eq!(eval_pred(pred, &batch), reference(pred, rows), "{pred:?}");
+    /// `pred` over `rows` stored as columns of `types`, in one window and
+    /// in windows of 1 and 3 rows, against the row-at-a-time reference.
+    fn check(pred: &CPred, rows: &[Tuple], types: &[ColumnType]) {
+        let t = table(types, rows.to_vec());
+        let want = reference(pred, rows);
+        for width in [rows.len().max(1), 1, 3] {
+            let got: Vec<Truth> = (0..rows.len())
+                .step_by(width)
+                .flat_map(|start| {
+                    let n = width.min(rows.len() - start);
+                    eval_pred(pred, &ValueBatch::window(&t, &pred.columns(), start, n))
+                })
+                .collect();
+            assert_eq!(got, want, "{pred:?} at width {width}");
+        }
     }
 
     #[test]
@@ -427,19 +426,19 @@ mod tests {
                 op,
                 right: col(1),
             };
-            check(&p, &rows, 2, &[0, 1]);
+            check(&p, &rows, &[Int, Int]);
             let p2 = CPred::Cmp {
                 left: col(0),
                 op,
                 right: lit(Value::Int(3)),
             };
-            check(&p2, &rows, 2, &[0, 1]);
+            check(&p2, &rows, &[Int, Int]);
             let p3 = CPred::Cmp {
                 left: lit(Value::Int(3)),
                 op,
                 right: col(1),
             };
-            check(&p3, &rows, 2, &[0, 1]);
+            check(&p3, &rows, &[Int, Int]);
         }
     }
 
@@ -456,21 +455,20 @@ mod tests {
             op: CmpOp::Gt,
             right: col(1),
         };
-        // Mixed Int/Decimal columns fall back per-lane, but a literal
-        // against an Int lane exercises the typed rescale path:
-        check(&p, &rows, 2, &[0, 1]);
+        // An Int lane against a Decimal lane, then against literals:
+        check(&p, &rows, &[Int, Decimal]);
         let p2 = CPred::Cmp {
             left: col(0),
             op: CmpOp::Eq,
             right: lit(Value::Decimal(500)),
         };
-        check(&p2, &rows, 2, &[0]);
+        check(&p2, &rows, &[Int, Decimal]);
         let overflow = CPred::Cmp {
             left: lit(Value::Int(big)),
             op: CmpOp::Lt,
             right: col(1),
         };
-        check(&overflow, &rows, 2, &[1]);
+        check(&overflow, &rows, &[Int, Decimal]);
     }
 
     #[test]
@@ -487,19 +485,19 @@ mod tests {
                 op,
                 right: col(1),
             };
-            check(&p, &rows, 2, &[0, 1]);
+            check(&p, &rows, &[Float, Float]);
             let p2 = CPred::Cmp {
                 left: col(0),
                 op,
                 right: lit(Value::Int(2)),
             };
-            check(&p2, &rows, 2, &[0]);
+            check(&p2, &rows, &[Float, Float]);
             let p3 = CPred::Cmp {
                 left: col(1),
                 op,
                 right: lit(Value::Decimal(50)),
             };
-            check(&p3, &rows, 2, &[1]);
+            check(&p3, &rows, &[Float, Float]);
         }
     }
 
@@ -514,19 +512,40 @@ mod tests {
             op: CmpOp::Eq,
             right: col(1),
         };
-        check(&p, &rows, 2, &[0, 1]);
+        check(&p, &rows, &[Bool, Date]);
         let p2 = CPred::Cmp {
             left: col(1),
             op: CmpOp::Lt,
             right: lit(Value::Float(5.0)),
         };
-        check(&p2, &rows, 2, &[1]);
+        check(&p2, &rows, &[Bool, Date]);
         let p3 = CPred::Cmp {
             left: col(0),
             op: CmpOp::Eq,
             right: lit(Value::str("x")),
         };
-        check(&p3, &rows, 2, &[0]);
+        check(&p3, &rows, &[Bool, Date]);
+    }
+
+    #[test]
+    fn string_lanes_compare_as_str() {
+        let rows: Vec<Tuple> = vec![
+            vec![Value::str("b"), Value::str("a"), Value::Int(1)],
+            vec![Value::str(""), Value::Null, Value::Int(2)],
+            vec![Value::Null, Value::str("zé"), Value::Null],
+            vec![Value::str("zé"), Value::str("zé"), Value::Int(3)],
+        ];
+        let types = [ColumnType::Str, ColumnType::Str, Int];
+        for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge] {
+            for right in [col(1), lit(Value::str("b")), lit(Value::Int(1)), col(2)] {
+                let p = CPred::Cmp {
+                    left: col(0),
+                    op,
+                    right,
+                };
+                check(&p, &rows, &types);
+            }
+        }
     }
 
     #[test]
@@ -543,35 +562,35 @@ mod tests {
             high: lit(Value::Int(10)),
             negated: true,
         };
-        check(&between, &rows, 1, &[0]);
+        check(&between, &rows, &[Int]);
         let inlist = CPred::InList {
             expr: col(0),
             list: vec![lit(Value::Int(1)), lit(Value::Null), lit(Value::Int(11))],
             negated: true,
         };
-        check(&inlist, &rows, 1, &[0]);
+        check(&inlist, &rows, &[Int]);
         let isnull = CPred::IsNull {
             expr: col(0),
             negated: false,
         };
-        check(&isnull, &rows, 1, &[0]);
+        check(&isnull, &rows, &[Int]);
         let compound = CPred::Or(
             Box::new(CPred::Not(Box::new(between))),
             Box::new(CPred::And(Box::new(inlist), Box::new(isnull))),
         );
-        check(&compound, &rows, 1, &[0]);
+        check(&compound, &rows, &[Int]);
     }
 
     #[test]
     fn empty_batch_and_all_false_selection() {
-        let rows: Vec<Tuple> = vec![];
-        let batch = ValueBatch::with_columns(&rows, 1, &[0]);
+        let empty = table(&[Int], vec![]);
+        let batch = ValueBatch::window(&empty, &[0], 0, 0);
         let p = CPred::Const(Truth::True);
         assert!(eval_pred(&p, &batch).is_empty());
         assert!(select_rows(&p, &batch).is_empty());
 
-        let rows2: Vec<Tuple> = vec![vec![Value::Int(1)], vec![Value::Null]];
-        let batch2 = ValueBatch::with_columns(&rows2, 1, &[0]);
+        let two = table(&[Int], vec![vec![Value::Int(1)], vec![Value::Null]]);
+        let batch2 = ValueBatch::window(&two, &[0], 0, 2);
         let never = CPred::Cmp {
             left: col(0),
             op: CmpOp::Lt,
@@ -599,6 +618,6 @@ mod tests {
             op: CmpOp::Gt,
             right: lit(Value::Int(6)),
         };
-        check(&p, &rows, 2, &[0, 1]);
+        check(&p, &rows, &[Int, Int]);
     }
 }

@@ -1,30 +1,28 @@
 //! Vectorized columnar execution core (DESIGN.md §13).
 //!
-//! The engine's operators are row-at-a-time over `Vec<Tuple>`; the hot
-//! scans — filters, hash-join probes, ν-nest group-boundary detection,
-//! linking predicates — pay an enum-tag dispatch per value plus per-row
-//! observability/governor bookkeeping. This module provides the columnar
-//! counterpart those scans batch into:
+//! Base tables are stored as typed columns; the engine's operators above
+//! the scan are row-at-a-time over `Vec<Tuple>`. This module is where the
+//! two meet:
 //!
-//! * [`ValueBatch`] — a column-major window over a run of tuples:
-//!   per-column typed lanes (`i64`/`f64` vectors plus a validity bitmap)
-//!   when a column's non-NULL values share one type, with a zero-copy
-//!   fallback to the row storage for mixed or string columns;
+//! * [`ValueBatch`] — a window `[start, start+n)` over a table's stored
+//!   lanes (`i64`/`f64` slices, string offsets + arena, validity read at
+//!   a bit offset): borrowed, never transposed or copied;
 //! * [`eval_pred`] / [`SelVec`] — a vectorized 3VL expression evaluator
 //!   computing [`Truth`](nra_storage::Truth) over whole columns and
-//!   producing selection vectors instead of filtered row copies;
+//!   producing selection vectors instead of filtered row copies — how
+//!   every block's local predicates `Δ_i` are evaluated;
 //! * [`group_bounds`] — batch-windowed adjacent-row grouping-equality
 //!   over sorted runs, the kernel behind the sort-based ν-nest and the
 //!   fused nest+linking cascade;
 //! * [`fxhash`] — a vendored zero-dependency FxHash-style hasher backing
 //!   every hash-join build and nest/setop hash-grouping table.
 //!
-//! Every kernel is *exact*: typed fast paths replicate
-//! `Value::sql_cmp`/`Value::group_eq` semantics bit-for-bit (including
-//! `Int`↔`Decimal` scaling overflow and `NULL` propagation), and the
-//! generic fallback simply calls the row-at-a-time code per element. The
-//! row-at-a-time evaluator remains in `crate::expr` as the differential-
-//! testing reference. Results, profile counters, goldens and committed
+//! Every kernel is *exact*: the lane kernels replicate
+//! `Value::sql_cmp` semantics bit-for-bit (including `Int`↔`Decimal`
+//! scaling overflow and `NULL` propagation), and the generic fallback
+//! builds the one `Value` and calls the scalar comparison. The
+//! row-at-a-time evaluator in `crate::expr` is what everything above the
+//! scan runs, and the differential-testing reference for the kernels. Results, profile counters, goldens and committed
 //! baselines are byte-identical at any batch size and thread count.
 //!
 //! The batch width defaults to [`DEFAULT_BATCH_ROWS`] (matching the
@@ -79,12 +77,9 @@ pub fn set_batch_rows(n: Option<usize>) -> CtxGuard {
 ///
 /// The scan runs in batch windows (one governor checkpoint's worth of
 /// rows at a time) comparing adjacent pairs with the short-circuiting
-/// `group_eq_on`. Measured against a transposed-lane kernel
-/// ([`ValueBatch::mark_adjacent_neq`] per column), the pairwise compare
-/// wins on this access pattern: each value is consumed exactly once, so
-/// paying a transposition to set up branch-light lane loops costs more
-/// than it saves — unlike predicate evaluation, where the amortized
-/// expression-tree walk makes lanes profitable. Batch seams compare the
+/// `group_eq_on`: the input is an intermediate relation — rows, not
+/// stored lanes — and each value is consumed exactly once, so there is
+/// nothing for a lane loop to amortize. Batch seams compare the
 /// last row of the previous window against the first of the next, so
 /// groups straddling batch boundaries are never split. The governor is
 /// polled on the same per-group cadence as the scalar scan
@@ -122,14 +117,6 @@ pub fn group_bounds(
         bounds.push((lo, hi));
     }
     Ok(bounds)
-}
-
-/// Charge a batch's actual lane allocations to the governor in one call
-/// (the batch-amortized charging path: exact bytes, one flag check per
-/// batch instead of one per row).
-#[inline]
-pub fn charge_batch(site: &str, batch: &ValueBatch<'_>) -> Result<(), EngineError> {
-    governor::charge(site, batch.alloc_bytes())
 }
 
 #[cfg(test)]

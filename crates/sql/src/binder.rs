@@ -118,7 +118,9 @@ impl<'a> Binder<'a> {
             tables.push(BoundTable {
                 table: tref.table.clone(),
                 exposed,
-                carry: Vec::new(), // recorded once the block's subtree is bound
+                // Both recorded once the block's subtree is bound.
+                carry: Vec::new(),
+                select_only: Vec::new(),
             });
         }
         scopes.push(scope);
@@ -311,8 +313,19 @@ impl<'a> Binder<'a> {
         // The carry lists. SQL scoping lets only this block and its
         // descendants name its columns, and all of them are bound by now:
         // everything they mention outside this block's local predicates.
+        // A bare column of the select list is only *read out* at the end,
+        // so a single-table block leaves it in storage (`select_only`)
+        // unless something else compares or computes with it.
+        let late = tables.len() == 1;
         let mut mentioned: Vec<&str> = Vec::new();
-        for expr in select.iter().map(|(_, e)| e).chain(&inner_expr) {
+        let mut selected: Vec<&str> = Vec::new();
+        for (_, expr) in &select {
+            match expr.as_column() {
+                Some(name) if late => selected.push(name),
+                _ => expr.collect_columns(&mut mentioned),
+            }
+        }
+        if let Some(expr) = &inner_expr {
             expr.collect_columns(&mut mentioned);
         }
         for pred in &correlated_preds {
@@ -323,17 +336,23 @@ impl<'a> Binder<'a> {
         }
         let scope = scopes.pop().expect("pushed above");
         for (t, (_, _, schema)) in tables.iter_mut().zip(&scope.tables) {
-            t.carry = mentioned
-                .iter()
-                .filter_map(|name| match name.rsplit_once('.') {
-                    Some((qualifier, column)) if qualifier == t.exposed => {
-                        schema.try_resolve(column)
-                    }
-                    _ => None,
-                })
-                .collect();
-            t.carry.sort_unstable();
-            t.carry.dedup();
+            let indices = |names: &[&str]| -> Vec<usize> {
+                let mut cols: Vec<usize> = names
+                    .iter()
+                    .filter_map(|name| match name.rsplit_once('.') {
+                        Some((qualifier, column)) if qualifier == t.exposed => {
+                            schema.try_resolve(column)
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                cols.sort_unstable();
+                cols.dedup();
+                cols
+            };
+            t.carry = indices(&mentioned);
+            t.select_only = indices(&selected);
+            t.select_only.retain(|c| !t.carry.contains(c));
         }
 
         Ok((
@@ -678,14 +697,16 @@ mod tests {
         assert!(!bq.has_mixed_links(), "both links are negative");
     }
 
-    /// Every table's carry list as `exposed -> carried column names`, in
+    /// One column list per table as `exposed -> column names`, in
     /// depth-first block order.
-    fn carried(bq: &BoundQuery, cat: &Catalog) -> Vec<(String, Vec<String>)> {
+    fn listed(sql: &str, list: impl Fn(&BoundTable) -> &[usize]) -> Vec<(String, Vec<String>)> {
+        let cat = rst_catalog();
+        let bq = parse_and_bind(sql, &cat).unwrap();
         let mut out = Vec::new();
         bq.root.visit(&mut |block, _| {
             for t in &block.tables {
                 let schema = cat.table(&t.table).unwrap().schema();
-                let names = t.carry.iter().map(|&i| schema.column(i).name.clone());
+                let names = list(t).iter().map(|&i| schema.column(i).name.clone());
                 out.push((t.exposed.clone(), names.collect()));
             }
         });
@@ -693,9 +714,11 @@ mod tests {
     }
 
     fn carry_of(sql: &str) -> Vec<(String, Vec<String>)> {
-        let cat = rst_catalog();
-        let bq = parse_and_bind(sql, &cat).unwrap();
-        carried(&bq, &cat)
+        listed(sql, |t| &t.carry)
+    }
+
+    fn select_only_of(sql: &str) -> Vec<(String, Vec<String>)> {
+        listed(sql, |t| &t.select_only)
     }
 
     fn entry(table: &str, cols: &[&str]) -> (String, Vec<String>) {
@@ -722,14 +745,15 @@ mod tests {
 
     #[test]
     fn carry_list_keeps_a_column_only_a_grandchild_mentions() {
-        // r.a is in no select list and no predicate of blocks 1 or 2.
+        // r.a is in no select list and no predicate of blocks 1 or 2;
+        // r.b is only read out at the end, so it is not carried.
         assert_eq!(
             carry_of(
                 "select r.b from r where exists (select * from s where s.g = r.d \
                  and exists (select * from t where t.j = r.a and t.k = 1))"
             ),
             vec![
-                entry("r", &["a", "b", "d"]),
+                entry("r", &["a", "d"]),
                 entry("s", &["g"]),
                 entry("t", &["j"])
             ]
@@ -742,17 +766,17 @@ mod tests {
             carry_of(
                 "select r.d from r where r.a + r.b > all (select s.e + 1 from s where s.f = 5)"
             ),
-            vec![entry("r", &["a", "b", "d"]), entry("s", &["e"])]
+            vec![entry("r", &["a", "b"]), entry("s", &["e"])]
         );
         // COUNT(*) has no linked attribute; an uncorrelated EXISTS block
         // with only local predicates carries nothing at all.
         assert_eq!(
             carry_of("select r.d from r where r.a > (select count(*) from s where s.f = 5)"),
-            vec![entry("r", &["a", "d"]), entry("s", &[])]
+            vec![entry("r", &["a"]), entry("s", &[])]
         );
         assert_eq!(
             carry_of("select r.d from r where exists (select * from s where s.f = 5)"),
-            vec![entry("r", &["d"]), entry("s", &[])]
+            vec![entry("r", &[]), entry("s", &[])]
         );
     }
 
@@ -761,8 +785,12 @@ mod tests {
         // The same table twice: each instance carries its own mentions,
         // listed in schema order whatever order the query names them in.
         assert_eq!(
-            carry_of("select r.d, r.b from r where r.c in (select a from r where b = 1 and c > 2)"),
-            vec![entry("r", &["b", "c", "d"]), entry("r_2", &["a"])]
+            carry_of("select r.c, r.b from r where r.d in (select a from r where b = 1 and c > 2)"),
+            vec![entry("r", &["d"]), entry("r_2", &["a"])]
+        );
+        assert_eq!(
+            carry_of("select r.a from r where r.d + r.b in (select a from r where c > 2)"),
+            vec![entry("r", &["b", "d"]), entry("r_2", &["a"])]
         );
         // A two-table block: the join predicate between its own tables is
         // local, so t carries nothing and s only what others mention.
@@ -777,9 +805,67 @@ mod tests {
                 entry("t", &[])
             ]
         );
+        // Nothing compares a column of a flat query: all of it is read out
+        // at the end.
         assert_eq!(
             carry_of("select * from t where t.k > 1"),
+            vec![entry("t", &[])]
+        );
+    }
+
+    #[test]
+    fn select_only_is_what_nothing_but_the_root_select_reads() {
+        // Query Q compares every column it selects.
+        assert_eq!(
+            select_only_of(QUERY_Q),
+            vec![entry("r", &[]), entry("s", &[]), entry("t", &[])]
+        );
+        // r.c and r.b are read out only; r.d links. Listed in schema order,
+        // once, however often and in whatever order the select names them.
+        assert_eq!(
+            select_only_of(
+                "select r.c, r.b, r.c from r where r.d in (select a from r where b = 1)"
+            ),
+            vec![entry("r", &["b", "c"]), entry("r_2", &[])]
+        );
+        // A column both selected and compared is carried, not late; so is
+        // one a computed select item reads.
+        assert_eq!(
+            select_only_of("select r.b, r.d, r.a + r.c from r where r.b > all (select e from s)"),
+            vec![entry("r", &["d"]), entry("s", &[])]
+        );
+        assert_eq!(
+            carry_of("select r.b, r.d, r.a + r.c from r where r.b > all (select e from s)"),
+            vec![entry("r", &["a", "b", "c"]), entry("s", &["e"])]
+        );
+        // A local predicate is evaluated in storage: filtering on a column
+        // does not carry it.
+        assert_eq!(
+            select_only_of("select * from t where t.k > 1"),
             vec![entry("t", &["j", "k", "l"])]
+        );
+    }
+
+    #[test]
+    fn select_only_is_empty_for_inner_blocks_and_multi_table_roots() {
+        // The inner block's select item is the linked attribute: carried.
+        assert_eq!(
+            select_only_of("select r.b from r where r.d in (select s.e from s where s.f = 5)"),
+            vec![entry("r", &["b"]), entry("s", &[])]
+        );
+        // A two-table root carries what it selects, like any other column.
+        let sql = "select r.b, t.j from r, t where r.c = t.k and r.d > all (select e from s)";
+        assert_eq!(
+            select_only_of(sql),
+            vec![entry("r", &[]), entry("t", &[]), entry("s", &[])]
+        );
+        assert_eq!(
+            carry_of(sql),
+            vec![
+                entry("r", &["b", "d"]),
+                entry("t", &["j"]),
+                entry("s", &["e"])
+            ]
         );
     }
 

@@ -80,13 +80,19 @@ pub struct BoundTable {
     /// Unique qualifier used in all bound column names.
     pub exposed: String,
     /// The *carry list*: indices (ascending, into the base table's
-    /// schema) of the columns mentioned anywhere outside their block's
-    /// own local predicates — the root `select`, any block's correlated
-    /// predicates, and the linking/linked expressions on any edge. A
-    /// block's scan evaluates `Δ_i` on the stored rows and copies out only
-    /// these; everything else never leaves the table. Recorded once by
-    /// the binder, so it is cached with the plan.
+    /// schema) of the columns something outside their block's own local
+    /// predicates *compares or computes with* — any block's correlated
+    /// predicates, the linking/linked expressions on any edge, computed
+    /// `select` items. A block's scan evaluates `Δ_i` on the stored lanes
+    /// and copies out only these; everything else never leaves the table.
+    /// Recorded once by the binder, so it is cached with the plan.
     pub carry: Vec<usize>,
+    /// Columns (ascending indices, disjoint from `carry`) mentioned *only*
+    /// as bare items of the root `select`: left out of `T_1` and fetched
+    /// by row id for the rows that survive. Non-empty only for a
+    /// single-table root block; a multi-table block carries its selected
+    /// columns like any other.
+    pub select_only: Vec<usize>,
 }
 
 /// A subquery hanging off an outer block.

@@ -1,14 +1,16 @@
 //! Catalog of base tables.
 //!
-//! A [`Table`] owns its data, primary-key declaration and any secondary
-//! indexes. The catalog is what the SQL binder resolves `FROM` items
-//! against, and what the baseline executor probes indexes on.
+//! A [`Table`] owns its data — one typed [`ColumnStore`] per schema column,
+//! not rows — its primary-key declaration and any secondary indexes. The
+//! catalog is what the SQL binder resolves `FROM` items against, and what
+//! the baseline executor probes indexes on.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::RwLock;
+use std::sync::{OnceLock, RwLock};
 
+use crate::column::{ColumnData, ColumnStore};
 use crate::error::StorageError;
-use crate::index::{HashIndex, OrderedIndex};
+use crate::index::{HashIndex, OrdKey, OrderedIndex};
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::{GroupKey, Tuple};
@@ -44,7 +46,13 @@ impl TableStats {
 #[derive(Debug)]
 pub struct Table {
     name: String,
-    data: Relation,
+    schema: Schema,
+    /// One store per schema column, all `len` rows long.
+    columns: Vec<ColumnStore>,
+    len: usize,
+    /// The row image [`Table::data`] hands out, built on first use and
+    /// dropped by every insert. A compatibility view, never the storage.
+    image: OnceLock<Relation>,
     /// Column indices of the declared primary key (empty if none).
     primary_key: Vec<usize>,
     hash_indexes: Vec<HashIndex>,
@@ -56,10 +64,15 @@ pub struct Table {
 }
 
 impl Clone for Table {
+    /// Copies the stored columns, indexes and stats — not the row image,
+    /// which the copy rebuilds if anyone asks it for one.
     fn clone(&self) -> Table {
         Table {
             name: self.name.clone(),
-            data: self.data.clone(),
+            schema: self.schema.clone(),
+            columns: self.columns.clone(),
+            len: self.len,
+            image: OnceLock::new(),
             primary_key: self.primary_key.clone(),
             hash_indexes: self.hash_indexes.clone(),
             ordered_indexes: self.ordered_indexes.clone(),
@@ -70,9 +83,17 @@ impl Clone for Table {
 
 impl Table {
     pub fn new(name: impl Into<String>, schema: Schema) -> Table {
+        let columns = schema
+            .columns()
+            .iter()
+            .map(|c| ColumnStore::new(c.ty))
+            .collect();
         Table {
             name: name.into(),
-            data: Relation::new(schema),
+            schema,
+            columns,
+            len: 0,
+            image: OnceLock::new(),
             primary_key: vec![],
             hash_indexes: vec![],
             ordered_indexes: vec![],
@@ -85,19 +106,47 @@ impl Table {
     }
 
     pub fn schema(&self) -> &Schema {
-        self.data.schema()
-    }
-
-    pub fn data(&self) -> &Relation {
-        &self.data
+        &self.schema
     }
 
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
+    }
+
+    /// The stored column at schema position `i`.
+    pub fn column(&self, i: usize) -> &ColumnStore {
+        &self.columns[i]
+    }
+
+    /// Row `i` as a tuple, rebuilt from the stored columns.
+    pub fn row(&self, i: usize) -> Tuple {
+        self.columns.iter().map(|c| c.value(i)).collect()
+    }
+
+    /// Every row in row-id order, each rebuilt from the stored columns.
+    pub fn rows(&self) -> impl Iterator<Item = Tuple> + '_ {
+        (0..self.len).map(|i| self.row(i))
+    }
+
+    /// The table as a materialized row image: built from the stored
+    /// columns on first call, kept until the next insert, not copied by
+    /// `Clone`. It doubles the table's memory, so it is for the
+    /// benchmark's template rows, the CLI, CSV export and tests — query
+    /// execution reads [`Table::column`], [`Table::row`] and
+    /// [`Table::rows`] instead.
+    pub fn data(&self) -> &Relation {
+        self.image
+            .get_or_init(|| Relation::with_rows(self.schema.clone(), self.rows().collect()))
+    }
+
+    /// Whether [`Table::data`]'s row image is currently materialized.
+    #[doc(hidden)]
+    pub fn row_image_cached(&self) -> bool {
+        self.image.get().is_some()
     }
 
     /// Declare the primary key by column names. The paper assumes "each
@@ -107,7 +156,7 @@ impl Table {
     pub fn set_primary_key(&mut self, cols: &[&str]) -> Result<(), StorageError> {
         let mut pk = Vec::with_capacity(cols.len());
         for c in cols {
-            pk.push(self.data.schema().resolve(c)?);
+            pk.push(self.schema.resolve(c)?);
         }
         self.primary_key = pk;
         Ok(())
@@ -117,31 +166,78 @@ impl Table {
         &self.primary_key
     }
 
+    /// Check a row against the schema (arity, column types, `NOT NULL`)
+    /// without appending it. The durable insert path validates every row
+    /// before logging, so the logged record is exactly what the in-memory
+    /// apply will accept.
+    pub fn validate(&self, row: &[Value]) -> Result<(), StorageError> {
+        self.schema.check_row(row)
+    }
+
     /// Insert a validated row. Invalidates indexes (they are rebuilt on the
     /// next `ensure_*_index` call); bulk loading should insert everything
     /// first and index afterwards.
     pub fn insert(&mut self, row: Tuple) -> Result<(), StorageError> {
-        self.data.push(row)?;
-        self.hash_indexes.clear();
-        self.ordered_indexes.clear();
-        self.invalidate_stats();
+        self.validate(&row)?;
+        self.append(&row);
+        self.invalidate_derived();
         Ok(())
     }
 
+    /// Insert a batch, all or nothing: every row is validated before the
+    /// first is appended, so a bad row leaves the table — rows, indexes
+    /// and stats — exactly as it was.
     pub fn insert_many<I: IntoIterator<Item = Tuple>>(
         &mut self,
         rows: I,
     ) -> Result<(), StorageError> {
-        for row in rows {
-            self.data.push(row)?;
+        let rows: Vec<Tuple> = rows.into_iter().collect();
+        for row in &rows {
+            self.validate(row)?;
         }
-        self.hash_indexes.clear();
-        self.ordered_indexes.clear();
-        self.invalidate_stats();
+        for row in &rows {
+            self.append(row);
+        }
+        self.invalidate_derived();
         Ok(())
     }
 
-    fn invalidate_stats(&self) {
+    /// Append a row that [`Table::validate`] accepted.
+    fn append(&mut self, row: &[Value]) {
+        for (col, v) in self.columns.iter_mut().zip(row) {
+            let pushed = col.push(v);
+            debug_assert!(pushed, "validated value {v} fits its column");
+        }
+        self.len += 1;
+    }
+
+    /// Make room for `additional` more rows in every lane.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        for col in &mut self.columns {
+            col.reserve(additional);
+        }
+    }
+
+    /// Append one row decoded straight into the lanes: `decode` is called
+    /// once per column, in schema order, and pushes exactly one value.
+    /// On error the table is left mid-row and must be discarded.
+    pub(crate) fn append_decoded(
+        &mut self,
+        mut decode: impl FnMut(&crate::schema::Column, &mut ColumnStore) -> Result<(), String>,
+    ) -> Result<(), String> {
+        for (decl, col) in self.schema.columns().iter().zip(&mut self.columns) {
+            decode(decl, col)?;
+        }
+        self.len += 1;
+        Ok(())
+    }
+
+    /// Everything derived from the rows — indexes, stats, the row image —
+    /// is stale after an insert.
+    fn invalidate_derived(&mut self) {
+        self.hash_indexes.clear();
+        self.ordered_indexes.clear();
+        self.image.take();
         *self.stats.write().unwrap_or_else(|e| e.into_inner()) = None;
     }
 
@@ -150,27 +246,30 @@ impl Table {
     /// deterministic — re-running over unchanged data yields identical
     /// stats — and idempotent.
     pub fn analyze(&self) -> TableStats {
-        let schema = self.data.schema();
-        let mut columns = Vec::with_capacity(schema.len());
-        for (i, col) in schema.columns().iter().enumerate() {
-            let mut distinct: HashSet<GroupKey> = HashSet::new();
-            let mut null_count = 0u64;
-            for row in self.data.rows() {
-                match &row[i] {
-                    Value::Null => null_count += 1,
-                    v => {
-                        distinct.insert(GroupKey(vec![v.clone()]));
+        let columns = (self.schema.columns().iter().zip(&self.columns))
+            .map(|(decl, col)| {
+                let valid = (0..self.len).filter(|&i| !col.is_null(i));
+                // Distinct under grouping equality; within one typed lane
+                // that is payload equality (floats by bit pattern).
+                let ndv = match col.values() {
+                    ColumnData::I64(vals) => valid.map(|i| vals[i]).collect::<HashSet<_>>().len(),
+                    ColumnData::F64(vals) => valid
+                        .map(|i| vals[i].to_bits())
+                        .collect::<HashSet<_>>()
+                        .len(),
+                    ColumnData::Str { .. } => {
+                        valid.map(|i| col.str_at(i)).collect::<HashSet<_>>().len()
                     }
+                };
+                ColumnStats {
+                    name: decl.name.clone(),
+                    ndv: ndv as u64,
+                    null_count: (self.len - col.validity().count_ones()) as u64,
                 }
-            }
-            columns.push(ColumnStats {
-                name: col.name.clone(),
-                ndv: distinct.len() as u64,
-                null_count,
-            });
-        }
+            })
+            .collect();
         let stats = TableStats {
-            row_count: self.data.len() as u64,
+            row_count: self.len as u64,
             columns,
         };
         *self.stats.write().unwrap_or_else(|e| e.into_inner()) = Some(stats.clone());
@@ -189,22 +288,27 @@ impl Table {
         self.stats.read().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
+    fn resolve_key(&self, cols: &[&str]) -> Result<Vec<usize>, StorageError> {
+        cols.iter().map(|c| self.schema.resolve(c)).collect()
+    }
+
+    /// The key of each row over `key`, in row-id order.
+    fn keys<'a>(&'a self, key: &'a [usize]) -> impl Iterator<Item = Vec<Value>> + 'a {
+        (0..self.len).map(move |i| key.iter().map(|&c| self.columns[c].value(i)).collect())
+    }
+
     /// Get (building if absent) a hash index on the named columns.
     pub fn ensure_hash_index(&mut self, cols: &[&str]) -> Result<&HashIndex, StorageError> {
-        let key: Vec<usize> = cols
-            .iter()
-            .map(|c| self.data.schema().resolve(c))
-            .collect::<Result<_, _>>()?;
-        if let Some(pos) = self
-            .hash_indexes
-            .iter()
-            .position(|ix| ix.key_cols() == key.as_slice())
-        {
-            return Ok(&self.hash_indexes[pos]);
-        }
-        self.hash_indexes
-            .push(HashIndex::build(self.data.rows(), &key));
-        Ok(self.hash_indexes.last().unwrap())
+        let key = self.resolve_key(cols)?;
+        let pos = match self.hash_indexes.iter().position(|ix| ix.key_cols() == key) {
+            Some(pos) => pos,
+            None => {
+                let index = HashIndex::from_keys(&key, self.keys(&key).map(GroupKey));
+                self.hash_indexes.push(index);
+                self.hash_indexes.len() - 1
+            }
+        };
+        Ok(&self.hash_indexes[pos])
     }
 
     /// Get an existing hash index on the given key columns, if any.
@@ -214,20 +318,16 @@ impl Table {
 
     /// Get (building if absent) an ordered index on the named columns.
     pub fn ensure_ordered_index(&mut self, cols: &[&str]) -> Result<&OrderedIndex, StorageError> {
-        let key: Vec<usize> = cols
-            .iter()
-            .map(|c| self.data.schema().resolve(c))
-            .collect::<Result<_, _>>()?;
-        if let Some(pos) = self
-            .ordered_indexes
-            .iter()
-            .position(|ix| ix.key_cols() == key.as_slice())
-        {
-            return Ok(&self.ordered_indexes[pos]);
-        }
-        self.ordered_indexes
-            .push(OrderedIndex::build(self.data.rows(), &key));
-        Ok(self.ordered_indexes.last().unwrap())
+        let key = self.resolve_key(cols)?;
+        let pos = match (self.ordered_indexes.iter()).position(|ix| ix.key_cols() == key) {
+            Some(pos) => pos,
+            None => {
+                let index = OrderedIndex::from_keys(&key, self.keys(&key).map(OrdKey));
+                self.ordered_indexes.push(index);
+                self.ordered_indexes.len() - 1
+            }
+        };
+        Ok(&self.ordered_indexes[pos])
     }
 
     pub fn ordered_index(&self, key: &[usize]) -> Option<&OrderedIndex> {
@@ -322,6 +422,38 @@ mod tests {
         assert!(t.hash_index(&[0]).is_none(), "index dropped after insert");
         let ix = t.ensure_hash_index(&["id"]).unwrap();
         assert_eq!(ix.probe(&GroupKey(vec![Value::Int(3)])), &[2]);
+    }
+
+    #[test]
+    fn insert_many_is_all_or_nothing() {
+        let mut t = table();
+        t.ensure_hash_index(&["id"]).unwrap();
+        let stats = t.analyze();
+        let bad = vec![
+            vec![Value::Int(3), Value::Int(30)],
+            vec![Value::Null, Value::Int(40)], // id is NOT NULL
+            vec![Value::Int(5), Value::Int(50)],
+        ];
+        assert!(matches!(
+            t.insert_many(bad),
+            Err(StorageError::NullViolation { .. })
+        ));
+        assert_eq!(t.len(), 2, "not even the good first row went in");
+        assert_eq!(t.rows().count(), 2);
+        assert_eq!(t.stats(), Some(stats), "stats still describe the table");
+        assert!(t.hash_index(&[0]).is_some(), "index still describes it");
+    }
+
+    #[test]
+    fn row_image_is_built_on_demand_and_dropped_by_insert() {
+        let mut t = table();
+        assert!(!t.row_image_cached());
+        assert_eq!(t.data().rows(), &[t.row(0), t.row(1)]);
+        assert!(t.row_image_cached());
+        assert!(!t.clone().row_image_cached(), "Clone does not copy it");
+        t.insert(vec![Value::Int(3), Value::Null]).unwrap();
+        assert!(!t.row_image_cached());
+        assert_eq!(t.data().len(), 3);
     }
 
     #[test]

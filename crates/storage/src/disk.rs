@@ -24,6 +24,7 @@ use std::path::{Path, PathBuf};
 
 use crate::catalog::{Catalog, ColumnStats, Table, TableStats};
 use crate::checksum::crc32;
+use crate::column::{ColumnData, ColumnStore};
 use crate::error::StorageError;
 use crate::iofault::{self, IoFailure};
 use crate::schema::{Column, ColumnType, Schema};
@@ -100,10 +101,14 @@ impl<'a> Cursor<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub(crate) fn str(&mut self) -> Result<String, String> {
+    /// A length-prefixed UTF-8 string, borrowed from the buffer.
+    pub(crate) fn str_ref(&mut self) -> Result<&'a str, String> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| format!("invalid UTF-8 string: {e}"))
+        std::str::from_utf8(self.take(len)?).map_err(|e| format!("invalid UTF-8 string: {e}"))
+    }
+
+    pub(crate) fn str(&mut self) -> Result<String, String> {
+        self.str_ref().map(str::to_string)
     }
 }
 
@@ -152,6 +157,80 @@ pub(crate) fn get_value(cur: &mut Cursor<'_>) -> Result<Value, String> {
         6 => Value::Date(i32::from_le_bytes(cur.take(4)?.try_into().unwrap())),
         tag => return Err(format!("unknown value tag {tag}")),
     })
+}
+
+/// Encode row `row` of a stored column: the bytes [`put_value`] writes
+/// for the same value, read straight from the lane.
+fn put_cell(buf: &mut Vec<u8>, col: &ColumnStore, row: usize) {
+    if col.is_null(row) {
+        return buf.push(0);
+    }
+    match col.values() {
+        ColumnData::I64(vals) => {
+            let x = vals[row];
+            match col.ty() {
+                ColumnType::Bool => buf.extend_from_slice(&[1, x as u8]),
+                ColumnType::Decimal => {
+                    buf.push(3);
+                    buf.extend_from_slice(&x.to_le_bytes());
+                }
+                ColumnType::Date => {
+                    buf.push(6);
+                    // The lane holds what was an `i32`.
+                    buf.extend_from_slice(&(x as i32).to_le_bytes());
+                }
+                _ => {
+                    buf.push(2);
+                    buf.extend_from_slice(&x.to_le_bytes());
+                }
+            }
+        }
+        ColumnData::F64(vals) => {
+            buf.push(4);
+            buf.extend_from_slice(&vals[row].to_bits().to_le_bytes());
+        }
+        ColumnData::Str { .. } => {
+            buf.push(5);
+            put_str(buf, col.str_at(row));
+        }
+    }
+}
+
+/// Decode one value straight into `col`. A tag that does not inhabit the
+/// column's declared type — or a NULL in a `NOT NULL` column — is an
+/// error, never a mistyped lane.
+fn get_cell(cur: &mut Cursor<'_>, decl: &Column, col: &mut ColumnStore) -> Result<(), String> {
+    let tag = cur.u8()?;
+    let fits = match tag {
+        0 if !decl.nullable => {
+            return Err(format!(
+                "row fails schema validation: NULL in NOT NULL column `{}`",
+                decl.name
+            ))
+        }
+        0 => {
+            col.push_null();
+            true
+        }
+        1 => col.push_i64(ColumnType::Bool, i64::from(cur.u8()? != 0)),
+        2 => col.push_i64(ColumnType::Int, cur.i64()?),
+        3 => col.push_i64(ColumnType::Decimal, cur.i64()?),
+        4 => col.push_f64(f64::from_bits(cur.u64()?)),
+        5 => col.push_str(cur.str_ref()?),
+        6 => {
+            let days = i32::from_le_bytes(cur.take(4)?.try_into().unwrap());
+            col.push_i64(ColumnType::Date, i64::from(days))
+        }
+        tag => return Err(format!("unknown value tag {tag}")),
+    };
+    if fits {
+        Ok(())
+    } else {
+        Err(format!(
+            "row fails schema validation: value tag {tag} in column `{}` of type {:?}",
+            decl.name, decl.ty
+        ))
+    }
 }
 
 fn type_tag(ty: ColumnType) -> u8 {
@@ -242,7 +321,13 @@ pub(crate) fn put_table(buf: &mut Vec<u8>, table: &Table) {
     for &i in table.primary_key() {
         put_u32(buf, i as u32);
     }
-    put_rows(buf, table.data().rows());
+    put_u64(buf, table.len() as u64);
+    for row in 0..table.len() {
+        put_u32(buf, cols.len() as u32);
+        for i in 0..cols.len() {
+            put_cell(buf, table.column(i), row);
+        }
+    }
     match table.stats() {
         Some(stats) => {
             buf.push(1);
@@ -283,10 +368,18 @@ pub(crate) fn get_table(cur: &mut Cursor<'_>) -> Result<Table, String> {
     table
         .set_primary_key(&pk_refs)
         .map_err(|e| format!("invalid primary key: {e}"))?;
-    let rows = get_rows(cur)?;
-    table
-        .insert_many(rows)
-        .map_err(|e| format!("row fails schema validation: {e}"))?;
+    let nrows = cur.u64()?;
+    // The count is input: trust it for at most a bounded reservation.
+    table.reserve((nrows as usize).min(1 << 20));
+    for _ in 0..nrows {
+        let arity = cur.u32()? as usize;
+        if arity != ncols {
+            return Err(format!(
+                "row fails schema validation: {arity} values for {ncols} columns"
+            ));
+        }
+        table.append_decoded(|decl, col| get_cell(cur, decl, col))?;
+    }
     if cur.u8()? != 0 {
         table.set_stats(get_stats(cur)?);
     }

@@ -26,11 +26,18 @@ pub struct HashIndex {
 impl HashIndex {
     /// Build over `rows`, keyed by `key_cols`.
     pub fn build(rows: &[Tuple], key_cols: &[usize]) -> HashIndex {
+        HashIndex::from_keys(
+            key_cols,
+            rows.iter().map(|row| GroupKey::from_tuple(row, key_cols)),
+        )
+    }
+
+    /// Build from the key of each row in row-id order (how a table indexes
+    /// its stored columns without materializing rows).
+    pub fn from_keys(key_cols: &[usize], keys: impl Iterator<Item = GroupKey>) -> HashIndex {
         let mut map: HashMap<GroupKey, Vec<usize>> = HashMap::new();
-        for (rid, row) in rows.iter().enumerate() {
-            map.entry(GroupKey::from_tuple(row, key_cols))
-                .or_default()
-                .push(rid);
+        for (rid, key) in keys.enumerate() {
+            map.entry(key).or_default().push(rid);
         }
         HashIndex {
             key_cols: key_cols.to_vec(),
@@ -97,9 +104,17 @@ pub struct OrderedIndex {
 
 impl OrderedIndex {
     pub fn build(rows: &[Tuple], key_cols: &[usize]) -> OrderedIndex {
+        OrderedIndex::from_keys(
+            key_cols,
+            rows.iter()
+                .map(|row| OrdKey(key_cols.iter().map(|&c| row[c].clone()).collect())),
+        )
+    }
+
+    /// Build from the key of each row in row-id order.
+    pub fn from_keys(key_cols: &[usize], keys: impl Iterator<Item = OrdKey>) -> OrderedIndex {
         let mut map: BTreeMap<OrdKey, Vec<usize>> = BTreeMap::new();
-        for (rid, row) in rows.iter().enumerate() {
-            let key = OrdKey(key_cols.iter().map(|&c| row[c].clone()).collect());
+        for (rid, key) in keys.enumerate() {
             map.entry(key).or_default().push(rid);
         }
         OrderedIndex {

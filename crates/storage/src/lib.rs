@@ -3,8 +3,8 @@
 //! Flat relational substrate for the nested relational subquery processor:
 //! scalar [`value::Value`]s with SQL three-valued logic, [`schema::Schema`]s
 //! with qualified column names, materialized [`relation::Relation`]s, a
-//! [`catalog::Catalog`] of base tables, and hash/ordered secondary
-//! [`index`]es.
+//! [`catalog::Catalog`] of base tables stored as typed [`column`]s, and
+//! hash/ordered secondary [`index`]es.
 //!
 //! Everything above this crate — the SQL front end, the flat execution
 //! engine, and the nested relational algebra that is the paper's
@@ -13,6 +13,7 @@
 pub mod agg;
 pub mod catalog;
 pub mod checksum;
+pub mod column;
 pub mod csv;
 pub mod disk;
 pub mod error;
@@ -28,6 +29,7 @@ pub mod wal;
 
 pub use agg::{aggregate, AggFunc};
 pub use catalog::{Catalog, ColumnStats, Table, TableStats};
+pub use column::{Bitmap, ColumnData, ColumnStore};
 pub use error::StorageError;
 pub use relation::Relation;
 pub use schema::{Column, ColumnType, Schema};

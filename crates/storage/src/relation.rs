@@ -55,37 +55,10 @@ impl Relation {
         self.rows.is_empty()
     }
 
-    /// Check a row against the schema (arity, column types, `NOT NULL`)
-    /// without appending it. The durable insert path validates every row
-    /// up front so a batch either logs-and-applies completely or leaves
-    /// the table untouched.
-    pub fn validate(&self, row: &[crate::value::Value]) -> Result<(), StorageError> {
-        if row.len() != self.schema.len() {
-            return Err(StorageError::ArityMismatch {
-                expected: self.schema.len(),
-                got: row.len(),
-            });
-        }
-        for (v, c) in row.iter().zip(self.schema.columns()) {
-            if v.is_null() && !c.nullable {
-                return Err(StorageError::NullViolation {
-                    column: c.name.clone(),
-                });
-            }
-            if !c.ty.admits(v) {
-                return Err(StorageError::TypeMismatch {
-                    column: c.name.clone(),
-                    value: v.to_string(),
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Append a row, validating arity, column types and `NOT NULL`
     /// constraints.
     pub fn push(&mut self, row: Tuple) -> Result<(), StorageError> {
-        self.validate(&row)?;
+        self.schema.check_row(&row)?;
         self.rows.push(row);
         Ok(())
     }

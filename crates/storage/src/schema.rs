@@ -199,6 +199,30 @@ impl Schema {
     pub fn names(&self) -> Vec<&str> {
         self.columns.iter().map(|c| c.name.as_str()).collect()
     }
+
+    /// Check a row against this schema: arity, column types, `NOT NULL`.
+    pub fn check_row(&self, row: &[Value]) -> Result<(), StorageError> {
+        if row.len() != self.columns.len() {
+            return Err(StorageError::ArityMismatch {
+                expected: self.columns.len(),
+                got: row.len(),
+            });
+        }
+        for (v, c) in row.iter().zip(&self.columns) {
+            if v.is_null() && !c.nullable {
+                return Err(StorageError::NullViolation {
+                    column: c.name.clone(),
+                });
+            }
+            if !c.ty.admits(v) {
+                return Err(StorageError::TypeMismatch {
+                    column: c.name.clone(),
+                    value: v.to_string(),
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 impl fmt::Display for Schema {

@@ -77,19 +77,17 @@ impl Q3Corr {
 pub fn kth_value(cat: &Catalog, table: &str, col: &str, k: usize) -> Option<Value> {
     let t = cat.table(table).ok()?;
     let idx = t.schema().try_resolve(col)?;
-    let mut vals: Vec<&Value> = t
-        .data()
-        .rows()
-        .iter()
-        .map(|r| &r[idx])
-        .filter(|v| !v.is_null())
+    let col = t.column(idx);
+    let mut vals: Vec<Value> = (0..t.len())
+        .filter(|&i| !col.is_null(i))
+        .map(|i| col.value(i))
         .collect();
     if vals.is_empty() || k == 0 {
         return None;
     }
     let k = k.min(vals.len());
     vals.sort_by(|a, b| a.total_cmp(b));
-    Some(vals[k - 1].clone())
+    Some(vals.swap_remove(k - 1))
 }
 
 /// Count the rows of `table` satisfying `col <= v` (NULLs excluded) —
@@ -97,12 +95,11 @@ pub fn kth_value(cat: &Catalog, table: &str, col: &str, k: usize) -> Option<Valu
 pub fn count_le(cat: &Catalog, table: &str, col: &str, v: &Value) -> usize {
     let t = cat.table(table).expect("table");
     let idx = t.schema().resolve(col).expect("column");
-    t.data()
-        .rows()
-        .iter()
-        .filter(|r| {
+    let col = t.column(idx);
+    (0..t.len())
+        .filter(|&i| {
             matches!(
-                r[idx].sql_cmp(v),
+                col.value(i).sql_cmp(v),
                 Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
             )
         })

@@ -2,7 +2,7 @@
 //! for the six benchmark classes, plus what no operator span accounts for.
 //!
 //! ```sh
-//! cargo run --release --example class_profile [scale]
+//! cargo run --release --example class_profile [scale] [--rounds N]
 //! ```
 //!
 //! Generates `TpchConfig::scaled(scale).nullable_links(0.02)` (default
@@ -15,7 +15,14 @@
 //! The *unaccounted* line is request wall − Σ operator wall: row drops,
 //! clones between spans, the cascade's group scan (which records counters
 //! but opens no span), parse/bind/plan. A large remainder says the next
-//! optimisation is outside the operators the profile names.
+//! optimisation is outside the operators the profile names. The *scan*
+//! line is the block scans' wall time per stored row read.
+//!
+//! `--rounds N` then runs the six classes round-robin, N times, on one
+//! long-lived thread without the profile — the way a server connection
+//! runs them — and prints each class's median. A fresh thread's best of
+//! three flatters a query that allocates a lot (its arena starts empty):
+//! size the next change on the rounds figure.
 
 use std::time::Instant;
 
@@ -28,10 +35,17 @@ use nra_tpch::{
 const REPS: usize = 3;
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
+    let mut scale = 1.0;
+    let mut rounds = 0;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--rounds" {
+            let n = args.next().and_then(|n| n.parse().ok());
+            rounds = n.expect("--rounds takes a count");
+        } else {
+            scale = arg.parse().expect("scale is a number");
+        }
+    }
     let cat = generate(&TpchConfig::scaled(scale).nullable_links(0.02));
     let size = |n: f64| ((n * scale).round() as usize).max(4);
     let (outer, part, partsupp) = (size(16_000.0), size(48_000.0), size(16_000.0));
@@ -104,11 +118,47 @@ fn main() {
         }
         let spans_ms = profile.total_wall_ns() as f64 / 1e6;
         println!(
-            "   {:<24} {:>10} {:>10} {:>10.2}\n",
+            "   {:<24} {:>10} {:>10} {:>10.2}",
             "(unaccounted)",
             "",
             "",
             wall_ms - spans_ms
         );
+        let scans = (profile.ops.iter()).filter(|(name, _)| name.ends_with("scan"));
+        let (scanned, scan_ns) = scans.fold((0, 0), |(rows, ns), (_, stats)| {
+            (rows + stats.rows_in, ns + stats.wall_ns)
+        });
+        println!(
+            "   scan: {:.1} ns/row over {scanned} stored row(s)\n",
+            scan_ns as f64 / scanned.max(1) as f64
+        );
     }
+
+    if rounds == 0 {
+        return;
+    }
+    let opts = QueryOptions::new().threads(1);
+    let mut times: Vec<Vec<f64>> = vec![Vec::with_capacity(rounds); classes.len()];
+    std::thread::scope(|scope| {
+        let run = scope.spawn(|| {
+            let session = db.connect();
+            for _ in 0..rounds {
+                for ((_, sql), times) in classes.iter().zip(&mut times) {
+                    let start = Instant::now();
+                    session.execute_with(sql, &opts).expect("class runs");
+                    times.push(start.elapsed().as_secs_f64() * 1e3);
+                }
+            }
+        });
+        run.join().expect("queries do not panic");
+    });
+    println!("== {rounds} round(s) of the six classes on one thread, median ms per class");
+    let mut round_ms = 0.0;
+    for ((class, _), times) in classes.iter().zip(&mut times) {
+        times.sort_by(f64::total_cmp);
+        let median = times[times.len() / 2];
+        round_ms += median;
+        println!("   {class:<8} {median:>10.2}");
+    }
+    println!("   {:<8} {round_ms:>10.2}", "round");
 }

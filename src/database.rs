@@ -314,7 +314,7 @@ impl Database {
             // what the in-memory apply will accept: an acknowledged
             // insert is all-or-nothing on disk and in memory.
             for row in &rows {
-                t.data().validate(row)?;
+                t.validate(row)?;
             }
             self.durable_log(&storage::wal::WalRecord::Insert {
                 table: table.to_string(),

@@ -1,13 +1,16 @@
 //! The copy-free read path end to end: a block's scan carries only the
-//! columns the rest of the query mentions (`BoundTable::carry`), and every
-//! strategy, the baseline, every thread budget and every batch width still
-//! agree with the tuple-iteration oracle — which keeps its own full-width
-//! scan and shares none of this code.
+//! columns the rest of the query compares (`BoundTable::carry`), the root's
+//! select-only columns (`BoundTable::select_only`) are fetched by row id
+//! for the survivors, and every strategy, the baseline, every thread
+//! budget and every batch width still agree with the tuple-iteration
+//! oracle — which keeps its own full-width scan and shares none of this
+//! code.
 //!
 //! The tables deliberately hold columns that are only ever filtered on
-//! (`w`, `z`, `v`) and string columns nothing mentions (`pad`), so a scan
-//! that dropped a needed column or kept the wrong positions shows up as a
-//! wrong answer or an unresolved name, not as a slower query.
+//! (`w`, `z`, `v`) and string columns nothing compares (`pad`, NULL in
+//! places), so a scan that dropped a needed column, kept the wrong
+//! positions or gathered from the wrong row shows up as a wrong answer or
+//! an unresolved name, not as a slower query.
 
 use nra::core::compute::{owned_columns, rid_column};
 use nra::core::optimize::pipeline::unnest_join_phase;
@@ -47,7 +50,11 @@ fn db() -> Database {
             .map(|i| {
                 vec![
                     maybe(i, 11, i % 5),
-                    Value::str(format!("r-{i}\t")),
+                    if i % 5 == 0 {
+                        Value::Null
+                    } else {
+                        Value::str(format!("r-{i}\t"))
+                    },
                     maybe(i, 7, i % 6),
                     int(i % 3),
                 ]
@@ -252,6 +259,138 @@ fn distinct_order_by_and_union() {
     );
 }
 
+/// `pad` (NULL in every fifth row) is read by nothing but the final
+/// `select`: the scan leaves it in storage and the projection fetches it
+/// at the survivor's rid.
+#[test]
+fn late_gather_of_select_only_columns() {
+    let db = db();
+    // NULLs in the late column, beside a column both selected and compared
+    // (carried, not late).
+    check(
+        &db,
+        "select pad, a from r where w > 0 and b not in (select y from s where s.x = r.a)",
+        false,
+    );
+    // `w + b` computes over columns nothing else mentions: carried.
+    check(
+        &db,
+        "select w + b, pad from r where a in (select x from s where z > 0)",
+        false,
+    );
+    // A column selected twice, and every column at once.
+    check(
+        &db,
+        "select pad, b, pad from r where b >= some (select y from s where s.x = r.a)",
+        false,
+    );
+    check(
+        &db,
+        "select * from r where b > all (select y from s where s.x = r.a and z > 0)",
+        false,
+    );
+    // The same table at the root (late `pad`, `w`) and in the subquery.
+    check(
+        &db,
+        "select pad, w from r where b > all (select b from r r2 where r2.a = r.a and r2.w = 1)",
+        false,
+    );
+    // A two-table root carries what it selects: nothing is late.
+    check(
+        &db,
+        "select r.pad, t.v from r, t where r.a = t.u and r.w > 0 \
+         and r.b > all (select y from s where s.x = t.u and z > 0)",
+        false,
+    );
+}
+
+#[test]
+fn late_gather_under_distinct_order_by_and_union() {
+    let db = db();
+    check(
+        &db,
+        "select distinct w from r where a in (select x from s where z > 0)",
+        false,
+    );
+    // A total order on a late column (ties — the NULL pads — differ in w
+    // or are identical rows).
+    check(
+        &db,
+        "select pad, w from r where a in (select x from s where z > 0) order by pad desc, w",
+        true,
+    );
+    check(
+        &db,
+        "select pad from r where a in (select x from s where z > 0) \
+         union select pad from s where y in (select v from t)",
+        false,
+    );
+}
+
+#[test]
+fn late_gather_keeps_duplicate_root_rows_apart() {
+    // Identical stored rows are distinct rids: each survivor fetches its
+    // own copy, and the multiplicities of the answer are the oracle's.
+    let db = db();
+    db.create_table(
+        "d",
+        vec![
+            Column::new("k", ColumnType::Int),
+            Column::new("name", ColumnType::Str),
+        ],
+        &[],
+    )
+    .unwrap();
+    let row = |k: i64, name: Option<&str>| vec![int(k), name.map_or(Value::Null, Value::str)];
+    db.insert(
+        "d",
+        vec![
+            row(1, Some("x")),
+            row(1, Some("x")),
+            row(2, None),
+            row(9, Some("never")),
+            row(2, None),
+            row(1, Some("x")),
+            row(3, Some("")),
+        ],
+    )
+    .unwrap();
+    let sql = "select name from d where k in (select x from s where z > 0)";
+    check(&db, sql, false);
+    let got = run(&db, sql, Engine::NestedRelational(Strategy::Auto), 1).unwrap();
+    let count = |v: &Value| got.rows().iter().filter(|r| r[0].group_eq(v)).count();
+    assert_eq!(count(&Value::str("x")), 3);
+    assert_eq!(count(&Value::Null), 2);
+    assert_eq!(count(&Value::str("never")), 0);
+}
+
+/// The late columns really are absent from the intermediate, and present
+/// when there is no rid to fetch them by.
+#[test]
+fn select_only_columns_stay_out_of_the_reduced_root() {
+    let db = db();
+    let bound = db
+        .prepare(
+            "select pad, a, w from r where w > 0 and b not in (select y from s where s.x = r.a)",
+        )
+        .unwrap();
+    let cat = db.catalog();
+    let root = &bound.root;
+    assert_eq!(root.tables[0].carry, [0, 2], "a and b are compared");
+    assert_eq!(root.tables[0].select_only, [1, 3], "pad and w are read out");
+    let with_rid = nra::engine::planning::block_base(root, &cat, true).unwrap();
+    assert_eq!(with_rid.schema().names(), ["r.a", "r.b", "__b1.rid"]);
+    let rids: Vec<Value> = with_rid.rows().iter().map(|r| r[2].clone()).collect();
+    // The rid is the stored row ordinal, not the survivor's: w = i % 3
+    // filters out every third row and leaves gaps.
+    let survivors = (1..=24).filter(|i| i % 3 != 0).map(|i| int(i - 1));
+    assert_eq!(rids, survivors.collect::<Vec<_>>());
+    let without = nra::engine::planning::block_base(root, &cat, false).unwrap();
+    assert_eq!(without.schema().names(), ["r.a", "r.pad", "r.b", "r.w"]);
+    let flat = unnest_join_phase(&bound, &cat).unwrap();
+    assert!(flat.schema().try_resolve("r.pad").is_none());
+}
+
 fn names(rel: &Relation, idx: &[usize]) -> Vec<String> {
     idx.iter()
         .map(|&i| rel.schema().column(i).name.clone())
@@ -284,8 +423,9 @@ fn pseudo_selection_pads_exactly_the_owners_carried_columns() {
 }
 
 /// The observable proof that nothing else is copied: the flat intermediate
-/// of the benchmark's 3-level class holds the 8 mentioned columns (of 20)
-/// and the three synthesized row ids.
+/// of the benchmark's 3-level class holds the 7 compared columns (of 20)
+/// and the three synthesized row ids. `p_name`, which only the final
+/// `select` reads, stays in storage.
 #[test]
 fn unnest_join_phase_of_q3b_holds_carried_columns_and_rids_only() {
     let cat = generate(&TpchConfig::scaled(0.01));
@@ -301,7 +441,6 @@ fn unnest_join_phase_of_q3b_holds_carried_columns_and_rids_only() {
     let flat = unnest_join_phase(&bound, &cat).unwrap();
     let expected = [
         "part.p_partkey",
-        "part.p_name",
         "part.p_retailprice",
         &rid_column(1),
         "partsupp.ps_partkey",
