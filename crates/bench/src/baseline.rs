@@ -154,15 +154,6 @@ fn is_wall_key(key: &str) -> bool {
     key == "wall_ns" || key == "total_wall_ns"
 }
 
-/// Keys that record the run configuration rather than plan behaviour —
-/// the thread budget and the partition counts that follow from it. They
-/// vary with `NRA_THREADS`/`--threads` (and may be absent from baselines
-/// recorded before parallel execution existed), so they are never
-/// compared.
-fn is_env_key(key: &str) -> bool {
-    key == "partitions" || key == "threads"
-}
-
 /// Structural diff of two parsed `BENCH_*.json` documents.
 pub fn diff(query: &str, base: &Json, cur: &Json, tol: &Tolerance) -> Result<Report, String> {
     let scale = |j: &Json| j.get("scale").and_then(Json::as_f64);
@@ -319,7 +310,7 @@ fn diff_counters(series: &str, op: &str, base: &Json, cur: &Json, report: &mut R
         return;
     }
     for (key, bval) in base_keys {
-        if key == "name" || is_wall_key(key) || is_env_key(key) {
+        if key == "name" || is_wall_key(key) {
             continue;
         }
         match cur_keys.iter().find(|(k, _)| k == key) {
@@ -349,7 +340,7 @@ fn diff_counters(series: &str, op: &str, base: &Json, cur: &Json, report: &mut R
         }
     }
     for (key, cval) in cur_keys {
-        if key == "name" || is_wall_key(key) || is_env_key(key) {
+        if key == "name" || is_wall_key(key) {
             continue;
         }
         if !base_keys.iter().any(|(k, _)| k == key) {
@@ -458,24 +449,6 @@ mod tests {
         )
         .unwrap();
         assert!(r.passed());
-    }
-
-    #[test]
-    fn partition_and_thread_fields_are_ignored() {
-        // A profile recorded by the parallel executor carries op-level
-        // `partitions` and a top-level `threads` the committed baselines
-        // predate; neither may fail the check, in either direction.
-        let base = doc(7, 3, 10);
-        let cur = base
-            .replace(r#""wall_ns": 5"#, r#""wall_ns": 5, "partitions": 4"#)
-            .replace(
-                r#""total_wall_ns": 10"#,
-                r#""threads": 4, "total_wall_ns": 10"#,
-            );
-        let r = diff("T", &parse(&base), &parse(&cur), &TOL).unwrap();
-        assert!(r.passed(), "{:?}", r.regressions);
-        let r = diff("T", &parse(&cur), &parse(&base), &TOL).unwrap();
-        assert!(r.passed(), "{:?}", r.regressions);
     }
 
     #[test]

@@ -19,17 +19,8 @@
 //!   it with concurrent protocol clients (1, then `--clients`, default
 //!   8) running the headline queries; report client-observed per-query
 //!   p50/p99 latency and aggregate throughput scaling
-//! * `--threads <n>` — worker budget for the partition-parallel executor
-//!   (also enables the `parallel` section: sequential vs parallel wall
-//!   time on Q2a/Q2b for the nested relational series)
 //! * `--batch-size <n>` — rows per `ValueBatch` for the vectorized
 //!   executors (default 1024; also settable via `NRA_BATCH_ROWS`)
-//! * `--record` — append timestamped wall-time entries for Q1/Q2A/Q2B at
-//!   1 and 4 threads to the committed trajectory file
-//!   (`crates/bench/trajectory/BENCH_TRAJECTORY.jsonl`)
-//! * `--trajectory <path>` — record/check against this file instead
-//! * `--check-trajectory` — validate the trajectory file (JSONL schema,
-//!   append-only timestamps); non-zero exit on violation
 //! * `--metrics <path>` — run the headline queries through the facade
 //!   with metrics collection and write the process-cumulative registry
 //!   as JSONL to `<path>`
@@ -42,7 +33,7 @@
 //!   the headline queries and checkpoint; no figures are produced
 //!
 //! Passing any unknown positional (e.g. `none`) selects no figures, so
-//! `experiments --scale 0.02 --record none` runs only the recorder.
+//! `experiments --scale 0.02 --profile none` only writes the profiles.
 //!
 //! Figures (paper → here):
 //!
@@ -79,18 +70,9 @@ struct Args {
     /// Write `TRACE_QQ.jsonl`: the query-lifecycle trace of the paper's
     /// Query Q.
     trace: bool,
-    /// Worker budget for the partition-parallel executor (`--threads`;
-    /// default: the `NRA_THREADS` environment variable, else 1).
-    threads: Option<usize>,
     /// Rows per `ValueBatch` for the vectorized executors
     /// (`--batch-size`; default: `NRA_BATCH_ROWS`, else 1024).
     batch_rows: Option<usize>,
-    /// Append headline wall times to the committed trajectory file.
-    record: bool,
-    /// Override the trajectory file path for `--record`/`--check-trajectory`.
-    trajectory: Option<std::path::PathBuf>,
-    /// Validate the trajectory file and exit non-zero on violation.
-    check_trajectory: bool,
     /// Write the process-cumulative metrics registry as JSONL here.
     metrics: Option<std::path::PathBuf>,
     /// Run the headline queries with a zero slow-query threshold,
@@ -120,11 +102,7 @@ fn parse_args() -> Args {
         baseline_check: false,
         wall_factor: baseline::Tolerance::default().wall_factor,
         trace: false,
-        threads: None,
         batch_rows: None,
-        record: false,
-        trajectory: None,
-        check_trajectory: false,
         metrics: None,
         slow_log: None,
         serve: false,
@@ -164,15 +142,6 @@ fn parse_args() -> Args {
                     .and_then(|v| v.parse().ok())
                     .expect("--clients takes a client count")
             }
-            "--record" => args.record = true,
-            "--trajectory" => {
-                args.trajectory = Some(
-                    it.next()
-                        .map(std::path::PathBuf::from)
-                        .expect("--trajectory takes a path"),
-                )
-            }
-            "--check-trajectory" => args.check_trajectory = true,
             "--metrics" => {
                 args.metrics = Some(
                     it.next()
@@ -185,13 +154,6 @@ fn parse_args() -> Args {
                     it.next()
                         .map(std::path::PathBuf::from)
                         .expect("--slow-log takes a path"),
-                )
-            }
-            "--threads" => {
-                args.threads = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--threads takes a worker count"),
                 )
             }
             "--batch-size" => {
@@ -420,17 +382,13 @@ fn main() {
         durable_bench(dir, args.scale, args.reps);
         return;
     }
-    let _thread_budget = args
-        .threads
-        .map(|n| nra::engine::exec::set_threads(Some(n)));
     let _batch_width = args
         .batch_rows
         .map(|n| nra::engine::vec::set_batch_rows(Some(n)));
     println!(
-        "# Paper experiment reproduction (scale {}, {} reps per point, {} thread(s), {} batch rows)\n",
+        "# Paper experiment reproduction (scale {}, {} reps per point, {} batch rows)\n",
         args.scale,
         args.reps,
-        nra::engine::exec::threads(),
         nra::engine::vec::batch_rows()
     );
     eprintln!("generating data at scale {} ...", args.scale);
@@ -496,20 +454,11 @@ fn main() {
     if wanted(&args, "ext-agg") {
         ext_agg(&strict, &args);
     }
-    if wanted(&args, "parallel") && args.threads.is_some_and(|n| n > 1) {
-        parallel_speedup(&strict, &nullable, &args);
-    }
     if args.trace {
         trace_query_q();
     }
     if args.serve {
         serve_bench(&nullable, &args);
-    }
-    if args.record {
-        record_trajectory(&strict, &nullable, &args);
-    }
-    if args.check_trajectory {
-        check_trajectory(&args);
     }
     if let Some(path) = &args.metrics {
         write_metrics(path, &strict, &nullable, &args);
@@ -542,56 +491,8 @@ fn main() {
     }
 }
 
-/// The tentpole's headline measurement: wall time of the nested relational
-/// series on the join-heavy Query 2 variants, sequential vs the
-/// `--threads` budget, on identical data. The result relations are
-/// asserted identical, so any speedup is pure scheduling.
-fn parallel_speedup(strict: &Catalog, nullable: &Catalog, args: &Args) {
-    let threads = args.threads.unwrap_or(1);
-    let grid = paper_grid(args.scale);
-    let part = *grid.q23_part.last().unwrap();
-    let queries: Vec<(&str, &Catalog, String)> = vec![
-        (
-            "Q2A",
-            strict,
-            q2_sql(strict, Quant::Any, part, grid.q23_partsupp),
-        ),
-        (
-            "Q2B",
-            nullable,
-            q2_sql(nullable, Quant::All, part, grid.q23_partsupp),
-        ),
-    ];
-    println!("### Partition-parallel speedup (1 thread vs {threads} threads)\n");
-    println!("| query | series | 1 thread (s) | {threads} threads (s) | speedup | rows |");
-    println!("|---|---|---|---|---|---|");
-    for (name, cat, sql) in &queries {
-        let pq = PreparedQuery::new(cat, sql.clone()).unwrap();
-        for series in [Series::NrOriginal, Series::NrOptimized] {
-            let (seq_secs, seq_rows) = {
-                let _g = nra::engine::exec::set_threads(Some(1));
-                pq.time(series, args.reps)
-            };
-            let (par_secs, par_rows) = {
-                let _g = nra::engine::exec::set_threads(Some(threads));
-                pq.time(series, args.reps)
-            };
-            assert_eq!(
-                seq_rows, par_rows,
-                "parallel execution changed the result of {name} ({series:?})"
-            );
-            println!(
-                "| {name} | {} | {seq_secs:.4} | {par_secs:.4} | {} | {seq_rows} |",
-                series.label(),
-                speedup(seq_secs, par_secs)
-            );
-        }
-    }
-    println!();
-}
-
 /// The three headline queries (largest grid point each) shared by the
-/// profile baselines, the trajectory recorder, and the metrics export.
+/// profile baselines, the metrics export and the slow-log check.
 fn headline_queries<'a>(
     strict: &'a Catalog,
     nullable: &'a Catalog,
@@ -629,69 +530,6 @@ fn collect_profiles(
             profile::QueryProfile::collect(name, &pq, args.scale)
         })
         .collect()
-}
-
-/// `--record`: time the headline queries (both nested relational series)
-/// at 1 and 4 worker threads and append the points to the wall-time
-/// trajectory file. Unlike the figure tables (simulated-I/O estimates),
-/// the trajectory records raw wall-clock seconds on the current host —
-/// the *median* over `--reps` runs (after warm-up), so a single
-/// scheduler stall on a shared host cannot inflate a recorded point.
-fn record_trajectory(strict: &Catalog, nullable: &Catalog, args: &Args) {
-    let ts_unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .expect("clock after the epoch")
-        .as_secs();
-    let path = args
-        .trajectory
-        .clone()
-        .unwrap_or_else(trajectory::default_path);
-    let mut entries = Vec::new();
-    for (name, cat, sql) in headline_queries(strict, nullable, args.scale) {
-        let pq = PreparedQuery::new(cat, sql).unwrap();
-        for threads in [1usize, 4] {
-            let _g = nra::engine::exec::set_threads(Some(threads));
-            for series in [Series::NrOriginal, Series::NrOptimized] {
-                let (wall_secs, rows) = pq.time_median(series, args.reps);
-                entries.push(trajectory::TrajectoryEntry {
-                    ts_unix,
-                    scale: args.scale,
-                    query: name.to_string(),
-                    threads,
-                    series: series.label().to_string(),
-                    reps: args.reps,
-                    wall_secs,
-                    rows,
-                });
-            }
-        }
-    }
-    trajectory::append(&path, &entries).expect("append trajectory entries");
-    println!(
-        "### Wall-time trajectory\n\n- appended {} entries to {}\n",
-        entries.len(),
-        path.display()
-    );
-}
-
-/// `--check-trajectory`: schema + append-only validation; non-zero exit
-/// on any violation so CI can gate on it.
-fn check_trajectory(args: &Args) {
-    let path = args
-        .trajectory
-        .clone()
-        .unwrap_or_else(trajectory::default_path);
-    match trajectory::validate_file(&path) {
-        Ok(entries) => println!(
-            "trajectory check passed: {} entries in {}\n",
-            entries.len(),
-            path.display()
-        ),
-        Err(e) => {
-            eprintln!("trajectory check FAILED: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 /// `--db <dir>`: the CI durability mode. The first run against an empty

@@ -13,7 +13,6 @@
 pub mod baseline;
 pub mod harness;
 pub mod profile;
-pub mod trajectory;
 
 use std::time::{Duration, Instant};
 
@@ -100,35 +99,6 @@ impl<'a> PreparedQuery<'a> {
             rows = out.len();
         }
         (total.as_secs_f64() / reps.max(1) as f64, rows)
-    }
-
-    /// Time one series robustly: two untimed warm-up runs, then `reps`
-    /// timed runs, returning the *median* per-run seconds plus the row
-    /// count. The trajectory recorder uses this instead of
-    /// [`Self::time`]: on shared hosts a single scheduler stall can
-    /// inflate one rep by 10-25%, which a mean never recovers from but
-    /// a median shrugs off; the warm-up keeps cold caches out of the
-    /// sample entirely.
-    pub fn time_median(&self, series: Series, reps: usize) -> (f64, usize) {
-        let mut rows = 0;
-        for _ in 0..2 {
-            rows = self.run(series).expect("benchmark query runs").len();
-        }
-        let mut samples: Vec<f64> = Vec::with_capacity(reps.max(1));
-        for _ in 0..reps.max(1) {
-            let start = Instant::now();
-            let out = self.run(series).expect("benchmark query runs");
-            samples.push(start.elapsed().as_secs_f64());
-            rows = out.len();
-        }
-        samples.sort_by(|a, b| a.total_cmp(b));
-        let mid = samples.len() / 2;
-        let median = if samples.len() % 2 == 1 {
-            samples[mid]
-        } else {
-            (samples[mid - 1] + samples[mid]) / 2.0
-        };
-        (median, rows)
     }
 }
 

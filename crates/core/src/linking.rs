@@ -22,15 +22,8 @@
 //! members whose marker is `NULL` are excluded before the comparison, so an
 //! all-padding group behaves as the empty set.
 
-//! Both selection flavors evaluate each tuple independently, so the scans
-//! are morsel-parallel under `nra_engine::exec`: contiguous tuple chunks
-//! are evaluated (and, for `σ̄`, padded) on workers, the chunk outputs are
-//! concatenated in partition order, and per-worker outcome counters are
-//! absorbed into the operator span in the same order — output and profile
-//! counters match the sequential scan exactly.
-
 use nra_engine::EngineError;
-use nra_engine::{exec, faultinject, governor};
+use nra_engine::{faultinject, governor};
 use nra_storage::{aggregate, AggFunc, CmpOp, Truth, Value};
 
 use crate::nested::NestedRelation;
@@ -243,48 +236,22 @@ impl LinkSelection {
         sp.rows_in(rel.len());
         let r = self.resolve(rel, sub)?;
         faultinject::hit(faultinject::LINKING_SCAN)?;
-        let parts = exec::partitions(rel.len());
-        let tuples: Vec<crate::nested::NestedTuple> = if parts <= 1 {
-            // Batch-amortized scan: outcomes accumulate in a local
-            // OpStats (absorbed once) and the governor is polled per
-            // batch — totals identical to the per-row bookkeeping.
-            let mut stats = nra_obs::OpStats::default();
-            let mut kept = Vec::new();
-            for window in rel.tuples.chunks(nra_engine::vec::batch_rows()) {
-                governor::checkpoint("linking-scan")?;
-                for t in window {
-                    let truth = self.eval_tuple(&r, t);
-                    stats.record_outcome(truth);
-                    if truth == Truth::True {
-                        kept.push(t.clone());
-                    }
+        // Batch-amortized scan: outcomes accumulate in a local OpStats
+        // (absorbed once) and the governor is polled per batch — totals
+        // identical to the per-row bookkeeping.
+        let mut stats = nra_obs::OpStats::default();
+        let mut tuples = Vec::new();
+        for window in rel.tuples.chunks(nra_engine::vec::batch_rows()) {
+            governor::checkpoint("linking-scan")?;
+            for t in window {
+                let truth = self.eval_tuple(&r, t);
+                stats.record_outcome(truth);
+                if truth == Truth::True {
+                    tuples.push(t.clone());
                 }
             }
-            sp.absorb_stats(&stats);
-            kept
-        } else {
-            sp.partitions(parts);
-            let ranges = exec::chunks(rel.len(), parts);
-            let per = exec::run_partitioned(parts, |p| {
-                let mut stats = nra_obs::OpStats::default();
-                let mut kept: Vec<crate::nested::NestedTuple> = Vec::new();
-                for (i, t) in rel.tuples[ranges[p].clone()].iter().enumerate() {
-                    governor::tick(i, "linking-scan")?;
-                    let truth = self.eval_tuple(&r, t);
-                    stats.record_outcome(truth);
-                    if truth == Truth::True {
-                        kept.push(t.clone());
-                    }
-                }
-                Ok((kept, stats))
-            })?;
-            let mut tuples = Vec::new();
-            for (kept, stats) in per {
-                sp.absorb_stats(&stats);
-                tuples.extend(kept);
-            }
-            tuples
-        };
+        }
+        sp.absorb_stats(&stats);
         governor::charge(
             "link",
             governor::tuple_bytes(tuples.len(), rel.schema.atoms.len()),
@@ -316,58 +283,25 @@ impl LinkSelection {
                     .ok_or_else(|| EngineError::Column((*p).to_string()))
             })
             .collect::<Result<_, _>>()?;
-        let pad_tuple = |t: &crate::nested::NestedTuple,
-                         truth: Truth,
-                         stats: &mut nra_obs::OpStats|
-         -> crate::nested::NestedTuple {
-            if truth == Truth::True {
-                t.clone()
-            } else {
-                stats.padded += 1;
-                let mut padded = t.clone();
-                for &i in &pad_idx {
-                    padded.atoms[i] = Value::Null;
-                }
-                padded
-            }
-        };
         faultinject::hit(faultinject::LINKING_SCAN)?;
-        let parts = exec::partitions(rel.len());
-        let tuples: Vec<crate::nested::NestedTuple> = if parts <= 1 {
-            let mut stats = nra_obs::OpStats::default();
-            let mut tuples = Vec::with_capacity(rel.len());
-            for window in rel.tuples.chunks(nra_engine::vec::batch_rows()) {
-                governor::checkpoint("linking-scan")?;
-                for t in window {
-                    let truth = self.eval_tuple(&r, t);
-                    stats.record_outcome(truth);
-                    tuples.push(pad_tuple(t, truth, &mut stats));
+        let mut stats = nra_obs::OpStats::default();
+        let mut tuples = Vec::with_capacity(rel.len());
+        for window in rel.tuples.chunks(nra_engine::vec::batch_rows()) {
+            governor::checkpoint("linking-scan")?;
+            for t in window {
+                let truth = self.eval_tuple(&r, t);
+                stats.record_outcome(truth);
+                let mut kept = t.clone();
+                if truth != Truth::True {
+                    stats.padded += 1;
+                    for &i in &pad_idx {
+                        kept.atoms[i] = Value::Null;
+                    }
                 }
+                tuples.push(kept);
             }
-            sp.absorb_stats(&stats);
-            tuples
-        } else {
-            sp.partitions(parts);
-            let ranges = exec::chunks(rel.len(), parts);
-            let per = exec::run_partitioned(parts, |p| {
-                let mut stats = nra_obs::OpStats::default();
-                let mut padded: Vec<crate::nested::NestedTuple> =
-                    Vec::with_capacity(ranges[p].len());
-                for (i, t) in rel.tuples[ranges[p].clone()].iter().enumerate() {
-                    governor::tick(i, "linking-scan")?;
-                    let truth = self.eval_tuple(&r, t);
-                    stats.record_outcome(truth);
-                    padded.push(pad_tuple(t, truth, &mut stats));
-                }
-                Ok((padded, stats))
-            })?;
-            let mut tuples = Vec::new();
-            for (padded, stats) in per {
-                sp.absorb_stats(&stats);
-                tuples.extend(padded);
-            }
-            tuples
-        };
+        }
+        sp.absorb_stats(&stats);
         governor::charge(
             "link",
             governor::tuple_bytes(tuples.len(), rel.schema.atoms.len()),
@@ -386,43 +320,17 @@ impl LinkSelection {
         sp.rows_in(rel.len());
         let r = self.resolve(rel, sub)?;
         faultinject::hit(faultinject::LINKING_SCAN)?;
-        let parts = exec::partitions(rel.len());
-        let out: Vec<Truth> = if parts <= 1 {
-            let mut stats = nra_obs::OpStats::default();
-            let mut out = Vec::with_capacity(rel.len());
-            for window in rel.tuples.chunks(nra_engine::vec::batch_rows()) {
-                governor::checkpoint("linking-scan")?;
-                let base = out.len();
-                for t in window {
-                    out.push(self.eval_tuple(&r, t));
-                }
-                stats.record_outcomes(&out[base..]);
+        let mut stats = nra_obs::OpStats::default();
+        let mut out = Vec::with_capacity(rel.len());
+        for window in rel.tuples.chunks(nra_engine::vec::batch_rows()) {
+            governor::checkpoint("linking-scan")?;
+            let base = out.len();
+            for t in window {
+                out.push(self.eval_tuple(&r, t));
             }
-            sp.absorb_stats(&stats);
-            out
-        } else {
-            sp.partitions(parts);
-            let ranges = exec::chunks(rel.len(), parts);
-            let per = exec::run_partitioned(parts, |p| {
-                let mut stats = nra_obs::OpStats::default();
-                let mut truths: Vec<Truth> = Vec::with_capacity(ranges[p].len());
-                for (i, t) in rel.tuples[ranges[p].clone()].iter().enumerate() {
-                    governor::tick(i, "linking-scan")?;
-                    truths.push({
-                        let truth = self.eval_tuple(&r, t);
-                        stats.record_outcome(truth);
-                        truth
-                    });
-                }
-                Ok((truths, stats))
-            })?;
-            let mut out = Vec::with_capacity(rel.len());
-            for (truths, stats) in per {
-                sp.absorb_stats(&stats);
-                out.extend(truths);
-            }
-            out
-        };
+            stats.record_outcomes(&out[base..]);
+        }
+        sp.absorb_stats(&stats);
         governor::charge("link", 8 * out.len() as u64)?;
         sp.rows_out(out.len());
         Ok(out)

@@ -13,18 +13,10 @@
 //! together. This is deliberate — after the unnesting outer joins, padded
 //! rows carry `NULL` primary keys and must land in their outer tuple's
 //! group to mark it as (possibly) empty.
-//!
-//! Both implementations are morsel-parallel under `nra_engine::exec`:
-//! the sort path uses the deterministic parallel stable sort and builds
-//! the group tuples in chunks aligned to group boundaries; the hash path
-//! partitions rows by key hash (all members of a group land in one
-//! partition, in input order) and re-emits the groups in global
-//! first-occurrence order. Either way the emitted nested relation is
-//! identical to the sequential one.
 
 use nra_engine::vec::{self, FxHashMap};
 use nra_engine::EngineError;
-use nra_engine::{exec, faultinject, governor};
+use nra_engine::{faultinject, governor};
 use nra_storage::{GroupKey, Relation, Schema};
 
 use crate::nested::{NestedRelation, NestedSchema, NestedTuple};
@@ -68,94 +60,34 @@ pub fn nest_hash_idx(
             },
         )],
     };
-    let parts = exec::partitions(rel.len());
-    let tuples: Vec<NestedTuple> = if parts <= 1 {
-        let mut order: Vec<GroupKey> = Vec::new();
-        let mut groups: FxHashMap<GroupKey, Vec<NestedTuple>> = FxHashMap::default();
-        for (rid, row) in rel.rows().iter().enumerate() {
-            governor::tick(rid, "nest-scan")?;
-            let key = GroupKey::from_tuple(row, n1);
-            let member = NestedTuple::flat(n2.iter().map(|&i| row[i].clone()).collect());
-            match groups.get_mut(&key) {
-                Some(g) => g.push(member),
-                None => {
-                    groups.insert(key.clone(), vec![member]);
-                    order.push(key);
-                }
+    let mut order: Vec<GroupKey> = Vec::new();
+    let mut groups: FxHashMap<GroupKey, Vec<NestedTuple>> = FxHashMap::default();
+    for (rid, row) in rel.rows().iter().enumerate() {
+        governor::tick(rid, "nest-scan")?;
+        let key = GroupKey::from_tuple(row, n1);
+        let member = NestedTuple::flat(n2.iter().map(|&i| row[i].clone()).collect());
+        match groups.get_mut(&key) {
+            Some(g) => g.push(member),
+            None => {
+                groups.insert(key.clone(), vec![member]);
+                order.push(key);
             }
         }
-        faultinject::hit(faultinject::NEST_FLUSH)?;
-        order
-            .into_iter()
-            .map(|key| {
-                let set = groups.remove(&key).unwrap();
-                sp.group(set.len());
-                NestedTuple {
-                    atoms: key.0,
-                    sets: vec![set],
-                }
-            })
-            .collect()
-    } else {
-        sp.partitions(parts);
-        // Assign each row to the partition owning its key hash (chunked
-        // pass), so all members of one group meet in one partition, in
-        // global row order.
-        let ranges = exec::chunks(rel.len(), parts);
-        let assign: Vec<u32> = exec::run_partitioned(parts, |p| {
-            Ok(rel.rows()[ranges[p].clone()]
-                .iter()
-                .map(|row| (exec::key_hash(&GroupKey::from_tuple(row, n1)) % parts as u64) as u32)
-                .collect::<Vec<_>>())
-        })?
+    }
+    faultinject::hit(faultinject::NEST_FLUSH)?;
+    let tuples: Vec<NestedTuple> = order
         .into_iter()
-        .flatten()
-        .collect();
-        faultinject::hit(faultinject::NEST_FLUSH)?;
-        // Group per partition, remembering each group's first global row
-        // id; sorting by it restores the sequential first-occurrence
-        // emission order exactly.
-        let per_part = exec::run_partitioned(parts, |b| {
-            let mut order: Vec<(usize, GroupKey)> = Vec::new();
-            let mut groups: FxHashMap<GroupKey, Vec<NestedTuple>> = FxHashMap::default();
-            for (rid, row) in rel.rows().iter().enumerate() {
-                governor::tick(rid, "nest-scan")?;
-                if assign[rid] != b as u32 {
-                    continue;
-                }
-                let key = GroupKey::from_tuple(row, n1);
-                let member = NestedTuple::flat(n2.iter().map(|&i| row[i].clone()).collect());
-                match groups.get_mut(&key) {
-                    Some(g) => g.push(member),
-                    None => {
-                        groups.insert(key.clone(), vec![member]);
-                        order.push((rid, key));
-                    }
-                }
+        .map(|key| {
+            let set = groups
+                .remove(&key)
+                .expect("every key in `order` has one group");
+            sp.group(set.len());
+            NestedTuple {
+                atoms: key.0,
+                sets: vec![set],
             }
-            Ok(order
-                .into_iter()
-                .map(|(rid, key)| {
-                    let set = groups.remove(&key).unwrap();
-                    (
-                        rid,
-                        NestedTuple {
-                            atoms: key.0,
-                            sets: vec![set],
-                        },
-                    )
-                })
-                .collect::<Vec<_>>())
-        })?;
-        let mut all: Vec<(usize, NestedTuple)> = per_part.into_iter().flatten().collect();
-        all.sort_by_key(|&(rid, _)| rid);
-        all.into_iter()
-            .map(|(_, t)| {
-                sp.group(t.sets[0].len());
-                t
-            })
-            .collect()
-    };
+        })
+        .collect();
     sp.rows_out(tuples.len());
     Ok(NestedRelation { schema, tuples })
 }
@@ -189,47 +121,25 @@ pub fn nest_sort_idx(
         )],
     };
     let mut sorted = rel.clone();
-    // Parallel stable sort — byte-identical to `sort_by_columns` (falls
-    // back to it below the morsel floor).
-    exec::sort_rows_by(sorted.rows_mut(), |a, b| {
-        nra_storage::tuple::cmp_on(a, b, n1)
-    })?;
+    governor::checkpoint("sort")?;
+    sorted.sort_by_columns(n1);
     let rows = sorted.rows();
-    // Group boundaries: the batch-windowed adjacent-row kernel (same
-    // governor cadence as the inline scan it replaced); the expensive
-    // part — cloning values into nested tuples — is built per
-    // group-chunk in parallel below.
     let bounds = vec::group_bounds(rows, n1, "nest-scan")?;
     faultinject::hit(faultinject::NEST_FLUSH)?;
-    for &(lo, hi) in &bounds {
-        sp.group(hi - lo);
-    }
-    let build_group = |&(lo, hi): &(usize, usize)| -> NestedTuple {
-        let set: Vec<NestedTuple> = rows[lo..hi]
-            .iter()
-            .map(|r| NestedTuple::flat(n2.iter().map(|&i| r[i].clone()).collect()))
-            .collect();
-        NestedTuple {
-            atoms: n1.iter().map(|&i| rows[lo][i].clone()).collect(),
-            sets: vec![set],
-        }
-    };
-    let parts = exec::partitions(rows.len());
-    let tuples: Vec<NestedTuple> = if parts <= 1 {
-        bounds.iter().map(build_group).collect()
-    } else {
-        sp.partitions(parts);
-        let granges = exec::chunks(bounds.len(), parts);
-        exec::run_partitioned(parts, |p| {
-            Ok(bounds[granges[p].clone()]
+    let tuples: Vec<NestedTuple> = bounds
+        .iter()
+        .map(|&(lo, hi)| {
+            sp.group(hi - lo);
+            let set: Vec<NestedTuple> = rows[lo..hi]
                 .iter()
-                .map(build_group)
-                .collect::<Vec<_>>())
-        })?
-        .into_iter()
-        .flatten()
-        .collect()
-    };
+                .map(|r| NestedTuple::flat(n2.iter().map(|&i| r[i].clone()).collect()))
+                .collect();
+            NestedTuple {
+                atoms: n1.iter().map(|&i| rows[lo][i].clone()).collect(),
+                sets: vec![set],
+            }
+        })
+        .collect();
     sp.rows_out(tuples.len());
     Ok(NestedRelation { schema, tuples })
 }
@@ -327,45 +237,6 @@ mod tests {
     fn unknown_columns_error() {
         assert!(nest(&sample(), &["zzz"], &["s.b"], "s").is_err());
         assert!(nest(&sample(), &["r.a"], &["zzz"], "s").is_err());
-    }
-
-    #[test]
-    fn parallel_nest_is_identical() {
-        // Skewed, NULL-bearing keys over a few hundred rows: both nest
-        // implementations must emit exactly the sequential result
-        // (atoms, set members, and tuple order alike) at any budget.
-        let rows: Vec<Vec<Value>> = (0..400)
-            .map(|i| {
-                let key = match i % 13 {
-                    0 => Value::Null,
-                    m => Value::Int(m % 9),
-                };
-                vec![key, Value::Int(i), Value::Int(1000 - i)]
-            })
-            .collect();
-        let rel = Relation::with_rows(sample().schema().clone(), rows);
-        let (n1, n2) = (vec![0usize], vec![1usize, 2usize]);
-        let (seq_hash, seq_sort) = {
-            let _t = exec::set_threads(Some(1));
-            (
-                nest_hash_idx(&rel, &n1, &n2, "s").unwrap(),
-                nest_sort_idx(&rel, &n1, &n2, "s").unwrap(),
-            )
-        };
-        for threads in [2, 4] {
-            let _t = exec::set_threads(Some(threads));
-            let _m = exec::set_morsel_rows(1);
-            assert_eq!(
-                nest_hash_idx(&rel, &n1, &n2, "s").unwrap(),
-                seq_hash,
-                "hash @{threads}"
-            );
-            assert_eq!(
-                nest_sort_idx(&rel, &n1, &n2, "s").unwrap(),
-                seq_sort,
-                "sort @{threads}"
-            );
-        }
     }
 
     #[test]

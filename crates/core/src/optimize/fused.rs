@@ -9,7 +9,7 @@
 //! numbers).
 
 use nra_engine::EngineError;
-use nra_engine::{exec, faultinject, governor};
+use nra_engine::{faultinject, governor};
 use nra_storage::{aggregate, AggFunc, CmpOp, Relation, Schema, Truth, Value};
 
 use crate::linking::{LinkCond, LinkSelection, SetQuant};
@@ -186,12 +186,8 @@ pub fn fused_nest_select(
             "nest[sort]",
             governor::tuple_bytes(rel.len(), rel.schema().len()),
         )?;
-        let parts = exec::partitions(rel.len());
-        if parts > 1 {
-            sp.partitions(parts);
-        }
-        // Parallel stable sort — byte-identical to `sort_by_columns`.
-        exec::sort_rows_by(rel.rows_mut(), |a, b| nra_storage::tuple::cmp_on(a, b, n1))?;
+        governor::checkpoint("sort")?;
+        rel.sort_by_columns(n1);
     }
     fused_nest_select_presorted(&rel, n1, link, use_pseudo, pad_out)
 }
@@ -212,57 +208,27 @@ pub fn fused_nest_select_presorted(
     let mut out = Relation::new(rel.schema().project(n1));
     let rows = rel.rows();
     // Group boundaries first, via the batch-windowed adjacent-row
-    // kernel (same governor cadence as the inline scan it replaced);
-    // the per-group evaluation and emission is chunked across workers,
-    // group-aligned.
+    // kernel (same governor cadence as the inline scan it replaced).
     let bounds = nra_engine::vec::group_bounds(rows, n1, "nest-scan")?;
     governor::charge("link", governor::tuple_bytes(bounds.len(), n1.len()))?;
-    for &(lo, hi) in &bounds {
+    let mut stats = nra_obs::OpStats::default();
+    for (g, &(lo, hi)) in bounds.iter().enumerate() {
+        governor::tick(g, "linking-scan")?;
         sp.group(hi - lo);
-    }
-    let emit_group = |&(lo, hi): &(usize, usize),
-                      stats: &mut nra_obs::OpStats,
-                      out_rows: &mut Vec<Vec<Value>>| {
         let truth = link.eval(rows[lo..hi].iter().map(Vec::as_slice));
         stats.record_outcome(truth);
         if truth == Truth::True {
-            out_rows.push(n1.iter().map(|&i| rows[lo][i].clone()).collect());
+            out.push_unchecked(n1.iter().map(|&i| rows[lo][i].clone()).collect());
         } else if use_pseudo {
             stats.padded += 1;
             let mut padded: Vec<Value> = n1.iter().map(|&i| rows[lo][i].clone()).collect();
             for &p in pad_out {
                 padded[p] = Value::Null;
             }
-            out_rows.push(padded);
-        }
-    };
-    let parts = exec::partitions(rows.len());
-    if parts <= 1 {
-        let mut stats = nra_obs::OpStats::default();
-        let mut out_rows = Vec::new();
-        for (i, b) in bounds.iter().enumerate() {
-            governor::tick(i, "linking-scan")?;
-            emit_group(b, &mut stats, &mut out_rows);
-        }
-        sp.absorb_stats(&stats);
-        out.rows_mut().extend(out_rows);
-    } else {
-        sp.partitions(parts);
-        let granges = exec::chunks(bounds.len(), parts);
-        let per = exec::run_partitioned(parts, |p| {
-            let mut stats = nra_obs::OpStats::default();
-            let mut out_rows = Vec::new();
-            for (i, b) in bounds[granges[p].clone()].iter().enumerate() {
-                governor::tick(i, "linking-scan")?;
-                emit_group(b, &mut stats, &mut out_rows);
-            }
-            Ok((out_rows, stats))
-        })?;
-        for (out_rows, stats) in per {
-            sp.absorb_stats(&stats);
-            out.rows_mut().extend(out_rows);
+            out.push_unchecked(padded);
         }
     }
+    sp.absorb_stats(&stats);
     sp.rows_out(out.len());
     Ok(out)
 }

@@ -134,13 +134,8 @@ pub fn execute_linear_cascade(
             "nest[sort]",
             governor::tuple_bytes(rel.len(), rel.schema().len()),
         )?;
-        let parts = nra_engine::exec::partitions(rel.len());
-        if parts > 1 {
-            sp.partitions(parts);
-        }
-        nra_engine::exec::sort_rows_by(rel.rows_mut(), |a, b| {
-            nra_storage::tuple::cmp_on(a, b, &rid_idx)
-        })?;
+        governor::checkpoint("sort")?;
+        rel.sort_by_columns(&rid_idx);
     }
 
     // Phase 3 (bottom-up, pipelined): one scan evaluating every level.

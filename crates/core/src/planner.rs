@@ -277,46 +277,6 @@ fn emit_decision(decision: &StrategyDecision, forced: bool) {
     }
 }
 
-/// Record the parallel-execution decision alongside the strategy choice:
-/// the worker-thread budget the partition scheduler will honour
-/// ([`nra_engine::exec::threads`]) and the partition count the largest
-/// base table would split into under the morsel floor. No-op when tracing
-/// is off or when the budget is a single thread (sequential execution is
-/// the default and needs no explanation).
-fn emit_parallelism(query: &BoundQuery, catalog: &Catalog) {
-    if !trace::enabled() {
-        return;
-    }
-    let threads = nra_engine::exec::threads();
-    if threads <= 1 {
-        return;
-    }
-    let mut largest = 0usize;
-    query.root.visit(&mut |block: &QueryBlock, _| {
-        for bt in &block.tables {
-            if let Ok(t) = catalog.table(&bt.table) {
-                largest = largest.max(t.len());
-            }
-        }
-    });
-    let partitions = nra_engine::exec::partitions(largest);
-    trace::emit(|| TraceEvent::Parallelism {
-        threads,
-        partitions,
-        reason: if partitions > 1 {
-            format!(
-                "largest base table has {largest} rows; joins, nests and linking \
-                 scans split into up to {partitions} morsel partitions"
-            )
-        } else {
-            format!(
-                "largest base table has {largest} rows — under the morsel floor, \
-                 so operators run sequentially despite the {threads}-thread budget"
-            )
-        },
-    });
-}
-
 /// Execute a bound query with the given strategy.
 pub fn execute(
     query: &BoundQuery,
@@ -325,19 +285,19 @@ pub fn execute(
 ) -> Result<Relation, EngineError> {
     match strategy {
         Strategy::Original => {
-            emit_forced(query, catalog, strategy);
+            emit_forced(query, strategy);
             execute_original(query, catalog)
         }
         Strategy::Optimized => {
-            emit_forced(query, catalog, strategy);
+            emit_forced(query, strategy);
             execute_optimized(query, catalog)
         }
         Strategy::BottomUp => {
-            emit_forced(query, catalog, strategy);
+            emit_forced(query, strategy);
             execute_bottom_up(query, catalog)
         }
         Strategy::BottomUpPushdown => {
-            emit_forced(query, catalog, strategy);
+            emit_forced(query, strategy);
             match execute_bottom_up_pushdown(query, catalog) {
                 Err(EngineError::Unsupported(why)) => {
                     emit_fallback(query, Strategy::BottomUp, &why);
@@ -347,7 +307,7 @@ pub fn execute(
             }
         }
         Strategy::PositiveRewrite => {
-            emit_forced(query, catalog, strategy);
+            emit_forced(query, strategy);
             execute_positive_rewrite(query, catalog)
         }
         Strategy::Auto => {
@@ -355,7 +315,6 @@ pub fn execute(
                 let _plan = trace::phase(|| "plan".to_string());
                 let decision = decide(query);
                 emit_decision(&decision, false);
-                emit_parallelism(query, catalog);
                 decision
             };
             debug_assert_ne!(decision.chosen, Strategy::Auto);
@@ -397,7 +356,7 @@ fn execute_concrete(
     }
 }
 
-fn emit_forced(query: &BoundQuery, catalog: &Catalog, strategy: Strategy) {
+fn emit_forced(query: &BoundQuery, strategy: Strategy) {
     if !trace::enabled() {
         return;
     }
@@ -408,7 +367,6 @@ fn emit_forced(query: &BoundQuery, catalog: &Catalog, strategy: Strategy) {
         rejected: Vec::new(),
     };
     emit_decision(&decision, true);
-    emit_parallelism(query, catalog);
 }
 
 /// A specialised executor bailed at runtime; log the downgrade.

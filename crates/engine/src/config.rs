@@ -6,7 +6,7 @@
 //! the result, so nothing reads the environment per query), and the
 //! process-wide [`Config::process`] default for code that runs without a
 //! database (crate tests and benches calling `nra_core::execute`
-//! directly). A malformed value — `NRA_THREADS=four`,
+//! directly). A malformed value — `NRA_BATCH_ROWS=four`,
 //! `NRA_FAULT=join-build:x:panic`, `NRA_PLAN_CACHE=maybe` — is a
 //! structured [`EngineError::Config`], never a silent fallback.
 //!
@@ -18,7 +18,6 @@ use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
 use crate::error::EngineError;
-use crate::exec::MAX_THREADS;
 use crate::faultinject::{self, FaultKind};
 use crate::governor::AdmissionConfig;
 use nra_storage::iofault::{self, IoFaultKind};
@@ -103,8 +102,6 @@ pub fn parse_fault_spec(spec: &str) -> Result<FaultSpecs, String> {
 /// knob is unset and the consumer's built-in default applies.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Config {
-    /// `NRA_THREADS`: default worker budget, clamped to `1..=MAX_THREADS`.
-    pub threads: Option<usize>,
     /// `NRA_BATCH_ROWS`: default vectorized window width (≥ 1).
     pub batch_rows: Option<usize>,
     /// `NRA_MEM_LIMIT`: default per-query memory budget in bytes.
@@ -200,8 +197,6 @@ impl Config {
             admission = admission.queue_timeout_ms(ms);
         }
         Ok(Config {
-            threads: number::<usize>(get, "NRA_THREADS", "a worker-thread count")?
-                .map(|n| n.clamp(1, MAX_THREADS)),
             batch_rows: number::<NonZeroUsize>(get, "NRA_BATCH_ROWS", "a row count of at least 1")?
                 .map(NonZeroUsize::get),
             mem_limit: number(get, "NRA_MEM_LIMIT", "a byte count (a plain integer)")?,
@@ -249,7 +244,7 @@ mod tests {
     #[test]
     fn fault_grammar_splits_entries_by_owner() {
         let specs = parse_fault_spec(
-            "join-build:1:panic, nest-flush:3:alloc,linking-scan:2, partition-merge:1:delay:25, \
+            "join-build:1:panic, nest-flush:3:alloc,linking-scan:2, linking-scan:1:delay:25, \
              nest-flush:1:delay, wal-append:1:short-write,wal-fsync:2:crash, \
              checkpoint-write:1,snapshot-rename:1:delay:5, ,",
         )

@@ -1,17 +1,12 @@
 //! The one per-thread query context (DESIGN.md §10.1).
 //!
-//! Everything a query installs on its coordinating thread — worker
-//! budget, morsel floor, batch width, governor — lives in a single
-//! thread-local slot. [`enter`] swaps a whole [`QueryCtx`] in and the
-//! returned [`CtxGuard`] swaps the previous one back, so nested scopes
-//! (a test's `set_threads` around a query's own context) restore
-//! exactly. The setters other modules export (`exec::set_threads`,
-//! `exec::set_morsel_rows`, `vec::set_batch_rows`, `governor::install`)
-//! are one-field writers of this slot.
-//!
-//! `exec::run_partitioned` does one [`capture`] on the coordinator and
-//! one [`WorkerCtx::enter`] per worker: the worker sees the
-//! coordinator's whole context plus its observability handoff.
+//! Everything a query installs on its thread — batch width, governor —
+//! lives in a single thread-local slot. [`enter`] swaps a whole
+//! [`QueryCtx`] in and the returned [`CtxGuard`] swaps the previous one
+//! back, so nested scopes (a test's `set_batch_rows` around a query's own
+//! context) restore exactly. The setters other modules export
+//! (`vec::set_batch_rows`, `governor::install`) are one-field writers of
+//! this slot.
 //!
 //! An unset field (`None`) falls back to the process-wide
 //! [`Config`](crate::config::Config); `Database::execute` always enters
@@ -28,15 +23,11 @@ use crate::governor::Governor;
 /// to the built-in default.
 ///
 /// [`Config`]: crate::config::Config
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct QueryCtx {
-    /// Worker budget for the partition scheduler (see `exec::threads`).
-    pub threads: Option<usize>,
-    /// Minimum rows per worker (see `exec::morsel_rows`).
-    pub morsel_rows: Option<usize>,
     /// Rows per vectorized window (see `vec::batch_rows`).
     pub batch_rows: Option<usize>,
-    /// The query's resource governor, shared with every worker.
+    /// The query's resource governor.
     pub governor: Option<Arc<Governor>>,
 }
 
@@ -44,25 +35,18 @@ pub struct QueryCtx {
 /// disarmed fast paths (`governor::charge`/`checkpoint`,
 /// `faultinject::hit`) stay a single load of `flags`.
 pub(crate) struct Slot {
-    pub(crate) threads: Cell<Option<usize>>,
-    pub(crate) morsel_rows: Cell<Option<usize>>,
     pub(crate) batch_rows: Cell<Option<usize>>,
     pub(crate) governor: RefCell<Option<Arc<Governor>>>,
     /// Which governor facilities are armed (`governor::F_*` bits).
     pub(crate) flags: Cell<u8>,
-    /// This thread's un-flushed memory charges, in bytes.
-    pub(crate) pending: Cell<u64>,
 }
 
 thread_local! {
     static SLOT: Slot = const {
         Slot {
-            threads: Cell::new(None),
-            morsel_rows: Cell::new(None),
             batch_rows: Cell::new(None),
             governor: RefCell::new(None),
             flags: Cell::new(0),
-            pending: Cell::new(0),
         }
     };
 }
@@ -73,19 +57,11 @@ pub(crate) fn with<R>(f: impl FnOnce(&Slot) -> R) -> R {
 }
 
 impl Slot {
-    /// Install `ctx`, returning what was installed before. This thread's
-    /// pending memory charges are flushed into the governor being
-    /// replaced, so `Governor::mem_used` is exact once a query's guard
-    /// is gone and every context starts from zero pending bytes.
+    /// Install `ctx`, returning what was installed before.
     fn swap(&self, ctx: QueryCtx) -> QueryCtx {
-        if let Some(g) = &*self.governor.borrow() {
-            g.flush(self.pending.replace(0));
-        }
         self.flags
             .set(ctx.governor.as_ref().map_or(0, |g| g.flags()));
         QueryCtx {
-            threads: self.threads.replace(ctx.threads),
-            morsel_rows: self.morsel_rows.replace(ctx.morsel_rows),
             batch_rows: self.batch_rows.replace(ctx.batch_rows),
             governor: self.governor.replace(ctx.governor),
         }
@@ -95,8 +71,6 @@ impl Slot {
 /// This thread's context, as installed (unset fields stay `None`).
 pub fn current() -> QueryCtx {
     with(|s| QueryCtx {
-        threads: s.threads.get(),
-        morsel_rows: s.morsel_rows.get(),
         batch_rows: s.batch_rows.get(),
         governor: s.governor.borrow().clone(),
     })
@@ -116,7 +90,7 @@ pub fn enter(ctx: QueryCtx) -> CtxGuard {
 }
 
 /// [`enter`] the current context with `change` applied — what the
-/// one-field setters (`exec::set_threads`, …) are made of.
+/// one-field setters (`vec::set_batch_rows`, …) are made of.
 pub fn update(change: impl FnOnce(&mut QueryCtx)) -> CtxGuard {
     let mut ctx = current();
     change(&mut ctx);
@@ -126,32 +100,5 @@ pub fn update(change: impl FnOnce(&mut QueryCtx)) -> CtxGuard {
 impl Drop for CtxGuard {
     fn drop(&mut self) {
         with(|s| s.swap(std::mem::take(&mut self.prev)));
-    }
-}
-
-/// A coordinator's context captured for its workers: the [`QueryCtx`]
-/// plus the observability handoff (profile collector, per-query metrics
-/// registry, progress state).
-pub struct WorkerCtx {
-    ctx: QueryCtx,
-    obs: nra_obs::Handoff,
-}
-
-/// Capture the calling thread's context for `exec::run_partitioned`
-/// workers.
-pub fn capture() -> WorkerCtx {
-    WorkerCtx {
-        ctx: current(),
-        obs: nra_obs::Handoff::capture(),
-    }
-}
-
-impl WorkerCtx {
-    /// Run `f` on the current (worker) thread under the captured
-    /// context, returning its result and the worker's profile (when the
-    /// coordinator was collecting).
-    pub fn enter<T>(&self, f: impl FnOnce() -> T) -> (T, Option<nra_obs::Profile>) {
-        let _ctx = enter(self.ctx.clone());
-        self.obs.run(f)
     }
 }

@@ -30,9 +30,9 @@ pub enum EngineError {
     Cancelled {
         phase: String,
     },
-    /// A worker (or the coordinating thread) panicked mid-query; the
-    /// panic was contained, remaining morsels were drained, and the
-    /// database is still usable. `site` is the nearest execution site.
+    /// An operator panicked mid-query; the statement-level net
+    /// (`exec::contain`) caught the panic and the database is still
+    /// usable. `site` names where it was caught.
     WorkerPanicked {
         site: String,
         message: String,

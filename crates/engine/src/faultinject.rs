@@ -11,18 +11,16 @@
 //! * [`NEST_FLUSH`] — right before a `υ` nest flushes its group buffers
 //!   into nested tuples;
 //! * [`LINKING_SCAN`] — at the start of a linking/pseudo-selection scan
-//!   (including the fused cascades);
-//! * [`PARTITION_MERGE`] — inside [`crate::exec::run_partitioned`],
-//!   before partition results are merged back in partition order.
+//!   (including the fused cascades).
 //!
 //! A fault spec is `site:nth[:kind[:ms]]` — the `nth` pass through the
-//! site (1-based, counted on shared atomics so the count is independent
-//! of worker scheduling) triggers the fault. Kinds: `alloc` (a synthetic
+//! site (1-based) triggers the fault. Kinds: `alloc` (a synthetic
 //! allocation failure surfacing as
 //! [`EngineError::ResourceExhausted`]), `panic` (an injected panic the
-//! worker harness must contain), and `delay` (sleep `ms` milliseconds —
-//! for widening cancellation windows in tests). Multiple specs are
-//! comma-separated: `NRA_FAULT=join-build:1:panic,nest-flush:2:alloc`.
+//! statement-level `exec::contain` must catch), and `delay` (sleep `ms`
+//! milliseconds — for widening cancellation windows in tests). Multiple
+//! specs are comma-separated:
+//! `NRA_FAULT=join-build:1:panic,nest-flush:2:alloc`.
 //!
 //! Sites compile to [`hit`], which is an `#[inline]` check of a
 //! thread-local flag armed only while a governor with a non-empty
@@ -40,11 +38,9 @@ pub const JOIN_BUILD: &str = "join-build";
 pub const NEST_FLUSH: &str = "nest-flush";
 /// Linking / pseudo-selection scan start (including fused cascades).
 pub const LINKING_SCAN: &str = "linking-scan";
-/// Partition-result merge in `exec::run_partitioned`.
-pub const PARTITION_MERGE: &str = "partition-merge";
 
 /// Every named fault site, for test matrices.
-pub const SITES: [&str; 4] = [JOIN_BUILD, NEST_FLUSH, LINKING_SCAN, PARTITION_MERGE];
+pub const SITES: [&str; 3] = [JOIN_BUILD, NEST_FLUSH, LINKING_SCAN];
 
 /// Synthetic request size reported by an injected allocation failure.
 pub const INJECTED_ALLOC_BYTES: u64 = 1 << 40;
@@ -56,15 +52,14 @@ pub enum FaultKind {
     /// ([`EngineError::ResourceExhausted`] with
     /// [`INJECTED_ALLOC_BYTES`] requested).
     AllocFail,
-    /// Panic (`panic!`) — exercises the worker containment paths.
+    /// Panic (`panic!`) — exercises the statement-level containment.
     Panic,
     /// Sleep for the given number of milliseconds, then continue.
     Delay(u64),
 }
 
 /// One armed fault: trigger `kind` on the `nth` (1-based) pass through
-/// `site`. The hit counter is shared across all workers of the query via
-/// the governor's `Arc`, so "nth pass" is counted globally.
+/// `site`, counted over the whole query.
 #[derive(Debug)]
 pub struct FaultSpec {
     pub site: String,

@@ -5,7 +5,7 @@
 //! the database's [`Config`](crate::config::Config), an explicit
 //! [`CancelToken`], or a `timeout_ms` deadline), wrapped in an `Arc`,
 //! and carried in the query's [`QueryCtx`](crate::ctx::QueryCtx) on the
-//! coordinating thread and on every `exec::run_partitioned` worker.
+//! thread that executes it.
 //!
 //! Design constraints, in order:
 //!
@@ -14,23 +14,18 @@
 //!    deadline, no token, and no fault plan the flag is 0 and both are a
 //!    single thread-local load. The committed benchmark baselines run
 //!    with the governor compiled in but disarmed.
-//! 2. **Cheap when armed.** Memory charges accumulate in a thread-local
-//!    pending counter and flush into the shared [`Governor`] atomic with
-//!    `Relaxed` ordering only every [`Governor::flush_step`] bytes, so
-//!    workers do not contend on a cache line per allocation. The flush
-//!    step shrinks with the limit (`min(64 KiB, limit/4 + 1)`) so tiny
-//!    test budgets still enforce promptly; enforcement lag is bounded by
-//!    `flush_step` bytes per live worker.
-//! 3. **Determinism preserved.** Charges are order-independent sums over
-//!    the same allocations regardless of worker count or scheduling, so
-//!    a query under its budget behaves byte-identically to an ungoverned
-//!    run; only *which* charge observes the overflow first differs, and
-//!    that only changes the `operator`/`requested` fields of the error.
+//! 2. **Exact when armed.** Every memory charge is added straight to the
+//!    [`Governor`]'s counter (one uncontended `Relaxed` `fetch_add` — a
+//!    query runs on one thread), so the first charge that crosses the
+//!    limit is the one that fails.
+//! 3. **Determinism preserved.** Charges are sums over the same
+//!    allocations in the same order, so a query under its budget behaves
+//!    byte-identically to an ungoverned run, and one over it fails at
+//!    the same charge every time.
 //!
-//! Cancellation is cooperative: [`checkpoint`] is called at partition
-//! dispatch in `run_partitioned` and every [`CHECK_ROWS`] rows inside
-//! the sequential operator loops, so a cancelled query stops within one
-//! morsel-sized unit of work and surfaces
+//! Cancellation is cooperative: [`checkpoint`] is called once per batch
+//! or every [`CHECK_ROWS`] rows inside the operator loops, so a
+//! cancelled query stops within one batch of work and surfaces
 //! [`EngineError::Cancelled`] naming the interrupted phase.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,14 +36,9 @@ use crate::ctx::{self, CtxGuard};
 use crate::error::EngineError;
 use crate::faultinject::FaultPlan;
 
-/// Row cadence of cooperative-cancellation checks in sequential scan
-/// loops (matches the morsel floor, so parallel and sequential runs
-/// observe cancellation at comparable granularity).
+/// Row cadence of cooperative-cancellation checks in row-at-a-time scan
+/// loops (matches the default batch width).
 pub const CHECK_ROWS: usize = 1024;
-
-/// Largest pending-byte batch a worker holds back before flushing into
-/// the shared counter.
-pub const MAX_FLUSH_STEP: u64 = 64 * 1024;
 
 /// Rough per-value footprint used for budget accounting (a `Value` is a
 /// 16-24 byte enum; string heap payloads are not itemized).
@@ -81,14 +71,14 @@ impl CancelToken {
     }
 }
 
-/// Shared, per-query governance state: the memory budget, cancellation
-/// sources, and the armed fault plan. Built once per query and shared
-/// across workers via `Arc`.
+/// Per-query governance state: the memory budget, cancellation sources,
+/// and the armed fault plan. Built once per query; the query's context
+/// and its lifecycle (which reads `mem_used` at the end) share it via
+/// `Arc`.
 #[derive(Debug, Default)]
 pub struct Governor {
     mem_limit: Option<u64>,
     mem_used: AtomicU64,
-    flush_step: u64,
     cancel: Option<CancelToken>,
     deadline: Option<Instant>,
     faults: FaultPlan,
@@ -102,7 +92,6 @@ impl Governor {
     /// Enforce a memory budget of `bytes` over governed allocations.
     pub fn mem_limit(mut self, bytes: u64) -> Governor {
         self.mem_limit = Some(bytes);
-        self.flush_step = MAX_FLUSH_STEP.min(bytes / 4 + 1);
         self
     }
 
@@ -135,17 +124,9 @@ impl Governor {
             || !self.faults.is_empty()
     }
 
-    /// Bytes flushed into the shared counter so far (excludes each
-    /// worker's un-flushed pending batch).
+    /// Bytes charged so far.
     pub fn mem_used(&self) -> u64 {
         self.mem_used.load(Ordering::Relaxed)
-    }
-
-    /// Add a thread's `pending` bytes to the shared counter.
-    pub(crate) fn flush(&self, pending: u64) {
-        if pending > 0 {
-            self.mem_used.fetch_add(pending, Ordering::Relaxed);
-        }
     }
 
     pub(crate) fn flags(&self) -> u8 {
@@ -169,8 +150,7 @@ const F_FAULT: u8 = 4;
 
 /// Install `gov` (or, with `None`, nothing) as this thread's governor
 /// for the lifetime of the returned guard, leaving the rest of the
-/// context as it is. Dropping the guard flushes this thread's pending
-/// charges into `gov`.
+/// context as it is.
 pub fn install(gov: Option<Arc<Governor>>) -> CtxGuard {
     ctx::update(|c| c.governor = gov)
 }
@@ -192,16 +172,8 @@ fn charge_armed(site: &str, bytes: u64) -> Result<(), EngineError> {
         let Some(g) = cur.as_ref() else {
             return Ok(());
         };
-        let pending = c.pending.get() + bytes;
-        if pending < g.flush_step {
-            c.pending.set(pending);
-            return Ok(());
-        }
-        c.pending.set(0);
-        let total = g.mem_used.fetch_add(pending, Ordering::Relaxed) + pending;
-        // Live-progress hook: the flushed running total is the best
-        // cross-thread memory figure available, published at flush-step
-        // granularity (only memory-armed queries reach this path).
+        let total = g.mem_used.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        // Live-progress hook (only memory-armed queries reach this path).
         nra_obs::progress::on_mem(total);
         let limit = g.mem_limit.unwrap_or(u64::MAX);
         if total > limit {
@@ -229,10 +201,10 @@ fn charge_armed(site: &str, bytes: u64) -> Result<(), EngineError> {
 /// Accumulates exact byte amounts locally and flushes them through
 /// [`charge`] in one call — the batch-amortized charging path used by
 /// the vectorized executors (DESIGN.md §13). The thread-local flag
-/// check and pending-counter update run once per batch instead of once
-/// per allocation, while the flushed total is exactly the sum of the
-/// added bytes, so governed budgets observe identical charges at any
-/// batch size.
+/// check and counter update run once per batch instead of once per
+/// allocation, while the flushed total is exactly the sum of the added
+/// bytes, so governed budgets observe identical charges at any batch
+/// size.
 #[derive(Debug)]
 pub struct BatchCharger {
     site: &'static str,
@@ -604,29 +576,31 @@ mod tests {
         assert!(charge("outer", 100).is_ok());
         drop(_og);
         assert!(charge("outer", u64::MAX).is_ok());
-        // The outer governor saw its own charges (flushed on uninstall),
-        // not the inner governor's.
+        // Each governor saw exactly its own charges.
         assert_eq!(outer.mem_used(), 200);
+        assert_eq!(inner.mem_used(), 100);
     }
 
     #[test]
     fn tiny_limits_enforce_promptly() {
         let g = Arc::new(Governor::new().mem_limit(1_000));
-        let _guard = install(Some(g));
-        // flush_step = 251, so four 300-byte charges must trip the limit
-        // well before u64 pending wraps anything.
-        let mut err = None;
-        for _ in 0..4 {
-            if let Err(e) = charge("nest-build", 300) {
-                err = Some(e);
-                break;
-            }
+        let _guard = install(Some(g.clone()));
+        // Enforcement is exact: every charge lands in the counter at
+        // once, and the first one past the limit is the one that fails.
+        for used in [300, 600, 900] {
+            charge("nest-build", 300).unwrap();
+            assert_eq!(g.mem_used(), used);
         }
-        match err {
-            Some(EngineError::ResourceExhausted {
-                operator, limit, ..
+        charge("nest-build", 100).unwrap();
+        assert_eq!(g.mem_used(), 1_000, "reaching the limit exactly is allowed");
+        match charge("nest-build", 1) {
+            Err(EngineError::ResourceExhausted {
+                operator,
+                requested,
+                limit,
             }) => {
                 assert_eq!(operator, "nest-build");
+                assert_eq!(requested, 1);
                 assert_eq!(limit, 1_000);
             }
             other => panic!("expected ResourceExhausted, got {other:?}"),
@@ -636,29 +610,32 @@ mod tests {
     #[test]
     fn charges_below_limit_accumulate_without_error() {
         let g = Arc::new(Governor::new().mem_limit(1 << 30));
-        {
-            let _guard = install(Some(g.clone()));
-            for _ in 0..1000 {
-                charge("op", 1024).unwrap();
-            }
+        let _guard = install(Some(g.clone()));
+        for i in 1..=1000 {
+            charge("op", 1024).unwrap();
+            // No lag: the counter is current after every charge.
+            assert_eq!(g.mem_used(), i * 1024);
         }
-        assert_eq!(g.mem_used(), 1000 * 1024);
     }
 
     #[test]
     fn batch_charger_flushes_exact_totals() {
         let g = Arc::new(Governor::new().mem_limit(1 << 30));
-        {
-            let _guard = install(Some(g.clone()));
-            let mut c = BatchCharger::new("vec-batch");
-            for _ in 0..10 {
-                c.add(100);
-            }
-            assert_eq!(c.pending(), 1000);
-            c.flush().unwrap();
-            assert_eq!(c.pending(), 0);
-            c.flush().unwrap(); // empty flush is a no-op
+        let _guard = install(Some(g.clone()));
+        let mut c = BatchCharger::new("vec-batch");
+        for _ in 0..10 {
+            c.add(100);
         }
+        assert_eq!(c.pending(), 1000);
+        assert_eq!(
+            g.mem_used(),
+            0,
+            "nothing reaches the governor before a flush"
+        );
+        c.flush().unwrap();
+        assert_eq!(c.pending(), 0);
+        assert_eq!(g.mem_used(), 1000);
+        c.flush().unwrap(); // empty flush is a no-op
         assert_eq!(g.mem_used(), 1000);
     }
 

@@ -6,12 +6,10 @@
 //!   evaluated under SQL three-valued logic;
 //! * [`config`] — the one strict parser of every `NRA_*` knob
 //!   ([`Config`]), read once per database / once per process;
-//! * [`ctx`] — the one per-thread query context ([`QueryCtx`]: worker
-//!   budget, morsel floor, batch width, governor) and its worker
-//!   handoff;
-//! * [`exec`] — the morsel-style partition scheduler: contiguous
-//!   chunking, deterministic fork/join and a stable parallel sort (see
-//!   `DESIGN.md` §10);
+//! * [`ctx`] — the one per-thread query context ([`QueryCtx`]: batch
+//!   width, governor);
+//! * [`exec`] — the statement-level panic net (`exec::contain`); every
+//!   query runs sequentially on its calling thread (see `DESIGN.md` §10);
 //! * [`governor`] — per-query resource governance (memory budgets,
 //!   cooperative cancellation) and admission control;
 //! * [`faultinject`] — deterministic fault injection at named execution

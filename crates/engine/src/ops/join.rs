@@ -12,18 +12,10 @@
 //!
 //! When no equality pairs are available (purely non-equality correlation),
 //! the same semantics run through a block nested-loop fallback.
-//!
-//! Both paths are morsel-parallel under [`crate::exec`]: the build side is
-//! hash-partitioned into per-worker tables (all rows of one key land in
-//! one table, rids in ascending order — the same match lists the single
-//! table would hold), and the probe side is chunked contiguously with
-//! chunk outputs concatenated in partition order — so the output is
-//! byte-identical to the sequential join at any worker count.
 
 use nra_storage::{GroupKey, Relation, Value};
 
 use crate::error::EngineError;
-use crate::exec;
 use crate::expr::CPred;
 use crate::vec::{self, FxHashMap};
 use crate::{faultinject, governor};
@@ -83,67 +75,60 @@ pub fn join(left: &Relation, right: &Relation, spec: &JoinSpec) -> Result<Relati
         JoinKind::LeftOuter => left.schema().concat(&right.schema().with_all_nullable()),
         JoinKind::Semi | JoinKind::Anti => left.schema().clone(),
     };
-    let mut out = Relation::new(out_schema);
     let right_width = right.schema().len();
+    let out_width = left.schema().len() + right_width;
+    let mut rows: Vec<Vec<Value>> = Vec::new();
+    let mut combined: Vec<Value> = Vec::with_capacity(out_width);
 
     if spec.eq.is_empty() {
-        // Block nested loop: every left row scans all of `right`, so the
-        // left side chunks freely (one partition = the sequential loop).
-        let parts = exec::partitions(left.len());
-        if parts > 1 {
-            sp.partitions(parts);
-        }
-        let ranges = exec::chunks(left.len(), parts);
-        let out_width = left.schema().len() + right_width;
-        let results = exec::run_partitioned(parts, |p| {
-            let mut rows: Vec<Vec<Value>> = Vec::new();
-            let mut combined: Vec<Value> = Vec::with_capacity(out_width);
-            for (i, l) in left.rows()[ranges[p].clone()].iter().enumerate() {
-                governor::tick(i, "join-scan")?;
-                let mut matched = false;
-                for r in right.rows() {
-                    combined.clear();
-                    combined.extend(l.iter().cloned());
-                    combined.extend(r.iter().cloned());
-                    if matches_residual(&combined, spec) {
-                        matched = true;
-                        match spec.kind {
-                            // Hand the scratch row itself to the output.
-                            JoinKind::Inner | JoinKind::LeftOuter => rows.push(std::mem::replace(
-                                &mut combined,
-                                Vec::with_capacity(out_width),
-                            )),
-                            JoinKind::Semi => break,
-                            JoinKind::Anti => break,
-                        }
+        // Block nested loop: every left row scans all of `right`.
+        for (i, l) in left.rows().iter().enumerate() {
+            governor::tick(i, "join-scan")?;
+            let mut matched = false;
+            for r in right.rows() {
+                combined.clear();
+                combined.extend(l.iter().cloned());
+                combined.extend(r.iter().cloned());
+                if matches_residual(&combined, spec) {
+                    matched = true;
+                    match spec.kind {
+                        // Hand the scratch row itself to the output.
+                        JoinKind::Inner | JoinKind::LeftOuter => rows.push(std::mem::replace(
+                            &mut combined,
+                            Vec::with_capacity(out_width),
+                        )),
+                        JoinKind::Semi | JoinKind::Anti => break,
                     }
                 }
-                emit_unmatched(&mut rows, l, right_width, spec.kind, matched);
             }
-            governor::charge("join", governor::tuple_bytes(rows.len(), out_width))?;
-            Ok(rows)
-        })?;
-        for rows in results {
-            out.rows_mut().extend(rows);
+            emit_unmatched(&mut rows, l, right_width, spec.kind, matched);
         }
-        sp.rows_out(out.len());
-        return Ok(out);
+        governor::charge("join", governor::tuple_bytes(rows.len(), out_width))?;
+        sp.rows_out(rows.len());
+        return Ok(Relation::with_rows(out_schema, rows));
     }
 
     let left_keys: Vec<usize> = spec.eq.iter().map(|&(l, _)| l).collect();
     let right_keys: Vec<usize> = spec.eq.iter().map(|&(_, r)| r).collect();
 
-    // Build on the right side, excluding NULL keys. With more than one
-    // build partition the rows are hash-partitioned by key, so every
-    // match list ends up in exactly one table with its rids ascending —
-    // the same list the single sequential table would hold.
+    // Build on the right side, excluding NULL keys; each match list holds
+    // its rids in ascending order.
     faultinject::hit(faultinject::JOIN_BUILD)?;
-    let bparts = exec::partitions(right.len());
-    let tables = build_tables(right, &right_keys, bparts)?;
-    let built: usize = tables
-        .iter()
-        .map(|t| t.values().map(Vec::len).sum::<usize>())
-        .sum();
+    let mut table: FxHashMap<GroupKey, Vec<usize>> = FxHashMap::default();
+    let mut rid = 0;
+    for window in right.rows().chunks(vec::batch_rows()) {
+        governor::checkpoint("join-build")?;
+        for r in window {
+            if !right_keys.iter().any(|&c| r[c].is_null()) {
+                table
+                    .entry(GroupKey::from_tuple(r, &right_keys))
+                    .or_default()
+                    .push(rid);
+            }
+            rid += 1;
+        }
+    }
+    let built: usize = table.values().map(Vec::len).sum();
     // Approximate footprint: each entry carries its key values
     // (~16 bytes per column) plus a row id.
     let entry_bytes = right_keys.len() * 16 + std::mem::size_of::<usize>();
@@ -152,76 +137,61 @@ pub fn join(left: &Relation, right: &Relation, spec: &JoinSpec) -> Result<Relati
         sp.hash_build(built, built * entry_bytes);
     }
 
-    // Probe side: contiguous chunks, outputs concatenated in chunk order.
-    let pparts = exec::partitions(left.len());
-    if bparts > 1 || pparts > 1 {
-        sp.partitions(bparts.max(pparts));
-    }
-    let ranges = exec::chunks(left.len(), pparts);
-    let out_width = left.schema().len() + right_width;
-    let results = exec::run_partitioned(pparts, |p| {
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        let mut combined: Vec<Value> = Vec::with_capacity(out_width);
-        // Scratch probe key, reused across rows (no per-row Vec churn).
-        let mut key = GroupKey(Vec::with_capacity(left_keys.len()));
-        for window in left.rows()[ranges[p].clone()].chunks(vec::batch_rows()) {
-            // Cancellation poll amortized to once per batch (the scalar
-            // loop's tick cadence at the default width).
-            governor::checkpoint("join-probe")?;
-            for l in window {
-                let mut matched = false;
-                // SQL equality: a NULL key matches nothing — skip the
-                // probe without even building the key.
-                if !left_keys.iter().any(|&c| l[c].is_null()) {
-                    key.refill(l, &left_keys);
-                    if let Some(rids) = probe(&tables, &key) {
-                        // Match lists are never empty.
-                        match (&spec.residual, spec.kind) {
-                            (None, JoinKind::Semi | JoinKind::Anti) => matched = true,
-                            (None, JoinKind::Inner | JoinKind::LeftOuter) => {
-                                matched = true;
-                                for &rid in rids {
-                                    let mut row: Vec<Value> = Vec::with_capacity(out_width);
-                                    row.extend(l.iter().cloned());
-                                    row.extend(right.rows()[rid].iter().cloned());
-                                    rows.push(row);
-                                }
+    // Scratch probe key, reused across rows (no per-row Vec churn).
+    let mut key = GroupKey(Vec::with_capacity(left_keys.len()));
+    for window in left.rows().chunks(vec::batch_rows()) {
+        // Cancellation poll amortized to once per batch (the scalar
+        // loop's tick cadence at the default width).
+        governor::checkpoint("join-probe")?;
+        for l in window {
+            let mut matched = false;
+            // SQL equality: a NULL key matches nothing — skip the probe
+            // without even building the key.
+            if !left_keys.iter().any(|&c| l[c].is_null()) {
+                key.refill(l, &left_keys);
+                if let Some(rids) = table.get(&key) {
+                    // Match lists are never empty.
+                    match (&spec.residual, spec.kind) {
+                        (None, JoinKind::Semi | JoinKind::Anti) => matched = true,
+                        (None, JoinKind::Inner | JoinKind::LeftOuter) => {
+                            matched = true;
+                            for &rid in rids {
+                                let mut row: Vec<Value> = Vec::with_capacity(out_width);
+                                row.extend(l.iter().cloned());
+                                row.extend(right.rows()[rid].iter().cloned());
+                                rows.push(row);
                             }
-                            (Some(_), _) => {
-                                for &rid in rids {
-                                    combined.clear();
-                                    combined.extend(l.iter().cloned());
-                                    combined.extend(right.rows()[rid].iter().cloned());
-                                    if matches_residual(&combined, spec) {
-                                        matched = true;
-                                        match spec.kind {
-                                            // Hand the scratch row itself
-                                            // to the output.
-                                            JoinKind::Inner | JoinKind::LeftOuter => {
-                                                rows.push(std::mem::replace(
-                                                    &mut combined,
-                                                    Vec::with_capacity(out_width),
-                                                ))
-                                            }
-                                            JoinKind::Semi | JoinKind::Anti => break,
+                        }
+                        (Some(_), _) => {
+                            for &rid in rids {
+                                combined.clear();
+                                combined.extend(l.iter().cloned());
+                                combined.extend(right.rows()[rid].iter().cloned());
+                                if matches_residual(&combined, spec) {
+                                    matched = true;
+                                    match spec.kind {
+                                        // Hand the scratch row itself to
+                                        // the output.
+                                        JoinKind::Inner | JoinKind::LeftOuter => {
+                                            rows.push(std::mem::replace(
+                                                &mut combined,
+                                                Vec::with_capacity(out_width),
+                                            ))
                                         }
+                                        JoinKind::Semi | JoinKind::Anti => break,
                                     }
                                 }
                             }
                         }
                     }
                 }
-                emit_unmatched(&mut rows, l, right_width, spec.kind, matched);
             }
+            emit_unmatched(&mut rows, l, right_width, spec.kind, matched);
         }
-        governor::charge("join", governor::tuple_bytes(rows.len(), out_width))?;
-        Ok(rows)
-    })?;
-    for rows in results {
-        out.rows_mut().extend(rows);
     }
-    sp.rows_out(out.len());
-    Ok(out)
+    governor::charge("join", governor::tuple_bytes(rows.len(), out_width))?;
+    sp.rows_out(rows.len());
+    Ok(Relation::with_rows(out_schema, rows))
 }
 
 fn matches_residual(combined: &[Value], spec: &JoinSpec) -> bool {
@@ -229,82 +199,6 @@ fn matches_residual(combined: &[Value], spec: &JoinSpec) -> bool {
         Some(p) => p.accepts(combined),
         None => true,
     }
-}
-
-/// Build the hash table(s) over the right side. One partition builds the
-/// classic single table; several partition rows by key hash, each worker
-/// inserting only its own keys (rid order within a key stays ascending).
-fn build_tables(
-    right: &Relation,
-    right_keys: &[usize],
-    bparts: usize,
-) -> Result<Vec<FxHashMap<GroupKey, Vec<usize>>>, EngineError> {
-    if bparts <= 1 {
-        let mut table: FxHashMap<GroupKey, Vec<usize>> = FxHashMap::default();
-        let mut rid = 0;
-        for window in right.rows().chunks(vec::batch_rows()) {
-            governor::checkpoint("join-build")?;
-            for r in window {
-                if !right_keys.iter().any(|&c| r[c].is_null()) {
-                    table
-                        .entry(GroupKey::from_tuple(r, right_keys))
-                        .or_default()
-                        .push(rid);
-                }
-                rid += 1;
-            }
-        }
-        return Ok(vec![table]);
-    }
-    // Pre-assign rows to build partitions in one chunked parallel pass
-    // (u32::MAX marks NULL keys, which no table admits), then let each
-    // worker insert exactly its partition's rows.
-    let ranges = exec::chunks(right.len(), bparts);
-    let assigned = exec::run_partitioned(bparts, |p| {
-        let mut key = GroupKey(Vec::with_capacity(right_keys.len()));
-        Ok(right.rows()[ranges[p].clone()]
-            .iter()
-            .map(|r| {
-                if right_keys.iter().any(|&c| r[c].is_null()) {
-                    u32::MAX
-                } else {
-                    key.refill(r, right_keys);
-                    (exec::key_hash(&key) % bparts as u64) as u32
-                }
-            })
-            .collect::<Vec<u32>>())
-    })?;
-    let assign: Vec<u32> = assigned.into_iter().flatten().collect();
-    exec::run_partitioned(bparts, |b| {
-        let mut table: FxHashMap<GroupKey, Vec<usize>> = FxHashMap::default();
-        let mut rid = 0;
-        for window in right.rows().chunks(vec::batch_rows()) {
-            governor::checkpoint("join-build")?;
-            for r in window {
-                if assign[rid] == b as u32 {
-                    table
-                        .entry(GroupKey::from_tuple(r, right_keys))
-                        .or_default()
-                        .push(rid);
-                }
-                rid += 1;
-            }
-        }
-        Ok(table)
-    })
-}
-
-/// Look `key` up in the table that owns its hash partition.
-fn probe<'t>(
-    tables: &'t [FxHashMap<GroupKey, Vec<usize>>],
-    key: &GroupKey,
-) -> Option<&'t Vec<usize>> {
-    let table = if tables.len() == 1 {
-        &tables[0]
-    } else {
-        &tables[(exec::key_hash(key) % tables.len() as u64) as usize]
-    };
-    table.get(key)
 }
 
 fn emit_unmatched(
@@ -478,55 +372,6 @@ mod tests {
         .unwrap();
         // l.k=1 has a match (w=12) -> excluded; l.k=2 and NULL kept.
         assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn parallel_join_is_byte_identical() {
-        // Skewed keys (incl. NULLs) over a few hundred rows; every kind,
-        // at 2 and 4 workers with a morsel floor of 1, must reproduce the
-        // sequential output *in order*.
-        let lrows: Vec<Vec<Value>> = (0..300)
-            .map(|i| {
-                let k = match i % 7 {
-                    0 => Value::Null,
-                    m => Value::Int(m % 5),
-                };
-                vec![k, Value::Int(i)]
-            })
-            .collect();
-        let rrows: Vec<Vec<Value>> = (0..200)
-            .map(|i| {
-                let k = match i % 11 {
-                    0 => Value::Null,
-                    m => Value::Int(m % 6),
-                };
-                vec![k, Value::Int(1000 + i)]
-            })
-            .collect();
-        let l = Relation::with_rows(left().schema().clone(), lrows);
-        let r = Relation::with_rows(right().schema().clone(), rrows);
-        for kind in [
-            JoinKind::Inner,
-            JoinKind::LeftOuter,
-            JoinKind::Semi,
-            JoinKind::Anti,
-        ] {
-            let spec = JoinSpec::new(kind, vec![(0, 0)], None);
-            let sequential = {
-                let _t = exec::set_threads(Some(1));
-                join(&l, &r, &spec).unwrap()
-            };
-            for threads in [2, 4] {
-                let _t = exec::set_threads(Some(threads));
-                let _m = exec::set_morsel_rows(1);
-                let parallel = join(&l, &r, &spec).unwrap();
-                assert_eq!(
-                    parallel.rows(),
-                    sequential.rows(),
-                    "{kind:?} at {threads} threads"
-                );
-            }
-        }
     }
 
     #[test]

@@ -7,17 +7,10 @@
 //! `INTERSECT` / `EXCEPT` without `ALL`): duplicates are eliminated, and
 //! rows compare under grouping equality (`NULL` matches `NULL`, as SQL set
 //! operations do — unlike `WHERE`-clause equality).
-//!
-//! The set variants are morsel-parallel in their probe work: key
-//! extraction and right-side membership tests run in contiguous chunks
-//! under [`crate::exec`], while the order-dependent dedup/emit pass stays
-//! sequential — so output order and content match the sequential code
-//! exactly.
 
 use nra_storage::{GroupKey, Relation};
 
 use crate::error::EngineError;
-use crate::exec;
 use crate::vec::{FxHashMap, FxHashSet};
 
 fn check_arity(left: &Relation, right: &Relation) -> Result<(), EngineError> {
@@ -35,71 +28,16 @@ fn all_cols(rel: &Relation) -> Vec<usize> {
     (0..rel.schema().len()).collect()
 }
 
-/// Extract every row's grouping key, in row order, chunked across
-/// workers (key extraction clones values — the expensive part of the
-/// probe side).
-fn extract_keys(
-    rel: &Relation,
-    cols: &[usize],
-    sp: &mut nra_obs::Span,
-) -> Result<Vec<GroupKey>, EngineError> {
-    let parts = exec::partitions(rel.len());
-    if parts > 1 {
-        sp.partitions(parts);
-    }
-    let ranges = exec::chunks(rel.len(), parts);
-    Ok(exec::run_partitioned(parts, |p| {
-        Ok(rel.rows()[ranges[p].clone()]
-            .iter()
-            .map(|row| GroupKey::from_tuple(row, cols))
-            .collect::<Vec<_>>())
-    })?
-    .into_iter()
-    .flatten()
-    .collect())
-}
-
-/// Each left row's key plus whether it occurs in `right_keys`, in row
-/// order, chunked across workers. The consuming dedup/emit loop is
-/// inherently sequential, but the hashing happens here.
-fn memberships(
-    left: &Relation,
-    right_keys: &FxHashSet<GroupKey>,
-    cols: &[usize],
-    sp: &mut nra_obs::Span,
-) -> Result<Vec<(GroupKey, bool)>, EngineError> {
-    let parts = exec::partitions(left.len());
-    if parts > 1 {
-        sp.partitions(parts);
-    }
-    let ranges = exec::chunks(left.len(), parts);
-    Ok(exec::run_partitioned(parts, |p| {
-        Ok(left.rows()[ranges[p].clone()]
-            .iter()
-            .map(|row| {
-                let key = GroupKey::from_tuple(row, cols);
-                let hit = right_keys.contains(&key);
-                (key, hit)
-            })
-            .collect::<Vec<_>>())
-    })?
-    .into_iter()
-    .flatten()
-    .collect())
-}
-
 /// `left ∪ right` (set semantics, left schema kept).
 pub fn union(left: &Relation, right: &Relation) -> Result<Relation, EngineError> {
     let mut sp = nra_obs::span(|| "setop[union]".to_string());
     sp.rows_in(left.len() + right.len());
     check_arity(left, right)?;
     let cols = all_cols(left);
-    let mut keys = extract_keys(left, &cols, &mut sp)?;
-    keys.extend(extract_keys(right, &cols, &mut sp)?);
     let mut seen: FxHashSet<GroupKey> = FxHashSet::default();
     let mut out = Relation::new(left.schema().clone());
-    for (row, key) in left.rows().iter().chain(right.rows()).zip(keys) {
-        if seen.insert(key) {
+    for row in left.rows().iter().chain(right.rows()) {
+        if seen.insert(GroupKey::from_tuple(row, &cols)) {
             out.push_unchecked(row.clone());
         }
     }
@@ -107,22 +45,36 @@ pub fn union(left: &Relation, right: &Relation) -> Result<Relation, EngineError>
     Ok(out)
 }
 
+/// The first occurrence of every distinct `left` row whose membership in
+/// `right` equals `keep_members` — `∩` with `true`, `−` with `false`.
+fn filter_distinct(
+    left: &Relation,
+    right: &Relation,
+    keep_members: bool,
+) -> Result<Relation, EngineError> {
+    check_arity(left, right)?;
+    let cols = all_cols(left);
+    let right_keys: FxHashSet<GroupKey> = right
+        .rows()
+        .iter()
+        .map(|row| GroupKey::from_tuple(row, &cols))
+        .collect();
+    let mut emitted: FxHashSet<GroupKey> = FxHashSet::default();
+    let mut out = Relation::new(left.schema().clone());
+    for row in left.rows() {
+        let key = GroupKey::from_tuple(row, &cols);
+        if right_keys.contains(&key) == keep_members && emitted.insert(key) {
+            out.push_unchecked(row.clone());
+        }
+    }
+    Ok(out)
+}
+
 /// `left ∩ right` (set semantics).
 pub fn intersect(left: &Relation, right: &Relation) -> Result<Relation, EngineError> {
     let mut sp = nra_obs::span(|| "setop[intersect]".to_string());
     sp.rows_in(left.len() + right.len());
-    check_arity(left, right)?;
-    let cols = all_cols(left);
-    let right_keys: FxHashSet<GroupKey> =
-        extract_keys(right, &cols, &mut sp)?.into_iter().collect();
-    let keyed = memberships(left, &right_keys, &cols, &mut sp)?;
-    let mut emitted: FxHashSet<GroupKey> = FxHashSet::default();
-    let mut out = Relation::new(left.schema().clone());
-    for (row, (key, hit)) in left.rows().iter().zip(keyed) {
-        if hit && emitted.insert(key) {
-            out.push_unchecked(row.clone());
-        }
-    }
+    let out = filter_distinct(left, right, true)?;
     sp.rows_out(out.len());
     Ok(out)
 }
@@ -131,18 +83,7 @@ pub fn intersect(left: &Relation, right: &Relation) -> Result<Relation, EngineEr
 pub fn difference(left: &Relation, right: &Relation) -> Result<Relation, EngineError> {
     let mut sp = nra_obs::span(|| "setop[difference]".to_string());
     sp.rows_in(left.len() + right.len());
-    check_arity(left, right)?;
-    let cols = all_cols(left);
-    let right_keys: FxHashSet<GroupKey> =
-        extract_keys(right, &cols, &mut sp)?.into_iter().collect();
-    let keyed = memberships(left, &right_keys, &cols, &mut sp)?;
-    let mut emitted: FxHashSet<GroupKey> = FxHashSet::default();
-    let mut out = Relation::new(left.schema().clone());
-    for (row, (key, hit)) in left.rows().iter().zip(keyed) {
-        if !hit && emitted.insert(key) {
-            out.push_unchecked(row.clone());
-        }
-    }
+    let out = filter_distinct(left, right, false)?;
     sp.rows_out(out.len());
     Ok(out)
 }

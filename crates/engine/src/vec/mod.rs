@@ -22,11 +22,12 @@
 //! scaling overflow and `NULL` propagation), and the generic fallback
 //! builds the one `Value` and calls the scalar comparison. The
 //! row-at-a-time evaluator in `crate::expr` is what everything above the
-//! scan runs, and the differential-testing reference for the kernels. Results, profile counters, goldens and committed
-//! baselines are byte-identical at any batch size and thread count.
+//! scan runs, and the differential-testing reference for the kernels.
+//! Results, profile counters, goldens and committed baselines are
+//! byte-identical at any batch size.
 //!
 //! The batch width defaults to [`DEFAULT_BATCH_ROWS`] (matching the
-//! morsel floor and the governor's `CHECK_ROWS` cadence); it is read
+//! governor's `CHECK_ROWS` cadence); it is read
 //! from the thread's [`QueryCtx`](crate::ctx::QueryCtx)
 //! ([`set_batch_rows`] writes it), falling back to the process
 //! [`Config`]'s `NRA_BATCH_ROWS`.
@@ -46,10 +47,9 @@ use crate::governor;
 use nra_storage::tuple::group_eq_on;
 use nra_storage::Tuple;
 
-/// Default rows per [`ValueBatch`]: matches the morsel floor
-/// (`exec::DEFAULT_MORSEL_ROWS`) and the governor's cancellation cadence
-/// (`governor::CHECK_ROWS`), so one batch is one unit of cooperative
-/// bookkeeping.
+/// Default rows per [`ValueBatch`]: matches the governor's cancellation
+/// cadence (`governor::CHECK_ROWS`), so one batch is one unit of
+/// cooperative bookkeeping.
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
 
 /// The batch width for vectorized scans on this thread: the context's
@@ -64,8 +64,7 @@ pub fn batch_rows() -> usize {
 
 /// Set (or with `None`, clear) this thread's batch width for the
 /// lifetime of the returned guard. Tests shrink it to 1 or 3 to shake
-/// batch-boundary handling; `exec::run_partitioned` workers inherit it
-/// with the rest of the context.
+/// batch-boundary handling.
 pub fn set_batch_rows(n: Option<usize>) -> CtxGuard {
     ctx::update(|c| c.batch_rows = n.map(|n| n.max(1)))
 }

@@ -28,12 +28,6 @@ const REJECT: &str = "";
 #[test]
 fn every_knob_parses_strictly() {
     let cases = [
-        ("NRA_THREADS", "4", "threads: Some(4)"),
-        ("NRA_THREADS", " 2 ", "threads: Some(2)"),
-        ("NRA_THREADS", "0", "threads: Some(1)"),
-        ("NRA_THREADS", "1000", "threads: Some(64)"),
-        ("NRA_THREADS", "four", REJECT),
-        ("NRA_THREADS", "-1", REJECT),
         ("NRA_BATCH_ROWS", "3", "batch_rows: Some(3)"),
         ("NRA_BATCH_ROWS", "0", REJECT),
         ("NRA_BATCH_ROWS", "lots", REJECT),
@@ -48,6 +42,7 @@ fn every_knob_parses_strictly() {
         ),
         ("NRA_FAULT", "", "engine: [], io: []"),
         ("NRA_FAULT", "bogus", REJECT),
+        ("NRA_FAULT", "partition-merge:1", REJECT),
         ("NRA_MAX_CONCURRENT", "8", "max_concurrent: Some(8)"),
         ("NRA_MAX_CONCURRENT", "0", "max_concurrent: Some(1)"),
         ("NRA_MAX_CONCURRENT", "many", REJECT),
@@ -77,7 +72,7 @@ fn every_knob_parses_strictly() {
         ("NRA_CHECKPOINT_EVERY", "-1", REJECT),
     ];
     let knobs = knobs();
-    assert_eq!(knobs.len(), 14, "{knobs:?}");
+    assert_eq!(knobs.len(), 13, "{knobs:?}");
     for knob in &knobs {
         assert!(cases.iter().any(|c| c.0 == knob), "{knob} has no case");
     }

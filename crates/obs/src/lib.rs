@@ -77,10 +77,6 @@ pub struct OpStats {
     pub pass: u64,
     pub fail: u64,
     pub unknown: u64,
-    /// Largest partition count this operator ran with (0 = always
-    /// sequential). Merged by maximum, not by sum: it describes *how* the
-    /// operator ran, not how much work it did.
-    pub partitions: u64,
 }
 
 /// Labels for [`OpStats::group_card_hist`] buckets.
@@ -112,7 +108,6 @@ impl OpStats {
         self.pass += other.pass;
         self.fail += other.fail;
         self.unknown += other.unknown;
-        self.partitions = self.partitions.max(other.partitions);
     }
 
     /// Record one nest group of the given cardinality.
@@ -198,13 +193,11 @@ pub fn snapshot() -> Profile {
                 .map(|n| (n.clone(), col.ops[n].clone()))
                 .collect(),
             io: io_snapshot(),
-            threads: 1,
             outcome: None,
         },
         None => Profile {
             ops: Vec::new(),
             io: None,
-            threads: 1,
             outcome: None,
         },
     })
@@ -221,7 +214,6 @@ fn finish(col: Collector) -> Profile {
             })
             .collect(),
         io: io_snapshot(),
-        threads: 1,
         outcome: None,
     }
 }
@@ -376,17 +368,10 @@ impl Span {
         }
     }
 
-    /// Record that this operator ran partitioned `n` ways.
-    pub fn partitions(&mut self, n: usize) {
-        if let Some(i) = &mut self.inner {
-            i.stats.partitions = i.stats.partitions.max(n as u64);
-        }
-    }
-
-    /// Fold a batch of externally accumulated counters (e.g. from a worker
-    /// partition) into this span. `invocations` of `stats` are added too,
-    /// so workers contributing to a single logical invocation should leave
-    /// that field at zero.
+    /// Fold a batch of locally accumulated counters (e.g. a scan loop's
+    /// outcome tallies) into this span. `invocations` of `stats` are added
+    /// too, so counters contributing to a single logical invocation should
+    /// leave that field at zero.
     pub fn absorb_stats(&mut self, stats: &OpStats) {
         if let Some(i) = &mut self.inner {
             i.stats.merge(stats);
@@ -416,77 +401,6 @@ impl Drop for Span {
     }
 }
 
-/// Captured collector + scope state, for handing instrumentation across a
-/// thread boundary (the collector and scope stack are thread-local, so
-/// worker threads spawned by `nra_engine::exec` would otherwise record
-/// nothing).
-///
-/// The parent captures a `Handoff` before spawning; each worker runs its
-/// closure under [`Handoff::run`], which installs a *private* collector
-/// (plus the parent's innermost scope, so qualified names match) and
-/// returns the worker's [`Profile`]. The parent then merges worker
-/// profiles back with [`absorb`] in deterministic partition order.
-/// Tracing does not cross threads: sinks are thread-local by design, so
-/// workers emit no trace events.
-#[derive(Clone)]
-pub struct Handoff {
-    collecting: bool,
-    scope: Option<String>,
-    /// The parent's per-query metrics registry, shared by reference: worker
-    /// threads record into the same `Arc`'d registry, and every metric
-    /// operation commutes, so the result is thread-count-invariant.
-    query_metrics: Option<std::sync::Arc<metrics::Registry>>,
-    /// The parent's live progress state, shared the same way: worker row
-    /// ticks and memory high-water updates land in the same `Arc`'d
-    /// atomics the coordinator (or any observer thread) snapshots.
-    progress: Option<std::sync::Arc<progress::ProgressState>>,
-}
-
-impl Handoff {
-    /// Capture the calling thread's collection state and innermost scope.
-    pub fn capture() -> Handoff {
-        Handoff {
-            collecting: is_enabled(),
-            scope: SCOPES.with(|s| s.borrow().last().cloned()),
-            query_metrics: metrics::query_registry(),
-            progress: progress::current(),
-        }
-    }
-
-    /// Run `f` on the current (worker) thread. When the parent was
-    /// collecting, a fresh collector and the parent's scope are installed
-    /// for the duration and the worker's profile is handed back. The
-    /// parent's per-query metrics registry and progress state (if any)
-    /// are installed either way.
-    pub fn run<T>(&self, f: impl FnOnce() -> T) -> (T, Option<Profile>) {
-        let _metrics = metrics::install_query(self.query_metrics.clone());
-        let _progress = progress::install(self.progress.clone());
-        if !self.collecting {
-            return (f(), None);
-        }
-        enable();
-        let out = {
-            let _scope = self.scope.clone().map(|label| scope(move || label));
-            f()
-        };
-        (out, disable())
-    }
-}
-
-/// Merge a worker profile's operators into this thread's collector
-/// (no-op when collection is disabled). The worker's `io` and `threads`
-/// fields are ignored — the I/O simulator and the thread budget belong to
-/// the coordinating thread.
-pub fn absorb(profile: &Profile) {
-    COLLECTOR.with(|c| {
-        if let Some(col) = &mut *c.borrow_mut() {
-            for (name, stats) in &profile.ops {
-                col.merge(name, stats);
-            }
-        }
-    });
-}
-
 /// Update counters under an *already qualified* name without a timer —
 /// for per-row hot paths that precompute their name once (see
 /// [`qualified`]). No-op when collection is disabled.
@@ -512,9 +426,6 @@ pub fn record(name: &str, f: impl FnOnce(&mut OpStats)) {
 pub struct Profile {
     pub ops: Vec<(String, OpStats)>,
     pub io: Option<IoStats>,
-    /// Worker-thread budget the query ran with (1 = sequential; 0 is
-    /// treated as 1 for profiles built before the field existed).
-    pub threads: usize,
     /// How the query finished, when the caller recorded it: `"ok"`,
     /// `"cancelled"`, `"resource-exhausted"`, `"worker-panicked"`, or
     /// `"error"` for any other failure. `None` for profiles collected
@@ -587,7 +498,6 @@ impl Profile {
                 ("pass", s.pass),
                 ("fail", s.fail),
                 ("unknown", s.unknown),
-                ("partitions", s.partitions),
             ] {
                 out.push_str(&format!(", \"{key}\": {v}"));
             }
@@ -601,7 +511,6 @@ impl Profile {
             )),
             None => out.push_str("null"),
         }
-        out.push_str(&format!(", \"threads\": {}", self.threads.max(1)));
         if let Some(outcome) = &self.outcome {
             out.push_str(", \"outcome\": ");
             json::write_string(&mut out, outcome);

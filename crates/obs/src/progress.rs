@@ -1,12 +1,11 @@
 //! Live per-query progress estimation.
 //!
 //! A [`ProgressState`] is built by the query entry point (`Database::
-//! execute`) alongside the governor guard, installed on the coordinating
-//! thread via [`install`], and carried to every worker by
-//! [`crate::Handoff`] — the same thread-local + guard pattern the
+//! execute`) alongside the governor guard and installed on the executing
+//! thread via [`install`] — the same thread-local + guard pattern the
 //! per-query metrics registry uses. While the query runs, the engine's
 //! governor cadence (`governor::tick`, every 1024 rows) feeds
-//! [`on_rows`], and the memory-budget flush path feeds [`on_mem`], so a
+//! [`on_rows`], and every memory-budget charge feeds [`on_mem`], so a
 //! [`ProgressSnapshot`] — phase, percent complete, rows processed vs.
 //! estimated, elapsed wall time, memory high-water — is readable *from
 //! any thread* through the shared `Arc` at any point during execution.
@@ -199,8 +198,7 @@ impl Drop for ProgressGuard {
     }
 }
 
-/// The progress state installed on this thread, if any (captured by
-/// [`crate::Handoff`] to hand to workers).
+/// The progress state installed on this thread, if any.
 pub fn current() -> Option<Arc<ProgressState>> {
     PROGRESS.with(|p| p.borrow().clone())
 }

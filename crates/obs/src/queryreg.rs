@@ -37,8 +37,6 @@ pub struct QueryRecord {
     pub wall_ms: u64,
     /// Result rows produced (0 on error).
     pub rows: u64,
-    /// Worker-thread budget the query ran with.
-    pub threads: u64,
     /// Worst per-node cardinality Q-error ×100 (100 = perfect estimate;
     /// 0 = no estimate/actual pair was available).
     pub qerror_x100: u64,
@@ -58,7 +56,7 @@ pub struct RunningQuery {
     pub id: u64,
     /// The statement, already normalized by the caller.
     pub sql: String,
-    /// Live progress, shared with the executing threads.
+    /// Live progress, shared with the executing thread.
     pub progress: Arc<ProgressState>,
 }
 
@@ -149,7 +147,6 @@ mod tests {
             outcome: "ok".to_string(),
             wall_ms: 1,
             rows: 2,
-            threads: 1,
             qerror_x100: 100,
             mem_bytes: 0,
             strategy: "original".to_string(),

@@ -14,7 +14,7 @@
 //!
 //! ```json
 //! {"statement": "select ...", "outcome": "ok", "wall_ms": 12,
-//!  "threads": 4, "rows": 100, "strategy": "original",
+//!  "rows": 100, "strategy": "original",
 //!  "mem_bytes": 0, "plan": "..." | null,
 //!  "profile": {"ops": [...], ...} | null,
 //!  "progress": {"phase": "...", "percent": 100, "rows_processed": 0,
@@ -33,7 +33,6 @@ pub struct SlowRecord<'a> {
     pub statement: &'a str,
     pub outcome: &'a str,
     pub wall_ms: u64,
-    pub threads: u64,
     pub rows: u64,
     pub strategy: &'a str,
     pub mem_bytes: u64,
@@ -53,8 +52,8 @@ impl SlowRecord<'_> {
         out.push_str(", \"outcome\": ");
         json::write_string(&mut out, self.outcome);
         out.push_str(&format!(
-            ", \"wall_ms\": {}, \"threads\": {}, \"rows\": {}, \"strategy\": ",
-            self.wall_ms, self.threads, self.rows
+            ", \"wall_ms\": {}, \"rows\": {}, \"strategy\": ",
+            self.wall_ms, self.rows
         ));
         json::write_string(&mut out, self.strategy);
         out.push_str(&format!(", \"mem_bytes\": {}", self.mem_bytes));
@@ -95,7 +94,7 @@ pub fn validate(line: &str) -> Result<(), String> {
     for key in ["statement", "outcome", "strategy"] {
         require_str(&v, key)?;
     }
-    for key in ["wall_ms", "threads", "rows", "mem_bytes"] {
+    for key in ["wall_ms", "rows", "mem_bytes"] {
         require_u64(&v, key)?;
     }
     match v.get("plan") {
@@ -162,7 +161,6 @@ mod tests {
             statement: "select \"weird\" from t",
             outcome: "ok",
             wall_ms: 7,
-            threads: 2,
             rows: 12,
             strategy: "original",
             mem_bytes: 0,

@@ -87,14 +87,6 @@ pub enum TraceEvent {
         wall_ns: u64,
         rows: Option<u64>,
     },
-    /// The planner granted the executor a data-parallelism budget:
-    /// `threads` workers over at most `partitions` hash/morsel partitions,
-    /// with the reason for the choice (or for staying sequential).
-    Parallelism {
-        threads: usize,
-        partitions: usize,
-        reason: String,
-    },
     /// One operator span finished (same qualified names as
     /// [`crate::Profile`], so traces and profiles correlate by name).
     Op {
@@ -133,7 +125,6 @@ impl TraceEvent {
             TraceEvent::RewriteStep { .. } => "rewrite_step",
             TraceEvent::PhaseStart { .. } => "phase_start",
             TraceEvent::PhaseDone { .. } => "phase_done",
-            TraceEvent::Parallelism { .. } => "parallelism",
             TraceEvent::Op { .. } => "op",
             TraceEvent::Governor { .. } => "governor",
             TraceEvent::QErrorSummary { .. } => "qerror_summary",
@@ -214,16 +205,6 @@ impl TraceEvent {
                     Some(n) => out.push_str(&n.to_string()),
                     None => out.push_str("null"),
                 }
-            }
-            TraceEvent::Parallelism {
-                threads,
-                partitions,
-                reason,
-            } => {
-                out.push_str(&format!(
-                    ", \"threads\": {threads}, \"partitions\": {partitions}, \"reason\": "
-                ));
-                json::write_string(&mut out, reason);
             }
             TraceEvent::Op {
                 name,
@@ -318,14 +299,6 @@ impl fmt::Display for TraceEvent {
                 }
                 Ok(())
             }
-            TraceEvent::Parallelism {
-                threads,
-                partitions,
-                reason,
-            } => write!(
-                f,
-                "· parallel: {threads} thread(s) × {partitions} partition(s) — {reason}"
-            ),
             TraceEvent::Op {
                 name,
                 wall_ns,

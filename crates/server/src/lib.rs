@@ -16,9 +16,10 @@
 //! ```text
 //! .ping                      liveness probe
 //! .session                   one-row result with this connection's session id
-//! .set <key> <value>         set a session default: engine, threads,
+//! .set <key> <value>         set a session default: engine,
 //!                            timeout_ms, mem_limit, plan_cache
-//!                            (value `off`/`auto` resets to the default)
+//!                            (value `off`/`auto` resets to the default);
+//!                            `threads <n>` is accepted and ignored
 //! .prepare <name> <sql>      validate + remember a statement
 //! .exec <name>               run a prepared statement
 //! .quit                      close the connection
@@ -256,7 +257,6 @@ impl Drop for ServerHandle {
 #[derive(Default)]
 struct ConnConfig {
     engine: Option<Engine>,
-    threads: Option<usize>,
     timeout_ms: Option<u64>,
     mem_limit: Option<u64>,
     plan_cache: Option<bool>,
@@ -267,9 +267,6 @@ impl ConnConfig {
         let mut opts = QueryOptions::new();
         if let Some(engine) = self.engine {
             opts = opts.engine(engine);
-        }
-        if let Some(n) = self.threads {
-            opts = opts.threads(n);
         }
         if let Some(ms) = self.timeout_ms {
             opts = opts.timeout_ms(ms);
@@ -407,16 +404,14 @@ impl Connection {
                     Some(parse_engine(value)?)
                 }
             }
+            // Accepted and ignored — execution is sequential per query —
+            // but still validated. Removed together with the benchmark's
+            // `nested_parallel` workload in the benchmark's own change.
             "threads" => {
-                self.config.threads = if off {
-                    None
-                } else {
-                    Some(
-                        value
-                            .parse::<usize>()
-                            .map_err(|_| format!("threads takes a count, got `{value}`"))?
-                            .max(1),
-                    )
+                if !off {
+                    value
+                        .parse::<usize>()
+                        .map_err(|_| format!("threads takes a count, got `{value}`"))?;
                 }
             }
             "timeout_ms" => {

@@ -1,8 +1,13 @@
 //! End-to-end protocol tests: a real listener on an ephemeral port,
 //! real client sockets, concurrent connections, clean shutdown.
 
+use nra::engine::exec;
+use nra::obs::{OpStats, Profile};
 use nra::storage::{Column, ColumnType, Value};
-use nra::Database;
+use nra::tpch::gen::{generate, TpchConfig};
+use nra::tpch::paper_example::{rst_catalog, QUERY_Q};
+use nra::tpch::queries::{q2_sql, Quant};
+use nra::{Database, QueryOptions};
 use nra_server::{serve, Client};
 
 fn seeded_db() -> Database {
@@ -78,7 +83,6 @@ fn set_prepare_exec_roundtrip() {
     let handle = serve(seeded_db(), "127.0.0.1:0").unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
 
-    client.query(".set threads 1").unwrap();
     client.query(".set engine original").unwrap();
     client
         .query(".prepare low select k from t where k < 5")
@@ -169,5 +173,60 @@ fn shutdown_is_clean_and_idempotent_for_new_connects() {
     // the socket is closed without a response frame.
     if let Ok(mut c) = Client::connect(addr) {
         assert!(c.query(".ping").is_err(), "server still answering");
+    }
+}
+
+/// A profile's counters with the wall times zeroed: everything that must
+/// not depend on how the query was scheduled.
+fn counters(profile: Profile) -> Vec<(String, OpStats)> {
+    profile
+        .ops
+        .into_iter()
+        .map(|(name, stats)| {
+            (
+                name,
+                OpStats {
+                    wall_ns: 0,
+                    ..stats
+                },
+            )
+        })
+        .collect()
+}
+
+/// The thread settings `benchmark/` still sends — `.set threads N` on the
+/// wire, `QueryOptions::threads` and `exec::set_threads` — are accepted
+/// and ignored: every query runs sequentially, so each form returns the
+/// default run's rows and profile counters byte for byte.
+#[test]
+fn thread_settings_are_accepted_and_ignored() {
+    let tpch = generate(&TpchConfig::tiny());
+    let q2 = q2_sql(&tpch, Quant::All, 200, 400);
+    for (cat, sql) in [(rst_catalog(), QUERY_Q.to_string()), (tpch, q2)] {
+        let db = Database::from_catalog(cat);
+        let profiled = QueryOptions::new().collect_profile(true);
+        let run = |opts: &QueryOptions| {
+            let out = db.connect().execute_with(&sql, opts).unwrap();
+            (out.rows, counters(out.profile.unwrap()))
+        };
+        let default = run(&profiled);
+        assert!(!default.0.is_empty(), "{sql}");
+        assert_eq!(run(&profiled.clone().threads(4)), default);
+        {
+            let _ambient = exec::set_threads(Some(4));
+            assert_eq!(run(&profiled), default);
+        }
+
+        let handle = serve(db.clone(), "127.0.0.1:0").unwrap();
+        let mut plain = Client::connect(handle.addr()).unwrap();
+        let mut two = Client::connect(handle.addr()).unwrap();
+        two.query(".set threads 2").unwrap();
+        let wire = plain.query(&sql).unwrap();
+        assert_eq!(wire.rows.len(), default.0.len());
+        assert_eq!(two.query(&sql).unwrap().rows, wire.rows);
+        // A value that is not a count is still refused.
+        let err = two.query(".set threads four").unwrap_err();
+        assert!(err.starts_with("protocol:"), "{err}");
+        handle.shutdown();
     }
 }

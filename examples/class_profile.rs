@@ -78,7 +78,7 @@ fn main() {
         ("q1agg", q1_agg_sql(&cat, outer)),
     ];
     let db = Database::from_catalog(cat);
-    let opts = QueryOptions::new().threads(1).collect_profile(true);
+    let opts = QueryOptions::new().collect_profile(true);
 
     for (class, sql) in &classes {
         let (wall_ms, out) = std::thread::scope(|scope| {
@@ -137,7 +137,7 @@ fn main() {
     if rounds == 0 {
         return;
     }
-    let opts = QueryOptions::new().threads(1);
+    let opts = QueryOptions::new();
     let mut times: Vec<Vec<f64>> = vec![Vec::with_capacity(rounds); classes.len()];
     std::thread::scope(|scope| {
         let run = scope.spawn(|| {

@@ -15,7 +15,6 @@
 //! :export <table> <file.csv>    dump a table to CSV
 //! :tables                       list tables with row counts
 //! :engine <auto|original|optimized|bottomup|pushdown|positive|baseline|oracle>
-//! :threads <n|auto>             worker budget for partition-parallel execution
 //! :timeout <ms|off>             cancel queries cooperatively after a deadline
 //! :memlimit <bytes|off>         per-query memory budget for governed allocations
 //! :explain <sql>                plan choices + the paper's tree expression
@@ -58,14 +57,13 @@ use nra::storage::csv::{read_rows, write_relation, CsvOptions};
 use nra::storage::{Column, ColumnType, Schema, Table};
 use nra::{Database, Engine, QueryOptions, Session, Strategy};
 
-/// The interactive shell drives one [`Session`]: the engine/thread/
-/// limit knobs below are mirrored into the session's default
+/// The interactive shell drives one [`Session`]: the engine and limit
+/// knobs below are mirrored into the session's default
 /// [`QueryOptions`] whenever they change, and every SQL line executes
 /// through [`Session::execute`].
 struct Shell {
     session: Session,
     engine: Engine,
-    threads: Option<usize>,
     timing: bool,
     timeout_ms: Option<u64>,
     mem_limit: Option<u64>,
@@ -104,7 +102,6 @@ fn main() {
     let mut shell = Shell {
         session: durable.unwrap_or_default().connect(),
         engine: Engine::default(),
-        threads: None,
         timing: false,
         timeout_ms: None,
         mem_limit: None,
@@ -259,7 +256,6 @@ impl Shell {
                     Ok(())
                 }
                 "engine" => self.cmd_engine(args),
-                "threads" => self.cmd_threads(args),
                 "timeout" => self.cmd_timeout(args),
                 "memlimit" => self.cmd_memlimit(args),
                 "explain" => self.cmd_explain(args),
@@ -327,8 +323,8 @@ impl Shell {
                     }
                     for r in completed {
                         println!(
-                            "{:>4}  {:<18}  {:>8} ms  {:>8} rows  {} thread(s)  [{}]  {}",
-                            r.id, r.outcome, r.wall_ms, r.rows, r.threads, r.strategy, r.sql
+                            "{:>4}  {:<18}  {:>8} ms  {:>8} rows  [{}]  {}",
+                            r.id, r.outcome, r.wall_ms, r.rows, r.strategy, r.sql
                         );
                     }
                     Ok(())
@@ -345,14 +341,11 @@ impl Shell {
         self.session.database()
     }
 
-    /// The shell's standing execution options (engine, thread budget,
-    /// and resource limits) — mirrored into the session defaults by
+    /// The shell's standing execution options (engine and resource
+    /// limits) — mirrored into the session defaults by
     /// [`Shell::sync_defaults`].
     fn opts(&self) -> QueryOptions {
         let mut opts = QueryOptions::new().engine(self.engine);
-        if let Some(n) = self.threads {
-            opts = opts.threads(n);
-        }
         if let Some(ms) = self.timeout_ms {
             opts = opts.timeout_ms(ms);
         }
@@ -513,21 +506,6 @@ impl Shell {
         Ok(())
     }
 
-    fn cmd_threads(&mut self, args: &str) -> Result<(), String> {
-        if args.eq_ignore_ascii_case("auto") || args.is_empty() {
-            self.threads = None;
-            println!("threads: ambient (NRA_THREADS or sequential)");
-        } else {
-            let n: usize = args
-                .parse()
-                .map_err(|_| ":threads takes a worker count or `auto`".to_string())?;
-            self.threads = Some(n.max(1));
-            println!("threads set to {}", n.max(1));
-        }
-        self.sync_defaults();
-        Ok(())
-    }
-
     fn cmd_timeout(&mut self, args: &str) -> Result<(), String> {
         if args.eq_ignore_ascii_case("off") || args.is_empty() {
             self.timeout_ms = None;
@@ -585,7 +563,6 @@ const HELP: &str = "\
 :tables                       list tables with row counts
 :checkpoint                   snapshot a durable database and truncate its WAL
 :engine <auto|original|optimized|bottomup|pushdown|positive|baseline|oracle>
-:threads <n|auto>             worker budget for partition-parallel execution
 :timeout <ms|off>             cancel queries cooperatively after a deadline
 :memlimit <bytes|off>         per-query memory budget for governed allocations
 :explain <sql>                plan choices + the paper's tree expression

@@ -341,12 +341,9 @@ impl Database {
     /// engine, the combined result goes through the set-operation algebra
     /// (`nra_engine::ops::setops`).
     ///
-    /// Parallelism: the call runs under the thread budget from
-    /// [`QueryOptions::threads`] (falling back to an ambient
-    /// `exec::set_threads`, the `NRA_THREADS` knob, else sequential). The partition-parallel
-    /// executor is deterministic — rows, their order, and every profile
-    /// counter except wall times and partition counts are identical at
-    /// any thread count.
+    /// The call runs sequentially on the calling thread: rows, their
+    /// order, and every profile counter except wall times are identical
+    /// on every run.
     ///
     /// Observability side effects match the old dedicated methods: a
     /// profile collector or tracer already installed on this thread is
@@ -443,13 +440,10 @@ mod tests {
                 &QueryOptions::new()
                     .strategy(Strategy::Original)
                     .collect_profile(true)
-                    .collect_trace(true)
-                    .threads(1),
+                    .collect_trace(true),
             )
             .unwrap();
-        assert_eq!(out.threads, 1);
         let profile = out.profile.expect("profile requested");
-        assert_eq!(profile.threads, 1);
         assert!(!profile.ops.is_empty());
         assert!(out.plan.expect("Algorithm 1 plan").contains("rows="));
         assert!(!out.trace.expect("trace requested").entries.is_empty());

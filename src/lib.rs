@@ -40,16 +40,15 @@
 //! assert_eq!(top.rows.len(), 0, "NULL salary in dept 2 blocks every comparison");
 //! ```
 //!
-//! The same call collects plans, operator profiles, lifecycle traces, and
-//! controls the partition-parallel executor:
+//! The same call collects plans, operator profiles and lifecycle traces:
 //!
 //! ```
 //! # use nra::{Database, QueryOptions};
 //! # let db = Database::new();
 //! # let _ = &db;
 //! let opts = QueryOptions::new()
-//!     .threads(4)             // worker budget for the morsel scheduler
-//!     .collect_profile(true); // per-operator stats in `outcome.profile`
+//!     .collect_profile(true) // per-operator stats in `outcome.profile`
+//!     .collect_trace(true); // the lifecycle trace in `outcome.trace`
 //! # let _ = opts;
 //! ```
 

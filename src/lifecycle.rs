@@ -10,8 +10,7 @@
 //!    `explain_only` return before any per-query state exists.
 //! 3. **Stages** — admission permit → catalog read guard → [`Stages`]
 //!    (metrics scope → trace sinks → progress + registry entry → profile
-//!    collector → I/O simulator → governor + thread budget + batch
-//!    width). Every stage is RAII: whatever was acquired is released in
+//!    collector → I/O simulator → governor + batch width). Every stage is RAII: whatever was acquired is released in
 //!    reverse order on every path out, including an unwind.
 //! 4. **Run** — [`Database::run_statements`] under `exec::contain`.
 //! 5. **Finish** — one [`Summary`] computed once and handed to the four
@@ -24,7 +23,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use nra_core::{CardEstimates, Strategy};
-use nra_engine::exec::{self, MAX_THREADS};
+use nra_engine::exec;
 use nra_engine::vec::DEFAULT_BATCH_ROWS;
 use nra_engine::{ctx, governor, Config, Governor, QueryCtx};
 use nra_obs::metrics::{self, Registry};
@@ -58,7 +57,6 @@ struct Query<'a> {
     options: &'a QueryOptions,
     config: &'a Config,
     caller: Caller,
-    threads: usize,
 }
 
 /// The result plus the plan it ran from (shared with the plan cache),
@@ -76,17 +74,11 @@ impl Database {
     ) -> Result<QueryOutcome, NraError> {
         let config = self.config()?;
         let ambient = ctx::current();
-        let threads = options
-            .threads
-            .or(ambient.threads)
-            .or(config.threads)
-            .unwrap_or(1)
-            .clamp(1, MAX_THREADS);
 
         // Metadata paths bypass the admission gate below: inspecting a
         // saturated database must itself never queue.
         if let Some(table) = nra_sql::parse_analyze(sql)? {
-            return self.run_analyze(&table, threads);
+            return self.run_analyze(&table);
         }
         if !caller.introspection && sys::mentions_sys(sql) {
             if let Some(result) = sys::dispatch(self, sql, options, caller.session) {
@@ -95,7 +87,7 @@ impl Database {
         }
         if options.explain_only {
             let plan = self.explain_text(&self.catalog(), sql)?;
-            return Ok(QueryOutcome::plan_only(plan, threads));
+            return Ok(QueryOutcome::plan_only(plan));
         }
 
         // A refused query never registers, traces or profiles: the gate
@@ -115,15 +107,14 @@ impl Database {
             options,
             config,
             caller,
-            threads,
         };
         let stages = Stages::enter(&query, ambient);
 
         // One checkpoint before any work: an already-cancelled token or
         // a zero timeout stops even queries whose plans never reach an
-        // instrumented operator loop. `contain` turns a panic that
-        // escapes the worker harness (an injected coordinator panic)
-        // into a structured error.
+        // instrumented operator loop. `contain` turns a panic anywhere in
+        // the statement (an injected fault, an operator bug) into a
+        // structured error.
         let result = governor::checkpoint("query-start")
             .map_err(NraError::Engine)
             .and_then(|()| exec::contain("query", || self.run_statements(&cat, &query)));
@@ -174,7 +165,6 @@ impl RegistryEntry {
                 outcome: s.outcome.to_string(),
                 wall_ms: s.wall_ms,
                 rows: s.rows,
-                threads: q.threads as u64,
                 qerror_x100: s.qerror_max_x100,
                 mem_bytes: s.mem_high_water,
                 strategy: s.strategy.to_string(),
@@ -225,9 +215,8 @@ struct Stages {
 
 impl Stages {
     fn enter(q: &Query<'_>, ambient: QueryCtx) -> Stages {
-        // A fresh per-query registry on this thread (and, through the
-        // worker context, on every worker); the process-cumulative
-        // registry keeps accumulating regardless.
+        // A fresh per-query registry on this thread; the
+        // process-cumulative registry keeps accumulating regardless.
         let query_metrics = (q.options.collect_metrics || q.config.metrics_path.is_some())
             .then(|| Arc::new(Registry::new()));
         let _metrics_scope = metrics::install_query(query_metrics.clone());
@@ -271,8 +260,6 @@ impl Stages {
             .or(q.config.batch_rows)
             .unwrap_or(DEFAULT_BATCH_ROWS);
         let ctx = ctx::enter(QueryCtx {
-            threads: Some(q.threads),
-            morsel_rows: ambient.morsel_rows,
             batch_rows: Some(batch_rows),
             governor: governor.clone(),
         });
@@ -320,14 +307,11 @@ impl Stages {
                 _ => "error",
             };
             p.outcome = Some(label.to_string());
-            p.threads = q.threads;
         }
         drop(self.iosim);
-        // Leaving the context flushes this thread's pending charges, after
-        // which `mem_used()` is the query's memory high-water mark. It
-        // goes to the trace and a process-level gauge, never the
-        // per-query scope: charge interleaving makes the peak
-        // scheduling-dependent.
+        // `mem_used()` is the query's memory high-water mark. It goes to
+        // the trace and a process-level gauge, never the per-query scope,
+        // which holds only counters derived from the profile.
         drop(self.ctx);
         let mem_high_water = governor.as_ref().map_or(0, |g| g.mem_used());
         if governor.is_some() {
@@ -404,7 +388,6 @@ impl Stages {
             profile: profile.filter(|_| q.options.collect_profile),
             metrics,
             trace,
-            threads: q.threads,
             progress,
         })
     }
@@ -442,8 +425,8 @@ fn report_qerror(profile: Option<&Profile>, estimates: Option<&CardEstimates>) -
 }
 
 /// Query-level counters, recorded in both scopes. Everything here is
-/// derived from the merged profile or the result, never from
-/// scheduling, so the per-query scope stays thread-invariant.
+/// derived from the profile or the result, never from timing, so the
+/// per-query scope is the same on every run of a query.
 fn record_counters(s: &Summary, profile: Option<&Profile>) {
     metrics::both(|m| {
         m.counter_add("nra_queries_total", &[("outcome", s.outcome)], 1);
@@ -483,7 +466,6 @@ fn report_slow(
             statement: &q.statement,
             outcome: s.outcome,
             wall_ms: s.wall_ms,
-            threads: q.threads as u64,
             rows: s.rows,
             strategy: s.strategy,
             mem_bytes: s.mem_high_water,
@@ -532,7 +514,7 @@ impl Database {
     /// summary as plan text. Counts as a catalog write for plan-cache
     /// purposes: fresh statistics can change strategy and estimate
     /// choices, so cached plans are invalidated.
-    fn run_analyze(&self, table: &str, threads: usize) -> Result<QueryOutcome, NraError> {
+    fn run_analyze(&self, table: &str) -> Result<QueryOutcome, NraError> {
         let stats = self.catalog().table(table)?.analyze();
         if self.is_durable() {
             // Statistics steer the planner; losing them across a
@@ -553,7 +535,7 @@ impl Database {
                 col.name, col.ndv, col.null_count
             ));
         }
-        Ok(QueryOutcome::plan_only(plan, threads))
+        Ok(QueryOutcome::plan_only(plan))
     }
 
     /// Parse and run a full (possibly compound) query through the
@@ -565,8 +547,7 @@ impl Database {
     /// while the schema version matches): a hit skips the parser and
     /// binder entirely. Cache counters live in the global metrics
     /// scope only — whether a statement hits depends on process
-    /// history, which must not leak into the thread-invariant per-query
-    /// snapshot.
+    /// history, which must not leak into the per-query snapshot.
     fn run_statements(&self, cat: &Catalog, q: &Query<'_>) -> Executed {
         let engine = q.options.engine;
         let version = self.shared.version.load(Ordering::SeqCst);
@@ -756,9 +737,9 @@ fn merged_rows_out(profile: &Profile, prefix: &str) -> Option<u64> {
 
 /// Project a merged profile into per-operator metric counters.
 ///
-/// Wall times and partition counts stay out deliberately: every counter
-/// recorded here is identical at any thread count, which is what makes
-/// the per-query metrics scope deterministic.
+/// Wall times stay out deliberately: every counter recorded here is
+/// identical on every run, which is what makes the per-query metrics
+/// scope deterministic.
 fn record_op_metrics(reg: &Registry, profile: &Profile) {
     for (name, s) in &profile.ops {
         let labels = [("op", name.as_str())];

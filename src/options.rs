@@ -33,20 +33,17 @@ impl Default for Engine {
 /// use nra::{Engine, QueryOptions, Strategy};
 /// let opts = QueryOptions::new()
 ///     .engine(Engine::NestedRelational(Strategy::Optimized))
-///     .threads(4)
 ///     .collect_profile(true);
 /// # let _ = opts;
 /// ```
 ///
 /// Everything defaults off: nested relational engine with the auto
-/// strategy, ambient thread budget (the database's `NRA_THREADS`
-/// default, else sequential), no profile, no trace, no plan text. Unset
+/// strategy, no profile, no trace, no plan text. Unset
 /// knobs fall back to the database's [`Config`] (README
 /// "Configuration").
 #[derive(Debug, Clone, Default)]
 pub struct QueryOptions {
     pub(crate) engine: Engine,
-    pub(crate) threads: Option<usize>,
     pub(crate) collect_profile: bool,
     pub(crate) collect_metrics: bool,
     pub(crate) collect_trace: bool,
@@ -78,12 +75,11 @@ impl QueryOptions {
         self.engine(Engine::NestedRelational(strategy))
     }
 
-    /// Worker-thread budget for the partition-parallel executor
-    /// ([`crate::engine::exec`]). Overrides the `NRA_THREADS` default
-    /// for this call only; `1` forces sequential execution.
-    /// Results are identical at any thread count.
-    pub fn threads(mut self, n: usize) -> QueryOptions {
-        self.threads = Some(n);
+    /// Accepted and ignored: every query runs sequentially on its
+    /// calling thread. Kept because `benchmark/` calls it; removed
+    /// together with its `nested_parallel` workload in the benchmark's
+    /// own change.
+    pub fn threads(self, _n: usize) -> QueryOptions {
         self
     }
 
@@ -100,8 +96,8 @@ impl QueryOptions {
     /// [`QueryOutcome::metrics`] is then a [`obs::metrics::Snapshot`] of
     /// everything the call recorded (operator counters, rows produced,
     /// outcome, Q-error histogram). The per-query scope deliberately
-    /// excludes wall-clock times and partition counts, so the snapshot is
-    /// byte-identical at any thread count. The same scope is also
+    /// excludes wall-clock times, so the snapshot is byte-identical on
+    /// every run of the query. The same scope is also
     /// populated (and appended as JSONL) when the database was built
     /// under `NRA_METRICS=path`, independent of this option.
     pub fn collect_metrics(mut self, on: bool) -> QueryOptions {
@@ -241,12 +237,10 @@ pub struct QueryOutcome {
     pub profile: Option<obs::Profile>,
     /// Snapshot of the per-query metrics scope, when requested via
     /// [`QueryOptions::collect_metrics`] (or the `NRA_METRICS` knob).
-    /// Thread-count-invariant by construction.
+    /// The same on every run of a query, by construction.
     pub metrics: Option<obs::metrics::Snapshot>,
     /// The captured lifecycle trace, when requested.
     pub trace: Option<obs::trace::Trace>,
-    /// The worker-thread budget the call ran with (1 = sequential).
-    pub threads: usize,
     /// The final progress snapshot (100% on success). `None` for
     /// `explain_only`, `ANALYZE` and introspection (`nra_sys.*`) calls,
     /// which skip progress tracking.
@@ -256,14 +250,13 @@ pub struct QueryOutcome {
 impl QueryOutcome {
     /// The outcome of a metadata statement (`EXPLAIN`, `ANALYZE`): plan
     /// text, no rows, no artifacts.
-    pub(crate) fn plan_only(plan: String, threads: usize) -> QueryOutcome {
+    pub(crate) fn plan_only(plan: String) -> QueryOutcome {
         QueryOutcome {
             rows: Relation::new(Schema::new(Vec::new())),
             plan: Some(plan),
             profile: None,
             metrics: None,
             trace: None,
-            threads,
             progress: None,
         }
     }

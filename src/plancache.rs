@@ -19,7 +19,7 @@
 //! `nra_plan_cache_entries` gauge) go to the *global* metrics registry
 //! only: whether a statement hits the cache depends on process history,
 //! so the per-query metrics scope — which must stay byte-identical
-//! across runs and thread counts — never sees them.
+//! across runs — never sees them.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};

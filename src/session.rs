@@ -2,7 +2,7 @@
 //! [`Database`].
 //!
 //! A [`Session`] owns what is *per client* in a multi-client setting:
-//! default [`QueryOptions`] applied to every statement (thread budget,
+//! default [`QueryOptions`] applied to every statement (engine,
 //! memory/timeout governor limits, plan-cache opt-out, …), a set of
 //! named prepared statements, and the session id stamped into the query
 //! registry (`nra_sys.queries.session`). Everything *shared* — the
@@ -25,7 +25,7 @@
 //!     .unwrap();
 //!
 //! let mut session = db.connect();
-//! session.set_defaults(QueryOptions::new().threads(1));
+//! session.set_defaults(QueryOptions::new().plan_cache(true));
 //! session.prepare("all", "select k from t").unwrap();
 //! assert_eq!(session.execute_prepared("all").unwrap().rows.len(), 2);
 //! assert_eq!(session.execute("select k from t where k = 2").unwrap().rows.len(), 1);

@@ -161,7 +161,6 @@ fn queries_table(name: &str) -> Table {
             Column::not_null("outcome", ColumnType::Str),
             Column::not_null("wall_ms", ColumnType::Int),
             Column::not_null("rows", ColumnType::Int),
-            Column::not_null("threads", ColumnType::Int),
             Column::not_null("qerror_x100", ColumnType::Int),
             Column::not_null("mem_bytes", ColumnType::Int),
             Column::not_null("strategy", ColumnType::Str),
@@ -178,7 +177,6 @@ fn queries_table(name: &str) -> Table {
                 Value::Str(r.outcome),
                 int(r.wall_ms),
                 int(r.rows),
-                int(r.threads),
                 int(r.qerror_x100),
                 int(r.mem_bytes),
                 Value::Str(r.strategy),

@@ -1,9 +1,8 @@
 //! The copy-free read path end to end: a block's scan carries only the
 //! columns the rest of the query compares (`BoundTable::carry`), the root's
 //! select-only columns (`BoundTable::select_only`) are fetched by row id
-//! for the survivors, and every strategy, the baseline, every thread
-//! budget and every batch width still agree with the tuple-iteration
-//! oracle — which keeps its own full-width scan and shares none of this
+//! for the survivors, and every strategy, the baseline and every batch
+//! width still agree with the tuple-iteration oracle — which keeps its own full-width scan and shares none of this
 //! code.
 //!
 //! The tables deliberately hold columns that are only ever filtered on
@@ -104,8 +103,8 @@ const ENGINES: [(&str, Engine); 7] = [
 
 /// Run `sql` under one engine, or `None` when the strategy does not apply
 /// to the query's shape.
-fn run(db: &Database, sql: &str, engine: Engine, threads: usize) -> Option<Relation> {
-    let opts = QueryOptions::new().engine(engine).threads(threads);
+fn run(db: &Database, sql: &str, engine: Engine) -> Option<Relation> {
+    let opts = QueryOptions::new().engine(engine);
     match db.connect().execute_with(sql, &opts) {
         Ok(out) => Some(out.rows),
         Err(NraError::Engine(EngineError::Unsupported(_))) => None,
@@ -113,38 +112,33 @@ fn run(db: &Database, sql: &str, engine: Engine, threads: usize) -> Option<Relat
     }
 }
 
-/// Every engine × threads {1, 4} × batch widths {1, 3, 1024} against the
-/// oracle. `ordered` demands the same row order too (`ORDER BY` queries
+/// Every engine × batch widths {1, 3, 1024} against the oracle. `ordered` demands the same row order too (`ORDER BY` queries
 /// whose keys cover the whole output).
 fn check(db: &Database, sql: &str, ordered: bool) {
-    let oracle = run(db, sql, Engine::Reference, 1).expect("the oracle runs everything");
-    // One-row morsels so the tiny inputs really partition at 4 threads.
-    let _morsel = nra::engine::exec::set_morsel_rows(1);
+    let oracle = run(db, sql, Engine::Reference).expect("the oracle runs everything");
     for width in [1, 3, 1024] {
         let _width = nra::engine::vec::set_batch_rows(Some(width));
-        for threads in [1, 4] {
-            let mut applied = 0;
-            for (name, engine) in ENGINES {
-                let Some(got) = run(db, sql, engine, threads) else {
-                    continue;
-                };
-                applied += 1;
-                let same = if ordered {
-                    got.rows() == oracle.rows()
-                } else {
-                    got.multiset_eq(&oracle)
-                };
-                assert!(
-                    same,
-                    "{name} (threads {threads}, batch {width}) disagrees with the oracle on \
-                     {sql}\ngot:\n{got}\noracle:\n{oracle}"
-                );
-            }
+        let mut applied = 0;
+        for (name, engine) in ENGINES {
+            let Some(got) = run(db, sql, engine) else {
+                continue;
+            };
+            applied += 1;
+            let same = if ordered {
+                got.rows() == oracle.rows()
+            } else {
+                got.multiset_eq(&oracle)
+            };
             assert!(
-                applied >= 4,
-                "baseline, original, optimized and auto always apply"
+                same,
+                "{name} (batch {width}) disagrees with the oracle on \
+                 {sql}\ngot:\n{got}\noracle:\n{oracle}"
             );
         }
+        assert!(
+            applied >= 4,
+            "baseline, original, optimized and auto always apply"
+        );
     }
 }
 
@@ -357,7 +351,7 @@ fn late_gather_keeps_duplicate_root_rows_apart() {
     .unwrap();
     let sql = "select name from d where k in (select x from s where z > 0)";
     check(&db, sql, false);
-    let got = run(&db, sql, Engine::NestedRelational(Strategy::Auto), 1).unwrap();
+    let got = run(&db, sql, Engine::NestedRelational(Strategy::Auto)).unwrap();
     let count = |v: &Value| got.rows().iter().filter(|r| r[0].group_eq(v)).count();
     assert_eq!(count(&Value::str("x")), 3);
     assert_eq!(count(&Value::Null), 2);

@@ -448,11 +448,9 @@ fn serving_never_materializes_the_row_image() {
         Engine::Reference,
     ];
     for engine in engines {
-        for threads in [1, 2] {
-            let opts = QueryOptions::new().engine(engine).threads(threads);
-            for sql in classes.iter().map(String::as_str).chain([QUERY_Q]) {
-                session.execute_with(sql, &opts).expect(sql);
-            }
+        let opts = QueryOptions::new().engine(engine);
+        for sql in classes.iter().map(String::as_str).chain([QUERY_Q]) {
+            session.execute_with(sql, &opts).expect(sql);
         }
     }
     assert_no_row_image(&db, "queries under every engine");

@@ -1,6 +1,6 @@
 //! Compound queries (`UNION`/`INTERSECT`/`EXCEPT [ALL]`) with `ORDER BY`
 //! and `LIMIT`, evaluated through the facade over the set-operation
-//! algebra.
+//! algebra, and the errors the facade reports.
 
 use nra::storage::{Column, ColumnType, Value};
 use nra::{Database, Engine, QueryOptions, Strategy};
@@ -136,4 +136,22 @@ fn display_roundtrip_compound() {
     .unwrap();
     let again = nra_sql::parse_query(&q.to_string()).unwrap();
     assert_eq!(q, again);
+}
+
+/// `NraError` chains sources down to the underlying layer error.
+#[test]
+fn errors_chain_to_their_sources() {
+    let db = Database::new();
+    let err = db
+        .connect()
+        .execute_with("select * from nowhere", &QueryOptions::new())
+        .unwrap_err();
+    let mut depth = 0;
+    let mut cur: Option<&dyn std::error::Error> = Some(&err);
+    while let Some(e) = cur {
+        depth += 1;
+        cur = e.source();
+    }
+    assert!(depth >= 2, "expected a chained source, got depth {depth}");
+    assert!(err.to_string().contains("nowhere"));
 }

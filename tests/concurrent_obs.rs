@@ -41,9 +41,9 @@ fn concurrent_queries_keep_observability_isolated_and_lossless() {
                         )
                         .unwrap();
 
-                    // The per-query metrics scope is thread-local +
-                    // handoff-installed: exactly this query's events,
-                    // nothing from the 7 sibling threads.
+                    // The per-query metrics scope is thread-local:
+                    // exactly this query's events, nothing from the 7
+                    // sibling threads.
                     let snap = out.metrics.expect("metrics requested");
                     assert_eq!(
                         snap.get("nra_queries_total", &[("outcome", "ok")]),

@@ -52,7 +52,7 @@ fn execute_reports_the_environment_the_database_was_built_under() {
     for (var, bad) in [
         ("NRA_FAULT", "join-build:x:panic"),
         ("NRA_MEM_LIMIT", "1GB"),
-        ("NRA_THREADS", "four"),
+        ("NRA_BATCH_ROWS", "four"),
         ("NRA_PLAN_CACHE", "maybe"),
     ] {
         let db = with_env(&[(var, bad)], test_db);
@@ -70,10 +70,9 @@ fn execute_reports_the_environment_the_database_was_built_under() {
     }
 
     // Valid values (engine and storage fault sites side by side; the
-    // storage entries are dormant on a query) take effect.
+    // storage entries are dormant on a query) build a working database.
     let db = with_env(
         &[
-            ("NRA_THREADS", "3"),
             ("NRA_MEM_LIMIT", "1073741824"),
             ("NRA_BATCH_ROWS", "512"),
             ("NRA_FAULT", "wal-append:1:short-write"),
@@ -81,7 +80,7 @@ fn execute_reports_the_environment_the_database_was_built_under() {
         test_db,
     );
     let out = db.execute("select a from t", &QueryOptions::new()).unwrap();
-    assert_eq!((out.rows.len(), out.threads), (2, 3));
+    assert_eq!(out.rows.len(), 2);
 
     // Built under a clean environment, a later malformed value is never
     // seen: nothing reads the environment per query.

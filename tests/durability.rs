@@ -28,10 +28,11 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Deterministic execution: sequential, so row order is reproducible
-/// and byte-comparison across reopens is meaningful.
+/// The options every query runs with. Execution is sequential, so row
+/// order is reproducible and byte-comparison across reopens is
+/// meaningful.
 fn opts() -> QueryOptions {
-    QueryOptions::new().threads(1)
+    QueryOptions::new()
 }
 
 fn rows(db: &Database, sql: &str) -> Vec<Tuple> {

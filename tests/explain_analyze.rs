@@ -1,6 +1,7 @@
 //! `EXPLAIN ANALYZE` on the paper's running example (Query Q of
-//! Section 2): a golden test of the annotated Algorithm-1 plan, plus the
-//! accounting invariants the per-operator counters must satisfy.
+//! Section 2): a golden test of the annotated Algorithm-1 plan, the
+//! accounting invariants the per-operator counters must satisfy, and
+//! which plan artifacts each option produces.
 
 use nra::obs;
 use nra::tpch::paper_example::{rst_catalog, QUERY_Q};
@@ -197,4 +198,43 @@ fn counters_stay_zero_when_disabled() {
         "profile collection restores disabled state"
     );
     assert!(obs::snapshot().is_empty());
+}
+
+/// Plan artifacts: `explain_only` renders without executing; the analyzed
+/// plan appears exactly when a profile is collected under the Original
+/// strategy.
+#[test]
+fn plan_artifacts_follow_options() {
+    let db = db();
+    let q = QUERY_Q;
+
+    let out = db
+        .connect()
+        .execute_with(q, &QueryOptions::new().explain_only(true))
+        .unwrap();
+    assert!(out.plan.is_some());
+    assert!(out.rows.is_empty());
+    assert!(out.profile.is_none());
+
+    let analyzed = db
+        .connect()
+        .execute_with(
+            q,
+            &QueryOptions::new()
+                .strategy(Strategy::Original)
+                .collect_profile(true),
+        )
+        .unwrap();
+    assert!(
+        analyzed.plan.is_some(),
+        "analyzed plan for Original + profile"
+    );
+    assert!(analyzed.profile.is_some());
+
+    let plain = db
+        .connect()
+        .execute_with(q, &QueryOptions::new().strategy(Strategy::Original))
+        .unwrap();
+    assert!(plain.plan.is_none(), "no plan without a profile");
+    assert!(!plain.rows.is_empty());
 }

@@ -162,42 +162,31 @@ fn mem_limit_fails_then_database_recovers() {
     assert_eq!(clean.rows(), generous.rows());
 }
 
-/// A pre-cancelled token stops the query at the first checkpoint at
-/// every thread count, and the same Database immediately runs a
-/// profiled query to completion afterwards (no leaked observability
-/// state: the later profile reports outcome "ok" with operator stats).
+/// A pre-cancelled token stops the query at the first checkpoint, and
+/// the same Database immediately runs a profiled query to completion
+/// afterwards (no leaked observability state: the later profile reports
+/// outcome "ok" with operator stats).
 #[test]
-fn cancellation_across_thread_counts() {
-    for threads in [1usize, 2, 4] {
-        let db = paper_db();
-        let token = CancelToken::new();
-        token.cancel();
-        let err = db
-            .connect()
-            .execute_with(
-                QUERY_Q,
-                &QueryOptions::new()
-                    .threads(threads)
-                    .cancel(token)
-                    .collect_profile(true),
-            )
-            .expect_err("pre-cancelled token must stop the query");
-        assert!(
-            matches!(engine_err(err), EngineError::Cancelled { .. }),
-            "threads={threads}"
-        );
+fn cancellation_leaves_database_usable() {
+    let db = paper_db();
+    let token = CancelToken::new();
+    token.cancel();
+    let err = db
+        .connect()
+        .execute_with(
+            QUERY_Q,
+            &QueryOptions::new().cancel(token).collect_profile(true),
+        )
+        .expect_err("pre-cancelled token must stop the query");
+    assert!(matches!(engine_err(err), EngineError::Cancelled { .. }));
 
-        let out = db
-            .connect()
-            .execute_with(
-                QUERY_Q,
-                &QueryOptions::new().threads(threads).collect_profile(true),
-            )
-            .expect("database stays usable after cancellation");
-        let profile = out.profile.expect("profile requested");
-        assert_eq!(profile.outcome.as_deref(), Some("ok"), "threads={threads}");
-        assert!(!profile.ops.is_empty(), "threads={threads}");
-    }
+    let out = db
+        .connect()
+        .execute_with(QUERY_Q, &QueryOptions::new().collect_profile(true))
+        .expect("database stays usable after cancellation");
+    let profile = out.profile.expect("profile requested");
+    assert_eq!(profile.outcome.as_deref(), Some("ok"));
+    assert!(!profile.ops.is_empty());
 }
 
 /// timeout_ms(0) cancels at the first checkpoint; the error names the
@@ -231,11 +220,11 @@ fn timeout_zero_reports_interrupted_phase_in_trace() {
     );
 }
 
-/// Every fault site × {alloc-fail, panic} × {1, 4} threads returns a
-/// structured error (never an abort), and the same Database then
-/// executes Query Q byte-identically to the pre-fault baseline. Uses
-/// the Original two-pass strategy, under which all four sites fire:
-/// hash-join build, nest flush, linking scan, and partition merge.
+/// Every fault site × {alloc-fail, panic} returns a structured error
+/// (never an abort), and the same Database then executes Query Q
+/// byte-identically to the pre-fault baseline. Uses the Original two-pass
+/// strategy, under which all three sites fire: hash-join build, nest
+/// flush and linking scan.
 #[test]
 fn fault_matrix_structured_errors_and_recovery() {
     let db = paper_db();
@@ -243,37 +232,33 @@ fn fault_matrix_structured_errors_and_recovery() {
     let clean = baseline(&db, &opts());
     let sql = format!("{QUERY_Q} limit 880005");
 
-    for threads in [1usize, 4] {
-        for site in faultinject::SITES {
-            for kind in [FaultKind::AllocFail, FaultKind::Panic] {
-                let err = db
-                    .connect()
-                    .execute_with(&sql, &all_stages().threads(threads).fault(site, 1, kind))
-                    .map(|out| out.rows.len())
-                    .expect_err(&format!(
-                        "fault {site}:{kind:?} at {threads} threads must surface"
-                    ));
-                let err = engine_err(err);
-                match kind {
-                    FaultKind::AllocFail => assert!(
-                        matches!(err, EngineError::ResourceExhausted { .. }),
-                        "{site}:{kind:?} threads={threads}: {err:?}"
-                    ),
-                    FaultKind::Panic => assert!(
-                        matches!(err, EngineError::WorkerPanicked { .. }),
-                        "{site}:{kind:?} threads={threads}: {err:?}"
-                    ),
-                    FaultKind::Delay(_) => unreachable!(),
-                }
-                assert_lifecycle_balanced(&db, &sql, &format!("{site}:{kind:?} x{threads}"));
-
-                let again = baseline(&db, &opts().threads(threads));
-                assert_eq!(
-                    clean.rows(),
-                    again.rows(),
-                    "result drifted after fault {site}:{kind:?} threads={threads}"
-                );
+    for site in faultinject::SITES {
+        for kind in [FaultKind::AllocFail, FaultKind::Panic] {
+            let err = db
+                .connect()
+                .execute_with(&sql, &all_stages().fault(site, 1, kind))
+                .map(|out| out.rows.len())
+                .expect_err(&format!("fault {site}:{kind:?} must surface"));
+            let err = engine_err(err);
+            match kind {
+                FaultKind::AllocFail => assert!(
+                    matches!(err, EngineError::ResourceExhausted { .. }),
+                    "{site}:{kind:?}: {err:?}"
+                ),
+                FaultKind::Panic => assert!(
+                    matches!(err, EngineError::WorkerPanicked { .. }),
+                    "{site}:{kind:?}: {err:?}"
+                ),
+                FaultKind::Delay(_) => unreachable!(),
             }
+            assert_lifecycle_balanced(&db, &sql, &format!("{site}:{kind:?}"));
+
+            let again = baseline(&db, &opts());
+            assert_eq!(
+                clean.rows(),
+                again.rows(),
+                "result drifted after fault {site}:{kind:?}"
+            );
         }
     }
 }

@@ -49,9 +49,12 @@ fn completed_queries_are_sql_queryable() {
         .execute_with(marker, &QueryOptions::new())
         .unwrap();
     let out = database
-        .connect().execute_with(
-            &format!("select sql, outcome, threads, strategy from nra_sys.queries where sql = '{marker}'"),
-            &QueryOptions::new().threads(1),
+        .connect()
+        .execute_with(
+            &format!(
+                "select sql, outcome, rows, strategy from nra_sys.queries where sql = '{marker}'"
+            ),
+            &QueryOptions::new(),
         )
         .unwrap();
     assert!(!out.rows.rows().is_empty(), "marker query was registered");
@@ -147,7 +150,6 @@ fn running_table_reflects_registered_queries() {
         outcome: "ok".to_string(),
         wall_ms: 0,
         rows: 0,
-        threads: 1,
         qerror_x100: 0,
         mem_bytes: 0,
         strategy: "original".to_string(),
@@ -188,7 +190,7 @@ fn mid_query_snapshots_are_monotonic() {
         std::thread::spawn(move || {
             database
                 .connect()
-                .execute_with(marker, &QueryOptions::new().threads(1))
+                .execute_with(marker, &QueryOptions::new())
                 .unwrap()
         })
     };

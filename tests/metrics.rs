@@ -1,5 +1,5 @@
 //! The metrics registry through the public API: per-query scope
-//! determinism across thread counts, cardinality feedback (Q-error) on a
+//! determinism across runs, cardinality feedback (Q-error) on a
 //! known-skewed join, `ANALYZE` idempotence, and the Prometheus/JSONL
 //! exposition formats.
 
@@ -8,41 +8,29 @@ use nra::storage::{Column, ColumnType, Value};
 use nra::tpch::paper_example::{rst_catalog, QUERY_Q};
 use nra::{Database, QueryOptions, Strategy};
 
-/// Per-query metrics exclude wall times and partition counts by
-/// construction, so the rendered snapshot must be byte-identical no
-/// matter how many workers executed the query.
+/// Per-query metrics exclude wall times by construction, so the rendered
+/// snapshot must be byte-identical on every run of the same query.
 #[test]
-fn per_query_metrics_are_identical_across_thread_counts() {
+fn per_query_metrics_are_identical_across_runs() {
     let cat = nra::tpch::generate(&nra::tpch::TpchConfig::scaled(0.01));
     let sql = nra::tpch::q1_sql(&cat, 100);
     let db = Database::from_catalog(cat);
-    let mut rendered = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let out = db
+    let opts = QueryOptions::new()
+        .strategy(Strategy::Original)
+        .collect_metrics(true);
+    let render = || {
+        let snap = db
             .connect()
-            .execute_with(
-                &sql,
-                &QueryOptions::new()
-                    .strategy(Strategy::Original)
-                    .collect_metrics(true)
-                    .threads(threads),
-            )
-            .unwrap();
-        assert_eq!(out.threads, threads);
-        let snap = out.metrics.expect("metrics requested");
+            .execute_with(&sql, &opts)
+            .unwrap()
+            .metrics
+            .expect("metrics requested");
         assert!(!snap.is_empty());
-        rendered.push((threads, snap.render_prometheus(), snap.to_jsonl()));
-    }
-    let (_, base_prom, base_jsonl) = &rendered[0];
-    for (threads, prom, jsonl) in &rendered[1..] {
-        assert_eq!(
-            prom, base_prom,
-            "Prometheus exposition differs at {threads} threads"
-        );
-        assert_eq!(
-            jsonl, base_jsonl,
-            "JSONL export differs at {threads} threads"
-        );
+        (snap.render_prometheus(), snap.to_jsonl())
+    };
+    let first = render();
+    for run in 1..3 {
+        assert_eq!(render(), first, "run {run} differs from the first");
     }
 }
 

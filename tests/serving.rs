@@ -34,10 +34,11 @@ fn tpch_db() -> (Database, Vec<String>) {
     (Database::from_catalog(cat), queries)
 }
 
-/// Deterministic options: single-threaded execution so row order is
-/// reproducible and byte-comparison across sessions is meaningful.
+/// The options every session runs with. Execution is sequential, so row
+/// order is reproducible and byte-comparison across sessions is
+/// meaningful.
 fn opts() -> QueryOptions {
-    QueryOptions::new().threads(1)
+    QueryOptions::new()
 }
 
 /// N concurrent sessions hammering Q1/Q2A/Q2B produce results

@@ -1,22 +1,13 @@
 //! Property-based agreement tests: random small databases (with NULLs)
 //! and randomly shaped nested queries; every execution strategy must match
 //! the tuple-iteration oracle. Formerly proptest; now seeded-deterministic
-//! so the suite runs with no external crates.
-//!
-//! Doubles as the parallel-agreement suite: every strategy also runs at
-//! thread budgets 2 and 4 (with the morsel floor lowered to 1 row so the
-//! tiny inputs actually partition) and must return the *identical*
-//! relation — same tuples, same order — as its sequential run. The
-//! corpora deliberately include NULL join keys (so σ̄-padded tuples and
-//! NULL-key nest groups cross partition boundaries) and empty inputs.
+//! so the suite runs with no external crates. The corpora deliberately
+//! include NULL join keys (σ̄-padded tuples, NULL-key nest groups) and
+//! empty inputs.
 
 use nra::{Database, Engine, QueryOptions, Strategy as NraStrategy};
 use nra_storage::rng::Pcg32;
 use nra_storage::{Column, ColumnType, Relation, Value};
-
-/// Thread budgets every strategy is exercised at (1 = the reference
-/// sequential run).
-const PARALLEL_BUDGETS: [usize; 2] = [2, 4];
 
 /// A cell: small domain so joins actually match; `None` is NULL.
 fn cell(rng: &mut Pcg32) -> Option<i64> {
@@ -149,22 +140,20 @@ fn corr_sql(corr: Corr, inner_col: &str, outer_col: &str) -> Option<String> {
     }
 }
 
-fn run_at(db: &Database, sql: &str, engine: Engine, threads: usize) -> Relation {
+fn run(db: &Database, sql: &str, engine: Engine) -> Relation {
     db.connect()
-        .execute_with(sql, &QueryOptions::new().engine(engine).threads(threads))
+        .execute_with(sql, &QueryOptions::new().engine(engine))
         .unwrap()
         .rows
 }
 
-/// Compare every applicable strategy against the oracle on one query,
-/// then re-run each strategy under every parallel budget and demand the
-/// byte-identical relation.
+/// Compare every applicable strategy against the oracle on one query.
 fn check_all(db: &Database, sql: &str) {
     let bound = match db.prepare(sql) {
         Ok(b) => b,
         Err(e) => panic!("query failed to bind: {sql}: {e}"),
     };
-    let oracle = run_at(db, sql, Engine::Reference, 1);
+    let oracle = run(db, sql, Engine::Reference);
 
     let mut engines: Vec<(&str, Engine)> = vec![
         ("baseline", Engine::Baseline),
@@ -196,22 +185,11 @@ fn check_all(db: &Database, sql: &str) {
     }
 
     for (name, engine) in engines {
-        let got = run_at(db, sql, engine, 1);
+        let got = run(db, sql, engine);
         assert!(
             got.multiset_eq(&oracle),
             "{name} disagrees with oracle on {sql}\ngot:\n{got}\noracle:\n{oracle}"
         );
-        // Parallel runs must be indistinguishable from the sequential
-        // one: same tuples in the same order, not just multiset-equal.
-        let _morsel = nra::engine::exec::set_morsel_rows(1);
-        for threads in PARALLEL_BUDGETS {
-            let par = run_at(db, sql, engine, threads);
-            assert!(
-                par.rows() == got.rows(),
-                "{name} at {threads} threads differs from its sequential run on {sql}\n\
-                 parallel:\n{par}\nsequential:\n{got}"
-            );
-        }
     }
 }
 
@@ -305,17 +283,17 @@ fn tree_queries_agree() {
 }
 
 /// The paper's Query Q over the Section 2 example catalog: every strategy
-/// × every thread budget returns the identical relation.
+/// agrees with the oracle.
 #[test]
-fn paper_query_q_parallel_agreement() {
+fn paper_query_q_agreement() {
     let db = Database::from_catalog(nra::tpch::paper_example::rst_catalog());
     check_all(&db, nra::tpch::paper_example::QUERY_Q);
 }
 
-/// Empty inputs partition to zero morsels everywhere: empty outer, empty
-/// inner, and both — with positive and negative links.
+/// Empty inputs: empty outer, empty inner, and both — with positive and
+/// negative links.
 #[test]
-fn empty_relation_parallel_agreement() {
+fn empty_relation_agreement() {
     type Rows = [(Option<i64>, Option<i64>)];
     let cases: [(&Rows, &Rows); 3] = [
         (&[], &[(Some(1), Some(2)), (None, Some(0))]),
@@ -335,9 +313,9 @@ fn empty_relation_parallel_agreement() {
 }
 
 /// All-NULL join keys: every tuple lands in the NULL nest group and the
-/// outer join pads everything; partitioning must not change that.
+/// outer join pads everything.
 #[test]
-fn null_key_parallel_agreement() {
+fn null_key_agreement() {
     let t0: Vec<(Option<i64>, Option<i64>)> = (0..8).map(|i| (None, Some(i % 3))).collect();
     let t1: Vec<(Option<i64>, Option<i64>)> = (0..6)
         .map(|i| (None, if i % 2 == 0 { None } else { Some(i) }))

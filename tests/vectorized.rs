@@ -12,8 +12,8 @@
 //! that a stored column cannot be mixed-type in the first place.
 
 use nra_engine::expr::{CExpr, CPred};
+use nra_engine::ops;
 use nra_engine::vec::{self, select_rows, ValueBatch};
-use nra_engine::{exec, ops};
 use nra_sql::ArithOp;
 use nra_storage::rng::Pcg32;
 use nra_storage::{
@@ -374,8 +374,8 @@ fn filter_is_batch_width_invariant() {
 #[test]
 fn nest_groups_straddling_batch_boundaries() {
     // One long run (all rows in one group) plus runs of length 2 around
-    // every seam of a 3-row batch; both nest implementations must agree
-    // with themselves across widths, at 1 and 4 threads.
+    // every seam of a 3-row batch; the sort-based nest must agree with
+    // itself across widths.
     let rel: Relation = relation!(
         [("r.a", ColumnType::Int), ("s.b", ColumnType::Int)],
         [
@@ -392,16 +392,12 @@ fn nest_groups_straddling_batch_boundaries() {
     );
     let reference = {
         let _g = vec::set_batch_rows(Some(1024));
-        let _t = exec::set_threads(Some(1));
         nra_core::nest::nest_sorted(&rel, &["r.a"], &["s.b"], "s").unwrap()
     };
     assert_eq!(reference.len(), 4);
     for bsz in BATCH_WIDTHS {
         let _g = vec::set_batch_rows(Some(bsz));
-        for threads in [1, 4] {
-            let _t = exec::set_threads(Some(threads));
-            let got = nra_core::nest::nest_sorted(&rel, &["r.a"], &["s.b"], "s").unwrap();
-            assert_eq!(got, reference, "bsz {bsz} threads {threads}");
-        }
+        let got = nra_core::nest::nest_sorted(&rel, &["r.a"], &["s.b"], "s").unwrap();
+        assert_eq!(got, reference, "bsz {bsz}");
     }
 }
