@@ -17,13 +17,17 @@ use nra_storage::iosim::{self, IoConfig};
 use crate::{PreparedQuery, Series};
 
 /// Run one series once under the collector + I/O simulator and return the
-/// profile. Pre-existing collector/simulator state is replaced (the
-/// collector is thread-local; benchmarks are single-threaded).
+/// profile. Pre-existing simulator state is replaced (it is thread-local;
+/// benchmarks are single-threaded); a collector the caller armed is
+/// restored.
 pub fn profile_query(pq: &PreparedQuery<'_>, series: Series, io_cfg: &IoConfig) -> Profile {
-    nra_obs::enable();
+    let obs = nra_obs::enter(nra_obs::Observers {
+        profile: true,
+        ..nra_obs::Observers::default()
+    });
     iosim::enable(*io_cfg);
     pq.run(series).expect("profiled query runs");
-    let profile = nra_obs::disable().expect("collector was enabled");
+    let profile = obs.finish().0.expect("collector was armed");
     iosim::disable();
     profile
 }

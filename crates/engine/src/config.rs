@@ -227,6 +227,9 @@ impl Config {
     /// reported on stderr and the built-in defaults apply (a `Database`
     /// built in the same process returns the error from `execute`).
     pub fn process() -> &'static Config {
+        // Process-wide by design: direct `nra_core::execute` calls (tests,
+        // benchmarks) have no `Database`, and CI's `NRA_BATCH_ROWS` matrix
+        // reaches them only through this default.
         static PROCESS: OnceLock<Config> = OnceLock::new();
         PROCESS.get_or_init(|| {
             Config::from_env().unwrap_or_else(|e| {

@@ -41,6 +41,8 @@ pub(crate) struct Slot {
     pub(crate) flags: Cell<u8>,
 }
 
+// The one per-thread query context: everything a query installs that the
+// operators read without a parameter.
 thread_local! {
     static SLOT: Slot = const {
         Slot {

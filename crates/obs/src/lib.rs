@@ -1,23 +1,24 @@
 //! # nra-obs
 //!
 //! Runtime execution observability for the nested relational subquery
-//! processor: a thread-local collector of per-operator [`OpStats`], span
-//! timers, and machine-readable [`Profile`]s.
+//! processor: per-operator [`OpStats`], span timers, machine-readable
+//! [`Profile`]s, lifecycle traces ([`trace`]), live progress
+//! ([`progress`]) and metrics ([`metrics`]).
 //!
-//! The design mirrors `nra_storage::iosim` — collection lives in a
-//! thread-local that is `None` unless explicitly enabled, so the
-//! instrumented operators pay a single thread-local check (no allocation,
-//! no timing syscalls) on the hot path when collection is off:
+//! Everything a query observes on its thread lives in one thread-local
+//! slot, armed by one [`enter`] whose guard restores the enclosing slot.
+//! The instrumented operators read a single flags byte when nothing is
+//! armed (no allocation, no timing syscalls):
 //!
 //! ```
-//! nra_obs::enable();
+//! let obs = nra_obs::enter(nra_obs::Observers { profile: true, ..Default::default() });
 //! {
 //!     let _scope = nra_obs::scope(|| "b2".to_string());
 //!     let mut span = nra_obs::span(|| "join".to_string());
 //!     span.rows_in(100);
 //!     span.rows_out(42);
 //! } // span drop records wall time under "b2/join"
-//! let profile = nra_obs::disable().unwrap();
+//! let profile = obs.finish().0.unwrap();
 //! assert_eq!(profile.get("b2/join").unwrap().rows_out, 42);
 //! println!("{}", profile.to_json());
 //! ```
@@ -37,12 +38,16 @@ pub mod queryreg;
 pub mod slowlog;
 pub mod trace;
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use nra_storage::iosim::{self, IoStats};
 use nra_storage::Truth;
+
+use metrics::Registry;
+use progress::ProgressState;
 
 /// Counters for one (qualified) operator.
 ///
@@ -135,6 +140,7 @@ impl OpStats {
     }
 }
 
+#[derive(Default)]
 struct Collector {
     /// Insertion order of qualified names, for stable reporting.
     order: Vec<String>,
@@ -151,79 +157,198 @@ impl Collector {
             }
         }
     }
+
+    fn profile(&self) -> Profile {
+        Profile {
+            ops: self
+                .order
+                .iter()
+                .map(|n| (n.clone(), self.ops[n].clone()))
+                .collect(),
+            io: iosim::is_enabled().then(iosim::stats),
+            outcome: None,
+        }
+    }
 }
 
-thread_local! {
-    static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
+/// Slot flag bits: which facilities are armed on this thread.
+const F_PROFILE: u8 = 1;
+const F_TRACE: u8 = 2;
+const F_PROGRESS: u8 = 4;
+const F_METRICS: u8 = 8;
+
+/// What [`enter`] arms on this thread. A facility left at its default
+/// (`false` / `None`) stays as the enclosing slot had it, so a query
+/// that does not trace still reports to a tracer its caller armed.
+#[derive(Default)]
+pub struct Observers {
+    /// Collect per-operator stats ([`ObsGuard::finish`] returns them).
+    pub profile: bool,
+    /// Trace into an in-memory ring ([`ObsGuard::finish`] returns it)
+    /// and mirror every event to these sinks.
+    pub trace: Option<Vec<Box<dyn trace::TraceSink>>>,
+    /// Live progress, fed by [`progress::on_rows`] / [`progress::on_mem`].
+    pub progress: Option<Arc<ProgressState>>,
+    /// The per-query registry [`metrics::both`] writes beside the
+    /// global one.
+    pub metrics: Option<Arc<Registry>>,
+    /// Run the I/O simulator for the guard's lifetime, unless the caller
+    /// already runs it. The profile's I/O footer is read before it stops.
+    pub simulate_io: bool,
+}
+
+/// Everything armed on one thread.
+struct Armed {
+    collector: Option<Collector>,
     /// The scope-label stack, shared by the stats collector and the
     /// tracer so both qualify operators identically.
-    static SCOPES: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    scopes: Vec<String>,
+    tracer: Option<trace::Tracer>,
+    progress: Option<Arc<ProgressState>>,
+    metrics: Option<Arc<Registry>>,
 }
 
-/// Start collecting on this thread (clears any previous collection).
-pub fn enable() {
-    COLLECTOR.with(|c| {
-        *c.borrow_mut() = Some(Collector {
-            order: Vec::new(),
-            ops: HashMap::new(),
-        });
+impl Armed {
+    fn flags(&self) -> u8 {
+        (u8::from(self.collector.is_some()) * F_PROFILE)
+            | (u8::from(self.tracer.is_some()) * F_TRACE)
+            | (u8::from(self.progress.is_some()) * F_PROGRESS)
+            | (u8::from(self.metrics.is_some()) * F_METRICS)
+    }
+}
+
+/// The one per-thread observability slot. The disarmed hooks read only
+/// `flags`, the same way `nra_engine::ctx` gates the governor.
+struct Slot {
+    flags: Cell<u8>,
+    armed: RefCell<Armed>,
+}
+
+// Ambient by design: the hooks are called from `nra_sql`, which does not
+// depend on `nra_engine`, so this slot cannot live in its `QueryCtx`.
+thread_local! {
+    static SLOT: Slot = const {
+        Slot {
+            flags: Cell::new(0),
+            armed: RefCell::new(Armed {
+                collector: None,
+                scopes: Vec::new(),
+                tracer: None,
+                progress: None,
+                metrics: None,
+            }),
+        }
+    };
+}
+
+/// Whether any facility in `mask` is armed on this thread.
+#[inline]
+fn armed(mask: u8) -> bool {
+    SLOT.with(|s| s.flags.get() & mask != 0)
+}
+
+fn with_armed<R>(f: impl FnOnce(&mut Armed) -> R) -> R {
+    SLOT.with(|s| f(&mut s.armed.borrow_mut()))
+}
+
+fn with_collector(f: impl FnOnce(&mut Collector)) {
+    with_armed(|a| a.collector.as_mut().map(f));
+}
+
+/// Swap the scope stack and the facilities in `mask` between this
+/// thread's slot and `other`.
+fn exchange(other: &mut Armed, mask: u8) {
+    SLOT.with(|s| {
+        let mut armed = s.armed.borrow_mut();
+        std::mem::swap(&mut armed.scopes, &mut other.scopes);
+        if mask & F_PROFILE != 0 {
+            std::mem::swap(&mut armed.collector, &mut other.collector);
+        }
+        if mask & F_TRACE != 0 {
+            std::mem::swap(&mut armed.tracer, &mut other.tracer);
+        }
+        if mask & F_PROGRESS != 0 {
+            std::mem::swap(&mut armed.progress, &mut other.progress);
+        }
+        if mask & F_METRICS != 0 {
+            std::mem::swap(&mut armed.metrics, &mut other.metrics);
+        }
+        s.flags.set(armed.flags());
     });
 }
 
-/// Stop collecting and return the profile, or `None` if collection was
-/// not enabled on this thread.
-pub fn disable() -> Option<Profile> {
-    let collector = COLLECTOR.with(|c| c.borrow_mut().take());
-    collector.map(finish)
+/// Restores the enclosing slot on drop (see [`enter`]).
+#[must_use = "dropping the guard immediately restores the enclosing slot"]
+pub struct ObsGuard {
+    /// The facilities this guard armed.
+    mask: u8,
+    /// What the enclosing slot had in those facilities; `None` once
+    /// restored.
+    outer: Option<Armed>,
+    /// This guard started the I/O simulator and stops it.
+    simulate_io: bool,
 }
 
-/// Whether collection is enabled on this thread.
+/// Arm `observers` on this thread until the returned guard is finished or
+/// dropped; either restores the enclosing slot exactly, so arming nests.
+pub fn enter(observers: Observers) -> ObsGuard {
+    let mut mine = Armed {
+        collector: observers.profile.then(Collector::default),
+        scopes: Vec::new(),
+        tracer: observers.trace.map(trace::Tracer::new),
+        progress: observers.progress,
+        metrics: observers.metrics,
+    };
+    let mask = mine.flags();
+    let simulate_io = observers.simulate_io && !iosim::is_enabled();
+    if simulate_io {
+        iosim::enable(iosim::IoConfig::default());
+    }
+    exchange(&mut mine, mask);
+    ObsGuard {
+        mask,
+        outer: Some(mine),
+        simulate_io,
+    }
+}
+
+impl ObsGuard {
+    /// Restore the enclosing slot and return what this guard collected:
+    /// the profile, if it armed one (its I/O footer read before the
+    /// simulator stops), and the trace, if it armed a tracer (its sinks
+    /// finished).
+    pub fn finish(mut self) -> (Option<Profile>, Option<trace::Trace>) {
+        self.restore()
+    }
+
+    fn restore(&mut self) -> (Option<Profile>, Option<trace::Trace>) {
+        let Some(mut mine) = self.outer.take() else {
+            return (None, None);
+        };
+        exchange(&mut mine, self.mask);
+        let profile = mine.collector.as_ref().map(Collector::profile);
+        if self.simulate_io {
+            iosim::disable();
+        }
+        (profile, mine.tracer.map(trace::Tracer::finish))
+    }
+}
+
+impl Drop for ObsGuard {
+    fn drop(&mut self) {
+        self.restore();
+    }
+}
+
+/// Whether per-operator stats are being collected on this thread.
 pub fn is_enabled() -> bool {
-    COLLECTOR.with(|c| c.borrow().is_some())
+    armed(F_PROFILE)
 }
 
 /// Snapshot the stats collected so far without stopping collection.
 /// Returns an empty profile when collection is disabled.
 pub fn snapshot() -> Profile {
-    COLLECTOR.with(|c| match &*c.borrow() {
-        Some(col) => Profile {
-            ops: col
-                .order
-                .iter()
-                .map(|n| (n.clone(), col.ops[n].clone()))
-                .collect(),
-            io: io_snapshot(),
-            outcome: None,
-        },
-        None => Profile {
-            ops: Vec::new(),
-            io: None,
-            outcome: None,
-        },
-    })
-}
-
-fn finish(col: Collector) -> Profile {
-    Profile {
-        ops: col
-            .order
-            .into_iter()
-            .map(|n| {
-                let stats = col.ops[&n].clone();
-                (n, stats)
-            })
-            .collect(),
-        io: io_snapshot(),
-        outcome: None,
-    }
-}
-
-fn io_snapshot() -> Option<IoStats> {
-    if iosim::is_enabled() {
-        Some(iosim::stats())
-    } else {
-        None
-    }
+    with_armed(|a| a.collector.as_ref().map(Collector::profile)).unwrap_or_default()
 }
 
 /// A scope label (typically a query-block id like `b2`) qualifying every
@@ -240,16 +365,15 @@ pub struct Scope {
 /// Push a scope label. The closure is only invoked when collection or
 /// tracing is enabled, so disabled runs pay no formatting.
 pub fn scope<F: FnOnce() -> String>(label: F) -> Scope {
-    let traced = trace::enabled();
-    if !is_enabled() && !traced {
+    if !armed(F_PROFILE | F_TRACE) {
         return Scope {
             active: false,
             _phase: None,
         };
     }
     let label = label();
-    let phase = traced.then(|| trace::phase_str(label.clone()));
-    SCOPES.with(|s| s.borrow_mut().push(label));
+    let phase = trace::enabled().then(|| trace::phase(|| label.clone()));
+    with_armed(|a| a.scopes.push(label));
     Scope {
         active: true,
         _phase: phase,
@@ -259,9 +383,7 @@ pub fn scope<F: FnOnce() -> String>(label: F) -> Scope {
 impl Drop for Scope {
     fn drop(&mut self) {
         if self.active {
-            SCOPES.with(|s| {
-                s.borrow_mut().pop();
-            });
+            with_armed(|a| a.scopes.pop());
         }
     }
 }
@@ -269,7 +391,7 @@ impl Drop for Scope {
 /// Qualify `name` with the innermost active scope (`scope/name`), or
 /// return it unchanged when no scope is active.
 pub fn qualified(name: &str) -> String {
-    SCOPES.with(|s| match s.borrow().last() {
+    with_armed(|a| match a.scopes.last() {
         Some(scope) => format!("{scope}/{name}"),
         None => name.to_string(),
     })
@@ -279,9 +401,6 @@ struct SpanInner {
     name: String,
     start: Instant,
     stats: OpStats,
-    /// Merge into the stats collector on drop (collection was enabled at
-    /// creation; a span may also be live for the tracer alone).
-    collect: bool,
 }
 
 /// A span timer: accumulates counters locally and merges them (plus wall
@@ -296,8 +415,7 @@ pub struct Span {
 /// Open a span under the current scope. The name closure is only invoked
 /// when collection or tracing is enabled.
 pub fn span<F: FnOnce() -> String>(name: F) -> Span {
-    let collect = is_enabled();
-    if !collect && !trace::enabled() {
+    if !armed(F_PROFILE | F_TRACE) {
         return Span { inner: None };
     }
     let name = qualified(&name());
@@ -309,7 +427,6 @@ pub fn span<F: FnOnce() -> String>(name: F) -> Span {
                 invocations: 1,
                 ..OpStats::default()
             },
-            collect,
         })),
     }
 }
@@ -384,13 +501,8 @@ impl Drop for Span {
         if let Some(inner) = self.inner.take() {
             let mut inner = *inner;
             inner.stats.wall_ns += inner.start.elapsed().as_nanos() as u64;
-            if inner.collect {
-                COLLECTOR.with(|c| {
-                    if let Some(col) = &mut *c.borrow_mut() {
-                        col.merge(&inner.name, &inner.stats);
-                    }
-                });
-            }
+            // A span may be live for the tracer alone.
+            with_collector(|col| col.merge(&inner.name, &inner.stats));
             trace::emit(|| trace::TraceEvent::Op {
                 name: inner.name.clone(),
                 wall_ns: inner.stats.wall_ns,
@@ -405,17 +517,16 @@ impl Drop for Span {
 /// for per-row hot paths that precompute their name once (see
 /// [`qualified`]). No-op when collection is disabled.
 pub fn record(name: &str, f: impl FnOnce(&mut OpStats)) {
-    COLLECTOR.with(|c| {
-        if let Some(col) = &mut *c.borrow_mut() {
-            match col.ops.get_mut(name) {
-                Some(e) => f(e),
-                None => {
-                    let mut stats = OpStats::default();
-                    f(&mut stats);
-                    col.order.push(name.to_string());
-                    col.ops.insert(name.to_string(), stats);
-                }
-            }
+    if !is_enabled() {
+        return;
+    }
+    with_collector(|col| match col.ops.get_mut(name) {
+        Some(e) => f(e),
+        None => {
+            let mut stats = OpStats::default();
+            f(&mut stats);
+            col.order.push(name.to_string());
+            col.ops.insert(name.to_string(), stats);
         }
     });
 }
@@ -524,6 +635,20 @@ impl Profile {
 mod tests {
     use super::*;
 
+    pub(crate) fn profiling() -> ObsGuard {
+        enter(Observers {
+            profile: true,
+            ..Observers::default()
+        })
+    }
+
+    pub(crate) fn tracing() -> ObsGuard {
+        enter(Observers {
+            trace: Some(Vec::new()),
+            ..Observers::default()
+        })
+    }
+
     #[test]
     fn disabled_spans_are_inert() {
         assert!(!is_enabled());
@@ -533,12 +658,12 @@ mod tests {
         sp.rows_out(5);
         drop(sp);
         assert!(snapshot().is_empty());
-        assert!(disable().is_none());
+        assert!(enter(Observers::default()).finish().0.is_none());
     }
 
     #[test]
     fn spans_merge_under_scopes() {
-        enable();
+        let obs = profiling();
         {
             let _s = scope(|| "b2".to_string());
             let mut sp = span(|| "join".to_string());
@@ -551,7 +676,7 @@ mod tests {
             let mut sp = span(|| "join".to_string());
             sp.rows_in(2);
         }
-        let profile = disable().unwrap();
+        let profile = obs.finish().0.unwrap();
         let j = profile.get("b2/join").unwrap();
         assert_eq!(j.invocations, 2);
         assert_eq!(j.rows_in, 12);
@@ -563,13 +688,13 @@ mod tests {
 
     #[test]
     fn innermost_scope_wins() {
-        enable();
+        let obs = profiling();
         {
             let _outer = scope(|| "b1".to_string());
             let _inner = scope(|| "b2".to_string());
             span(|| "nest".to_string()).group(3);
         }
-        let profile = disable().unwrap();
+        let profile = obs.finish().0.unwrap();
         assert!(profile.get("b2/nest").is_some());
         assert!(profile.get("b1/nest").is_none());
     }
@@ -596,17 +721,17 @@ mod tests {
 
     #[test]
     fn record_uses_raw_name_and_creates_entries() {
-        enable();
+        let obs = profiling();
         record("b3/link", |s| s.record_outcome(Truth::True));
         record("b3/link", |s| s.record_outcome(Truth::Unknown));
-        let profile = disable().unwrap();
+        let profile = obs.finish().0.unwrap();
         let l = profile.get("b3/link").unwrap();
         assert_eq!((l.pass, l.unknown), (1, 1));
     }
 
     #[test]
     fn json_shape() {
-        enable();
+        let obs = profiling();
         {
             let mut sp = span(|| "nest".to_string());
             sp.rows_in(6);
@@ -614,7 +739,7 @@ mod tests {
             sp.group(0);
             sp.rows_out(2);
         }
-        let profile = disable().unwrap();
+        let profile = obs.finish().0.unwrap();
         let json = profile.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"name\": \"nest\""));
@@ -627,11 +752,11 @@ mod tests {
     #[test]
     fn io_stats_fold_into_snapshot() {
         use nra_storage::iosim::IoConfig;
-        enable();
+        let obs = profiling();
         iosim::enable(IoConfig::default());
         iosim::charge_seq_scan(1000, 4);
         span(|| "scan".to_string()).rows_out(1000);
-        let profile = disable().unwrap();
+        let profile = obs.finish().0.unwrap();
         let io = iosim::disable().unwrap();
         assert!(io.seq_pages > 0);
         assert_eq!(profile.io.unwrap().seq_pages, io.seq_pages);
@@ -640,12 +765,12 @@ mod tests {
 
     #[test]
     fn json_escapes_qualified_names() {
-        enable();
+        let obs = profiling();
         {
             let _s = scope(|| "b\"2\\".to_string());
             span(|| "υ-nest".to_string()).rows_out(1);
         }
-        let json = disable().unwrap().to_json();
+        let json = obs.finish().0.unwrap().to_json();
         assert!(json.contains("\"name\": \"b\\\"2\\\\/υ-nest\""), "{json}");
         let parsed = json::Json::parse(&json).unwrap();
         let ops = parsed.get("ops").unwrap().as_arr().unwrap();
@@ -655,8 +780,7 @@ mod tests {
     #[test]
     fn span_emits_trace_op_event_without_collector() {
         assert!(!is_enabled());
-        let (sink, handle) = trace::RingSink::with_capacity(16);
-        trace::start(vec![Box::new(sink)]);
+        let obs = tracing();
         {
             let _s = scope(|| "b9".to_string());
             let mut sp = span(|| "join".to_string());
@@ -664,11 +788,10 @@ mod tests {
             sp.rows_in(3);
             sp.rows_out(1);
         }
-        trace::stop();
         // Nothing reached the (disabled) stats collector...
         assert!(snapshot().is_empty());
         // ...but the tracer saw the block phase and the qualified op.
-        let t = handle.take();
+        let t = obs.finish().1.unwrap();
         assert!(t.events().any(|e| matches!(
             e,
             trace::TraceEvent::Op { name, rows_in: 3, rows_out: 1, .. } if name == "b9/join"

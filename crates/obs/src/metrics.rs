@@ -7,8 +7,8 @@
 //!   singleton accumulating across queries (queries executed, rows
 //!   produced, errors by variant, governor outcomes, memory high-water
 //!   marks, Q-error distribution);
-//! * **per-query** — an [`Arc<Registry>`] installed around one query via
-//!   [`install_query`] on the thread that executes it.
+//! * **per-query** — an [`Arc<Registry>`] armed around one query through
+//!   [`crate::Observers::metrics`] on the thread that executes it.
 //!
 //! Everything recorded here is *commutative* (counter adds, gauge maxima,
 //! histogram observations), so a per-query registry is byte-identical
@@ -19,9 +19,8 @@
 //! `(name, labels)`. The BTreeMap ordering is what makes the exposition
 //! output deterministic without a sort at render time.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use crate::json;
 
@@ -164,55 +163,27 @@ impl Registry {
                 .collect(),
         }
     }
-
-    /// Clear every metric (used by tests; production registries only grow).
-    pub fn reset(&self) {
-        self.lock().clear();
-    }
 }
 
 /// The process-cumulative registry.
 pub fn global() -> &'static Registry {
+    // Process-wide by design: its counters accumulate across every
+    // database in the process, and callers outside any query (benchmark
+    // harnesses, the CLI's `:metrics`) read them.
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::default)
 }
 
-thread_local! {
-    /// The per-query registry installed on this thread, if any.
-    static QUERY: RefCell<Option<Arc<Registry>>> = const { RefCell::new(None) };
-}
-
-/// Install `reg` as this thread's per-query registry for the guard's
-/// lifetime (replacing and later restoring any previous one). Pass `None`
-/// to explicitly run without a per-query scope.
-pub fn install_query(reg: Option<Arc<Registry>>) -> QueryGuard {
-    let prev = QUERY.with(|q| q.borrow_mut().take());
-    QUERY.with(|q| *q.borrow_mut() = reg);
-    QueryGuard { prev }
-}
-
-/// Restores the previously installed per-query registry on drop.
-pub struct QueryGuard {
-    prev: Option<Arc<Registry>>,
-}
-
-impl Drop for QueryGuard {
-    fn drop(&mut self) {
-        let prev = self.prev.take();
-        QUERY.with(|q| *q.borrow_mut() = prev);
-    }
-}
-
 /// Apply `f` to every active scope: the global registry always, plus the
-/// per-query registry when one is installed. This is what instrumentation
+/// per-query registry when one is armed. This is what instrumentation
 /// points (governor hooks, the query lifecycle) call so both scopes agree.
 pub fn both(f: impl Fn(&Registry)) {
     f(global());
-    QUERY.with(|q| {
-        if let Some(reg) = &*q.borrow() {
-            f(reg);
+    if crate::armed(crate::F_METRICS) {
+        if let Some(reg) = crate::with_armed(|a| a.metrics.clone()) {
+            f(&reg);
         }
-    });
+    }
 }
 
 /// An immutable copy of a registry's contents, ready to render.
@@ -383,6 +354,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn bucket_boundaries() {
@@ -485,7 +457,10 @@ mod tests {
     fn query_scope_install_and_both() {
         let reg = Arc::new(Registry::new());
         {
-            let _g = install_query(Some(reg.clone()));
+            let _g = crate::enter(crate::Observers {
+                metrics: Some(reg.clone()),
+                ..crate::Observers::default()
+            });
             both(|m| m.counter_add("scoped_total", &[], 1));
         }
         // Once the guard is gone, only the global registry records.

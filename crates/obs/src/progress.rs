@@ -1,9 +1,8 @@
 //! Live per-query progress estimation.
 //!
 //! A [`ProgressState`] is built by the query entry point (`Database::
-//! execute`) alongside the governor guard and installed on the executing
-//! thread via [`install`] — the same thread-local + guard pattern the
-//! per-query metrics registry uses. While the query runs, the engine's
+//! execute`) alongside the governor guard and armed on the executing
+//! thread through [`crate::Observers::progress`]. While the query runs, the engine's
 //! governor cadence (`governor::tick`, every 1024 rows) feeds
 //! [`on_rows`], and every memory-budget charge feeds [`on_mem`], so a
 //! [`ProgressSnapshot`] — phase, percent complete, rows processed vs.
@@ -23,9 +22,8 @@
 //! monotonically non-decreasing — the estimate can only catch *up* to
 //! the truth, never overshoot and regress.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::json;
@@ -173,63 +171,40 @@ impl ProgressSnapshot {
     }
 }
 
-thread_local! {
-    /// The progress state of the query executing on this thread, if any.
-    static PROGRESS: RefCell<Option<Arc<ProgressState>>> = const { RefCell::new(None) };
-}
-
-/// Install `state` as this thread's progress sink for the guard's
-/// lifetime (replacing and later restoring any previous one). Mirrors
-/// [`crate::metrics::install_query`].
-pub fn install(state: Option<Arc<ProgressState>>) -> ProgressGuard {
-    let prev = PROGRESS.with(|p| std::mem::replace(&mut *p.borrow_mut(), state));
-    ProgressGuard { prev }
-}
-
-/// Restores the previously installed progress state on drop.
-pub struct ProgressGuard {
-    prev: Option<Arc<ProgressState>>,
-}
-
-impl Drop for ProgressGuard {
-    fn drop(&mut self) {
-        let prev = self.prev.take();
-        PROGRESS.with(|p| *p.borrow_mut() = prev);
-    }
-}
-
-/// The progress state installed on this thread, if any.
-pub fn current() -> Option<Arc<ProgressState>> {
-    PROGRESS.with(|p| p.borrow().clone())
-}
-
 /// Engine hook: `n` more rows went through a scan loop in `phase`.
-/// No-op when no progress state is installed.
+/// No-op when no progress state is armed.
 pub fn on_rows(n: u64, phase: &str) {
-    PROGRESS.with(|p| {
-        if let Some(state) = &*p.borrow() {
-            state.add_rows(n, phase);
-        }
-    });
+    with_progress(|state| state.add_rows(n, phase));
 }
 
 /// Engine hook: governed memory usage reached `total` bytes. No-op when
-/// no progress state is installed.
+/// no progress state is armed.
 pub fn on_mem(total: u64) {
-    PROGRESS.with(|p| {
-        if let Some(state) = &*p.borrow() {
-            state.raise_mem(total);
-        }
-    });
+    with_progress(|state| state.raise_mem(total));
+}
+
+fn with_progress(f: impl FnOnce(&ProgressState)) {
+    if crate::armed(crate::F_PROGRESS) {
+        crate::with_armed(|a| a.progress.as_deref().map(f));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{enter, ObsGuard, Observers};
+    use std::sync::Arc;
+
+    fn arm(state: &Arc<ProgressState>) -> ObsGuard {
+        enter(Observers {
+            progress: Some(state.clone()),
+            ..Observers::default()
+        })
+    }
 
     #[test]
     fn hooks_are_inert_without_installation() {
-        assert!(current().is_none());
+        assert!(!crate::armed(crate::F_PROGRESS));
         on_rows(1024, "join-scan");
         on_mem(4096);
     }
@@ -238,7 +213,7 @@ mod tests {
     fn snapshots_track_rows_phase_and_memory() {
         let p = Arc::new(ProgressState::new());
         p.set_estimated(4096);
-        let _g = install(Some(p.clone()));
+        let _g = arm(&p);
         on_rows(1024, "join-scan");
         on_mem(500);
         on_rows(1024, "nest-scan");
@@ -303,10 +278,10 @@ mod tests {
     #[test]
     fn install_guard_restores_previous_state() {
         let outer = Arc::new(ProgressState::new());
-        let _og = install(Some(outer.clone()));
+        let _og = arm(&outer);
         {
             let inner = Arc::new(ProgressState::new());
-            let _ig = install(Some(inner.clone()));
+            let _ig = arm(&inner);
             on_rows(1024, "inner");
             assert_eq!(inner.snapshot().rows_processed, 1024);
         }

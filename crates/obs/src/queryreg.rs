@@ -1,9 +1,10 @@
-//! Process-wide query registry: the currently-running queries and a
+//! Per-database query registry: the currently-running queries and a
 //! bounded ring of completed-query records.
 //!
-//! This is the data behind the `nra_sys.running` / `nra_sys.queries`
-//! system tables and the CLI's `:ps` / `:history` — and the state a
-//! future serving front end's `SHOW PROCESSLIST` will read. The query
+//! Each database owns one (`Database::queries`). It is the data behind
+//! that database's `nra_sys.running` / `nra_sys.queries` system tables
+//! and the CLI's `:ps` / `:history` — and the state a future serving
+//! front end's `SHOW PROCESSLIST` will read. The query
 //! entry point [`QueryRegistry::register`]s each statement before execution (sharing
 //! the query's [`crate::progress::ProgressState`], so any thread can
 //! watch it advance) and [`QueryRegistry::complete`]s it afterwards,
@@ -16,17 +17,18 @@
 //! regardless of how long the process serves queries.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use crate::progress::ProgressState;
 
-/// Completed-query records kept by the [`global`] registry.
+/// Completed-query records a database's registry keeps.
 pub const RING_CAPACITY: usize = 256;
 
 /// One finished query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryRecord {
-    /// Process-wide query id (monotonically increasing from 1).
+    /// Query id, unique within its registry (monotonically increasing
+    /// from 1).
     pub id: u64,
     /// The statement as the plan cache keyed it (normalized by the
     /// caller with `nra_sql::normalize`).
@@ -88,8 +90,7 @@ impl QueryRegistry {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Enter a query into the running table, assigning its process-wide
-    /// id. `sql` is stored as given: the caller passes the normalized
+    /// Enter a query into the running table, assigning its id. `sql` is stored as given: the caller passes the normalized
     /// statement, so nothing is normalized under the registry lock.
     pub fn register(&self, sql: &str, progress: Arc<ProgressState>) -> u64 {
         let sql = sql.to_string();
@@ -128,12 +129,6 @@ impl QueryRegistry {
     pub fn completed(&self) -> Vec<QueryRecord> {
         self.lock().completed.iter().cloned().collect()
     }
-}
-
-/// The process-wide registry.
-pub fn global() -> &'static QueryRegistry {
-    static GLOBAL: OnceLock<QueryRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(|| QueryRegistry::with_capacity(RING_CAPACITY))
 }
 
 #[cfg(test)]

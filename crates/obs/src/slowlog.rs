@@ -190,9 +190,9 @@ mod tests {
 
     #[test]
     fn records_embed_profiles() {
-        crate::enable();
+        let obs = crate::tests::profiling();
         crate::span(|| "join".to_string()).rows_out(3);
-        let profile = crate::disable().unwrap();
+        let profile = obs.finish().0.unwrap();
         let snap = snapshot();
         let line = record(&snap, Some(&profile)).to_jsonl();
         validate(&line).unwrap();

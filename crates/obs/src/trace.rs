@@ -1,5 +1,5 @@
 //! Query-lifecycle tracing: hierarchical spans with typed, structured
-//! events, emitted through pluggable [`TraceSink`]s.
+//! events.
 //!
 //! Where the sibling profile collector ([`crate::Profile`]) answers *how
 //! much* each operator did, tracing answers *what happened and why* across
@@ -10,40 +10,38 @@
 //! `RewriteStep`, per-phase `PhaseStart`/`PhaseDone`, per-operator `Op`
 //! (sharing the profile's qualified names, so traces and profiles
 //! correlate), and `QueryEnd` — at a nesting depth maintained by the
-//! thread-local tracer.
+//! armed tracer.
 //!
-//! Three sinks ship with the crate:
+//! A tracer is armed through [`crate::enter`] with
+//! [`crate::Observers::trace`]. It records every event into an in-memory
+//! ring, handed back as a [`Trace`] by [`crate::ObsGuard::finish`], and
+//! mirrors it to the given [`TraceSink`]s. Two mirrors ship with the
+//! crate:
 //!
-//! * [`RingSink`] — an in-memory ring buffer, read back as a [`Trace`]
-//!   (used by `Database::trace_query` and tests);
 //! * [`StderrSink`] — a pretty indented tree on stderr (`NRA_TRACE=1`);
 //! * [`JsonlSink`] — one JSON object per event appended to a file
 //!   (`NRA_TRACE_FILE=path`).
 //!
 //! Like the profile collector, tracing is disabled by default and costs a
-//! single thread-local check per potential event when off — event
-//! construction is behind closures that never run while disabled.
+//! single flags check per potential event when off — event construction
+//! is behind closures that never run while disabled.
 //!
 //! ```
-//! use nra_obs::trace::{self, RingSink, TraceEvent};
+//! use nra_obs::trace::{self, TraceEvent};
 //!
-//! let (sink, handle) = RingSink::with_capacity(64);
-//! trace::start(vec![Box::new(sink)]);
+//! let obs = nra_obs::enter(nra_obs::Observers { trace: Some(vec![]), ..Default::default() });
 //! trace::emit(|| TraceEvent::QueryStart { sql: "select 1".into() });
 //! {
 //!     let mut ph = trace::phase(|| "parse".to_string());
 //!     ph.set_rows(1);
 //! }
-//! trace::stop();
-//! let t = handle.take();
+//! let t = obs.finish().1.unwrap();
 //! assert_eq!(t.entries.len(), 3); // QueryStart, PhaseStart, PhaseDone
 //! ```
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write;
-use std::rc::Rc;
 use std::time::Instant;
 
 use crate::json;
@@ -404,77 +402,6 @@ impl Trace {
     }
 }
 
-struct RingBuf {
-    cap: usize,
-    entries: VecDeque<TraceEntry>,
-    dropped: u64,
-}
-
-/// In-memory ring-buffer sink. Create with [`RingSink::with_capacity`],
-/// install the sink, and read the recorded [`Trace`] back through the
-/// returned [`RingHandle`] after stopping the tracer.
-pub struct RingSink {
-    buf: Rc<RefCell<RingBuf>>,
-}
-
-/// Reader side of a [`RingSink`].
-pub struct RingHandle {
-    buf: Rc<RefCell<RingBuf>>,
-}
-
-impl RingSink {
-    /// A ring of at most `cap` events (oldest dropped first).
-    pub fn with_capacity(cap: usize) -> (RingSink, RingHandle) {
-        let buf = Rc::new(RefCell::new(RingBuf {
-            cap: cap.max(1),
-            entries: VecDeque::new(),
-            dropped: 0,
-        }));
-        (
-            RingSink {
-                buf: Rc::clone(&buf),
-            },
-            RingHandle { buf },
-        )
-    }
-}
-
-impl TraceSink for RingSink {
-    fn emit(&mut self, depth: usize, event: &TraceEvent) {
-        let mut buf = self.buf.borrow_mut();
-        if buf.entries.len() == buf.cap {
-            buf.entries.pop_front();
-            buf.dropped += 1;
-        }
-        buf.entries.push_back(TraceEntry {
-            depth,
-            event: event.clone(),
-        });
-    }
-}
-
-impl RingHandle {
-    /// Drain the recorded events into a [`Trace`].
-    pub fn take(&self) -> Trace {
-        let mut buf = self.buf.borrow_mut();
-        let dropped = buf.dropped;
-        buf.dropped = 0;
-        Trace {
-            entries: buf.entries.drain(..).collect(),
-            dropped,
-        }
-    }
-
-    /// Events currently buffered (without draining).
-    pub fn len(&self) -> usize {
-        self.buf.borrow().entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Pretty indented tree on stderr, printed live as events arrive.
 #[derive(Default)]
 pub struct StderrSink;
@@ -509,55 +436,73 @@ impl TraceSink for JsonlSink {
     }
 }
 
-struct Tracer {
+/// Events an armed tracer keeps in its in-memory ring (oldest dropped
+/// first).
+const RING_CAPACITY: usize = 4096;
+
+/// An armed tracer (see [`crate::Observers::trace`]): the span-tree
+/// depth, the in-memory ring and the mirror sinks.
+pub(crate) struct Tracer {
     depth: usize,
+    ring: VecDeque<TraceEntry>,
+    dropped: u64,
     sinks: Vec<Box<dyn TraceSink>>,
 }
 
-thread_local! {
-    static TRACER: RefCell<Option<Tracer>> = const { RefCell::new(None) };
-}
+impl Tracer {
+    pub(crate) fn new(sinks: Vec<Box<dyn TraceSink>>) -> Tracer {
+        Tracer {
+            depth: 0,
+            ring: VecDeque::new(),
+            dropped: 0,
+            sinks,
+        }
+    }
 
-/// Install sinks and start tracing on this thread (replacing any active
-/// tracer; its sinks are finished first).
-pub fn start(sinks: Vec<Box<dyn TraceSink>>) {
-    stop();
-    TRACER.with(|t| {
-        *t.borrow_mut() = Some(Tracer { depth: 0, sinks });
-    });
-}
+    fn record(&mut self, event: TraceEvent) {
+        for sink in &mut self.sinks {
+            sink.emit(self.depth, &event);
+        }
+        if self.ring.len() == RING_CAPACITY {
+            self.ring.pop_front();
+            self.dropped += 1;
+        }
+        self.ring.push_back(TraceEntry {
+            depth: self.depth,
+            event,
+        });
+    }
 
-/// Stop tracing: finish (flush) and drop every installed sink.
-pub fn stop() {
-    let tracer = TRACER.with(|t| t.borrow_mut().take());
-    if let Some(mut tracer) = tracer {
-        for sink in &mut tracer.sinks {
+    /// Finish (flush) every mirror sink and hand the ring back.
+    pub(crate) fn finish(mut self) -> Trace {
+        for sink in &mut self.sinks {
             sink.finish();
+        }
+        Trace {
+            entries: self.ring.into(),
+            dropped: self.dropped,
         }
     }
 }
 
-/// Whether a tracer is installed on this thread.
+/// Whether a tracer is armed on this thread.
 pub fn enabled() -> bool {
-    TRACER.with(|t| t.borrow().is_some())
+    crate::armed(crate::F_TRACE)
 }
 
 /// Emit one event at the current depth. The closure only runs when
-/// tracing is enabled, so disabled call sites pay a single thread-local
-/// check and no event construction.
+/// tracing is enabled, so disabled call sites pay a single flags check
+/// and no event construction.
 pub fn emit<F: FnOnce() -> TraceEvent>(f: F) {
     if !enabled() {
         return;
     }
     let event = f();
-    TRACER.with(|t| {
-        if let Some(tracer) = &mut *t.borrow_mut() {
-            let depth = tracer.depth;
-            for sink in &mut tracer.sinks {
-                sink.emit(depth, &event);
-            }
-        }
-    });
+    with_tracer(|tracer| tracer.record(event));
+}
+
+fn with_tracer(f: impl FnOnce(&mut Tracer)) {
+    crate::with_armed(|a| a.tracer.as_mut().map(f));
 }
 
 /// The mirror sinks a configuration asks for beside the in-memory ring:
@@ -594,25 +539,11 @@ pub fn phase<F: FnOnce() -> String>(name: F) -> PhaseGuard {
             rows: None,
         };
     }
-    phase_str(name())
-}
-
-/// Open a phase with an already-built name.
-pub fn phase_str(name: String) -> PhaseGuard {
-    if !enabled() {
-        return PhaseGuard {
-            inner: None,
-            rows: None,
-        };
-    }
+    let name = name();
     emit(|| TraceEvent::PhaseStart {
         phase: name.clone(),
     });
-    TRACER.with(|t| {
-        if let Some(tracer) = &mut *t.borrow_mut() {
-            tracer.depth += 1;
-        }
-    });
+    with_tracer(|tracer| tracer.depth += 1);
     PhaseGuard {
         inner: Some((name, Instant::now())),
         rows: None,
@@ -637,11 +568,7 @@ impl Drop for PhaseGuard {
     fn drop(&mut self) {
         if let Some((name, start)) = self.inner.take() {
             let wall_ns = start.elapsed().as_nanos() as u64;
-            TRACER.with(|t| {
-                if let Some(tracer) = &mut *t.borrow_mut() {
-                    tracer.depth = tracer.depth.saturating_sub(1);
-                }
-            });
+            with_tracer(|tracer| tracer.depth = tracer.depth.saturating_sub(1));
             let rows = self.rows;
             emit(|| TraceEvent::PhaseDone {
                 phase: name,
@@ -655,6 +582,7 @@ impl Drop for PhaseGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::tracing;
 
     #[test]
     fn disabled_tracing_is_inert() {
@@ -668,8 +596,7 @@ mod tests {
 
     #[test]
     fn ring_records_nested_phases() {
-        let (sink, handle) = RingSink::with_capacity(128);
-        start(vec![Box::new(sink)]);
+        let obs = tracing();
         emit(|| TraceEvent::QueryStart {
             sql: "select 1".into(),
         });
@@ -684,8 +611,7 @@ mod tests {
                 rows_out: 2,
             });
         }
-        stop();
-        let trace = handle.take();
+        let trace = obs.finish().1.unwrap();
         assert_eq!(trace.dropped, 0);
         let depths: Vec<usize> = trace.entries.iter().map(|e| e.depth).collect();
         // QueryStart(0), execute start(0), b2 start(1), op(2),
@@ -706,20 +632,22 @@ mod tests {
 
     #[test]
     fn ring_overflow_drops_oldest() {
-        let (sink, handle) = RingSink::with_capacity(2);
-        start(vec![Box::new(sink)]);
-        for i in 0..5 {
+        let obs = tracing();
+        for i in 0..RING_CAPACITY + 3 {
             emit(|| TraceEvent::Parsed { tokens: i });
         }
-        stop();
-        let trace = handle.take();
+        let trace = obs.finish().1.unwrap();
         assert_eq!(trace.dropped, 3);
+        assert_eq!(trace.entries.len(), RING_CAPACITY);
         assert_eq!(
-            trace.events().collect::<Vec<_>>(),
-            vec![
-                &TraceEvent::Parsed { tokens: 3 },
-                &TraceEvent::Parsed { tokens: 4 }
-            ]
+            trace.events().next(),
+            Some(&TraceEvent::Parsed { tokens: 3 })
+        );
+        assert_eq!(
+            trace.events().last(),
+            Some(&TraceEvent::Parsed {
+                tokens: RING_CAPACITY + 2
+            })
         );
         assert!(trace.render_tree().contains("3 earlier event(s) dropped"));
     }

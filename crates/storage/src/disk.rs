@@ -72,6 +72,13 @@ impl<'a> Cursor<'a> {
         self.pos == self.buf.len()
     }
 
+    /// A reservation for `count` entries of at least `min_size` encoded
+    /// bytes each, bounded by what the rest of the buffer can hold: a
+    /// count read from input never sizes an allocation on its own.
+    pub(crate) fn capacity_for(&self, count: usize, min_size: usize) -> usize {
+        count.min((self.buf.len() - self.pos) / min_size)
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         if self.buf.len() - self.pos < n {
             return Err(format!(
@@ -256,7 +263,7 @@ fn type_from_tag(tag: u8) -> Result<ColumnType, String> {
     })
 }
 
-fn put_stats(buf: &mut Vec<u8>, stats: &TableStats) {
+pub(crate) fn put_stats(buf: &mut Vec<u8>, stats: &TableStats) {
     put_u64(buf, stats.row_count);
     put_u32(buf, stats.columns.len() as u32);
     for c in &stats.columns {
@@ -266,10 +273,11 @@ fn put_stats(buf: &mut Vec<u8>, stats: &TableStats) {
     }
 }
 
-fn get_stats(cur: &mut Cursor<'_>) -> Result<TableStats, String> {
+pub(crate) fn get_stats(cur: &mut Cursor<'_>) -> Result<TableStats, String> {
     let row_count = cur.u64()?;
     let n = cur.u32()? as usize;
-    let mut columns = Vec::with_capacity(n);
+    // Each entry: name length (4) + ndv (8) + null count (8).
+    let mut columns = Vec::with_capacity(cur.capacity_for(n, 20));
     for _ in 0..n {
         columns.push(ColumnStats {
             name: cur.str()?,
@@ -340,7 +348,8 @@ pub(crate) fn put_table(buf: &mut Vec<u8>, table: &Table) {
 pub(crate) fn get_table(cur: &mut Cursor<'_>) -> Result<Table, String> {
     let name = cur.str()?;
     let ncols = cur.u32()? as usize;
-    let mut columns = Vec::with_capacity(ncols);
+    // Each column: name length (4) + type tag (1) + nullable flag (1).
+    let mut columns = Vec::with_capacity(cur.capacity_for(ncols, 6));
     for _ in 0..ncols {
         let cname = cur.str()?;
         let ty = type_from_tag(cur.u8()?)?;
@@ -354,7 +363,7 @@ pub(crate) fn get_table(cur: &mut Cursor<'_>) -> Result<Table, String> {
     }
     let mut table = Table::new(name, Schema::new(columns));
     let npk = cur.u32()? as usize;
-    let mut pk_names: Vec<String> = Vec::with_capacity(npk);
+    let mut pk_names: Vec<String> = Vec::with_capacity(cur.capacity_for(npk, 4));
     for _ in 0..npk {
         let i = cur.u32()? as usize;
         let col = table
@@ -655,6 +664,28 @@ mod tests {
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
         assert_eq!(names, vec![snapshot_name(11)]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn huge_column_count_is_corruption_not_an_allocation() {
+        let dir = tmpdir("hugecols");
+        let mut body = Vec::new();
+        put_u32(&mut body, FORMAT_VERSION);
+        put_u64(&mut body, 7);
+        put_u32(&mut body, 1);
+        put_str(&mut body, "t");
+        put_u32(&mut body, u32::MAX);
+        let mut bytes = MAGIC.to_vec();
+        put_u32(&mut bytes, crc32(&body));
+        bytes.extend_from_slice(&body);
+        fs::write(dir.join(snapshot_name(7)), &bytes).unwrap();
+        match load_latest_snapshot(&dir) {
+            Err(StorageError::Corruption { detail, .. }) => {
+                assert!(detail.contains("unexpected end"), "{detail}")
+            }
+            other => panic!("expected corruption, got {other:?}"),
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

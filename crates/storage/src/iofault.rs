@@ -110,6 +110,9 @@ impl IoFaultPlan {
     }
 }
 
+// Ambient by design: `disk::write_snapshot(dir, catalog, lsn)` and the
+// WAL writer take no fault-plan parameter, so the crash matrix reaches
+// their I/O sites through this thread's slot.
 thread_local! {
     static LOCAL: RefCell<Option<Arc<IoFaultPlan>>> = const { RefCell::new(None) };
 }

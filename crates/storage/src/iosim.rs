@@ -171,6 +171,10 @@ struct Sim {
     table_ids: HashMap<String, u64>,
 }
 
+// Ambient by design: `nra_bench::profile` arms it around direct
+// `nra_core::execute` calls, which take no context parameter, and
+// `nra_obs` (which does not depend on `nra_engine`) reads it for the
+// profile's I/O footer, so it cannot live in the engine's `QueryCtx`.
 thread_local! {
     static SIM: RefCell<Option<Sim>> = const { RefCell::new(None) };
 }

@@ -78,16 +78,7 @@ impl WalRecord {
             WalRecord::Analyze { table, stats } => {
                 body.push(3);
                 disk::put_str(&mut body, table);
-                // Reuse the table-stats encoding from the snapshot codec.
-                let mut tmp = Vec::new();
-                disk::put_u64(&mut tmp, stats.row_count);
-                disk::put_u32(&mut tmp, stats.columns.len() as u32);
-                for c in &stats.columns {
-                    disk::put_str(&mut tmp, &c.name);
-                    disk::put_u64(&mut tmp, c.ndv);
-                    disk::put_u64(&mut tmp, c.null_count);
-                }
-                body.extend_from_slice(&tmp);
+                disk::put_stats(&mut body, stats);
             }
         }
         body
@@ -104,23 +95,10 @@ impl WalRecord {
                 let rows = disk::get_rows(&mut cur)?;
                 WalRecord::Insert { table, rows }
             }
-            3 => {
-                let table = cur.str()?;
-                let row_count = cur.u64()?;
-                let n = cur.u32()? as usize;
-                let mut columns = Vec::with_capacity(n);
-                for _ in 0..n {
-                    columns.push(crate::catalog::ColumnStats {
-                        name: cur.str()?,
-                        ndv: cur.u64()?,
-                        null_count: cur.u64()?,
-                    });
-                }
-                WalRecord::Analyze {
-                    table,
-                    stats: TableStats { row_count, columns },
-                }
-            }
+            3 => WalRecord::Analyze {
+                table: cur.str()?,
+                stats: disk::get_stats(&mut cur)?,
+            },
             k => return Err(format!("unknown record kind {k}")),
         };
         if !cur.is_at_end() {
@@ -552,6 +530,28 @@ mod tests {
             Err(StorageError::Corruption { file, detail, .. }) => {
                 assert!(file.contains("wal"), "file = {file}");
                 assert!(detail.contains("checksum"), "detail = {detail}");
+            }
+            other => panic!("expected corruption, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn huge_analyze_column_count_is_corruption_not_an_allocation() {
+        let path = tmpfile("hugestats");
+        let mut body = Vec::new();
+        disk::put_u64(&mut body, 1);
+        body.push(3);
+        disk::put_str(&mut body, "");
+        disk::put_u64(&mut body, 0);
+        disk::put_u32(&mut body, u32::MAX);
+        let mut bytes = MAGIC.to_vec();
+        disk::put_u32(&mut bytes, body.len() as u32);
+        disk::put_u32(&mut bytes, crc32(&body));
+        bytes.extend_from_slice(&body);
+        fs::write(&path, &bytes).unwrap();
+        match replay(&path) {
+            Err(StorageError::Corruption { detail, .. }) => {
+                assert!(detail.contains("unexpected end"), "{detail}")
             }
             other => panic!("expected corruption, got {other:?}"),
         }

@@ -293,7 +293,7 @@ impl Shell {
                     Ok(())
                 }
                 "ps" => {
-                    let running = nra::obs::queryreg::global().running();
+                    let running = self.db().queries().running();
                     if running.is_empty() {
                         println!("(no queries running)");
                     }
@@ -313,7 +313,7 @@ impl Shell {
                     Ok(())
                 }
                 "history" => {
-                    let mut completed = nra::obs::queryreg::global().completed();
+                    let mut completed = self.db().queries().completed();
                     if let Ok(n) = args.trim().parse::<usize>() {
                         let skip = completed.len().saturating_sub(n);
                         completed.drain(..skip);

@@ -7,27 +7,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use nra_engine::{AdmissionConfig, AdmissionController, Config, EngineError};
+use nra_obs::queryreg::{self, QueryRegistry};
 use nra_sql::{BoundQuery, SqlError};
 use nra_storage::{Catalog, Column, Schema, StorageError, Table, Tuple};
 
 use crate::lifecycle::Caller;
-use crate::{durable, plancache, storage, sys, NraError, QueryOptions, QueryOutcome};
-
-/// Process-unique database ids, used as the first component of every
-/// plan-cache key: two databases must never share cached plans even for
-/// byte-identical SQL, because bound plans embed catalog-specific name
-/// resolutions.
-fn next_db_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
+use crate::plancache::PlanCache;
+use crate::{durable, storage, sys, NraError, QueryOptions, QueryOutcome};
 
 /// State shared by every handle to one database: the catalog behind a
 /// readers-writer lock, the configuration it was built under, the schema
-/// version driving plan-cache invalidation, the admission controller
-/// gating concurrent queries, and the session-id counter.
+/// version driving plan-cache invalidation, the plan cache and query
+/// registry, the admission controller gating concurrent queries, and the
+/// session-id counter.
 pub(crate) struct DbShared {
-    pub(crate) id: u64,
     /// The environment as parsed when the database was built. The
     /// infallible constructors keep a malformed value here and
     /// [`Database::execute`] returns it; [`Database::open`] refuses up
@@ -40,6 +33,9 @@ pub(crate) struct DbShared {
     /// databases restore it to the last applied LSN on open, so plans
     /// cached before a crash can never match a recovered catalog.
     pub(crate) version: AtomicU64,
+    pub(crate) plans: PlanCache,
+    /// This database's running queries and completed-query ring.
+    queries: QueryRegistry,
     admission: Mutex<Arc<AdmissionController>>,
     next_session: AtomicU64,
     /// WAL + snapshot state for databases opened via [`Database::open`]
@@ -49,19 +45,11 @@ pub(crate) struct DbShared {
 }
 
 impl DbShared {
-    /// Record a catalog write: bump the schema version and purge this
-    /// database's plan-cache entries.
+    /// Record a catalog write: bump the schema version and purge the
+    /// plan cache.
     pub(crate) fn invalidate_plans(&self) {
         self.version.fetch_add(1, Ordering::SeqCst);
-        plancache::purge_db(self.id);
-    }
-}
-
-impl Drop for DbShared {
-    fn drop(&mut self) {
-        // Last handle gone: release the plan-cache slots (quietly — the
-        // schema didn't change, the database did).
-        plancache::forget_db(self.id);
+        self.plans.purge();
     }
 }
 
@@ -82,7 +70,7 @@ impl std::ops::Deref for CatalogRef<'_> {
 
 /// Exclusive access to a database's catalog (see
 /// [`Database::catalog_mut`]). Dropping the guard bumps the schema
-/// version and invalidates the database's plan-cache entries, so direct
+/// version and purges the database's plan cache, so direct
 /// catalog surgery follows the same discipline as
 /// [`Database::create_table`] / [`Database::insert`].
 pub struct CatalogMut<'a> {
@@ -111,7 +99,7 @@ impl Drop for CatalogMut<'_> {
         // and can never revive a stale cached plan.
         self.shared.version.fetch_add(1, Ordering::SeqCst);
         drop(self.guard.take());
-        plancache::purge_db(self.shared.id);
+        self.shared.plans.purge();
     }
 }
 
@@ -119,7 +107,7 @@ impl Drop for CatalogMut<'_> {
 ///
 /// A `Database` value is a cheap handle onto shared state — cloning it
 /// (or sending a clone to another thread) yields another view of the
-/// *same* catalog, plan-cache lineage and session counter. Read queries
+/// *same* catalog, plan cache, query registry and session counter. Read queries
 /// on different handles run concurrently under a shared catalog lock;
 /// catalog writes ([`create_table`](Database::create_table),
 /// [`insert`](Database::insert), `ANALYZE`,
@@ -137,7 +125,6 @@ pub struct Database {
 impl fmt::Debug for Database {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Database")
-            .field("id", &self.shared.id)
             .field("version", &self.shared.version.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
@@ -175,10 +162,11 @@ impl Database {
             .map_or_else(|_| AdmissionConfig::default(), |c| c.admission.clone());
         Database {
             shared: Arc::new(DbShared {
-                id: next_db_id(),
                 config,
                 catalog: RwLock::new(catalog),
                 version: AtomicU64::new(version),
+                plans: PlanCache::default(),
+                queries: QueryRegistry::with_capacity(queryreg::RING_CAPACITY),
                 admission: Mutex::new(Arc::new(AdmissionController::new(admission))),
                 next_session: AtomicU64::new(1),
                 durable,
@@ -201,9 +189,11 @@ impl Database {
         Database::assemble(catalog, 0, None, self.shared.config.clone())
     }
 
-    /// The database's process-unique id (plan-cache key component).
-    pub(crate) fn id(&self) -> u64 {
-        self.shared.id
+    /// This database's query registry: its running queries and the
+    /// bounded ring of completed ones (`nra_sys.running` /
+    /// `nra_sys.queries`).
+    pub fn queries(&self) -> &QueryRegistry {
+        &self.shared.queries
     }
 
     /// Next session id, for [`Database::connect`].
@@ -345,10 +335,11 @@ impl Database {
     /// order, and every profile counter except wall times are identical
     /// on every run.
     ///
-    /// Observability side effects match the old dedicated methods: a
-    /// profile collector or tracer already installed on this thread is
-    /// replaced when the corresponding option is set, and both are left
-    /// disabled on return. Under [`QueryOptions::collect_trace`] the
+    /// Observability nests: a profile collector or tracer the caller
+    /// armed on this thread (`nra_obs::enter`) is set aside while the
+    /// query collects its own under the corresponding option, and is
+    /// restored intact on return; without the option, the query reports
+    /// to the caller's. Under [`QueryOptions::collect_trace`] the
     /// configured mirror sinks also apply (`NRA_TRACE=1` mirrors to
     /// stderr, `NRA_TRACE_FILE=path` writes JSONL).
     ///

@@ -9,9 +9,10 @@
 //! 2. **Early exits** — `ANALYZE`, `nra_sys.*` introspection and
 //!    `explain_only` return before any per-query state exists.
 //! 3. **Stages** — admission permit → catalog read guard → [`Stages`]
-//!    (metrics scope → trace sinks → progress + registry entry → profile
-//!    collector → I/O simulator → governor + batch width). Every stage is RAII: whatever was acquired is released in
-//!    reverse order on every path out, including an unwind.
+//!    (registry entry → one observability slot: profile, trace, progress,
+//!    per-query metrics, I/O simulator → governor + batch width). Every
+//!    stage is RAII: whatever was acquired is released in reverse order on
+//!    every path out, including an unwind.
 //! 4. **Run** — [`Database::run_statements`] under `exec::contain`.
 //! 5. **Finish** — one [`Summary`] computed once and handed to the four
 //!    reporters: counters, registry record, slow log, analyzed plan.
@@ -28,12 +29,13 @@ use nra_engine::vec::DEFAULT_BATCH_ROWS;
 use nra_engine::{ctx, governor, Config, Governor, QueryCtx};
 use nra_obs::metrics::{self, Registry};
 use nra_obs::progress::{self, ProgressState};
+use nra_obs::queryreg::{QueryRecord, QueryRegistry};
 use nra_obs::trace::{self, TraceEvent};
-use nra_obs::{queryreg, slowlog, Profile};
+use nra_obs::{slowlog, ObsGuard, Observers, Profile};
 use nra_sql::{BoundQuery, SqlError};
-use nra_storage::{iosim, Catalog, Relation};
+use nra_storage::{Catalog, Relation};
 
-use crate::plancache::{self, CachedPlan};
+use crate::plancache::CachedPlan;
 use crate::{sys, Database, Engine, NraError, QueryOptions, QueryOutcome};
 
 /// Who is executing: the session stamped into the query registry, and
@@ -108,7 +110,8 @@ impl Database {
             config,
             caller,
         };
-        let stages = Stages::enter(&query, ambient);
+        let stages = Stages::enter(self, &query, ambient);
+        let progress = stages.entry.as_ref().map(|e| &*e.progress);
 
         // One checkpoint before any work: an already-cancelled token or
         // a zero timeout stops even queries whose plans never reach an
@@ -117,36 +120,27 @@ impl Database {
         // structured error.
         let result = governor::checkpoint("query-start")
             .map_err(NraError::Engine)
-            .and_then(|()| exec::contain("query", || self.run_statements(&cat, &query)));
+            .and_then(|()| exec::contain("query", || self.run_statements(&cat, &query, progress)));
         stages.finish(&query, &cat, result)
     }
 }
 
-/// The teardown half of a stage that needs nothing else: runs on drop,
-/// on every path out.
-struct Defer(fn());
-
-impl Drop for Defer {
-    fn drop(&mut self) {
-        (self.0)();
-    }
-}
-
-/// Live progress installed on this thread plus the query's row in the
-/// process-wide running table. The governor's row-checkpoint cadence
-/// feeds the progress state, so operator counters are untouched.
-struct RegistryEntry {
+/// Live progress, armed on this thread by the observability slot, plus
+/// the query's row in the database's running table. The governor's
+/// row-checkpoint cadence feeds the progress state, so operator counters
+/// are untouched.
+struct RegistryEntry<'a> {
+    registry: &'a QueryRegistry,
     progress: Arc<ProgressState>,
     id: Option<u64>,
-    _installed: progress::ProgressGuard,
 }
 
-impl RegistryEntry {
-    fn open(statement: &str) -> RegistryEntry {
+impl<'a> RegistryEntry<'a> {
+    fn open(registry: &'a QueryRegistry, statement: &str) -> RegistryEntry<'a> {
         let progress = Arc::new(ProgressState::new());
         RegistryEntry {
-            id: Some(queryreg::global().register(statement, progress.clone())),
-            _installed: progress::install(Some(progress.clone())),
+            id: Some(registry.register(statement, progress.clone())),
+            registry,
             progress,
         }
     }
@@ -159,7 +153,7 @@ impl RegistryEntry {
         let phase = if s.outcome == "ok" { "done" } else { s.outcome };
         self.progress.finish(processed, phase);
         if let Some(id) = self.id.take() {
-            queryreg::global().complete(queryreg::QueryRecord {
+            self.registry.complete(QueryRecord {
                 id,
                 sql: q.statement.clone(),
                 outcome: s.outcome.to_string(),
@@ -174,10 +168,10 @@ impl RegistryEntry {
     }
 }
 
-impl Drop for RegistryEntry {
+impl Drop for RegistryEntry<'_> {
     fn drop(&mut self) {
         if let Some(id) = self.id.take() {
-            queryreg::global().forget(id);
+            self.registry.forget(id);
         }
     }
 }
@@ -198,60 +192,50 @@ struct Summary {
 /// Fields are declared in *reverse* acquisition order: Rust drops fields
 /// top to bottom, so an early return or unwind releases the last stage
 /// first.
-struct Stages {
+struct Stages<'a> {
     ctx: ctx::CtxGuard,
     governor: Option<Arc<Governor>>,
-    /// The I/O simulator, when this call (and not its caller) enabled it.
-    iosim: Option<Defer>,
-    /// Per-operator stats collection on this thread.
-    profile: Option<Defer>,
-    entry: Option<RegistryEntry>,
+    /// Profile, trace, progress, per-query metrics and the I/O simulator,
+    /// armed as this thread's one observability slot.
+    obs: ObsGuard,
+    /// This query armed its own profile collector.
+    profile: bool,
+    /// This query armed its own tracer.
+    traced: bool,
     started: Instant,
-    /// The lifecycle tracer: a ring buffer plus the configured mirrors.
-    trace: Option<(trace::RingHandle, Defer)>,
+    entry: Option<RegistryEntry<'a>>,
     query_metrics: Option<Arc<Registry>>,
-    _metrics_scope: metrics::QueryGuard,
 }
 
-impl Stages {
-    fn enter(q: &Query<'_>, ambient: QueryCtx) -> Stages {
+impl<'a> Stages<'a> {
+    fn enter(db: &'a Database, q: &Query<'_>, ambient: QueryCtx) -> Stages<'a> {
         // A fresh per-query registry on this thread; the
         // process-cumulative registry keeps accumulating regardless.
         let query_metrics = (q.options.collect_metrics || q.config.metrics_path.is_some())
             .then(|| Arc::new(Registry::new()));
-        let _metrics_scope = metrics::install_query(query_metrics.clone());
-        let trace = q.options.collect_trace.then(|| {
-            let (ring, handle) = trace::RingSink::with_capacity(4096);
-            let mut sinks: Vec<Box<dyn trace::TraceSink>> = vec![Box::new(ring)];
-            sinks.extend(trace::mirror_sinks(
-                q.config.trace_stderr,
-                q.config.trace_file.as_deref(),
-            ));
-            trace::start(sinks);
-            trace::emit(|| TraceEvent::QueryStart {
-                sql: q.sql.to_string(),
-            });
-            (handle, Defer(trace::stop))
-        });
-        let started = Instant::now();
-        let entry = (!q.caller.introspection).then(|| RegistryEntry::open(&q.statement));
+        let entry =
+            (!q.caller.introspection).then(|| RegistryEntry::open(db.queries(), &q.statement));
         // Per-operator stats feed `outcome.profile`, the derived
         // per-query metrics, and the Q-error actuals behind the trace's
         // `qerror_summary` event.
-        let want_profile =
+        let profile =
             q.options.collect_profile || query_metrics.is_some() || q.options.collect_trace;
-        let profile = want_profile.then(|| {
-            nra_obs::enable();
-            Defer(|| {
-                nra_obs::disable();
-            })
+        let traced = q.options.collect_trace;
+        let obs = nra_obs::enter(Observers {
+            profile,
+            trace: traced.then(|| {
+                trace::mirror_sinks(q.config.trace_stderr, q.config.trace_file.as_deref())
+            }),
+            progress: entry.as_ref().map(|e| e.progress.clone()),
+            metrics: query_metrics.clone(),
+            simulate_io: q.options.simulate_io,
         });
-        let iosim = (q.options.simulate_io && !iosim::is_enabled()).then(|| {
-            iosim::enable(iosim::IoConfig::default());
-            Defer(|| {
-                iosim::disable();
-            })
-        });
+        if traced {
+            trace::emit(|| TraceEvent::QueryStart {
+                sql: q.sql.to_string(),
+            });
+        }
+        let started = Instant::now();
         // Ungoverned queries install `None`, keeping the context's flag
         // byte at 0 whatever the caller had installed.
         let governor = q.options.governor(q.config).map(Arc::new);
@@ -266,13 +250,12 @@ impl Stages {
         Stages {
             ctx,
             governor,
-            iosim,
+            obs,
             profile,
-            entry,
+            traced,
             started,
-            trace,
+            entry,
             query_metrics,
-            _metrics_scope,
         }
     }
 
@@ -286,11 +269,14 @@ impl Stages {
         result: Executed,
     ) -> Result<QueryOutcome, NraError> {
         let Stages {
+            ctx,
             governor,
-            mut entry,
+            obs,
+            profile,
+            traced,
             started,
+            mut entry,
             query_metrics,
-            ..
         } = self;
         let outcome = match &result {
             Ok(_) => "ok",
@@ -298,9 +284,9 @@ impl Stages {
             Err(NraError::Storage(_)) => "storage",
             Err(NraError::Sql(_)) => "sql",
         };
-        // The profile is taken while the simulator still runs: its I/O
-        // footer is read from the live counters.
-        let mut profile = self.profile.and_then(|_| nra_obs::disable());
+        // The profile is read while the simulator still runs (it stops
+        // with `obs`): its I/O footer comes from the live counters.
+        let mut profile = profile.then(nra_obs::snapshot);
         if let Some(p) = &mut profile {
             let label = match outcome {
                 "ok" | "cancelled" | "resource-exhausted" | "worker-panicked" => outcome,
@@ -308,11 +294,10 @@ impl Stages {
             };
             p.outcome = Some(label.to_string());
         }
-        drop(self.iosim);
         // `mem_used()` is the query's memory high-water mark. It goes to
         // the trace and a process-level gauge, never the per-query scope,
         // which holds only counters derived from the profile.
-        drop(self.ctx);
+        drop(ctx);
         let mem_high_water = governor.as_ref().map_or(0, |g| g.mem_used());
         if governor.is_some() {
             trace::emit(|| TraceEvent::Governor {
@@ -346,16 +331,13 @@ impl Stages {
                 .map_or(0, |p| p.ops.iter().map(|(_, s)| s.rows_in).sum());
             entry.complete(q, &summary, processed);
         }
-        let trace = self.trace.map(|(handle, stop)| {
-            if result.is_ok() {
-                trace::emit(|| TraceEvent::QueryEnd {
-                    rows: summary.rows,
-                    wall_ns: started.elapsed().as_nanos() as u64,
-                });
-            }
-            drop(stop);
-            handle.take()
-        });
+        if traced && result.is_ok() {
+            trace::emit(|| TraceEvent::QueryEnd {
+                rows: summary.rows,
+                wall_ns: started.elapsed().as_nanos() as u64,
+            });
+        }
+        let (_, trace) = obs.finish();
 
         // Snapshot the per-query scope before it is torn down, and feed
         // the `NRA_METRICS` sink.
@@ -542,13 +524,18 @@ impl Database {
     /// engine in `options`, returning the result and the shared plan it
     /// ran from.
     ///
-    /// Repeat statements are answered from the process-wide plan cache
-    /// (keyed on this database's id plus the normalized SQL, valid
-    /// while the schema version matches): a hit skips the parser and
+    /// Repeat statements are answered from this database's plan cache
+    /// (keyed on the normalized SQL, valid while the schema version
+    /// matches): a hit skips the parser and
     /// binder entirely. Cache counters live in the global metrics
     /// scope only — whether a statement hits depends on process
     /// history, which must not leak into the per-query snapshot.
-    fn run_statements(&self, cat: &Catalog, q: &Query<'_>) -> Executed {
+    fn run_statements(
+        &self,
+        cat: &Catalog,
+        q: &Query<'_>,
+        progress: Option<&ProgressState>,
+    ) -> Executed {
         let engine = q.options.engine;
         let version = self.shared.version.load(Ordering::SeqCst);
         // Cache policy: explicit option > `NRA_PLAN_CACHE` > on.
@@ -557,7 +544,7 @@ impl Database {
         let use_cache =
             !q.caller.introspection && q.options.plan_cache.or(q.config.plan_cache).unwrap_or(true);
         let cache_key = use_cache.then_some(q.statement.as_str());
-        let plan = match cache_key.and_then(|key| plancache::lookup(self.shared.id, version, key)) {
+        let plan = match cache_key.and_then(|key| self.shared.plans.lookup(version, key)) {
             Some(plan) => {
                 trace::emit(|| TraceEvent::Governor {
                     action: "plan-cache".to_string(),
@@ -580,7 +567,9 @@ impl Database {
                     bound_rest,
                 });
                 if let Some(key) = cache_key {
-                    plancache::insert(self.shared.id, version, key.to_string(), Arc::clone(&plan));
+                    self.shared
+                        .plans
+                        .insert(version, key.to_string(), Arc::clone(&plan));
                 }
                 plan
             }
@@ -589,7 +578,7 @@ impl Database {
         // Seed the progress denominator from the planner's cardinality
         // estimates for the first block (compound arms only add to the
         // numerator, which the 99%-cap before `finish` absorbs).
-        if let Some(p) = progress::current() {
+        if let Some(p) = progress {
             let est = nra_core::estimate(bound_first, cat);
             p.set_estimated(est.iter().map(|(_, v)| v).sum());
         }

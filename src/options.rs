@@ -181,7 +181,7 @@ impl QueryOptions {
         self
     }
 
-    /// Opt this call in or out of the process-wide plan cache (bound
+    /// Opt this call in or out of the database's plan cache (bound
     /// plans keyed on normalized SQL; see `DESIGN.md` §15). Unset, the
     /// `NRA_PLAN_CACHE` default decides (`0`/`off`/`false` disables),
     /// and the built-in default is **on** — repeats of a statement

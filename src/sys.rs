@@ -11,18 +11,18 @@
 //!
 //! Available tables:
 //!
-//! * `nra_sys.queries` — the bounded ring of completed queries from the
-//!   process-wide [`queryreg`](nra_obs::queryreg) registry.
-//! * `nra_sys.running` — currently-executing queries with their live
-//!   progress snapshots (the future `SHOW PROCESSLIST`).
+//! * `nra_sys.queries` — the bounded ring of completed queries from this
+//!   database's [`queryreg`](nra_obs::queryreg) registry.
+//! * `nra_sys.running` — this database's currently-executing queries with
+//!   their live progress snapshots (the future `SHOW PROCESSLIST`).
 //! * `nra_sys.metrics` — the process-cumulative metrics registry.
 //! * `nra_sys.table_stats` — per-column `ANALYZE` statistics of the
 //!   *base* catalog (one row per analyzed column).
 //! * `nra_sys.operators` — per-operator invocation/row totals pivoted
 //!   from the global metrics counters.
-//! * `nra_sys.plan_cache` — this database's entries in the process-wide
-//!   plan cache (normalized statement, resolved strategy, hit count,
-//!   schema version), in insertion order.
+//! * `nra_sys.plan_cache` — this database's plan-cache entries
+//!   (normalized statement, resolved strategy, hit count, schema
+//!   version), in insertion order.
 //!
 //! Introspection queries run with the crate-private
 //! [`Caller::introspection`] flag set, which excludes them from the query registry, progress
@@ -32,9 +32,8 @@
 use std::collections::BTreeSet;
 
 use crate::lifecycle::Caller;
-use crate::{plancache, Database, NraError, QueryOptions, QueryOutcome};
+use crate::{Database, NraError, QueryOptions, QueryOutcome};
 use nra_obs::metrics::{self, Metric};
-use nra_obs::queryreg;
 use nra_sql::{Predicate, Query, SelectStmt, SqlError};
 use nra_storage::{Catalog, Column, ColumnType, Schema, Table, Tuple, Value};
 
@@ -122,8 +121,8 @@ fn collect_pred(p: &Predicate, out: &mut BTreeSet<String>) {
 
 fn build_sys_table(db: &Database, full_name: &str, kind: &str) -> Result<Table, NraError> {
     Ok(match kind {
-        "queries" => queries_table(full_name),
-        "running" => running_table(full_name),
+        "queries" => queries_table(full_name, db),
+        "running" => running_table(full_name, db),
         "metrics" => metrics_table(full_name),
         "table_stats" => table_stats_table(full_name, &db.catalog()),
         "operators" => operators_table(full_name),
@@ -152,7 +151,7 @@ fn int(v: u64) -> Value {
 }
 
 /// `nra_sys.queries`: the completed-query ring, oldest first.
-fn queries_table(name: &str) -> Table {
+fn queries_table(name: &str, db: &Database) -> Table {
     let table = Table::new(
         name,
         Schema::new(vec![
@@ -167,7 +166,8 @@ fn queries_table(name: &str) -> Table {
             Column::not_null("session", ColumnType::Int),
         ]),
     );
-    let rows = queryreg::global()
+    let rows = db
+        .queries()
         .completed()
         .into_iter()
         .map(|r| {
@@ -199,7 +199,10 @@ fn plan_cache_table(name: &str, db: &Database) -> Table {
             Column::not_null("version", ColumnType::Int),
         ]),
     );
-    let rows = plancache::snapshot_db(db.id())
+    let rows = db
+        .shared
+        .plans
+        .snapshot()
         .into_iter()
         .map(|r| {
             vec![
@@ -249,7 +252,7 @@ fn wal_table(name: &str, db: &Database) -> Table {
 }
 
 /// `nra_sys.running`: live queries with their current progress.
-fn running_table(name: &str) -> Table {
+fn running_table(name: &str, db: &Database) -> Table {
     let table = Table::new(
         name,
         Schema::new(vec![
@@ -263,7 +266,8 @@ fn running_table(name: &str) -> Table {
             Column::not_null("mem_bytes", ColumnType::Int),
         ]),
     );
-    let rows = queryreg::global()
+    let rows = db
+        .queries()
         .running()
         .into_iter()
         .map(|r| {

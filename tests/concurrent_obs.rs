@@ -1,7 +1,7 @@
 //! Concurrent observability: queries running from many OS threads at
 //! once must neither interleave their per-query artifacts (profiles,
-//! per-query metrics scopes) nor lose records in the process-global
-//! registries.
+//! per-query metrics scopes) nor lose records in the database's query
+//! registry or the process-cumulative metrics.
 
 use std::sync::Arc;
 
@@ -76,7 +76,7 @@ fn concurrent_queries_keep_observability_isolated_and_lossless() {
 
     // No lost records: every one of the 32 distinct statements appears in
     // the completed ring exactly once.
-    let completed = nra::obs::queryreg::global().completed();
+    let completed = database.queries().completed();
     for t in 0..THREADS {
         for q in 0..QUERIES_PER_THREAD {
             let sql = marker_sql(t, q);

@@ -238,3 +238,27 @@ fn plan_artifacts_follow_options() {
     assert!(plain.plan.is_none(), "no plan without a profile");
     assert!(!plain.rows.is_empty());
 }
+
+/// A query that collects its own profile sets the caller's collector
+/// aside and restores it with everything it had collected.
+#[test]
+fn profiled_query_restores_the_callers_collector() {
+    let database = db();
+    let outer = obs::enter(obs::Observers {
+        profile: true,
+        ..Default::default()
+    });
+    obs::span(|| "caller-before".to_string()).rows_out(1);
+    let inner = analyze(&database);
+    assert!(inner.contains("rows=2→2"), "{inner}");
+    assert!(obs::is_enabled(), "the caller's collector is armed again");
+    obs::span(|| "caller-after".to_string()).rows_out(2);
+    let outer = outer.finish().0.expect("collector armed");
+    let names: Vec<&str> = outer.ops.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(
+        names,
+        ["caller-before", "caller-after"],
+        "the caller's profile holds its own spans and none of the query's"
+    );
+    assert!(!obs::is_enabled());
+}

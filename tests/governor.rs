@@ -4,7 +4,7 @@
 //! "database stays usable" half of each test checks a real answer.
 
 use nra::engine::{faultinject, EngineError};
-use nra::obs::trace::{self, RingSink, TraceEvent};
+use nra::obs::trace::{self, TraceEvent};
 use nra::tpch::paper_example::{expected_query_q_result, rst_catalog, QUERY_Q};
 use nra::{
     AdmissionConfig, CancelToken, Database, Engine, FaultKind, NraError, QueryOptions, Strategy,
@@ -194,15 +194,16 @@ fn cancellation_leaves_database_usable() {
 #[test]
 fn timeout_zero_reports_interrupted_phase_in_trace() {
     let db = paper_db();
-    // execute() drops its own trace on error, so install a ring sink on
-    // this thread directly and read it back after the failure.
-    let (ring, handle) = RingSink::with_capacity(256);
-    trace::start(vec![Box::new(ring)]);
+    // execute() drops its own trace on error, so arm a tracer on this
+    // thread directly and read it back after the failure.
+    let obs = nra::obs::enter(nra::obs::Observers {
+        trace: Some(Vec::new()),
+        ..Default::default()
+    });
     let result = db
         .connect()
         .execute_with(QUERY_Q, &QueryOptions::new().timeout_ms(0));
-    trace::stop();
-    let captured = handle.take();
+    let captured = obs.finish().1.expect("tracer armed");
 
     let phase = match engine_err(result.expect_err("timeout 0 must cancel")) {
         EngineError::Cancelled { phase } => phase,

@@ -118,7 +118,8 @@ fn introspection_queries_stay_out_of_the_registry() {
         out.rows.rows()
     );
     assert!(
-        !nra::obs::queryreg::global()
+        !database
+            .queries()
             .completed()
             .iter()
             .any(|r| r.sql == probe),
@@ -133,8 +134,10 @@ fn running_table_reflects_registered_queries() {
     let progress = Arc::new(nra::obs::progress::ProgressState::new());
     progress.set_estimated(200);
     progress.add_rows(50, "b1/scan");
-    let id = nra::obs::queryreg::global().register("select 991001 from fake", progress.clone());
     let database = db();
+    let id = database
+        .queries()
+        .register("select 991001 from fake", progress.clone());
     let out = database
         .connect()
         .execute_with(
@@ -144,17 +147,19 @@ fn running_table_reflects_registered_queries() {
         )
         .unwrap();
     // Clean up before asserting so a failure doesn't leak the entry.
-    nra::obs::queryreg::global().complete(nra::obs::queryreg::QueryRecord {
-        id,
-        sql: "select 991001 from fake".to_string(),
-        outcome: "ok".to_string(),
-        wall_ms: 0,
-        rows: 0,
-        qerror_x100: 0,
-        mem_bytes: 0,
-        strategy: "original".to_string(),
-        session: 0,
-    });
+    database
+        .queries()
+        .complete(nra::obs::queryreg::QueryRecord {
+            id,
+            sql: "select 991001 from fake".to_string(),
+            outcome: "ok".to_string(),
+            wall_ms: 0,
+            rows: 0,
+            qerror_x100: 0,
+            mem_bytes: 0,
+            strategy: "original".to_string(),
+            session: 0,
+        });
     assert_eq!(out.rows.len(), 1, "registered query is visible");
     let row = &out.rows.rows()[0];
     assert_eq!(row[0], Value::Int(id as i64));
@@ -198,7 +203,7 @@ fn mid_query_snapshots_are_monotonic() {
     // Poll the running table's live handle while the query executes.
     let mut snaps = Vec::new();
     while !worker.is_finished() {
-        for q in nra::obs::queryreg::global().running() {
+        for q in database.queries().running() {
             if q.sql == marker {
                 snaps.push(q.progress.snapshot());
             }

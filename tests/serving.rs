@@ -110,7 +110,8 @@ fn registry_is_exact_under_concurrency() {
         .collect();
     let session_ids: Vec<u64> = workers.into_iter().map(|w| w.join().unwrap()).collect();
 
-    let records: Vec<_> = nra::obs::queryreg::global()
+    let records: Vec<_> = db
+        .queries()
         .completed()
         .into_iter()
         .filter(|r| r.sql == marker)
@@ -231,6 +232,62 @@ fn plan_cache_drains_on_insert_and_analyze() {
     assert!(
         after_analyze.rows.rows().is_empty(),
         "ANALYZE drains the cache (plans depend on stats)"
+    );
+}
+
+/// Each database owns its plan cache and query registry: a busy
+/// neighbour can neither evict a database's cached plans nor show up in
+/// its `nra_sys.queries`.
+#[test]
+fn databases_are_isolated() {
+    let make = |table: &str| {
+        let db = Database::new();
+        db.create_table(table, vec![Column::not_null("k", ColumnType::Int)], &["k"])
+            .unwrap();
+        db.insert(table, (0..10).map(|i| vec![Value::Int(i)]).collect())
+            .unwrap();
+        db
+    };
+    let (a, b) = (make("iso_a"), make("iso_b"));
+    let run_opts = QueryOptions::new().plan_cache(true);
+    let cached = "select k from iso_a where k < 3";
+    a.execute(cached, &run_opts).unwrap();
+
+    // More distinct statements on B than one database's cache holds.
+    let neighbour: Vec<String> = (0..300)
+        .map(|i| format!("select k from iso_b where k < {}", 662_000 + i))
+        .collect();
+    for sql in &neighbour {
+        b.execute(sql, &run_opts).unwrap();
+    }
+
+    a.execute(cached, &run_opts).unwrap();
+    let entries = a
+        .execute(
+            "select statement, hits from nra_sys.plan_cache",
+            &QueryOptions::new(),
+        )
+        .unwrap();
+    assert_eq!(
+        entries.rows.rows(),
+        [vec![Value::Str(cached.to_string()), Value::Int(1)]],
+        "A's plan survived B's traffic and the repeat hit it"
+    );
+
+    let seen = a
+        .execute("select sql from nra_sys.queries", &QueryOptions::new())
+        .unwrap();
+    let leaked = seen
+        .rows
+        .rows()
+        .iter()
+        .filter(|r| neighbour.iter().any(|sql| r[0] == Value::Str(sql.clone())))
+        .count();
+    assert_eq!(leaked, 0, "B's statements in A's registry");
+    assert_eq!(
+        seen.rows.len(),
+        2,
+        "A ran exactly two registered statements"
     );
 }
 

@@ -195,13 +195,41 @@ fn failed_parse_traces_no_parsed_event() {
         )
         .unwrap_err();
     let _ = err; // the trace is discarded on error; re-run capturing manually
-    let (ring, handle) = trace::RingSink::with_capacity(64);
-    trace::start(vec![Box::new(ring)]);
+    let armed = obs::enter(obs::Observers {
+        trace: Some(Vec::new()),
+        ..Default::default()
+    });
     let _ = nra::sql::parse_query("select from where");
-    trace::stop();
-    let t = handle.take();
+    let t = armed.finish().1.expect("tracer armed");
     assert!(t
         .events()
         .any(|e| matches!(e, TraceEvent::PhaseDone { phase, .. } if phase == "parse")));
     assert!(!t.events().any(|e| matches!(e, TraceEvent::Parsed { .. })));
+}
+
+/// A query that collects its own trace sets the caller's tracer aside
+/// and restores it intact: an event emitted after the query still
+/// reaches the caller's ring.
+#[test]
+fn traced_query_restores_the_callers_tracer() {
+    let database = db();
+    let outer = obs::enter(obs::Observers {
+        trace: Some(Vec::new()),
+        ..Default::default()
+    });
+    trace::emit(|| TraceEvent::Parsed { tokens: 1 });
+    let (_, inner) = traced(&database, QUERY_Q);
+    assert!(!inner.is_empty());
+    assert!(trace::enabled(), "the caller's tracer is armed again");
+    trace::emit(|| TraceEvent::Parsed { tokens: 2 });
+    let outer = outer.finish().1.expect("tracer armed");
+    assert_eq!(
+        outer.events().collect::<Vec<_>>(),
+        [
+            &TraceEvent::Parsed { tokens: 1 },
+            &TraceEvent::Parsed { tokens: 2 }
+        ],
+        "the caller's ring holds its own events and none of the query's"
+    );
+    assert!(!trace::enabled());
 }
