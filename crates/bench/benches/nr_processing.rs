@@ -23,10 +23,14 @@ fn main() {
             harness::black_box(unnest_join_phase(&bound, &cat).unwrap());
         });
         g.bench("original-total", rows, || {
-            harness::black_box(nra_core::execute_original(&bound, &cat).unwrap());
+            harness::black_box(
+                nra_core::execute(&bound, &cat, nra_core::Strategy::Original).unwrap(),
+            );
         });
         g.bench("optimized-total", rows, || {
-            harness::black_box(nra_core::execute_optimized(&bound, &cat).unwrap());
+            harness::black_box(
+                nra_core::execute(&bound, &cat, nra_core::Strategy::Optimized).unwrap(),
+            );
         });
     }
     g.finish();

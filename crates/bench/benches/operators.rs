@@ -49,7 +49,7 @@ fn main() {
             let nested = nest_sort_idx(&rel, &[0, 1], &[2, 3], "s").unwrap();
             harness::black_box(sel.select(&nested, "s").unwrap().atoms_as_relation());
         });
-        let link = FusedLink::from_selection(&sel, rel.schema(), &[0, 1]).unwrap();
+        let link = FusedLink::from_selection(&sel, rel.schema()).unwrap();
         g.bench("fused-select", rows, || {
             harness::black_box(
                 fused_nest_select(rel.clone(), &[0, 1], link.clone(), false, &[]).unwrap(),

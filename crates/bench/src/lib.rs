@@ -16,6 +16,7 @@ pub mod profile;
 
 use std::time::{Duration, Instant};
 
+use nra_core::Strategy;
 use nra_engine::baseline::nested_iter::NestedIterPlan;
 use nra_engine::baseline::{self as native_baseline, BaselineChoice};
 use nra_engine::EngineError;
@@ -78,8 +79,10 @@ impl<'a> PreparedQuery<'a> {
                 Some(plan) => plan.run(),
                 None => native_baseline::execute(&self.bound, self.catalog),
             },
-            Series::NrOriginal => nra_core::execute_original(&self.bound, self.catalog),
-            Series::NrOptimized => nra_core::execute_optimized(&self.bound, self.catalog),
+            Series::NrOriginal => nra_core::execute(&self.bound, self.catalog, Strategy::Original),
+            Series::NrOptimized => {
+                nra_core::execute(&self.bound, self.catalog, Strategy::Optimized)
+            }
         }
     }
 
@@ -189,8 +192,10 @@ pub fn nr_processing_cost(
     let join_secs =
         time_it(&|| Ok(nra_core::optimize::pipeline::unnest_join_phase(&bound, catalog)?.len()))?;
     let intermediate_rows = nra_core::optimize::pipeline::unnest_join_phase(&bound, catalog)?.len();
-    let original_total = time_it(&|| Ok(nra_core::execute_original(&bound, catalog)?.len()))?;
-    let optimized_total = time_it(&|| Ok(nra_core::execute_optimized(&bound, catalog)?.len()))?;
+    let original_total =
+        time_it(&|| Ok(nra_core::execute(&bound, catalog, Strategy::Original)?.len()))?;
+    let optimized_total =
+        time_it(&|| Ok(nra_core::execute(&bound, catalog, Strategy::Optimized)?.len()))?;
 
     Ok(ProcessingCost {
         intermediate_rows,

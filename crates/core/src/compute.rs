@@ -25,66 +25,23 @@
 //!   used at the root (its links are final `WHERE` conjuncts) and when all
 //!   remaining links are positive (§4.1, discussion after Example 2).
 //!
-//! The *nest style* is pluggable: [`NestStyle::TwoPass`] materializes the
-//! nested relation and then selects (the paper's "original" variant);
-//! [`NestStyle::Fused`] pipelines the linking selection into the nest's
-//! group scan (the paper's "optimized" variant, §4.2.2). Both share this
-//! driver; the single-sort cascade for linear queries lives in
-//! [`crate::optimize::pipeline`].
+//! This module holds the operator bodies those steps run as plan nodes
+//! ([`crate::plan`] builds the tree): [`prepare_base`], `outer_join`,
+//! `append_link_columns` and `nest_link` — the last either two-pass
+//! (materialize the nested relation, then select: the paper's "original"
+//! variant) or fused into the nest's group scan (§4.2.2, the "optimized"
+//! variant).
 
 pub use nra_engine::planning::rid_column;
-use nra_engine::planning::{block_base, project_select, split_join_conds};
+use nra_engine::planning::{block_base, split_join_conds};
 use nra_engine::{join, CExpr, EngineError, JoinKind, JoinSpec};
-use nra_sql::{BExpr, BoundQuery, LinkOp, QueryBlock, SubqueryEdge};
+use nra_sql::{BExpr, BoundQuery, QueryBlock, SubqueryEdge};
 use nra_storage::{Catalog, Column, ColumnType, Relation, Schema};
 
-use crate::linking::{LinkSelection, SetQuant};
+use crate::linking::LinkSelection;
 use crate::nest::nest_sort_idx;
 use crate::optimize::fused::{fused_nest_select, FusedLink};
-
-/// How nest + linking selection are executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NestStyle {
-    /// Materialize the nested relation, then select: two passes over the
-    /// intermediate result (the paper's original approach).
-    TwoPass,
-    /// Pipeline the linking selection into the nest: one pass (§4.2.2).
-    Fused,
-}
-
-/// Execute with the original (two-pass) nest style.
-pub fn execute_original(query: &BoundQuery, catalog: &Catalog) -> Result<Relation, EngineError> {
-    execute_with_style(query, catalog, NestStyle::TwoPass)
-}
-
-/// Execute Algorithm 1 with the given nest style.
-pub fn execute_with_style(
-    query: &BoundQuery,
-    catalog: &Catalog,
-    style: NestStyle,
-) -> Result<Relation, EngineError> {
-    if style == NestStyle::Fused && query.root.block_count() > 1 {
-        // §4.2.2: each separate υ-then-σ pair becomes one fused operator.
-        nra_obs::trace::emit(|| {
-            let tree = crate::tree_expr::TreeExpr::build(query);
-            let edges = tree.node_count() - 1;
-            nra_obs::trace::TraceEvent::RewriteStep {
-                rule: "fuse-nest-select".to_string(),
-                nodes_before: tree.op_count(),
-                nodes_after: tree.op_count() - edges,
-            }
-        });
-    }
-    let modes = edge_modes(query);
-    let ctx = Ctx {
-        catalog,
-        modes,
-        style,
-    };
-    let rel = prepare_base(&query.root, catalog)?;
-    let rel = compute(&ctx, &query.root, rel)?;
-    project_select(rel, &query.root, catalog)
-}
+pub use crate::plan::edge_selection;
 
 /// Name of the materialized linked-value column for block `id` (used when
 /// the subquery's select item is a computed expression).
@@ -103,6 +60,22 @@ pub fn oval_column(parent: usize, child: usize) -> String {
 /// local predicates, with the synthesized rid appended.
 pub fn prepare_base(block: &QueryBlock, catalog: &Catalog) -> Result<Relation, EngineError> {
     block_base(block, catalog, true)
+}
+
+/// `left ⟕ right` on `child`'s correlated predicates — an unconditional
+/// left outer join (every pair matches) when the subquery is not
+/// correlated: the paper's "virtual Cartesian product".
+pub(crate) fn outer_join(
+    left: &Relation,
+    right: &Relation,
+    child: &QueryBlock,
+) -> Result<Relation, EngineError> {
+    let split = split_join_conds(&child.correlated_preds, left.schema(), right.schema())?;
+    join(
+        left,
+        right,
+        &JoinSpec::new(JoinKind::LeftOuter, split.eq, split.residual),
+    )
 }
 
 /// Append a computed column to a relation (consumed: every row it
@@ -145,12 +118,6 @@ pub fn edge_modes(query: &BoundQuery) -> std::collections::HashMap<usize, bool> 
     modes
 }
 
-struct Ctx<'a> {
-    catalog: &'a Catalog,
-    modes: std::collections::HashMap<usize, bool>,
-    style: NestStyle,
-}
-
 /// Columns of `schema` owned by `block` (its exposed qualifiers plus its
 /// synthesized `__b{id}.*` columns).
 pub fn owned_columns(schema: &Schema, block: &QueryBlock) -> Vec<usize> {
@@ -167,136 +134,70 @@ pub fn owned_columns(schema: &Schema, block: &QueryBlock) -> Vec<usize> {
         .collect()
 }
 
-/// Resolve the linking attribute (outer) and linked attribute (inner)
-/// columns for an edge, materializing computed expressions as extra
-/// columns on `rel` when necessary. Returns the updated relation plus the
-/// two column names.
-pub(crate) fn resolve_link_columns(
+/// The linking (outer) and linked (inner) column names of the edge from
+/// block `parent`: the bare column when the expression is one, else the
+/// column `append_link_columns` materializes it into.
+pub(crate) fn link_names(parent: usize, edge: &SubqueryEdge) -> (Option<String>, Option<String>) {
+    let name = |expr: &Option<BExpr>, computed: &dyn Fn() -> String| {
+        (expr.as_ref()).map(|e| e.as_column().map_or_else(computed, str::to_string))
+    };
+    (
+        name(&edge.outer_expr, &|| oval_column(parent, edge.block.id)),
+        name(&edge.inner_expr, &|| lval_column(edge.block.id)),
+    )
+}
+
+/// Materialize the edge's computed linking (`outer`) and linked (`inner`)
+/// expressions as columns of `rel`.
+pub(crate) fn append_link_columns(
     mut rel: Relation,
-    parent: &QueryBlock,
+    parent: usize,
     edge: &SubqueryEdge,
-) -> Result<(Relation, Option<String>, Option<String>), EngineError> {
-    let outer = match &edge.outer_expr {
-        None => None,
-        Some(BExpr::Col(c)) => Some(c.clone()),
-        Some(expr) => {
-            let name = oval_column(parent.id, edge.block.id);
-            rel = append_computed(rel, &name, expr)?;
-            Some(name)
-        }
-    };
-    let inner = match &edge.inner_expr {
-        None => None,
-        Some(BExpr::Col(c)) => Some(c.clone()),
-        Some(expr) => {
-            let name = lval_column(edge.block.id);
-            rel = append_computed(rel, &name, expr)?;
-            Some(name)
-        }
-    };
-    Ok((rel, outer, inner))
-}
-
-/// Build the [`LinkSelection`] for an edge.
-pub fn edge_selection(
-    edge: &SubqueryEdge,
-    outer_col: Option<&str>,
-    inner_col: Option<&str>,
-) -> Result<LinkSelection, EngineError> {
-    fn need<'a>(col: Option<&'a str>, what: &str) -> Result<&'a str, EngineError> {
-        col.ok_or_else(|| {
-            EngineError::unsupported(format!("{what} link without a linking attribute"))
-        })
+    outer: bool,
+    inner: bool,
+) -> Result<Relation, EngineError> {
+    if let Some(expr) = edge.outer_expr.as_ref().filter(|_| outer) {
+        rel = append_computed(rel, &oval_column(parent, edge.block.id), expr)?;
     }
-    let marker = rid_column(edge.block.id);
-    Ok(match edge.link {
-        LinkOp::Exists => LinkSelection::not_empty(Some(&marker)),
-        LinkOp::NotExists => LinkSelection::empty(Some(&marker)),
-        LinkOp::Some(op) => LinkSelection::quant(
-            need(outer_col, "SOME")?,
-            op,
-            SetQuant::Some,
-            need(inner_col, "SOME")?,
-            Some(&marker),
-        ),
-        LinkOp::All(op) => LinkSelection::quant(
-            need(outer_col, "ALL")?,
-            op,
-            SetQuant::All,
-            need(inner_col, "ALL")?,
-            Some(&marker),
-        ),
-        LinkOp::Agg { op, func } => LinkSelection::agg(
-            need(outer_col, "aggregate")?,
-            op,
-            func,
-            inner_col, // None for COUNT(*)
-            Some(&marker),
-        ),
-    })
-}
-
-/// The recursive body of Algorithm 1.
-fn compute(ctx: &Ctx<'_>, block: &QueryBlock, mut rel: Relation) -> Result<Relation, EngineError> {
-    for edge in &block.children {
-        let _sc = nra_obs::scope(|| format!("b{}", edge.block.id));
-        let child_rel = prepare_base(&edge.block, ctx.catalog)?;
-
-        // Down: attach T_child with a left outer join on the correlated
-        // predicates (an unconditional left outer join — every pair
-        // matches — when the subquery is not correlated: the paper's
-        // "virtual Cartesian product").
-        let split = split_join_conds(
-            &edge.block.correlated_preds,
-            rel.schema(),
-            child_rel.schema(),
-        )?;
-        rel = join(
-            &rel,
-            &child_rel,
-            &JoinSpec::new(JoinKind::LeftOuter, split.eq, split.residual),
-        )?;
-
-        // Recurse: the child's own subqueries reduce `rel` back to
-        // prefix ++ child columns.
-        rel = compute(ctx, &edge.block, rel)?;
-
-        // Up: materialize computed linking attributes if needed, nest by
-        // everything that is not the child's, and apply the linking
-        // selection.
-        let (rel2, outer_col, inner_col) = resolve_link_columns(rel, block, edge)?;
-        rel = rel2;
-
-        let n2 = owned_columns(rel.schema(), &edge.block);
-        let n1: Vec<usize> = (0..rel.schema().len())
-            .filter(|i| !n2.contains(i))
-            .collect();
-
-        let selection = edge_selection(edge, outer_col.as_deref(), inner_col.as_deref())?;
-        let use_pseudo = *ctx.modes.get(&edge.block.id).unwrap_or(&false);
-
-        rel = match ctx.style {
-            NestStyle::TwoPass => {
-                let nested = nest_sort_idx(&rel, &n1, &n2, "sub")?;
-                let selected = if use_pseudo {
-                    let pad: Vec<&str> = {
-                        let own = owned_columns(&nested.schema.atom_schema(), block);
-                        own.iter()
-                            .map(|&i| nested.schema.atoms[i].name.as_str())
-                            .collect()
-                    };
-                    selection.pseudo_select(&nested, "sub", &pad)?
-                } else {
-                    selection.select(&nested, "sub")?
-                };
-                selected.atoms_as_relation()
-            }
-            NestStyle::Fused => {
-                let pad = owned_columns(&rel.schema().project(&n1), block);
-                let link = FusedLink::from_selection(&selection, rel.schema(), &n1)?;
-                fused_nest_select(rel, &n1, link, use_pseudo, &pad)?
-            }
-        };
+    if let Some(expr) = edge.inner_expr.as_ref().filter(|_| inner) {
+        rel = append_computed(rel, &lval_column(edge.block.id), expr)?;
     }
     Ok(rel)
+}
+
+/// υ + linking selection for the edge from `parent` to `child`: nest by
+/// everything that is not the child's, then σ — or σ̄ with `pseudo`,
+/// padding `parent`'s columns — either as two passes over a materialized
+/// nested relation or fused into the nest's group scan.
+pub(crate) fn nest_link(
+    rel: Relation,
+    parent: &QueryBlock,
+    child: &QueryBlock,
+    selection: &LinkSelection,
+    pseudo: bool,
+    fused: bool,
+) -> Result<Relation, EngineError> {
+    let n2 = owned_columns(rel.schema(), child);
+    let n1: Vec<usize> = (0..rel.schema().len())
+        .filter(|i| !n2.contains(i))
+        .collect();
+    if fused {
+        let pad = match pseudo {
+            true => owned_columns(&rel.schema().project(&n1), parent),
+            false => Vec::new(),
+        };
+        let link = FusedLink::from_selection(selection, rel.schema())?;
+        return fused_nest_select(rel, &n1, link, pseudo, &pad);
+    }
+    let nested = nest_sort_idx(&rel, &n1, &n2, "sub")?;
+    let selected = if pseudo {
+        let own = owned_columns(&nested.schema.atom_schema(), parent);
+        let pad: Vec<&str> = (own.iter())
+            .map(|&i| nested.schema.atoms[i].name.as_str())
+            .collect();
+        selection.pseudo_select(&nested, "sub", &pad)?
+    } else {
+        selection.select(&nested, "sub")?
+    };
+    Ok(selected.atoms_as_relation())
 }

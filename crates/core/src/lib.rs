@@ -15,7 +15,9 @@
 //! * [`optimize`] — every §4.2 optimization: fused/pipelined selections,
 //!   the single-sort linear cascade, bottom-up evaluation, nest push-down,
 //!   and the positive-operator semijoin rewrite;
-//! * [`planner`] — strategy selection.
+//! * [`plan`] — every strategy as a builder of one [`PhysPlan`], and the
+//!   one interpreter that runs it;
+//! * [`planner`] — strategy selection and its decision log.
 //!
 //! ```
 //! use nra_storage::{Catalog, Column, ColumnType, Schema, Table, Value};
@@ -39,14 +41,14 @@ pub mod linking;
 pub mod nest;
 pub mod nested;
 pub mod optimize;
+pub mod plan;
 pub mod planner;
 pub mod tree_expr;
 
 pub use cardinality::{estimate, qerror_x100, CardEstimates};
-pub use compute::{execute_original, execute_with_style, NestStyle};
 pub use linking::{LinkCond, LinkSelection, SetQuant};
 pub use nest::{nest, nest_hash_idx, nest_sort_idx, nest_sorted};
 pub use nested::{NestedRelation, NestedSchema, NestedTuple};
-pub use optimize::execute_optimized;
-pub use planner::{auto_strategy, execute, execute_style, Strategy};
+pub use plan::{build, execute, run, PhysPlan};
+pub use planner::Strategy;
 pub use tree_expr::TreeExpr;

@@ -26,7 +26,7 @@ use nra_engine::EngineError;
 use nra_engine::{faultinject, governor};
 use nra_storage::{aggregate, AggFunc, CmpOp, Truth, Value};
 
-use crate::nested::NestedRelation;
+use crate::nested::{NestedRelation, NestedSchema};
 
 /// Quantifier over a set-valued comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,6 +71,58 @@ pub struct LinkSelection {
     /// `NULL` marker are excluded. `None` means every member counts (the
     /// purely formal semantics of Definition 4).
     pub marker: Option<String>,
+}
+
+/// `NULL`, for a linking attribute a group does not have and for the
+/// member placeholders of `[NOT] EXISTS` and `COUNT(*)`.
+pub(crate) static NULL: Value = Value::Null;
+
+/// The three-valued value of a linking predicate over one set — the one
+/// fold behind the nested selection, the fused nest + selection and the
+/// pushed-down nest probe. The condition's column names are not read:
+/// `outer` is the linking attribute's value (ignored by the emptiness
+/// tests), and `members` yields the linked attribute of each member the
+/// marker rule kept (any placeholder where only the count matters:
+/// `[NOT] EXISTS`, `COUNT(*)`).
+pub fn fold<'a>(
+    cond: &LinkCond,
+    outer: &Value,
+    mut members: impl Iterator<Item = &'a Value>,
+) -> Truth {
+    match *cond {
+        LinkCond::Empty => Truth::from_bool(members.next().is_none()),
+        LinkCond::NotEmpty => Truth::from_bool(members.next().is_some()),
+        LinkCond::AggCmp { op, func, .. } => outer.sql_compare(op, &aggregate(func, members)),
+        LinkCond::Quant { op, quant, .. } => {
+            // SOME is FALSE on the empty set and stops at TRUE; ALL dually.
+            let (mut acc, stop) = match quant {
+                SetQuant::Some => (Truth::False, Truth::True),
+                SetQuant::All => (Truth::True, Truth::False),
+            };
+            for m in members {
+                let t = outer.sql_compare(op, m);
+                acc = match quant {
+                    SetQuant::Some => acc.or(t),
+                    SetQuant::All => acc.and(t),
+                };
+                if acc == stop {
+                    break;
+                }
+            }
+            acc
+        }
+    }
+}
+
+impl LinkCond {
+    /// The linking (outer) and linked (inner) attribute names.
+    pub fn columns(&self) -> (Option<&str>, Option<&str>) {
+        match self {
+            LinkCond::Quant { outer, inner, .. } => (Some(outer), Some(inner)),
+            LinkCond::AggCmp { outer, inner, .. } => (Some(outer), inner.as_deref()),
+            LinkCond::Empty | LinkCond::NotEmpty => (None, None),
+        }
+    }
 }
 
 struct Resolved {
@@ -137,44 +189,19 @@ impl LinkSelection {
             .sub_index(sub)
             .ok_or_else(|| EngineError::Column(format!("subschema {sub}")))?;
         let sub_schema = &rel.schema.subs[sub_idx].1;
-        let marker_idx = match &self.marker {
-            Some(m) => Some(
-                sub_schema
-                    .atom_index(m)
-                    .ok_or_else(|| EngineError::Column(m.clone()))?,
-            ),
-            None => None,
+        let column = |schema: &NestedSchema, name: &str| {
+            schema
+                .atom_index(name)
+                .ok_or_else(|| EngineError::Column(name.to_string()))
         };
-        let (outer_idx, inner_idx) = match &self.cond {
-            LinkCond::Quant { outer, inner, .. } => (
-                Some(
-                    rel.schema
-                        .atom_index(outer)
-                        .ok_or_else(|| EngineError::Column(outer.clone()))?,
-                ),
-                Some(
-                    sub_schema
-                        .atom_index(inner)
-                        .ok_or_else(|| EngineError::Column(inner.clone()))?,
-                ),
-            ),
-            LinkCond::AggCmp { outer, inner, .. } => (
-                Some(
-                    rel.schema
-                        .atom_index(outer)
-                        .ok_or_else(|| EngineError::Column(outer.clone()))?,
-                ),
-                inner
-                    .as_ref()
-                    .map(|i| {
-                        sub_schema
-                            .atom_index(i)
-                            .ok_or_else(|| EngineError::Column(i.clone()))
-                    })
-                    .transpose()?,
-            ),
-            _ => (None, None),
-        };
+        let marker_idx = self
+            .marker
+            .as_deref()
+            .map(|m| column(sub_schema, m))
+            .transpose()?;
+        let (outer, inner) = self.cond.columns();
+        let outer_idx = outer.map(|o| column(&rel.schema, o)).transpose()?;
+        let inner_idx = inner.map(|i| column(sub_schema, i)).transpose()?;
         Ok(Resolved {
             sub_idx,
             outer_idx,
@@ -184,49 +211,11 @@ impl LinkSelection {
     }
 
     fn eval_tuple(&self, r: &Resolved, tuple: &crate::nested::NestedTuple) -> Truth {
-        let members = tuple.sets[r.sub_idx].iter().filter(|m| match r.marker_idx {
-            Some(mi) => !m.atoms[mi].is_null(),
-            None => true,
-        });
-        match &self.cond {
-            LinkCond::Empty => Truth::from_bool(members.count() == 0),
-            LinkCond::NotEmpty => Truth::from_bool(members.count() != 0),
-            LinkCond::AggCmp { op, func, .. } => {
-                let outer_val = &tuple.atoms[r.outer_idx.unwrap()];
-                let folded = match r.inner_idx {
-                    Some(i) => aggregate(*func, members.map(|m| &m.atoms[i])),
-                    // COUNT(*): every surviving member counts as a row.
-                    None => Value::Int(members.count() as i64),
-                };
-                outer_val.sql_compare(*op, &folded)
-            }
-            LinkCond::Quant { op, quant, .. } => {
-                let outer_val = &tuple.atoms[r.outer_idx.unwrap()];
-                let inner_idx = r.inner_idx.unwrap();
-                match quant {
-                    SetQuant::Some => {
-                        let mut acc = Truth::False;
-                        for m in members {
-                            acc = acc.or(outer_val.sql_compare(*op, &m.atoms[inner_idx]));
-                            if acc == Truth::True {
-                                break;
-                            }
-                        }
-                        acc
-                    }
-                    SetQuant::All => {
-                        let mut acc = Truth::True;
-                        for m in members {
-                            acc = acc.and(outer_val.sql_compare(*op, &m.atoms[inner_idx]));
-                            if acc == Truth::False {
-                                break;
-                            }
-                        }
-                        acc
-                    }
-                }
-            }
-        }
+        let outer = r.outer_idx.map_or(&NULL, |o| &tuple.atoms[o]);
+        let members = (tuple.sets[r.sub_idx].iter())
+            .filter(|m| r.marker_idx.is_none_or(|mi| !m.atoms[mi].is_null()))
+            .map(|m| r.inner_idx.map_or(&NULL, |i| &m.atoms[i]));
+        fold(&self.cond, outer, members)
     }
 
     /// Linking selection `σ_C` over the subschema `sub`: keep tuples where
@@ -312,29 +301,6 @@ impl LinkSelection {
             tuples,
         })
     }
-
-    /// Evaluate the condition per tuple, returning the truth vector (used
-    /// by the fused/pipelined executors and by tests).
-    pub fn truths(&self, rel: &NestedRelation, sub: &str) -> Result<Vec<Truth>, EngineError> {
-        let mut sp = nra_obs::span(|| "link".to_string());
-        sp.rows_in(rel.len());
-        let r = self.resolve(rel, sub)?;
-        faultinject::hit(faultinject::LINKING_SCAN)?;
-        let mut stats = nra_obs::OpStats::default();
-        let mut out = Vec::with_capacity(rel.len());
-        for window in rel.tuples.chunks(nra_engine::vec::batch_rows()) {
-            governor::checkpoint("linking-scan")?;
-            let base = out.len();
-            for t in window {
-                out.push(self.eval_tuple(&r, t));
-            }
-            stats.record_outcomes(&out[base..]);
-        }
-        sp.absorb_stats(&stats);
-        governor::charge("link", 8 * out.len() as u64)?;
-        sp.rows_out(out.len());
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -396,11 +362,13 @@ mod tests {
     fn all_with_null_member_value_is_unknown() {
         // a=3: 3 < {5, NULL}: 3<5 true, 3<NULL unknown -> Unknown -> not kept.
         let sel = LinkSelection::quant("r.a", CmpOp::Lt, SetQuant::All, "s.b", Some("s.k"));
-        let t = sel.truths(&nested(), "s").unwrap();
-        assert_eq!(t[2], Truth::Unknown);
+        let fold_over = |outer: i64, set: &[Value]| fold(&sel.cond, &Value::Int(outer), set.iter());
+        assert_eq!(fold_over(3, &[Value::Int(5), Value::Null]), Truth::Unknown);
         // a=1: 1 < 10 and 1 < 11 -> True. a=2: empty -> True.
-        assert_eq!(t[0], Truth::True);
-        assert_eq!(t[1], Truth::True);
+        assert_eq!(fold_over(1, &[Value::Int(10), Value::Int(11)]), Truth::True);
+        assert_eq!(fold_over(2, &[]), Truth::True);
+        // ... and the selection drops the unknown tuple.
+        assert_eq!(sel.select(&nested(), "s").unwrap().len(), 2);
     }
 
     #[test]

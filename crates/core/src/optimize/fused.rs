@@ -10,92 +10,36 @@
 
 use nra_engine::EngineError;
 use nra_engine::{faultinject, governor};
-use nra_storage::{aggregate, AggFunc, CmpOp, Relation, Schema, Truth, Value};
+use nra_storage::{Relation, Schema, Truth, Value};
 
-use crate::linking::{LinkCond, LinkSelection, SetQuant};
-
-/// What the fused pass computes per group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FusedKind {
-    Empty,
-    NotEmpty,
-    Quant {
-        op: CmpOp,
-        quant: SetQuant,
-    },
-    /// Aggregate fold before a scalar comparison (`inner` is `None` for
-    /// `COUNT(*)`).
-    Agg {
-        op: CmpOp,
-        func: AggFunc,
-    },
-}
+use crate::linking::{fold, LinkCond, LinkSelection, NULL};
 
 /// A linking predicate with columns resolved against the *flat input*
 /// schema (pre-nest): `outer` lies among the nesting attributes, `inner`
 /// and `marker` among the nested ones.
 #[derive(Debug, Clone)]
-pub struct FusedLink {
-    pub kind: FusedKind,
+pub struct FusedLink<'a> {
+    pub cond: &'a LinkCond,
     pub outer: Option<usize>,
     pub inner: Option<usize>,
     pub marker: Option<usize>,
 }
 
-impl FusedLink {
+impl<'a> FusedLink<'a> {
     /// Resolve a [`LinkSelection`]'s names against the flat input schema.
-    pub fn from_selection(
-        sel: &LinkSelection,
-        schema: &Schema,
-        _n1: &[usize],
-    ) -> Result<FusedLink, EngineError> {
+    pub fn from_selection(sel: &'a LinkSelection, schema: &Schema) -> Result<Self, EngineError> {
         let resolve = |name: &str| -> Result<usize, EngineError> {
             schema
                 .try_resolve(name)
                 .ok_or_else(|| EngineError::Column(name.to_string()))
         };
         let marker = sel.marker.as_deref().map(resolve).transpose()?;
-        Ok(match &sel.cond {
-            LinkCond::Empty => FusedLink {
-                kind: FusedKind::Empty,
-                outer: None,
-                inner: None,
-                marker,
-            },
-            LinkCond::NotEmpty => FusedLink {
-                kind: FusedKind::NotEmpty,
-                outer: None,
-                inner: None,
-                marker,
-            },
-            LinkCond::Quant {
-                outer,
-                op,
-                quant,
-                inner,
-            } => FusedLink {
-                kind: FusedKind::Quant {
-                    op: *op,
-                    quant: *quant,
-                },
-                outer: Some(resolve(outer)?),
-                inner: Some(resolve(inner)?),
-                marker,
-            },
-            LinkCond::AggCmp {
-                outer,
-                op,
-                func,
-                inner,
-            } => FusedLink {
-                kind: FusedKind::Agg {
-                    op: *op,
-                    func: *func,
-                },
-                outer: Some(resolve(outer)?),
-                inner: inner.as_deref().map(resolve).transpose()?,
-                marker,
-            },
+        let (outer, inner) = sel.cond.columns();
+        Ok(FusedLink {
+            cond: &sel.cond,
+            outer: outer.map(resolve).transpose()?,
+            inner: inner.map(resolve).transpose()?,
+            marker,
         })
     }
 
@@ -104,74 +48,28 @@ impl FusedLink {
     /// The iterator must yield the group's *raw* rows (padded ones
     /// included); the marker filter is applied here. The outer linking
     /// attribute is a nesting attribute, so it is constant across the raw
-    /// group — including all-padded (empty-set) groups, where it is read
-    /// from the group head.
-    pub fn eval<'a>(&self, members: impl Iterator<Item = &'a [Value]>) -> Truth {
-        let mut outer_val: Option<&Value> = None;
-        let members = members
-            .inspect(|row| {
-                if outer_val.is_none() {
-                    if let Some(o) = self.outer {
-                        outer_val = Some(&row[o]);
-                    }
-                }
-            })
-            .filter(|row| match self.marker {
-                Some(m) => !row[m].is_null(),
-                None => true,
-            });
-        match self.kind {
-            FusedKind::Empty => Truth::from_bool(members.count() == 0),
-            FusedKind::NotEmpty => Truth::from_bool(members.count() != 0),
-            FusedKind::Agg { op, func } => {
-                let folded = match self.inner {
-                    Some(inner_idx) => {
-                        let vals: Vec<&Value> = members.map(|row| &row[inner_idx]).collect();
-                        aggregate(func, vals.into_iter())
-                    }
-                    // COUNT(*): surviving members count as rows.
-                    None => Value::Int(members.count() as i64),
-                };
-                match outer_val {
-                    Some(v) => v.sql_compare(op, &folded),
-                    None => Truth::Unknown, // empty raw group cannot occur
-                }
-            }
-            FusedKind::Quant { op, quant } => {
-                let outer_idx = self.outer.expect("quant link has outer column");
-                let inner_idx = self.inner.expect("quant link has inner column");
-                let mut acc = match quant {
-                    SetQuant::Some => Truth::False,
-                    SetQuant::All => Truth::True,
-                };
-                for row in members {
-                    let t = row[outer_idx].sql_compare(op, &row[inner_idx]);
-                    acc = match quant {
-                        SetQuant::Some => acc.or(t),
-                        SetQuant::All => acc.and(t),
-                    };
-                    match (quant, acc) {
-                        (SetQuant::Some, Truth::True) | (SetQuant::All, Truth::False) => break,
-                        _ => {}
-                    }
-                }
-                acc
-            }
-        }
+    /// group — including all-padded (empty-set) groups — and is read from
+    /// the first row.
+    pub fn eval<'r>(&self, rows: impl Iterator<Item = &'r [Value]>) -> Truth {
+        let mut rows = rows.peekable();
+        let outer = match (self.outer, rows.peek()) {
+            (Some(o), Some(&head)) => &head[o],
+            _ => &NULL,
+        };
+        let members = rows
+            .filter(|row| self.marker.is_none_or(|m| !row[m].is_null()))
+            .map(|row| self.inner.map_or(&NULL, |i| &row[i]));
+        fold(self.cond, outer, members)
     }
 }
 
 /// One-pass nest + linking selection.
 ///
 /// Sorts `rel` (consumed, so in place) by the nesting attributes `n1`,
-/// scans the groups once, evaluates `link` per group, and emits the `N1` projection of each
-/// passing group head. With `use_pseudo`, failing groups are emitted with
-/// the output columns in `pad_out` (indices into the `n1` projection)
-/// nulled instead of being dropped.
-///
-/// Note the outer linking attribute is constant within a group (it is one
-/// of the nesting attributes), so evaluating it against each member row via
-/// [`FusedLink::eval`] is exactly the set comparison `A θ L {B}`.
+/// scans the groups once, evaluates `link` per group, and emits the `N1`
+/// projection of each passing group head. With `use_pseudo`, failing
+/// groups are emitted with the output columns in `pad_out` (indices into
+/// the `n1` projection) nulled instead of being dropped.
 pub fn fused_nest_select(
     mut rel: Relation,
     n1: &[usize],
@@ -189,19 +87,6 @@ pub fn fused_nest_select(
         governor::checkpoint("sort")?;
         rel.sort_by_columns(n1);
     }
-    fused_nest_select_presorted(&rel, n1, link, use_pseudo, pad_out)
-}
-
-/// Like [`fused_nest_select`] but assumes `rel` is already grouped
-/// (contiguous on `n1`) — the building block of the single-sort cascade in
-/// [`crate::optimize::pipeline`].
-pub fn fused_nest_select_presorted(
-    rel: &Relation,
-    n1: &[usize],
-    link: FusedLink,
-    use_pseudo: bool,
-    pad_out: &[usize],
-) -> Result<Relation, EngineError> {
     let mut sp = nra_obs::span(|| "link".to_string());
     sp.rows_in(rel.len());
     faultinject::hit(faultinject::NEST_FLUSH)?;
@@ -236,8 +121,9 @@ pub fn fused_nest_select_presorted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linking::SetQuant;
     use crate::nest::nest;
-    use nra_storage::{relation, ColumnType};
+    use nra_storage::{relation, CmpOp, ColumnType};
 
     fn sample() -> Relation {
         relation!(
@@ -273,7 +159,7 @@ mod tests {
         }
         .atoms_as_relation();
         // Fused.
-        let link = FusedLink::from_selection(sel, rel.schema(), &n1).unwrap();
+        let link = FusedLink::from_selection(sel, rel.schema()).unwrap();
         let fused = fused_nest_select(rel.clone(), &n1, link, use_pseudo, &[0]).unwrap();
         assert!(
             fused.multiset_eq(&two_pass),
@@ -315,7 +201,7 @@ mod tests {
     fn pseudo_pads_output_columns() {
         let rel = sample();
         let sel = selection(CmpOp::Gt, SetQuant::All);
-        let link = FusedLink::from_selection(&sel, rel.schema(), &[0]).unwrap();
+        let link = FusedLink::from_selection(&sel, rel.schema()).unwrap();
         let out = fused_nest_select(rel, &[0], link, true, &[0]).unwrap();
         assert_eq!(out.len(), 3, "pseudo keeps every group");
         // a=1 fails (1 > 10 false) -> padded; a=2 empty -> passes.
@@ -326,7 +212,7 @@ mod tests {
     #[test]
     fn eval_marker_exclusion() {
         let link = FusedLink {
-            kind: FusedKind::Empty,
+            cond: &LinkCond::Empty,
             outer: None,
             inner: None,
             marker: Some(2),

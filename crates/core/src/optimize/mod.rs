@@ -17,8 +17,5 @@ pub mod pipeline;
 pub mod positive;
 pub mod pushdown;
 
-pub use fused::{fused_nest_select, FusedKind, FusedLink};
-pub use linear::{execute_bottom_up, execute_bottom_up_pushdown};
-pub use pipeline::{execute_linear_cascade, execute_optimized};
-pub use positive::execute_positive_rewrite;
+pub use fused::{fused_nest_select, FusedLink};
 pub use pushdown::outer_join_nested;

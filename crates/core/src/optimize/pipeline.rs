@@ -8,31 +8,19 @@
 //! every level's groups are contiguous. Section 4.2.2 adds pipelining: the
 //! linking selection is evaluated while each group is being scanned.
 //!
-//! [`execute_optimized`] implements exactly that for linear queries (which
-//! covers every experiment in the paper); non-linear (tree) queries fall
-//! back to Algorithm 1 with the fused nest+selection operator, which keeps
-//! the one-pass-per-level property but re-sorts between levels.
+//! `cascade` is that group scan, the body of the plan's `Cascade` node
+//! (linear queries, which cover every experiment in the paper); tree
+//! queries are planned as Algorithm 1 with the fused nest+selection
+//! operator, which keeps the one-pass-per-level property but re-sorts
+//! between levels.
 
-use nra_engine::planning::{project_select, split_join_conds};
-use nra_engine::{faultinject, governor, join, EngineError, JoinKind, JoinSpec};
-use nra_sql::{BoundQuery, QueryBlock, SubqueryEdge};
+use nra_engine::{faultinject, governor, EngineError};
+use nra_sql::BoundQuery;
 use nra_storage::{Catalog, Relation, Truth, Tuple, Value};
 
-use crate::compute::{
-    edge_modes, edge_selection, execute_with_style, owned_columns, prepare_base,
-    resolve_link_columns, rid_column, NestStyle,
-};
+use crate::compute::{owned_columns, rid_column};
 use crate::optimize::fused::FusedLink;
-
-/// Execute with the optimized approach (single-sort pipelined cascade for
-/// linear queries; fused Algorithm 1 otherwise).
-pub fn execute_optimized(query: &BoundQuery, catalog: &Catalog) -> Result<Relation, EngineError> {
-    if query.root.is_linear() {
-        execute_linear_cascade(query, catalog)
-    } else {
-        execute_with_style(query, catalog, NestStyle::Fused)
-    }
-}
+use crate::plan::{self, CascadeLevel};
 
 /// Phase 1 of the approach in isolation: the unnesting left outer joins of
 /// a linear query, producing the flat intermediate result (the paper's
@@ -40,40 +28,14 @@ pub fn execute_optimized(query: &BoundQuery, catalog: &Catalog) -> Result<Relati
 /// Exposed so the benchmark harness can separate join cost from the
 /// nest + linking-selection processing cost.
 pub fn unnest_join_phase(query: &BoundQuery, catalog: &Catalog) -> Result<Relation, EngineError> {
-    let (_, edges) = chain(query);
-    let mut rel = prepare_base(&query.root, catalog)?;
-    for edge in &edges {
-        let _sc = nra_obs::scope(|| format!("b{}", edge.block.id));
-        let child = prepare_base(&edge.block, catalog)?;
-        let split = split_join_conds(&edge.block.correlated_preds, rel.schema(), child.schema())?;
-        rel = join(
-            &rel,
-            &child,
-            &JoinSpec::new(JoinKind::LeftOuter, split.eq, split.residual),
-        )?;
-    }
-    Ok(rel)
+    plan::eval(&plan::joins(query), query, catalog)
 }
 
-/// The spine of a linear query: blocks from root to leaf with the edges
-/// between them.
-fn chain(query: &BoundQuery) -> (Vec<&QueryBlock>, Vec<&SubqueryEdge>) {
-    let mut blocks = vec![&query.root];
-    let mut edges = Vec::new();
-    let mut cur = &query.root;
-    while let Some(edge) = cur.children.first() {
-        edges.push(edge);
-        blocks.push(&edge.block);
-        cur = &edge.block;
-    }
-    (blocks, edges)
-}
-
-struct Level {
+struct Level<'a> {
     /// Full-schema index of block k's row id.
     rid: usize,
     /// The link between block k and k+1.
-    link: FusedLink,
+    link: FusedLink<'a>,
     /// Full-schema indices of block k's own columns (σ̄ padding).
     pad: Vec<usize>,
     use_pseudo: bool,
@@ -82,49 +44,20 @@ struct Level {
     obs_name: String,
 }
 
-/// Single-sort pipelined evaluation of a linear query.
-pub fn execute_linear_cascade(
+/// The single-sort pipelined cascade over the fully joined `rel` of a
+/// linear query (its computed linking columns already materialized).
+pub(crate) fn cascade(
+    mut rel: Relation,
     query: &BoundQuery,
-    catalog: &Catalog,
+    levels: &[CascadeLevel],
 ) -> Result<Relation, EngineError> {
-    let (blocks, edges) = chain(query);
-
-    if !edges.is_empty() {
-        // §4.2.1: per-level υ + σ pairs collapse into one physical sort
-        // plus per-level selections folded into the group scan.
-        nra_obs::trace::emit(|| {
-            let n = blocks.len();
-            nra_obs::trace::TraceEvent::RewriteStep {
-                rule: "single-sort-cascade".to_string(),
-                nodes_before: crate::tree_expr::TreeExpr::build(query).op_count(),
-                nodes_after: 2 + n + 2 * (n - 1),
-            }
-        });
-    }
-
-    // Phase 1 (top-down): the unnesting outer joins.
-    let mut rel = unnest_join_phase(query, catalog)?;
-
-    if edges.is_empty() {
-        return project_select(rel, &query.root, catalog);
-    }
-
-    // Materialize computed linking attributes (no-ops when the linking
-    // predicate compares bare columns).
-    let mut link_cols = Vec::new();
-    for (k, edge) in edges.iter().enumerate() {
-        let (rel2, outer, inner) = resolve_link_columns(rel, blocks[k], edge)?;
-        rel = rel2;
-        link_cols.push((outer, inner));
-    }
-
-    // Phase 2: the single physical reordering — sort by the chain of rids.
-    let rid_idx: Vec<usize> = blocks[..blocks.len() - 1]
-        .iter()
-        .map(|b| {
+    // The single physical reordering — sort by the chain of rids.
+    let rid_idx: Vec<usize> = (levels.iter())
+        .map(|lv| {
+            let rid = rid_column(lv.parent);
             rel.schema()
-                .try_resolve(&rid_column(b.id))
-                .ok_or_else(|| EngineError::Column(rid_column(b.id)))
+                .try_resolve(&rid)
+                .ok_or(EngineError::Column(rid))
         })
         .collect::<Result<_, _>>()?;
     {
@@ -138,21 +71,18 @@ pub fn execute_linear_cascade(
         rel.sort_by_columns(&rid_idx);
     }
 
-    // Phase 3 (bottom-up, pipelined): one scan evaluating every level.
-    let modes = edge_modes(query);
-    let mut levels = Vec::new();
-    for (k, edge) in edges.iter().enumerate() {
-        let (outer, inner) = &link_cols[k];
-        let selection = edge_selection(edge, outer.as_deref(), inner.as_deref())?;
-        let link = FusedLink::from_selection(&selection, rel.schema(), &[])?;
-        levels.push(Level {
-            rid: rid_idx[k],
-            link,
-            pad: owned_columns(rel.schema(), blocks[k]),
-            use_pseudo: *modes.get(&edge.block.id).unwrap_or(&false),
-            obs_name: format!("b{}/link", edge.block.id),
-        });
-    }
+    // Bottom-up, pipelined: one scan evaluating every level.
+    let levels = (levels.iter().zip(rid_idx))
+        .map(|(lv, rid)| {
+            Ok(Level {
+                rid,
+                link: FusedLink::from_selection(&lv.selection, rel.schema())?,
+                pad: owned_columns(rel.schema(), plan::block(query, lv.parent)),
+                use_pseudo: lv.pseudo,
+                obs_name: format!("b{}/link", lv.child),
+            })
+        })
+        .collect::<Result<Vec<_>, EngineError>>()?;
 
     faultinject::hit(faultinject::LINKING_SCAN)?;
     let schema = rel.schema().clone();
@@ -165,14 +95,14 @@ pub fn execute_linear_cascade(
         .into_iter()
         .map(|i| std::mem::take(&mut cascade.rows[i]))
         .collect();
-    project_select(Relation::with_rows(schema, rows), &query.root, catalog)
+    Ok(Relation::with_rows(schema, rows))
 }
 
 /// The sorted intermediate, owned: σ̄ pads in place and the final
 /// survivors are moved out, so no level copies a row.
 struct Cascade<'a> {
     rows: Vec<Tuple>,
-    levels: &'a [Level],
+    levels: &'a [Level<'a>],
 }
 
 impl Cascade<'_> {
@@ -240,7 +170,7 @@ impl Cascade<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compute::execute_original;
+    use crate::{execute, Strategy};
     use nra_engine::reference;
     use nra_sql::parse_and_bind;
     use nra_storage::{Column, ColumnType, Schema, Table};
@@ -302,12 +232,12 @@ mod tests {
         let cat = catalog();
         let bq = parse_and_bind(sql, &cat).unwrap();
         let want = reference::evaluate(&bq, &cat).unwrap();
-        let original = execute_original(&bq, &cat).unwrap();
+        let original = execute(&bq, &cat, Strategy::Original).unwrap();
         assert!(
             original.multiset_eq(&want),
             "original NR != oracle for {sql}\ngot:\n{original}\nwant:\n{want}"
         );
-        let optimized = execute_optimized(&bq, &cat).unwrap();
+        let optimized = execute(&bq, &cat, Strategy::Optimized).unwrap();
         assert!(
             optimized.multiset_eq(&want),
             "optimized NR != oracle for {sql}\ngot:\n{optimized}\nwant:\n{want}"

@@ -16,49 +16,19 @@
 //! keeping ancestor columns alongside while descending: an inner join
 //! attaches the child, deeper blocks reduce it further, and a final
 //! distinct-on-the-prefix restores semijoin multiplicity (exact, because
-//! every block carries a synthesized unique rid).
-
-use nra_engine::EngineError;
-use nra_sql::BoundQuery;
-use nra_storage::{Catalog, Relation};
-
-/// Execute an all-positive query as a cascade of (generalized) semijoins.
-/// Errors with `Unsupported` if any linking operator is negative.
-pub fn execute_positive_rewrite(
-    query: &BoundQuery,
-    catalog: &Catalog,
-) -> Result<Relation, EngineError> {
-    if !query.all_links_positive() {
-        return Err(EngineError::unsupported(
-            "the positive rewrite applies only when every linking operator is \
-             EXISTS, SOME/ANY or IN",
-        ));
-    }
-    if query.root.block_count() > 1 {
-        // §4.2.5: every ⟕ + υ + σ triple collapses into one (generalized)
-        // semijoin, leaving π, the base inputs, and one semijoin per edge.
-        nra_obs::trace::emit(|| {
-            let tree = crate::tree_expr::TreeExpr::build(query);
-            let n = tree.node_count();
-            nra_obs::trace::TraceEvent::RewriteStep {
-                rule: "positive-semijoin-rewrite".to_string(),
-                nodes_before: tree.op_count(),
-                nodes_after: 2 * n,
-            }
-        });
-    }
-    // The rewrite itself is the classical one existing optimizers use —
-    // the engine's baseline hosts the single implementation; this module
-    // contributes the algebraic justification (and the strategy surface).
-    nra_engine::baseline::unnest::execute_positive(query, catalog)
-}
+//! every block carries a synthesized unique rid). The rewrite itself is the
+//! classical one existing optimizers use, so the engine's baseline hosts
+//! the single implementation
+//! ([`execute_positive`](nra_engine::baseline::unnest::execute_positive)),
+//! which the plan's `SemijoinCascade` node runs; this module contributes
+//! the algebraic justification and its tests.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use nra_engine::reference;
+    use crate::{execute, Strategy};
+    use nra_engine::{reference, EngineError};
     use nra_sql::parse_and_bind;
-    use nra_storage::{Column, ColumnType, Schema, Table, Value};
+    use nra_storage::{Catalog, Column, ColumnType, Schema, Table, Value};
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -117,7 +87,7 @@ mod tests {
         let cat = catalog();
         let bq = parse_and_bind(sql, &cat).unwrap();
         let want = reference::evaluate(&bq, &cat).unwrap();
-        let got = execute_positive_rewrite(&bq, &cat).unwrap();
+        let got = execute(&bq, &cat, Strategy::PositiveRewrite).unwrap();
         assert!(
             got.multiset_eq(&want),
             "positive rewrite != oracle for {sql}\ngot:\n{got}\nwant:\n{want}"
@@ -166,7 +136,7 @@ mod tests {
         let cat = catalog();
         let bq = parse_and_bind("select a from r where a not in (select x from s)", &cat).unwrap();
         assert!(matches!(
-            execute_positive_rewrite(&bq, &cat),
+            execute(&bq, &cat, Strategy::PositiveRewrite),
             Err(EngineError::Unsupported(_))
         ));
     }

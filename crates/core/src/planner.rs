@@ -1,19 +1,13 @@
 //! Strategy selection for the nested relational approach, with
-//! trace-visible decision logging: when query-lifecycle tracing is active
-//! ([`nra_obs::trace`]), [`execute`] emits a `StrategyChosen` event for
-//! every query block explaining why the chosen strategy applies to it, and
-//! (under [`Strategy::Auto`]) why each rejected alternative was passed
-//! over.
+//! trace-visible decision logging. The decision is made once, when a
+//! plan is built ([`crate::plan::build`]); when query-lifecycle tracing is
+//! active ([`nra_obs::trace`]), running the plan emits a `StrategyChosen`
+//! event for every query block explaining why the chosen strategy applies
+//! to it, and the root block's event names every alternative rejected at
+//! plan time with its reason.
 
-use nra_engine::EngineError;
 use nra_obs::trace::{self, TraceEvent};
 use nra_sql::{BoundQuery, QueryBlock};
-use nra_storage::{Catalog, Relation};
-
-use crate::compute::{execute_original, execute_with_style, NestStyle};
-use crate::optimize::{
-    execute_bottom_up, execute_bottom_up_pushdown, execute_optimized, execute_positive_rewrite,
-};
 
 /// An execution strategy for the nested relational approach.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,6 +32,17 @@ pub enum Strategy {
 }
 
 impl Strategy {
+    /// The concrete strategies, in the order [`Strategy::Auto`] considers
+    /// them (bottom-up is what push-down yields when an edge's correlation
+    /// is not an equality; the original approach is never chosen).
+    pub const ALL: [Strategy; 5] = [
+        Strategy::PositiveRewrite,
+        Strategy::BottomUpPushdown,
+        Strategy::BottomUp,
+        Strategy::Optimized,
+        Strategy::Original,
+    ];
+
     /// Stable kebab-case name (used in trace events and CLI flags).
     pub fn name(self) -> &'static str {
         match self {
@@ -49,11 +54,6 @@ impl Strategy {
             Strategy::Auto => "auto",
         }
     }
-}
-
-/// The strategy [`Strategy::Auto`] resolves to for a given query.
-pub fn auto_strategy(query: &BoundQuery) -> Strategy {
-    decide(query).chosen
 }
 
 /// Why one query block is (or is not) served by the chosen strategy.
@@ -75,68 +75,11 @@ pub struct StrategyDecision {
     pub rejected: Vec<(Strategy, String)>,
 }
 
-/// Resolve [`Strategy::Auto`] and record *why*: the same checks as the
-/// paper's §4.2 applicability conditions, each producing a reason string
-/// whether it accepts or rejects.
+/// Resolve [`Strategy::Auto`] and record *why*: the builders' §4.2
+/// applicability checks, in the order `Auto` tries them, each rejection
+/// with its reason.
 pub fn decide(query: &BoundQuery) -> StrategyDecision {
-    let links = query.link_ops();
-    let multi_block = query.root.block_count() > 1;
-    let mut rejected = Vec::new();
-
-    // §4.2.5 — all-positive queries degenerate to semijoin cascades.
-    if !multi_block {
-        rejected.push((
-            Strategy::PositiveRewrite,
-            "flat query: no linking operators to rewrite".to_string(),
-        ));
-    } else if !query.all_links_positive() {
-        let negative: Vec<String> = links
-            .iter()
-            .filter(|op| op.is_negative())
-            .map(|op| format!("`{}`", op.describe()))
-            .collect();
-        rejected.push((
-            Strategy::PositiveRewrite,
-            format!(
-                "negative linking operator(s) {} need NULL-aware set semantics a \
-                 semijoin discards",
-                negative.join(", ")
-            ),
-        ));
-    } else {
-        let chosen = Strategy::PositiveRewrite;
-        return StrategyDecision {
-            chosen,
-            blocks: block_reasons(query, chosen),
-            rejected,
-        };
-    }
-
-    // §4.2.3/§4.2.4 — bottom-up for linear correlated queries.
-    if query.is_linear_correlated() {
-        let chosen = Strategy::BottomUpPushdown;
-        return StrategyDecision {
-            chosen,
-            blocks: block_reasons(query, chosen),
-            rejected,
-        };
-    }
-    rejected.push((
-        Strategy::BottomUpPushdown,
-        if !query.root.is_linear() {
-            "tree query: a block nests more than one subquery, so there is no \
-             single chain to reduce bottom-up"
-                .to_string()
-        } else if !multi_block {
-            "flat query: nothing to evaluate bottom-up".to_string()
-        } else {
-            "correlated predicates reference a non-adjacent outer block, so inner \
-             blocks cannot be reduced before their ancestors"
-                .to_string()
-        },
-    ));
-
-    let chosen = Strategy::Optimized;
+    let (chosen, rejected) = crate::plan::auto(query);
     StrategyDecision {
         chosen,
         blocks: block_reasons(query, chosen),
@@ -168,26 +111,19 @@ pub fn block_reasons(query: &BoundQuery, strategy: Strategy) -> Vec<BlockChoice>
                 query.root.block_count()
             ),
             (Strategy::BottomUp | Strategy::BottomUpPushdown, Some(e)) => {
-                let mut r = format!(
+                // The push-down builder yields a bottom-up plan unless every
+                // edge's correlation is an equality.
+                format!(
                     "correlates only with its adjacent outer block b{}: reducible \
-                     before the outer join",
-                    block.id - 1
-                );
-                if strategy == Strategy::BottomUpPushdown {
-                    let all_eq = block
-                        .correlated_preds
-                        .iter()
-                        .all(|p| matches!(p.as_column_cmp(), Some((_, nra_storage::CmpOp::Eq, _))));
-                    if all_eq {
-                        r.push_str(
+                     before the outer join{} [link `{}`]",
+                    block.id - 1,
+                    match strategy {
+                        Strategy::BottomUpPushdown =>
                             "; equality correlation lets the nest commute past the join (§4.2.4)",
-                        );
-                    } else {
-                        r.push_str("; non-equality correlation keeps the nest above the join");
-                    }
-                }
-                r.push_str(&format!(" [link `{}`]", e.link.describe()));
-                r
+                        _ => "",
+                    },
+                    e.link.describe()
+                )
             }
             (Strategy::Original, None) => format!(
                 "Algorithm 1 (§4.1): top-down unnesting joins then bottom-up nest + \
@@ -247,26 +183,29 @@ pub fn block_reasons(query: &BoundQuery, strategy: Strategy) -> Vec<BlockChoice>
     blocks
 }
 
-/// Emit one `StrategyChosen` trace event per block (the root block's event
-/// carries the rejected alternatives). No-op when tracing is off.
-fn emit_decision(decision: &StrategyDecision, forced: bool) {
+/// Emit one `StrategyChosen` trace event per block; the root block's
+/// event carries the alternatives rejected at plan time. No-op when
+/// tracing is off.
+pub(crate) fn emit_decision(
+    query: &BoundQuery,
+    strategy: Strategy,
+    rejected: &[(Strategy, String)],
+    forced: bool,
+) {
     if !trace::enabled() {
         return;
     }
-    let name = decision.chosen.name();
-    for (i, choice) in decision.blocks.iter().enumerate() {
+    for (i, choice) in block_reasons(query, strategy).into_iter().enumerate() {
         let event = TraceEvent::StrategyChosen {
             block: choice.block,
-            name: name.to_string(),
+            name: strategy.name().to_string(),
             reason: if forced {
                 format!("forced by caller: {}", choice.reason)
             } else {
-                choice.reason.clone()
+                choice.reason
             },
             alternatives: if i == 0 {
-                decision
-                    .rejected
-                    .iter()
+                (rejected.iter())
                     .map(|(s, why)| (s.name().to_string(), why.clone()))
                     .collect()
             } else {
@@ -277,124 +216,11 @@ fn emit_decision(decision: &StrategyDecision, forced: bool) {
     }
 }
 
-/// Execute a bound query with the given strategy.
-pub fn execute(
-    query: &BoundQuery,
-    catalog: &Catalog,
-    strategy: Strategy,
-) -> Result<Relation, EngineError> {
-    match strategy {
-        Strategy::Original => {
-            emit_forced(query, strategy);
-            execute_original(query, catalog)
-        }
-        Strategy::Optimized => {
-            emit_forced(query, strategy);
-            execute_optimized(query, catalog)
-        }
-        Strategy::BottomUp => {
-            emit_forced(query, strategy);
-            execute_bottom_up(query, catalog)
-        }
-        Strategy::BottomUpPushdown => {
-            emit_forced(query, strategy);
-            match execute_bottom_up_pushdown(query, catalog) {
-                Err(EngineError::Unsupported(why)) => {
-                    emit_fallback(query, Strategy::BottomUp, &why);
-                    execute_bottom_up(query, catalog)
-                }
-                other => other,
-            }
-        }
-        Strategy::PositiveRewrite => {
-            emit_forced(query, strategy);
-            execute_positive_rewrite(query, catalog)
-        }
-        Strategy::Auto => {
-            let decision = {
-                let _plan = trace::phase(|| "plan".to_string());
-                let decision = decide(query);
-                emit_decision(&decision, false);
-                decision
-            };
-            debug_assert_ne!(decision.chosen, Strategy::Auto);
-            match execute_concrete(query, catalog, decision.chosen) {
-                // The static checks in decide() are conservative but the
-                // specialised executors may still bail (e.g. push-down on
-                // non-equality correlation); fall back to the general
-                // optimized path.
-                Err(EngineError::Unsupported(why)) => {
-                    emit_fallback(query, Strategy::Optimized, &why);
-                    execute_optimized(query, catalog)
-                }
-                other => other,
-            }
-        }
-    }
-}
-
-/// Dispatch without re-emitting decision events (the Auto path logged
-/// them already).
-fn execute_concrete(
-    query: &BoundQuery,
-    catalog: &Catalog,
-    strategy: Strategy,
-) -> Result<Relation, EngineError> {
-    match strategy {
-        Strategy::Original => execute_original(query, catalog),
-        Strategy::Optimized => execute_optimized(query, catalog),
-        Strategy::BottomUp => execute_bottom_up(query, catalog),
-        Strategy::BottomUpPushdown => match execute_bottom_up_pushdown(query, catalog) {
-            Err(EngineError::Unsupported(why)) => {
-                emit_fallback(query, Strategy::BottomUp, &why);
-                execute_bottom_up(query, catalog)
-            }
-            other => other,
-        },
-        Strategy::PositiveRewrite => execute_positive_rewrite(query, catalog),
-        Strategy::Auto => unreachable!("auto resolves before dispatch"),
-    }
-}
-
-fn emit_forced(query: &BoundQuery, strategy: Strategy) {
-    if !trace::enabled() {
-        return;
-    }
-    let _plan = trace::phase(|| "plan".to_string());
-    let decision = StrategyDecision {
-        chosen: strategy,
-        blocks: block_reasons(query, strategy),
-        rejected: Vec::new(),
-    };
-    emit_decision(&decision, true);
-}
-
-/// A specialised executor bailed at runtime; log the downgrade.
-fn emit_fallback(query: &BoundQuery, to: Strategy, why: &str) {
-    let root = query.root.id;
-    trace::emit(|| TraceEvent::StrategyChosen {
-        block: root,
-        name: to.name().to_string(),
-        reason: format!("runtime fallback: chosen strategy bailed ({why})"),
-        alternatives: Vec::new(),
-    });
-}
-
-/// Algorithm 1 with a chosen nest style — exposed for the processing-cost
-/// ablation benchmarks.
-pub fn execute_style(
-    query: &BoundQuery,
-    catalog: &Catalog,
-    style: NestStyle,
-) -> Result<Relation, EngineError> {
-    execute_with_style(query, catalog, style)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nra_sql::parse_and_bind;
-    use nra_storage::{Column, ColumnType, Schema, Table, Value};
+    use nra_storage::{Catalog, Column, ColumnType, Schema, Table, Value};
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -452,16 +278,23 @@ mod tests {
         assert!(d.rejected[1].1.contains("tree query"));
     }
 
+    /// The plan `Auto` builds runs the strategy `decide` names, and
+    /// records the same rejections.
     #[test]
     fn auto_strategy_matches_decide() {
         let cat = catalog();
         for sql in [
             "select a from r where a in (select x from s where s.y = r.b)",
             "select a from r where a not in (select x from s where s.y = r.b)",
+            "select a from r where a not in (select x from s where s.y < r.b)",
             "select a from r",
         ] {
             let q = parse_and_bind(sql, &cat).unwrap();
-            assert_eq!(auto_strategy(&q), decide(&q).chosen, "{sql}");
+            let d = decide(&q);
+            let plan = crate::plan::build(std::sync::Arc::new(q), Strategy::Auto).unwrap();
+            assert_eq!(plan.strategy(), d.chosen, "{sql}");
+            let rejected = |r: &[(Strategy, String)]| r.iter().map(|(s, _)| *s).collect::<Vec<_>>();
+            assert_eq!(rejected(&plan.rejected()), rejected(&d.rejected), "{sql}");
         }
     }
 }

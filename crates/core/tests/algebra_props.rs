@@ -96,7 +96,7 @@ fn fused_equals_two_pass() {
                     }
                     .atoms_as_relation();
 
-                    let link = FusedLink::from_selection(&sel, rel.schema(), &[0, 1]).unwrap();
+                    let link = FusedLink::from_selection(&sel, rel.schema()).unwrap();
                     let fused =
                         fused_nest_select(rel.clone(), &[0, 1], link, pseudo, &[0, 1]).unwrap();
                     assert!(
@@ -129,7 +129,7 @@ fn fused_equals_two_pass_emptiness() {
                     sel.select(&nested, "sub").unwrap()
                 }
                 .atoms_as_relation();
-                let link = FusedLink::from_selection(&sel, rel.schema(), &[0, 1]).unwrap();
+                let link = FusedLink::from_selection(&sel, rel.schema()).unwrap();
                 let fused = fused_nest_select(rel.clone(), &[0, 1], link, pseudo, &[0, 1]).unwrap();
                 assert!(
                     fused.multiset_eq(&two_pass),

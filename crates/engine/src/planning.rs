@@ -57,12 +57,11 @@ pub fn split_join_conds(
         }
         rest.push(pred.clone());
     }
-    let combined = left.concat(right);
     let residual_count = rest.len();
     let residual = if rest.is_empty() {
         None
     } else {
-        Some(CPred::compile_all(&rest, &combined)?)
+        Some(CPred::compile_all(&rest, &left.concat(right))?)
     };
     Ok(SplitConds {
         eq,

@@ -23,7 +23,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use nra_core::{CardEstimates, Strategy};
+use nra_core::{CardEstimates, PhysPlan, Strategy};
 use nra_engine::exec;
 use nra_engine::vec::DEFAULT_BATCH_ROWS;
 use nra_engine::{ctx, governor, Config, Governor, QueryCtx};
@@ -61,9 +61,10 @@ struct Query<'a> {
     caller: Caller,
 }
 
-/// The result plus the plan it ran from (shared with the plan cache),
-/// from which `finish` renders single-statement plans.
-type Executed = Result<(Relation, Arc<CachedPlan>), NraError>;
+/// The result, the plans it ran from (shared with the plan cache), from
+/// which `finish` renders single-statement plans, and the strategy of the
+/// plan the first statement ran (`None` under the other engines).
+type Executed = Result<(Relation, Arc<CachedPlan>, Option<Strategy>), NraError>;
 
 impl Database {
     /// The real entry point behind [`Database::execute`] and
@@ -309,7 +310,7 @@ impl<'a> Stages<'a> {
 
         // Plans are rendered for single statements only.
         let bound = match &result {
-            Ok((_, plan)) if plan.query.compounds.is_empty() => Some(&plan.bound_first),
+            Ok((_, plan, _)) if plan.query.compounds.is_empty() => Some(&**plan.first.query()),
             _ => None,
         };
         let estimates = match (&profile, bound) {
@@ -320,8 +321,13 @@ impl<'a> Stages<'a> {
             outcome,
             qerror_max_x100: report_qerror(profile.as_ref(), estimates.as_ref()),
             wall_ms: started.elapsed().as_millis() as u64,
-            rows: result.as_ref().map_or(0, |(rel, _)| rel.len() as u64),
-            strategy: strategy_label(q.options.engine, bound),
+            rows: result.as_ref().map_or(0, |(rel, _, _)| rel.len() as u64),
+            strategy: match (&result, q.options.engine) {
+                (Ok((_, _, Some(ran))), _) => ran.name(),
+                (_, Engine::Baseline) => "baseline",
+                (_, Engine::Reference) => "reference",
+                (_, Engine::NestedRelational(requested)) => requested.name(),
+            },
             mem_high_water,
         };
         record_counters(&summary, profile.as_ref());
@@ -363,7 +369,7 @@ impl<'a> Stages<'a> {
             report_slow(q, &summary, plan.as_deref(), profile.as_ref(), progress);
         }
 
-        let (rows, _) = result?;
+        let (rows, _, _) = result?;
         Ok(QueryOutcome {
             rows,
             plan,
@@ -553,19 +559,18 @@ impl Database {
                 plan
             }
             None => {
+                // Plan once per miss, whatever the engine: the cache holds
+                // the plans `Auto` builds, and a hit never plans again.
                 let query = nra_sql::parse_query(q.sql)?;
-                let bound_first = nra_sql::bind(&query.first, cat)?;
-                let bound_rest = query
-                    .compounds
-                    .iter()
-                    .map(|part| nra_sql::bind(&part.stmt, cat))
+                let plan = |stmt| -> Result<PhysPlan, NraError> {
+                    let bound = Arc::new(nra_sql::bind(stmt, cat)?);
+                    Ok(nra_core::build(bound, Strategy::Auto)?)
+                };
+                let first = plan(&query.first)?;
+                let rest = (query.compounds.iter())
+                    .map(|part| plan(&part.stmt))
                     .collect::<Result<Vec<_>, _>>()?;
-                let plan = Arc::new(CachedPlan {
-                    strategy: strategy_label(engine, Some(&bound_first)),
-                    query,
-                    bound_first,
-                    bound_rest,
-                });
+                let plan = Arc::new(CachedPlan { query, first, rest });
                 if let Some(key) = cache_key {
                     self.shared
                         .plans
@@ -574,18 +579,18 @@ impl Database {
                 plan
             }
         };
-        let (query, bound_first, bound_rest) = (&plan.query, &plan.bound_first, &plan.bound_rest);
+        let query = &plan.query;
         // Seed the progress denominator from the planner's cardinality
         // estimates for the first block (compound arms only add to the
         // numerator, which the 99%-cap before `finish` absorbs).
         if let Some(p) = progress {
-            let est = nra_core::estimate(bound_first, cat);
+            let est = nra_core::estimate(plan.first.query(), cat);
             p.set_estimated(est.iter().map(|(_, v)| v).sum());
         }
         let mut exec_phase = trace::phase(|| "execute".to_string());
-        let mut rel = self.run_bound(cat, bound_first, engine)?;
-        for (part, bound) in query.compounds.iter().zip(bound_rest) {
-            let right = self.run_bound(cat, bound, engine)?;
+        let (mut rel, ran) = run_plan(cat, &plan.first, engine)?;
+        for (part, arm) in query.compounds.iter().zip(&plan.rest) {
+            let (right, _) = run_plan(cat, arm, engine)?;
             use nra_engine::ops::setops;
             use nra_sql::SetOpKind;
             rel = match (part.op, part.all) {
@@ -638,21 +643,7 @@ impl Database {
         }
         exec_phase.set_rows(rel.len() as u64);
         drop(exec_phase);
-        Ok((rel, plan))
-    }
-
-    /// Execute a prepared (bound) single statement.
-    fn run_bound(
-        &self,
-        cat: &Catalog,
-        query: &BoundQuery,
-        engine: Engine,
-    ) -> Result<Relation, NraError> {
-        Ok(match engine {
-            Engine::NestedRelational(strategy) => nra_core::execute(query, cat, strategy)?,
-            Engine::Baseline => nra_engine::baseline::execute(query, cat)?,
-            Engine::Reference => nra_engine::reference::evaluate(query, cat)?,
-        })
+        Ok((rel, plan, ran))
     }
 
     /// The one-line `EXPLAIN` text. For a compound query, explains the
@@ -667,8 +658,8 @@ impl Database {
                 parsed.compounds.len()
             )
         };
-        let bound = nra_sql::bind(&parsed.first, cat)?;
-        let nr = match nra_core::auto_strategy(&bound) {
+        let plan = nra_core::build(Arc::new(nra_sql::bind(&parsed.first, cat)?), Strategy::Auto)?;
+        let nr = match plan.strategy() {
             Strategy::PositiveRewrite => "positive rewrite (semijoin cascade)",
             Strategy::BottomUpPushdown => "bottom-up with nest push-down",
             Strategy::BottomUp => "bottom-up",
@@ -676,36 +667,32 @@ impl Database {
             Strategy::Original => "Algorithm 1 (two-pass)",
             Strategy::Auto => unreachable!("auto resolves to a concrete strategy"),
         };
-        let baseline = nra_engine::baseline::describe(&bound, cat);
+        let baseline = nra_engine::baseline::describe(plan.query(), cat);
         Ok(format!(
             "nested relational: {nr}; baseline (System A): {baseline}{suffix}"
         ))
     }
 }
 
-/// Short machine-readable name of the strategy a query ran with, for
-/// the query registry and slow-query log. `Auto` is resolved to the
-/// concrete strategy when the bound query is available (single-statement
-/// successes); otherwise it stays `auto`.
-fn strategy_label(engine: Engine, bound: Option<&BoundQuery>) -> &'static str {
-    match engine {
-        Engine::Baseline => "baseline",
-        Engine::Reference => "reference",
-        Engine::NestedRelational(s) => {
-            let s = match (s, bound) {
-                (Strategy::Auto, Some(b)) => nra_core::auto_strategy(b),
-                (s, _) => s,
-            };
-            match s {
-                Strategy::Auto => "auto",
-                Strategy::Original => "original",
-                Strategy::Optimized => "optimized",
-                Strategy::BottomUp => "bottom-up",
-                Strategy::BottomUpPushdown => "bottom-up-pushdown",
-                Strategy::PositiveRewrite => "positive-rewrite",
-            }
+/// Run one statement's cached `Auto` plan under `engine`: as is, as the
+/// plan a forced strategy builds for the same bound query, or through
+/// another engine. Returns the rows and the strategy of the plan that ran.
+fn run_plan(
+    cat: &Catalog,
+    plan: &PhysPlan,
+    engine: Engine,
+) -> Result<(Relation, Option<Strategy>), NraError> {
+    Ok(match engine {
+        Engine::NestedRelational(Strategy::Auto) => {
+            (nra_core::run(plan, cat)?, Some(plan.strategy()))
         }
-    }
+        Engine::NestedRelational(strategy) => {
+            let forced = nra_core::build(Arc::clone(plan.query()), strategy)?;
+            (nra_core::run(&forced, cat)?, Some(forced.strategy()))
+        }
+        Engine::Baseline => (nra_engine::baseline::execute(plan.query(), cat)?, None),
+        Engine::Reference => (nra_engine::reference::evaluate(plan.query(), cat)?, None),
+    })
 }
 
 /// Sum of `rows_out` over every profile entry matching `prefix` exactly

@@ -1,8 +1,9 @@
-//! A database's plan cache: normalized SQL → bound plan.
+//! A database's plan cache: normalized SQL → the physical plans
+//! [`Strategy::Auto`](nra_core::Strategy::Auto) built for it.
 //!
 //! Each database owns one ([`DbShared`](crate::database::DbShared)), so
 //! two databases never share plans even for identical SQL — a
-//! [`BoundQuery`] embeds catalog-specific name resolutions — and one
+//! [`PhysPlan`] embeds catalog-specific name resolutions — and one
 //! database's traffic never evicts another's plans. Entries are keyed on
 //! the normalized statement. Each records the database's schema version
 //! at insert time; a lookup whose version no longer matches drops the
@@ -25,26 +26,26 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use nra_core::PhysPlan;
 use nra_obs::metrics;
-use nra_sql::{BoundQuery, Query};
+use nra_sql::Query;
 
 /// Maximum cached plans per database.
 pub(crate) const CAPACITY: usize = 256;
 
-/// Everything needed to skip the parser and binder on a repeat of the
-/// same statement. Built once per miss and shared from then on: the
-/// cache, every hit and the lifecycle's `finish` hold the same
+/// Everything needed to skip the parser, the binder and the planner on a
+/// repeat of the same statement. Built once per miss and shared from then
+/// on: the cache, every hit and the lifecycle's `finish` hold the same
 /// allocation through an [`Arc`].
 #[derive(Debug)]
 pub(crate) struct CachedPlan {
     /// The parsed query (compound arms, `ORDER BY`, `LIMIT`).
     pub query: Query,
-    /// Bound form of the first `SELECT` block.
-    pub bound_first: BoundQuery,
-    /// Bound forms of the compound arms, in order.
-    pub bound_rest: Vec<BoundQuery>,
-    /// Auto-resolved strategy label recorded for introspection.
-    pub strategy: &'static str,
+    /// `Auto`'s plan for the first `SELECT` block (its bound query is what
+    /// forced strategies and the other engines run).
+    pub first: PhysPlan,
+    /// `Auto`'s plans for the compound arms, in order.
+    pub rest: Vec<PhysPlan>,
 }
 
 #[derive(Debug)]
@@ -167,7 +168,7 @@ impl PlanCache {
             .filter_map(|k| {
                 c.map.get(k).map(|entry| CacheRow {
                     statement: k.clone(),
-                    strategy: entry.plan.strategy,
+                    strategy: entry.plan.first.strategy().name(),
                     hits: entry.hits,
                     version: entry.version,
                 })
@@ -187,12 +188,11 @@ mod tests {
         let schema = Schema::new(vec![Column::new("a", ColumnType::Int)]);
         cat.add_table(Table::new("t", schema)).unwrap();
         let query = nra_sql::parse_query("select a from t").unwrap();
-        let bound_first = nra_sql::bind(&query.first, &cat).unwrap();
+        let bound = nra_sql::bind(&query.first, &cat).unwrap();
         let plan = Arc::new(CachedPlan {
             query,
-            bound_first,
-            bound_rest: Vec::new(),
-            strategy: "auto",
+            first: nra_core::build(Arc::new(bound), nra_core::Strategy::Auto).unwrap(),
+            rest: Vec::new(),
         });
         let cache = PlanCache::default();
         cache.insert(3, "select a from t".to_string(), Arc::clone(&plan));

@@ -21,8 +21,8 @@
 //! * `nra_sys.operators` — per-operator invocation/row totals pivoted
 //!   from the global metrics counters.
 //! * `nra_sys.plan_cache` — this database's plan-cache entries
-//!   (normalized statement, resolved strategy, hit count, schema
-//!   version), in insertion order.
+//!   (normalized statement, the cached `Auto` plan's strategy, hit
+//!   count, schema version), in insertion order.
 //!
 //! Introspection queries run with the crate-private
 //! [`Caller::introspection`] flag set, which excludes them from the query registry, progress

@@ -393,3 +393,95 @@ fn dotted_table_names_resolve() {
         .execute_with("select z.id from nra_sys.running z", &QueryOptions::new())
         .unwrap();
 }
+
+/// `strategy` of the `nra_sys.{table}` rows whose `{column}` mentions
+/// `marker`, in row order.
+fn sys_strategies(session: &nra::Session, table: &str, column: &str, marker: &str) -> Vec<Value> {
+    let out = session
+        .execute(&format!("select {column}, strategy from nra_sys.{table}"))
+        .unwrap();
+    (out.rows.rows().iter())
+        .filter(|r| matches!(&r[0], Value::Str(s) if s.contains(marker)))
+        .map(|r| r[1].clone())
+        .collect()
+}
+
+/// Push-down candidates the push-down builder rejects at plan time: a
+/// non-equality correlation, and none at all.
+const PUSH_DOWN_REJECTED: [(&str, &str); 2] = [
+    (
+        "select r.a from r where r.a <> 771101 and r.b not in \
+         (select s.e from s where s.g < r.a)",
+        "771101",
+    ),
+    (
+        "select r.a from r where r.a <> 771102 and r.b not in (select s.e from s)",
+        "771102",
+    ),
+];
+
+/// EXPLAIN names the strategy of the plan `Auto` builds, not the first
+/// one it considered.
+#[test]
+fn explain_names_the_planned_strategy() {
+    let session = db().connect();
+    for (sql, _) in PUSH_DOWN_REJECTED {
+        let explained = session
+            .execute_with(sql, &QueryOptions::new().explain_only(true))
+            .unwrap()
+            .plan
+            .unwrap();
+        assert!(
+            explained.starts_with("nested relational: bottom-up;"),
+            "{explained}"
+        );
+    }
+}
+
+/// `nra_sys.queries` and `nra_sys.plan_cache` record the strategy the
+/// plan that ran was built with.
+#[test]
+fn sys_tables_name_the_strategy_that_ran() {
+    let session = db().connect();
+    let bottom_up = [Value::Str("bottom-up".to_string())];
+    for (sql, marker) in PUSH_DOWN_REJECTED {
+        session.execute(sql).unwrap();
+        assert_eq!(
+            sys_strategies(&session, "queries", "sql", marker),
+            bottom_up
+        );
+        assert_eq!(
+            sys_strategies(&session, "plan_cache", "statement", marker),
+            bottom_up
+        );
+    }
+}
+
+/// The plan cache holds `Auto`'s plan whichever engine planned the
+/// statement first, and its hits run that plan.
+#[test]
+fn plan_cache_holds_the_auto_plan() {
+    let session = db().connect();
+    let sql = "select r.a from r where r.a <> 771103 and r.b not in \
+               (select s.e from s where s.g = r.d)";
+    let baseline = QueryOptions::new().engine(nra::Engine::Baseline);
+    session.execute_with(sql, &baseline).unwrap();
+    session.execute(sql).unwrap();
+    session.execute(sql).unwrap();
+    let pushdown = Value::Str("bottom-up-pushdown".to_string());
+    assert_eq!(
+        sys_strategies(&session, "queries", "sql", "771103"),
+        [
+            Value::Str("baseline".to_string()),
+            pushdown.clone(),
+            pushdown.clone()
+        ]
+    );
+    let out = session
+        .execute("select statement, strategy, hits from nra_sys.plan_cache")
+        .unwrap();
+    let row = (out.rows.rows().iter())
+        .find(|r| matches!(&r[0], Value::Str(s) if s.contains("771103")))
+        .expect("the statement is cached");
+    assert_eq!(row[1..], [pushdown, Value::Int(2)]);
+}

@@ -51,13 +51,13 @@ fn nr_strategies_do_only_sequential_io() {
         (
             "original",
             measure(small_cache(), || {
-                nra_core::execute_original(&bq, &cat).unwrap();
+                nra_core::execute(&bq, &cat, nra_core::Strategy::Original).unwrap();
             }),
         ),
         (
             "optimized",
             measure(small_cache(), || {
-                nra_core::execute_optimized(&bq, &cat).unwrap();
+                nra_core::execute(&bq, &cat, nra_core::Strategy::Optimized).unwrap();
             }),
         ),
     ] {
@@ -76,7 +76,7 @@ fn cascade_baseline_matches_nr_io() {
         baseline::execute(&bq, &cat).unwrap();
     });
     let nr = measure(small_cache(), || {
-        nra_core::execute_optimized(&bq, &cat).unwrap();
+        nra_core::execute(&bq, &cat, nra_core::Strategy::Optimized).unwrap();
     });
     assert_eq!(native.total_random(), 0);
     assert_eq!(native.seq_pages, nr.seq_pages, "identical scan footprint");
@@ -116,7 +116,7 @@ fn larger_cache_means_more_hits() {
 fn simulation_is_off_by_default_and_does_not_leak() {
     let cat = generate(&TpchConfig::scaled(0.01));
     let bq = nra_sql::parse_and_bind(&q1_sql(&cat, 100), &cat).unwrap();
-    nra_core::execute_optimized(&bq, &cat).unwrap();
+    nra_core::execute(&bq, &cat, nra_core::Strategy::Optimized).unwrap();
     assert!(!iosim::is_enabled());
     assert_eq!(iosim::stats(), IoStats::default());
 }

@@ -5,6 +5,9 @@
 //! include NULL join keys (σ̄-padded tuples, NULL-key nest groups) and
 //! empty inputs.
 
+use std::sync::Arc;
+
+use nra::engine::EngineError;
 use nra::{Database, Engine, QueryOptions, Strategy as NraStrategy};
 use nra_storage::rng::Pcg32;
 use nra_storage::{Column, ColumnType, Relation, Value};
@@ -147,49 +150,38 @@ fn run(db: &Database, sql: &str, engine: Engine) -> Relation {
         .rows
 }
 
-/// Compare every applicable strategy against the oracle on one query.
+/// Compare every applicable strategy against the oracle on one query, at
+/// batch widths {1, 3, 1024}. A strategy is skipped only when its builder
+/// refuses the query.
 fn check_all(db: &Database, sql: &str) {
     let bound = match db.prepare(sql) {
-        Ok(b) => b,
+        Ok(b) => Arc::new(b),
         Err(e) => panic!("query failed to bind: {sql}: {e}"),
     };
-    let oracle = run(db, sql, Engine::Reference);
-
-    let mut engines: Vec<(&str, Engine)> = vec![
-        ("baseline", Engine::Baseline),
-        (
-            "nr-original",
-            Engine::NestedRelational(NraStrategy::Original),
-        ),
-        (
-            "nr-optimized",
-            Engine::NestedRelational(NraStrategy::Optimized),
-        ),
-        ("nr-auto", Engine::NestedRelational(NraStrategy::Auto)),
+    let mut engines = vec![
+        Engine::Baseline,
+        Engine::NestedRelational(NraStrategy::Auto),
     ];
-    if bound.is_linear_correlated() {
-        engines.push((
-            "nr-bottom-up",
-            Engine::NestedRelational(NraStrategy::BottomUp),
-        ));
-        engines.push((
-            "nr-pushdown",
-            Engine::NestedRelational(NraStrategy::BottomUpPushdown),
-        ));
+    for strategy in NraStrategy::ALL {
+        match nra::core::build(Arc::clone(&bound), strategy) {
+            Err(EngineError::Unsupported(_)) => {}
+            built => {
+                built.unwrap_or_else(|e| panic!("{} fails to plan {sql}: {e}", strategy.name()));
+                engines.push(Engine::NestedRelational(strategy));
+            }
+        }
     }
-    if bound.all_links_positive() && bound.root.block_count() > 1 {
-        engines.push((
-            "nr-positive",
-            Engine::NestedRelational(NraStrategy::PositiveRewrite),
-        ));
-    }
-
-    for (name, engine) in engines {
-        let got = run(db, sql, engine);
-        assert!(
-            got.multiset_eq(&oracle),
-            "{name} disagrees with oracle on {sql}\ngot:\n{got}\noracle:\n{oracle}"
-        );
+    for width in [1, 3, 1024] {
+        let _width = nra::engine::vec::set_batch_rows(Some(width));
+        let oracle = run(db, sql, Engine::Reference);
+        for &engine in &engines {
+            let got = run(db, sql, engine);
+            assert!(
+                got.multiset_eq(&oracle),
+                "{engine:?} disagrees with oracle at batch width {width} on {sql}\n\
+                 got:\n{got}\noracle:\n{oracle}"
+            );
+        }
     }
 }
 

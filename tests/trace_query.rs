@@ -233,3 +233,48 @@ fn traced_query_restores_the_callers_tracer() {
     );
     assert!(!trace::enabled());
 }
+
+/// A push-down candidate whose correlation is not an equality (or that
+/// has none) is rejected when the plan is built: the trace names the
+/// bottom-up plan that runs, lists the push-down among the rejected
+/// alternatives, and never reports a fallback while running.
+#[test]
+fn push_down_rejection_happens_at_plan_time() {
+    for (sql, why) in [
+        (
+            "select r.a from r where r.b not in (select s.e from s where s.g < r.a)",
+            "not an equality",
+        ),
+        (
+            "select r.a from r where r.b not in (select s.e from s)",
+            "uncorrelated",
+        ),
+    ] {
+        let (_, trace) = traced(&db(), sql);
+        let strategies = trace.strategy_events();
+        assert_eq!(strategies.len(), 2, "one decision per block: {sql}");
+        for (i, event) in strategies.iter().enumerate() {
+            let TraceEvent::StrategyChosen {
+                name,
+                reason,
+                alternatives,
+                ..
+            } = event
+            else {
+                unreachable!()
+            };
+            assert_eq!(name, "bottom-up", "{sql}");
+            assert!(!reason.contains("runtime fallback"), "{sql}: {reason}");
+            assert!(
+                !reason.contains("equality correlation lets the nest commute"),
+                "{sql}: {reason}"
+            );
+            if i == 0 {
+                let named: Vec<&str> = alternatives.iter().map(|(n, _)| n.as_str()).collect();
+                assert_eq!(named, ["positive-rewrite", "bottom-up-pushdown"], "{sql}");
+                assert!(alternatives[1].1.contains(why), "{sql}: {alternatives:?}");
+            }
+        }
+        assert!(!trace.render_tree().contains("nest-past-join"), "{sql}");
+    }
+}
