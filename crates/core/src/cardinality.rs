@@ -18,7 +18,7 @@
 //! * conjunction multiplies, disjunction adds with the overlap correction,
 //!   negation complements.
 //!
-//! Estimates use the same node keys as the analyzed plan renderer
+//! Estimates use the same node keys as the plan renderer's lines
 //! (`project`, `scan`, `b{id}/scan`, `b{id}/join`, `b{id}/nest`,
 //! `b{id}/link`), so estimates and actuals join trivially.
 
@@ -42,14 +42,6 @@ impl CardEstimates {
 
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
         self.map.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 

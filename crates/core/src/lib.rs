@@ -16,8 +16,9 @@
 //!   the single-sort linear cascade, bottom-up evaluation, nest push-down,
 //!   and the positive-operator semijoin rewrite;
 //! * [`plan`] — every strategy as a builder of one [`PhysPlan`], and the
-//!   one interpreter that runs it;
-//! * [`planner`] — strategy selection and its decision log.
+//!   one interpreter that runs it and renderer that prints it (`EXPLAIN`);
+//! * [`planner`] — strategy selection and its decision log;
+//! * [`tree_expr`] — the paper's tree expression (Figure 3a).
 //!
 //! ```
 //! use nra_storage::{Catalog, Column, ColumnType, Schema, Table, Value};
@@ -49,6 +50,6 @@ pub use cardinality::{estimate, qerror_x100, CardEstimates};
 pub use linking::{LinkCond, LinkSelection, SetQuant};
 pub use nest::{nest, nest_hash_idx, nest_sort_idx, nest_sorted};
 pub use nested::{NestedRelation, NestedSchema, NestedTuple};
-pub use plan::{build, execute, run, PhysPlan};
+pub use plan::{build, execute, node_stats, run, PhysPlan};
 pub use planner::Strategy;
 pub use tree_expr::TreeExpr;

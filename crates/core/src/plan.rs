@@ -13,7 +13,7 @@
 //! the plan with the condition that failed. A forced strategy whose
 //! condition fails returns `Unsupported` with that reason. Nothing is
 //! decided while a plan runs, and this is the only module of the crate
-//! that constructs `Unsupported`.
+//! that constructs `Unsupported`. [`PhysPlan::render`] prints a plan.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -31,7 +31,9 @@ use crate::compute::{
 use crate::linking::{LinkSelection, SetQuant};
 use crate::optimize::{linear, pipeline};
 use crate::planner::{emit_decision, Strategy};
-use crate::tree_expr::TreeExpr;
+
+mod render;
+pub use render::node_stats;
 
 /// A compiled query: the strategy that built it, the alternatives it
 /// rejected on the way, and the operator tree [`run`] interprets.
@@ -122,29 +124,27 @@ enum Rewrite {
 }
 
 impl Rewrite {
+    /// The rewrite's effect as a delta against the Algorithm-1 pipeline of
+    /// the query's `n` blocks: the root π, one base input per block, and
+    /// σ + υ + ⟕ per edge.
     fn event(self, query: &BoundQuery) -> TraceEvent {
-        let tree = TreeExpr::build(query);
+        let n = query.root.block_count();
+        let before = 1 + n + 3 * (n - 1);
         let (rule, after) = match self {
             // Each separate υ-then-σ pair becomes one fused operator.
-            Rewrite::FuseNestSelect => (
-                "fuse-nest-select",
-                tree.op_count() - (tree.node_count() - 1),
-            ),
+            Rewrite::FuseNestSelect => ("fuse-nest-select", before - (n - 1)),
             // Per-level υ + σ pairs collapse into one physical sort plus
             // per-level selections folded into the group scan.
-            Rewrite::SingleSortCascade => {
-                let n = query.root.block_count();
-                ("single-sort-cascade", 2 + n + 2 * (n - 1))
-            }
+            Rewrite::SingleSortCascade => ("single-sort-cascade", 2 + n + 2 * (n - 1)),
             // Same operator count, but the nest runs on the smaller,
             // pre-join input.
-            Rewrite::NestPastJoin => ("nest-past-join", tree.op_count()),
+            Rewrite::NestPastJoin => ("nest-past-join", before),
             // Every ⟕ + υ + σ triple collapses into one semijoin.
-            Rewrite::PositiveSemijoin => ("positive-semijoin-rewrite", 2 * tree.node_count()),
+            Rewrite::PositiveSemijoin => ("positive-semijoin-rewrite", 2 * n),
         };
         TraceEvent::RewriteStep {
             rule: rule.to_string(),
-            nodes_before: tree.op_count(),
+            nodes_before: before,
             nodes_after: after,
         }
     }

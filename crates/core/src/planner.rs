@@ -54,6 +54,18 @@ impl Strategy {
             Strategy::Auto => "auto",
         }
     }
+
+    /// What a plan of this strategy does, as `EXPLAIN`'s header names it.
+    pub fn describe(self) -> &'static str {
+        match self {
+            Strategy::PositiveRewrite => "positive rewrite (semijoin cascade)",
+            Strategy::BottomUpPushdown => "bottom-up with nest push-down",
+            Strategy::BottomUp => "bottom-up",
+            Strategy::Optimized => "single-sort pipelined cascade",
+            Strategy::Original => "Algorithm 1 (two-pass)",
+            Strategy::Auto => "automatic choice",
+        }
+    }
 }
 
 /// Why one query block is (or is not) served by the chosen strategy.

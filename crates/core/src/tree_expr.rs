@@ -1,16 +1,13 @@
-//! The *tree expression* of the paper's Section 4 (Figure 3a) and the
-//! query tree it compiles to (Figure 3b), as displayable structures.
-//!
-//! Step 2 of the approach builds, from the query blocks, a tree with one
-//! node `T_i` per block and edges labelled by the linking predicate `L_i`
-//! and the correlated predicates `C_ij`. Step 3 (Algorithm 1) walks it
-//! depth-first, producing the operator pipeline of outer joins going down
-//! and nest + linking selections coming back up. This module renders both,
-//! powering `EXPLAIN`-style output for the nested relational engine.
+//! The *tree expression* of the paper's Section 4 (Figure 3a): step 2 of
+//! the approach builds, from the query blocks, one node `T_i` per block,
+//! with edges labelled by the linking predicate `L_i` and the correlated
+//! predicates `C_ij`. Figure 3b is `Original`'s [`crate::PhysPlan`],
+//! rendered; the predicate and link labels here serve both.
 
+use std::collections::HashMap;
 use std::fmt;
 
-use nra_sql::{BoundQuery, LinkOp, QueryBlock};
+use nra_sql::{BExpr, BPred, BoundQuery, LinkOp, QueryBlock, SubqueryEdge};
 
 use crate::compute::edge_modes;
 
@@ -46,334 +43,91 @@ pub struct TreeExpr {
     pub root: TreeNode,
 }
 
-fn render_pred(p: &nra_sql::BPred) -> String {
-    fn expr(e: &nra_sql::BExpr) -> String {
-        match e {
-            nra_sql::BExpr::Col(c) => c.clone(),
-            nra_sql::BExpr::Lit(v) => v.to_string(),
-            nra_sql::BExpr::Arith { op, left, right } => {
-                format!("({} {} {})", expr(left), op.symbol(), expr(right))
-            }
+/// A bound scalar expression as plan text.
+pub(crate) fn render_expr(e: &BExpr) -> String {
+    match e {
+        BExpr::Col(c) => c.clone(),
+        BExpr::Lit(v) => v.to_string(),
+        BExpr::Arith { op, left, right } => {
+            let (left, right) = (render_expr(left), render_expr(right));
+            format!("({left} {} {right})", op.symbol())
         }
     }
+}
+
+/// A bound predicate as plan text.
+pub(crate) fn render_pred(p: &BPred) -> String {
+    let (e, not) = (
+        render_expr,
+        |negated: &bool| if *negated { "not " } else { "" },
+    );
     match p {
-        nra_sql::BPred::Cmp { left, op, right } => {
-            format!("{} {} {}", expr(left), op, expr(right))
-        }
-        nra_sql::BPred::Between {
-            expr: e,
+        BPred::Cmp { left, op, right } => format!("{} {op} {}", e(left), e(right)),
+        BPred::Between {
+            expr,
             low,
             high,
             negated,
         } => format!(
             "{} {}between {} and {}",
-            expr(e),
-            if *negated { "not " } else { "" },
-            expr(low),
-            expr(high)
+            e(expr),
+            not(negated),
+            e(low),
+            e(high)
         ),
-        nra_sql::BPred::IsNull { expr: e, negated } => {
-            format!("{} is {}null", expr(e), if *negated { "not " } else { "" })
-        }
-        nra_sql::BPred::InList {
-            expr: e,
+        BPred::IsNull { expr, negated } => format!("{} is {}null", e(expr), not(negated)),
+        BPred::InList {
+            expr,
             list,
             negated,
-        } => format!(
-            "{} {}in ({})",
-            expr(e),
-            if *negated { "not " } else { "" },
-            list.iter().map(expr).collect::<Vec<_>>().join(", ")
-        ),
-        nra_sql::BPred::And(a, b) => format!("({} and {})", render_pred(a), render_pred(b)),
-        nra_sql::BPred::Or(a, b) => format!("({} or {})", render_pred(a), render_pred(b)),
-        nra_sql::BPred::Not(inner) => format!("not ({})", render_pred(inner)),
-        nra_sql::BPred::Const(t) => format!("{t:?}"),
+        } => {
+            let list: Vec<String> = list.iter().map(e).collect();
+            format!("{} {}in ({})", e(expr), not(negated), list.join(", "))
+        }
+        BPred::And(a, b) => format!("({} and {})", render_pred(a), render_pred(b)),
+        BPred::Or(a, b) => format!("({} or {})", render_pred(a), render_pred(b)),
+        BPred::Not(inner) => format!("not ({})", render_pred(inner)),
+        BPred::Const(t) => format!("{t:?}"),
     }
 }
 
-fn render_link(edge: &nra_sql::SubqueryEdge) -> String {
-    let attr = |e: &Option<nra_sql::BExpr>| -> String {
-        match e {
-            Some(nra_sql::BExpr::Col(c)) => c.clone(),
-            Some(other) => render_pred(&nra_sql::BPred::Cmp {
-                left: other.clone(),
-                op: nra_storage::CmpOp::Eq,
-                right: other.clone(),
-            })
-            .split(" =")
-            .next()
-            .unwrap_or("<expr>")
-            .to_string(),
-            None => String::new(),
-        }
-    };
-    let inner = edge
-        .inner_expr
-        .as_ref()
-        .and_then(|e| e.as_column().map(str::to_string))
-        .unwrap_or_else(|| "·".to_string());
+/// An edge's linking predicate `L_i` as plan text.
+pub(crate) fn render_link(edge: &SubqueryEdge) -> String {
+    let outer = edge.outer_expr.as_ref().map_or(String::new(), render_expr);
+    let inner = (edge.inner_expr.as_ref())
+        .and_then(BExpr::as_column)
+        .unwrap_or("·");
     match edge.link {
         LinkOp::Exists => format!("{{{inner}}} ≠ ∅ (exists)"),
         LinkOp::NotExists => format!("{{{inner}}} = ∅ (not exists)"),
-        LinkOp::Some(op) => {
-            format!("{} {} SOME {{{inner}}}", attr(&edge.outer_expr), op)
-        }
-        LinkOp::All(op) => {
-            format!("{} {} ALL {{{inner}}}", attr(&edge.outer_expr), op)
-        }
-        LinkOp::Agg { op, func } => {
-            format!(
-                "{} {} {}{{{inner}}}",
-                attr(&edge.outer_expr),
-                op,
-                func.name()
-            )
-        }
+        LinkOp::Some(op) => format!("{outer} {op} SOME {{{inner}}}"),
+        LinkOp::All(op) => format!("{outer} {op} ALL {{{inner}}}"),
+        LinkOp::Agg { op, func } => format!("{outer} {op} {}{{{inner}}}", func.name()),
     }
 }
 
 impl TreeExpr {
     /// Build the tree expression for a bound query (the paper's step 2).
     pub fn build(query: &BoundQuery) -> TreeExpr {
-        let modes = edge_modes(query);
-        fn node(block: &QueryBlock, modes: &std::collections::HashMap<usize, bool>) -> TreeNode {
+        fn node(block: &QueryBlock, modes: &HashMap<usize, bool>) -> TreeNode {
+            let preds = |preds: &[BPred]| preds.iter().map(render_pred).collect();
+            let edge = |e: &SubqueryEdge| TreeEdge {
+                link: render_link(e),
+                pseudo: modes[&e.block.id],
+                correlated: preds(&e.block.correlated_preds),
+                node: node(&e.block, modes),
+            };
             TreeNode {
                 id: block.id,
                 tables: block.tables.iter().map(|t| t.exposed.clone()).collect(),
-                local: block.local_preds.iter().map(render_pred).collect(),
-                children: block
-                    .children
-                    .iter()
-                    .map(|edge| TreeEdge {
-                        link: render_link(edge),
-                        pseudo: *modes.get(&edge.block.id).unwrap_or(&false),
-                        correlated: edge
-                            .block
-                            .correlated_preds
-                            .iter()
-                            .map(render_pred)
-                            .collect(),
-                        node: node(&edge.block, modes),
-                    })
-                    .collect(),
+                local: preds(&block.local_preds),
+                children: block.children.iter().map(edge).collect(),
             }
         }
         TreeExpr {
-            root: node(&query.root, &modes),
+            root: node(&query.root, &edge_modes(query)),
         }
     }
-
-    /// Number of `T_i` nodes (query blocks) in the tree expression.
-    pub fn node_count(&self) -> usize {
-        fn count(n: &TreeNode) -> usize {
-            1 + n.children.iter().map(|e| count(&e.node)).sum::<usize>()
-        }
-        count(&self.root)
-    }
-
-    /// Number of operators in the Algorithm-1 pipeline this tree compiles
-    /// to: the root π, one base input per block, and σ + υ + ⟕ per edge.
-    /// Rewrites report their effect as a delta against this count in
-    /// `RewriteStep` trace events.
-    pub fn op_count(&self) -> usize {
-        let blocks = self.node_count();
-        1 + blocks + 3 * (blocks - 1)
-    }
-
-    /// Render the Algorithm-1 operator pipeline (the paper's Figure 3b):
-    /// the projection on top, then per edge (in evaluation order) the
-    /// linking selection, the nest, and the left outer join below it.
-    pub fn render_plan(&self) -> String {
-        let mut out = String::new();
-        out.push_str("π (root select)\n");
-        fn edges(node: &TreeNode, depth: usize, out: &mut String) {
-            for edge in &node.children {
-                let pad = "  ".repeat(depth);
-                let sigma = if edge.pseudo { "σ̄" } else { "σ" };
-                out.push_str(&format!("{pad}{sigma} {}\n", edge.link));
-                out.push_str(&format!(
-                    "{pad}υ nest by prefix, keep T{} columns\n",
-                    edge.node.id
-                ));
-                edges(&edge.node, depth + 1, out);
-                let corr = if edge.correlated.is_empty() {
-                    "(uncorrelated: virtual Cartesian product)".to_string()
-                } else {
-                    edge.correlated.join(" ∧ ")
-                };
-                out.push_str(&format!(
-                    "{pad}⟕ {corr}  [T{} = {}{}]\n",
-                    edge.node.id,
-                    edge.node.tables.join(" × "),
-                    if edge.node.local.is_empty() {
-                        String::new()
-                    } else {
-                        format!(" | σ {}", edge.node.local.join(" ∧ "))
-                    }
-                ));
-            }
-        }
-        edges(&self.root, 1, &mut out);
-        out.push_str(&format!(
-            "  T{} = {}{}\n",
-            self.root.id,
-            self.root.tables.join(" × "),
-            if self.root.local.is_empty() {
-                String::new()
-            } else {
-                format!(" | σ {}", self.root.local.join(" ∧ "))
-            }
-        ));
-        out
-    }
-
-    /// Render the Algorithm-1 pipeline annotated with measured runtime
-    /// stats from an [`nra_obs::Profile`] (the body of `EXPLAIN ANALYZE`).
-    ///
-    /// Operator nodes are matched to profile entries by qualified-name
-    /// prefix: the σ/σ̄ of edge `i` reads `b{i}/link`, the nest `b{i}/nest`
-    /// (matching the kind-suffixed `b{i}/nest[sort]` / `b{i}/nest[hash]`),
-    /// the outer join `b{i}/join`, and the block base `b{i}/scan`; the root
-    /// scan and projection are unscoped (`scan`, `project`).
-    pub fn render_plan_analyzed(&self, profile: &nra_obs::Profile) -> String {
-        self.render_plan_analyzed_with_estimates(profile, None)
-    }
-
-    /// Like [`TreeExpr::render_plan_analyzed`], additionally rendering the
-    /// planner's estimated output cardinality next to the measured one
-    /// (`est=… act=… (×err)`) when [`crate::cardinality::CardEstimates`]
-    /// are supplied — the cardinality-feedback view of `EXPLAIN ANALYZE`.
-    pub fn render_plan_analyzed_with_estimates(
-        &self,
-        profile: &nra_obs::Profile,
-        estimates: Option<&crate::cardinality::CardEstimates>,
-    ) -> String {
-        let ann = |key: &str| annotate(op_for(profile, key), estimates.map(|e| e.get(key)));
-        let mut out = String::new();
-        out.push_str(&format!("π (root select){}\n", ann("project")));
-        fn edges(node: &TreeNode, depth: usize, ann: &dyn Fn(&str) -> String, out: &mut String) {
-            for edge in &node.children {
-                let pad = "  ".repeat(depth);
-                let id = edge.node.id;
-                let sigma = if edge.pseudo { "σ̄" } else { "σ" };
-                out.push_str(&format!(
-                    "{pad}{sigma} {}{}\n",
-                    edge.link,
-                    ann(&format!("b{id}/link"))
-                ));
-                out.push_str(&format!(
-                    "{pad}υ nest by prefix, keep T{id} columns{}\n",
-                    ann(&format!("b{id}/nest"))
-                ));
-                edges(&edge.node, depth + 1, ann, out);
-                let corr = if edge.correlated.is_empty() {
-                    "(uncorrelated: virtual Cartesian product)".to_string()
-                } else {
-                    edge.correlated.join(" ∧ ")
-                };
-                out.push_str(&format!("{pad}⟕ {corr}{}\n", ann(&format!("b{id}/join"))));
-                out.push_str(&format!(
-                    "{pad}  T{id} = {}{}{}\n",
-                    edge.node.tables.join(" × "),
-                    if edge.node.local.is_empty() {
-                        String::new()
-                    } else {
-                        format!(" | σ {}", edge.node.local.join(" ∧ "))
-                    },
-                    ann(&format!("b{id}/scan"))
-                ));
-            }
-        }
-        edges(&self.root, 1, &ann, &mut out);
-        out.push_str(&format!(
-            "  T{} = {}{}{}\n",
-            self.root.id,
-            self.root.tables.join(" × "),
-            if self.root.local.is_empty() {
-                String::new()
-            } else {
-                format!(" | σ {}", self.root.local.join(" ∧ "))
-            },
-            ann("scan")
-        ));
-        out
-    }
-}
-
-/// Merge every profile entry matching `prefix` exactly or with a
-/// `[kind]` suffix (`b2/join` matches `b2/join[left_outer]`).
-fn op_for(profile: &nra_obs::Profile, prefix: &str) -> Option<nra_obs::OpStats> {
-    let mut acc: Option<nra_obs::OpStats> = None;
-    for (name, stats) in &profile.ops {
-        let matches =
-            name == prefix || (name.starts_with(prefix) && name[prefix.len()..].starts_with('['));
-        if matches {
-            match &mut acc {
-                Some(a) => a.merge(stats),
-                None => acc = Some(stats.clone()),
-            }
-        }
-    }
-    acc
-}
-
-/// Human-readable duration for plan annotations.
-fn fmt_ns(ns: u64) -> String {
-    if ns < 1_000 {
-        format!("{ns}ns")
-    } else if ns < 1_000_000 {
-        format!("{:.1}µs", ns as f64 / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.3}s", ns as f64 / 1e9)
-    }
-}
-
-/// The parenthesized annotation appended to a plan node. The estimated
-/// cardinality renders last, as `est=… act=… (×err)` with the node's
-/// Q-error, so the leading `rows=…, time` fields keep their positions.
-/// `est` is two-level: `None` means no estimates were supplied at all
-/// (plain `EXPLAIN ANALYZE`); `Some(None)` means the planner supplied
-/// estimates but covered no such node — rendered as the explicit
-/// `est=?` placeholder so coverage gaps are visible, not silent.
-fn annotate(stats: Option<nra_obs::OpStats>, est: Option<Option<u64>>) -> String {
-    let Some(s) = stats else {
-        return "  (not executed)".to_string();
-    };
-    let mut parts = vec![
-        format!("rows={}→{}", s.rows_in, s.rows_out),
-        fmt_ns(s.wall_ns),
-    ];
-    if s.hash_entries > 0 {
-        parts.push(format!("hash={}e/{}B", s.hash_entries, s.hash_bytes));
-    }
-    if s.nest_groups > 0 {
-        parts.push(format!("groups={}", s.nest_groups));
-    }
-    if s.pass + s.fail + s.unknown > 0 {
-        parts.push(format!(
-            "pass={} fail={} unknown={}",
-            s.pass, s.fail, s.unknown
-        ));
-    }
-    if s.padded > 0 {
-        parts.push(format!("padded={}", s.padded));
-    }
-    match est {
-        Some(Some(e)) => {
-            let q = crate::cardinality::qerror_x100(e, s.rows_out);
-            parts.push(format!(
-                "est={e} act={} (×{:.1})",
-                s.rows_out,
-                q as f64 / 100.0
-            ));
-        }
-        Some(None) => parts.push(format!("est=? act={}", s.rows_out)),
-        None => {}
-    }
-    format!("  ({})", parts.join(", "))
 }
 
 impl fmt::Display for TreeExpr {
@@ -464,26 +218,6 @@ mod tests {
         assert!(s.contains("T3: t"));
         assert!(s.contains("(σ̄)"));
         assert!(s.contains("C: r.d = s.g"));
-    }
-
-    #[test]
-    fn plan_renders_the_pipeline() {
-        let bq = parse_and_bind(QUERY_Q, &catalog()).unwrap();
-        let plan = TreeExpr::build(&bq).render_plan();
-        assert!(
-            plan.contains("σ̄ s.h > ALL {s.e}") || plan.contains("σ̄ s.h > ALL"),
-            "got:\n{plan}"
-        );
-        assert!(plan.contains("⟕ r.d = s.g"));
-        assert!(plan.contains("υ nest by prefix"));
-    }
-
-    #[test]
-    fn uncorrelated_edge_labelled_virtual_product() {
-        let bq =
-            parse_and_bind("select a from r where b in (select e from s)", &catalog()).unwrap();
-        let plan = TreeExpr::build(&bq).render_plan();
-        assert!(plan.contains("virtual Cartesian product"), "got:\n{plan}");
     }
 
     #[test]

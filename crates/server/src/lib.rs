@@ -10,8 +10,9 @@
 //!
 //! # Protocol
 //!
-//! Requests are single lines. A line starting with `.` is a command;
-//! anything else is executed as SQL:
+//! Requests are single lines of at most 1 MiB (a longer one is answered
+//! with an `err protocol:` frame and the connection closed). A line
+//! starting with `.` is a command; anything else is executed as SQL:
 //!
 //! ```text
 //! .ping                      liveness probe
@@ -56,6 +57,11 @@ use nra::{Database, Engine, NraError, QueryOptions, Session, Strategy};
 /// the server side, or to re-poll the socket in [`Client`]. Bounds
 /// shutdown latency; invisible on the wire otherwise.
 const POLL: Duration = Duration::from_millis(100);
+
+/// The longest request line the server buffers, newline excluded. A
+/// longer line is answered with one `err protocol:` frame and the
+/// connection is closed, so no client can grow server memory unbounded.
+const MAX_LINE: usize = 1 << 20;
 
 // ---------------------------------------------------------------------
 // Wire format: escaping and response framing shared by server + client.
@@ -308,9 +314,13 @@ impl Connection {
         self.stream.set_read_timeout(Some(POLL))?;
         self.stream.set_nodelay(true).ok();
         loop {
-            let line = match self.read_line()? {
-                Some(line) => line,
-                None => return Ok(()), // EOF or shutdown
+            let line = match self.read_line() {
+                Ok(Some(line)) => line,
+                Ok(None) => return Ok(()), // EOF or shutdown
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                    return self.err("protocol", &e.to_string());
+                }
+                Err(e) => return Err(e),
             };
             let line = line.trim();
             if line.is_empty() {
@@ -326,10 +336,17 @@ impl Connection {
 
     /// Read one newline-terminated line, polling the shutdown flag
     /// while blocked. `None` means the peer closed or we are shutting
-    /// down.
+    /// down; a line longer than [`MAX_LINE`] is an `InvalidData` error.
     fn read_line(&mut self) -> io::Result<Option<String>> {
         loop {
-            if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
+            let newline = self.pending.iter().position(|&b| b == b'\n');
+            if newline.unwrap_or(self.pending.len()) > MAX_LINE {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("request line longer than {MAX_LINE} bytes"),
+                ));
+            }
+            if let Some(pos) = newline {
                 let rest = self.pending.split_off(pos + 1);
                 let mut line = std::mem::replace(&mut self.pending, rest);
                 line.pop(); // the newline

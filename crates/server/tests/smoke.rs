@@ -230,3 +230,39 @@ fn thread_settings_are_accepted_and_ignored() {
         handle.shutdown();
     }
 }
+
+/// A request line over the server's cap (1 MiB) is answered with one
+/// `err` frame and the connection is closed; the server keeps serving
+/// other connections. A one-line nesting bomb is a parse error, not a
+/// crash.
+#[test]
+fn oversized_and_deeply_nested_lines_are_refused() {
+    use std::io::{Read, Write};
+
+    let handle = serve(Database::from_catalog(rst_catalog()), "127.0.0.1:0").unwrap();
+    let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+    // A server that buffers without limit never answers: fail, not hang.
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    raw.write_all(&vec![b'x'; (1 << 20) + 1]).unwrap();
+    let mut reply = String::new();
+    raw.read_to_string(&mut reply).unwrap();
+    assert_eq!(
+        reply, "err protocol: request line longer than 1048576 bytes\n.\n",
+        "one err frame, then EOF"
+    );
+
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let deep = format!(
+        "select a from r where {}a = 1{}",
+        "(".repeat(300),
+        ")".repeat(300)
+    );
+    let err = client.query(&deep).unwrap_err();
+    assert!(
+        err.starts_with("sql:") && err.contains("nests deeper"),
+        "{err}"
+    );
+    assert_eq!(client.query(QUERY_Q).unwrap().rows.len(), 2);
+    handle.shutdown();
+}

@@ -30,7 +30,11 @@ pub fn parse_query(input: &str) -> Result<Query, SqlError> {
     let _phase = nra_obs::trace::phase(|| "parse".to_string());
     let tokens = lex(input)?;
     let ntokens = tokens.len();
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let first = p.select_stmt()?;
 
     let mut compounds = Vec::new();
@@ -118,7 +122,11 @@ pub fn parse_analyze(input: &str) -> Result<Option<String>, SqlError> {
     if tokens.first().map(|t| &t.kind) != Some(&TokenKind::Keyword(Keyword::Analyze)) {
         return Ok(None);
     }
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     p.expect_keyword(Keyword::Analyze)?;
     let table = p.ident()?;
     if p.peek_kind() == &TokenKind::Semicolon {
@@ -136,12 +144,38 @@ pub fn parse_statement(input: &str) -> Result<Statement, SqlError> {
     }
 }
 
+/// How deep subqueries, parenthesised predicates and expressions, `NOT`
+/// chains, unary minus chains and aggregate arguments may nest. The parser
+/// recurses once per level, so an unbounded depth lets one statement
+/// overflow the stack and abort the process; past this depth it returns a
+/// parse error instead.
+const MAX_DEPTH: usize = 64;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels entered (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
+    /// Run `parse` one nesting level deeper, refusing past [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Parser) -> Result<T, SqlError>,
+    ) -> Result<T, SqlError> {
+        if self.depth == MAX_DEPTH {
+            return Err(SqlError::parse(
+                self.peek().offset,
+                format!("query nests deeper than {MAX_DEPTH} levels"),
+            ));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos]
     }
@@ -207,7 +241,12 @@ impl Parser {
         }
     }
 
+    /// A `SELECT` block, one nesting level deeper.
     fn select_stmt(&mut self) -> Result<SelectStmt, SqlError> {
+        self.nested(Parser::select_block)
+    }
+
+    fn select_block(&mut self) -> Result<SelectStmt, SqlError> {
         self.expect_keyword(Keyword::Select)?;
         let distinct = self.eat_keyword(Keyword::Distinct);
         let select = self.select_list()?;
@@ -294,7 +333,7 @@ impl Parser {
     fn not_pred(&mut self) -> Result<Predicate, SqlError> {
         if self.at_keyword(Keyword::Not) && !self.next_is_exists_after_not() {
             self.advance();
-            let inner = self.not_pred()?;
+            let inner = self.nested(Parser::not_pred)?;
             return Ok(Predicate::Not(Box::new(inner)));
         }
         self.primary_pred()
@@ -326,7 +365,7 @@ impl Parser {
         if self.peek_kind() == &TokenKind::LParen {
             let save = self.pos;
             self.advance();
-            if let Ok(p) = self.predicate() {
+            if let Ok(p) = self.nested(Parser::predicate) {
                 if self.peek_kind() == &TokenKind::RParen {
                     self.advance();
                     return Ok(p);
@@ -475,7 +514,7 @@ impl Parser {
                 arg: None,
             });
         }
-        let arg = self.scalar_expr()?;
+        let arg = self.nested(Parser::scalar_expr)?;
         self.expect(TokenKind::RParen)?;
         let func = if func == AggFunc::CountRows {
             AggFunc::CountNonNull
@@ -544,7 +583,7 @@ impl Parser {
             }
             TokenKind::Minus => {
                 self.advance();
-                let inner = self.factor()?;
+                let inner = self.nested(Parser::factor)?;
                 Ok(match inner {
                     ScalarExpr::Literal(Value::Int(v)) => ScalarExpr::Literal(Value::Int(-v)),
                     ScalarExpr::Literal(Value::Decimal(v)) => {
@@ -588,7 +627,7 @@ impl Parser {
             }
             TokenKind::LParen => {
                 self.advance();
-                let e = self.scalar_expr()?;
+                let e = self.nested(Parser::scalar_expr)?;
                 self.expect(TokenKind::RParen)?;
                 Ok(e)
             }

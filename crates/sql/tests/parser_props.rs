@@ -2,7 +2,7 @@
 //! parse → display → parse must be a fixpoint. Formerly proptest; now
 //! seeded-deterministic fuzzing so the suite runs with no external crates.
 
-use nra_sql::parse;
+use nra_sql::{parse, parse_query};
 use nra_storage::rng::Pcg32;
 
 /// Arbitrary byte soup: the parser returns Ok or Err, never panics.
@@ -69,5 +69,39 @@ fn display_roundtrip_corpus() {
         let twice =
             parse(&rendered).unwrap_or_else(|e| panic!("rendered form failed: {rendered}: {e}"));
         assert_eq!(once, twice, "display not a fixpoint for {input}");
+    }
+}
+
+/// Nesting past the parser's depth limit is a parse error, not a stack
+/// overflow that aborts the process: deep parentheses (around predicates
+/// and around expressions), `NOT` and unary minus chains, and nested
+/// subqueries each return `Err`; moderate nesting still parses.
+#[test]
+fn deep_nesting_is_an_error_not_a_crash() {
+    let nest = |open: &str, inner: &str, close: &str, n: usize| {
+        format!(
+            "select a from r where {}{inner}{}",
+            open.repeat(n),
+            close.repeat(n)
+        )
+    };
+    let deep = 100_000;
+    for sql in [
+        nest("(", "a = 1", ")", deep),
+        nest("not ", "a = 1", "", deep),
+        nest("a in (select a from r where ", "a = 1", ")", 10_000),
+        nest("a = ", "", "", 1) + &"(".repeat(deep) + "1" + &")".repeat(deep),
+        nest("a = ", "", "", 1) + &"- ".repeat(deep) + "1",
+        nest("a = ", "", "", 1) + &"max(".repeat(deep) + "a" + &")".repeat(deep),
+    ] {
+        let err = parse_query(&sql).expect_err("nesting past the limit");
+        assert!(err.to_string().contains("nests deeper than"), "{err}");
+    }
+    for sql in [
+        nest("(", "a = 1", ")", 20),
+        nest("not ", "a = 1", "", 20),
+        nest("a in (select a from r where ", "a = 1", ")", 10),
+    ] {
+        parse_query(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
     }
 }

@@ -1,6 +1,7 @@
-//! EXPLAIN tour: the paper's tree expression (Figure 3a), the Algorithm-1
-//! operator pipeline (Figure 3b) both static and measured (`EXPLAIN
-//! ANALYZE`), and the aggregate-subquery extension.
+//! EXPLAIN tour: the paper's tree expression (Figure 3a), the plan each
+//! strategy builds — Algorithm 1's is the operator pipeline of Figure 3b —
+//! the plan `Auto` runs, measured (`EXPLAIN ANALYZE`), and the
+//! aggregate-subquery extension.
 //!
 //! ```sh
 //! cargo run --example explain_plans
@@ -12,26 +13,25 @@ use nra::{Database, QueryOptions, Session, Strategy};
 
 fn show(session: &Session, sql: &str) {
     println!("== {sql}\n");
-    let explain = session
-        .execute_with(sql, &QueryOptions::new().explain_only(true))
-        .unwrap();
-    println!("{}", explain.plan.unwrap());
     let bq = session.database().prepare(sql).unwrap();
-    let tree = TreeExpr::build(&bq);
-    println!("\ntree expression (paper Fig. 3a):\n{tree}");
-    println!("operator pipeline (paper Fig. 3b):\n{}", tree.render_plan());
+    println!("tree expression (paper Fig. 3a):\n{}", TreeExpr::build(&bq));
+    for strategy in [Strategy::Auto, Strategy::Original] {
+        let explain = session
+            .execute_with(
+                sql,
+                &QueryOptions::new().strategy(strategy).explain_only(true),
+            )
+            .unwrap();
+        println!("explain, {}:\n{}", strategy.name(), explain.plan.unwrap());
+    }
     let analyzed = session
         .execute_with(
             sql,
-            &QueryOptions::new()
-                .strategy(Strategy::Original)
-                .collect_profile(true)
-                .simulate_io(true),
+            &QueryOptions::new().collect_profile(true).simulate_io(true),
         )
         .unwrap();
     println!("explain analyze (measured):\n{}", analyzed.plan.unwrap());
-    let out = session.execute(sql).unwrap();
-    println!("result:\n{}\n", out.rows);
+    println!("result:\n{}\n", analyzed.rows);
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

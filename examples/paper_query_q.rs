@@ -88,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- The same thing through the engines ----------------------------
     let db = Database::from_catalog(rst_catalog());
     let explain = db.execute(QUERY_Q, &QueryOptions::new().explain_only(true))?;
-    println!("explain: {}\n", explain.plan.unwrap());
+    println!("explain:\n{}", explain.plan.unwrap());
     for (name, engine) in [
         ("oracle (tuple iteration)", Engine::Reference),
         ("baseline (System A plans)", Engine::Baseline),

@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Every engine and strategy gives the same answer; `explain` shows
     // what each would do.
     let explain = session.execute_with(sql_all, &QueryOptions::new().explain_only(true))?;
-    println!("explain: {}", explain.plan.unwrap());
+    print!("explain:\n{}", explain.plan.unwrap());
     for engine in [
         Engine::Reference,
         Engine::Baseline,

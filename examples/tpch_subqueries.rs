@@ -25,7 +25,9 @@ fn run(session: &Session, label: &str, sql: &str) {
     let explain = session
         .execute_with(sql, &QueryOptions::new().explain_only(true))
         .unwrap();
-    println!("   {}", explain.plan.unwrap());
+    for line in explain.plan.unwrap().lines() {
+        println!("   {line}");
+    }
     let engines = [
         ("baseline (System A)", Engine::Baseline),
         ("NR original", Engine::NestedRelational(Strategy::Original)),

@@ -17,8 +17,8 @@
 //! :engine <auto|original|optimized|bottomup|pushdown|positive|baseline|oracle>
 //! :timeout <ms|off>             cancel queries cooperatively after a deadline
 //! :memlimit <bytes|off>         per-query memory budget for governed allocations
-//! :explain <sql>                plan choices + the paper's tree expression
-//! :analyze <sql>                EXPLAIN ANALYZE: plan + measured stats
+//! :explain <sql>                the plan :engine's strategy builds + the tree expression
+//! :analyze <sql>                EXPLAIN ANALYZE: the plan that ran + measured stats
 //! :trace <sql>                  query-lifecycle trace (parse/bind/plan/execute)
 //! :metrics                      process-cumulative metrics (Prometheus text)
 //! :ps                           currently-running queries with live progress
@@ -207,15 +207,9 @@ fn run_batch(args: &[String], durable: Option<Database>) -> Result<(), String> {
         None => return Err(format!("{mode} needs a SQL argument")),
     };
     let session = db.connect();
+    let original = QueryOptions::new().strategy(Strategy::Original);
     match mode {
-        "--explain-analyze" => {
-            let opts = QueryOptions::new()
-                .strategy(Strategy::Original)
-                .collect_profile(true)
-                .simulate_io(true);
-            let out = session.execute_with(&sql, &opts).map_err(err)?;
-            print!("{}", out.plan.ok_or("no plan rendered for this query")?);
-        }
+        "--explain-analyze" => analyze(&session, &sql, original)?,
         _ => {
             let out = session
                 .execute_with(&sql, &QueryOptions::new().collect_trace(true))
@@ -259,16 +253,7 @@ impl Shell {
                 "timeout" => self.cmd_timeout(args),
                 "memlimit" => self.cmd_memlimit(args),
                 "explain" => self.cmd_explain(args),
-                "analyze" => {
-                    let opts = self
-                        .opts()
-                        .strategy(Strategy::Original)
-                        .collect_profile(true)
-                        .simulate_io(true);
-                    let out = self.session.execute_with(args, &opts).map_err(err)?;
-                    print!("{}", out.plan.ok_or("no plan rendered for this query")?);
-                    Ok(())
-                }
+                "analyze" => analyze(&self.session, args, self.opts()),
                 "trace" => {
                     let out = self
                         .session
@@ -537,17 +522,23 @@ impl Shell {
     }
 
     fn cmd_explain(&mut self, sql: &str) -> Result<(), String> {
-        let out = self
-            .session
-            .execute_with(sql, &QueryOptions::new().explain_only(true))
+        let out = (self.session)
+            .execute_with(sql, &self.opts().explain_only(true))
             .map_err(err)?;
-        println!("{}", out.plan.expect("explain_only sets plan"));
+        print!("{}", out.plan.expect("explain_only sets plan"));
         let bq = self.db().prepare(sql).map_err(err)?;
-        let tree = TreeExpr::build(&bq);
-        println!("\ntree expression:\n{tree}");
-        println!("operator pipeline:\n{}", tree.render_plan());
+        println!("\ntree expression:\n{}", TreeExpr::build(&bq));
         Ok(())
     }
+}
+
+/// EXPLAIN ANALYZE: run `sql` profiled under `opts` and print the plan
+/// that ran.
+fn analyze(session: &Session, sql: &str, opts: QueryOptions) -> Result<(), String> {
+    let opts = opts.collect_profile(true).simulate_io(true);
+    let out = session.execute_with(sql, &opts).map_err(err)?;
+    print!("{}", out.plan.ok_or("no plan rendered for this query")?);
+    Ok(())
 }
 
 fn err(e: impl std::fmt::Display) -> String {
@@ -565,8 +556,8 @@ const HELP: &str = "\
 :engine <auto|original|optimized|bottomup|pushdown|positive|baseline|oracle>
 :timeout <ms|off>             cancel queries cooperatively after a deadline
 :memlimit <bytes|off>         per-query memory budget for governed allocations
-:explain <sql>                plan choices + the paper's tree expression
-:analyze <sql>                EXPLAIN ANALYZE: plan + measured stats
+:explain <sql>                the plan :engine's strategy builds + the tree expression
+:analyze <sql>                EXPLAIN ANALYZE: the plan that ran + measured stats
 :trace <sql>                  query-lifecycle trace (parse/bind/plan/execute)
 :metrics                      process-cumulative metrics (Prometheus text)
 :ps                           currently-running queries with live progress

@@ -32,7 +32,7 @@ use nra_obs::progress::{self, ProgressState};
 use nra_obs::queryreg::{QueryRecord, QueryRegistry};
 use nra_obs::trace::{self, TraceEvent};
 use nra_obs::{slowlog, ObsGuard, Observers, Profile};
-use nra_sql::{BoundQuery, SqlError};
+use nra_sql::SqlError;
 use nra_storage::{Catalog, Relation};
 
 use crate::plancache::CachedPlan;
@@ -61,10 +61,10 @@ struct Query<'a> {
     caller: Caller,
 }
 
-/// The result, the plans it ran from (shared with the plan cache), from
-/// which `finish` renders single-statement plans, and the strategy of the
-/// plan the first statement ran (`None` under the other engines).
-type Executed = Result<(Relation, Arc<CachedPlan>, Option<Strategy>), NraError>;
+/// The result, the plans it ran from (shared with the plan cache), and the
+/// plan a forced strategy built for the first statement (`None` when it
+/// ran the cached `Auto` plan, or under another engine).
+type Executed = Result<(Relation, Arc<CachedPlan>, Option<PhysPlan>), NraError>;
 
 impl Database {
     /// The real entry point behind [`Database::execute`] and
@@ -89,7 +89,7 @@ impl Database {
             }
         }
         if options.explain_only {
-            let plan = self.explain_text(&self.catalog(), sql)?;
+            let plan = self.explain_text(&self.catalog(), sql, options.engine)?;
             return Ok(QueryOutcome::plan_only(plan));
         }
 
@@ -308,7 +308,15 @@ impl<'a> Stages<'a> {
             metrics::global().gauge_max("nra_query_mem_high_water_bytes", &[], mem_high_water);
         }
 
-        // Plans are rendered for single statements only.
+        // The nested-relational plan the first statement ran names the
+        // strategy; plans are estimated and rendered for single statements
+        // only.
+        let ran = match (&result, q.options.engine) {
+            (Ok((_, cached, forced)), Engine::NestedRelational(_)) => {
+                Some(forced.as_ref().unwrap_or(&cached.first))
+            }
+            _ => None,
+        };
         let bound = match &result {
             Ok((_, plan, _)) if plan.query.compounds.is_empty() => Some(&**plan.first.query()),
             _ => None,
@@ -322,8 +330,8 @@ impl<'a> Stages<'a> {
             qerror_max_x100: report_qerror(profile.as_ref(), estimates.as_ref()),
             wall_ms: started.elapsed().as_millis() as u64,
             rows: result.as_ref().map_or(0, |(rel, _, _)| rel.len() as u64),
-            strategy: match (&result, q.options.engine) {
-                (Ok((_, _, Some(ran))), _) => ran.name(),
+            strategy: match (ran, q.options.engine) {
+                (Some(plan), _) => plan.strategy().name(),
                 (_, Engine::Baseline) => "baseline",
                 (_, Engine::Reference) => "reference",
                 (_, Engine::NestedRelational(requested)) => requested.name(),
@@ -352,15 +360,10 @@ impl<'a> Stages<'a> {
             append_line(Path::new(path), &snap.to_jsonl());
         }
 
-        // The analyzed plan is rendered only when the executed pipeline
-        // matches the textbook operator tree node for node: Algorithm 1
-        // (the two-pass original strategy) on a single statement. Other
-        // strategies fuse or reorder operators away from the tree.
-        let plan = match (&profile, bound, q.options.engine) {
-            (Some(p), Some(b), Engine::NestedRelational(Strategy::Original))
-                if q.options.collect_profile =>
-            {
-                Some(render_analyzed_plan(b, p, estimates.as_ref(), summary.rows))
+        // The analyzed plan is the plan that ran, of a single statement.
+        let plan = match (&profile, ran, &estimates) {
+            (Some(p), Some(ran), Some(est)) if q.options.collect_profile => {
+                Some(ran.render_analyzed(p, est, summary.rows))
             }
             _ => None,
         };
@@ -391,7 +394,8 @@ fn report_qerror(profile: Option<&Profile>, estimates: Option<&CardEstimates>) -
     let qerrs: Vec<u64> = estimates
         .iter()
         .filter_map(|(key, est)| {
-            merged_rows_out(profile, key).map(|act| nra_core::qerror_x100(est, act))
+            let act = nra_core::node_stats(profile, key)?.rows_out;
+            Some(nra_core::qerror_x100(est, act))
         })
         .collect();
     let Some(max_x100) = qerrs.iter().copied().max() else {
@@ -473,27 +477,6 @@ fn append_line(path: &Path, line: &str) {
         .append(true)
         .open(path)
         .and_then(|mut f| f.write_all(line.as_bytes()));
-}
-
-fn render_analyzed_plan(
-    bound: &BoundQuery,
-    profile: &Profile,
-    estimates: Option<&CardEstimates>,
-    rows: u64,
-) -> String {
-    let tree = nra_core::TreeExpr::build(bound);
-    let mut out = tree.render_plan_analyzed_with_estimates(profile, estimates);
-    out.push_str(&format!(
-        "-- {rows} row(s); total operator time {:.3} ms\n",
-        profile.total_wall_ns() as f64 / 1e6
-    ));
-    if let Some(io) = &profile.io {
-        out.push_str(&format!(
-            "-- io: {} sequential page(s), {} random hit(s), {} random miss(es)\n",
-            io.seq_pages, io.rand_hits, io.rand_misses
-        ));
-    }
-    out
 }
 
 impl Database {
@@ -646,69 +629,48 @@ impl Database {
         Ok((rel, plan, ran))
     }
 
-    /// The one-line `EXPLAIN` text. For a compound query, explains the
-    /// first `SELECT` block and notes the set operations applied on top.
-    fn explain_text(&self, cat: &Catalog, sql: &str) -> Result<String, NraError> {
+    /// The `EXPLAIN` text: a one-line header, then the plan `engine`'s
+    /// strategy builds (`Auto`'s under the other engines) — which refuses
+    /// the query exactly as running it would. For a compound query,
+    /// explains the first `SELECT` block and notes the set operations
+    /// applied on top.
+    fn explain_text(&self, cat: &Catalog, sql: &str, engine: Engine) -> Result<String, NraError> {
         let parsed = nra_sql::parse_query(sql)?;
-        let suffix = if parsed.compounds.is_empty() {
-            String::new()
-        } else {
-            format!(
-                "; then {} set operation(s) over the per-block results",
-                parsed.compounds.len()
-            )
+        let suffix = match parsed.compounds.len() {
+            0 => String::new(),
+            n => format!("; then {n} set operation(s) over the per-block results"),
         };
-        let plan = nra_core::build(Arc::new(nra_sql::bind(&parsed.first, cat)?), Strategy::Auto)?;
-        let nr = match plan.strategy() {
-            Strategy::PositiveRewrite => "positive rewrite (semijoin cascade)",
-            Strategy::BottomUpPushdown => "bottom-up with nest push-down",
-            Strategy::BottomUp => "bottom-up",
-            Strategy::Optimized => "single-sort pipelined cascade",
-            Strategy::Original => "Algorithm 1 (two-pass)",
-            Strategy::Auto => unreachable!("auto resolves to a concrete strategy"),
+        let strategy = match engine {
+            Engine::NestedRelational(strategy) => strategy,
+            Engine::Baseline | Engine::Reference => Strategy::Auto,
         };
+        let plan = nra_core::build(Arc::new(nra_sql::bind(&parsed.first, cat)?), strategy)?;
         let baseline = nra_engine::baseline::describe(plan.query(), cat);
         Ok(format!(
-            "nested relational: {nr}; baseline (System A): {baseline}{suffix}"
+            "nested relational: {}; baseline (System A): {baseline}{suffix}\n{}",
+            plan.strategy().describe(),
+            plan.render()
         ))
     }
 }
 
 /// Run one statement's cached `Auto` plan under `engine`: as is, as the
 /// plan a forced strategy builds for the same bound query, or through
-/// another engine. Returns the rows and the strategy of the plan that ran.
+/// another engine. Returns the rows and the plan a forced strategy built.
 fn run_plan(
     cat: &Catalog,
     plan: &PhysPlan,
     engine: Engine,
-) -> Result<(Relation, Option<Strategy>), NraError> {
+) -> Result<(Relation, Option<PhysPlan>), NraError> {
     Ok(match engine {
-        Engine::NestedRelational(Strategy::Auto) => {
-            (nra_core::run(plan, cat)?, Some(plan.strategy()))
-        }
+        Engine::NestedRelational(Strategy::Auto) => (nra_core::run(plan, cat)?, None),
         Engine::NestedRelational(strategy) => {
             let forced = nra_core::build(Arc::clone(plan.query()), strategy)?;
-            (nra_core::run(&forced, cat)?, Some(forced.strategy()))
+            (nra_core::run(&forced, cat)?, Some(forced))
         }
         Engine::Baseline => (nra_engine::baseline::execute(plan.query(), cat)?, None),
         Engine::Reference => (nra_engine::reference::evaluate(plan.query(), cat)?, None),
     })
-}
-
-/// Sum of `rows_out` over every profile entry matching `prefix` exactly
-/// or with a `[kind]` suffix (`b2/nest` matches `b2/nest[sort]`); `None`
-/// when nothing matched — the estimator may cover nodes an optimized
-/// pipeline fused away.
-fn merged_rows_out(profile: &Profile, prefix: &str) -> Option<u64> {
-    let mut acc: Option<u64> = None;
-    for (name, stats) in &profile.ops {
-        let matches =
-            name == prefix || (name.starts_with(prefix) && name[prefix.len()..].starts_with('['));
-        if matches {
-            *acc.get_or_insert(0) += stats.rows_out;
-        }
-    }
-    acc
 }
 
 /// Project a merged profile into per-operator metric counters.

@@ -113,8 +113,8 @@ impl QueryOptions {
         self
     }
 
-    /// Don't execute: return only the one-line plan description in
-    /// [`QueryOutcome::plan`] (the classic `EXPLAIN`).
+    /// Don't execute: return in [`QueryOutcome::plan`] a one-line header
+    /// and the plan the requested strategy builds (the classic `EXPLAIN`).
     pub fn explain_only(mut self, on: bool) -> QueryOptions {
         self.explain_only = on;
         self
@@ -229,9 +229,10 @@ pub struct QueryOutcome {
     /// The result relation (empty with an empty schema under
     /// [`QueryOptions::explain_only`]).
     pub rows: Relation,
-    /// Plan text: the one-line engine description under `explain_only`,
-    /// or the operator-annotated `EXPLAIN ANALYZE` tree when a profile
-    /// was collected with the Algorithm 1 strategy.
+    /// Plan text: the header and plan under `explain_only`, or the
+    /// operator-annotated `EXPLAIN ANALYZE` plan that ran when a profile
+    /// was collected for a single statement under a nested-relational
+    /// strategy.
     pub plan: Option<String>,
     /// Per-operator statistics, when requested.
     pub profile: Option<obs::Profile>,

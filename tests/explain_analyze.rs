@@ -1,11 +1,16 @@
 //! `EXPLAIN ANALYZE` on the paper's running example (Query Q of
 //! Section 2): a golden test of the annotated Algorithm-1 plan, the
-//! accounting invariants the per-operator counters must satisfy, and
-//! which plan artifacts each option produces.
+//! accounting invariants the per-operator counters must satisfy, which
+//! plan artifacts each option produces, and the analyzed plan of every
+//! strategy on Query Q and the six TPC-H classes.
+
+use std::sync::Arc;
 
 use nra::obs;
 use nra::tpch::paper_example::{rst_catalog, QUERY_Q};
-use nra::{Database, QueryOptions, Strategy};
+use nra::tpch::TpchConfig;
+use nra::tpch::{generate, q1_agg_sql, q1_sql, q2_sql, q3_sql, ExistsKind, Q3Corr, Quant};
+use nra::{Database, NraError, QueryOptions, Strategy};
 
 fn db() -> Database {
     Database::from_catalog(rst_catalog())
@@ -201,8 +206,8 @@ fn counters_stay_zero_when_disabled() {
 }
 
 /// Plan artifacts: `explain_only` renders without executing; the analyzed
-/// plan appears exactly when a profile is collected under the Original
-/// strategy.
+/// plan appears exactly when a profile is collected, under `Auto` as under
+/// a forced strategy.
 #[test]
 fn plan_artifacts_follow_options() {
     let db = db();
@@ -230,6 +235,13 @@ fn plan_artifacts_follow_options() {
         "analyzed plan for Original + profile"
     );
     assert!(analyzed.profile.is_some());
+
+    let auto = db
+        .connect()
+        .execute_with(q, &QueryOptions::new().collect_profile(true))
+        .unwrap();
+    let plan = auto.plan.expect("analyzed plan for Auto + profile");
+    assert!(plan.contains("υ one sort by the T1, T2 rids"), "{plan}");
 
     let plain = db
         .connect()
@@ -261,4 +273,107 @@ fn profiled_query_restores_the_callers_collector() {
         "the caller's profile holds its own spans and none of the query's"
     );
     assert!(!obs::is_enabled());
+}
+
+/// `EXPLAIN` prints the plan the requested strategy builds, and refuses a
+/// strategy exactly as running the query under it does.
+#[test]
+fn explain_builds_the_requested_strategy() {
+    let session = db().connect();
+    let explain = |strategy| {
+        let opts = QueryOptions::new().strategy(strategy);
+        let explained = session.execute_with(QUERY_Q, &opts.clone().explain_only(true));
+        (explained, session.execute_with(QUERY_Q, &opts))
+    };
+
+    let (explained, ran) = explain(Strategy::Original);
+    let text = explained.unwrap().plan.unwrap();
+    assert!(
+        text.starts_with("nested relational: Algorithm 1 (two-pass);"),
+        "{text}"
+    );
+    assert_eq!(text.matches("υ nest by prefix").count(), 2, "{text}");
+    assert!(!text.contains("one pass with the σ"), "{text}");
+    assert_eq!(ran.unwrap().rows.len(), 2);
+
+    let (explained, _) = explain(Strategy::Auto);
+    let text = explained.unwrap().plan.unwrap();
+    assert!(
+        text.starts_with("nested relational: single-sort pipelined cascade;"),
+        "{text}"
+    );
+
+    for strategy in [Strategy::BottomUpPushdown, Strategy::PositiveRewrite] {
+        let (explained, ran) = explain(strategy);
+        let (Err(NraError::Engine(explained)), Err(NraError::Engine(ran))) = (explained, ran)
+        else {
+            panic!(
+                "{} must refuse Query Q when explained and run",
+                strategy.name()
+            );
+        };
+        assert_eq!(explained.variant_name(), "unsupported");
+        assert_eq!(explained.to_string(), ran.to_string());
+    }
+}
+
+/// Query Q and the six TPC-H classes at a tiny scale.
+fn corpus() -> Vec<(&'static str, Database, String)> {
+    let cat = generate(&TpchConfig::tiny().nullable_links(0.02));
+    let classes = [
+        ("q1", q1_sql(&cat, 160)),
+        ("q2a", q2_sql(&cat, Quant::Any, 480, 160)),
+        ("q2b", q2_sql(&cat, Quant::All, 480, 160)),
+        (
+            "q3b",
+            q3_sql(
+                &cat,
+                Quant::All,
+                ExistsKind::NotExists,
+                Q3Corr::NeEq,
+                480,
+                160,
+            ),
+        ),
+        (
+            "q3c",
+            q3_sql(&cat, Quant::Any, ExistsKind::Exists, Q3Corr::EqNe, 480, 160),
+        ),
+        ("q1agg", q1_agg_sql(&cat, 160)),
+    ];
+    let tpch = Database::from_catalog(cat);
+    let mut corpus = vec![("query-q", db(), QUERY_Q.to_string())];
+    corpus.extend(classes.map(|(class, sql)| (class, tpch.clone(), sql)));
+    corpus
+}
+
+/// `EXPLAIN ANALYZE` renders the plan that ran under every strategy whose
+/// builder accepts the query: every line read a profile entry, every
+/// profile entry was read by a line, and the root π emitted the result.
+#[test]
+fn every_strategy_renders_the_plan_that_ran() {
+    let mut analyzed = 0;
+    for (class, db, sql) in corpus() {
+        let bound = Arc::new(db.prepare(&sql).unwrap());
+        for strategy in [Strategy::Auto].into_iter().chain(Strategy::ALL) {
+            if nra::core::build(Arc::clone(&bound), strategy).is_err() {
+                continue;
+            }
+            let opts = QueryOptions::new().strategy(strategy).collect_profile(true);
+            let out = db.connect().execute_with(&sql, &opts).unwrap();
+            let what = format!("{class} under {}", strategy.name());
+            let text = out.plan.unwrap_or_else(|| panic!("no plan for {what}"));
+            assert!(!text.contains("(not executed)"), "{what}:\n{text}");
+            assert!(!text.contains("-- outside the plan"), "{what}:\n{text}");
+            let emitted = (text.lines().next().unwrap())
+                .strip_prefix("π (root select)  (rows=")
+                .and_then(|rest| rest.split_once('→'))
+                .and_then(|(_, rest)| rest.split_once(", "))
+                .map(|(rows_out, _)| rows_out.to_string());
+            assert_eq!(emitted, Some(out.rows.len().to_string()), "{what}:\n{text}");
+            analyzed += 1;
+        }
+    }
+    // `Auto`, `Optimized` and `Original` accept every query.
+    assert!(analyzed >= 7 * 3, "only {analyzed} analyzed plans");
 }
