@@ -43,6 +43,10 @@ impl CardEstimates {
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
         self.map.iter().map(|(k, v)| (k.as_str(), *v))
     }
+
+    pub(crate) fn insert(&mut self, key: String, est: u64) {
+        self.map.insert(key, est);
+    }
 }
 
 /// The Q-error of an estimate against the measured actual, scaled by 100:

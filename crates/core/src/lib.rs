@@ -15,9 +15,10 @@
 //! * [`optimize`] — every §4.2 optimization: fused/pipelined selections,
 //!   the single-sort linear cascade, bottom-up evaluation, nest push-down,
 //!   and the positive-operator semijoin rewrite;
-//! * [`plan`] — every strategy as a builder of one [`PhysPlan`], and the
+//! * [`plan`] — a statement's one [`PhysPlan`] (each `SELECT` arm built by
+//!   its engine's builder; set-op, sort and limit nodes over the arms), the
 //!   one interpreter that runs it and renderer that prints it (`EXPLAIN`);
-//! * [`planner`] — strategy selection and its decision log;
+//! * [`planner`] — [`Engine`], strategy selection and its decision log;
 //! * [`tree_expr`] — the paper's tree expression (Figure 3a).
 //!
 //! ```
@@ -51,5 +52,5 @@ pub use linking::{LinkCond, LinkSelection, SetQuant};
 pub use nest::{nest, nest_hash_idx, nest_sort_idx, nest_sorted};
 pub use nested::{NestedRelation, NestedSchema, NestedTuple};
 pub use plan::{build, execute, node_stats, run, PhysPlan};
-pub use planner::Strategy;
+pub use planner::{Engine, Strategy};
 pub use tree_expr::TreeExpr;

@@ -47,14 +47,21 @@ pub(crate) fn shrink_child(child: &Relation, edge: &SubqueryEdge) -> Relation {
     child.project(&keep)
 }
 
-/// The nest pushed below the join (§4.2.4): instead of outer joining and
-/// then nesting by the parent, the reduced `child` is nested
-/// (hash-grouped) by its equality correlation key once, and each parent
-/// tuple of `rel` probes its group directly, keeping the tuples whose
-/// (possibly empty) set satisfies `selection`. `keys` pairs a parent
-/// column with a child column; the linking attribute is resolved on
-/// `rel`, the linked one on `child`.
-pub(crate) fn nest_probe(
+/// The nest pushed below the join (§4.2.4): when the nesting attribute is
+/// also the (equality) join attribute, nest commutes with the join,
+///
+/// ```text
+/// σ(υ_{B},{C}(R ⟕_{A=B} S))  ≡  σ(R ⟕_{A=B} (υ_{B},{C} S))
+/// ```
+///
+/// so instead of outer joining and then nesting by the parent, the reduced
+/// `child` is nested (hash-grouped) by its equality correlation key once,
+/// and each parent tuple of `rel` probes its group directly, keeping the
+/// tuples whose (possibly empty) set satisfies `selection`. The large flat
+/// intermediate of the standard unnesting never materializes. `keys` pairs
+/// a parent column with a child column; the linking attribute is resolved
+/// on `rel`, the linked one on `child`.
+pub fn nest_probe(
     rel: Relation,
     child: Relation,
     keys: &[(String, String)],
@@ -145,12 +152,13 @@ pub(crate) fn nest_probe(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linking::SetQuant;
+    use crate::nest::nest;
     use crate::plan::{build, run};
-    use crate::Strategy;
-    use nra_engine::reference;
+    use crate::{Engine, Strategy};
+    use nra_engine::{join, reference, JoinSpec};
     use nra_sql::parse_and_bind;
-    use nra_storage::{Catalog, Column, ColumnType, Table};
-    use std::sync::Arc;
+    use nra_storage::{relation, Catalog, CmpOp, Column, ColumnType, Table};
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -210,8 +218,8 @@ mod tests {
         let bq = parse_and_bind(sql, &cat).unwrap();
         let want = reference::evaluate(&bq, &cat).unwrap();
         for strategy in [Strategy::BottomUp, Strategy::BottomUpPushdown] {
-            let plan = build(Arc::new(bq.clone()), strategy).unwrap();
-            assert_eq!(plan.strategy(), strategy, "{sql}");
+            let plan = build(bq.clone().into(), Engine::NestedRelational(strategy)).unwrap();
+            assert_eq!(plan.engine(), Engine::NestedRelational(strategy), "{sql}");
             let got = run(&plan, &cat).unwrap();
             assert!(
                 got.multiset_eq(&want),
@@ -257,7 +265,7 @@ mod tests {
         .unwrap();
         for strategy in [Strategy::BottomUp, Strategy::BottomUpPushdown] {
             assert!(matches!(
-                build(Arc::new(bq.clone()), strategy),
+                build(bq.clone().into(), Engine::NestedRelational(strategy)),
                 Err(EngineError::Unsupported(_))
             ));
         }
@@ -273,12 +281,135 @@ mod tests {
         .unwrap();
         // The push-down builder rejects the edge at plan time and yields
         // the bottom-up plan instead.
-        let plan = build(Arc::new(bq.clone()), Strategy::BottomUpPushdown).unwrap();
-        assert_eq!(plan.strategy(), Strategy::BottomUp);
+        let pushdown = Engine::NestedRelational(Strategy::BottomUpPushdown);
+        let plan = build(bq.clone().into(), pushdown).unwrap();
+        assert_eq!(plan.engine(), Engine::NestedRelational(Strategy::BottomUp));
         let (rejected, why) = &plan.rejected()[0];
         assert_eq!(*rejected, Strategy::BottomUpPushdown);
         assert!(why.contains("not an equality"), "{why}");
         let want = reference::evaluate(&bq, &cat).unwrap();
         assert!(run(&plan, &cat).unwrap().multiset_eq(&want));
+    }
+
+    /// §4.2.4's example relations: `R(a, d)` correlated to `S(g, e)` on
+    /// `r.d = s.g`, with NULLs in a linking value, a join key on each side
+    /// and a linked value.
+    fn r() -> Relation {
+        relation!(
+            [
+                ("r.a", ColumnType::Int),
+                ("r.d", ColumnType::Int),
+                ("r.rid", ColumnType::Int)
+            ],
+            [
+                [Value::Int(5), Value::Int(1), Value::Int(0)],
+                [Value::Int(7), Value::Int(2), Value::Int(1)],
+                [Value::Int(9), Value::Int(9), Value::Int(2)],
+                [Value::Null, Value::Int(1), Value::Int(3)],
+            ]
+        )
+    }
+
+    fn s() -> Relation {
+        relation!(
+            [
+                ("s.g", ColumnType::Int),
+                ("s.e", ColumnType::Int),
+                ("s.rid", ColumnType::Int)
+            ],
+            [
+                [Value::Int(1), Value::Int(4), Value::Int(0)],
+                [Value::Int(1), Value::Int(6), Value::Int(1)],
+                [Value::Int(2), Value::Null, Value::Int(2)],
+                [Value::Null, Value::Int(8), Value::Int(3)]
+            ]
+        )
+    }
+
+    /// Nest-after-join under `selection` (which consults the marker), as
+    /// the relation of the passing `R` tuples.
+    fn nest_after_join(selection: &LinkSelection) -> Relation {
+        let joined = join(&r(), &s(), &JoinSpec::left_outer(vec![(1, 0)])).unwrap();
+        let nested = nest(&joined, &["r.a", "r.d", "r.rid"], &["s.e", "s.rid"], "sub").unwrap();
+        selection
+            .select(&nested, "sub")
+            .unwrap()
+            .atoms_as_relation()
+    }
+
+    fn probe(selection: &LinkSelection) -> Relation {
+        let keys = [("r.d".to_string(), "s.g".to_string())];
+        nest_probe(r(), s(), &keys, selection).unwrap()
+    }
+
+    /// Nest-after-join and the probe of the pushed-down nest agree under
+    /// every quantified linking selection.
+    #[test]
+    fn pushdown_equivalence_under_linking_selection() {
+        for (op, quant) in [
+            (CmpOp::Gt, SetQuant::All),
+            (CmpOp::Le, SetQuant::Some),
+            (CmpOp::Ne, SetQuant::All),
+            (CmpOp::Eq, SetQuant::Some),
+        ] {
+            let standard = nest_after_join(&LinkSelection::quant(
+                "r.a",
+                op,
+                quant,
+                "s.e",
+                Some("s.rid"),
+            ));
+            // No marker: a group holds no padding tuple, so emptiness is a
+            // real empty set.
+            let pushed = probe(&LinkSelection::quant("r.a", op, quant, "s.e", None));
+            assert!(
+                standard.multiset_eq(&pushed),
+                "push-down mismatch for {op:?} {quant:?}:\nstandard:\n{standard}\npushed:\n{pushed}"
+            );
+        }
+    }
+
+    #[test]
+    fn pushdown_equivalence_for_emptiness() {
+        let standard = nest_after_join(&LinkSelection::empty(Some("s.rid")));
+        let pushed = probe(&LinkSelection::empty(None));
+        assert!(standard.multiset_eq(&pushed));
+        // r.d=9 has no partner and r.a=NULL's d=1 *does* have partners:
+        // exactly one empty set.
+        assert_eq!(pushed.len(), 1);
+    }
+
+    /// A NULL parent key probes nothing (an empty set, so `= ALL` holds);
+    /// a NULL child key is in no group (else 20 would fail `10 = ALL`).
+    #[test]
+    fn null_join_keys_yield_empty_sets() {
+        let left = relation!(
+            [("l.k", ColumnType::Int), ("l.a", ColumnType::Int)],
+            [
+                [Value::Null, Value::Int(5)],
+                [Value::Int(1), Value::Int(10)]
+            ]
+        );
+        let right = relation!(
+            [("r.k", ColumnType::Int), ("r.v", ColumnType::Int)],
+            [
+                [Value::Int(1), Value::Int(10)],
+                [Value::Null, Value::Int(20)]
+            ]
+        );
+        let keys = [("l.k".to_string(), "r.k".to_string())];
+        let all = LinkSelection::quant("l.a", CmpOp::Eq, SetQuant::All, "r.v", None);
+        let out = nest_probe(left.clone(), right, &keys, &all).unwrap();
+        assert!(out.multiset_eq(&left), "{out}");
+    }
+
+    #[test]
+    fn unknown_column_errors() {
+        let sel = LinkSelection::quant("r.a", CmpOp::Eq, SetQuant::Some, "s.e", None);
+        let keys = |p: &str, c: &str| [(p.to_string(), c.to_string())];
+        assert!(nest_probe(r(), s(), &keys("zz", "s.g"), &sel).is_err());
+        assert!(nest_probe(r(), s(), &keys("r.d", "zz"), &sel).is_err());
+        let bad = LinkSelection::quant("r.a", CmpOp::Eq, SetQuant::Some, "zz", None);
+        assert!(nest_probe(r(), s(), &keys("r.d", "s.g"), &bad).is_err());
     }
 }

@@ -79,7 +79,7 @@ pub(crate) fn cascade(
                 link: FusedLink::from_selection(&lv.selection, rel.schema())?,
                 pad: owned_columns(rel.schema(), plan::block(query, lv.parent)),
                 use_pseudo: lv.pseudo,
-                obs_name: format!("b{}/link", lv.child),
+                obs_name: nra_obs::qualified(format!("b{}/link", lv.child)),
             })
         })
         .collect::<Result<Vec<_>, EngineError>>()?;

@@ -1,11 +1,13 @@
-//! Physical plans: every strategy is a *builder* that compiles a bound
-//! query into one [`PhysPlan`] before anything runs, and one interpreter,
-//! [`run`], executes it. The paper writes every variant — Algorithm 1,
-//! the §4.2 cascade, bottom-up, push-down, the positive rewrite — as an
-//! expression over one operator set (⟕, υ, σ, σ̄); the `Node` kinds are
-//! that set plus the scan and the final projection, and each node's body
-//! is an operator function that consumes its inputs (DESIGN.md §3.2 maps
-//! node to body).
+//! Physical plans: a statement compiles into one [`PhysPlan`] before
+//! anything runs, and one interpreter, [`run`], executes it. Each `SELECT`
+//! arm is a subtree built by the requested engine's builder: a
+//! nested-relational strategy compiles the arm into the paper's operator
+//! set (⟕, υ, σ, σ̄ — Algorithm 1, the §4.2 cascade, bottom-up, push-down,
+//! the positive rewrite — plus the scan and the final projection), and the
+//! baseline and reference engines are one leaf each. Set-op nodes combine
+//! the arms left to right, then sort and limit nodes finish the statement.
+//! Each node's body is an operator function that consumes its inputs
+//! (DESIGN.md §3.2 maps node to body).
 //!
 //! [`Strategy::Auto`] tries the builders in order — positive rewrite, then
 //! push-down, then the optimized cascade — and builds the first whose
@@ -15,32 +17,44 @@
 //! decided while a plan runs, and this is the only module of the crate
 //! that constructs `Unsupported`. [`PhysPlan::render`] prints a plan.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use nra_engine::baseline::unnest::execute_positive;
+use nra_engine::ops::setops;
 use nra_engine::planning::project_select;
-use nra_engine::EngineError;
+use nra_engine::{baseline, reference, EngineError};
 use nra_obs::trace::{self, TraceEvent};
-use nra_sql::{BExpr, BoundQuery, LinkOp, QueryBlock, SubqueryEdge};
+use nra_sql::{BExpr, BoundQuery, BoundStatement, LinkOp, QueryBlock, SetOpKind, SubqueryEdge};
 use nra_storage::{Catalog, CmpOp, Relation};
 
+use crate::cardinality::{estimate, CardEstimates};
 use crate::compute::{
     append_link_columns, edge_modes, link_names, nest_link, outer_join, prepare_base,
 };
 use crate::linking::{LinkSelection, SetQuant};
 use crate::optimize::{linear, pipeline};
-use crate::planner::{emit_decision, Strategy};
+use crate::planner::{emit_decision, Engine, Strategy};
 
 mod render;
 pub use render::node_stats;
 
-/// A compiled query: the strategy that built it, the alternatives it
-/// rejected on the way, and the operator tree [`run`] interprets.
+/// A compiled statement: its `SELECT` arms and the set-op, sort and limit
+/// nodes over them.
 #[derive(Debug)]
 pub struct PhysPlan {
-    query: Arc<BoundQuery>,
-    strategy: Strategy,
+    arms: Vec<Arm>,
+    root: Step,
+}
+
+/// One `SELECT` arm: the builder that planned it, the alternatives it
+/// rejected on the way, and the operator tree that evaluates it.
+#[derive(Debug)]
+struct Arm {
+    query: BoundQuery,
+    /// The engine whose builder produced the arm, `Auto` resolved to the
+    /// strategy it chose.
+    engine: Engine,
     /// Built for a strategy the caller named, not by [`Strategy::Auto`].
     forced: bool,
     rejected: Vec<(Strategy, Refusal)>,
@@ -48,8 +62,31 @@ pub struct PhysPlan {
     root: Node,
 }
 
-/// One operator of a [`PhysPlan`]. Blocks are named by id (the paper's
-/// `T_i` subscript); an edge by the id of the block it leads to.
+/// A statement-level node.
+#[derive(Debug)]
+enum Step {
+    /// Arm `i` (0-based).
+    Arm(usize),
+    /// `left op arm`, the body one of `ops::setops`.
+    SetOp {
+        left: Box<Step>,
+        arm: usize,
+        op: SetOpKind,
+        all: bool,
+    },
+    /// `(output position, descending)` keys; ascending puts `NULL` first.
+    Sort {
+        input: Box<Step>,
+        keys: Vec<(usize, bool)>,
+    },
+    Limit {
+        input: Box<Step>,
+        n: usize,
+    },
+}
+
+/// One operator of an arm. Blocks are named by id (the paper's `T_i`
+/// subscript); an edge by the id of the block it leads to.
 #[derive(Debug)]
 pub(crate) enum Node {
     /// `T_i`: the block's carry list plus its rid.
@@ -102,6 +139,10 @@ pub(crate) enum Node {
     SemijoinCascade,
     /// The root block's `SELECT` list.
     Project { input: Box<Node> },
+    /// The whole arm through `baseline::execute`.
+    Baseline,
+    /// The whole arm through `reference::evaluate`.
+    Reference,
 }
 
 /// One level of a [`Node::Cascade`]: the link from block `parent` to
@@ -151,61 +192,169 @@ impl Rewrite {
 }
 
 impl PhysPlan {
-    /// The strategy whose builder produced the plan (for `Auto`, the one
-    /// it chose).
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
+    /// The engine whose builder planned the first arm, `Auto` resolved to
+    /// the strategy it chose.
+    pub fn engine(&self) -> Engine {
+        self.arms[0].engine
     }
 
-    pub fn query(&self) -> &Arc<BoundQuery> {
-        &self.query
-    }
-
-    /// Strategies passed over at plan time, with why, in the order tried.
+    /// Strategies the first arm's builder passed over, with why, in the
+    /// order tried.
     pub fn rejected(&self) -> Vec<(Strategy, String)> {
-        describe(&self.rejected, &self.query)
+        let arm = &self.arms[0];
+        describe(&arm.rejected, &arm.query)
+    }
+
+    /// The planner's cardinality estimates under the keys the plan's
+    /// lines read: each arm's, qualified by its arm label in a compound
+    /// statement.
+    pub fn estimate(&self, catalog: &Catalog) -> CardEstimates {
+        if let [arm] = &self.arms[..] {
+            return estimate(&arm.query, catalog);
+        }
+        let mut all = CardEstimates::default();
+        for (i, arm) in self.arms.iter().enumerate() {
+            for (key, est) in estimate(&arm.query, catalog).iter() {
+                all.insert(format!("{}/{key}", arm_label(i)), est);
+            }
+        }
+        all
+    }
+
+    /// Profile label of arm `i` in a compound statement; `None` for the
+    /// one arm of a single `SELECT`, whose names stay unqualified.
+    fn label(&self, i: usize) -> Option<String> {
+        (self.arms.len() > 1).then(|| arm_label(i))
     }
 }
 
-/// Compile `query` with `strategy`'s builder (for [`Strategy::Auto`], the
-/// first builder that applies). A strategy whose applicability condition
-/// the query fails returns `Unsupported`.
-pub fn build(query: Arc<BoundQuery>, strategy: Strategy) -> Result<PhysPlan, EngineError> {
+fn arm_label(i: usize) -> String {
+    format!("a{}", i + 1)
+}
+
+/// Plan every arm of `statement` with `engine`'s builder (for
+/// [`Strategy::Auto`], per arm the first builder that applies), then the
+/// set operations, sort and limit over them. A strategy whose
+/// applicability condition an arm fails returns `Unsupported`.
+pub fn build(statement: BoundStatement, engine: Engine) -> Result<PhysPlan, EngineError> {
+    let mut arms = vec![plan_arm(statement.first, engine)?];
+    let mut root = Step::Arm(0);
+    for (op, all, query) in statement.compounds {
+        arms.push(plan_arm(query, engine)?);
+        let (left, arm) = (Box::new(root), arms.len() - 1);
+        root = Step::SetOp { left, arm, op, all };
+    }
+    if !statement.order_by.is_empty() {
+        let (input, keys) = (Box::new(root), statement.order_by);
+        root = Step::Sort { input, keys };
+    }
+    if let Some(n) = statement.limit {
+        let input = Box::new(root);
+        root = Step::Limit { input, n };
+    }
+    Ok(PhysPlan { arms, root })
+}
+
+fn plan_arm(query: BoundQuery, engine: Engine) -> Result<Arm, EngineError> {
     let mut rejected = Vec::new();
-    let chosen = resolve(&query, strategy, &mut rejected)?;
-    let (rewrite, root) = construct(&query, chosen)?;
-    Ok(PhysPlan {
+    let (built, rewrite, root) = match engine {
+        Engine::NestedRelational(strategy) => {
+            let chosen = resolve(&query, strategy, &mut rejected)?;
+            let (rewrite, root) = construct(&query, chosen)?;
+            (Engine::NestedRelational(chosen), rewrite, root)
+        }
+        Engine::Baseline => (engine, None, Node::Baseline),
+        Engine::Reference => (engine, None, Node::Reference),
+    };
+    Ok(Arm {
         query,
-        strategy: chosen,
-        forced: strategy != Strategy::Auto,
+        engine: built,
+        forced: engine != Engine::default(),
         rejected,
         rewrite,
         root,
     })
 }
 
-/// Execute a plan: log its decision and rewrite (when tracing), then
-/// interpret the operator tree.
+/// Execute a plan: each arm logs its decision and rewrite (when tracing)
+/// and runs its operator tree, then the statement's nodes run over the
+/// arms' results.
 pub fn run(plan: &PhysPlan, catalog: &Catalog) -> Result<Relation, EngineError> {
-    if trace::enabled() {
-        {
-            let _plan = trace::phase(|| "plan".to_string());
-            emit_decision(&plan.query, plan.strategy, &plan.rejected(), plan.forced);
-        }
-        if let Some(rewrite) = plan.rewrite {
-            trace::emit(|| rewrite.event(&plan.query));
-        }
-    }
-    eval(&plan.root, &plan.query, catalog)
+    plan.step(&plan.root, catalog)
 }
 
-/// Build, then run.
+/// Build a one-arm plan for `query` with `strategy`, then run it.
 pub fn execute(
     query: &BoundQuery,
     catalog: &Catalog,
     strategy: Strategy,
 ) -> Result<Relation, EngineError> {
-    run(&build(Arc::new(query.clone()), strategy)?, catalog)
+    let plan = build(query.clone().into(), Engine::NestedRelational(strategy))?;
+    run(&plan, catalog)
+}
+
+impl PhysPlan {
+    fn step(&self, step: &Step, catalog: &Catalog) -> Result<Relation, EngineError> {
+        Ok(match step {
+            Step::Arm(i) => self.run_arm(*i, catalog)?,
+            Step::SetOp { left, arm, op, all } => {
+                let left = self.step(left, catalog)?;
+                let right = self.run_arm(*arm, catalog)?;
+                let _sc = nra_obs::scope(|| arm_label(*arm));
+                let body = match (op, all) {
+                    (SetOpKind::Union, false) => setops::union,
+                    (SetOpKind::Union, true) => setops::union_all,
+                    (SetOpKind::Intersect, false) => setops::intersect,
+                    (SetOpKind::Intersect, true) => setops::intersect_all,
+                    (SetOpKind::Except, false) => setops::difference,
+                    (SetOpKind::Except, true) => setops::difference_all,
+                };
+                body(&left, &right)?
+            }
+            Step::Sort { input, keys } => sort(self.step(input, catalog)?, keys),
+            Step::Limit { input, n } => {
+                let mut rel = self.step(input, catalog)?;
+                let mut sp = nra_obs::span(|| "limit".to_string());
+                sp.rows_in(rel.len());
+                rel.rows_mut().truncate(*n);
+                sp.rows_out(rel.len());
+                rel
+            }
+        })
+    }
+
+    fn run_arm(&self, i: usize, catalog: &Catalog) -> Result<Relation, EngineError> {
+        let arm = &self.arms[i];
+        let _arm = self.label(i).map(|label| nra_obs::prefix_scope(|| label));
+        if let (true, Engine::NestedRelational(strategy)) = (trace::enabled(), arm.engine) {
+            {
+                let _plan = trace::phase(|| "plan".to_string());
+                let rejected = describe(&arm.rejected, &arm.query);
+                emit_decision(&arm.query, strategy, &rejected, arm.forced);
+            }
+            if let Some(rewrite) = arm.rewrite {
+                trace::emit(|| rewrite.event(&arm.query));
+            }
+        }
+        eval(&arm.root, &arm.query, catalog)
+    }
+}
+
+/// Sort `rel` by `keys` under the values' total order.
+fn sort(mut rel: Relation, keys: &[(usize, bool)]) -> Relation {
+    let mut sp = nra_obs::span(|| "sort".to_string());
+    sp.rows_in(rel.len());
+    rel.rows_mut().sort_by(|a, b| {
+        (keys.iter())
+            .map(|&(i, desc)| match desc {
+                true => b[i].total_cmp(&a[i]),
+                false => a[i].total_cmp(&b[i]),
+            })
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
+    sp.rows_out(rel.len());
+    rel
 }
 
 /// Why a strategy's builder cannot plan a query: the §4.2 applicability
@@ -665,5 +814,18 @@ pub(crate) fn eval(
         }
         Node::SemijoinCascade => execute_positive(query, catalog)?,
         Node::Project { input } => project_select(run(input)?, &query.root, catalog)?,
+        Node::Baseline => leaf("baseline", || baseline::execute(query, catalog))?,
+        Node::Reference => leaf("reference", || reference::evaluate(query, catalog))?,
     })
+}
+
+/// An engine leaf: the whole arm under one span named after the engine.
+fn leaf(
+    name: &str,
+    body: impl FnOnce() -> Result<Relation, EngineError>,
+) -> Result<Relation, EngineError> {
+    let mut sp = nra_obs::span(|| name.to_string());
+    let rel = body()?;
+    sp.rows_out(rel.len());
+    Ok(rel)
 }

@@ -7,13 +7,16 @@
 
 use std::fmt::Write;
 
+use nra_engine::baseline;
 use nra_obs::trace::fmt_ns;
 use nra_obs::{OpStats, Profile};
-use nra_sql::{BPred, BoundQuery, LinkOp, QueryBlock};
+use nra_sql::{BPred, BoundQuery, LinkOp, QueryBlock, SetOpKind};
+use nra_storage::Catalog;
 
-use super::{block, edge, Node, PhysPlan};
+use super::{arm_label, block, edge, Node, PhysPlan, Step};
 use crate::cardinality::{qerror_x100, CardEstimates};
 use crate::compute::link_names;
+use crate::planner::Engine;
 use crate::tree_expr::{render_expr, render_link, render_pred};
 
 /// Merge every profile entry named `key` exactly or with a `[kind]`
@@ -35,6 +38,30 @@ fn claims(key: &str, name: &str) -> bool {
 type Line = (usize, String, Option<String>);
 
 impl PhysPlan {
+    /// The `EXPLAIN` text: a header line per arm naming what its builder
+    /// planned (beside a nested-relational arm, what System A would run),
+    /// then the plan.
+    pub fn explain(&self, catalog: &Catalog) -> String {
+        let mut out = String::new();
+        for (i, arm) in self.arms.iter().enumerate() {
+            if let Some(label) = self.label(i) {
+                let _ = write!(out, "{label}: ");
+            }
+            let system_a = || baseline::describe(&arm.query, catalog);
+            let _ = match arm.engine {
+                Engine::NestedRelational(strategy) => writeln!(
+                    out,
+                    "nested relational: {}; baseline (System A): {}",
+                    strategy.describe(),
+                    system_a()
+                ),
+                Engine::Baseline => writeln!(out, "baseline (System A): {}", system_a()),
+                Engine::Reference => writeln!(out, "reference: tuple-iteration oracle"),
+            };
+        }
+        out + &self.render()
+    }
+
     /// The plan as `EXPLAIN` prints it.
     pub fn render(&self) -> String {
         let line = |(depth, text, _): Line| format!("{}{text}\n", "  ".repeat(depth));
@@ -76,18 +103,56 @@ impl PhysPlan {
     }
 
     fn lines(&self) -> Vec<Line> {
-        let mut lines = Lines {
-            query: &self.query,
-            out: Vec::new(),
+        let mut out = Vec::new();
+        self.step_lines(&self.root, 0, &mut out);
+        out
+    }
+
+    fn step_lines(&self, step: &Step, depth: usize, out: &mut Vec<Line>) {
+        let (text, key, input) = match step {
+            Step::Arm(i) => return self.arm_lines(*i, depth, out),
+            Step::SetOp { left, arm, op, all } => {
+                let symbol = match op {
+                    SetOpKind::Union => "∪",
+                    SetOpKind::Intersect => "∩",
+                    SetOpKind::Except => "−",
+                };
+                let all = if *all { " all" } else { "" };
+                let text = format!("{symbol} {}{all}", op.name());
+                out.push((depth, text, Some(format!("{}/setop", arm_label(*arm)))));
+                self.step_lines(left, depth + 1, out);
+                return self.arm_lines(*arm, depth + 1, out);
+            }
+            Step::Sort { input, keys } => {
+                let select = &self.arms[0].query.root.select;
+                let keys: Vec<String> = (keys.iter())
+                    .map(|&(i, desc)| format!("{}{}", select[i].0, if desc { " desc" } else { "" }))
+                    .collect();
+                (format!("sort by {}", keys.join(", ")), "sort", input)
+            }
+            Step::Limit { input, n } => (format!("limit {n}"), "limit", input),
         };
-        lines.node(&self.root, 0);
-        lines.out
+        out.push((depth, text, Some(key.to_string())));
+        self.step_lines(input, depth + 1, out);
+    }
+
+    fn arm_lines(&self, i: usize, depth: usize, out: &mut Vec<Line>) {
+        let arm = &self.arms[i];
+        let mut lines = Lines {
+            query: &arm.query,
+            prefix: self.label(i).map_or(String::new(), |label| label + "/"),
+            out,
+        };
+        lines.node(&arm.root, depth);
     }
 }
 
+/// The lines of one arm.
 struct Lines<'a> {
     query: &'a BoundQuery,
-    out: Vec<Line>,
+    /// `a{n}/` for arm `n` of a compound statement, else empty.
+    prefix: String,
+    out: &'a mut Vec<Line>,
 }
 
 impl Lines<'_> {
@@ -97,10 +162,16 @@ impl Lines<'_> {
 
     /// The profile key of operator `op` run for block `id`.
     fn key(&self, id: usize, op: &str) -> Option<String> {
+        let prefix = &self.prefix;
         Some(match id == self.query.root.id {
-            true => op.to_string(),
-            false => format!("b{id}/{op}"),
+            true => format!("{prefix}{op}"),
+            false => format!("{prefix}b{id}/{op}"),
         })
+    }
+
+    /// The profile key of operator `op` run at the root block.
+    fn root_key(&self, op: &str) -> Option<String> {
+        self.key(self.query.root.id, op)
     }
 
     fn node(&mut self, node: &Node, depth: usize) {
@@ -151,7 +222,7 @@ impl Lines<'_> {
                 let rids: Vec<String> = levels.iter().map(|l| format!("T{}", l.parent)).collect();
                 let rids = rids.join(", ");
                 let text = format!("υ one sort by the {rids} rids; every σ in one group scan");
-                self.push(depth, text, Some("nest[sort]".to_string()));
+                self.push(depth, text, self.root_key("nest[sort]"));
                 self.node(input, inner);
             }
             Node::NestProbe {
@@ -174,14 +245,20 @@ impl Lines<'_> {
                 self.node(input, inner);
             }
             Node::SemijoinCascade => {
-                self.push(depth, "π (root select)", Some("project".to_string()));
+                self.push(depth, "π (root select)", self.root_key("project"));
                 let root = &query.root;
                 self.positive(root, root.children.len(), inner, &|l, d| l.scan(root, d));
             }
             Node::Project { input } => {
-                self.push(depth, "π (root select)", Some("project".to_string()));
+                self.push(depth, "π (root select)", self.root_key("project"));
                 self.node(input, inner);
             }
+            Node::Baseline => self.push(depth, "baseline (System A)", self.root_key("baseline")),
+            Node::Reference => self.push(
+                depth,
+                "reference (tuple iteration)",
+                self.root_key("reference"),
+            ),
         }
     }
 
@@ -280,14 +357,12 @@ fn annotate(stats: Option<OpStats>, est: Option<u64>) -> String {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use nra_sql::parse_and_bind;
     use nra_storage::{Catalog, Column, ColumnType, Schema, Table};
 
     use super::*;
     use crate::plan::build;
-    use crate::Strategy;
+    use crate::{Engine, Strategy};
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -313,7 +388,7 @@ mod tests {
 
     fn original(sql: &str) -> PhysPlan {
         let bq = parse_and_bind(sql, &catalog()).unwrap();
-        build(Arc::new(bq), Strategy::Original).unwrap()
+        build(bq.into(), Engine::NestedRelational(Strategy::Original)).unwrap()
     }
 
     #[test]

@@ -68,6 +68,36 @@ impl Strategy {
     }
 }
 
+/// Which execution engine answers a query; each one's builder plans every
+/// `SELECT` arm of a statement ([`crate::build`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Engine {
+    /// The paper's nested relational approach with the given strategy.
+    NestedRelational(Strategy),
+    /// The "System A"-style native plans (semijoin/antijoin cascades when
+    /// licensed, nested iteration with index probes otherwise).
+    Baseline,
+    /// The brute-force tuple-iteration oracle.
+    Reference,
+}
+
+impl Default for Engine {
+    fn default() -> Engine {
+        Engine::NestedRelational(Strategy::Auto)
+    }
+}
+
+impl Engine {
+    /// The strategy's name, `baseline` or `reference`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Engine::NestedRelational(strategy) => strategy.name(),
+            Engine::Baseline => "baseline",
+            Engine::Reference => "reference",
+        }
+    }
+}
+
 /// Why one query block is (or is not) served by the chosen strategy.
 #[derive(Debug, Clone)]
 pub struct BlockChoice {
@@ -303,8 +333,8 @@ mod tests {
         ] {
             let q = parse_and_bind(sql, &cat).unwrap();
             let d = decide(&q);
-            let plan = crate::plan::build(std::sync::Arc::new(q), Strategy::Auto).unwrap();
-            assert_eq!(plan.strategy(), d.chosen, "{sql}");
+            let plan = crate::plan::build(q.into(), Engine::default()).unwrap();
+            assert_eq!(plan.engine(), Engine::NestedRelational(d.chosen), "{sql}");
             let rejected = |r: &[(Strategy, String)]| r.iter().map(|(s, _)| *s).collect::<Vec<_>>();
             assert_eq!(rejected(&plan.rejected()), rejected(&d.rejected), "{sql}");
         }

@@ -7,7 +7,7 @@
 use nra_core::linking::{LinkSelection, SetQuant};
 use nra_core::nest::{nest_hash_idx, nest_sort_idx};
 use nra_core::optimize::fused::{fused_nest_select, FusedLink};
-use nra_core::optimize::pushdown::outer_join_nested;
+use nra_core::optimize::linear::nest_probe;
 use nra_engine::{join, JoinSpec};
 use nra_storage::rng::Pcg32;
 use nra_storage::{CmpOp, Column, ColumnType, Relation, Schema, Value};
@@ -168,7 +168,8 @@ fn join_pair(rng: &mut Pcg32) -> (Relation, Relation) {
 }
 
 /// The §4.2.4 push-down rule: nest-after-outer-join (with the marker
-/// rule) equals join-after-nest, under every linking selection.
+/// rule) equals the probe of the nest pushed below the join, under every
+/// linking selection.
 #[test]
 fn pushdown_equivalence() {
     let mut rng = Pcg32::new(0x5eed_2005);
@@ -183,11 +184,9 @@ fn pushdown_equivalence() {
                 let standard = sel.select(&nested, "sub").unwrap().atoms_as_relation();
 
                 // Pushed down: υ below the join; no marker needed.
-                let pushed =
-                    outer_join_nested(&left, &right, &["l.k"], &["r.k"], &["r.v", "r.rid"], "sub")
-                        .unwrap();
+                let keys = [("l.k".to_string(), "r.k".to_string())];
                 let sel2 = LinkSelection::quant("l.a", op, q, "r.v", None);
-                let via_pushdown = sel2.select(&pushed, "sub").unwrap().atoms_as_relation();
+                let via_pushdown = nest_probe(left, right, &keys, &sel2).unwrap();
 
                 assert!(
                     standard.multiset_eq(&via_pushdown),

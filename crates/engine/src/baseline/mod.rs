@@ -196,7 +196,10 @@ pub fn describe(query: &BoundQuery, catalog: &Catalog) -> String {
                 });
                 walk = &edge.block;
             }
-            format!("bottom-up {}", parts.join(" + "))
+            match parts.is_empty() {
+                true => "plain scan and project (no subqueries)".to_string(),
+                false => format!("bottom-up {}", parts.join(" + ")),
+            }
         }
         BaselineChoice::PositiveUnnest => "generalized semijoin unnesting".to_string(),
         BaselineChoice::NestedIteration => "nested iteration with index probes".to_string(),

@@ -163,7 +163,7 @@ impl IterEdge {
             outer_expr,
             inner_expr,
             block,
-            obs_name: format!("b{}/link", edge.block.id),
+            obs_name: nra_obs::qualified(format!("b{}/link", edge.block.id)),
         })
     }
 

@@ -203,6 +203,9 @@ struct Armed {
     /// The scope-label stack, shared by the stats collector and the
     /// tracer so both qualify operators identically.
     scopes: Vec<String>,
+    /// The label of the open [`prefix_scope`], which every scope opened
+    /// inside it extends.
+    prefix: Option<String>,
     tracer: Option<trace::Tracer>,
     progress: Option<Arc<ProgressState>>,
     metrics: Option<Arc<Registry>>,
@@ -233,6 +236,7 @@ thread_local! {
             armed: RefCell::new(Armed {
                 collector: None,
                 scopes: Vec::new(),
+                prefix: None,
                 tracer: None,
                 progress: None,
                 metrics: None,
@@ -261,6 +265,7 @@ fn exchange(other: &mut Armed, mask: u8) {
     SLOT.with(|s| {
         let mut armed = s.armed.borrow_mut();
         std::mem::swap(&mut armed.scopes, &mut other.scopes);
+        std::mem::swap(&mut armed.prefix, &mut other.prefix);
         if mask & F_PROFILE != 0 {
             std::mem::swap(&mut armed.collector, &mut other.collector);
         }
@@ -295,6 +300,7 @@ pub fn enter(observers: Observers) -> ObsGuard {
     let mut mine = Armed {
         collector: observers.profile.then(Collector::default),
         scopes: Vec::new(),
+        prefix: None,
         tracer: observers.trace.map(trace::Tracer::new),
         progress: observers.progress,
         metrics: observers.metrics,
@@ -353,11 +359,14 @@ pub fn snapshot() -> Profile {
 
 /// A scope label (typically a query-block id like `b2`) qualifying every
 /// span or record made while it is alive. Only the innermost scope
-/// applies — recursive executors replace rather than concatenate. When the
+/// applies — recursive executors replace rather than concatenate — except
+/// that a [`prefix_scope`] qualifies the scopes opened inside it. When the
 /// tracer is active, the scope is also a trace phase, so operator events
 /// nest under their block in the span tree.
 pub struct Scope {
     active: bool,
+    /// Opened by [`prefix_scope`].
+    prefix: bool,
     /// Keeps the trace phase open for the scope's lifetime.
     _phase: Option<trace::PhaseGuard>,
 }
@@ -365,17 +374,40 @@ pub struct Scope {
 /// Push a scope label. The closure is only invoked when collection or
 /// tracing is enabled, so disabled runs pay no formatting.
 pub fn scope<F: FnOnce() -> String>(label: F) -> Scope {
+    open_scope(label, false)
+}
+
+/// Push a scope label that every scope opened inside it extends instead
+/// of replacing: `b2` under the prefix `a2` qualifies as `a2/b2`. One arm
+/// of a compound statement runs under one, so two arms' operators are
+/// recorded apart. Prefix scopes do not nest.
+pub fn prefix_scope<F: FnOnce() -> String>(label: F) -> Scope {
+    open_scope(label, true)
+}
+
+fn open_scope<F: FnOnce() -> String>(label: F, prefix: bool) -> Scope {
     if !armed(F_PROFILE | F_TRACE) {
         return Scope {
             active: false,
+            prefix,
             _phase: None,
         };
     }
     let label = label();
     let phase = trace::enabled().then(|| trace::phase(|| label.clone()));
-    with_armed(|a| a.scopes.push(label));
+    with_armed(|a| {
+        let label = match &a.prefix {
+            Some(outer) => format!("{outer}/{label}"),
+            None => label,
+        };
+        if prefix {
+            a.prefix = Some(label.clone());
+        }
+        a.scopes.push(label);
+    });
     Scope {
         active: true,
+        prefix,
         _phase: phase,
     }
 }
@@ -383,17 +415,22 @@ pub fn scope<F: FnOnce() -> String>(label: F) -> Scope {
 impl Drop for Scope {
     fn drop(&mut self) {
         if self.active {
-            with_armed(|a| a.scopes.pop());
+            with_armed(|a| {
+                a.scopes.pop();
+                if self.prefix {
+                    a.prefix = None;
+                }
+            });
         }
     }
 }
 
 /// Qualify `name` with the innermost active scope (`scope/name`), or
 /// return it unchanged when no scope is active.
-pub fn qualified(name: &str) -> String {
+pub fn qualified(name: String) -> String {
     with_armed(|a| match a.scopes.last() {
         Some(scope) => format!("{scope}/{name}"),
-        None => name.to_string(),
+        None => name,
     })
 }
 
@@ -418,7 +455,7 @@ pub fn span<F: FnOnce() -> String>(name: F) -> Span {
     if !armed(F_PROFILE | F_TRACE) {
         return Span { inner: None };
     }
-    let name = qualified(&name());
+    let name = qualified(name());
     Span {
         inner: Some(Box::new(SpanInner {
             name,
@@ -697,6 +734,24 @@ mod tests {
         let profile = obs.finish().0.unwrap();
         assert!(profile.get("b2/nest").is_some());
         assert!(profile.get("b1/nest").is_none());
+    }
+
+    #[test]
+    fn prefix_scope_qualifies_inner_scopes() {
+        let obs = profiling();
+        for arm in ["a1", "a2"] {
+            let _arm = prefix_scope(|| arm.to_string());
+            span(|| "scan".to_string()).rows_out(1);
+            let _block = scope(|| "b2".to_string());
+            span(|| "join".to_string()).rows_out(2);
+        }
+        span(|| "sort".to_string());
+        let profile = obs.finish().0.unwrap();
+        let names: Vec<&str> = profile.ops.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            ["a1/scan", "a1/b2/join", "a2/scan", "a2/b2/join", "sort"]
+        );
     }
 
     #[test]

@@ -11,10 +11,10 @@
 
 use std::collections::{HashMap, HashSet};
 
-use nra_storage::{AggFunc, Catalog, CmpOp, Schema};
+use nra_storage::{AggFunc, Catalog, CmpOp, Column, ColumnType, Schema, Value};
 
-use crate::ast::{Predicate, Quantifier, ScalarExpr, SelectItem, SelectStmt};
-use crate::block::{BoundQuery, BoundTable, LinkOp, QueryBlock, SubqueryEdge};
+use crate::ast::{Predicate, Quantifier, Query, ScalarExpr, SelectItem, SelectStmt};
+use crate::block::{BoundQuery, BoundStatement, BoundTable, LinkOp, QueryBlock, SubqueryEdge};
 use crate::bound::{BExpr, BPred};
 use crate::error::SqlError;
 
@@ -44,6 +44,58 @@ pub fn bind(stmt: &SelectStmt, catalog: &Catalog) -> Result<BoundQuery, SqlError
         linking_ops: query.link_ops().iter().map(|op| op.describe()).collect(),
     });
     Ok(query)
+}
+
+/// Bind a whole statement: every `SELECT` arm, each further arm checked
+/// against the first arm's arity, and `ORDER BY` resolved against the
+/// first arm's output columns (by name under [`Schema::resolve`]'s rules,
+/// or by 1-based position).
+pub fn bind_statement(query: &Query, catalog: &Catalog) -> Result<BoundStatement, SqlError> {
+    let first = bind(&query.first, catalog)?;
+    let width = first.root.select.len();
+    let compounds = (query.compounds.iter())
+        .map(|part| {
+            let arm = bind(&part.stmt, catalog)?;
+            match arm.root.select.len() {
+                n if n == width => Ok((part.op, part.all, arm)),
+                n => Err(SqlError::bind(format!(
+                    "set operation on incompatible arities ({width} vs {n})"
+                ))),
+            }
+        })
+        .collect::<Result<_, _>>()?;
+    let output = || {
+        let select = first.root.select.iter();
+        Schema::new(
+            select
+                .map(|(name, _)| Column::new(name.clone(), ColumnType::Int))
+                .collect(),
+        )
+    };
+    let order_by = (query.order_by.iter())
+        .map(|(expr, desc)| {
+            let position = match expr {
+                ScalarExpr::Literal(Value::Int(n)) if *n >= 1 && (*n as usize) <= width => {
+                    *n as usize - 1
+                }
+                // Displayed as written: `q.name` or `name`.
+                ScalarExpr::Column { .. } => (output().resolve(&expr.to_string()))
+                    .map_err(|e| SqlError::bind(e.to_string()))?,
+                other => {
+                    return Err(SqlError::bind(format!(
+                        "ORDER BY supports output columns and positions, not `{other}`"
+                    )))
+                }
+            };
+            Ok((position, *desc))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(BoundStatement {
+        first,
+        compounds,
+        order_by,
+        limit: query.limit,
+    })
 }
 
 /// Convenience: parse then bind.

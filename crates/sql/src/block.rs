@@ -9,6 +9,7 @@ use std::collections::HashMap;
 
 use nra_storage::{AggFunc, CmpOp};
 
+use crate::ast::SetOpKind;
 use crate::bound::{BExpr, BPred};
 
 /// The linking operator between an outer and inner query block.
@@ -246,6 +247,32 @@ impl BoundQuery {
 
     pub fn all_links_positive(&self) -> bool {
         self.link_ops().iter().all(|o| o.is_positive())
+    }
+}
+
+/// A bound statement: every `SELECT` arm of a parsed
+/// [`Query`](crate::Query), combined left to right by set operations,
+/// sorted by output positions and cut to a limit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoundStatement {
+    pub first: BoundQuery,
+    /// `(operation, ALL, arm)` for every further arm, in order; each arm
+    /// has the first arm's arity.
+    pub compounds: Vec<(SetOpKind, bool, BoundQuery)>,
+    /// `(output position, descending)` sort keys.
+    pub order_by: Vec<(usize, bool)>,
+    pub limit: Option<usize>,
+}
+
+impl From<BoundQuery> for BoundStatement {
+    /// One `SELECT` with no set operation, order or limit.
+    fn from(first: BoundQuery) -> BoundStatement {
+        BoundStatement {
+            first,
+            compounds: Vec::new(),
+            order_by: Vec::new(),
+            limit: None,
+        }
     }
 }
 

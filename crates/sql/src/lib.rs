@@ -22,8 +22,8 @@ pub use ast::{
     ArithOp, CompoundPart, Predicate, Quantifier, Query, ScalarExpr, SelectItem, SelectStmt,
     SetOpKind, TableRef,
 };
-pub use binder::{bind, parse_and_bind};
-pub use block::{BoundQuery, BoundTable, LinkOp, QueryBlock, SubqueryEdge};
+pub use binder::{bind, bind_statement, parse_and_bind};
+pub use block::{BoundQuery, BoundStatement, BoundTable, LinkOp, QueryBlock, SubqueryEdge};
 pub use bound::{BExpr, BPred};
 pub use error::SqlError;
 pub use parser::{parse, parse_analyze, parse_query, parse_statement, Statement};

@@ -17,7 +17,7 @@
 //! :engine <auto|original|optimized|bottomup|pushdown|positive|baseline|oracle>
 //! :timeout <ms|off>             cancel queries cooperatively after a deadline
 //! :memlimit <bytes|off>         per-query memory budget for governed allocations
-//! :explain <sql>                the plan :engine's strategy builds + the tree expression
+//! :explain <sql>                the plan :engine builds + each arm's tree expression
 //! :analyze <sql>                EXPLAIN ANALYZE: the plan that ran + measured stats
 //! :trace <sql>                  query-lifecycle trace (parse/bind/plan/execute)
 //! :metrics                      process-cumulative metrics (Prometheus text)
@@ -526,8 +526,18 @@ impl Shell {
             .execute_with(sql, &self.opts().explain_only(true))
             .map_err(err)?;
         print!("{}", out.plan.expect("explain_only sets plan"));
-        let bq = self.db().prepare(sql).map_err(err)?;
-        println!("\ntree expression:\n{}", TreeExpr::build(&bq));
+        let query = nra::sql::parse_query(sql).map_err(err)?;
+        let statement = nra::sql::bind_statement(&query, &self.db().catalog()).map_err(err)?;
+        let compound = !statement.compounds.is_empty();
+        let arms = statement.compounds.iter().map(|(_, _, arm)| arm);
+        for (i, arm) in std::iter::once(&statement.first).chain(arms).enumerate() {
+            let label = if compound {
+                format!(" (a{})", i + 1)
+            } else {
+                String::new()
+            };
+            println!("\ntree expression{label}:\n{}", TreeExpr::build(arm));
+        }
         Ok(())
     }
 }
@@ -556,7 +566,7 @@ const HELP: &str = "\
 :engine <auto|original|optimized|bottomup|pushdown|positive|baseline|oracle>
 :timeout <ms|off>             cancel queries cooperatively after a deadline
 :memlimit <bytes|off>         per-query memory budget for governed allocations
-:explain <sql>                the plan :engine's strategy builds + the tree expression
+:explain <sql>                the plan :engine builds + each arm's tree expression
 :analyze <sql>                EXPLAIN ANALYZE: the plan that ran + measured stats
 :trace <sql>                  query-lifecycle trace (parse/bind/plan/execute)
 :metrics                      process-cumulative metrics (Prometheus text)

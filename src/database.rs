@@ -327,9 +327,13 @@ impl Database {
     ///
     /// Supports compound queries (`UNION`/`INTERSECT`/`EXCEPT [ALL]`)
     /// plus `ORDER BY` (ascending sorts place `NULL` first, descending
-    /// last) and `LIMIT`: each `SELECT` block runs through the chosen
-    /// engine, the combined result goes through the set-operation algebra
-    /// (`nra_engine::ops::setops`).
+    /// last) and `LIMIT`. The statement is bound as a whole — arm arities
+    /// and `ORDER BY` keys are checked before any work — and planned into
+    /// one physical plan: each `SELECT` arm built by the engine's builder,
+    /// combined by set-op nodes (the `nra_engine::ops::setops` algebra),
+    /// then sort and limit nodes. The plan cache holds that plan per
+    /// (normalized statement, engine), and `EXPLAIN` / `EXPLAIN ANALYZE`
+    /// print it.
     ///
     /// The call runs sequentially on the calling thread: rows, their
     /// order, and every profile counter except wall times are identical

@@ -75,7 +75,7 @@ mod sys;
 pub use database::{CatalogMut, CatalogRef, Database};
 pub use durable::{DurabilityInfo, RecoveryReport};
 pub use error::NraError;
-pub use options::{Engine, QueryOptions, QueryOutcome};
+pub use options::{QueryOptions, QueryOutcome};
 pub use session::Session;
 
 pub use nra_core as core;
@@ -85,5 +85,5 @@ pub use nra_sql as sql;
 pub use nra_storage as storage;
 pub use nra_tpch as tpch;
 
-pub use nra_core::Strategy;
+pub use nra_core::{Engine, Strategy};
 pub use nra_engine::{AdmissionConfig, AdmissionController, CancelToken, FaultKind};

@@ -23,7 +23,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use nra_core::{CardEstimates, PhysPlan, Strategy};
+use nra_core::{CardEstimates, Engine, PhysPlan};
 use nra_engine::exec;
 use nra_engine::vec::DEFAULT_BATCH_ROWS;
 use nra_engine::{ctx, governor, Config, Governor, QueryCtx};
@@ -32,11 +32,9 @@ use nra_obs::progress::{self, ProgressState};
 use nra_obs::queryreg::{QueryRecord, QueryRegistry};
 use nra_obs::trace::{self, TraceEvent};
 use nra_obs::{slowlog, ObsGuard, Observers, Profile};
-use nra_sql::SqlError;
 use nra_storage::{Catalog, Relation};
 
-use crate::plancache::CachedPlan;
-use crate::{sys, Database, Engine, NraError, QueryOptions, QueryOutcome};
+use crate::{sys, Database, NraError, QueryOptions, QueryOutcome};
 
 /// Who is executing: the session stamped into the query registry, and
 /// whether this is the nested call answering an `nra_sys.*` query — which
@@ -61,10 +59,8 @@ struct Query<'a> {
     caller: Caller,
 }
 
-/// The result, the plans it ran from (shared with the plan cache), and the
-/// plan a forced strategy built for the first statement (`None` when it
-/// ran the cached `Auto` plan, or under another engine).
-type Executed = Result<(Relation, Arc<CachedPlan>, Option<PhysPlan>), NraError>;
+/// The result and the plan it ran (shared with the plan cache).
+type Executed = Result<(Relation, Arc<PhysPlan>), NraError>;
 
 impl Database {
     /// The real entry point behind [`Database::execute`] and
@@ -89,8 +85,9 @@ impl Database {
             }
         }
         if options.explain_only {
-            let plan = self.explain_text(&self.catalog(), sql, options.engine)?;
-            return Ok(QueryOutcome::plan_only(plan));
+            let cat = self.catalog();
+            let plan = build_plan(&cat, sql, options.engine)?;
+            return Ok(QueryOutcome::plan_only(plan.explain(&cat)));
         }
 
         // A refused query never registers, traces or profiles: the gate
@@ -308,34 +305,18 @@ impl<'a> Stages<'a> {
             metrics::global().gauge_max("nra_query_mem_high_water_bytes", &[], mem_high_water);
         }
 
-        // The nested-relational plan the first statement ran names the
-        // strategy; plans are estimated and rendered for single statements
-        // only.
-        let ran = match (&result, q.options.engine) {
-            (Ok((_, cached, forced)), Engine::NestedRelational(_)) => {
-                Some(forced.as_ref().unwrap_or(&cached.first))
-            }
-            _ => None,
-        };
-        let bound = match &result {
-            Ok((_, plan, _)) if plan.query.compounds.is_empty() => Some(&**plan.first.query()),
-            _ => None,
-        };
-        let estimates = match (&profile, bound) {
-            (Some(_), Some(bound)) => Some(nra_core::estimate(bound, cat)),
+        // The plan that ran names the strategy and carries the estimates.
+        let ran = result.as_ref().ok().map(|(_, plan)| &**plan);
+        let estimates = match (&profile, ran) {
+            (Some(_), Some(plan)) => Some(plan.estimate(cat)),
             _ => None,
         };
         let summary = Summary {
             outcome,
             qerror_max_x100: report_qerror(profile.as_ref(), estimates.as_ref()),
             wall_ms: started.elapsed().as_millis() as u64,
-            rows: result.as_ref().map_or(0, |(rel, _, _)| rel.len() as u64),
-            strategy: match (ran, q.options.engine) {
-                (Some(plan), _) => plan.strategy().name(),
-                (_, Engine::Baseline) => "baseline",
-                (_, Engine::Reference) => "reference",
-                (_, Engine::NestedRelational(requested)) => requested.name(),
-            },
+            rows: result.as_ref().map_or(0, |(rel, _)| rel.len() as u64),
+            strategy: ran.map_or(q.options.engine, PhysPlan::engine).name(),
             mem_high_water,
         };
         record_counters(&summary, profile.as_ref());
@@ -360,7 +341,7 @@ impl<'a> Stages<'a> {
             append_line(Path::new(path), &snap.to_jsonl());
         }
 
-        // The analyzed plan is the plan that ran, of a single statement.
+        // The analyzed plan is the plan that ran.
         let plan = match (&profile, ran, &estimates) {
             (Some(p), Some(ran), Some(est)) if q.options.collect_profile => {
                 Some(ran.render_analyzed(p, est, summary.rows))
@@ -372,7 +353,7 @@ impl<'a> Stages<'a> {
             report_slow(q, &summary, plan.as_deref(), profile.as_ref(), progress);
         }
 
-        let (rows, _, _) = result?;
+        let (rows, _) = result?;
         Ok(QueryOutcome {
             rows,
             plan,
@@ -509,14 +490,13 @@ impl Database {
         Ok(QueryOutcome::plan_only(plan))
     }
 
-    /// Parse and run a full (possibly compound) query through the
-    /// engine in `options`, returning the result and the shared plan it
-    /// ran from.
+    /// Plan and run a full (possibly compound) statement under the engine
+    /// in `options`, returning the result and the shared plan it ran.
     ///
     /// Repeat statements are answered from this database's plan cache
-    /// (keyed on the normalized SQL, valid while the schema version
-    /// matches): a hit skips the parser and
-    /// binder entirely. Cache counters live in the global metrics
+    /// (keyed on the normalized SQL and the engine, valid while the schema
+    /// version matches): a hit skips the parser, the binder and the
+    /// planner entirely. Cache counters live in the global metrics
     /// scope only — whether a statement hits depends on process
     /// history, which must not leak into the per-query snapshot.
     fn run_statements(
@@ -533,7 +513,7 @@ impl Database {
         let use_cache =
             !q.caller.introspection && q.options.plan_cache.or(q.config.plan_cache).unwrap_or(true);
         let cache_key = use_cache.then_some(q.statement.as_str());
-        let plan = match cache_key.and_then(|key| self.shared.plans.lookup(version, key)) {
+        let plan = match cache_key.and_then(|key| self.shared.plans.lookup(version, key, engine)) {
             Some(plan) => {
                 trace::emit(|| TraceEvent::Governor {
                     action: "plan-cache".to_string(),
@@ -542,135 +522,36 @@ impl Database {
                 plan
             }
             None => {
-                // Plan once per miss, whatever the engine: the cache holds
-                // the plans `Auto` builds, and a hit never plans again.
-                let query = nra_sql::parse_query(q.sql)?;
-                let plan = |stmt| -> Result<PhysPlan, NraError> {
-                    let bound = Arc::new(nra_sql::bind(stmt, cat)?);
-                    Ok(nra_core::build(bound, Strategy::Auto)?)
-                };
-                let first = plan(&query.first)?;
-                let rest = (query.compounds.iter())
-                    .map(|part| plan(&part.stmt))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let plan = Arc::new(CachedPlan { query, first, rest });
+                let plan = Arc::new(build_plan(cat, q.sql, engine)?);
                 if let Some(key) = cache_key {
-                    self.shared
-                        .plans
-                        .insert(version, key.to_string(), Arc::clone(&plan));
+                    let plans = &self.shared.plans;
+                    plans.insert(version, key.to_string(), engine, Arc::clone(&plan));
                 }
                 plan
             }
         };
-        let query = &plan.query;
         // Seed the progress denominator from the planner's cardinality
-        // estimates for the first block (compound arms only add to the
-        // numerator, which the 99%-cap before `finish` absorbs).
+        // estimates.
         if let Some(p) = progress {
-            let est = nra_core::estimate(plan.first.query(), cat);
-            p.set_estimated(est.iter().map(|(_, v)| v).sum());
+            p.set_estimated(plan.estimate(cat).iter().map(|(_, v)| v).sum());
         }
         let mut exec_phase = trace::phase(|| "execute".to_string());
-        let (mut rel, ran) = run_plan(cat, &plan.first, engine)?;
-        for (part, arm) in query.compounds.iter().zip(&plan.rest) {
-            let (right, _) = run_plan(cat, arm, engine)?;
-            use nra_engine::ops::setops;
-            use nra_sql::SetOpKind;
-            rel = match (part.op, part.all) {
-                (SetOpKind::Union, false) => setops::union(&rel, &right),
-                (SetOpKind::Union, true) => setops::union_all(&rel, &right),
-                (SetOpKind::Intersect, false) => setops::intersect(&rel, &right),
-                (SetOpKind::Intersect, true) => setops::intersect_all(&rel, &right),
-                (SetOpKind::Except, false) => setops::difference(&rel, &right),
-                (SetOpKind::Except, true) => setops::difference_all(&rel, &right),
-            }?;
-        }
-        if !query.order_by.is_empty() {
-            let mut keys = Vec::new();
-            for (expr, desc) in &query.order_by {
-                let idx = match expr {
-                    // SQL-style positional reference: ORDER BY 1.
-                    nra_sql::ScalarExpr::Literal(nra_storage::Value::Int(n))
-                        if *n >= 1 && (*n as usize) <= rel.schema().len() =>
-                    {
-                        *n as usize - 1
-                    }
-                    nra_sql::ScalarExpr::Column { qualifier, name } => {
-                        let full = match qualifier {
-                            Some(q) => format!("{q}.{name}"),
-                            None => name.clone(),
-                        };
-                        rel.schema().resolve(&full).map_err(NraError::Storage)?
-                    }
-                    other => {
-                        return Err(NraError::Sql(SqlError::bind(format!(
-                            "ORDER BY supports output columns and positions, not `{other}`"
-                        ))))
-                    }
-                };
-                keys.push((idx, *desc));
-            }
-            rel.rows_mut().sort_by(|a, b| {
-                for &(idx, desc) in &keys {
-                    let ord = a[idx].total_cmp(&b[idx]);
-                    let ord = if desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-        if let Some(n) = query.limit {
-            rel.rows_mut().truncate(n);
-        }
+        let rel = nra_core::run(&plan, cat)?;
         exec_phase.set_rows(rel.len() as u64);
         drop(exec_phase);
-        Ok((rel, plan, ran))
-    }
-
-    /// The `EXPLAIN` text: a one-line header, then the plan `engine`'s
-    /// strategy builds (`Auto`'s under the other engines) — which refuses
-    /// the query exactly as running it would. For a compound query,
-    /// explains the first `SELECT` block and notes the set operations
-    /// applied on top.
-    fn explain_text(&self, cat: &Catalog, sql: &str, engine: Engine) -> Result<String, NraError> {
-        let parsed = nra_sql::parse_query(sql)?;
-        let suffix = match parsed.compounds.len() {
-            0 => String::new(),
-            n => format!("; then {n} set operation(s) over the per-block results"),
-        };
-        let strategy = match engine {
-            Engine::NestedRelational(strategy) => strategy,
-            Engine::Baseline | Engine::Reference => Strategy::Auto,
-        };
-        let plan = nra_core::build(Arc::new(nra_sql::bind(&parsed.first, cat)?), strategy)?;
-        let baseline = nra_engine::baseline::describe(plan.query(), cat);
-        Ok(format!(
-            "nested relational: {}; baseline (System A): {baseline}{suffix}\n{}",
-            plan.strategy().describe(),
-            plan.render()
-        ))
+        Ok((rel, plan))
     }
 }
 
-/// Run one statement's cached `Auto` plan under `engine`: as is, as the
-/// plan a forced strategy builds for the same bound query, or through
-/// another engine. Returns the rows and the plan a forced strategy built.
-fn run_plan(
-    cat: &Catalog,
-    plan: &PhysPlan,
-    engine: Engine,
-) -> Result<(Relation, Option<PhysPlan>), NraError> {
-    Ok(match engine {
-        Engine::NestedRelational(Strategy::Auto) => (nra_core::run(plan, cat)?, None),
-        Engine::NestedRelational(strategy) => {
-            let forced = nra_core::build(Arc::clone(plan.query()), strategy)?;
-            (nra_core::run(&forced, cat)?, Some(forced))
-        }
-        Engine::Baseline => (nra_engine::baseline::execute(plan.query(), cat)?, None),
-        Engine::Reference => (nra_engine::reference::evaluate(plan.query(), cat)?, None),
-    })
+/// Parse, bind and plan a statement under `engine`: the bind refuses a
+/// statement that can never run (arity, `ORDER BY`), the build one the
+/// engine's builder cannot plan.
+fn build_plan(cat: &Catalog, sql: &str, engine: Engine) -> Result<PhysPlan, NraError> {
+    let query = nra_sql::parse_query(sql)?;
+    Ok(nra_core::build(
+        nra_sql::bind_statement(&query, cat)?,
+        engine,
+    )?)
 }
 
 /// Project a merged profile into per-operator metric counters.

@@ -1,30 +1,12 @@
-//! What a caller asks for and gets back: [`Engine`], the
-//! [`QueryOptions`] builder and the [`QueryOutcome`] of one
+//! What a caller asks for and gets back: the [`QueryOptions`] builder and
+//! the [`QueryOutcome`] of one
 //! [`Database::execute`](crate::Database::execute) call.
 
-use nra_core::Strategy;
+use nra_core::{Engine, Strategy};
 use nra_engine::{CancelToken, Config, FaultKind, FaultPlan, Governor};
 use nra_storage::{Relation, Schema};
 
 use crate::obs;
-
-/// Which execution engine answers a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// The paper's nested relational approach with the given strategy.
-    NestedRelational(Strategy),
-    /// The "System A"-style native plans (semijoin/antijoin cascades when
-    /// licensed, nested iteration with index probes otherwise).
-    Baseline,
-    /// The brute-force tuple-iteration oracle.
-    Reference,
-}
-
-impl Default for Engine {
-    fn default() -> Engine {
-        Engine::NestedRelational(Strategy::Auto)
-    }
-}
 
 /// Per-call knobs for [`Database::execute`](crate::Database::execute),
 /// built fluently:
@@ -84,9 +66,8 @@ impl QueryOptions {
     }
 
     /// Collect per-operator statistics; [`QueryOutcome::profile`] is then
-    /// `Some`. With the [`Strategy::Original`] nested relational engine
-    /// this also renders the analyzed plan into [`QueryOutcome::plan`]
-    /// (the `EXPLAIN ANALYZE` text).
+    /// `Some`, and [`QueryOutcome::plan`] holds the analyzed plan that ran
+    /// (the `EXPLAIN ANALYZE` text), under every engine.
     pub fn collect_profile(mut self, on: bool) -> QueryOptions {
         self.collect_profile = on;
         self
@@ -181,12 +162,12 @@ impl QueryOptions {
         self
     }
 
-    /// Opt this call in or out of the database's plan cache (bound
-    /// plans keyed on normalized SQL; see `DESIGN.md` §15). Unset, the
-    /// `NRA_PLAN_CACHE` default decides (`0`/`off`/`false` disables),
-    /// and the built-in default is **on** — repeats of a statement
-    /// skip the parser and binder until a catalog write invalidates
-    /// them. Results are identical either way; only plan reuse changes.
+    /// Opt this call in or out of the database's plan cache (physical
+    /// plans keyed on normalized SQL and engine; see `DESIGN.md` §15).
+    /// Unset, the `NRA_PLAN_CACHE` default decides (`0`/`off`/`false`
+    /// disables), and the built-in default is **on** — repeats of a
+    /// statement skip the parser, binder and planner until a catalog write
+    /// invalidates them. Results are identical either way; only plan reuse changes.
     pub fn plan_cache(mut self, on: bool) -> QueryOptions {
         self.plan_cache = Some(on);
         self
@@ -231,8 +212,7 @@ pub struct QueryOutcome {
     pub rows: Relation,
     /// Plan text: the header and plan under `explain_only`, or the
     /// operator-annotated `EXPLAIN ANALYZE` plan that ran when a profile
-    /// was collected for a single statement under a nested-relational
-    /// strategy.
+    /// was collected.
     pub plan: Option<String>,
     /// Per-operator statistics, when requested.
     pub profile: Option<obs::Profile>,

@@ -105,10 +105,10 @@ impl Session {
         self.db.execute_inner(sql, options, caller)
     }
 
-    /// Validate `sql` now — parse it, and bind every block against the
-    /// current catalog so name-resolution errors surface at prepare
-    /// time — and remember it under `name` for
-    /// [`Session::execute_prepared`]. Re-preparing a taken name
+    /// Validate `sql` now — parse it and bind the whole statement against
+    /// the current catalog, so name-resolution, set-operation arity and
+    /// `ORDER BY` errors surface at prepare time — and remember it under
+    /// `name` for [`Session::execute_prepared`]. Re-preparing a taken name
     /// replaces the old statement.
     ///
     /// The stored text is re-planned on execution (via the plan cache,
@@ -121,11 +121,7 @@ impl Session {
         let is_analyze = nra_sql::parse_analyze(sql)?.is_some();
         if !is_analyze && !sys::mentions_sys(sql) {
             let query = nra_sql::parse_query(sql)?;
-            let cat = self.db.catalog();
-            nra_sql::bind(&query.first, &cat)?;
-            for part in &query.compounds {
-                nra_sql::bind(&part.stmt, &cat)?;
-            }
+            nra_sql::bind_statement(&query, &self.db.catalog())?;
         }
         self.prepared.insert(name.to_string(), sql.to_string());
         Ok(())

@@ -20,9 +20,10 @@
 //!   *base* catalog (one row per analyzed column).
 //! * `nra_sys.operators` — per-operator invocation/row totals pivoted
 //!   from the global metrics counters.
-//! * `nra_sys.plan_cache` — this database's plan-cache entries
-//!   (normalized statement, the cached `Auto` plan's strategy, hit
-//!   count, schema version), in insertion order.
+//! * `nra_sys.plan_cache` — this database's plan-cache entries, one per
+//!   (normalized statement, engine): the statement, the name of the plan
+//!   that engine built (its strategy, `baseline` or `reference`), hit
+//!   count, schema version, in insertion order.
 //!
 //! Introspection queries run with the crate-private
 //! [`Caller::introspection`] flag set, which excludes them from the query registry, progress

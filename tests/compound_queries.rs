@@ -3,7 +3,7 @@
 //! algebra, and the errors the facade reports.
 
 use nra::storage::{Column, ColumnType, Value};
-use nra::{Database, Engine, QueryOptions, Strategy};
+use nra::{Database, Engine, NraError, QueryOptions, Strategy};
 
 fn db() -> Database {
     let db = Database::new();
@@ -126,6 +126,44 @@ fn errors_surface() {
         .is_err());
     // prepare() remains single-block only.
     assert!(db.prepare("select k from t union select k from u").is_err());
+}
+
+/// A statement that can never run — an unknown or out-of-range `ORDER BY`
+/// key, arms of different arities — fails in the binder: a SQL error
+/// before any work, recorded with outcome `sql`, never cached, and refused
+/// by `Session::prepare`.
+#[test]
+fn statements_that_cannot_run_fail_at_bind() {
+    let db = db();
+    let mut session = db.connect();
+    for sql in [
+        "select k from t order by nope",
+        "select k, v from t order by 3",
+        "select k, v from t union select k from u",
+    ] {
+        for _ in 0..2 {
+            let err = session.execute(sql).unwrap_err();
+            assert!(matches!(err, NraError::Sql(_)), "{sql}: {err}");
+        }
+        assert!(session.prepare("p", sql).is_err(), "{sql}");
+        let statement = Value::Str(nra::sql::normalize::normalize(sql));
+        let cached = session
+            .execute("select statement from nra_sys.plan_cache")
+            .unwrap();
+        assert!(
+            !cached.rows.rows().iter().any(|r| r[0] == statement),
+            "{sql} is cached"
+        );
+        let recorded = session
+            .execute("select sql, outcome from nra_sys.queries")
+            .unwrap();
+        let outcomes: Vec<&Value> = (recorded.rows.rows().iter())
+            .filter(|r| r[0] == statement)
+            .map(|r| &r[1])
+            .collect();
+        let sql_error = Value::Str("sql".to_string());
+        assert_eq!(outcomes, [&sql_error, &sql_error], "{sql}");
+    }
 }
 
 #[test]

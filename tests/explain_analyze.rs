@@ -4,13 +4,12 @@
 //! plan artifacts each option produces, and the analyzed plan of every
 //! strategy on Query Q and the six TPC-H classes.
 
-use std::sync::Arc;
-
 use nra::obs;
+use nra::storage::Value;
 use nra::tpch::paper_example::{rst_catalog, QUERY_Q};
 use nra::tpch::TpchConfig;
 use nra::tpch::{generate, q1_agg_sql, q1_sql, q2_sql, q3_sql, ExistsKind, Q3Corr, Quant};
-use nra::{Database, NraError, QueryOptions, Strategy};
+use nra::{Database, Engine, NraError, QueryOptions, Strategy};
 
 fn db() -> Database {
     Database::from_catalog(rst_catalog())
@@ -303,6 +302,13 @@ fn explain_builds_the_requested_strategy() {
         "{text}"
     );
 
+    let flat = session.execute_with("select r.a from r", &QueryOptions::new().explain_only(true));
+    let flat = flat.unwrap().plan.unwrap();
+    assert!(
+        flat.contains("; baseline (System A): plain scan and project"),
+        "{flat}"
+    );
+
     for strategy in [Strategy::BottomUpPushdown, Strategy::PositiveRewrite] {
         let (explained, ran) = explain(strategy);
         let (Err(NraError::Engine(explained)), Err(NraError::Engine(ran))) = (explained, ran)
@@ -354,9 +360,10 @@ fn corpus() -> Vec<(&'static str, Database, String)> {
 fn every_strategy_renders_the_plan_that_ran() {
     let mut analyzed = 0;
     for (class, db, sql) in corpus() {
-        let bound = Arc::new(db.prepare(&sql).unwrap());
+        let bound = db.prepare(&sql).unwrap();
         for strategy in [Strategy::Auto].into_iter().chain(Strategy::ALL) {
-            if nra::core::build(Arc::clone(&bound), strategy).is_err() {
+            let engine = Engine::NestedRelational(strategy);
+            if nra::core::build(bound.clone().into(), engine).is_err() {
                 continue;
             }
             let opts = QueryOptions::new().strategy(strategy).collect_profile(true);
@@ -376,4 +383,139 @@ fn every_strategy_renders_the_plan_that_ran() {
     }
     // `Auto`, `Optimized` and `Original` accept every query.
     assert!(analyzed >= 7 * 3, "only {analyzed} analyzed plans");
+}
+
+/// The `rows_out` of an analyzed plan line (`…  (rows=IN→OUT, …`).
+fn rows_out(line: &str) -> Option<usize> {
+    let (_, rest) = line.split_once("  (rows=")?;
+    let (_, rest) = rest.split_once('→')?;
+    rest.split([',', ')']).next()?.parse().ok()
+}
+
+/// A `UNION ALL` of a negative and a positive arm, sorted and cut, and an
+/// `EXCEPT` of two positive arms, over the paper's example tables.
+const COMPOUND: [(&str, &str, [&str; 2], &str); 2] = [
+    (
+        "union all",
+        "∪ union all",
+        [
+            "select r.b from r where r.b not in (select s.e from s where s.g = r.d)",
+            "select s.e from s where exists (select * from t where t.k = s.f)",
+        ],
+        " order by 1 desc limit 3",
+    ),
+    (
+        "except",
+        "− except",
+        [
+            "select r.d from r where exists (select * from s where s.g = r.d)",
+            "select s.g from s where s.i in (select t.l from t where t.j > 4)",
+        ],
+        "",
+    ),
+];
+
+/// Whole statements have one plan under every engine: `EXPLAIN` and
+/// `EXPLAIN ANALYZE` show both arms, the set operation, the sort and the
+/// limit; each arm's lines read its own profile entries; and a repeat runs
+/// the plan the cache holds for that engine.
+#[test]
+fn compound_statements_render_every_arm() {
+    let db = db();
+    let session = db.connect();
+    let engines = [Strategy::Auto]
+        .into_iter()
+        .chain(Strategy::ALL)
+        .map(Engine::NestedRelational)
+        .chain([Engine::Baseline, Engine::Reference]);
+    for (op, setop, arms, tail) in COMPOUND {
+        let sql = format!("{} {op} {}{tail}", arms[0], arms[1]);
+        let bound = || {
+            let query = nra::sql::parse_query(&sql).unwrap();
+            nra::sql::bind_statement(&query, &db.catalog()).unwrap()
+        };
+        let mut names = Vec::new();
+        for engine in engines.clone() {
+            let Ok(plan) = nra::core::build(bound(), engine) else {
+                continue;
+            };
+            names.push(Value::Str(plan.engine().name().to_string()));
+            let opts = QueryOptions::new().engine(engine);
+            let what = format!("`{sql}` under {engine:?}");
+
+            let explained = session.execute_with(&sql, &opts.clone().explain_only(true));
+            let explained = explained.unwrap().plan.unwrap();
+            for part in ["a1: ", "a2: ", setop] {
+                assert!(explained.contains(part), "{part:?} in {what}:\n{explained}");
+            }
+
+            let out = session
+                .execute_with(&sql, &opts.clone().collect_profile(true))
+                .unwrap();
+            let text = out.plan.unwrap_or_else(|| panic!("no plan for {what}"));
+            assert!(!text.contains("(not executed)"), "{what}:\n{text}");
+            let top = text.lines().next().unwrap();
+            assert_eq!(rows_out(top), Some(out.rows.len()), "{what}:\n{text}");
+            for part in [setop, "sort by r.b desc", "limit 3"] {
+                let shown = text.lines().any(|l| l.trim_start().starts_with(part));
+                assert_eq!(
+                    shown,
+                    part == setop || !tail.is_empty(),
+                    "{part:?}: {what}:\n{text}"
+                );
+            }
+
+            // Each arm's root line reports what that arm alone returns:
+            // the two arms' operators were recorded apart.
+            let roots: Vec<usize> = (text.lines())
+                .filter(|l| {
+                    let l = l.trim_start();
+                    ["π (root select)", "baseline (System A)", "reference ("]
+                        .iter()
+                        .any(|root| l.starts_with(root))
+                })
+                .map(|l| rows_out(l).unwrap())
+                .collect();
+            let alone = arms.map(|arm| session.execute_with(arm, &opts).unwrap().rows.len());
+            assert_eq!(roots, alone, "{what}:\n{text}");
+            let profile = out.profile.unwrap();
+            for (name, _) in &profile.ops {
+                let statement_level = ["sort", "limit", "a2/setop["];
+                assert!(
+                    name.starts_with("a1/")
+                        || name.starts_with("a2/")
+                        || statement_level.iter().any(|s| name.starts_with(s)),
+                    "{name} in {what}"
+                );
+            }
+
+            // The repeat is a hit on this engine's plan.
+            let hits = || {
+                obs::metrics::global()
+                    .snapshot()
+                    .counter_total("nra_plan_cache_hits_total")
+            };
+            let before = hits();
+            session.execute_with(&sql, &opts).unwrap();
+            assert!(hits() > before, "{what}: a repeat hits the cache");
+        }
+        assert!(
+            names.len() >= 5,
+            "{sql}: only {} engines plan it",
+            names.len()
+        );
+
+        // One cache row per (statement, engine), naming that engine's
+        // plan, each hit once.
+        let statement = nra::sql::normalize::normalize(&sql);
+        let cached = session
+            .execute("select statement, strategy, hits from nra_sys.plan_cache")
+            .unwrap();
+        let rows: Vec<_> = (cached.rows.rows().iter())
+            .filter(|r| r[0] == Value::Str(statement.clone()))
+            .collect();
+        let strategies: Vec<Value> = rows.iter().map(|r| r[1].clone()).collect();
+        assert_eq!(strategies, names, "{sql}");
+        assert!(rows.iter().all(|r| r[2] == Value::Int(1)), "{rows:?}");
+    }
 }

@@ -5,8 +5,6 @@
 //! include NULL join keys (σ̄-padded tuples, NULL-key nest groups) and
 //! empty inputs.
 
-use std::sync::Arc;
-
 use nra::engine::EngineError;
 use nra::{Database, Engine, QueryOptions, Strategy as NraStrategy};
 use nra_storage::rng::Pcg32;
@@ -155,7 +153,7 @@ fn run(db: &Database, sql: &str, engine: Engine) -> Relation {
 /// refuses the query.
 fn check_all(db: &Database, sql: &str) {
     let bound = match db.prepare(sql) {
-        Ok(b) => Arc::new(b),
+        Ok(b) => b,
         Err(e) => panic!("query failed to bind: {sql}: {e}"),
     };
     let mut engines = vec![
@@ -163,7 +161,7 @@ fn check_all(db: &Database, sql: &str) {
         Engine::NestedRelational(NraStrategy::Auto),
     ];
     for strategy in NraStrategy::ALL {
-        match nra::core::build(Arc::clone(&bound), strategy) {
+        match nra::core::build(bound.clone().into(), Engine::NestedRelational(strategy)) {
             Err(EngineError::Unsupported(_)) => {}
             built => {
                 built.unwrap_or_else(|e| panic!("{} fails to plan {sql}: {e}", strategy.name()));
