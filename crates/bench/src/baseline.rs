@@ -1,9 +1,9 @@
 //! Continuous perf-regression tracking against committed baselines.
 //!
-//! The `experiments` binary's `--profile` run produces `BENCH_<name>.json`
-//! execution profiles (see [`crate::profile`]). This module compares a
-//! freshly collected profile against a *committed baseline* of the same
-//! artifact under `crates/bench/baselines/`:
+//! The `experiments` binary collects per-operator execution profiles of
+//! the headline queries in memory (see [`crate::profile`]). This module
+//! compares a freshly collected profile against a *committed baseline*,
+//! `crates/bench/baselines/BENCH_<name>.json`:
 //!
 //! * **Exact** comparison on everything deterministic — result/operator
 //!   cardinalities (`rows_in`/`rows_out`), `invocations`, `batches`,
@@ -130,7 +130,7 @@ pub fn check_profile(qp: &QueryProfile, tol: &Tolerance) -> Result<Report, Strin
     let path = baselines_dir().join(format!("BENCH_{}.json", qp.name));
     let text = std::fs::read_to_string(&path).map_err(|e| {
         format!(
-            "no baseline for {} at {} ({e}); run `experiments --profile --baseline-write` \
+            "no baseline for {} at {} ({e}); run `experiments --baseline-write` \
              and commit the result",
             qp.name,
             path.display()

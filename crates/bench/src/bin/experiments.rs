@@ -9,12 +9,10 @@
 //! tracker; baselines are committed at scale 0.02, so pass `--scale 0.02`
 //! when writing or checking):
 //!
-//! * `--profile` — write `BENCH_*.json` per-operator profiles to the cwd
 //! * `--baseline-write` — refresh `crates/bench/baselines/BENCH_*.json`
 //! * `--baseline-check` — diff fresh profiles against the committed
 //!   baselines; non-zero exit + per-operator delta table on regression
 //! * `--wall-factor <f>` — wall-time tolerance band for the check
-//! * `--trace` — trace the paper's Query Q, write `TRACE_QQ.jsonl`
 //! * `--serve` — start the TCP front end on an ephemeral port and drive
 //!   it with concurrent protocol clients (1, then `--clients`, default
 //!   8) running the headline queries; report client-observed per-query
@@ -33,7 +31,8 @@
 //!   the headline queries and checkpoint; no figures are produced
 //!
 //! Passing any unknown positional (e.g. `none`) selects no figures, so
-//! `experiments --scale 0.02 --profile none` only writes the profiles.
+//! `experiments --scale 0.02 --baseline-check none` only checks the
+//! baselines.
 //!
 //! Figures (paper → here):
 //!
@@ -56,9 +55,6 @@ use nra_storage::Catalog;
 struct Args {
     scale: f64,
     reps: usize,
-    /// Write `BENCH_*.json` per-operator execution profiles
-    /// (`--profile`).
-    profile: bool,
     /// Refresh the committed baselines under `crates/bench/baselines/`.
     baseline_write: bool,
     /// Compare fresh profiles against the committed baselines; exit
@@ -67,9 +63,6 @@ struct Args {
     /// Wall-time tolerance factor for `--baseline-check`
     /// (`--wall-factor`, default 10).
     wall_factor: f64,
-    /// Write `TRACE_QQ.jsonl`: the query-lifecycle trace of the paper's
-    /// Query Q.
-    trace: bool,
     /// Rows per `ValueBatch` for the vectorized executors
     /// (`--batch-size`; default: `NRA_BATCH_ROWS`, else 1024).
     batch_rows: Option<usize>,
@@ -97,11 +90,9 @@ fn parse_args() -> Args {
     let mut args = Args {
         scale: 0.5,
         reps: 3,
-        profile: false,
         baseline_write: false,
         baseline_check: false,
         wall_factor: baseline::Tolerance::default().wall_factor,
-        trace: false,
         batch_rows: None,
         metrics: None,
         slow_log: None,
@@ -125,7 +116,6 @@ fn parse_args() -> Args {
                     .and_then(|v| v.parse().ok())
                     .expect("--reps takes an integer")
             }
-            "--profile" => args.profile = true,
             "--baseline-write" => args.baseline_write = true,
             "--baseline-check" => args.baseline_check = true,
             "--wall-factor" => {
@@ -134,7 +124,6 @@ fn parse_args() -> Args {
                     .and_then(|v| v.parse().ok())
                     .expect("--wall-factor takes a number")
             }
-            "--trace" => args.trace = true,
             "--serve" => args.serve = true,
             "--clients" => {
                 args.clients = it
@@ -454,9 +443,6 @@ fn main() {
     if wanted(&args, "ext-agg") {
         ext_agg(&strict, &args);
     }
-    if args.trace {
-        trace_query_q();
-    }
     if args.serve {
         serve_bench(&nullable, &args);
     }
@@ -466,17 +452,8 @@ fn main() {
     if let Some(path) = &args.slow_log {
         write_slow_log(path, &strict, &nullable, &args);
     }
-    if args.profile || args.baseline_write || args.baseline_check {
+    if args.baseline_write || args.baseline_check {
         let profiles = collect_profiles(&strict, &nullable, &args);
-        if args.profile {
-            let dir = std::env::current_dir().expect("cwd");
-            println!("### Execution profiles\n");
-            for qp in &profiles {
-                let path = qp.write_to(&dir).expect("write profile artifact");
-                println!("- wrote {}", path.display());
-            }
-            println!();
-        }
         if args.baseline_write {
             println!("### Baselines\n");
             for qp in &profiles {
@@ -788,27 +765,4 @@ fn check_baselines(profiles: &[profile::QueryProfile], args: &Args) {
         std::process::exit(1);
     }
     println!("baseline check passed\n");
-}
-
-/// `--trace`: run the paper's Query Q over the Section 2 example catalog
-/// with query-lifecycle tracing, print the span tree, and write the JSONL
-/// event stream as `TRACE_QQ.jsonl` (the CI artifact).
-fn trace_query_q() {
-    let db = nra::Database::from_catalog(nra::tpch::paper_example::rst_catalog());
-    let out = db
-        .connect()
-        .execute_with(
-            nra::tpch::paper_example::QUERY_Q,
-            &nra::QueryOptions::new().collect_trace(true),
-        )
-        .expect("paper's Query Q runs");
-    let trace = out.trace.expect("trace collected");
-    println!("### Query-lifecycle trace of the paper's Query Q\n");
-    println!("```");
-    print!("{}", trace.render_tree());
-    println!("-- {} row(s)", out.rows.len());
-    println!("```\n");
-    let path = std::env::current_dir().expect("cwd").join("TRACE_QQ.jsonl");
-    std::fs::write(&path, trace.to_jsonl()).expect("write trace artifact");
-    println!("- wrote {}\n", path.display());
 }

@@ -1,8 +1,8 @@
 //! Shared harness for the paper-reproduction benchmarks.
 //!
-//! Both the Criterion benches (one per figure) and the `experiments`
-//! binary (which prints paper-style tables) go through this module, so a
-//! "series" is defined in exactly one place:
+//! The `experiments` binary (which prints paper-style tables) and the
+//! profile baselines go through this module, so a "series" is defined in
+//! exactly one place:
 //!
 //! * **native** — the System-A-style baseline plans (index probes are
 //!   prepared before timing, as the paper's pre-built indexes are);
@@ -11,7 +11,6 @@
 //! * **NR-optimized** — the single-sort pipelined cascade.
 
 pub mod baseline;
-pub mod harness;
 pub mod profile;
 
 use std::time::{Duration, Instant};
@@ -213,15 +212,6 @@ pub fn bench_catalog(scale: f64) -> Catalog {
 /// The catalog variant without NOT NULL constraints (Query 1 ablation).
 pub fn bench_catalog_nullable(scale: f64) -> Catalog {
     generate(&TpchConfig::scaled(scale).nullable_links(0.0))
-}
-
-/// Scale for `cargo bench` runs (`NRA_BENCH_SCALE`, default 0.05 to keep
-/// Criterion runs quick; the `experiments` binary defaults higher).
-pub fn bench_scale() -> f64 {
-    std::env::var("NRA_BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.05)
 }
 
 /// The paper's X-axis block-size grid, scaled: Query 1 sweeps the outer

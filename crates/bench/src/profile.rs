@@ -4,9 +4,10 @@
 //! observability collector ([`nra_obs`]) and the I/O simulator enabled,
 //! and returns the per-operator [`nra_obs::Profile`]. [`QueryProfile`]
 //! bundles the profiles of every series for one query and serializes the
-//! bundle as JSON (hand-rolled — the workspace carries no serde), which
-//! the `experiments` binary writes as `BENCH_<name>.json` under
-//! `--profile`.
+//! bundle as JSON (hand-rolled — the workspace carries no serde): the
+//! form `experiments --baseline-write` commits as
+//! `crates/bench/baselines/BENCH_<name>.json` and `--baseline-check`
+//! diffs in memory.
 
 use std::io::Write as _;
 

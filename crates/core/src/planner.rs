@@ -96,6 +96,24 @@ impl Engine {
             Engine::Reference => "reference",
         }
     }
+
+    /// Parse an engine name, case-insensitively: every [`Engine::name`]
+    /// plus the shell's short spellings (`nr`, `bottomup`, `pushdown`,
+    /// `positive`, `native`, `oracle`).
+    pub fn parse(name: &str) -> Result<Engine, String> {
+        let strategy = Engine::NestedRelational;
+        Ok(match name.to_ascii_lowercase().as_str() {
+            "auto" | "nr" => strategy(Strategy::Auto),
+            "original" => strategy(Strategy::Original),
+            "optimized" => strategy(Strategy::Optimized),
+            "bottom-up" | "bottomup" => strategy(Strategy::BottomUp),
+            "bottom-up-pushdown" | "pushdown" => strategy(Strategy::BottomUpPushdown),
+            "positive-rewrite" | "positive" => strategy(Strategy::PositiveRewrite),
+            "baseline" | "native" => Engine::Baseline,
+            "reference" | "oracle" => Engine::Reference,
+            other => return Err(format!("unknown engine `{other}`")),
+        })
+    }
 }
 
 /// Why one query block is (or is not) served by the chosen strategy.
@@ -338,5 +356,35 @@ mod tests {
             let rejected = |r: &[(Strategy, String)]| r.iter().map(|(s, _)| *s).collect::<Vec<_>>();
             assert_eq!(rejected(&plan.rejected()), rejected(&d.rejected), "{sql}");
         }
+    }
+
+    /// Every name the system prints parses back to its engine, and the
+    /// shell's short spellings still parse.
+    #[test]
+    fn engine_parse_accepts_every_name_and_spelling() {
+        let engines = Strategy::ALL
+            .into_iter()
+            .chain([Strategy::Auto])
+            .map(Engine::NestedRelational)
+            .chain([Engine::Baseline, Engine::Reference]);
+        for e in engines {
+            assert_eq!(Engine::parse(e.name()), Ok(e), "{}", e.name());
+            assert_eq!(Engine::parse(&e.name().to_uppercase()), Ok(e));
+        }
+        let strategy = Engine::NestedRelational;
+        for (spelling, e) in [
+            ("nr", strategy(Strategy::Auto)),
+            ("bottomup", strategy(Strategy::BottomUp)),
+            ("pushdown", strategy(Strategy::BottomUpPushdown)),
+            ("positive", strategy(Strategy::PositiveRewrite)),
+            ("native", Engine::Baseline),
+            ("oracle", Engine::Reference),
+        ] {
+            assert_eq!(Engine::parse(spelling), Ok(e), "{spelling}");
+        }
+        assert_eq!(
+            Engine::parse("warp"),
+            Err("unknown engine `warp`".to_string())
+        );
     }
 }

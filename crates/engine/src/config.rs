@@ -18,85 +18,8 @@ use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
 use crate::error::EngineError;
-use crate::faultinject::{self, FaultKind};
 use crate::governor::AdmissionConfig;
-use nra_storage::iofault::{self, IoFaultKind};
-
-/// Milliseconds a `delay` fault sleeps when the spec gives none.
-const DEFAULT_DELAY_MS: u64 = 10;
-
-/// The parsed `NRA_FAULT` entries, each `(site, nth, kind)`, split by
-/// the harness that owns the site: [`faultinject::SITES`] or
-/// [`iofault::IO_SITES`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FaultSpecs {
-    pub engine: Vec<(String, u64, FaultKind)>,
-    pub io: Vec<(String, u64, IoFaultKind)>,
-}
-
-/// Parse the `NRA_FAULT` grammar — comma-separated
-/// `site:nth[:kind[:ms]]` — strictly: unknown sites, kinds outside the
-/// site's vocabulary, non-integer counts and stray fields are errors
-/// (the returned string is the `detail` of an [`EngineError::Config`]).
-/// The kind defaults to `panic` at engine sites and `io-error` at I/O
-/// sites; only `delay` takes the milliseconds field.
-pub fn parse_fault_spec(spec: &str) -> Result<FaultSpecs, String> {
-    let mut specs = FaultSpecs::default();
-    for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
-        let parts: Vec<&str> = entry.split(':').map(str::trim).collect();
-        if parts.len() > 4 {
-            return Err(format!("entry `{entry}` has too many `:` fields"));
-        }
-        let site = parts[0];
-        let engine = faultinject::SITES.contains(&site);
-        if !engine && !iofault::IO_SITES.contains(&site) {
-            return Err(format!(
-                "unknown fault site `{site}` (known: {}, {})",
-                faultinject::SITES.join(", "),
-                iofault::IO_SITES.join(", ")
-            ));
-        }
-        let Some(nth) = parts.get(1) else {
-            return Err(format!("entry `{entry}` is missing the `nth` field"));
-        };
-        let nth = nth
-            .parse::<u64>()
-            .map_err(|_| format!("entry `{entry}`: `nth` must be an integer, got `{nth}`"))?;
-        let kind = parts.get(2).copied();
-        let ms = match parts.get(3) {
-            None => DEFAULT_DELAY_MS,
-            Some(_) if kind != Some("delay") => {
-                return Err(format!(
-                    "entry `{entry}`: only `delay` takes a milliseconds field"
-                ));
-            }
-            Some(ms) => ms.parse::<u64>().map_err(|_| {
-                format!("entry `{entry}`: milliseconds must be an integer, got `{ms}`")
-            })?,
-        };
-        let site = site.to_string();
-        match (engine, kind) {
-            (true, None | Some("panic")) => specs.engine.push((site, nth, FaultKind::Panic)),
-            (true, Some("alloc")) => specs.engine.push((site, nth, FaultKind::AllocFail)),
-            (true, Some("delay")) => specs.engine.push((site, nth, FaultKind::Delay(ms))),
-            (false, None | Some("io-error")) => specs.io.push((site, nth, IoFaultKind::IoError)),
-            (false, Some("short-write")) => specs.io.push((site, nth, IoFaultKind::ShortWrite)),
-            (false, Some("crash")) => specs.io.push((site, nth, IoFaultKind::Crash)),
-            (false, Some("delay")) => specs.io.push((site, nth, IoFaultKind::Delay(ms))),
-            (_, Some(kind)) => {
-                let known = if engine {
-                    "alloc, panic, delay"
-                } else {
-                    "short-write, crash, io-error, delay"
-                };
-                return Err(format!(
-                    "entry `{entry}`: unknown fault kind `{kind}` at site `{site}` (known: {known})"
-                ));
-            }
-        }
-    }
-    Ok(specs)
-}
+use nra_storage::fault::{self, Fault};
 
 /// The parsed environment: one plain value per knob, `None` where the
 /// knob is unset and the consumer's built-in default applies.
@@ -106,9 +29,10 @@ pub struct Config {
     pub batch_rows: Option<usize>,
     /// `NRA_MEM_LIMIT`: default per-query memory budget in bytes.
     pub mem_limit: Option<u64>,
-    /// `NRA_FAULT`: faults armed on every query (engine sites) and
-    /// around every durable write (I/O sites).
-    pub faults: FaultSpecs,
+    /// `NRA_FAULT`: the fault entries armed afresh on every query and,
+    /// in one plan for the database's lifetime, around every durable
+    /// write (see `nra_storage::fault`).
+    pub faults: Vec<Fault>,
     /// `NRA_MAX_CONCURRENT` / `NRA_ADMISSION_MEM` /
     /// `NRA_ADMISSION_TIMEOUT_MS`: a database's initial admission caps.
     pub admission: AdmissionConfig,
@@ -181,9 +105,9 @@ impl Config {
     /// [`EngineError::Config`].
     pub fn from_lookup(get: Lookup) -> Result<Config, EngineError> {
         let faults = match get("NRA_FAULT") {
-            None => FaultSpecs::default(),
+            None => Vec::new(),
             Some(spec) => {
-                parse_fault_spec(&spec).map_err(|detail| config_err("NRA_FAULT", &spec, detail))?
+                fault::parse(&spec).map_err(|detail| config_err("NRA_FAULT", &spec, detail))?
             }
         };
         let mut admission = AdmissionConfig::default();
@@ -244,39 +168,14 @@ impl Config {
 mod tests {
     use super::*;
 
-    #[test]
-    fn fault_grammar_splits_entries_by_owner() {
-        let specs = parse_fault_spec(
-            "join-build:1:panic, nest-flush:3:alloc,linking-scan:2, linking-scan:1:delay:25, \
-             nest-flush:1:delay, wal-append:1:short-write,wal-fsync:2:crash, \
-             checkpoint-write:1,snapshot-rename:1:delay:5, ,",
-        )
-        .unwrap();
-        let engine: Vec<_> = specs.engine.iter().map(|e| e.2).collect();
-        assert_eq!(
-            engine,
-            [
-                FaultKind::Panic,
-                FaultKind::AllocFail,
-                FaultKind::Panic,
-                FaultKind::Delay(25),
-                FaultKind::Delay(10),
-            ]
-        );
-        assert_eq!(
-            specs.engine[1],
-            ("nest-flush".into(), 3, FaultKind::AllocFail)
-        );
-        let io: Vec<_> = specs.io.iter().map(|e| e.2).collect();
-        assert_eq!(
-            io,
-            [
-                IoFaultKind::ShortWrite,
-                IoFaultKind::Crash,
-                IoFaultKind::IoError,
-                IoFaultKind::Delay(5),
-            ]
-        );
+    fn fault_detail(spec: &str) -> String {
+        match Config::from_lookup(&|var| (var == "NRA_FAULT").then(|| spec.to_string())) {
+            Err(EngineError::Config { var, value, detail }) => {
+                assert_eq!((var.as_str(), value.as_str()), ("NRA_FAULT", spec));
+                detail
+            }
+            other => panic!("spec `{spec}`: expected a config error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -294,8 +193,18 @@ mod tests {
             ("join-build:1:delay:5:x", "too many"),
         ];
         for (spec, needle) in cases {
-            let err = parse_fault_spec(spec).unwrap_err();
+            let err = fault_detail(spec);
             assert!(err.contains(needle), "spec `{spec}`: got `{err}`");
         }
+        assert_eq!(
+            fault_detail("join-build:1:crash"),
+            "entry `join-build:1:crash`: unknown fault kind `crash` at site `join-build` \
+             (known: alloc, panic, delay)"
+        );
+        assert_eq!(
+            fault_detail("nonsense"),
+            "unknown fault site `nonsense` (known: join-build, nest-flush, linking-scan, \
+             wal-append, wal-fsync, checkpoint-write, snapshot-rename)"
+        );
     }
 }

@@ -32,8 +32,8 @@ pub struct QueryCtx {
 }
 
 /// The thread-local slot. Scalar fields are plain `Cell`s so the
-/// disarmed fast paths (`governor::charge`/`checkpoint`,
-/// `faultinject::hit`) stay a single load of `flags`.
+/// disarmed fast paths (`governor::charge`/`checkpoint`) stay a single
+/// load of `flags`.
 pub(crate) struct Slot {
     pub(crate) batch_rows: Cell<Option<usize>>,
     pub(crate) governor: RefCell<Option<Arc<Governor>>>,

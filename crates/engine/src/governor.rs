@@ -11,8 +11,8 @@
 //!
 //! 1. **Zero cost when idle.** [`charge`] and [`checkpoint`] open with an
 //!    `#[inline]` check of the context's flag byte; with no limit, no
-//!    deadline, no token, and no fault plan the flag is 0 and both are a
-//!    single thread-local load. The committed benchmark baselines run
+//!    deadline and no token the flag is 0 and both are a single
+//!    thread-local load. The committed benchmark baselines run
 //!    with the governor compiled in but disarmed.
 //! 2. **Exact when armed.** Every memory charge is added straight to the
 //!    [`Governor`]'s counter (one uncontended `Relaxed` `fetch_add` — a
@@ -34,7 +34,6 @@ use std::time::{Duration, Instant};
 
 use crate::ctx::{self, CtxGuard};
 use crate::error::EngineError;
-use crate::faultinject::FaultPlan;
 
 /// Row cadence of cooperative-cancellation checks in row-at-a-time scan
 /// loops (matches the default batch width).
@@ -71,8 +70,8 @@ impl CancelToken {
     }
 }
 
-/// Per-query governance state: the memory budget, cancellation sources,
-/// and the armed fault plan. Built once per query; the query's context
+/// Per-query governance state: the memory budget and cancellation
+/// sources. Built once per query; the query's context
 /// and its lifecycle (which reads `mem_used` at the end) share it via
 /// `Arc`.
 #[derive(Debug, Default)]
@@ -81,7 +80,6 @@ pub struct Governor {
     mem_used: AtomicU64,
     cancel: Option<CancelToken>,
     deadline: Option<Instant>,
-    faults: FaultPlan,
 }
 
 impl Governor {
@@ -108,20 +106,11 @@ impl Governor {
         self
     }
 
-    /// Arm a fault plan (see [`crate::faultinject`]).
-    pub fn faults(mut self, plan: FaultPlan) -> Governor {
-        self.faults = plan;
-        self
-    }
-
     /// Whether installing this governor would arm anything at all.
     /// Ungoverned queries skip installation entirely, keeping the
     /// context's flag byte at 0.
     pub fn is_armed(&self) -> bool {
-        self.mem_limit.is_some()
-            || self.deadline.is_some()
-            || self.cancel.is_some()
-            || !self.faults.is_empty()
+        self.mem_limit.is_some() || self.deadline.is_some() || self.cancel.is_some()
     }
 
     /// Bytes charged so far.
@@ -137,16 +126,12 @@ impl Governor {
         if self.deadline.is_some() || self.cancel.is_some() {
             f |= F_CANCEL;
         }
-        if !self.faults.is_empty() {
-            f |= F_FAULT;
-        }
         f
     }
 }
 
 const F_MEM: u8 = 1;
 const F_CANCEL: u8 = 2;
-const F_FAULT: u8 = 4;
 
 /// Install `gov` (or, with `None`, nothing) as this thread's governor
 /// for the lifetime of the returned guard, leaving the rest of the
@@ -298,33 +283,10 @@ fn checkpoint_armed(phase: &str) -> Result<(), EngineError> {
     })
 }
 
-/// Whether the installed governor (if any) has a non-empty fault plan
-/// (fast-path gate for [`crate::faultinject::hit`]).
-#[inline]
-pub(crate) fn faults_armed() -> bool {
-    ctx::with(|c| c.flags.get()) & F_FAULT != 0
-}
-
-/// Count a pass through the named fault site against the installed
-/// governor's plan.
-pub(crate) fn observe_fault(site: &str) -> Result<(), EngineError> {
-    ctx::with(|c| {
-        let cur = c.governor.borrow();
-        let Some(g) = cur.as_ref() else {
-            return Ok(());
-        };
-        let r = g.faults.observe(site, g.mem_limit.unwrap_or(0));
-        if r.is_err() {
-            nra_obs::metrics::both(|m| {
-                m.counter_add(
-                    "nra_governor_interventions_total",
-                    &[("action", "fault-injected")],
-                    1,
-                )
-            });
-        }
-        r
-    })
+/// The installed governor's memory limit (0 when none is set), as an
+/// injected allocation failure reports it.
+pub(crate) fn mem_limit() -> u64 {
+    ctx::with(|c| c.governor.borrow().as_ref().and_then(|g| g.mem_limit)).unwrap_or(0)
 }
 
 // ---------------------------------------------------------------------
@@ -553,7 +515,8 @@ impl AdmissionController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faultinject::{self, FaultKind};
+    use crate::faultinject;
+    use nra_storage::fault::{self, FaultKind, FaultPlan};
 
     #[test]
     fn ungoverned_thread_is_inert() {
@@ -678,12 +641,13 @@ mod tests {
     fn fault_plan_fires_through_hit() {
         let mut plan = FaultPlan::default();
         plan.push(faultinject::NEST_FLUSH, 1, FaultKind::AllocFail);
-        let g = Arc::new(Governor::new().faults(plan));
-        let _guard = install(Some(g));
+        let _armed = fault::install(plan);
+        let _guard = install(Some(Arc::new(Governor::new().mem_limit(42))));
         assert!(faultinject::hit(faultinject::JOIN_BUILD).is_ok());
+        // The injected failure reports the installed governor's limit.
         assert!(matches!(
             faultinject::hit(faultinject::NEST_FLUSH),
-            Err(EngineError::ResourceExhausted { .. })
+            Err(EngineError::ResourceExhausted { limit: 42, .. })
         ));
         // One-shot: the nth pass has been consumed.
         assert!(faultinject::hit(faultinject::NEST_FLUSH).is_ok());

@@ -12,8 +12,8 @@
 //!   query runs sequentially on its calling thread (see `DESIGN.md` §10);
 //! * [`governor`] — per-query resource governance (memory budgets,
 //!   cooperative cancellation) and admission control;
-//! * [`faultinject`] — deterministic fault injection at named execution
-//!   sites (`NRA_FAULT`), proving every recovery path;
+//! * [`faultinject`] — the operator sites of the fault harness
+//!   (`nra_storage::fault`, `NRA_FAULT`), proving every recovery path;
 //! * [`ops`] — physical operators (scan, filter, project, sort, Cartesian
 //!   product, and hash inner/left-outer/semi/anti joins with residuals);
 //! * [`planning`] — helpers splitting join conditions into hash keys and
@@ -45,6 +45,5 @@ pub use config::Config;
 pub use ctx::QueryCtx;
 pub use error::EngineError;
 pub use expr::{CExpr, CPred};
-pub use faultinject::{FaultKind, FaultPlan};
 pub use governor::{AdmissionConfig, AdmissionController, AdmissionPermit, CancelToken, Governor};
 pub use ops::{join, JoinKind, JoinSpec};

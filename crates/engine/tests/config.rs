@@ -34,13 +34,17 @@ fn every_knob_parses_strictly() {
         ("NRA_MEM_LIMIT", "1024", "mem_limit: Some(1024)"),
         ("NRA_MEM_LIMIT", "1GB", REJECT),
         ("NRA_MEM_LIMIT", "-5", REJECT),
-        ("NRA_FAULT", "join-build:1", "(\"join-build\", 1, Panic)"),
+        (
+            "NRA_FAULT",
+            "join-build:1",
+            "site: \"join-build\", nth: 1, kind: Panic",
+        ),
         (
             "NRA_FAULT",
             "wal-fsync:2:crash",
-            "(\"wal-fsync\", 2, Crash)",
+            "site: \"wal-fsync\", nth: 2, kind: Crash",
         ),
-        ("NRA_FAULT", "", "engine: [], io: []"),
+        ("NRA_FAULT", "", "faults: []"),
         ("NRA_FAULT", "bogus", REJECT),
         ("NRA_FAULT", "partition-merge:1", REJECT),
         ("NRA_MAX_CONCURRENT", "8", "max_concurrent: Some(8)"),

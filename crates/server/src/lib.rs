@@ -51,7 +51,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use nra::{Database, Engine, NraError, QueryOptions, Session, Strategy};
+use nra::{Database, Engine, NraError, QueryOptions, Session};
 
 /// How often a blocked reader wakes up — to check the shutdown flag on
 /// the server side, or to re-poll the socket in [`Client`]. Bounds
@@ -418,7 +418,7 @@ impl Connection {
                 self.config.engine = if off {
                     None
                 } else {
-                    Some(parse_engine(value)?)
+                    Some(Engine::parse(value)?)
                 }
             }
             // Accepted and ignored — execution is sequential per query —
@@ -495,20 +495,6 @@ impl Connection {
         self.stream.write_all(self.out.as_bytes())?;
         self.stream.flush()
     }
-}
-
-fn parse_engine(value: &str) -> Result<Engine, String> {
-    Ok(match value.to_ascii_lowercase().as_str() {
-        "nr" => Engine::NestedRelational(Strategy::Auto),
-        "original" => Engine::NestedRelational(Strategy::Original),
-        "optimized" => Engine::NestedRelational(Strategy::Optimized),
-        "bottomup" => Engine::NestedRelational(Strategy::BottomUp),
-        "pushdown" => Engine::NestedRelational(Strategy::BottomUpPushdown),
-        "positive" => Engine::NestedRelational(Strategy::PositiveRewrite),
-        "baseline" | "native" => Engine::Baseline,
-        "oracle" | "reference" => Engine::Reference,
-        other => return Err(format!("unknown engine `{other}`")),
-    })
 }
 
 // ---------------------------------------------------------------------

@@ -26,7 +26,7 @@ use crate::catalog::{Catalog, ColumnStats, Table, TableStats};
 use crate::checksum::crc32;
 use crate::column::{ColumnData, ColumnStore};
 use crate::error::StorageError;
-use crate::iofault::{self, IoFailure};
+use crate::fault::{self, FaultKind};
 use crate::schema::{Column, ColumnType, Schema};
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -478,22 +478,22 @@ pub fn write_snapshot(dir: &Path, catalog: &Catalog, lsn: u64) -> Result<PathBuf
             .map_err(|e| io_err("write snapshot tmp", e))?;
         f.sync_all().map_err(|e| io_err("fsync snapshot tmp", e))
     };
-    match iofault::hit(iofault::CHECKPOINT_WRITE) {
-        Some(IoFailure::ShortWrite) => {
+    match fault::hit(fault::CHECKPOINT_WRITE).map(|(kind, _)| kind) {
+        Some(FaultKind::ShortWrite) => {
             write_tmp(&bytes[..bytes.len() / 2])?;
             return Err(StorageError::Io(
                 "injected short write at checkpoint-write (partial snapshot tmp left behind)"
                     .into(),
             ));
         }
-        Some(IoFailure::Crash) => {
+        Some(FaultKind::Crash) => {
             write_tmp(&bytes)?;
             return Err(StorageError::Io(
                 "injected crash at checkpoint-write (snapshot tmp complete but not installed)"
                     .into(),
             ));
         }
-        Some(IoFailure::IoError) => {
+        Some(_) => {
             return Err(StorageError::Io(
                 "injected I/O error at checkpoint-write".into(),
             ));
@@ -501,8 +501,8 @@ pub fn write_snapshot(dir: &Path, catalog: &Catalog, lsn: u64) -> Result<PathBuf
         None => {}
     }
     write_tmp(&bytes)?;
-    match iofault::hit(iofault::SNAPSHOT_RENAME) {
-        Some(IoFailure::Crash) => {
+    match fault::hit(fault::SNAPSHOT_RENAME).map(|(kind, _)| kind) {
+        Some(FaultKind::Crash) => {
             fs::rename(&tmp, &dest).map_err(|e| io_err("rename snapshot", e))?;
             sync_dir(dir)?;
             return Err(StorageError::Io(

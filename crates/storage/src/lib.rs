@@ -17,8 +17,8 @@ pub mod column;
 pub mod csv;
 pub mod disk;
 pub mod error;
+pub mod fault;
 pub mod index;
-pub mod iofault;
 pub mod iosim;
 pub mod relation;
 pub mod rng;

@@ -31,7 +31,7 @@ use crate::catalog::TableStats;
 use crate::checksum::crc32;
 use crate::disk::{self, Cursor};
 use crate::error::StorageError;
-use crate::iofault::{self, IoFailure};
+use crate::fault::{self, FaultKind};
 use crate::tuple::Tuple;
 
 const MAGIC: &[u8; 8] = b"NRAWAL01";
@@ -181,8 +181,8 @@ impl WalWriter {
         buf.extend_from_slice(&crc32(&body).to_le_bytes());
         buf.extend_from_slice(&body);
         let start = self.len;
-        match iofault::hit(iofault::WAL_APPEND) {
-            Some(IoFailure::ShortWrite) => {
+        match fault::hit(fault::WAL_APPEND).map(|(kind, _)| kind) {
+            Some(FaultKind::ShortWrite) => {
                 // A prefix of the record reaches disk: exactly the torn
                 // tail recovery must truncate.
                 let torn = &buf[..buf.len() / 2];
@@ -197,13 +197,13 @@ impl WalWriter {
                     buf.len()
                 )));
             }
-            Some(IoFailure::Crash) => {
+            Some(FaultKind::Crash) => {
                 self.poisoned = true;
                 return Err(StorageError::Io(
                     "injected crash at wal-append (record not written)".into(),
                 ));
             }
-            Some(IoFailure::IoError) => {
+            Some(_) => {
                 return Err(StorageError::Io("injected I/O error at wal-append".into()));
             }
             None => {}
@@ -212,7 +212,7 @@ impl WalWriter {
             self.poisoned = true;
             return Err(io_err("write wal record", e));
         }
-        let fsync_failed = iofault::hit(iofault::WAL_FSYNC).map(|_| {
+        let fsync_failed = fault::hit(fault::WAL_FSYNC).map(|_| {
             StorageError::Io("injected fsync failure at wal-fsync (append rolled back)".into())
         });
         let fsync_failed = match fsync_failed {
@@ -563,9 +563,9 @@ mod tests {
         let mut w = WalWriter::open_append(&path).unwrap();
         w.append_sync(1, &sample_records()[0]).unwrap();
         let committed = w.len();
-        let mut plan = iofault::IoFaultPlan::default();
-        plan.push(iofault::WAL_FSYNC, 1, crate::iofault::IoFaultKind::IoError);
-        let guard = iofault::install(plan);
+        let mut plan = fault::FaultPlan::default();
+        plan.push(fault::WAL_FSYNC, 1, FaultKind::IoError);
+        let guard = fault::install(plan);
         let err = w.append_sync(2, &sample_records()[1]).unwrap_err();
         drop(guard);
         assert!(matches!(err, StorageError::Io(_)));
@@ -580,13 +580,9 @@ mod tests {
     fn short_write_poisons_until_reopen() {
         let path = tmpfile("poison");
         let mut w = WalWriter::open_append(&path).unwrap();
-        let mut plan = iofault::IoFaultPlan::default();
-        plan.push(
-            iofault::WAL_APPEND,
-            1,
-            crate::iofault::IoFaultKind::ShortWrite,
-        );
-        let guard = iofault::install(plan);
+        let mut plan = fault::FaultPlan::default();
+        plan.push(fault::WAL_APPEND, 1, FaultKind::ShortWrite);
+        let guard = fault::install(plan);
         w.append_sync(1, &sample_records()[0]).unwrap_err();
         drop(guard);
         let err = w.append_sync(2, &sample_records()[1]).unwrap_err();

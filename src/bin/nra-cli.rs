@@ -15,6 +15,7 @@
 //! :export <table> <file.csv>    dump a table to CSV
 //! :tables                       list tables with row counts
 //! :engine <auto|original|optimized|bottomup|pushdown|positive|baseline|oracle>
+//!                               (or any engine name nra_sys.queries prints)
 //! :timeout <ms|off>             cancel queries cooperatively after a deadline
 //! :memlimit <bytes|off>         per-query memory budget for governed allocations
 //! :explain <sql>                the plan :engine builds + each arm's tree expression
@@ -475,17 +476,7 @@ impl Shell {
     }
 
     fn cmd_engine(&mut self, args: &str) -> Result<(), String> {
-        self.engine = match args.to_ascii_lowercase().as_str() {
-            "auto" | "nr" => Engine::NestedRelational(Strategy::Auto),
-            "original" => Engine::NestedRelational(Strategy::Original),
-            "optimized" => Engine::NestedRelational(Strategy::Optimized),
-            "bottomup" => Engine::NestedRelational(Strategy::BottomUp),
-            "pushdown" => Engine::NestedRelational(Strategy::BottomUpPushdown),
-            "positive" => Engine::NestedRelational(Strategy::PositiveRewrite),
-            "baseline" | "native" => Engine::Baseline,
-            "oracle" | "reference" => Engine::Reference,
-            other => return Err(format!("unknown engine `{other}`")),
-        };
+        self.engine = Engine::parse(args)?;
         println!("engine set to {:?}", self.engine);
         self.sync_defaults();
         Ok(())
@@ -564,6 +555,7 @@ const HELP: &str = "\
 :tables                       list tables with row counts
 :checkpoint                   snapshot a durable database and truncate its WAL
 :engine <auto|original|optimized|bottomup|pushdown|positive|baseline|oracle>
+                              (or any engine name nra_sys.queries prints)
 :timeout <ms|off>             cancel queries cooperatively after a deadline
 :memlimit <bytes|off>         per-query memory budget for governed allocations
 :explain <sql>                the plan :engine builds + each arm's tree expression

@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 
 use nra_engine::{Config, EngineError};
 use nra_obs::metrics;
-use nra_storage::iofault::{self, IoFaultPlan};
+use nra_storage::fault::{self, FaultPlan};
 use nra_storage::wal::{self, WalRecord, WalWriter};
 use nra_storage::{disk, Catalog, StorageError};
 
@@ -90,9 +90,9 @@ pub(crate) struct Durability {
     snapshot_lsn: u64,
     records_since_checkpoint: u64,
     checkpoint_every: u64,
-    /// The I/O-site entries of the database's `NRA_FAULT`, armed around
-    /// every durable write (`None` when there are none).
-    io_faults: Option<Arc<IoFaultPlan>>,
+    /// The database's `NRA_FAULT` entries as one plan for its lifetime,
+    /// armed around every durable write (`None` when there are none).
+    faults: Option<Arc<FaultPlan>>,
     report: RecoveryReport,
     poisoned: Option<String>,
 }
@@ -144,13 +144,7 @@ impl Database {
         // A malformed environment refuses the open before anything is
         // created on disk.
         let config = Config::from_env().map_err(NraError::Engine)?;
-        let io_faults = (!config.faults.io.is_empty()).then(|| {
-            let mut plan = IoFaultPlan::default();
-            for (site, nth, kind) in &config.faults.io {
-                plan.push(site, *nth, *kind);
-            }
-            Arc::new(plan)
-        });
+        let faults = (!config.faults.is_empty()).then(|| Arc::new(FaultPlan::new(&config.faults)));
         let dir = path.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).map_err(|e| io_nra("create db directory", e))?;
 
@@ -205,7 +199,7 @@ impl Database {
             last_lsn,
             snapshot_lsn,
             checkpoint_every: config.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
-            io_faults,
+            faults,
             report,
             poisoned: None,
         };
@@ -265,7 +259,7 @@ impl Database {
             ))));
         }
         let lsn = d.last_lsn;
-        let _faults = d.io_faults.clone().map(iofault::install);
+        let _faults = d.faults.clone().map(fault::install);
         disk::write_snapshot(&d.dir, &cat, lsn).map_err(storage_err)?;
         // The snapshot is installed; resetting the log is safe even if
         // the process dies first — replay skips lsn ≤ snapshot lsn.
@@ -291,7 +285,7 @@ impl Database {
             ))));
         }
         let lsn = d.last_lsn + 1;
-        let _faults = d.io_faults.clone().map(iofault::install);
+        let _faults = d.faults.clone().map(fault::install);
         match d.wal.append_sync(lsn, rec) {
             Ok(bytes) => {
                 d.last_lsn = lsn;

@@ -86,4 +86,5 @@ pub use nra_storage as storage;
 pub use nra_tpch as tpch;
 
 pub use nra_core::{Engine, Strategy};
-pub use nra_engine::{AdmissionConfig, AdmissionController, CancelToken, FaultKind};
+pub use nra_engine::{AdmissionConfig, AdmissionController, CancelToken};
+pub use nra_storage::fault::FaultKind;

@@ -10,7 +10,8 @@
 //!    `explain_only` return before any per-query state exists.
 //! 3. **Stages** — admission permit → catalog read guard → [`Stages`]
 //!    (registry entry → one observability slot: profile, trace, progress,
-//!    per-query metrics, I/O simulator → governor + batch width). Every
+//!    per-query metrics, I/O simulator → governor + batch width → a
+//!    fresh fault plan). Every
 //!    stage is RAII: whatever was acquired is released in reverse order on
 //!    every path out, including an unwind.
 //! 4. **Run** — [`Database::run_statements`] under `exec::contain`.
@@ -32,6 +33,7 @@ use nra_obs::progress::{self, ProgressState};
 use nra_obs::queryreg::{QueryRecord, QueryRegistry};
 use nra_obs::trace::{self, TraceEvent};
 use nra_obs::{slowlog, ObsGuard, Observers, Profile};
+use nra_storage::fault::{self, FaultGuard, FaultPlan};
 use nra_storage::{Catalog, Relation};
 
 use crate::{sys, Database, NraError, QueryOptions, QueryOutcome};
@@ -90,6 +92,9 @@ impl Database {
             return Ok(QueryOutcome::plan_only(plan.explain(&cat)));
         }
 
+        // A fault entry its site refuses fails before anything runs.
+        let faults = options.fault_plan(config)?;
+
         // A refused query never registers, traces or profiles: the gate
         // sits before any per-query state exists. The permit reserves
         // exactly the budget the query's governor will enforce.
@@ -108,7 +113,7 @@ impl Database {
             config,
             caller,
         };
-        let stages = Stages::enter(self, &query, ambient);
+        let stages = Stages::enter(self, &query, ambient, faults);
         let progress = stages.entry.as_ref().map(|e| &*e.progress);
 
         // One checkpoint before any work: an already-cancelled token or
@@ -191,6 +196,8 @@ struct Summary {
 /// top to bottom, so an early return or unwind releases the last stage
 /// first.
 struct Stages<'a> {
+    /// The query's own fault plan, armed on this thread.
+    _faults: Option<FaultGuard>,
     ctx: ctx::CtxGuard,
     governor: Option<Arc<Governor>>,
     /// Profile, trace, progress, per-query metrics and the I/O simulator,
@@ -206,7 +213,12 @@ struct Stages<'a> {
 }
 
 impl<'a> Stages<'a> {
-    fn enter(db: &'a Database, q: &Query<'_>, ambient: QueryCtx) -> Stages<'a> {
+    fn enter(
+        db: &'a Database,
+        q: &Query<'_>,
+        ambient: QueryCtx,
+        faults: Option<FaultPlan>,
+    ) -> Stages<'a> {
         // A fresh per-query registry on this thread; the
         // process-cumulative registry keeps accumulating regardless.
         let query_metrics = (q.options.collect_metrics || q.config.metrics_path.is_some())
@@ -246,6 +258,7 @@ impl<'a> Stages<'a> {
             governor: governor.clone(),
         });
         Stages {
+            _faults: faults.map(fault::install),
             ctx,
             governor,
             obs,
@@ -267,6 +280,7 @@ impl<'a> Stages<'a> {
         result: Executed,
     ) -> Result<QueryOutcome, NraError> {
         let Stages {
+            _faults,
             ctx,
             governor,
             obs,

@@ -3,7 +3,8 @@
 //! [`Database::execute`](crate::Database::execute) call.
 
 use nra_core::{Engine, Strategy};
-use nra_engine::{CancelToken, Config, FaultKind, FaultPlan, Governor};
+use nra_engine::{CancelToken, Config, EngineError, Governor};
+use nra_storage::fault::{Fault, FaultKind, FaultPlan};
 use nra_storage::{Relation, Schema};
 
 use crate::obs;
@@ -34,7 +35,7 @@ pub struct QueryOptions {
     pub(crate) mem_limit_bytes: Option<u64>,
     timeout_ms: Option<u64>,
     cancel: Option<CancelToken>,
-    faults: Vec<(String, u64, FaultKind)>,
+    faults: Vec<Fault>,
     pub(crate) slow_ms: Option<u64>,
     pub(crate) slow_log: Option<std::path::PathBuf>,
     pub(crate) plan_cache: Option<bool>,
@@ -135,11 +136,14 @@ impl QueryOptions {
         self
     }
 
-    /// Arm a deterministic fault at a named execution site (see
-    /// [`crate::engine::faultinject`]) — the test-harness API behind the
-    /// `NRA_FAULT` environment variable.
+    /// Arm a deterministic fault at a named operator site (see
+    /// [`crate::storage::fault`]) — the test-harness API behind the
+    /// `NRA_FAULT` environment variable. The call's entries replace the
+    /// database's `NRA_FAULT` entries; a kind the site does not accept
+    /// fails the query with [`EngineError::Config`].
     pub fn fault(mut self, site: impl Into<String>, nth: u64, kind: FaultKind) -> QueryOptions {
-        self.faults.push((site.into(), nth, kind));
+        let site = site.into();
+        self.faults.push(Fault { site, nth, kind });
         self
     }
 
@@ -174,8 +178,7 @@ impl QueryOptions {
     }
 
     /// The [`Governor`] these options describe over the database's
-    /// `config` defaults (`NRA_MEM_LIMIT`, the engine-site entries of
-    /// `NRA_FAULT`); `None` when nothing is armed.
+    /// `config` defaults (`NRA_MEM_LIMIT`); `None` when nothing is armed.
     pub(crate) fn governor(&self, config: &Config) -> Option<Governor> {
         let mut gov = Governor::new();
         if let Some(bytes) = self.mem_limit_bytes.or(config.mem_limit) {
@@ -187,19 +190,25 @@ impl QueryOptions {
         if let Some(token) = &self.cancel {
             gov = gov.cancel_token(token.clone());
         }
+        gov.is_armed().then_some(gov)
+    }
+
+    /// The fresh fault plan one query arms: this call's entries, else the
+    /// database's `NRA_FAULT` entries; `None` when there are none.
+    pub(crate) fn fault_plan(&self, config: &Config) -> Result<Option<FaultPlan>, EngineError> {
+        for f in &self.faults {
+            f.check().map_err(|detail| EngineError::Config {
+                var: "QueryOptions::fault".to_string(),
+                value: f.to_string(),
+                detail,
+            })?;
+        }
         let faults = if self.faults.is_empty() {
-            &config.faults.engine
+            &config.faults
         } else {
             &self.faults
         };
-        if !faults.is_empty() {
-            let mut plan = FaultPlan::default();
-            for (site, nth, kind) in faults {
-                plan.push(site.clone(), *nth, *kind);
-            }
-            gov = gov.faults(plan);
-        }
-        gov.is_armed().then_some(gov)
+        Ok((!faults.is_empty()).then(|| FaultPlan::new(faults)))
     }
 }
 

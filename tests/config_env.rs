@@ -8,8 +8,9 @@
 use std::sync::Mutex;
 
 use nra::engine::EngineError;
+use nra::storage::fault::{self, FaultKind};
 use nra::storage::{Column, ColumnType, Value};
-use nra::{Database, NraError, QueryOptions};
+use nra::{Database, Engine, NraError, QueryOptions, Strategy};
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
@@ -116,4 +117,106 @@ fn open_refuses_a_malformed_environment_up_front() {
         .expect("the fault fires once; the failed insert left no trace");
     assert_eq!(db.catalog().table("t").unwrap().len(), 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One `NRA_FAULT` value, two plan lifetimes: every query arms a fresh
+/// plan, so each fails at its own first join build; the durable database
+/// arms one plan for its lifetime, so only its first write fails.
+#[test]
+fn queries_get_a_fresh_plan_and_the_database_keeps_one() {
+    let dir = std::env::temp_dir().join(format!("nra-config-faults-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Built under the lock, so no other test's environment leaks in.
+    with_env(&[], || {
+        let db = Database::open(&dir).unwrap();
+        db.create_table("t", vec![Column::not_null("a", ColumnType::Int)], &["a"])
+            .unwrap();
+        db.insert("t", vec![vec![Value::Int(1)], vec![Value::Int(2)]])
+            .unwrap();
+    });
+    let db = with_env(
+        &[("NRA_FAULT", "join-build:1:alloc,wal-append:1:io-error")],
+        || Database::open(&dir).unwrap(),
+    );
+    let join = "select a from t where exists (select * from t u where u.a = t.a)";
+    let opts = QueryOptions::new().engine(Engine::NestedRelational(Strategy::Original));
+    for _ in 0..3 {
+        match db.execute(join, &opts) {
+            Err(NraError::Engine(EngineError::ResourceExhausted { operator, .. })) => {
+                assert_eq!(operator, fault::JOIN_BUILD)
+            }
+            other => panic!("expected the query's own join-build fault, got {other:?}"),
+        }
+    }
+    assert_eq!(db.execute("select a from t", &opts).unwrap().rows.len(), 2);
+
+    let err = db.insert("t", vec![vec![Value::Int(3)]]).unwrap_err();
+    assert!(
+        err.to_string().contains("injected I/O error at wal-append"),
+        "{err}"
+    );
+    for a in [3, 4] {
+        db.insert("t", vec![vec![Value::Int(a)]])
+            .expect("the database plan's wal-append fault has fired");
+    }
+    assert_eq!(db.catalog().table("t").unwrap().len(), 4);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every (site, kind) pair the registry refuses is a structured error
+/// naming the entry — through `NRA_FAULT` and through
+/// `QueryOptions::fault` — and the database keeps answering.
+#[test]
+fn refused_fault_kinds_are_structured_errors() {
+    let kinds = [
+        FaultKind::AllocFail,
+        FaultKind::Panic,
+        FaultKind::Delay(1),
+        FaultKind::ShortWrite,
+        FaultKind::Crash,
+        FaultKind::IoError,
+    ];
+    let refused: Vec<(&str, FaultKind)> = fault::SITES
+        .iter()
+        .flat_map(|site| kinds.map(|kind| (site, kind)))
+        .filter(|(site, kind)| !site.kinds.contains(&kind.name()))
+        .map(|(site, kind)| (site.name, kind))
+        .collect();
+    assert_eq!(refused.len(), 3 * 3 + 4 * 2);
+
+    let db = with_env(&[], test_db);
+    for (site, kind) in refused {
+        let entry = format!("{site}:1:{}", kind.name());
+        let refusal = format!("unknown fault kind `{}` at site `{site}`", kind.name());
+        let check = |err: Result<_, NraError>, var: &str| match err {
+            Err(NraError::Engine(EngineError::Config {
+                var: v,
+                value,
+                detail,
+            })) => {
+                assert_eq!((v.as_str(), value.as_str()), (var, entry.as_str()));
+                assert!(detail.contains(&format!("entry `{entry}`")), "{detail}");
+                assert!(detail.contains(&refusal), "{detail}");
+            }
+            other => panic!("{entry} through {var}: expected a config error, got {other:?}"),
+        };
+
+        let configured = with_env(&[("NRA_FAULT", &entry)], test_db);
+        for _ in 0..2 {
+            check(
+                configured.execute("select a from t", &QueryOptions::new()),
+                "NRA_FAULT",
+            );
+        }
+
+        let opts = QueryOptions::new().fault(site, 1, kind);
+        check(db.execute("select a from t", &opts), "QueryOptions::fault");
+        let out = db.execute("select a from t", &QueryOptions::new()).unwrap();
+        assert_eq!(
+            out.rows.len(),
+            2,
+            "the database keeps answering after {entry}"
+        );
+    }
 }

@@ -9,13 +9,13 @@
 //! committed state, and a failed (unacknowledged) mutation must never
 //! surface after recovery.
 //!
-//! Fault plans install thread-locally (`nra::storage::iofault`), so
+//! Fault plans install thread-locally (`nra::storage::fault`), so
 //! these tests are safe under the default concurrent test runner.
 
 use std::path::PathBuf;
 
 use nra::engine::EngineError;
-use nra::storage::iofault::{self, IoFaultKind, IoFaultPlan};
+use nra::storage::fault::{self, FaultKind, FaultPlan};
 use nra::storage::{Column, ColumnType, Tuple, Value};
 use nra::{Database, NraError, QueryOptions};
 use nra_tpch::{generate, q1_sql, q2_sql, Quant, TpchConfig};
@@ -235,9 +235,9 @@ fn failed_append_poisons_durable_mutations_until_reopen() {
 
     // A short write leaves the tail in an unknown state: the writer
     // poisons itself and refuses further appends on this handle.
-    let mut plan = IoFaultPlan::default();
-    plan.push(iofault::WAL_APPEND, 1, IoFaultKind::ShortWrite);
-    let guard = iofault::install(plan);
+    let mut plan = FaultPlan::default();
+    plan.push(fault::WAL_APPEND, 1, FaultKind::ShortWrite);
+    let guard = fault::install(plan);
     assert!(db.insert("kv", kv_rows(0..5)).is_err());
     drop(guard);
 
@@ -269,9 +269,9 @@ fn fsync_failure_rolls_back_without_poisoning() {
     let db = Database::open(&dir).unwrap();
     db.create_table("kv", kv_columns(), &["k"]).unwrap();
 
-    let mut plan = IoFaultPlan::default();
-    plan.push(iofault::WAL_FSYNC, 1, IoFaultKind::IoError);
-    let guard = iofault::install(plan);
+    let mut plan = FaultPlan::default();
+    plan.push(fault::WAL_FSYNC, 1, FaultKind::IoError);
+    let guard = fault::install(plan);
     assert!(db.insert("kv", kv_rows(0..5)).is_err());
     drop(guard);
 
@@ -327,16 +327,12 @@ fn crash_matrix_recovers_committed_state_byte_identically() {
         assert_eq!(expected[3].len(), 25);
     }
 
-    let cells: Vec<(&str, IoFaultKind)> = iofault::IO_SITES
+    let cells: Vec<(&str, FaultKind)> = fault::IO_SITES
         .iter()
         .flat_map(|site| {
-            [
-                IoFaultKind::ShortWrite,
-                IoFaultKind::Crash,
-                IoFaultKind::IoError,
-            ]
-            .into_iter()
-            .map(move |kind| (*site, kind))
+            [FaultKind::ShortWrite, FaultKind::Crash, FaultKind::IoError]
+                .into_iter()
+                .map(move |kind| (*site, kind))
         })
         .collect();
     assert_eq!(cells.len(), 12);
@@ -345,13 +341,13 @@ fn crash_matrix_recovers_committed_state_byte_identically() {
         let db =
             Database::open(&dir).unwrap_or_else(|e| panic!("reopen before {site}:{kind:?}: {e}"));
 
-        let mut plan = IoFaultPlan::default();
+        let mut plan = FaultPlan::default();
         plan.push(site, 1, kind);
-        let guard = iofault::install(plan);
+        let guard = fault::install(plan);
         // Drive a mutation into the armed site: WAL sites fire on the
         // insert's append/fsync, snapshot sites on the checkpoint.
         let attempt = match site {
-            iofault::WAL_APPEND | iofault::WAL_FSYNC => {
+            fault::WAL_APPEND | fault::WAL_FSYNC => {
                 db.insert("t_commit", kv_rows(1000..1010)).map(|_| 0)
             }
             _ => db.checkpoint(),
@@ -378,9 +374,9 @@ fn crash_matrix_recovers_committed_state_byte_identically() {
     // Delay is a latency fault, not a failure: the mutation succeeds.
     {
         let db = Database::open(&dir).unwrap();
-        let mut plan = IoFaultPlan::default();
-        plan.push(iofault::WAL_APPEND, 1, IoFaultKind::Delay(1));
-        let guard = iofault::install(plan);
+        let mut plan = FaultPlan::default();
+        plan.push(fault::WAL_APPEND, 1, FaultKind::Delay(1));
+        let guard = fault::install(plan);
         db.insert("t_commit", kv_rows(2000..2005)).unwrap();
         drop(guard);
         drop(db);

@@ -3,8 +3,9 @@
 //! fault-injection matrix — all over the paper's Query Q so the
 //! "database stays usable" half of each test checks a real answer.
 
-use nra::engine::{faultinject, EngineError};
+use nra::engine::EngineError;
 use nra::obs::trace::{self, TraceEvent};
+use nra::storage::fault;
 use nra::tpch::paper_example::{expected_query_q_result, rst_catalog, QUERY_Q};
 use nra::{
     AdmissionConfig, CancelToken, Database, Engine, FaultKind, NraError, QueryOptions, Strategy,
@@ -233,7 +234,7 @@ fn fault_matrix_structured_errors_and_recovery() {
     let clean = baseline(&db, &opts());
     let sql = format!("{QUERY_Q} limit 880005");
 
-    for site in faultinject::SITES {
+    for site in fault::OPERATOR_SITES {
         for kind in [FaultKind::AllocFail, FaultKind::Panic] {
             let err = db
                 .connect()
@@ -250,7 +251,7 @@ fn fault_matrix_structured_errors_and_recovery() {
                     matches!(err, EngineError::WorkerPanicked { .. }),
                     "{site}:{kind:?}: {err:?}"
                 ),
-                FaultKind::Delay(_) => unreachable!(),
+                _ => unreachable!(),
             }
             assert_lifecycle_balanced(&db, &sql, &format!("{site}:{kind:?}"));
 
@@ -272,7 +273,7 @@ fn delay_fault_does_not_change_results() {
     let clean = baseline(&db, &QueryOptions::new());
     let delayed = baseline(
         &db,
-        &QueryOptions::new().fault(faultinject::JOIN_BUILD, 1, FaultKind::Delay(1)),
+        &QueryOptions::new().fault(fault::JOIN_BUILD, 1, FaultKind::Delay(1)),
     );
     assert_eq!(clean.rows(), delayed.rows());
 }
@@ -341,7 +342,7 @@ fn pushdown_strategy_is_governed() {
     for kind in [FaultKind::AllocFail, FaultKind::Panic] {
         let err = engine_err(
             db.connect()
-                .execute_with(sql, &opts().fault(faultinject::NEST_FLUSH, 1, kind))
+                .execute_with(sql, &opts().fault(fault::NEST_FLUSH, 1, kind))
                 .map(|o| o.rows.len())
                 .expect_err("injected nest-flush fault must surface"),
         );
@@ -355,7 +356,7 @@ fn pushdown_strategy_is_governed() {
             FaultKind::Panic => {
                 assert!(matches!(err, EngineError::WorkerPanicked { .. }), "{err:?}")
             }
-            FaultKind::Delay(_) => unreachable!(),
+            _ => unreachable!(),
         }
     }
 

@@ -12,7 +12,8 @@
 
 use std::sync::Arc;
 
-use nra::engine::{faultinject, EngineError};
+use nra::engine::EngineError;
+use nra::storage::fault;
 use nra::storage::{Column, ColumnType, Value};
 use nra::{AdmissionConfig, Database, FaultKind, NraError, QueryOptions};
 use nra_tpch::{generate, q1_sql, q2_sql, Quant, TpchConfig};
@@ -319,7 +320,7 @@ fn concurrent_reads_overlap_under_the_catalog_lock() {
                     .execute_with(
                         sql,
                         &QueryOptions::new().fault(
-                            faultinject::JOIN_BUILD,
+                            fault::JOIN_BUILD,
                             1,
                             FaultKind::Delay(DELAY_MS),
                         ),
@@ -366,7 +367,7 @@ fn admission_timeout_rejects_queued_queries() {
             db.connect()
                 .execute_with(
                     slow_sql,
-                    &QueryOptions::new().fault(faultinject::JOIN_BUILD, 1, FaultKind::Delay(600)),
+                    &QueryOptions::new().fault(fault::JOIN_BUILD, 1, FaultKind::Delay(600)),
                 )
                 .unwrap()
         })
