@@ -234,7 +234,7 @@ impl Table {
 
     /// Everything derived from the rows — indexes, stats, the row image —
     /// is stale after an insert.
-    fn invalidate_derived(&mut self) {
+    pub(crate) fn invalidate_derived(&mut self) {
         self.hash_indexes.clear();
         self.ordered_indexes.clear();
         self.image.take();

@@ -72,6 +72,16 @@ impl<'a> Cursor<'a> {
         self.pos == self.buf.len()
     }
 
+    /// Succeeds only when every byte has been read: a record's payload
+    /// must end where its length says it does.
+    pub(crate) fn finish(&self) -> Result<(), String> {
+        if self.is_at_end() {
+            Ok(())
+        } else {
+            Err("trailing bytes after record payload".into())
+        }
+    }
+
     /// A reservation for `count` entries of at least `min_size` encoded
     /// bytes each, bounded by what the rest of the buffer can hold: a
     /// count read from input never sizes an allocation on its own.
@@ -298,18 +308,48 @@ pub(crate) fn put_rows(buf: &mut Vec<u8>, rows: &[Tuple]) {
     }
 }
 
+/// A row count read from input, as a `usize` for [`Cursor::capacity_for`]
+/// (saturating where `usize` is narrower; the bytes bound it anyway).
+fn input_count(n: u64) -> usize {
+    usize::try_from(n).unwrap_or(usize::MAX)
+}
+
 pub(crate) fn get_rows(cur: &mut Cursor<'_>) -> Result<Vec<Tuple>, String> {
-    let n = cur.u64()? as usize;
-    let mut rows = Vec::with_capacity(n.min(1 << 20));
+    let n = cur.u64()?;
+    // Each row: arity (4); each value: its tag (1).
+    let mut rows = Vec::with_capacity(cur.capacity_for(input_count(n), 4));
     for _ in 0..n {
         let arity = cur.u32()? as usize;
-        let mut row = Vec::with_capacity(arity.min(1 << 16));
+        let mut row = Vec::with_capacity(cur.capacity_for(arity, 1));
         for _ in 0..arity {
             row.push(get_value(cur)?);
         }
         rows.push(row);
     }
     Ok(rows)
+}
+
+/// Decode the bytes [`put_rows`] wrote straight into `table`'s lanes —
+/// no `Tuple`, no per-cell `String` — checking arity, value tags and
+/// `NOT NULL` as it goes, then drop what the rows make stale (indexes,
+/// stats, the row image). On error the table is left mid-row and must
+/// be discarded.
+pub(crate) fn get_rows_into(cur: &mut Cursor<'_>, table: &mut Table) -> Result<(), String> {
+    let n = cur.u64()?;
+    let ncols = table.schema().columns().len();
+    // Each row: arity (4) + one tag byte per column.
+    table.reserve(cur.capacity_for(input_count(n), 4 + ncols));
+    for _ in 0..n {
+        let arity = cur.u32()? as usize;
+        if arity != ncols {
+            return Err(format!(
+                "row fails schema validation: {arity} values for {ncols} columns"
+            ));
+        }
+        table.append_decoded(|decl, col| get_cell(cur, decl, col))?;
+    }
+    table.invalidate_derived();
+    Ok(())
 }
 
 /// Encode a full table — name, schema, primary key, rows and (if
@@ -377,18 +417,7 @@ pub(crate) fn get_table(cur: &mut Cursor<'_>) -> Result<Table, String> {
     table
         .set_primary_key(&pk_refs)
         .map_err(|e| format!("invalid primary key: {e}"))?;
-    let nrows = cur.u64()?;
-    // The count is input: trust it for at most a bounded reservation.
-    table.reserve((nrows as usize).min(1 << 20));
-    for _ in 0..nrows {
-        let arity = cur.u32()? as usize;
-        if arity != ncols {
-            return Err(format!(
-                "row fails schema validation: {arity} values for {ncols} columns"
-            ));
-        }
-        table.append_decoded(|decl, col| get_cell(cur, decl, col))?;
-    }
+    get_rows_into(cur, &mut table)?;
     if cur.u8()? != 0 {
         table.set_stats(get_stats(cur)?);
     }
@@ -403,20 +432,24 @@ fn snapshot_name(lsn: u64) -> String {
     format!("snapshot-{lsn:020}.nra")
 }
 
+/// Bytes before the checksummed body: the magic and the CRC itself.
+const HEADER: usize = 12;
+
+/// The whole snapshot file in one buffer: the body is encoded after a
+/// CRC placeholder, which is patched in place once the body is known.
 fn encode_snapshot(catalog: &Catalog, lsn: u64) -> Vec<u8> {
-    let mut body = Vec::new();
-    put_u32(&mut body, FORMAT_VERSION);
-    put_u64(&mut body, lsn);
+    let mut out = MAGIC.to_vec();
+    put_u32(&mut out, 0);
+    put_u32(&mut out, FORMAT_VERSION);
+    put_u64(&mut out, lsn);
     let names = catalog.table_names();
-    put_u32(&mut body, names.len() as u32);
+    put_u32(&mut out, names.len() as u32);
     for name in names {
         let table = catalog.table(name).expect("listed table exists");
-        put_table(&mut body, table);
+        put_table(&mut out, table);
     }
-    let mut out = Vec::with_capacity(body.len() + 12);
-    out.extend_from_slice(MAGIC);
-    put_u32(&mut out, crc32(&body));
-    out.extend_from_slice(&body);
+    let crc = crc32(&out[HEADER..]);
+    out[MAGIC.len()..HEADER].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -426,11 +459,11 @@ fn decode_snapshot(file: &str, bytes: &[u8]) -> Result<(Catalog, u64), StorageEr
         lsn,
         detail,
     };
-    if bytes.len() < 12 || &bytes[..8] != MAGIC {
+    if bytes.len() < HEADER || &bytes[..MAGIC.len()] != MAGIC {
         return Err(corrupt(0, "missing or truncated snapshot header".into()));
     }
-    let stored_crc = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    let body = &bytes[12..];
+    let stored_crc = u32::from_le_bytes(bytes[MAGIC.len()..HEADER].try_into().unwrap());
+    let body = &bytes[HEADER..];
     if crc32(body) != stored_crc {
         return Err(corrupt(0, "snapshot checksum mismatch".into()));
     }
@@ -703,5 +736,81 @@ mod tests {
             other => panic!("expected corruption, got {other:?}"),
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A table of `ncols` nullable `Int` columns, encoded as a snapshot
+    /// table header (name, columns, no primary key).
+    fn wide_table_header(buf: &mut Vec<u8>, ncols: usize) {
+        put_str(buf, "t");
+        put_u32(buf, ncols as u32);
+        for i in 0..ncols {
+            put_str(buf, &format!("c{i}"));
+            buf.push(type_tag(ColumnType::Int));
+            buf.push(1);
+        }
+        put_u32(buf, 0);
+    }
+
+    #[test]
+    fn forged_row_count_is_corruption_not_an_allocation() {
+        // Many columns and a row count no file could hold: the old
+        // `min(1 << 20)` reservation asked for gigabytes here.
+        let dir = tmpdir("hugerows");
+        let mut body = Vec::new();
+        put_u32(&mut body, FORMAT_VERSION);
+        put_u64(&mut body, 7);
+        put_u32(&mut body, 1);
+        wide_table_header(&mut body, 4096);
+        put_u64(&mut body, u64::MAX);
+        let mut bytes = MAGIC.to_vec();
+        put_u32(&mut bytes, crc32(&body));
+        bytes.extend_from_slice(&body);
+        fs::write(dir.join(snapshot_name(7)), &bytes).unwrap();
+        match load_latest_snapshot(&dir) {
+            Err(StorageError::Corruption { detail, .. }) => {
+                assert!(detail.contains("unexpected end"), "{detail}")
+            }
+            other => panic!("expected corruption, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn row_reservations_are_bounded_by_the_bytes_left() {
+        // One whole row follows a forged count of `u64::MAX` rows.
+        let ncols = 64;
+        let mut header = Vec::new();
+        wide_table_header(&mut header, ncols);
+        let mut table = get_table_header(&header);
+        let mut rows = Vec::new();
+        put_u64(&mut rows, u64::MAX);
+        put_u32(&mut rows, ncols as u32);
+        for i in 0..ncols {
+            put_value(&mut rows, &Value::Int(i as i64));
+        }
+        let err = get_rows_into(&mut Cursor::new(&rows), &mut table).unwrap_err();
+        assert!(err.contains("unexpected end"), "{err}");
+        for i in 0..ncols {
+            let ColumnData::I64(lane) = table.column(i).values() else {
+                panic!("an Int column has an i64 lane");
+            };
+            // Every row takes at least its arity and one tag per column.
+            assert!(lane.capacity() * (4 + ncols) <= rows.len(), "lane {i}");
+        }
+        // The `Tuple` decoder bounds both the row count and a forged arity.
+        let mut tuples = Vec::new();
+        put_u64(&mut tuples, u64::MAX);
+        put_u32(&mut tuples, u32::MAX);
+        put_value(&mut tuples, &Value::Int(1));
+        let err = get_rows(&mut Cursor::new(&tuples)).unwrap_err();
+        assert!(err.contains("unexpected end"), "{err}");
+    }
+
+    /// The table a [`wide_table_header`] encodes, with no rows.
+    fn get_table_header(header: &[u8]) -> Table {
+        let mut bytes = header.to_vec();
+        put_u64(&mut bytes, 0);
+        bytes.push(0);
+        get_table(&mut Cursor::new(&bytes)).unwrap()
     }
 }

@@ -27,7 +27,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-use crate::catalog::TableStats;
+use crate::catalog::{Catalog, TableStats};
 use crate::checksum::crc32;
 use crate::disk::{self, Cursor};
 use crate::error::StorageError;
@@ -62,49 +62,74 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    fn encode_body(&self, lsn: u64) -> Vec<u8> {
-        let mut body = Vec::new();
-        disk::put_u64(&mut body, lsn);
+    /// The whole framed record in one buffer: the body is encoded after
+    /// a placeholder header, which is patched once the body is known.
+    fn encode(&self, lsn: u64) -> Vec<u8> {
+        let mut buf = vec![0; HEADER];
+        disk::put_u64(&mut buf, lsn);
         match self {
             WalRecord::CreateTable(table) => {
-                body.push(1);
-                disk::put_table(&mut body, table);
+                buf.push(1);
+                disk::put_table(&mut buf, table);
             }
             WalRecord::Insert { table, rows } => {
-                body.push(2);
-                disk::put_str(&mut body, table);
-                disk::put_rows(&mut body, rows);
+                buf.push(2);
+                disk::put_str(&mut buf, table);
+                disk::put_rows(&mut buf, rows);
             }
             WalRecord::Analyze { table, stats } => {
-                body.push(3);
-                disk::put_str(&mut body, table);
-                disk::put_stats(&mut body, stats);
+                buf.push(3);
+                disk::put_str(&mut buf, table);
+                disk::put_stats(&mut buf, stats);
             }
         }
-        body
+        let len = (buf.len() - HEADER) as u32;
+        let crc = crc32(&buf[HEADER..]);
+        buf[..4].copy_from_slice(&len.to_le_bytes());
+        buf[4..HEADER].copy_from_slice(&crc.to_le_bytes());
+        buf
     }
 
-    fn decode_body(body: &[u8]) -> Result<(u64, WalRecord), String> {
-        let mut cur = Cursor::new(body);
-        let lsn = cur.u64()?;
-        let kind = cur.u8()?;
+    /// Decode the payload of a record of `kind` (the body past its LSN
+    /// and kind byte).
+    fn decode(kind: u8, cur: &mut Cursor<'_>) -> Result<WalRecord, String> {
         let rec = match kind {
-            1 => WalRecord::CreateTable(disk::get_table(&mut cur)?),
+            1 => WalRecord::CreateTable(disk::get_table(cur)?),
             2 => {
                 let table = cur.str()?;
-                let rows = disk::get_rows(&mut cur)?;
+                let rows = disk::get_rows(cur)?;
                 WalRecord::Insert { table, rows }
             }
             3 => WalRecord::Analyze {
                 table: cur.str()?,
-                stats: disk::get_stats(&mut cur)?,
+                stats: disk::get_stats(cur)?,
             },
             k => return Err(format!("unknown record kind {k}")),
         };
-        if !cur.is_at_end() {
-            return Err("trailing bytes after record payload".into());
+        cur.finish()?;
+        Ok(rec)
+    }
+
+    /// Decode a record's kind and payload (the body past its LSN) and
+    /// apply it to `catalog`. An `Insert` decodes its rows straight into
+    /// the table's lanes, never as `Tuple`s. Records were validated
+    /// before they were logged, so any failure means log and catalog
+    /// disagree.
+    fn apply(cur: &mut Cursor<'_>, catalog: &mut Catalog) -> Result<(), String> {
+        let kind = cur.u8()?;
+        if kind == 2 {
+            let table = catalog.table_mut(cur.str_ref()?);
+            disk::get_rows_into(cur, table.map_err(|e| e.to_string())?)?;
+            return cur.finish();
         }
-        Ok((lsn, rec))
+        match WalRecord::decode(kind, cur)? {
+            WalRecord::CreateTable(table) => catalog.add_table(table),
+            WalRecord::Analyze { table, stats } => {
+                catalog.table(&table).map(|t| t.set_stats(stats))
+            }
+            WalRecord::Insert { .. } => unreachable!("applied above"),
+        }
+        .map_err(|e| e.to_string())
     }
 }
 
@@ -175,11 +200,7 @@ impl WalWriter {
                 "write-ahead log poisoned by an earlier failed write; reopen the database".into(),
             ));
         }
-        let body = rec.encode_body(lsn);
-        let mut buf = Vec::with_capacity(HEADER + body.len());
-        buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&crc32(&body).to_le_bytes());
-        buf.extend_from_slice(&body);
+        let buf = rec.encode(lsn);
         let start = self.len;
         match fault::hit(fault::WAL_APPEND).map(|(kind, _)| kind) {
             Some(FaultKind::ShortWrite) => {
@@ -252,9 +273,14 @@ impl WalWriter {
 /// The result of scanning the log at open.
 #[derive(Debug, Default)]
 pub struct ReplayOutcome {
-    /// Every decodable record, in log order (the caller filters out
-    /// records already folded into the snapshot by LSN).
+    /// Every decodable record, in log order, from [`replay`] (the caller
+    /// filters out records already folded into the snapshot by LSN);
+    /// always empty from [`replay_into`], which applies them instead.
     pub records: Vec<(u64, WalRecord)>,
+    /// Records [`replay_into`] applied (those past its `after_lsn`).
+    pub applied: u64,
+    /// LSN of the last good record (0 when there is none).
+    pub last_lsn: u64,
     /// File offset just past the last good record — the truncation
     /// point when a torn tail was found.
     pub good_len: u64,
@@ -263,11 +289,53 @@ pub struct ReplayOutcome {
     pub dropped_bytes: u64,
 }
 
-/// Scan the log, validating checksums. Torn tails (see the module doc's
-/// torn-tail rule) are reported in the outcome for the caller to
-/// truncate; damage before the final record is unrecoverable and
-/// returns [`StorageError::Corruption`].
+/// Scan the log, validating checksums, and collect every record. Torn
+/// tails (see the module doc's torn-tail rule) are reported in the
+/// outcome for the caller to truncate; damage before the final record is
+/// unrecoverable and returns [`StorageError::Corruption`].
 pub fn replay(path: &Path) -> Result<ReplayOutcome, StorageError> {
+    let mut records = Vec::new();
+    let mut out = scan(path, |lsn, cur| {
+        let kind = cur.u8()?;
+        records.push((lsn, WalRecord::decode(kind, cur)?));
+        Ok(())
+    })?;
+    out.records = records;
+    Ok(out)
+}
+
+/// Scan the log like [`replay`], applying each record with
+/// `lsn > after_lsn` to `catalog` as soon as its checksum passes; records
+/// at or below it are already folded into the snapshot and are skipped.
+/// A record that does not decode or apply is [`StorageError::Corruption`]
+/// naming the log and the record's LSN — `catalog` is then half-applied
+/// and must be discarded.
+pub fn replay_into(
+    path: &Path,
+    catalog: &mut Catalog,
+    after_lsn: u64,
+) -> Result<ReplayOutcome, StorageError> {
+    let mut applied = 0;
+    let mut out = scan(path, |lsn, cur| {
+        if lsn <= after_lsn {
+            return Ok(());
+        }
+        WalRecord::apply(cur, catalog)?;
+        applied += 1;
+        Ok(())
+    })?;
+    out.applied = applied;
+    Ok(out)
+}
+
+/// The one scan over the log: magic, header and length checks, CRC, the
+/// torn-tail rule and LSN monotonicity. Each record that passes them goes
+/// to `sink` with its LSN and a cursor over the rest of its body, in log
+/// order; a sink error is corruption at that record.
+fn scan(
+    path: &Path,
+    mut sink: impl FnMut(u64, &mut Cursor<'_>) -> Result<(), String>,
+) -> Result<ReplayOutcome, StorageError> {
     let file_name = path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
@@ -301,14 +369,16 @@ pub fn replay(path: &Path) -> Result<ReplayOutcome, StorageError> {
         return Err(corrupt(0, "bad magic: not a write-ahead log".into()));
     }
     let mut pos = MAGIC.len();
-    let mut last_lsn = 0u64;
     while pos < bytes.len() {
         let remaining = bytes.len() - pos;
-        if remaining < HEADER {
-            // Torn header on the final (partial) record.
+        let torn = |out: &mut ReplayOutcome| {
             out.dropped_records = 1;
             out.dropped_bytes = remaining as u64;
             out.good_len = pos as u64;
+        };
+        if remaining < HEADER {
+            // Torn header on the final (partial) record.
+            torn(&mut out);
             return Ok(out);
         }
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
@@ -318,46 +388,42 @@ pub fn replay(path: &Path) -> Result<ReplayOutcome, StorageError> {
             // header with an absurd length was not torn — it was damaged
             // in place.
             return Err(corrupt(
-                last_lsn,
+                out.last_lsn,
                 format!("implausible record length {len} at offset {pos}"),
             ));
         }
         let len = len as usize;
         if remaining < HEADER + len {
             // Body runs past end-of-file: torn final record.
-            out.dropped_records = 1;
-            out.dropped_bytes = remaining as u64;
-            out.good_len = pos as u64;
+            torn(&mut out);
             return Ok(out);
         }
         let body = &bytes[pos + HEADER..pos + HEADER + len];
         if crc32(body) != stored_crc {
             if pos + HEADER + len == bytes.len() {
                 // Checksum mismatch on the very last record: torn tail.
-                out.dropped_records = 1;
-                out.dropped_bytes = remaining as u64;
-                out.good_len = pos as u64;
+                torn(&mut out);
                 return Ok(out);
             }
             return Err(corrupt(
-                last_lsn,
+                out.last_lsn,
                 format!("checksum mismatch at offset {pos} (not the final record)"),
             ));
         }
-        let (lsn, rec) = WalRecord::decode_body(body).map_err(|detail| {
-            corrupt(
-                last_lsn,
-                format!("undecodable record at offset {pos}: {detail}"),
-            )
-        })?;
-        if lsn <= last_lsn && last_lsn != 0 {
+        let mut cur = Cursor::new(body);
+        let lsn = cur.u64().expect("a body holds at least its lsn");
+        if lsn <= out.last_lsn && out.last_lsn != 0 {
             return Err(corrupt(
                 lsn,
-                format!("non-monotonic lsn {lsn} after {last_lsn} at offset {pos}"),
+                format!(
+                    "non-monotonic lsn {lsn} after {} at offset {pos}",
+                    out.last_lsn
+                ),
             ));
         }
-        last_lsn = lsn;
-        out.records.push((lsn, rec));
+        sink(lsn, &mut cur)
+            .map_err(|detail| corrupt(lsn, format!("bad record at offset {pos}: {detail}")))?;
+        out.last_lsn = lsn;
         pos += HEADER + len;
     }
     out.good_len = pos as u64;
@@ -379,6 +445,7 @@ pub fn truncate_to(path: &Path, len: u64) -> Result<(), StorageError> {
 mod tests {
     use super::*;
     use crate::catalog::Table;
+    use crate::column::ColumnData;
     use crate::schema::{Column, ColumnType, Schema};
     use crate::value::Value;
     use std::fs;
@@ -555,6 +622,77 @@ mod tests {
             }
             other => panic!("expected corruption, got {other:?}"),
         }
+    }
+
+    /// A log holding `records`, each framed and checksummed by hand.
+    fn log_of(path: &Path, records: &[Vec<u8>]) {
+        let mut bytes = MAGIC.to_vec();
+        for body in records {
+            disk::put_u32(&mut bytes, body.len() as u32);
+            disk::put_u32(&mut bytes, crc32(body));
+            bytes.extend_from_slice(body);
+        }
+        fs::write(path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn replay_into_applies_what_replay_collects() {
+        let path = tmpfile("into");
+        write_log(&path);
+        let mut cat = Catalog::new();
+        let out = replay_into(&path, &mut cat, 0).unwrap();
+        assert!(out.records.is_empty());
+        assert_eq!((out.applied, out.last_lsn), (3, 3));
+        assert_eq!(out.good_len, fs::metadata(&path).unwrap().len());
+        let t = cat.table("t").unwrap();
+        assert_eq!(t.rows().collect::<Vec<_>>(), {
+            let WalRecord::Insert { rows, .. } = &sample_records()[1] else {
+                unreachable!()
+            };
+            rows.clone()
+        });
+        assert_eq!(t.stats().map(|s| s.row_count), Some(2));
+        // Records at or below `after_lsn` are checked but not applied.
+        let mut cat = Catalog::new();
+        cat.add_table(sample_table()).unwrap();
+        let out = replay_into(&path, &mut cat, 1).unwrap();
+        assert_eq!((out.applied, out.last_lsn), (2, 3));
+        assert_eq!(cat.table("t").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn forged_insert_row_count_is_corruption_not_an_allocation() {
+        let path = tmpfile("hugeinsert");
+        let mut create = Vec::new();
+        disk::put_u64(&mut create, 1);
+        create.push(1);
+        disk::put_table(&mut create, &sample_table());
+        // One whole row follows a count of `u64::MAX` rows.
+        let mut insert = Vec::new();
+        disk::put_u64(&mut insert, 2);
+        insert.push(2);
+        disk::put_str(&mut insert, "t");
+        disk::put_u64(&mut insert, u64::MAX);
+        disk::put_u32(&mut insert, 2);
+        disk::put_value(&mut insert, &Value::Int(1));
+        disk::put_value(&mut insert, &Value::str("a"));
+        log_of(&path, &[create, insert.clone()]);
+        let mut cat = Catalog::new();
+        match replay_into(&path, &mut cat, 0) {
+            Err(StorageError::Corruption { file, lsn, detail }) => {
+                assert_eq!((file.as_str(), lsn), ("wal.log", 2));
+                assert!(detail.contains("unexpected end"), "{detail}");
+            }
+            other => panic!("expected corruption, got {other:?}"),
+        }
+        let ColumnData::I64(lane) = cat.table("t").unwrap().column(0).values() else {
+            panic!("an Int column has an i64 lane");
+        };
+        assert!(lane.capacity() * 6 <= insert.len(), "{}", lane.capacity());
+        assert!(matches!(
+            replay(&path),
+            Err(StorageError::Corruption { lsn: 2, .. })
+        ));
     }
 
     #[test]

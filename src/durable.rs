@@ -14,8 +14,9 @@
 //! 3. A checkpoint writes the whole catalog to `snapshot-<lsn>.nra`
 //!    (write-tmp → fsync → rename → fsync-dir), then truncates the log.
 //!
-//! Recovery (`Database::open`) loads the newest valid snapshot, replays
-//! log records with `lsn > snapshot lsn`, truncates a torn tail
+//! Recovery (`Database::open`) loads the newest valid snapshot, streams
+//! log records with `lsn > snapshot lsn` straight into it
+//! (`wal::replay_into`), truncates a torn tail
 //! (reporting what was dropped in [`RecoveryReport`]), and refuses
 //! startup with [`EngineError::Corruption`] only when damage cannot be
 //! attributed to a torn append. The schema version is restored to the
@@ -111,26 +112,6 @@ fn io_nra(context: &str, e: std::io::Error) -> NraError {
     NraError::Storage(StorageError::Io(format!("{context}: {e}")))
 }
 
-/// Apply one replayed record to the recovering catalog. Records passed
-/// validation before they were logged, so a failure here means the log
-/// and snapshot disagree — corruption, not a user error.
-fn apply(catalog: &mut Catalog, lsn: u64, rec: WalRecord) -> Result<(), NraError> {
-    let applied = match rec {
-        WalRecord::CreateTable(table) => catalog.add_table(table),
-        WalRecord::Insert { table, rows } => {
-            catalog.table_mut(&table).and_then(|t| t.insert_many(rows))
-        }
-        WalRecord::Analyze { table, stats } => catalog.table(&table).map(|t| t.set_stats(stats)),
-    };
-    applied.map_err(|e| {
-        NraError::Engine(EngineError::Corruption {
-            file: WAL_FILE.into(),
-            lsn,
-            detail: format!("record does not apply to the recovered catalog: {e}"),
-        })
-    })
-}
-
 impl Database {
     /// Open (creating if necessary) a durable database rooted at `path`.
     ///
@@ -159,19 +140,14 @@ impl Database {
             };
         report.snapshot_lsn = snapshot_lsn;
 
+        // Records at or below the snapshot LSN are already folded into it
+        // (a crash between the snapshot rename and the log truncation
+        // leaves them); any record that fails to apply refuses the open.
         let wal_path = dir.join(WAL_FILE);
-        let outcome = wal::replay(&wal_path).map_err(storage_err)?;
-        let mut last_lsn = snapshot_lsn;
-        for (lsn, rec) in outcome.records {
-            if lsn <= snapshot_lsn {
-                // Already folded into the snapshot (a crash between the
-                // snapshot rename and the log truncation leaves these).
-                continue;
-            }
-            apply(&mut catalog, lsn, rec)?;
-            last_lsn = lsn;
-            report.replayed += 1;
-        }
+        let outcome =
+            wal::replay_into(&wal_path, &mut catalog, snapshot_lsn).map_err(storage_err)?;
+        let last_lsn = outcome.last_lsn.max(snapshot_lsn);
+        report.replayed = outcome.applied;
         report.dropped_records = outcome.dropped_records;
         report.dropped_bytes = outcome.dropped_bytes;
         if outcome.dropped_bytes > 0 {

@@ -334,6 +334,146 @@ fn a_value_that_does_not_inhabit_its_column_is_corruption() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Table `m` after each whole-record prefix of [`sweep_log`]'s records:
+/// `None` before the table exists, else its rows and stats.
+type Prefix = Option<(Vec<Tuple>, Option<TableStats>)>;
+
+/// A valid log over `mixed_catalog`'s table — a `CreateTable` with rows
+/// and stats, then INSERT, ANALYZE, INSERT of every value tag — with the
+/// catalog state after each whole-record prefix.
+fn sweep_log(path: &std::path::Path) -> Vec<Prefix> {
+    let cat = mixed_catalog();
+    let m = cat.table("m").unwrap();
+    let rows: Vec<Tuple> = m.rows().collect();
+    let insert = || WalRecord::Insert {
+        table: "m".into(),
+        rows: rows.clone(),
+    };
+    let mut writer = WalWriter::open_append(path).unwrap();
+    let mut prefixes: Vec<Prefix> = vec![None];
+    let mut mirror = m.clone();
+    for (lsn, rec) in (1..).zip([
+        WalRecord::CreateTable(m.clone()),
+        insert(),
+        WalRecord::Analyze {
+            table: "m".into(),
+            stats: m.stats().unwrap(),
+        },
+        insert(),
+    ]) {
+        match &rec {
+            WalRecord::CreateTable(_) => {}
+            WalRecord::Insert { rows, .. } => mirror.insert_many(rows.clone()).unwrap(),
+            WalRecord::Analyze { stats, .. } => mirror.set_stats(stats.clone()),
+        }
+        writer.append_sync(lsn, &rec).unwrap();
+        prefixes.push(Some((stored_rows(&mirror), mirror.stats())));
+    }
+    prefixes
+}
+
+fn prefix_of(cat: &Catalog) -> Prefix {
+    let m = cat.table("m").ok()?;
+    Some((stored_rows(m), m.stats()))
+}
+
+fn same_prefix(got: &Prefix, want: &Prefix) -> bool {
+    match (got, want) {
+        (None, None) => true,
+        (Some((gr, gs)), Some((wr, ws))) => same_rows(gr, wr) && gs == ws,
+        _ => false,
+    }
+}
+
+/// The decoders that recovery runs, swept over damaged input: every
+/// truncation of a valid log is a torn tail that recovers exactly the
+/// whole records before the cut; every truncation of a valid snapshot is
+/// corruption; seeded single-byte flips of either are a torn tail or
+/// corruption — never a panic, never a silently different catalog.
+#[test]
+fn every_truncation_and_byte_flip_is_a_torn_tail_or_corruption() {
+    let dir = scratch("sweep");
+    let log = dir.join("full.log");
+    let prefixes = sweep_log(&log);
+    let full = std::fs::read(&log).unwrap();
+    // Record ends: the magic, then each record's header and body.
+    let mut ends = vec![8];
+    while ends.last() != Some(&full.len()) {
+        let at = *ends.last().unwrap();
+        let len = u32::from_le_bytes(full[at..at + 4].try_into().unwrap()) as usize;
+        ends.push(at + 8 + len);
+    }
+    assert_eq!(ends.len(), prefixes.len());
+
+    let wal_path = dir.join("wal.log");
+    for cut in 0..=full.len() {
+        std::fs::write(&wal_path, &full[..cut]).unwrap();
+        let whole = ends.iter().filter(|&&end| end <= cut).count();
+        let good = if whole == 0 { 0 } else { ends[whole - 1] };
+        let mut cat = Catalog::new();
+        let out = wal::replay_into(&wal_path, &mut cat, 0)
+            .unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+        let records = whole.saturating_sub(1);
+        assert_eq!(out.applied, records as u64, "cut at {cut}");
+        assert_eq!(out.good_len, good as u64, "cut at {cut}");
+        assert_eq!(out.dropped_bytes, (cut - good) as u64, "cut at {cut}");
+        let torn = cut > good && cut >= 8;
+        assert_eq!(out.dropped_records, torn as u64, "cut at {cut}");
+        assert!(
+            same_prefix(&prefix_of(&cat), &prefixes[records]),
+            "cut at {cut}"
+        );
+        assert_eq!(wal::replay(&wal_path).unwrap().records.len(), records);
+    }
+    // The facade reports and repairs the same tails.
+    for cut in (9..full.len()).step_by(61) {
+        let db_dir = dir.join(format!("db-{cut}"));
+        std::fs::create_dir_all(&db_dir).unwrap();
+        std::fs::write(db_dir.join("wal.log"), &full[..cut]).unwrap();
+        let db = Database::open(&db_dir).unwrap();
+        let report = db.recovery().unwrap();
+        let whole = ends.iter().filter(|&&end| end <= cut).count();
+        assert_eq!(report.replayed, whole as u64 - 1, "cut at {cut}");
+        assert_eq!(report.repaired, cut != ends[whole - 1], "cut at {cut}");
+        assert!(same_prefix(&prefix_of(&db.catalog()), &prefixes[whole - 1]));
+    }
+
+    let mut rng = Pcg32::new(0xC01_0005);
+    for _ in 0..300 {
+        let mut bytes = full.clone();
+        let at = rng.index(bytes.len());
+        bytes[at] ^= (rng.index(255) + 1) as u8;
+        std::fs::write(&wal_path, &bytes).unwrap();
+        match wal::replay_into(&wal_path, &mut Catalog::new(), 0) {
+            Ok(out) => assert_eq!(out.dropped_records, 1, "flip at {at}: {out:?}"),
+            Err(StorageError::Corruption { file, .. }) => assert_eq!(file, "wal.log"),
+            Err(e) => panic!("flip at {at}: {e}"),
+        }
+    }
+
+    let snap_dir = dir.join("snap");
+    std::fs::create_dir_all(&snap_dir).unwrap();
+    let snap_path = write_snapshot(&snap_dir, &mixed_catalog(), 7).unwrap();
+    let snap = std::fs::read(&snap_path).unwrap();
+    let damaged = |bytes: &[u8], what: String| {
+        std::fs::write(&snap_path, bytes).unwrap();
+        match load_latest_snapshot(&snap_dir) {
+            Err(StorageError::Corruption { file, .. }) => assert!(file.starts_with("snapshot-")),
+            other => panic!("{what}: expected corruption, got {other:?}"),
+        }
+    };
+    for cut in 0..snap.len() {
+        damaged(&snap[..cut], format!("cut at {cut}"));
+    }
+    for _ in 0..300 {
+        let mut bytes = snap.clone();
+        let at = rng.index(bytes.len());
+        bytes[at] ^= (rng.index(255) + 1) as u8;
+        damaged(&bytes, format!("flip at {at}"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// What an insert must leave untouched when it fails.
 fn state(db: &Database, table: &str) -> (usize, Option<TableStats>, Vec<Tuple>, bool) {
     let cat = db.catalog();

@@ -5,8 +5,9 @@
 //! the number of heap allocations a query makes repeats exactly. This
 //! binary owns a counting global allocator, runs the six benchmark
 //! classes on a warm session (plan cache hit) under `Auto` and the two
-//! forced §5 series (`Optimized`, `Original`), and checks each count
-//! against the committed ceiling below with 2 % slack.
+//! forced §5 series (`Optimized`, `Original`), counts one recovery
+//! (`Database::open` over a snapshot plus logged inserts), and checks
+//! each count against the committed ceiling below with 2 % slack.
 //!
 //! One `#[test]` only, so no other test thread allocates while a query is
 //! being counted. A change that lowers a count lowers its ceiling in the
@@ -19,6 +20,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use nra::storage::disk::write_snapshot;
+use nra::storage::wal::{WalRecord, WalWriter};
 use nra::{Database, Engine, QueryOptions, Strategy};
 use nra_tpch::{
     generate, q1_agg_sql, q1_sql, q2_sql, q3_sql, ExistsKind, Q3Corr, Quant, TpchConfig,
@@ -72,6 +75,47 @@ const CEILINGS: [(&str, [u64; 3]); 6] = [
 
 const ENGINES: [Strategy; 3] = [Strategy::Auto, Strategy::Optimized, Strategy::Original];
 
+/// Logged `INSERT` records, of [`ROWS_PER_RECORD`] line items each, that
+/// recovery replays on top of the snapshot.
+const RECORDS: usize = 100;
+const ROWS_PER_RECORD: usize = 25;
+
+/// Committed ceiling for one `Database::open` of that directory.
+const RECOVERY_CEILING: u64 = 339;
+
+/// Allocations of one `Database::open` over a snapshot of `cat` plus
+/// [`RECORDS`] logged inserts of rows copied from its `lineitem`.
+fn recovery_allocations(cat: &nra::storage::Catalog) -> u64 {
+    let dir = std::env::temp_dir().join(format!("nra-work-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    write_snapshot(&dir, cat, 1).unwrap();
+    let lineitem = cat.table("lineitem").unwrap();
+    let mut wal = WalWriter::open_append(&dir.join("wal.log")).unwrap();
+    for i in 0..RECORDS {
+        let rows = (0..ROWS_PER_RECORD)
+            .map(|j| lineitem.row((i * ROWS_PER_RECORD + j) % lineitem.len()))
+            .collect();
+        let rec = WalRecord::Insert {
+            table: "lineitem".into(),
+            rows,
+        };
+        wal.append_sync(i as u64 + 2, &rec).unwrap();
+    }
+    drop(wal);
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let db = Database::open(&dir).expect("recovery opens");
+    let count = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert_eq!(db.recovery().unwrap().replayed, RECORDS as u64);
+    assert_eq!(
+        db.catalog().table("lineitem").unwrap().len(),
+        lineitem.len() + RECORDS * ROWS_PER_RECORD
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+    count
+}
+
 #[test]
 fn warm_queries_stay_within_their_allocation_ceilings() {
     // The ceilings are for the default configuration. CI runs the suite
@@ -108,10 +152,16 @@ fn warm_queries_stay_within_their_allocation_ceilings() {
         ),
         q1_agg_sql(&cat, outer),
     ];
+    let mut over = Vec::new();
+    let count = recovery_allocations(&cat);
+    println!("recovery: {count:>8} allocation(s)");
+    if count as f64 > RECOVERY_CEILING as f64 * (1.0 + SLACK) {
+        over.push(format!("recovery: {count} > ceiling {RECOVERY_CEILING}"));
+    }
+
     let db = Database::from_catalog(cat);
     let session = db.connect();
 
-    let mut over = Vec::new();
     for ((class, ceilings), sql) in CEILINGS.iter().zip(&classes) {
         for (strategy, &ceiling) in ENGINES.iter().zip(ceilings) {
             let opts = QueryOptions::new().engine(Engine::NestedRelational(*strategy));
