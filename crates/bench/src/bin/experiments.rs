@@ -13,26 +13,17 @@
 //! * `--baseline-check` — diff fresh profiles against the committed
 //!   baselines; non-zero exit + per-operator delta table on regression
 //! * `--wall-factor <f>` — wall-time tolerance band for the check
-//! * `--serve` — start the TCP front end on an ephemeral port and drive
-//!   it with concurrent protocol clients (1, then `--clients`, default
-//!   8) running the headline queries; report client-observed per-query
-//!   p50/p99 latency and aggregate throughput scaling
-//! * `--batch-size <n>` — rows per `ValueBatch` for the vectorized
-//!   executors (default 1024; also settable via `NRA_BATCH_ROWS`)
 //! * `--metrics <path>` — run the headline queries through the facade
 //!   with metrics collection and write the process-cumulative registry
 //!   as JSONL to `<path>`
 //! * `--slow-log <path>` — run the headline queries with a zero
 //!   slow-query threshold appending to `<path>`, then schema-validate
 //!   the whole log; non-zero exit on a malformed record
-//! * `--db <dir>` — durability mode: open (or create) a persistent
-//!   database at `<dir>`, importing the bench catalog on the first run
-//!   and recovering it (snapshot + WAL replay) on later runs, then run
-//!   the headline queries and checkpoint; no figures are produced
 //!
 //! Passing any unknown positional (e.g. `none`) selects no figures, so
 //! `experiments --scale 0.02 --baseline-check none` only checks the
-//! baselines.
+//! baselines. An unknown `--flag` is an error (exit 2), never a figure
+//! name.
 //!
 //! Figures (paper → here):
 //!
@@ -63,26 +54,12 @@ struct Args {
     /// Wall-time tolerance factor for `--baseline-check`
     /// (`--wall-factor`, default 10).
     wall_factor: f64,
-    /// Rows per `ValueBatch` for the vectorized executors
-    /// (`--batch-size`; default: `NRA_BATCH_ROWS`, else 1024).
-    batch_rows: Option<usize>,
     /// Write the process-cumulative metrics registry as JSONL here.
     metrics: Option<std::path::PathBuf>,
     /// Run the headline queries with a zero slow-query threshold,
     /// appending their records to this JSONL log, then schema-validate
     /// the whole file; exit non-zero on a malformed record.
     slow_log: Option<std::path::PathBuf>,
-    /// Start the TCP front end and drive it with concurrent protocol
-    /// clients; report per-query p50/p99 latency and 1-client vs
-    /// N-client throughput (`--serve`).
-    serve: bool,
-    /// Client count for `--serve` (default 8).
-    clients: usize,
-    /// Durability mode (`--db <dir>`): open a persistent database at
-    /// the directory, importing the bench catalog on first run and
-    /// recovering it (snapshot + WAL replay) on later runs, then run
-    /// the headline queries and checkpoint. No figures are produced.
-    db: Option<std::path::PathBuf>,
     figures: Vec<String>,
 }
 
@@ -93,12 +70,8 @@ fn parse_args() -> Args {
         baseline_write: false,
         baseline_check: false,
         wall_factor: baseline::Tolerance::default().wall_factor,
-        batch_rows: None,
         metrics: None,
         slow_log: None,
-        serve: false,
-        clients: 8,
-        db: None,
         figures: vec![],
     };
     let mut it = std::env::args().skip(1);
@@ -124,13 +97,6 @@ fn parse_args() -> Args {
                     .and_then(|v| v.parse().ok())
                     .expect("--wall-factor takes a number")
             }
-            "--serve" => args.serve = true,
-            "--clients" => {
-                args.clients = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--clients takes a client count")
-            }
             "--metrics" => {
                 args.metrics = Some(
                     it.next()
@@ -145,19 +111,9 @@ fn parse_args() -> Args {
                         .expect("--slow-log takes a path"),
                 )
             }
-            "--batch-size" => {
-                args.batch_rows = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--batch-size takes a row count"),
-                )
-            }
-            "--db" => {
-                args.db = Some(
-                    it.next()
-                        .map(std::path::PathBuf::from)
-                        .expect("--db takes a directory path"),
-                )
+            flag if flag.starts_with("--") => {
+                eprintln!("error: unknown flag `{flag}`");
+                std::process::exit(2);
             }
             other => args.figures.push(other.to_string()),
         }
@@ -367,18 +323,9 @@ fn nrcost(cat: &Catalog, args: &Args) {
 
 fn main() {
     let args = parse_args();
-    if let Some(dir) = &args.db {
-        durable_bench(dir, args.scale, args.reps);
-        return;
-    }
-    let _batch_width = args
-        .batch_rows
-        .map(|n| nra::engine::vec::set_batch_rows(Some(n)));
     println!(
-        "# Paper experiment reproduction (scale {}, {} reps per point, {} batch rows)\n",
-        args.scale,
-        args.reps,
-        nra::engine::vec::batch_rows()
+        "# Paper experiment reproduction (scale {}, {} reps per point)\n",
+        args.scale, args.reps
     );
     eprintln!("generating data at scale {} ...", args.scale);
     let strict = bench_catalog(args.scale);
@@ -443,9 +390,6 @@ fn main() {
     if wanted(&args, "ext-agg") {
         ext_agg(&strict, &args);
     }
-    if args.serve {
-        serve_bench(&nullable, &args);
-    }
     if let Some(path) = &args.metrics {
         write_metrics(path, &strict, &nullable, &args);
     }
@@ -453,7 +397,7 @@ fn main() {
         write_slow_log(path, &strict, &nullable, &args);
     }
     if args.baseline_write || args.baseline_check {
-        let profiles = collect_profiles(&strict, &nullable, &args);
+        let profiles = profile::headline_profiles(&strict, &nullable, args.scale);
         if args.baseline_write {
             println!("### Baselines\n");
             for qp in &profiles {
@@ -466,130 +410,6 @@ fn main() {
             check_baselines(&profiles, &args);
         }
     }
-}
-
-/// The three headline queries (largest grid point each) shared by the
-/// profile baselines, the metrics export and the slow-log check.
-fn headline_queries<'a>(
-    strict: &'a Catalog,
-    nullable: &'a Catalog,
-    scale: f64,
-) -> Vec<(&'static str, &'a Catalog, String)> {
-    let grid = paper_grid(scale);
-    let q1_outer = *grid.q1_outer.last().unwrap();
-    let part = *grid.q23_part.last().unwrap();
-    vec![
-        ("Q1", nullable, q1_sql(nullable, q1_outer)),
-        (
-            "Q2A",
-            strict,
-            q2_sql(strict, Quant::Any, part, grid.q23_partsupp),
-        ),
-        (
-            "Q2B",
-            nullable,
-            q2_sql(nullable, Quant::All, part, grid.q23_partsupp),
-        ),
-    ]
-}
-
-/// Collect per-operator execution profiles for the headline queries: every
-/// series runs once under the observability collector + I/O simulator.
-fn collect_profiles(
-    strict: &Catalog,
-    nullable: &Catalog,
-    args: &Args,
-) -> Vec<profile::QueryProfile> {
-    headline_queries(strict, nullable, args.scale)
-        .into_iter()
-        .map(|(name, cat, sql)| {
-            let pq = PreparedQuery::new(cat, sql).unwrap();
-            profile::QueryProfile::collect(name, &pq, args.scale)
-        })
-        .collect()
-}
-
-/// `--db <dir>`: the CI durability mode. The first run against an empty
-/// directory imports the nullable bench catalog through the durable
-/// path (each table one atomic WAL `CreateTable` record); later runs
-/// recover the catalog from snapshot + log and report what replay did.
-/// Both runs execute the headline queries against the durable catalog
-/// and end with an explicit checkpoint. The `durable-catalog:` /
-/// `reopen-replay:` / `checkpoint:` lines are stable grep targets for
-/// the CI `durability-check` job.
-fn durable_bench(dir: &std::path::Path, scale: f64, reps: usize) {
-    let db = match nra::Database::open(dir) {
-        Ok(db) => db,
-        Err(e) => {
-            eprintln!(
-                "error: cannot open durable database at {}: {e}",
-                dir.display()
-            );
-            std::process::exit(1);
-        }
-    };
-    let report = db
-        .recovery()
-        .expect("durable database has a recovery report");
-    let fresh = db.catalog().table_names().is_empty();
-    if fresh {
-        eprintln!("generating data at scale {scale} ...");
-        let cat = bench_catalog_nullable(scale);
-        for name in cat.table_names() {
-            db.add_table(cat.table(name).unwrap().clone())
-                .expect("import bench table");
-        }
-        println!(
-            "durable-catalog: imported {} table(s) into {}",
-            db.catalog().table_names().len(),
-            dir.display()
-        );
-    } else {
-        println!(
-            "durable-catalog: recovered {} table(s) from {} \
-             (snapshot lsn {}, {} record(s) replayed)",
-            db.catalog().table_names().len(),
-            dir.display(),
-            report.snapshot_lsn,
-            report.replayed
-        );
-        println!("reopen-replay: ok");
-    }
-    for msg in &report.messages {
-        println!("recovery: {msg}");
-    }
-
-    let grid = paper_grid(scale);
-    let q1_outer = *grid.q1_outer.last().unwrap();
-    let part = *grid.q23_part.last().unwrap();
-    let queries: Vec<(&'static str, String)> = {
-        let cat = db.catalog();
-        vec![
-            ("Q1", q1_sql(&cat, q1_outer)),
-            ("Q2A", q2_sql(&cat, Quant::Any, part, grid.q23_partsupp)),
-            ("Q2B", q2_sql(&cat, Quant::All, part, grid.q23_partsupp)),
-        ]
-    };
-    let session = db.connect();
-    println!("\n| query | median (ms) over {reps} rep(s) | rows |");
-    println!("|---|---|---|");
-    for (name, sql) in &queries {
-        let mut times = Vec::new();
-        let mut rows = 0;
-        for _ in 0..reps.max(1) {
-            let start = std::time::Instant::now();
-            let out = session
-                .execute(sql)
-                .unwrap_or_else(|e| panic!("headline query {name} runs durably: {e}"));
-            times.push(start.elapsed().as_secs_f64() * 1e3);
-            rows = out.rows.len();
-        }
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        println!("| {name} | {:.2} | {rows} |", times[times.len() / 2]);
-    }
-
-    let lsn = db.checkpoint().expect("checkpoint durable database");
-    println!("\ncheckpoint: lsn {lsn} at {}", dir.display());
 }
 
 /// `--metrics <path>`: run the headline queries through the facade with
@@ -644,98 +464,6 @@ fn write_slow_log(path: &std::path::Path, strict: &Catalog, nullable: &Catalog, 
             std::process::exit(1);
         }
     }
-}
-
-/// `--serve`: start the TCP front end over the nullable headline
-/// catalog and hammer it with protocol clients — first one, then
-/// `--clients` — running the headline queries (Q1/Q2A/Q2B, all valid on
-/// the nullable schema) in rounds. Reports per-query p50/p99 latency as
-/// observed by the clients, plus aggregate throughput; the N-client
-/// phase is expected to sustain well above 1-client throughput since
-/// read queries share the catalog lock and the plan cache.
-fn serve_bench(nullable: &Catalog, args: &Args) {
-    let grid = paper_grid(args.scale);
-    let q1_outer = *grid.q1_outer.last().unwrap();
-    let part = *grid.q23_part.last().unwrap();
-    let queries: Vec<(&'static str, String)> = vec![
-        ("Q1", q1_sql(nullable, q1_outer)),
-        ("Q2A", q2_sql(nullable, Quant::Any, part, grid.q23_partsupp)),
-        ("Q2B", q2_sql(nullable, Quant::All, part, grid.q23_partsupp)),
-    ];
-    let rounds = (args.reps * 8).max(8);
-
-    let db = nra::Database::from_catalog(nullable.clone());
-    let handle = nra_server::serve(db, "127.0.0.1:0").expect("bind ephemeral port");
-    let addr = handle.addr();
-    println!(
-        "### Serving benchmark ({} round(s) of {} queries per client, scale {})\n",
-        rounds,
-        queries.len(),
-        args.scale
-    );
-    println!("| clients | query | p50 (ms) | p99 (ms) | queries/s (all) |");
-    println!("|---|---|---|---|---|");
-
-    let mut throughput_1 = None;
-    for clients in [1usize, args.clients.max(1)] {
-        let phase_start = std::time::Instant::now();
-        let workers: Vec<_> = (0..clients)
-            .map(|_| {
-                let queries = queries.clone();
-                std::thread::spawn(move || {
-                    let mut client =
-                        nra_server::Client::connect(addr).expect("connect to bench server");
-                    let mut lat: Vec<Vec<f64>> = vec![Vec::new(); queries.len()];
-                    let mut rows: Vec<usize> = vec![0; queries.len()];
-                    for _ in 0..rounds {
-                        for (qi, (name, sql)) in queries.iter().enumerate() {
-                            let start = std::time::Instant::now();
-                            let resp = client
-                                .query(sql)
-                                .unwrap_or_else(|e| panic!("{name} over the wire: {e}"));
-                            lat[qi].push(start.elapsed().as_secs_f64() * 1e3);
-                            match rows[qi] {
-                                0 => rows[qi] = resp.rows.len().max(1),
-                                r => assert_eq!(
-                                    r,
-                                    resp.rows.len().max(1),
-                                    "{name} answer changed across rounds"
-                                ),
-                            }
-                        }
-                    }
-                    lat
-                })
-            })
-            .collect();
-        let mut per_query: Vec<Vec<f64>> = vec![Vec::new(); queries.len()];
-        for w in workers {
-            for (qi, lat) in w.join().expect("client thread").into_iter().enumerate() {
-                per_query[qi].extend(lat);
-            }
-        }
-        let phase_secs = phase_start.elapsed().as_secs_f64();
-        let total_queries = clients * rounds * queries.len();
-        let qps = total_queries as f64 / phase_secs;
-        if clients == 1 {
-            throughput_1 = Some(qps);
-        }
-        for (qi, (name, _)) in queries.iter().enumerate() {
-            let lat = &mut per_query[qi];
-            lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let p50 = lat[lat.len() / 2];
-            let p99 = lat[(lat.len() * 99) / 100];
-            println!("| {clients} | {name} | {p50:.3} | {p99:.3} | {qps:.1} |");
-        }
-        if clients > 1 {
-            let base = throughput_1.expect("1-client phase ran first");
-            println!(
-                "\n{clients}-client throughput is {:.2}x the 1-client baseline\n",
-                qps / base
-            );
-        }
-    }
-    handle.shutdown();
 }
 
 /// `--baseline-check`: exact diff on counters and I/O pages, tolerance

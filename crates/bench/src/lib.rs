@@ -233,6 +233,31 @@ pub fn paper_grid(scale: f64) -> Grid {
     }
 }
 
+/// The three headline queries (largest grid point each) shared by the
+/// profile baselines, the metrics export and the slow-log check.
+pub fn headline_queries<'a>(
+    strict: &'a Catalog,
+    nullable: &'a Catalog,
+    scale: f64,
+) -> Vec<(&'static str, &'a Catalog, String)> {
+    let grid = paper_grid(scale);
+    let q1_outer = *grid.q1_outer.last().unwrap();
+    let part = *grid.q23_part.last().unwrap();
+    vec![
+        ("Q1", nullable, q1_sql(nullable, q1_outer)),
+        (
+            "Q2A",
+            strict,
+            q2_sql(strict, Quant::Any, part, grid.q23_partsupp),
+        ),
+        (
+            "Q2B",
+            nullable,
+            q2_sql(nullable, Quant::All, part, grid.q23_partsupp),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

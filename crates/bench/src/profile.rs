@@ -14,6 +14,7 @@ use std::io::Write as _;
 use nra_obs::json::write_string as json_string;
 use nra_obs::Profile;
 use nra_storage::iosim::{self, IoConfig};
+use nra_storage::Catalog;
 
 use crate::{PreparedQuery, Series};
 
@@ -91,6 +92,18 @@ impl QueryProfile {
         f.write_all(b"\n")?;
         Ok(path)
     }
+}
+
+/// Profile every series of the [`headline_queries`](crate::headline_queries):
+/// what `crates/bench/baselines/` holds at scale 0.02.
+pub fn headline_profiles(strict: &Catalog, nullable: &Catalog, scale: f64) -> Vec<QueryProfile> {
+    crate::headline_queries(strict, nullable, scale)
+        .into_iter()
+        .map(|(name, cat, sql)| {
+            let pq = PreparedQuery::new(cat, sql).expect("headline query binds");
+            QueryProfile::collect(name, &pq, scale)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,21 +1,15 @@
 //! The one configuration path: every `NRA_*` knob, parsed strictly,
 //! once.
 //!
-//! [`Config::from_lookup`] is the only parser. It has two callers:
-//! [`Config::from_env`] when a `Database` is built (the database keeps
-//! the result, so nothing reads the environment per query), and the
-//! process-wide [`Config::process`] default for code that runs without a
-//! database (crate tests and benches calling `nra_core::execute`
-//! directly). A malformed value — `NRA_BATCH_ROWS=four`,
-//! `NRA_FAULT=join-build:x:panic`, `NRA_PLAN_CACHE=maybe` — is a
-//! structured [`EngineError::Config`], never a silent fallback.
+//! [`Config::from_lookup`] is the only parser, and
+//! [`Config::from_env`], called when a `Database` is built, its only
+//! caller outside tests: the database keeps the result, so nothing reads
+//! the environment per query. A malformed value — `NRA_SLOW_MS=soon`,
+//! `NRA_FAULT=join-build:x:panic` — is a structured
+//! [`EngineError::Config`], never a silent fallback.
 //!
 //! Resolution order for anything a query can override: per-query option
-//! → session default → ambient [`QueryCtx`](crate::ctx::QueryCtx)
-//! setter → `Config` → built-in default.
-
-use std::num::NonZeroUsize;
-use std::sync::OnceLock;
+//! → session default → `Config` → built-in default.
 
 use crate::error::EngineError;
 use crate::governor::AdmissionConfig;
@@ -25,8 +19,6 @@ use nra_storage::fault::{self, Fault};
 /// knob is unset and the consumer's built-in default applies.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Config {
-    /// `NRA_BATCH_ROWS`: default vectorized window width (≥ 1).
-    pub batch_rows: Option<usize>,
     /// `NRA_MEM_LIMIT`: default per-query memory budget in bytes.
     pub mem_limit: Option<u64>,
     /// `NRA_FAULT`: the fault entries armed afresh on every query and,
@@ -36,9 +28,6 @@ pub struct Config {
     /// `NRA_MAX_CONCURRENT` / `NRA_ADMISSION_MEM` /
     /// `NRA_ADMISSION_TIMEOUT_MS`: a database's initial admission caps.
     pub admission: AdmissionConfig,
-    /// `NRA_PLAN_CACHE`: whether queries use the plan cache by default
-    /// (built-in default: on).
-    pub plan_cache: Option<bool>,
     /// `NRA_METRICS`: JSONL file every query's metrics snapshot is
     /// appended to.
     pub metrics_path: Option<String>,
@@ -46,13 +35,6 @@ pub struct Config {
     pub slow_ms: Option<u64>,
     /// `NRA_SLOW_LOG`: default slow-query log path.
     pub slow_log: Option<String>,
-    /// `NRA_TRACE`: mirror collected traces to stderr.
-    pub trace_stderr: bool,
-    /// `NRA_TRACE_FILE`: mirror collected traces to this JSONL file.
-    pub trace_file: Option<String>,
-    /// `NRA_CHECKPOINT_EVERY`: WAL records between a durable database's
-    /// automatic checkpoints (`0` disables; built-in default: 4096).
-    pub checkpoint_every: Option<u64>,
 }
 
 type Lookup<'a> = &'a dyn Fn(&str) -> Option<String>;
@@ -76,20 +58,6 @@ fn number<T: std::str::FromStr>(
             v.trim()
                 .parse::<T>()
                 .map_err(|_| config_err(var, &v, format!("must be {what}")))
-        })
-        .transpose()
-}
-
-fn flag(get: Lookup, var: &str) -> Result<Option<bool>, EngineError> {
-    get(var)
-        .map(|v| match v.trim() {
-            "1" | "on" | "true" => Ok(true),
-            "0" | "off" | "false" => Ok(false),
-            _ => Err(config_err(
-                var,
-                &v,
-                "must be 1/on/true or 0/off/false".into(),
-            )),
         })
         .transpose()
 }
@@ -121,22 +89,12 @@ impl Config {
             admission = admission.queue_timeout_ms(ms);
         }
         Ok(Config {
-            batch_rows: number::<NonZeroUsize>(get, "NRA_BATCH_ROWS", "a row count of at least 1")?
-                .map(NonZeroUsize::get),
             mem_limit: number(get, "NRA_MEM_LIMIT", "a byte count (a plain integer)")?,
             faults,
             admission,
-            plan_cache: flag(get, "NRA_PLAN_CACHE")?,
             metrics_path: path(get, "NRA_METRICS"),
             slow_ms: number(get, "NRA_SLOW_MS", "a millisecond count")?,
             slow_log: path(get, "NRA_SLOW_LOG"),
-            trace_stderr: flag(get, "NRA_TRACE")?.unwrap_or(false),
-            trace_file: path(get, "NRA_TRACE_FILE"),
-            checkpoint_every: number(
-                get,
-                "NRA_CHECKPOINT_EVERY",
-                "a record count (0 disables automatic checkpoints)",
-            )?,
         })
     }
 
@@ -144,23 +102,6 @@ impl Config {
     /// place the engine reads it.
     pub fn from_env() -> Result<Config, EngineError> {
         Config::from_lookup(&|var| std::env::var(var).ok())
-    }
-
-    /// The process-wide default, read once on first use, for code that
-    /// runs operators without a `Database`. A malformed environment is
-    /// reported on stderr and the built-in defaults apply (a `Database`
-    /// built in the same process returns the error from `execute`).
-    pub fn process() -> &'static Config {
-        // Process-wide by design: direct `nra_core::execute` calls (tests,
-        // benchmarks) have no `Database`, and CI's `NRA_BATCH_ROWS` matrix
-        // reaches them only through this default.
-        static PROCESS: OnceLock<Config> = OnceLock::new();
-        PROCESS.get_or_init(|| {
-            Config::from_env().unwrap_or_else(|e| {
-                eprintln!("nra: {e}; using built-in defaults");
-                Config::default()
-            })
-        })
     }
 }
 

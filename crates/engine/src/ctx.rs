@@ -8,10 +8,8 @@
 //! (`vec::set_batch_rows`, `governor::install`) are one-field writers of
 //! this slot.
 //!
-//! An unset field (`None`) falls back to the process-wide
-//! [`Config`](crate::config::Config); `Database::execute` always enters
-//! a fully resolved context, so no query run through a database
-//! consults the process default.
+//! An unset field (`None`) means the built-in default: the full batch
+//! width, no governor.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -19,13 +17,11 @@ use std::sync::Arc;
 use crate::governor::Governor;
 
 /// The values one query runs under. `None` means "not set on this
-/// thread": the accessor falls back to the process [`Config`] and then
-/// to the built-in default.
-///
-/// [`Config`]: crate::config::Config
+/// thread": the accessor falls back to the built-in default.
 #[derive(Default)]
 pub struct QueryCtx {
-    /// Rows per vectorized window (see `vec::batch_rows`).
+    /// Rows per vectorized window, a test-only override (see
+    /// `vec::batch_rows`).
     pub batch_rows: Option<usize>,
     /// The query's resource governor.
     pub governor: Option<Arc<Governor>>,

@@ -58,7 +58,7 @@ pub enum EngineError {
         detail: String,
     },
     /// A malformed configuration value (`NRA_FAULT`, `NRA_MEM_LIMIT`,
-    /// `NRA_BATCH_ROWS`, ...). Reported up front instead of silently
+    /// `NRA_SLOW_MS`, ...). Reported up front instead of silently
     /// ignoring the setting.
     Config {
         var: String,

@@ -26,11 +26,10 @@
 //! Results, profile counters, goldens and committed baselines are
 //! byte-identical at any batch size.
 //!
-//! The batch width defaults to [`DEFAULT_BATCH_ROWS`] (matching the
-//! governor's `CHECK_ROWS` cadence); it is read
-//! from the thread's [`QueryCtx`](crate::ctx::QueryCtx)
-//! ([`set_batch_rows`] writes it), falling back to the process
-//! [`Config`]'s `NRA_BATCH_ROWS`.
+//! The batch width is [`DEFAULT_BATCH_ROWS`] (matching the governor's
+//! `CHECK_ROWS` cadence). [`set_batch_rows`] overrides it in the
+//! thread's [`QueryCtx`](crate::ctx::QueryCtx): the test seam that
+//! shrinks it to 1 or 3 to shake batch-boundary handling.
 
 pub mod batch;
 pub mod eval;
@@ -40,7 +39,6 @@ pub use batch::{Lane, LaneKind, SelVec, Validity, ValueBatch};
 pub use eval::{eval_expr_column, eval_pred, select_rows, ExprCol};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 
-use crate::config::Config;
 use crate::ctx::{self, CtxGuard};
 use crate::error::EngineError;
 use crate::governor;
@@ -53,11 +51,9 @@ use nra_storage::Tuple;
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
 
 /// The batch width for vectorized scans on this thread: the context's
-/// width when set, else the process [`Config`]'s `NRA_BATCH_ROWS`, else
-/// [`DEFAULT_BATCH_ROWS`]. Always at least 1.
+/// override when set, else [`DEFAULT_BATCH_ROWS`]. Always at least 1.
 pub fn batch_rows() -> usize {
     ctx::with(|c| c.batch_rows.get())
-        .or_else(|| Config::process().batch_rows)
         .unwrap_or(DEFAULT_BATCH_ROWS)
         .max(1)
 }
@@ -125,9 +121,7 @@ mod tests {
 
     #[test]
     fn batch_rows_default_and_override() {
-        if Config::process().batch_rows.is_none() {
-            assert_eq!(batch_rows(), DEFAULT_BATCH_ROWS);
-        }
+        assert_eq!(batch_rows(), DEFAULT_BATCH_ROWS);
         {
             let _g = set_batch_rows(Some(3));
             assert_eq!(batch_rows(), 3);

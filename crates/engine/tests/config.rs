@@ -28,9 +28,6 @@ const REJECT: &str = "";
 #[test]
 fn every_knob_parses_strictly() {
     let cases = [
-        ("NRA_BATCH_ROWS", "3", "batch_rows: Some(3)"),
-        ("NRA_BATCH_ROWS", "0", REJECT),
-        ("NRA_BATCH_ROWS", "lots", REJECT),
         ("NRA_MEM_LIMIT", "1024", "mem_limit: Some(1024)"),
         ("NRA_MEM_LIMIT", "1GB", REJECT),
         ("NRA_MEM_LIMIT", "-5", REJECT),
@@ -54,10 +51,6 @@ fn every_knob_parses_strictly() {
         ("NRA_ADMISSION_MEM", "4k", REJECT),
         ("NRA_ADMISSION_TIMEOUT_MS", "0", "queue_timeout_ms: 0"),
         ("NRA_ADMISSION_TIMEOUT_MS", "1s", REJECT),
-        ("NRA_PLAN_CACHE", "0", "plan_cache: Some(false)"),
-        ("NRA_PLAN_CACHE", "off", "plan_cache: Some(false)"),
-        ("NRA_PLAN_CACHE", "1", "plan_cache: Some(true)"),
-        ("NRA_PLAN_CACHE", "maybe", REJECT),
         ("NRA_METRICS", "m.jsonl", "metrics_path: Some(\"m.jsonl\")"),
         ("NRA_METRICS", "", "metrics_path: None"),
         ("NRA_SLOW_MS", "0", "slow_ms: Some(0)"),
@@ -65,18 +58,9 @@ fn every_knob_parses_strictly() {
         ("NRA_SLOW_MS", "-1", REJECT),
         ("NRA_SLOW_LOG", "s.jsonl", "slow_log: Some(\"s.jsonl\")"),
         ("NRA_SLOW_LOG", "", "slow_log: None"),
-        ("NRA_TRACE", "1", "trace_stderr: true"),
-        ("NRA_TRACE", "0", "trace_stderr: false"),
-        ("NRA_TRACE", "loud", REJECT),
-        ("NRA_TRACE_FILE", "t.jsonl", "trace_file: Some(\"t.jsonl\")"),
-        ("NRA_TRACE_FILE", "", "trace_file: None"),
-        ("NRA_CHECKPOINT_EVERY", "0", "checkpoint_every: Some(0)"),
-        ("NRA_CHECKPOINT_EVERY", "128", "checkpoint_every: Some(128)"),
-        ("NRA_CHECKPOINT_EVERY", "often", REJECT),
-        ("NRA_CHECKPOINT_EVERY", "-1", REJECT),
     ];
     let knobs = knobs();
-    assert_eq!(knobs.len(), 13, "{knobs:?}");
+    assert_eq!(knobs.len(), 8, "{knobs:?}");
     for knob in &knobs {
         assert!(cases.iter().any(|c| c.0 == knob), "{knob} has no case");
     }

@@ -184,9 +184,8 @@ const F_METRICS: u8 = 8;
 pub struct Observers {
     /// Collect per-operator stats ([`ObsGuard::finish`] returns them).
     pub profile: bool,
-    /// Trace into an in-memory ring ([`ObsGuard::finish`] returns it)
-    /// and mirror every event to these sinks.
-    pub trace: Option<Vec<Box<dyn trace::TraceSink>>>,
+    /// Trace into an in-memory ring ([`ObsGuard::finish`] returns it).
+    pub trace: bool,
     /// Live progress, fed by [`progress::on_rows`] / [`progress::on_mem`].
     pub progress: Option<Arc<ProgressState>>,
     /// The per-query registry [`metrics::both`] writes beside the
@@ -301,7 +300,7 @@ pub fn enter(observers: Observers) -> ObsGuard {
         collector: observers.profile.then(Collector::default),
         scopes: Vec::new(),
         prefix: None,
-        tracer: observers.trace.map(trace::Tracer::new),
+        tracer: observers.trace.then(trace::Tracer::default),
         progress: observers.progress,
         metrics: observers.metrics,
     };
@@ -321,8 +320,7 @@ pub fn enter(observers: Observers) -> ObsGuard {
 impl ObsGuard {
     /// Restore the enclosing slot and return what this guard collected:
     /// the profile, if it armed one (its I/O footer read before the
-    /// simulator stops), and the trace, if it armed a tracer (its sinks
-    /// finished).
+    /// simulator stops), and the trace, if it armed a tracer.
     pub fn finish(mut self) -> (Option<Profile>, Option<trace::Trace>) {
         self.restore()
     }
@@ -681,7 +679,7 @@ mod tests {
 
     pub(crate) fn tracing() -> ObsGuard {
         enter(Observers {
-            trace: Some(Vec::new()),
+            trace: true,
             ..Observers::default()
         })
     }

@@ -14,13 +14,9 @@
 //!
 //! A tracer is armed through [`crate::enter`] with
 //! [`crate::Observers::trace`]. It records every event into an in-memory
-//! ring, handed back as a [`Trace`] by [`crate::ObsGuard::finish`], and
-//! mirrors it to the given [`TraceSink`]s. Two mirrors ship with the
-//! crate:
-//!
-//! * [`StderrSink`] — a pretty indented tree on stderr (`NRA_TRACE=1`);
-//! * [`JsonlSink`] — one JSON object per event appended to a file
-//!   (`NRA_TRACE_FILE=path`).
+//! ring, handed back as a [`Trace`] by [`crate::ObsGuard::finish`]; a
+//! trace is read after the fact, as an indented tree
+//! ([`Trace::render_tree`]) or as JSONL ([`Trace::to_jsonl`]).
 //!
 //! Like the profile collector, tracing is disabled by default and costs a
 //! single flags check per potential event when off — event construction
@@ -29,7 +25,7 @@
 //! ```
 //! use nra_obs::trace::{self, TraceEvent};
 //!
-//! let obs = nra_obs::enter(nra_obs::Observers { trace: Some(vec![]), ..Default::default() });
+//! let obs = nra_obs::enter(nra_obs::Observers { trace: true, ..Default::default() });
 //! trace::emit(|| TraceEvent::QueryStart { sql: "select 1".into() });
 //! {
 //!     let mut ph = trace::phase(|| "parse".to_string());
@@ -41,7 +37,6 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::Write;
 use std::time::Instant;
 
 use crate::json;
@@ -327,15 +322,7 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// Where trace events go. `depth` is the nesting level of the event in the
-/// span tree (0 = top level).
-pub trait TraceSink {
-    fn emit(&mut self, depth: usize, event: &TraceEvent);
-    /// Called when the tracer is stopped (flush buffered output).
-    fn finish(&mut self) {}
-}
-
-/// One recorded event with its tree depth.
+/// One recorded event with its tree depth (0 = top level).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEntry {
     pub depth: usize,
@@ -375,7 +362,7 @@ impl Trace {
             .collect()
     }
 
-    /// Pretty indented tree (same layout as [`StderrSink`] prints live).
+    /// Pretty indented tree, two spaces per level.
     pub fn render_tree(&self) -> String {
         let mut out = String::new();
         for entry in &self.entries {
@@ -402,67 +389,21 @@ impl Trace {
     }
 }
 
-/// Pretty indented tree on stderr, printed live as events arrive.
-#[derive(Default)]
-pub struct StderrSink;
-
-impl TraceSink for StderrSink {
-    fn emit(&mut self, depth: usize, event: &TraceEvent) {
-        eprintln!("{:indent$}{event}", "", indent = depth * 2);
-    }
-}
-
-/// JSON-lines file sink: one event object per line.
-pub struct JsonlSink {
-    out: std::io::BufWriter<std::fs::File>,
-}
-
-impl JsonlSink {
-    /// Create (truncate) `path` for writing.
-    pub fn create(path: &std::path::Path) -> std::io::Result<JsonlSink> {
-        Ok(JsonlSink {
-            out: std::io::BufWriter::new(std::fs::File::create(path)?),
-        })
-    }
-}
-
-impl TraceSink for JsonlSink {
-    fn emit(&mut self, depth: usize, event: &TraceEvent) {
-        let _ = writeln!(self.out, "{}", event.to_json(depth));
-    }
-
-    fn finish(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
 /// Events an armed tracer keeps in its in-memory ring (oldest dropped
 /// first).
 const RING_CAPACITY: usize = 4096;
 
 /// An armed tracer (see [`crate::Observers::trace`]): the span-tree
-/// depth, the in-memory ring and the mirror sinks.
+/// depth and the in-memory ring.
+#[derive(Default)]
 pub(crate) struct Tracer {
     depth: usize,
     ring: VecDeque<TraceEntry>,
     dropped: u64,
-    sinks: Vec<Box<dyn TraceSink>>,
 }
 
 impl Tracer {
-    pub(crate) fn new(sinks: Vec<Box<dyn TraceSink>>) -> Tracer {
-        Tracer {
-            depth: 0,
-            ring: VecDeque::new(),
-            dropped: 0,
-            sinks,
-        }
-    }
-
     fn record(&mut self, event: TraceEvent) {
-        for sink in &mut self.sinks {
-            sink.emit(self.depth, &event);
-        }
         if self.ring.len() == RING_CAPACITY {
             self.ring.pop_front();
             self.dropped += 1;
@@ -473,11 +414,8 @@ impl Tracer {
         });
     }
 
-    /// Finish (flush) every mirror sink and hand the ring back.
-    pub(crate) fn finish(mut self) -> Trace {
-        for sink in &mut self.sinks {
-            sink.finish();
-        }
+    /// Hand the ring back.
+    pub(crate) fn finish(self) -> Trace {
         Trace {
             entries: self.ring.into(),
             dropped: self.dropped,
@@ -503,24 +441,6 @@ pub fn emit<F: FnOnce() -> TraceEvent>(f: F) {
 
 fn with_tracer(f: impl FnOnce(&mut Tracer)) {
     crate::with_armed(|a| a.tracer.as_mut().map(f));
-}
-
-/// The mirror sinks a configuration asks for beside the in-memory ring:
-/// a [`StderrSink`] when `stderr` (`NRA_TRACE`), plus a [`JsonlSink`]
-/// on `file` (`NRA_TRACE_FILE`; an unwritable path is reported on
-/// stderr and skipped).
-pub fn mirror_sinks(stderr: bool, file: Option<&str>) -> Vec<Box<dyn TraceSink>> {
-    let mut sinks: Vec<Box<dyn TraceSink>> = Vec::new();
-    if stderr {
-        sinks.push(Box::new(StderrSink));
-    }
-    if let Some(path) = file {
-        match JsonlSink::create(std::path::Path::new(path)) {
-            Ok(sink) => sinks.push(Box::new(sink)),
-            Err(e) => eprintln!("NRA_TRACE_FILE: cannot open {path}: {e}"),
-        }
-    }
-    sinks
 }
 
 /// An open phase: emitted `PhaseStart` and deepened the tree on creation;

@@ -18,7 +18,7 @@
 //! .ping                      liveness probe
 //! .session                   one-row result with this connection's session id
 //! .set <key> <value>         set a session default: engine,
-//!                            timeout_ms, mem_limit, plan_cache
+//!                            timeout_ms, mem_limit
 //!                            (value `off`/`auto` resets to the default);
 //!                            `threads <n>` is accepted and ignored
 //! .prepare <name> <sql>      validate + remember a statement
@@ -41,7 +41,7 @@
 //!
 //! The framing is identical for commands and SQL so clients need exactly
 //! one parser ([`Client`] is that parser, used by the integration tests
-//! and the `bench --serve` driver).
+//! and the benchmark's wire workloads).
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -265,7 +265,6 @@ struct ConnConfig {
     engine: Option<Engine>,
     timeout_ms: Option<u64>,
     mem_limit: Option<u64>,
-    plan_cache: Option<bool>,
 }
 
 impl ConnConfig {
@@ -279,9 +278,6 @@ impl ConnConfig {
         }
         if let Some(bytes) = self.mem_limit {
             opts = opts.mem_limit_bytes(bytes);
-        }
-        if let Some(on) = self.plan_cache {
-            opts = opts.plan_cache(on);
         }
         opts
     }
@@ -453,16 +449,9 @@ impl Connection {
                     )
                 }
             }
-            "plan_cache" => {
-                self.config.plan_cache = if off {
-                    None
-                } else {
-                    Some(matches!(value, "on" | "1" | "true"))
-                }
-            }
             other => {
                 return Err(format!(
-                    "unknown setting `{other}` (engine, threads, timeout_ms, mem_limit, plan_cache)"
+                    "unknown setting `{other}` (engine, threads, timeout_ms, mem_limit)"
                 ))
             }
         }
@@ -502,7 +491,7 @@ impl Connection {
 // ---------------------------------------------------------------------
 
 /// A synchronous protocol client: one request, one framed response.
-/// Used by the integration tests and the `bench --serve` driver; small
+/// Used by the integration tests and the benchmark's wire workloads; small
 /// enough to reimplement from the protocol docs in any language.
 #[derive(Debug)]
 pub struct Client {

@@ -343,9 +343,7 @@ impl Database {
     /// armed on this thread (`nra_obs::enter`) is set aside while the
     /// query collects its own under the corresponding option, and is
     /// restored intact on return; without the option, the query reports
-    /// to the caller's. Under [`QueryOptions::collect_trace`] the
-    /// configured mirror sinks also apply (`NRA_TRACE=1` mirrors to
-    /// stderr, `NRA_TRACE_FILE=path` writes JSONL).
+    /// to the caller's.
     ///
     /// This is the one-shot path (session id 0). Multi-statement
     /// clients should hold a [`Session`](crate::Session) from

@@ -41,8 +41,8 @@ use crate::{Database, NraError};
 pub const WAL_FILE: &str = "wal.log";
 
 /// Records appended since the last checkpoint before an automatic one
-/// is taken (override with `NRA_CHECKPOINT_EVERY`; `0` disables).
-const DEFAULT_CHECKPOINT_EVERY: u64 = 4096;
+/// is taken. Records replayed at open count toward it.
+const CHECKPOINT_EVERY: u64 = 4096;
 
 /// What `Database::open` found and did while recovering a directory.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -90,7 +90,6 @@ pub(crate) struct Durability {
     last_lsn: u64,
     snapshot_lsn: u64,
     records_since_checkpoint: u64,
-    checkpoint_every: u64,
     /// The database's `NRA_FAULT` entries as one plan for its lifetime,
     /// armed around every durable write (`None` when there are none).
     faults: Option<Arc<FaultPlan>>,
@@ -174,7 +173,6 @@ impl Database {
             wal: wal_writer,
             last_lsn,
             snapshot_lsn,
-            checkpoint_every: config.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
             faults,
             report,
             poisoned: None,
@@ -291,9 +289,7 @@ impl Database {
         };
         let due = {
             let d = dmx.lock().unwrap_or_else(|e| e.into_inner());
-            d.poisoned.is_none()
-                && d.checkpoint_every > 0
-                && d.records_since_checkpoint >= d.checkpoint_every
+            d.poisoned.is_none() && d.records_since_checkpoint >= CHECKPOINT_EVERY
         };
         if due {
             let _ = self.checkpoint();

@@ -3,15 +3,14 @@
 //!
 //! One call runs top to bottom through:
 //!
-//! 1. **Resolve** — per-query option → session default → ambient
-//!    [`ctx`] setter → the database's [`Config`] → built-in default,
-//!    once, into a [`Query`].
+//! 1. **Resolve** — per-query option → session default → the
+//!    database's [`Config`] → built-in default, once, into a [`Query`].
 //! 2. **Early exits** — `ANALYZE`, `nra_sys.*` introspection and
 //!    `explain_only` return before any per-query state exists.
 //! 3. **Stages** — admission permit → catalog read guard → [`Stages`]
 //!    (registry entry → one observability slot: profile, trace, progress,
-//!    per-query metrics, I/O simulator → governor + batch width → a
-//!    fresh fault plan). Every
+//!    per-query metrics, I/O simulator → governor, beside the caller's
+//!    batch-width override → a fresh fault plan). Every
 //!    stage is RAII: whatever was acquired is released in reverse order on
 //!    every path out, including an unwind.
 //! 4. **Run** — [`Database::run_statements`] under `exec::contain`.
@@ -26,8 +25,7 @@ use std::time::Instant;
 
 use nra_core::{CardEstimates, Engine, PhysPlan};
 use nra_engine::exec;
-use nra_engine::vec::DEFAULT_BATCH_ROWS;
-use nra_engine::{ctx, governor, Config, Governor, QueryCtx};
+use nra_engine::{ctx, governor, Config, Governor};
 use nra_obs::metrics::{self, Registry};
 use nra_obs::progress::{self, ProgressState};
 use nra_obs::queryreg::{QueryRecord, QueryRegistry};
@@ -74,7 +72,6 @@ impl Database {
         caller: Caller,
     ) -> Result<QueryOutcome, NraError> {
         let config = self.config()?;
-        let ambient = ctx::current();
 
         // Metadata paths bypass the admission gate below: inspecting a
         // saturated database must itself never queue.
@@ -113,7 +110,7 @@ impl Database {
             config,
             caller,
         };
-        let stages = Stages::enter(self, &query, ambient, faults);
+        let stages = Stages::enter(self, &query, faults);
         let progress = stages.entry.as_ref().map(|e| &*e.progress);
 
         // One checkpoint before any work: an already-cancelled token or
@@ -213,12 +210,7 @@ struct Stages<'a> {
 }
 
 impl<'a> Stages<'a> {
-    fn enter(
-        db: &'a Database,
-        q: &Query<'_>,
-        ambient: QueryCtx,
-        faults: Option<FaultPlan>,
-    ) -> Stages<'a> {
+    fn enter(db: &'a Database, q: &Query<'_>, faults: Option<FaultPlan>) -> Stages<'a> {
         // A fresh per-query registry on this thread; the
         // process-cumulative registry keeps accumulating regardless.
         let query_metrics = (q.options.collect_metrics || q.config.metrics_path.is_some())
@@ -233,9 +225,7 @@ impl<'a> Stages<'a> {
         let traced = q.options.collect_trace;
         let obs = nra_obs::enter(Observers {
             profile,
-            trace: traced.then(|| {
-                trace::mirror_sinks(q.config.trace_stderr, q.config.trace_file.as_deref())
-            }),
+            trace: traced,
             progress: entry.as_ref().map(|e| e.progress.clone()),
             metrics: query_metrics.clone(),
             simulate_io: q.options.simulate_io,
@@ -247,16 +237,10 @@ impl<'a> Stages<'a> {
         }
         let started = Instant::now();
         // Ungoverned queries install `None`, keeping the context's flag
-        // byte at 0 whatever the caller had installed.
+        // byte at 0 whatever the caller had installed. The caller's
+        // batch-width override passes through unchanged.
         let governor = q.options.governor(q.config).map(Arc::new);
-        let batch_rows = ambient
-            .batch_rows
-            .or(q.config.batch_rows)
-            .unwrap_or(DEFAULT_BATCH_ROWS);
-        let ctx = ctx::enter(QueryCtx {
-            batch_rows: Some(batch_rows),
-            governor: governor.clone(),
-        });
+        let ctx = governor::install(governor.clone());
         Stages {
             _faults: faults.map(fault::install),
             ctx,
@@ -521,12 +505,9 @@ impl Database {
     ) -> Executed {
         let engine = q.options.engine;
         let version = self.shared.version.load(Ordering::SeqCst);
-        // Cache policy: explicit option > `NRA_PLAN_CACHE` > on.
         // Introspection calls never use the cache (their overlay
         // databases are transient).
-        let use_cache =
-            !q.caller.introspection && q.options.plan_cache.or(q.config.plan_cache).unwrap_or(true);
-        let cache_key = use_cache.then_some(q.statement.as_str());
+        let cache_key = (!q.caller.introspection).then_some(q.statement.as_str());
         let plan = match cache_key.and_then(|key| self.shared.plans.lookup(version, key, engine)) {
             Some(plan) => {
                 trace::emit(|| TraceEvent::Governor {

@@ -38,7 +38,6 @@ pub struct QueryOptions {
     faults: Vec<Fault>,
     pub(crate) slow_ms: Option<u64>,
     pub(crate) slow_log: Option<std::path::PathBuf>,
-    pub(crate) plan_cache: Option<bool>,
 }
 
 impl QueryOptions {
@@ -163,17 +162,6 @@ impl QueryOptions {
     /// schema-validated JSONL ([`obs::slowlog::validate_lines`]).
     pub fn slow_log(mut self, path: impl Into<std::path::PathBuf>) -> QueryOptions {
         self.slow_log = Some(path.into());
-        self
-    }
-
-    /// Opt this call in or out of the database's plan cache (physical
-    /// plans keyed on normalized SQL and engine; see `DESIGN.md` §15).
-    /// Unset, the `NRA_PLAN_CACHE` default decides (`0`/`off`/`false`
-    /// disables), and the built-in default is **on** — repeats of a
-    /// statement skip the parser, binder and planner until a catalog write
-    /// invalidates them. Results are identical either way; only plan reuse changes.
-    pub fn plan_cache(mut self, on: bool) -> QueryOptions {
-        self.plan_cache = Some(on);
         self
     }
 

@@ -3,7 +3,7 @@
 //!
 //! A [`Session`] owns what is *per client* in a multi-client setting:
 //! default [`QueryOptions`] applied to every statement (engine,
-//! memory/timeout governor limits, plan-cache opt-out, …), a set of
+//! memory/timeout governor limits, …), a set of
 //! named prepared statements, and the session id stamped into the query
 //! registry (`nra_sys.queries.session`). Everything *shared* — the
 //! catalog, the plan cache, the admission controller, metrics — lives
@@ -25,7 +25,7 @@
 //!     .unwrap();
 //!
 //! let mut session = db.connect();
-//! session.set_defaults(QueryOptions::new().plan_cache(true));
+//! session.set_defaults(QueryOptions::new().timeout_ms(5_000));
 //! session.prepare("all", "select k from t").unwrap();
 //! assert_eq!(session.execute_prepared("all").unwrap().rows.len(), 2);
 //! assert_eq!(session.execute("select k from t where k = 2").unwrap().rows.len(), 1);

@@ -53,8 +53,8 @@ fn execute_reports_the_environment_the_database_was_built_under() {
     for (var, bad) in [
         ("NRA_FAULT", "join-build:x:panic"),
         ("NRA_MEM_LIMIT", "1GB"),
-        ("NRA_BATCH_ROWS", "four"),
-        ("NRA_PLAN_CACHE", "maybe"),
+        ("NRA_SLOW_MS", "soon"),
+        ("NRA_MAX_CONCURRENT", "many"),
     ] {
         let db = with_env(&[(var, bad)], test_db);
         // The variable is unset again; the database still reports it.
@@ -75,7 +75,6 @@ fn execute_reports_the_environment_the_database_was_built_under() {
     let db = with_env(
         &[
             ("NRA_MEM_LIMIT", "1073741824"),
-            ("NRA_BATCH_ROWS", "512"),
             ("NRA_FAULT", "wal-append:1:short-write"),
         ],
         test_db,
@@ -100,8 +99,8 @@ fn open_refuses_a_malformed_environment_up_front() {
         expect_config(Database::open(&dir), "NRA_FAULT");
         assert!(!dir.exists(), "a refused open creates nothing");
     });
-    with_env(&[("NRA_CHECKPOINT_EVERY", "often")], || {
-        expect_config(Database::open(&dir), "NRA_CHECKPOINT_EVERY");
+    with_env(&[("NRA_MEM_LIMIT", "1GB")], || {
+        expect_config(Database::open(&dir), "NRA_MEM_LIMIT");
     });
 
     // A valid I/O fault entry arms the durable write path of the

@@ -122,6 +122,56 @@ fn checkpoint_folds_the_log_and_later_records_replay_on_top() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Records between automatic checkpoints (the durable layer's cadence).
+const CHECKPOINT_EVERY: i64 = 4096;
+
+/// The 4096th record since the last checkpoint takes one automatically;
+/// records replayed at open count toward the next one.
+#[test]
+fn every_4096th_record_takes_a_checkpoint_and_replayed_records_count() {
+    let dir = scratch("autockpt");
+    let since = |db: &Database| db.durability().unwrap().records_since_checkpoint;
+    let insert = |db: &Database, keys: std::ops::Range<i64>| {
+        for k in keys {
+            db.insert("kv", kv_rows(k..k + 1)).unwrap();
+        }
+    };
+    let all = "select k, v from kv";
+    let before = {
+        let db = Database::open(&dir).unwrap();
+        db.create_table("kv", kv_columns(), &["k"]).unwrap();
+        insert(&db, 0..CHECKPOINT_EVERY - 2);
+        assert_eq!(since(&db), 4095);
+        assert_eq!(db.durability().unwrap().snapshot_lsn, 0);
+        insert(&db, CHECKPOINT_EVERY - 2..CHECKPOINT_EVERY - 1);
+        let info = db.durability().unwrap();
+        assert_eq!(
+            (info.records_since_checkpoint, info.snapshot_lsn),
+            (0, 4096)
+        );
+        assert!(dir.join(format!("snapshot-{:020}.nra", 4096)).exists());
+        insert(&db, CHECKPOINT_EVERY - 1..CHECKPOINT_EVERY + 9);
+        assert_eq!(since(&db), 10);
+        rows(&db, all)
+    };
+
+    let db = Database::open(&dir).unwrap();
+    let report = db.recovery().unwrap();
+    assert_eq!((report.snapshot_lsn, report.replayed), (4096, 10));
+    assert_eq!(since(&db), report.replayed);
+    assert_eq!(rows(&db, all), before);
+    insert(&db, CHECKPOINT_EVERY + 9..2 * CHECKPOINT_EVERY - 2);
+    assert_eq!(since(&db), 4095);
+    insert(&db, 2 * CHECKPOINT_EVERY - 2..2 * CHECKPOINT_EVERY - 1);
+    let info = db.durability().unwrap();
+    assert_eq!(
+        (info.records_since_checkpoint, info.snapshot_lsn),
+        (0, 8192)
+    );
+    assert!(dir.join(format!("snapshot-{:020}.nra", 8192)).exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn torn_tail_is_truncated_and_reported_not_fatal() {
     use std::io::Write;

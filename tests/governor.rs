@@ -198,7 +198,7 @@ fn timeout_zero_reports_interrupted_phase_in_trace() {
     // execute() drops its own trace on error, so arm a tracer on this
     // thread directly and read it back after the failure.
     let obs = nra::obs::enter(nra::obs::Observers {
-        trace: Some(Vec::new()),
+        trace: true,
         ..Default::default()
     });
     let result = db

@@ -150,7 +150,7 @@ fn plan_cache_hits_on_repeats_and_drains_on_ddl() {
         .unwrap();
     let session = db.connect();
     let sql = "select k from pc_t where k < 7";
-    let run_opts = QueryOptions::new().plan_cache(true);
+    let run_opts = QueryOptions::new();
 
     const REPEATS: u64 = 20;
     for _ in 0..REPEATS {
@@ -210,7 +210,7 @@ fn plan_cache_drains_on_insert_and_analyze() {
     db.insert("pc_v", vec![vec![Value::Int(1)]]).unwrap();
     let session = db.connect();
     let sql = "select k from pc_v where k >= 1";
-    let run_opts = QueryOptions::new().plan_cache(true);
+    let run_opts = QueryOptions::new();
 
     session.execute_with(sql, &run_opts).unwrap();
     db.insert("pc_v", vec![vec![Value::Int(2)]]).unwrap();
@@ -250,7 +250,7 @@ fn databases_are_isolated() {
         db
     };
     let (a, b) = (make("iso_a"), make("iso_b"));
-    let run_opts = QueryOptions::new().plan_cache(true);
+    let run_opts = QueryOptions::new();
     let cached = "select k from iso_a where k < 3";
     a.execute(cached, &run_opts).unwrap();
 

@@ -196,7 +196,7 @@ fn failed_parse_traces_no_parsed_event() {
         .unwrap_err();
     let _ = err; // the trace is discarded on error; re-run capturing manually
     let armed = obs::enter(obs::Observers {
-        trace: Some(Vec::new()),
+        trace: true,
         ..Default::default()
     });
     let _ = nra::sql::parse_query("select from where");
@@ -214,7 +214,7 @@ fn failed_parse_traces_no_parsed_event() {
 fn traced_query_restores_the_callers_tracer() {
     let database = db();
     let outer = obs::enter(obs::Observers {
-        trace: Some(Vec::new()),
+        trace: true,
         ..Default::default()
     });
     trace::emit(|| TraceEvent::Parsed { tokens: 1 });
