@@ -17,9 +17,9 @@
 //!   and the positive-operator semijoin rewrite;
 //! * [`plan`] — a statement's one [`PhysPlan`] (each `SELECT` arm built by
 //!   its engine's builder; set-op, sort and limit nodes over the arms), the
-//!   one interpreter that runs it and renderer that prints it (`EXPLAIN`);
-//! * [`planner`] — [`Engine`], strategy selection and its decision log;
-//! * [`tree_expr`] — the paper's tree expression (Figure 3a).
+//!   one interpreter that runs it and renderer that prints it (`EXPLAIN`,
+//!   and the paper's tree expression of Figure 3a);
+//! * [`planner`] — [`Engine`], strategy selection and its decision log.
 //!
 //! ```
 //! use nra_storage::{Catalog, Column, ColumnType, Schema, Table, Value};
@@ -45,7 +45,6 @@ pub mod nested;
 pub mod optimize;
 pub mod plan;
 pub mod planner;
-pub mod tree_expr;
 
 pub use cardinality::{estimate, qerror_x100, CardEstimates};
 pub use linking::{LinkCond, LinkSelection, SetQuant};
@@ -53,4 +52,3 @@ pub use nest::{nest, nest_hash_idx, nest_sort_idx, nest_sorted};
 pub use nested::{NestedRelation, NestedSchema, NestedTuple};
 pub use plan::{build, execute, node_stats, run, PhysPlan};
 pub use planner::{Engine, Strategy};
-pub use tree_expr::TreeExpr;

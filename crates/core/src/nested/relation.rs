@@ -37,18 +37,6 @@ impl NestedRelation {
         }
     }
 
-    /// Embed a flat relation as a depth-0 nested relation.
-    pub fn from_flat(rel: &Relation) -> NestedRelation {
-        NestedRelation {
-            schema: NestedSchema::flat(rel.schema()),
-            tuples: rel
-                .rows()
-                .iter()
-                .map(|r| NestedTuple::flat(r.clone()))
-                .collect(),
-        }
-    }
-
     pub fn len(&self) -> usize {
         self.tuples.len()
     }

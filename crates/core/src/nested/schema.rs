@@ -12,14 +12,6 @@ pub struct NestedSchema {
 }
 
 impl NestedSchema {
-    /// A flat (depth-0) nested schema.
-    pub fn flat(schema: &Schema) -> NestedSchema {
-        NestedSchema {
-            atoms: schema.columns().to_vec(),
-            subs: vec![],
-        }
-    }
-
     /// Depth per Definition 1: `0` for flat, `1 + max(depth of subs)`.
     pub fn depth(&self) -> usize {
         self.subs

@@ -3,21 +3,86 @@
 //! `EXPLAIN ANALYZE` annotates a line from the profile entries and the
 //! [`CardEstimates`] under its key: the operator's name in its block's
 //! scope (`b{id}/join`, `…/nest`, `…/link`, `…/scan`; at the root `scan`,
-//! `project` and the cascade's `nest[sort]`).
+//! `project` and the cascade's `nest[sort]`). The paper's tree expression
+//! (Figure 3a) renders from each arm's bound query; Figure 3b is
+//! `Original`'s plan.
 
+use std::collections::HashMap;
 use std::fmt::Write;
 
 use nra_engine::baseline;
 use nra_obs::trace::fmt_ns;
 use nra_obs::{OpStats, Profile};
-use nra_sql::{BPred, BoundQuery, LinkOp, QueryBlock, SetOpKind};
+use nra_sql::{BExpr, BPred, BoundQuery, LinkOp, QueryBlock, SetOpKind, SubqueryEdge};
 use nra_storage::Catalog;
 
 use super::{arm_label, block, edge, Node, PhysPlan, Step};
 use crate::cardinality::{qerror_x100, CardEstimates};
-use crate::compute::link_names;
+use crate::compute::{edge_modes, link_names};
 use crate::planner::Engine;
-use crate::tree_expr::{render_expr, render_link, render_pred};
+
+/// A bound scalar expression as plan text.
+fn render_expr(e: &BExpr) -> String {
+    match e {
+        BExpr::Col(c) => c.clone(),
+        BExpr::Lit(v) => v.to_string(),
+        BExpr::Arith { op, left, right } => {
+            let (left, right) = (render_expr(left), render_expr(right));
+            format!("({left} {} {right})", op.symbol())
+        }
+    }
+}
+
+/// A bound predicate as plan text.
+fn render_pred(p: &BPred) -> String {
+    let (e, not) = (
+        render_expr,
+        |negated: &bool| if *negated { "not " } else { "" },
+    );
+    match p {
+        BPred::Cmp { left, op, right } => format!("{} {op} {}", e(left), e(right)),
+        BPred::Between {
+            expr,
+            low,
+            high,
+            negated,
+        } => format!(
+            "{} {}between {} and {}",
+            e(expr),
+            not(negated),
+            e(low),
+            e(high)
+        ),
+        BPred::IsNull { expr, negated } => format!("{} is {}null", e(expr), not(negated)),
+        BPred::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            let list: Vec<String> = list.iter().map(e).collect();
+            format!("{} {}in ({})", e(expr), not(negated), list.join(", "))
+        }
+        BPred::And(a, b) => format!("({} and {})", render_pred(a), render_pred(b)),
+        BPred::Or(a, b) => format!("({} or {})", render_pred(a), render_pred(b)),
+        BPred::Not(inner) => format!("not ({})", render_pred(inner)),
+        BPred::Const(t) => format!("{t:?}"),
+    }
+}
+
+/// An edge's linking predicate `L_i` as plan text.
+fn render_link(edge: &SubqueryEdge) -> String {
+    let outer = edge.outer_expr.as_ref().map_or(String::new(), render_expr);
+    let inner = (edge.inner_expr.as_ref())
+        .and_then(BExpr::as_column)
+        .unwrap_or("·");
+    match edge.link {
+        LinkOp::Exists => format!("{{{inner}}} ≠ ∅ (exists)"),
+        LinkOp::NotExists => format!("{{{inner}}} = ∅ (not exists)"),
+        LinkOp::Some(op) => format!("{outer} {op} SOME {{{inner}}}"),
+        LinkOp::All(op) => format!("{outer} {op} ALL {{{inner}}}"),
+        LinkOp::Agg { op, func } => format!("{outer} {op} {}{{{inner}}}", func.name()),
+    }
+}
 
 /// Merge every profile entry named `key` exactly or with a `[kind]`
 /// suffix (`b2/join` matches `b2/join[left_outer]`, `b2/nest` matches
@@ -60,6 +125,20 @@ impl PhysPlan {
             };
         }
         out + &self.render()
+    }
+
+    /// The paper's tree expression (Figure 3a) of each arm, in statement
+    /// order: a line `T_i` per block with its tables and local predicates
+    /// `Δ`, under it a line per edge with the linking predicate `L`
+    /// (marked `(σ̄)` where the pseudo-selection applies) and the
+    /// correlated predicates `C`, then the child block.
+    pub fn tree_expression(&self) -> Vec<String> {
+        let tree = |query: &BoundQuery| {
+            let mut out = String::new();
+            tree_node(&query.root, 0, &edge_modes(query), &mut out);
+            out
+        };
+        self.arms.iter().map(|arm| tree(&arm.query)).collect()
     }
 
     /// The plan as `EXPLAIN` prints it.
@@ -267,8 +346,7 @@ impl Lines<'_> {
         let tables: Vec<&str> = block.tables.iter().map(|t| t.exposed.as_str()).collect();
         let mut text = format!("T{} = {}", block.id, tables.join(" × "));
         if !block.local_preds.is_empty() {
-            let local: Vec<String> = block.local_preds.iter().map(render_pred).collect();
-            let _ = write!(text, " | σ {}", local.join(" ∧ "));
+            let _ = write!(text, " | σ {}", conjunction(&block.local_preds, None));
         }
         self.push(depth, text, self.key(block.id, "scan"));
     }
@@ -312,6 +390,30 @@ impl Lines<'_> {
         self.push(depth, "δ back to the outer rows, each once", None);
         let joined = |l: &mut Self, d: usize| join(l, d, "⋈");
         self.positive(child, child.children.len(), depth + 1, &joined);
+    }
+}
+
+/// `block` of the tree expression at `depth`, then each of its edges and
+/// the block below it; `pseudo` maps a child block's id to whether its
+/// edge needs `σ̄`.
+fn tree_node(block: &QueryBlock, depth: usize, pseudo: &HashMap<usize, bool>, out: &mut String) {
+    let pad = "  ".repeat(depth);
+    let tables: Vec<&str> = block.tables.iter().map(|t| t.exposed.as_str()).collect();
+    let _ = write!(out, "{pad}T{}: {}", block.id, tables.join(", "));
+    if !block.local_preds.is_empty() {
+        let _ = write!(out, "  [Δ: {}]", conjunction(&block.local_preds, None));
+    }
+    out.push('\n');
+    for e in &block.children {
+        let _ = write!(out, "{pad}  L: {}", render_link(e));
+        if pseudo[&e.block.id] {
+            out.push_str("  (σ̄)");
+        }
+        if !e.block.correlated_preds.is_empty() {
+            let _ = write!(out, "  C: {}", conjunction(&e.block.correlated_preds, None));
+        }
+        out.push('\n');
+        tree_node(&e.block, depth + 1, pseudo, out);
     }
 }
 
@@ -400,6 +502,48 @@ mod tests {
         );
         assert!(plan.contains("⟕ r.d = s.g"));
         assert!(plan.contains("υ nest by prefix"));
+    }
+
+    /// Query Q's tree expression: `NOT IN` binds as `<> ALL`, the root
+    /// edge keeps the plain σ, the inner edge needs σ̄ (a negative link
+    /// remains above it), and each edge carries its correlated predicates.
+    #[test]
+    fn tree_expression_matches_figure_3a() {
+        let [tree] = &original(QUERY_Q).tree_expression()[..] else {
+            panic!("one arm");
+        };
+        let lines: Vec<&str> = tree.lines().collect();
+        assert!(lines[0].starts_with("T1: r"), "{tree}");
+        let edges: Vec<&str> = (lines.iter().copied())
+            .filter(|l| l.trim_start().starts_with("L: "))
+            .collect();
+        assert_eq!(edges.len(), 2, "{tree}");
+        assert!(edges[0].starts_with("  L: ") && edges[0].contains("<> ALL"));
+        assert!(!edges[0].contains("(σ̄)"), "the root edge uses the plain σ");
+        assert!(edges[0].ends_with("  C: r.d = s.g"), "{tree}");
+        assert!(edges[1].starts_with("    L: ") && edges[1].contains("> ALL"));
+        assert!(edges[1].contains("(σ̄)"), "the inner edge needs σ̄");
+        assert!(edges[1].ends_with("  C: t.k = r.c ∧ t.l <> s.i"), "{tree}");
+    }
+
+    #[test]
+    fn display_renders_the_tree() {
+        let tree = original(QUERY_Q).tree_expression().concat();
+        assert_eq!(
+            tree,
+            "T1: r  [Δ: r.a > 1]\n\
+             \x20 L: r.b <> ALL {s.e}  C: r.d = s.g\n\
+             \x20 T2: s  [Δ: s.f = 5]\n\
+             \x20   L: s.h > ALL {t.j}  (σ̄)  C: t.k = r.c ∧ t.l <> s.i\n\
+             \x20   T3: t\n"
+        );
+    }
+
+    #[test]
+    fn exists_link_rendered_as_emptiness() {
+        let sql = "select a from r where not exists (select * from s where s.g = r.d)";
+        let tree = original(sql).tree_expression().concat();
+        assert!(tree.contains("L: {·} = ∅ (not exists)"), "{tree}");
     }
 
     #[test]

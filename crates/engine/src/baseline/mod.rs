@@ -206,16 +206,6 @@ pub fn describe(query: &BoundQuery, catalog: &Catalog) -> String {
     }
 }
 
-/// Sum of `NULL`-free checks used by tests: expose for unit testing.
-#[doc(hidden)]
-pub fn __expr_not_null_for_tests(
-    expr: Option<&BExpr>,
-    block: &QueryBlock,
-    catalog: &Catalog,
-) -> bool {
-    expr_not_null(expr, block, catalog)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -129,15 +129,6 @@ impl OpStats {
             Truth::Unknown => self.unknown += 1,
         }
     }
-
-    /// Record a whole column of linking-selection outcomes at once — the
-    /// batch-amortized path of the vectorized executors. Totals equal
-    /// calling [`OpStats::record_outcome`] per element by construction.
-    pub fn record_outcomes(&mut self, truths: &[Truth]) {
-        for &t in truths {
-            self.record_outcome(t);
-        }
-    }
 }
 
 #[derive(Default)]

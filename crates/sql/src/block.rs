@@ -129,19 +129,6 @@ pub struct QueryBlock {
 }
 
 impl QueryBlock {
-    /// Exposed qualifiers of this block's own tables.
-    pub fn own_qualifiers(&self) -> Vec<&str> {
-        self.tables.iter().map(|t| t.exposed.as_str()).collect()
-    }
-
-    /// Does a qualified column name belong to this block?
-    pub fn owns_column(&self, qualified: &str) -> bool {
-        match qualified.rsplit_once('.') {
-            Some((q, _)) => self.tables.iter().any(|t| t.exposed == q),
-            None => false,
-        }
-    }
-
     /// Number of blocks in this subtree (including self).
     pub fn block_count(&self) -> usize {
         1 + self

@@ -136,21 +136,19 @@ pub fn lex(input: &str) -> Result<Vec<Token>, SqlError> {
             '\'' => {
                 i += 1;
                 let mut s = String::new();
+                // Copy whole runs of the input up to each quote, so a
+                // multi-byte character stays one `char`.
                 loop {
-                    if i >= bytes.len() {
+                    let Some(run) = input[i..].find('\'') else {
                         return Err(SqlError::lex(start, "unterminated string literal"));
-                    }
-                    if bytes[i] == b'\'' {
-                        // doubled quote is an escaped quote
-                        if i + 1 < bytes.len() && bytes[i + 1] == b'\'' {
-                            s.push('\'');
-                            i += 2;
-                            continue;
-                        }
-                        i += 1;
+                    };
+                    s.push_str(&input[i..i + run]);
+                    i += run + 1;
+                    // doubled quote is an escaped quote
+                    if bytes.get(i) != Some(&b'\'') {
                         break;
                     }
-                    s.push(bytes[i] as char);
+                    s.push('\'');
                     i += 1;
                 }
                 tokens.push(Token {
@@ -224,6 +222,8 @@ pub fn lex(input: &str) -> Result<Vec<Token>, SqlError> {
                 i = j;
             }
             other => {
+                // `other` is one byte; name the whole character.
+                let other = input[i..].chars().next().unwrap_or(other);
                 return Err(SqlError::lex(
                     start,
                     format!("unexpected character `{other}`"),
@@ -303,6 +303,19 @@ mod tests {
     }
 
     #[test]
+    fn strings_keep_multibyte_characters() {
+        assert_eq!(
+            kinds("'café' 'ü''ñ'"),
+            vec![
+                TokenKind::Str("café".into()),
+                TokenKind::Str("ü'ñ".into()),
+                TokenKind::Eof
+            ]
+        );
+        assert!(lex("'naïve").is_err());
+    }
+
+    #[test]
     fn qualified_identifier() {
         assert_eq!(
             kinds("r.b"),
@@ -339,5 +352,7 @@ mod tests {
     fn unexpected_character_errors() {
         assert!(lex("select @").is_err());
         assert!(lex("select !x").is_err());
+        let err = lex("select é").unwrap_err().to_string();
+        assert!(err.contains("unexpected character `é`"), "{err}");
     }
 }

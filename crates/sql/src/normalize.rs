@@ -9,19 +9,22 @@
 //! other.
 //!
 //! The normal form is deliberately conservative: collapse every run of
-//! whitespace to a single space and trim the ends. Nothing
-//! case-folds and no literals are parameterized — `SELECT` and `select`
-//! are different keys, and `where a = 1` / `where a = 2` are different
-//! statements. A smarter fingerprint (lowercased keywords, literals
-//! replaced by `?`) would raise plan-cache hit rates on ad-hoc traffic,
-//! but it would also make the displayed statement lie about what ran;
-//! when that trade-off is revisited it must change here, for every
-//! consumer at once. The query lifecycle calls [`normalize`] once per
+//! whitespace outside string literals to a single space and trim the
+//! ends. A `'…'` literal is copied verbatim, so `where s = 'a  b'` and
+//! `where s = 'a b'` stay different keys. Nothing case-folds and no
+//! literals are parameterized — `SELECT` and `select` are different keys,
+//! and `where a = 1` / `where a = 2` are different statements. A smarter
+//! fingerprint (lowercased keywords, literals replaced by `?`) would raise
+//! plan-cache hit rates on ad-hoc traffic, but it would also make the
+//! displayed statement lie about what ran; when that trade-off is
+//! revisited it must change here, for every consumer at once. The query lifecycle calls [`normalize`] once per
 //! statement and hands the same string to all three.
 
-/// Normalize `sql` to its canonical single-line form: runs of whitespace
-/// (spaces, tabs, newlines — anything `char::is_whitespace`) collapse to
-/// one space, and leading/trailing whitespace is trimmed.
+/// Normalize `sql` to its canonical form: outside `'…'` string literals,
+/// runs of whitespace (spaces, tabs, newlines — anything
+/// `char::is_whitespace`) collapse to one space, and leading/trailing
+/// whitespace is trimmed. A literal, `''` escapes included, is copied as
+/// written; an unterminated one runs to the end of the text.
 ///
 /// ```
 /// use nra_sql::normalize::normalize;
@@ -33,8 +36,13 @@
 pub fn normalize(sql: &str) -> String {
     let mut out = String::with_capacity(sql.len());
     let mut last_space = true;
+    // Inside a literal; `''` closes and reopens it, copying both quotes.
+    let mut quoted = false;
     for ch in sql.chars() {
-        if ch.is_whitespace() {
+        if quoted {
+            out.push(ch);
+            quoted = ch != '\'';
+        } else if ch.is_whitespace() {
             if !last_space {
                 out.push(' ');
                 last_space = true;
@@ -42,9 +50,10 @@ pub fn normalize(sql: &str) -> String {
         } else {
             out.push(ch);
             last_space = false;
+            quoted = ch == '\'';
         }
     }
-    if out.ends_with(' ') {
+    if !quoted && out.ends_with(' ') {
         out.pop();
     }
     out
@@ -65,7 +74,14 @@ mod tests {
 
     #[test]
     fn idempotent() {
-        for s in ["select  a from t", "", "  x ", "a\nb\tc"] {
+        for s in [
+            "select  a from t",
+            "",
+            "  x ",
+            "a\nb\tc",
+            "x 'a  b'  c",
+            "'open  ",
+        ] {
             assert_eq!(normalize(&normalize(s)), normalize(s));
         }
     }
@@ -74,11 +90,25 @@ mod tests {
     fn preserves_case_and_literals() {
         assert_eq!(normalize("SELECT A FROM T"), "SELECT A FROM T");
         assert_eq!(
-            normalize("select 'two  spaces'"),
-            "select 'two spaces'",
-            "string literals are NOT protected — the normal form is \
-             display-oriented; keys for literal-sensitive use must quote \
-             responsibly"
+            normalize("select  'two  spaces'  from t"),
+            "select 'two  spaces' from t",
+            "whitespace inside a literal is part of its value"
         );
+        assert_eq!(normalize("where s = 'a  b'"), "where s = 'a  b'");
+        assert_eq!(normalize("where s = 'a b'"), "where s = 'a b'");
+    }
+
+    #[test]
+    fn escaped_quotes_stay_inside_the_literal() {
+        assert_eq!(
+            normalize("where s  = 'it''s  x'   and  t = ''"),
+            "where s = 'it''s  x' and t = ''"
+        );
+    }
+
+    #[test]
+    fn unterminated_literal_runs_to_the_end() {
+        assert_eq!(normalize(" select  'a  b  "), "select 'a  b  ");
+        assert_eq!(normalize("select 'a\n\tb"), "select 'a\n\tb");
     }
 }

@@ -39,12 +39,6 @@ impl AggFunc {
             AggFunc::CountRows | AggFunc::CountNonNull => "count",
         }
     }
-
-    /// Does this aggregate take a column argument (`false` for
-    /// `COUNT(*)`)?
-    pub fn takes_argument(self) -> bool {
-        self != AggFunc::CountRows
-    }
 }
 
 /// Numeric accumulator that stays exact for homogeneous Int/Decimal input

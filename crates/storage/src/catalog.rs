@@ -1,19 +1,17 @@
 //! Catalog of base tables.
 //!
 //! A [`Table`] owns its data — one typed [`ColumnStore`] per schema column,
-//! not rows — its primary-key declaration and any secondary indexes. The
-//! catalog is what the SQL binder resolves `FROM` items against, and what
-//! the baseline executor probes indexes on.
+//! not rows — its primary-key declaration and its statistics. The catalog
+//! is what the SQL binder resolves `FROM` items against.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{OnceLock, RwLock};
 
 use crate::column::{ColumnData, ColumnStore};
 use crate::error::StorageError;
-use crate::index::{HashIndex, OrdKey, OrderedIndex};
 use crate::relation::Relation;
 use crate::schema::Schema;
-use crate::tuple::{GroupKey, Tuple};
+use crate::tuple::Tuple;
 use crate::value::Value;
 
 /// Per-column statistics gathered by [`Table::analyze`].
@@ -42,7 +40,7 @@ impl TableStats {
     }
 }
 
-/// A named base table with optional primary key and secondary indexes.
+/// A named base table with an optional primary key.
 #[derive(Debug)]
 pub struct Table {
     name: String,
@@ -55,16 +53,14 @@ pub struct Table {
     image: OnceLock<Relation>,
     /// Column indices of the declared primary key (empty if none).
     primary_key: Vec<usize>,
-    hash_indexes: Vec<HashIndex>,
-    ordered_indexes: Vec<OrderedIndex>,
     /// Statistics from the last `ANALYZE`, if any. Interior-mutable so
     /// `ANALYZE` can run through the shared-catalog query path; inserts
-    /// invalidate it like they invalidate indexes.
+    /// invalidate it.
     stats: RwLock<Option<TableStats>>,
 }
 
 impl Clone for Table {
-    /// Copies the stored columns, indexes and stats — not the row image,
+    /// Copies the stored columns and stats — not the row image,
     /// which the copy rebuilds if anyone asks it for one.
     fn clone(&self) -> Table {
         Table {
@@ -74,8 +70,6 @@ impl Clone for Table {
             len: self.len,
             image: OnceLock::new(),
             primary_key: self.primary_key.clone(),
-            hash_indexes: self.hash_indexes.clone(),
-            ordered_indexes: self.ordered_indexes.clone(),
             stats: RwLock::new(self.stats.read().unwrap_or_else(|e| e.into_inner()).clone()),
         }
     }
@@ -95,8 +89,6 @@ impl Table {
             len: 0,
             image: OnceLock::new(),
             primary_key: vec![],
-            hash_indexes: vec![],
-            ordered_indexes: vec![],
             stats: RwLock::new(None),
         }
     }
@@ -174,9 +166,7 @@ impl Table {
         self.schema.check_row(row)
     }
 
-    /// Insert a validated row. Invalidates indexes (they are rebuilt on the
-    /// next `ensure_*_index` call); bulk loading should insert everything
-    /// first and index afterwards.
+    /// Insert a validated row. Invalidates the stats and the row image.
     pub fn insert(&mut self, row: Tuple) -> Result<(), StorageError> {
         self.validate(&row)?;
         self.append(&row);
@@ -185,8 +175,8 @@ impl Table {
     }
 
     /// Insert a batch, all or nothing: every row is validated before the
-    /// first is appended, so a bad row leaves the table — rows, indexes
-    /// and stats — exactly as it was.
+    /// first is appended, so a bad row leaves the table — rows and stats —
+    /// exactly as it was.
     pub fn insert_many<I: IntoIterator<Item = Tuple>>(
         &mut self,
         rows: I,
@@ -232,11 +222,9 @@ impl Table {
         Ok(())
     }
 
-    /// Everything derived from the rows — indexes, stats, the row image —
-    /// is stale after an insert.
+    /// Everything derived from the rows — stats, the row image — is stale
+    /// after an insert.
     pub(crate) fn invalidate_derived(&mut self) {
-        self.hash_indexes.clear();
-        self.ordered_indexes.clear();
         self.image.take();
         *self.stats.write().unwrap_or_else(|e| e.into_inner()) = None;
     }
@@ -287,52 +275,6 @@ impl Table {
     pub fn stats(&self) -> Option<TableStats> {
         self.stats.read().unwrap_or_else(|e| e.into_inner()).clone()
     }
-
-    fn resolve_key(&self, cols: &[&str]) -> Result<Vec<usize>, StorageError> {
-        cols.iter().map(|c| self.schema.resolve(c)).collect()
-    }
-
-    /// The key of each row over `key`, in row-id order.
-    fn keys<'a>(&'a self, key: &'a [usize]) -> impl Iterator<Item = Vec<Value>> + 'a {
-        (0..self.len).map(move |i| key.iter().map(|&c| self.columns[c].value(i)).collect())
-    }
-
-    /// Get (building if absent) a hash index on the named columns.
-    pub fn ensure_hash_index(&mut self, cols: &[&str]) -> Result<&HashIndex, StorageError> {
-        let key = self.resolve_key(cols)?;
-        let pos = match self.hash_indexes.iter().position(|ix| ix.key_cols() == key) {
-            Some(pos) => pos,
-            None => {
-                let index = HashIndex::from_keys(&key, self.keys(&key).map(GroupKey));
-                self.hash_indexes.push(index);
-                self.hash_indexes.len() - 1
-            }
-        };
-        Ok(&self.hash_indexes[pos])
-    }
-
-    /// Get an existing hash index on the given key columns, if any.
-    pub fn hash_index(&self, key: &[usize]) -> Option<&HashIndex> {
-        self.hash_indexes.iter().find(|ix| ix.key_cols() == key)
-    }
-
-    /// Get (building if absent) an ordered index on the named columns.
-    pub fn ensure_ordered_index(&mut self, cols: &[&str]) -> Result<&OrderedIndex, StorageError> {
-        let key = self.resolve_key(cols)?;
-        let pos = match (self.ordered_indexes.iter()).position(|ix| ix.key_cols() == key) {
-            Some(pos) => pos,
-            None => {
-                let index = OrderedIndex::from_keys(&key, self.keys(&key).map(OrdKey));
-                self.ordered_indexes.push(index);
-                self.ordered_indexes.len() - 1
-            }
-        };
-        Ok(&self.ordered_indexes[pos])
-    }
-
-    pub fn ordered_index(&self, key: &[usize]) -> Option<&OrderedIndex> {
-        self.ordered_indexes.iter().find(|ix| ix.key_cols() == key)
-    }
 }
 
 /// The collection of base tables a query runs against.
@@ -381,7 +323,6 @@ impl Catalog {
 mod tests {
     use super::*;
     use crate::schema::{Column, ColumnType};
-    use crate::tuple::GroupKey;
     use crate::value::Value;
 
     fn table() -> Table {
@@ -406,28 +347,8 @@ mod tests {
     }
 
     #[test]
-    fn ensure_hash_index_is_idempotent_and_probeable() {
-        let mut t = table();
-        t.ensure_hash_index(&["v"]).unwrap();
-        let ix = t.ensure_hash_index(&["v"]).unwrap();
-        assert_eq!(ix.probe(&GroupKey(vec![Value::Int(10)])), &[0]);
-        assert_eq!(t.hash_index(&[1]).unwrap().distinct_keys(), 2);
-    }
-
-    #[test]
-    fn insert_invalidates_indexes() {
-        let mut t = table();
-        t.ensure_hash_index(&["id"]).unwrap();
-        t.insert(vec![Value::Int(3), Value::Int(30)]).unwrap();
-        assert!(t.hash_index(&[0]).is_none(), "index dropped after insert");
-        let ix = t.ensure_hash_index(&["id"]).unwrap();
-        assert_eq!(ix.probe(&GroupKey(vec![Value::Int(3)])), &[2]);
-    }
-
-    #[test]
     fn insert_many_is_all_or_nothing() {
         let mut t = table();
-        t.ensure_hash_index(&["id"]).unwrap();
         let stats = t.analyze();
         let bad = vec![
             vec![Value::Int(3), Value::Int(30)],
@@ -441,7 +362,6 @@ mod tests {
         assert_eq!(t.len(), 2, "not even the good first row went in");
         assert_eq!(t.rows().count(), 2);
         assert_eq!(t.stats(), Some(stats), "stats still describe the table");
-        assert!(t.hash_index(&[0]).is_some(), "index still describes it");
     }
 
     #[test]
@@ -495,12 +415,5 @@ mod tests {
         t.analyze();
         let c = t.clone();
         assert_eq!(c.stats(), t.stats());
-    }
-
-    #[test]
-    fn ordered_index_roundtrip() {
-        let mut t = table();
-        let ix = t.ensure_ordered_index(&["id"]).unwrap();
-        assert_eq!(ix.range(&[Value::Int(1)], &[Value::Int(3)]).len(), 2);
     }
 }

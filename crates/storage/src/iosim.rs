@@ -201,17 +201,6 @@ pub fn is_enabled() -> bool {
     SIM.with(|s| s.borrow().is_some())
 }
 
-/// Reset counters (keeping the warm cache) and return the previous stats.
-pub fn take_stats() -> IoStats {
-    SIM.with(|s| {
-        let mut b = s.borrow_mut();
-        match b.as_mut() {
-            Some(sim) => std::mem::take(&mut sim.stats),
-            None => IoStats::default(),
-        }
-    })
-}
-
 /// Current counters without resetting.
 pub fn stats() -> IoStats {
     SIM.with(|s| s.borrow().as_ref().map(|sim| sim.stats).unwrap_or_default())
@@ -333,18 +322,6 @@ mod tests {
             rand_misses: 100,
         };
         assert!(rand.estimated_secs(&cfg) > 10.0 * seq.estimated_secs(&cfg));
-    }
-
-    #[test]
-    fn take_stats_keeps_cache_warm() {
-        enable(IoConfig::default());
-        charge_random_row("t", 4, 0);
-        let first = take_stats();
-        assert_eq!(first.rand_misses, 1);
-        charge_random_row("t", 4, 0); // still cached
-        let second = disable().unwrap();
-        assert_eq!(second.rand_hits, 1);
-        assert_eq!(second.rand_misses, 0);
     }
 
     #[test]

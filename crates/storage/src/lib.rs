@@ -4,7 +4,7 @@
 //! scalar [`value::Value`]s with SQL three-valued logic, [`schema::Schema`]s
 //! with qualified column names, materialized [`relation::Relation`]s, a
 //! [`catalog::Catalog`] of base tables stored as typed [`column`]s, and
-//! hash/ordered secondary [`index`]es.
+//! the hash [`index`] the baseline's nested iteration probes.
 //!
 //! Everything above this crate — the SQL front end, the flat execution
 //! engine, and the nested relational algebra that is the paper's

@@ -7,14 +7,17 @@
 //! cargo run --example explain_plans
 //! ```
 
-use nra::core::TreeExpr;
 use nra::storage::{Column, ColumnType, Value};
-use nra::{Database, QueryOptions, Session, Strategy};
+use nra::{Database, Engine, QueryOptions, Session, Strategy};
 
 fn show(session: &Session, sql: &str) {
     println!("== {sql}\n");
     let bq = session.database().prepare(sql).unwrap();
-    println!("tree expression (paper Fig. 3a):\n{}", TreeExpr::build(&bq));
+    let plan = nra::core::build(bq.into(), Engine::default()).unwrap();
+    println!(
+        "tree expression (paper Fig. 3a):\n{}",
+        plan.tree_expression().concat()
+    );
     for strategy in [Strategy::Auto, Strategy::Original] {
         let explain = session
             .execute_with(

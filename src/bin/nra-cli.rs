@@ -53,7 +53,6 @@
 use std::io::{BufRead, BufReader, Write};
 use std::time::Instant;
 
-use nra::core::TreeExpr;
 use nra::storage::csv::{read_rows, write_relation, CsvOptions};
 use nra::storage::{Column, ColumnType, Schema, Table};
 use nra::{Database, Engine, QueryOptions, Session, Strategy};
@@ -519,15 +518,16 @@ impl Shell {
         print!("{}", out.plan.expect("explain_only sets plan"));
         let query = nra::sql::parse_query(sql).map_err(err)?;
         let statement = nra::sql::bind_statement(&query, &self.db().catalog()).map_err(err)?;
-        let compound = !statement.compounds.is_empty();
-        let arms = statement.compounds.iter().map(|(_, _, arm)| arm);
-        for (i, arm) in std::iter::once(&statement.first).chain(arms).enumerate() {
-            let label = if compound {
+        let trees = nra::core::build(statement, self.engine)
+            .map_err(err)?
+            .tree_expression();
+        for (i, tree) in trees.iter().enumerate() {
+            let label = if trees.len() > 1 {
                 format!(" (a{})", i + 1)
             } else {
                 String::new()
             };
-            println!("\ntree expression{label}:\n{}", TreeExpr::build(arm));
+            println!("\ntree expression{label}:\n{tree}");
         }
         Ok(())
     }

@@ -137,19 +137,6 @@ impl Session {
         })?;
         self.execute(sql)
     }
-
-    /// Drop the statement prepared under `name`; `false` if there was
-    /// none.
-    pub fn deallocate(&mut self, name: &str) -> bool {
-        self.prepared.remove(name).is_some()
-    }
-
-    /// Names of the session's prepared statements, sorted.
-    pub fn prepared_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.prepared.keys().map(String::as_str).collect();
-        names.sort_unstable();
-        names
-    }
 }
 
 // Sessions move to connection threads; this is load-bearing for the

@@ -172,8 +172,9 @@ fn explain_shows_aggregate_link() {
     let bq = db
         .prepare("select dno from dept where budget > (select max(salary) from emp where emp.dno = dept.dno)")
         .unwrap();
-    let tree = nra_core::TreeExpr::build(&bq);
-    assert!(tree.to_string().contains("max{"), "got: {tree}");
+    let plan = nra_core::build(bq.into(), Engine::default()).unwrap();
+    let tree = plan.tree_expression().concat();
+    assert!(tree.contains("max{"), "got: {tree}");
 }
 
 #[test]

@@ -406,6 +406,10 @@ fn every_truncation_and_byte_flip_is_a_torn_tail_or_corruption() {
     assert_eq!(ends.len(), prefixes.len());
 
     let wal_path = dir.join("wal.log");
+    // The facade reports and repairs the same tails; one directory, its
+    // log rewritten for each cut.
+    let db_dir = dir.join("db");
+    std::fs::create_dir_all(&db_dir).unwrap();
     for cut in 0..=full.len() {
         std::fs::write(&wal_path, &full[..cut]).unwrap();
         let whole = ends.iter().filter(|&&end| end <= cut).count();
@@ -424,18 +428,13 @@ fn every_truncation_and_byte_flip_is_a_torn_tail_or_corruption() {
             "cut at {cut}"
         );
         assert_eq!(wal::replay(&wal_path).unwrap().records.len(), records);
-    }
-    // The facade reports and repairs the same tails.
-    for cut in (9..full.len()).step_by(61) {
-        let db_dir = dir.join(format!("db-{cut}"));
-        std::fs::create_dir_all(&db_dir).unwrap();
+
         std::fs::write(db_dir.join("wal.log"), &full[..cut]).unwrap();
         let db = Database::open(&db_dir).unwrap();
         let report = db.recovery().unwrap();
-        let whole = ends.iter().filter(|&&end| end <= cut).count();
-        assert_eq!(report.replayed, whole as u64 - 1, "cut at {cut}");
-        assert_eq!(report.repaired, cut != ends[whole - 1], "cut at {cut}");
-        assert!(same_prefix(&prefix_of(&db.catalog()), &prefixes[whole - 1]));
+        assert_eq!(report.replayed, records as u64, "cut at {cut}");
+        assert_eq!(report.repaired, cut != good, "cut at {cut}");
+        assert!(same_prefix(&prefix_of(&db.catalog()), &prefixes[records]));
     }
 
     let mut rng = Pcg32::new(0xC01_0005);
@@ -475,15 +474,10 @@ fn every_truncation_and_byte_flip_is_a_torn_tail_or_corruption() {
 }
 
 /// What an insert must leave untouched when it fails.
-fn state(db: &Database, table: &str) -> (usize, Option<TableStats>, Vec<Tuple>, bool) {
+fn state(db: &Database, table: &str) -> (usize, Option<TableStats>, Vec<Tuple>) {
     let cat = db.catalog();
     let t = cat.table(table).unwrap();
-    (
-        t.len(),
-        t.stats(),
-        stored_rows(t),
-        t.hash_index(&[0]).is_some(),
-    )
+    (t.len(), t.stats(), stored_rows(t))
 }
 
 #[test]
@@ -501,11 +495,10 @@ fn a_failed_batch_insert_changes_nothing() {
         );
         t.insert_many((0..5).map(|i| vec![Value::Int(i), Value::str(format!("v{i}"))]))
             .unwrap();
-        t.ensure_hash_index(&["k"]).unwrap();
         db.add_table(t).unwrap();
         db.execute("analyze kv", &QueryOptions::new()).unwrap();
         let before = state(db, "kv");
-        assert!(before.1.is_some() && before.3, "stats and index in place");
+        assert!(before.1.is_some(), "stats in place");
 
         let batch = vec![
             vec![Value::Int(10), Value::str("ok")],
@@ -522,7 +515,6 @@ fn a_failed_batch_insert_changes_nothing() {
         assert_eq!(after.0, before.0, "{kind}: len");
         assert_eq!(after.1, before.1, "{kind}: stats");
         assert!(same_rows(&after.2, &before.2), "{kind}: rows");
-        assert!(after.3, "{kind}: index kept");
     }
     // Nothing of the batch reached the log either.
     drop(durable);

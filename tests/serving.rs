@@ -236,6 +236,70 @@ fn plan_cache_drains_on_insert_and_analyze() {
     );
 }
 
+fn strings_db(table: &str, values: &[&str]) -> Database {
+    let db = Database::new();
+    let columns = vec![
+        Column::not_null("k", ColumnType::Int),
+        Column::new("s", ColumnType::Str),
+    ];
+    db.create_table(table, columns, &["k"]).unwrap();
+    let rows = (values.iter().enumerate())
+        .map(|(k, s)| vec![Value::Int(k as i64), Value::str(*s)])
+        .collect();
+    db.insert(table, rows).unwrap();
+    db
+}
+
+fn keys(out: &nra::QueryOutcome) -> Vec<Value> {
+    out.rows.rows().iter().map(|r| r[0].clone()).collect()
+}
+
+/// Two statements that differ only inside a string literal are two
+/// cache keys: once the first has run, the second still returns its own
+/// rows, through one session and through the one-shot wrapper.
+#[test]
+fn statements_differing_inside_a_literal_plan_separately() {
+    let db = strings_db("lit_ws", &["a  b", "a b", "it's  x"]);
+    let queries = [
+        ("select k from lit_ws where s = 'a  b'", 0),
+        ("select k from lit_ws where s = 'a b'", 1),
+        ("select k from lit_ws where s = 'it''s  x'", 2),
+        ("select k from lit_ws where s = 'it''s x'", -1),
+    ];
+    let want = |k: i64| match k {
+        -1 => vec![],
+        k => vec![Value::Int(k)],
+    };
+    let session = db.connect();
+    for _ in 0..2 {
+        for (sql, k) in queries {
+            assert_eq!(keys(&session.execute(sql).unwrap()), want(k), "{sql}");
+            let wrapped = db.execute(sql, &QueryOptions::new()).unwrap();
+            assert_eq!(keys(&wrapped), want(k), "{sql} via Database::execute");
+        }
+    }
+}
+
+/// A non-ASCII literal compares equal to the stored string it spells.
+#[test]
+fn non_ascii_literals_match_stored_strings() {
+    let db = strings_db("lit_utf8", &["café", "cafe", "naïve ü"]);
+    let session = db.connect();
+    let run = |sql: &str| keys(&session.execute(sql).unwrap());
+    assert_eq!(
+        run("select k from lit_utf8 where s = 'café'"),
+        [Value::Int(0)]
+    );
+    assert_eq!(
+        run("select k from lit_utf8 where s <> 'café'"),
+        [Value::Int(1), Value::Int(2)]
+    );
+    assert_eq!(
+        run("select k from lit_utf8 where s in ('naïve ü', 'cafe')"),
+        [Value::Int(1), Value::Int(2)]
+    );
+}
+
 /// Each database owns its plan cache and query registry: a busy
 /// neighbour can neither evict a database's cached plans nor show up in
 /// its `nra_sys.queries`.
