@@ -1,17 +1,33 @@
 //! The metrics registry through the public API: per-query scope
-//! determinism across runs, cardinality feedback (Q-error) on a
+//! determinism across runs, what one query adds to each scope on its
+//! success and failure paths, cardinality feedback (Q-error) on a
 //! known-skewed join, `ANALYZE` idempotence, and the Prometheus/JSONL
 //! exposition formats.
+//!
+//! Every test here takes [`serial`]: the characterization test reads
+//! exact deltas of the process-global registry and sets `NRA_METRICS`
+//! while it builds its databases.
 
-use nra::obs::metrics::{Metric, Registry};
+use std::ffi::OsString;
+use std::path::Path;
+use std::sync::{Mutex, MutexGuard};
+
+use nra::obs::metrics::{self, Metric, Registry, Snapshot};
 use nra::storage::{Column, ColumnType, Value};
 use nra::tpch::paper_example::{rst_catalog, QUERY_Q};
-use nra::{Database, QueryOptions, Strategy};
+use nra::{Database, FaultKind, QueryOptions, Strategy};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Per-query metrics exclude wall times by construction, so the rendered
 /// snapshot must be byte-identical on every run of the same query.
 #[test]
 fn per_query_metrics_are_identical_across_runs() {
+    let _serial = serial();
     let cat = nra::tpch::generate(&nra::tpch::TpchConfig::scaled(0.01));
     let sql = nra::tpch::q1_sql(&cat, 100);
     let db = Database::from_catalog(cat);
@@ -40,6 +56,7 @@ fn per_query_metrics_are_identical_across_runs() {
 /// records the miss.
 #[test]
 fn qerror_is_recorded_on_skewed_joins() {
+    let _serial = serial();
     let db = Database::new();
     db.create_table(
         "big",
@@ -126,6 +143,7 @@ fn qerror_is_recorded_on_skewed_joins() {
 /// identical statistics — and inserts invalidate the stored stats.
 #[test]
 fn analyze_is_idempotent_and_invalidated_by_inserts() {
+    let _serial = serial();
     let db = Database::new();
     db.create_table(
         "t",
@@ -176,6 +194,7 @@ fn analyze_is_idempotent_and_invalidated_by_inserts() {
 /// the shared JSON writer.
 #[test]
 fn prometheus_exposition_golden() {
+    let _serial = serial();
     let reg = Registry::new();
     reg.counter_add("nra_queries_total", &[("outcome", "ok")], 3);
     reg.counter_add(
@@ -200,6 +219,7 @@ nra_query_mem_high_water_bytes 4096
 /// high-water mark of a governed query.
 #[test]
 fn governor_high_water_trace_and_gauge_agree() {
+    let _serial = serial();
     let db = Database::from_catalog(rst_catalog());
     let out = db
         .connect()
@@ -236,3 +256,352 @@ fn governor_high_water_trace_and_gauge_agree() {
         other => panic!("high-water metric is not a gauge: {other:?}"),
     }
 }
+
+/// Build a database whose configuration is the defaults plus
+/// `NRA_METRICS=sink`, whatever `NRA_*` variables the suite runs under.
+fn database_with_sink(sink: &Path) -> Database {
+    let saved: Vec<(OsString, OsString)> = std::env::vars_os()
+        .filter(|(k, _)| k.to_string_lossy().starts_with("NRA_"))
+        .collect();
+    for (k, _) in &saved {
+        std::env::remove_var(k);
+    }
+    std::env::set_var("NRA_METRICS", sink);
+    let db = Database::from_catalog(rst_catalog());
+    std::env::remove_var("NRA_METRICS");
+    for (k, v) in saved {
+        std::env::set_var(k, v);
+    }
+    db
+}
+
+/// What one query added to the global registry: one line per counter or
+/// histogram that moved. Gauges hold process maxima, not sums, so they
+/// are left out.
+fn global_delta(before: &Snapshot, after: &Snapshot) -> String {
+    let mut out = String::new();
+    for (key, now) in &after.entries {
+        let was = before
+            .entries
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, m)| m);
+        let labels: Vec<String> = key.labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let name = format!("{}{{{}}}", key.name, labels.join(","));
+        match (now, was) {
+            (Metric::Counter(n), Some(Metric::Counter(w))) if n > w => {
+                out.push_str(&format!("{name} +{}\n", n - w));
+            }
+            (Metric::Counter(n), None) if *n > 0 => out.push_str(&format!("{name} +{n}\n")),
+            (Metric::Hist { count, sum, .. }, was) => {
+                let (wc, ws) = match was {
+                    Some(Metric::Hist { count, sum, .. }) => (*count, *sum),
+                    _ => (0, 0),
+                };
+                if *count > wc {
+                    out.push_str(&format!("{name} count +{} sum +{}\n", count - wc, sum - ws));
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Characterization of what one query of the paper's Query Q adds to
+/// each metrics scope — its per-query snapshot (the `NRA_METRICS` sink's
+/// line, and `QueryOutcome::metrics` rendered as Prometheus text when the
+/// query succeeds) and the process-global registry — on success, on each
+/// of the three governor interventions and on a slow query. A slow query
+/// counts only globally: slowness is wall time, which the per-query scope
+/// never holds.
+#[test]
+fn one_query_adds_the_same_metrics_on_every_path() {
+    let _serial = serial();
+    let dir = std::env::temp_dir().join(format!("nra-metrics-char-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let original = || QueryOptions::new().strategy(Strategy::Original);
+    let failed = |action: &str| {
+        let sink = FAILED_AT_JOIN_SINK.replace("ACTION", action);
+        (
+            String::new(),
+            sink,
+            FAILED_AT_JOIN_GLOBAL.replace("ACTION", action),
+        )
+    };
+    let slow_global = format!("{QQ_GLOBAL}nra_slow_queries_total{{}} +1\n");
+    let cases = [
+        (
+            "ok",
+            original().collect_metrics(true),
+            (
+                QQ_PROM.to_string(),
+                QQ_SINK.to_string(),
+                QQ_GLOBAL.to_string(),
+            ),
+        ),
+        (
+            "mem",
+            original().mem_limit_bytes(1),
+            failed("resource-exhausted"),
+        ),
+        (
+            "timeout",
+            original().timeout_ms(0),
+            (
+                String::new(),
+                CANCELLED_SINK.to_string(),
+                CANCELLED_GLOBAL.to_string(),
+            ),
+        ),
+        (
+            "fault",
+            original().fault("join-build", 1, FaultKind::AllocFail),
+            failed("fault-injected"),
+        ),
+        (
+            "slow",
+            original().slow_ms(0).collect_metrics(true),
+            (QQ_PROM.to_string(), QQ_SINK.to_string(), slow_global),
+        ),
+    ];
+    for (case, opts, (golden_prom, golden_sink, golden_global)) in cases {
+        let sink = dir.join(format!("{case}.jsonl"));
+        let _ = std::fs::remove_file(&sink);
+        let db = database_with_sink(&sink);
+        let before = metrics::global().snapshot();
+        let result = db.connect().execute_with(QUERY_Q, &opts);
+        let after = metrics::global().snapshot();
+        let prom = match &result {
+            Ok(out) => out
+                .metrics
+                .as_ref()
+                .expect("metrics armed")
+                .render_prometheus(),
+            Err(_) => String::new(),
+        };
+        assert_eq!(result.is_ok(), !golden_prom.is_empty(), "{case}");
+        assert_eq!((case, prom), (case, golden_prom));
+        let sunk = std::fs::read_to_string(&sink).unwrap_or_default();
+        assert_eq!((case, sunk), (case, golden_sink));
+        let delta = global_delta(&before, &after);
+        assert_eq!((case, delta), (case, golden_global));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Query Q's per-query snapshot under `Strategy::Original`.
+const QQ_PROM: &str = r#"# TYPE nra_op_hash_bytes_total counter
+nra_op_hash_bytes_total{op="b2/join[left_outer]"} 72
+nra_op_hash_bytes_total{op="b3/join[left_outer]"} 120
+# TYPE nra_op_hash_entries_total counter
+nra_op_hash_entries_total{op="b2/join[left_outer]"} 3
+nra_op_hash_entries_total{op="b3/join[left_outer]"} 5
+# TYPE nra_op_invocations_total counter
+nra_op_invocations_total{op="b2/join[left_outer]"} 1
+nra_op_invocations_total{op="b2/link"} 1
+nra_op_invocations_total{op="b2/nest[sort]"} 1
+nra_op_invocations_total{op="b2/scan"} 1
+nra_op_invocations_total{op="b3/join[left_outer]"} 1
+nra_op_invocations_total{op="b3/link"} 1
+nra_op_invocations_total{op="b3/nest[sort]"} 1
+nra_op_invocations_total{op="b3/scan"} 1
+nra_op_invocations_total{op="project"} 1
+nra_op_invocations_total{op="scan"} 1
+# TYPE nra_op_link_outcomes_total counter
+nra_op_link_outcomes_total{op="b2/link",outcome="fail"} 1
+nra_op_link_outcomes_total{op="b2/link",outcome="pass"} 2
+nra_op_link_outcomes_total{op="b3/link",outcome="fail"} 1
+nra_op_link_outcomes_total{op="b3/link",outcome="pass"} 1
+nra_op_link_outcomes_total{op="b3/link",outcome="unknown"} 1
+# TYPE nra_op_nest_groups_total counter
+nra_op_nest_groups_total{op="b2/nest[sort]"} 3
+nra_op_nest_groups_total{op="b3/nest[sort]"} 3
+# TYPE nra_op_padded_total counter
+nra_op_padded_total{op="b3/link"} 2
+# TYPE nra_op_rows_in_total counter
+nra_op_rows_in_total{op="b2/join[left_outer]"} 6
+nra_op_rows_in_total{op="b2/link"} 3
+nra_op_rows_in_total{op="b2/nest[sort]"} 3
+nra_op_rows_in_total{op="b2/scan"} 4
+nra_op_rows_in_total{op="b3/join[left_outer]"} 8
+nra_op_rows_in_total{op="b3/link"} 3
+nra_op_rows_in_total{op="b3/nest[sort]"} 3
+nra_op_rows_in_total{op="b3/scan"} 5
+nra_op_rows_in_total{op="project"} 2
+nra_op_rows_in_total{op="scan"} 4
+# TYPE nra_op_rows_out_total counter
+nra_op_rows_out_total{op="b2/join[left_outer]"} 3
+nra_op_rows_out_total{op="b2/link"} 2
+nra_op_rows_out_total{op="b2/nest[sort]"} 3
+nra_op_rows_out_total{op="b2/scan"} 3
+nra_op_rows_out_total{op="b3/join[left_outer]"} 3
+nra_op_rows_out_total{op="b3/link"} 3
+nra_op_rows_out_total{op="b3/nest[sort]"} 3
+nra_op_rows_out_total{op="b3/scan"} 5
+nra_op_rows_out_total{op="project"} 2
+nra_op_rows_out_total{op="scan"} 3
+# TYPE nra_qerror_x100 histogram
+nra_qerror_x100_bucket{le="1"} 0
+nra_qerror_x100_bucket{le="2"} 0
+nra_qerror_x100_bucket{le="4"} 0
+nra_qerror_x100_bucket{le="8"} 0
+nra_qerror_x100_bucket{le="16"} 0
+nra_qerror_x100_bucket{le="32"} 0
+nra_qerror_x100_bucket{le="64"} 0
+nra_qerror_x100_bucket{le="128"} 1
+nra_qerror_x100_bucket{le="256"} 3
+nra_qerror_x100_bucket{le="512"} 10
+nra_qerror_x100_bucket{le="1024"} 10
+nra_qerror_x100_bucket{le="2048"} 10
+nra_qerror_x100_bucket{le="4096"} 10
+nra_qerror_x100_bucket{le="8192"} 10
+nra_qerror_x100_bucket{le="16384"} 10
+nra_qerror_x100_bucket{le="+Inf"} 10
+nra_qerror_x100_sum 2600
+nra_qerror_x100_count 10
+# TYPE nra_queries_total counter
+nra_queries_total{outcome="ok"} 1
+# TYPE nra_rows_produced_total counter
+nra_rows_produced_total 2
+"#;
+
+/// The same snapshot as the `NRA_METRICS` sink's JSONL.
+const QQ_SINK: &str = r#"{"metric": "nra_op_hash_bytes_total", "type": "counter", "labels": {"op": "b2/join[left_outer]"}, "value": 72}
+{"metric": "nra_op_hash_bytes_total", "type": "counter", "labels": {"op": "b3/join[left_outer]"}, "value": 120}
+{"metric": "nra_op_hash_entries_total", "type": "counter", "labels": {"op": "b2/join[left_outer]"}, "value": 3}
+{"metric": "nra_op_hash_entries_total", "type": "counter", "labels": {"op": "b3/join[left_outer]"}, "value": 5}
+{"metric": "nra_op_invocations_total", "type": "counter", "labels": {"op": "b2/join[left_outer]"}, "value": 1}
+{"metric": "nra_op_invocations_total", "type": "counter", "labels": {"op": "b2/link"}, "value": 1}
+{"metric": "nra_op_invocations_total", "type": "counter", "labels": {"op": "b2/nest[sort]"}, "value": 1}
+{"metric": "nra_op_invocations_total", "type": "counter", "labels": {"op": "b2/scan"}, "value": 1}
+{"metric": "nra_op_invocations_total", "type": "counter", "labels": {"op": "b3/join[left_outer]"}, "value": 1}
+{"metric": "nra_op_invocations_total", "type": "counter", "labels": {"op": "b3/link"}, "value": 1}
+{"metric": "nra_op_invocations_total", "type": "counter", "labels": {"op": "b3/nest[sort]"}, "value": 1}
+{"metric": "nra_op_invocations_total", "type": "counter", "labels": {"op": "b3/scan"}, "value": 1}
+{"metric": "nra_op_invocations_total", "type": "counter", "labels": {"op": "project"}, "value": 1}
+{"metric": "nra_op_invocations_total", "type": "counter", "labels": {"op": "scan"}, "value": 1}
+{"metric": "nra_op_link_outcomes_total", "type": "counter", "labels": {"op": "b2/link", "outcome": "fail"}, "value": 1}
+{"metric": "nra_op_link_outcomes_total", "type": "counter", "labels": {"op": "b2/link", "outcome": "pass"}, "value": 2}
+{"metric": "nra_op_link_outcomes_total", "type": "counter", "labels": {"op": "b3/link", "outcome": "fail"}, "value": 1}
+{"metric": "nra_op_link_outcomes_total", "type": "counter", "labels": {"op": "b3/link", "outcome": "pass"}, "value": 1}
+{"metric": "nra_op_link_outcomes_total", "type": "counter", "labels": {"op": "b3/link", "outcome": "unknown"}, "value": 1}
+{"metric": "nra_op_nest_groups_total", "type": "counter", "labels": {"op": "b2/nest[sort]"}, "value": 3}
+{"metric": "nra_op_nest_groups_total", "type": "counter", "labels": {"op": "b3/nest[sort]"}, "value": 3}
+{"metric": "nra_op_padded_total", "type": "counter", "labels": {"op": "b3/link"}, "value": 2}
+{"metric": "nra_op_rows_in_total", "type": "counter", "labels": {"op": "b2/join[left_outer]"}, "value": 6}
+{"metric": "nra_op_rows_in_total", "type": "counter", "labels": {"op": "b2/link"}, "value": 3}
+{"metric": "nra_op_rows_in_total", "type": "counter", "labels": {"op": "b2/nest[sort]"}, "value": 3}
+{"metric": "nra_op_rows_in_total", "type": "counter", "labels": {"op": "b2/scan"}, "value": 4}
+{"metric": "nra_op_rows_in_total", "type": "counter", "labels": {"op": "b3/join[left_outer]"}, "value": 8}
+{"metric": "nra_op_rows_in_total", "type": "counter", "labels": {"op": "b3/link"}, "value": 3}
+{"metric": "nra_op_rows_in_total", "type": "counter", "labels": {"op": "b3/nest[sort]"}, "value": 3}
+{"metric": "nra_op_rows_in_total", "type": "counter", "labels": {"op": "b3/scan"}, "value": 5}
+{"metric": "nra_op_rows_in_total", "type": "counter", "labels": {"op": "project"}, "value": 2}
+{"metric": "nra_op_rows_in_total", "type": "counter", "labels": {"op": "scan"}, "value": 4}
+{"metric": "nra_op_rows_out_total", "type": "counter", "labels": {"op": "b2/join[left_outer]"}, "value": 3}
+{"metric": "nra_op_rows_out_total", "type": "counter", "labels": {"op": "b2/link"}, "value": 2}
+{"metric": "nra_op_rows_out_total", "type": "counter", "labels": {"op": "b2/nest[sort]"}, "value": 3}
+{"metric": "nra_op_rows_out_total", "type": "counter", "labels": {"op": "b2/scan"}, "value": 3}
+{"metric": "nra_op_rows_out_total", "type": "counter", "labels": {"op": "b3/join[left_outer]"}, "value": 3}
+{"metric": "nra_op_rows_out_total", "type": "counter", "labels": {"op": "b3/link"}, "value": 3}
+{"metric": "nra_op_rows_out_total", "type": "counter", "labels": {"op": "b3/nest[sort]"}, "value": 3}
+{"metric": "nra_op_rows_out_total", "type": "counter", "labels": {"op": "b3/scan"}, "value": 5}
+{"metric": "nra_op_rows_out_total", "type": "counter", "labels": {"op": "project"}, "value": 2}
+{"metric": "nra_op_rows_out_total", "type": "counter", "labels": {"op": "scan"}, "value": 3}
+{"metric": "nra_qerror_x100", "type": "histogram", "labels": {}, "count": 10, "sum": 2600, "buckets": {"1": 0, "2": 0, "4": 0, "8": 0, "16": 0, "32": 0, "64": 0, "128": 1, "256": 2, "512": 7, "1024": 0, "2048": 0, "4096": 0, "8192": 0, "16384": 0, "+Inf": 0}}
+{"metric": "nra_queries_total", "type": "counter", "labels": {"outcome": "ok"}, "value": 1}
+{"metric": "nra_rows_produced_total", "type": "counter", "labels": {}, "value": 2}
+"#;
+
+/// What Query Q adds to the global registry (plan-cache miss included).
+const QQ_GLOBAL: &str = r#"nra_op_hash_bytes_total{op=b2/join[left_outer]} +72
+nra_op_hash_bytes_total{op=b3/join[left_outer]} +120
+nra_op_hash_entries_total{op=b2/join[left_outer]} +3
+nra_op_hash_entries_total{op=b3/join[left_outer]} +5
+nra_op_invocations_total{op=b2/join[left_outer]} +1
+nra_op_invocations_total{op=b2/link} +1
+nra_op_invocations_total{op=b2/nest[sort]} +1
+nra_op_invocations_total{op=b2/scan} +1
+nra_op_invocations_total{op=b3/join[left_outer]} +1
+nra_op_invocations_total{op=b3/link} +1
+nra_op_invocations_total{op=b3/nest[sort]} +1
+nra_op_invocations_total{op=b3/scan} +1
+nra_op_invocations_total{op=project} +1
+nra_op_invocations_total{op=scan} +1
+nra_op_link_outcomes_total{op=b2/link,outcome=fail} +1
+nra_op_link_outcomes_total{op=b2/link,outcome=pass} +2
+nra_op_link_outcomes_total{op=b3/link,outcome=fail} +1
+nra_op_link_outcomes_total{op=b3/link,outcome=pass} +1
+nra_op_link_outcomes_total{op=b3/link,outcome=unknown} +1
+nra_op_nest_groups_total{op=b2/nest[sort]} +3
+nra_op_nest_groups_total{op=b3/nest[sort]} +3
+nra_op_padded_total{op=b3/link} +2
+nra_op_rows_in_total{op=b2/join[left_outer]} +6
+nra_op_rows_in_total{op=b2/link} +3
+nra_op_rows_in_total{op=b2/nest[sort]} +3
+nra_op_rows_in_total{op=b2/scan} +4
+nra_op_rows_in_total{op=b3/join[left_outer]} +8
+nra_op_rows_in_total{op=b3/link} +3
+nra_op_rows_in_total{op=b3/nest[sort]} +3
+nra_op_rows_in_total{op=b3/scan} +5
+nra_op_rows_in_total{op=project} +2
+nra_op_rows_in_total{op=scan} +4
+nra_op_rows_out_total{op=b2/join[left_outer]} +3
+nra_op_rows_out_total{op=b2/link} +2
+nra_op_rows_out_total{op=b2/nest[sort]} +3
+nra_op_rows_out_total{op=b2/scan} +3
+nra_op_rows_out_total{op=b3/join[left_outer]} +3
+nra_op_rows_out_total{op=b3/link} +3
+nra_op_rows_out_total{op=b3/nest[sort]} +3
+nra_op_rows_out_total{op=b3/scan} +5
+nra_op_rows_out_total{op=project} +2
+nra_op_rows_out_total{op=scan} +3
+nra_plan_cache_misses_total{} +1
+nra_qerror_x100{} count +10 sum +2600
+nra_queries_total{outcome=ok} +1
+nra_rows_produced_total{} +2
+"#;
+
+/// A query stopped at `b2`'s join build, `ACTION` naming the
+/// intervention: the sink's line ...
+const FAILED_AT_JOIN_SINK: &str = r#"{"metric": "nra_errors_total", "type": "counter", "labels": {"variant": "resource-exhausted"}, "value": 1}
+{"metric": "nra_governor_interventions_total", "type": "counter", "labels": {"action": "ACTION"}, "value": 1}
+{"metric": "nra_op_invocations_total", "type": "counter", "labels": {"op": "b2/join[left_outer]"}, "value": 1}
+{"metric": "nra_op_invocations_total", "type": "counter", "labels": {"op": "b2/scan"}, "value": 1}
+{"metric": "nra_op_invocations_total", "type": "counter", "labels": {"op": "scan"}, "value": 1}
+{"metric": "nra_op_rows_in_total", "type": "counter", "labels": {"op": "b2/join[left_outer]"}, "value": 6}
+{"metric": "nra_op_rows_in_total", "type": "counter", "labels": {"op": "b2/scan"}, "value": 4}
+{"metric": "nra_op_rows_in_total", "type": "counter", "labels": {"op": "scan"}, "value": 4}
+{"metric": "nra_op_rows_out_total", "type": "counter", "labels": {"op": "b2/join[left_outer]"}, "value": 0}
+{"metric": "nra_op_rows_out_total", "type": "counter", "labels": {"op": "b2/scan"}, "value": 3}
+{"metric": "nra_op_rows_out_total", "type": "counter", "labels": {"op": "scan"}, "value": 3}
+{"metric": "nra_queries_total", "type": "counter", "labels": {"outcome": "resource-exhausted"}, "value": 1}
+"#;
+
+/// ... and the global delta.
+const FAILED_AT_JOIN_GLOBAL: &str = r#"nra_errors_total{variant=resource-exhausted} +1
+nra_governor_interventions_total{action=ACTION} +1
+nra_op_invocations_total{op=b2/join[left_outer]} +1
+nra_op_invocations_total{op=b2/scan} +1
+nra_op_invocations_total{op=scan} +1
+nra_op_rows_in_total{op=b2/join[left_outer]} +6
+nra_op_rows_in_total{op=b2/scan} +4
+nra_op_rows_in_total{op=scan} +4
+nra_op_rows_out_total{op=b2/scan} +3
+nra_op_rows_out_total{op=scan} +3
+nra_plan_cache_misses_total{} +1
+nra_queries_total{outcome=resource-exhausted} +1
+"#;
+
+/// A query cancelled before it planned: the sink's line ...
+const CANCELLED_SINK: &str = r#"{"metric": "nra_errors_total", "type": "counter", "labels": {"variant": "cancelled"}, "value": 1}
+{"metric": "nra_governor_interventions_total", "type": "counter", "labels": {"action": "cancelled"}, "value": 1}
+{"metric": "nra_queries_total", "type": "counter", "labels": {"outcome": "cancelled"}, "value": 1}
+"#;
+
+/// ... and the global delta.
+const CANCELLED_GLOBAL: &str = r#"nra_errors_total{variant=cancelled} +1
+nra_governor_interventions_total{action=cancelled} +1
+nra_queries_total{outcome=cancelled} +1
+"#;
