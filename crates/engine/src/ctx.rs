@@ -1,18 +1,18 @@
 //! The one per-thread query context (DESIGN.md §10.1).
 //!
-//! Everything a query installs on its thread — batch width, governor —
-//! lives in a single thread-local slot. [`enter`] swaps a whole
-//! [`QueryCtx`] in and the returned [`CtxGuard`] swaps the previous one
-//! back, so nested scopes (a test's `set_batch_rows` around a query's own
-//! context) restore exactly. The setters other modules export
-//! (`vec::set_batch_rows`, `governor::install`) are one-field writers of
-//! this slot.
+//! Everything a query installs on its thread — batch width, governor,
+//! live progress — lives in a single thread-local slot. [`update`] swaps
+//! a changed [`QueryCtx`] in and the returned [`CtxGuard`] swaps the
+//! previous one back, so nested scopes (a test's `set_batch_rows` around
+//! a query's own context) restore exactly.
 //!
 //! An unset field (`None`) means the built-in default: the full batch
-//! width, no governor.
+//! width, no governor, no progress.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
+
+use nra_obs::progress::ProgressState;
 
 use crate::governor::Governor;
 
@@ -25,6 +25,9 @@ pub struct QueryCtx {
     pub batch_rows: Option<usize>,
     /// The query's resource governor.
     pub governor: Option<Arc<Governor>>,
+    /// The query's live progress, fed by the governor's row cadence and
+    /// memory charges.
+    pub progress: Option<Arc<ProgressState>>,
 }
 
 /// The thread-local slot. Scalar fields are plain `Cell`s so the
@@ -33,6 +36,7 @@ pub struct QueryCtx {
 pub(crate) struct Slot {
     pub(crate) batch_rows: Cell<Option<usize>>,
     pub(crate) governor: RefCell<Option<Arc<Governor>>>,
+    pub(crate) progress: RefCell<Option<Arc<ProgressState>>>,
     /// Which governor facilities are armed (`governor::F_*` bits).
     pub(crate) flags: Cell<u8>,
 }
@@ -44,6 +48,7 @@ thread_local! {
         Slot {
             batch_rows: Cell::new(None),
             governor: RefCell::new(None),
+            progress: RefCell::new(None),
             flags: Cell::new(0),
         }
     };
@@ -62,6 +67,15 @@ impl Slot {
         QueryCtx {
             batch_rows: self.batch_rows.replace(ctx.batch_rows),
             governor: self.governor.replace(ctx.governor),
+            progress: self.progress.replace(ctx.progress),
+        }
+    }
+
+    /// Run `f` on the installed progress state, if any. Called once per
+    /// 1024 rows and per governed charge, never per row.
+    pub(crate) fn progress(&self, f: impl FnOnce(&ProgressState)) {
+        if let Some(state) = self.progress.borrow().as_deref() {
+            f(state);
         }
     }
 }
@@ -71,6 +85,7 @@ pub fn current() -> QueryCtx {
     with(|s| QueryCtx {
         batch_rows: s.batch_rows.get(),
         governor: s.governor.borrow().clone(),
+        progress: s.progress.borrow().clone(),
     })
 }
 
@@ -80,23 +95,42 @@ pub struct CtxGuard {
     prev: QueryCtx,
 }
 
-/// Install `ctx` on this thread for the lifetime of the returned guard.
-pub fn enter(ctx: QueryCtx) -> CtxGuard {
+/// Install the current context with `change` applied on this thread for
+/// the lifetime of the returned guard — what `vec::set_batch_rows` and
+/// the query lifecycle (governor and progress at once) are made of.
+pub fn update(change: impl FnOnce(&mut QueryCtx)) -> CtxGuard {
+    let mut ctx = current();
+    change(&mut ctx);
     CtxGuard {
         prev: with(|s| s.swap(ctx)),
     }
 }
 
-/// [`enter`] the current context with `change` applied — what the
-/// one-field setters (`vec::set_batch_rows`, …) are made of.
-pub fn update(change: impl FnOnce(&mut QueryCtx)) -> CtxGuard {
-    let mut ctx = current();
-    change(&mut ctx);
-    enter(ctx)
-}
-
 impl Drop for CtxGuard {
     fn drop(&mut self) {
         with(|s| s.swap(std::mem::take(&mut self.prev)));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::governor::{tick, CHECK_ROWS};
+
+    #[test]
+    fn install_guard_restores_previous_state() {
+        let (outer, inner) = (
+            Arc::new(ProgressState::new()),
+            Arc::new(ProgressState::new()),
+        );
+        let _outer = update(|c| c.progress = Some(outer.clone()));
+        {
+            let _inner = update(|c| c.progress = Some(inner.clone()));
+            tick(CHECK_ROWS, "inner").unwrap();
+        }
+        tick(CHECK_ROWS, "outer").unwrap();
+        assert_eq!(inner.snapshot().rows_processed, 1024);
+        assert_eq!(outer.snapshot().rows_processed, 1024);
+        assert_eq!(outer.snapshot().phase, "outer");
     }
 }

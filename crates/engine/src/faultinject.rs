@@ -48,13 +48,6 @@ fn fire(site: &str, kind: FaultKind, n: u64) -> Result<(), EngineError> {
     if panic {
         panic!("injected fault at `{site}` (hit {n})");
     }
-    nra_obs::metrics::both(|m| {
-        m.counter_add(
-            "nra_governor_interventions_total",
-            &[("action", "fault-injected")],
-            1,
-        )
-    });
     Err(EngineError::ResourceExhausted {
         operator: site.to_string(),
         requested: INJECTED_ALLOC_BYTES,

@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::ctx::{self, CtxGuard};
+use crate::ctx;
 use crate::error::EngineError;
 
 /// Row cadence of cooperative-cancellation checks in row-at-a-time scan
@@ -133,13 +133,6 @@ impl Governor {
 const F_MEM: u8 = 1;
 const F_CANCEL: u8 = 2;
 
-/// Install `gov` (or, with `None`, nothing) as this thread's governor
-/// for the lifetime of the returned guard, leaving the rest of the
-/// context as it is.
-pub fn install(gov: Option<Arc<Governor>>) -> CtxGuard {
-    ctx::update(|c| c.governor = gov)
-}
-
 /// Charge `bytes` of governed allocation against the query budget on
 /// behalf of `site`. A single thread-local flag check when no memory
 /// limit is armed.
@@ -158,20 +151,14 @@ fn charge_armed(site: &str, bytes: u64) -> Result<(), EngineError> {
             return Ok(());
         };
         let total = g.mem_used.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        // Live-progress hook (only memory-armed queries reach this path).
-        nra_obs::progress::on_mem(total);
+        // Live progress sees the high water (only memory-armed queries
+        // reach this path).
+        c.progress(|p| p.raise_mem(total));
         let limit = g.mem_limit.unwrap_or(u64::MAX);
         if total > limit {
             nra_obs::trace::emit(|| nra_obs::trace::TraceEvent::Governor {
                 action: "resource-exhausted".into(),
                 detail: format!("{site} (used {total} of {limit} bytes)"),
-            });
-            nra_obs::metrics::both(|m| {
-                m.counter_add(
-                    "nra_governor_interventions_total",
-                    &[("action", "resource-exhausted")],
-                    1,
-                )
             });
             return Err(EngineError::ResourceExhausted {
                 operator: site.to_string(),
@@ -239,7 +226,7 @@ pub fn checkpoint(phase: &str) -> Result<(), EngineError> {
 /// cadence sequential scan loops use (`governor::tick(i, "phase")?`).
 ///
 /// The cadence doubles as the live-progress heartbeat: each firing past
-/// the loop head reports one whole [`CHECK_ROWS`] step to the installed
+/// the loop head reports one whole [`CHECK_ROWS`] step to the context's
 /// [`nra_obs::progress`] state (a no-op when none is installed). Whole
 /// steps only — the tail of a loop is never counted here — so the
 /// progress row counter undercounts monotonically and never overshoots,
@@ -250,7 +237,7 @@ pub fn tick(i: usize, phase: &str) -> Result<(), EngineError> {
         return Ok(());
     }
     if i > 0 {
-        nra_obs::progress::on_rows(CHECK_ROWS as u64, phase);
+        ctx::with(|c| c.progress(|p| p.add_rows(CHECK_ROWS as u64, phase)));
     }
     checkpoint(phase)
 }
@@ -267,13 +254,6 @@ fn checkpoint_armed(phase: &str) -> Result<(), EngineError> {
             nra_obs::trace::emit(|| nra_obs::trace::TraceEvent::Governor {
                 action: "cancelled".into(),
                 detail: phase.to_string(),
-            });
-            nra_obs::metrics::both(|m| {
-                m.counter_add(
-                    "nra_governor_interventions_total",
-                    &[("action", "cancelled")],
-                    1,
-                )
             });
             return Err(EngineError::Cancelled {
                 phase: phase.to_string(),
@@ -515,8 +495,13 @@ impl AdmissionController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::CtxGuard;
     use crate::faultinject;
     use nra_storage::fault::{self, FaultKind, FaultPlan};
+
+    fn install(gov: Option<Arc<Governor>>) -> CtxGuard {
+        ctx::update(|c| c.governor = gov)
+    }
 
     #[test]
     fn ungoverned_thread_is_inert() {

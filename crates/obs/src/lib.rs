@@ -3,10 +3,14 @@
 //! Runtime execution observability for the nested relational subquery
 //! processor: per-operator [`OpStats`], span timers, machine-readable
 //! [`Profile`]s, lifecycle traces ([`trace`]), live progress
-//! ([`progress`]) and metrics ([`metrics`]).
+//! ([`progress`]), metrics ([`metrics`]), the query registry
+//! ([`queryreg`]) and the slow-query log ([`slowlog`]).
 //!
-//! Everything a query observes on its thread lives in one thread-local
-//! slot, armed by one [`enter`] whose guard restores the enclosing slot.
+//! What a query collects on its thread — the stats collector and the
+//! tracer — lives in one thread-local slot, armed by one [`enter`] whose
+//! guard restores the enclosing slot. Metrics, the registry record and
+//! the slow log are written once when the query finishes; live progress
+//! rides in the engine's query context beside the governor that feeds it.
 //! The instrumented operators read a single flags byte when nothing is
 //! armed (no allocation, no timing syscalls):
 //!
@@ -40,14 +44,10 @@ pub mod trace;
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use nra_storage::iosim::{self, IoStats};
 use nra_storage::Truth;
-
-use metrics::Registry;
-use progress::ProgressState;
 
 /// Counters for one (qualified) operator.
 ///
@@ -165,11 +165,9 @@ impl Collector {
 /// Slot flag bits: which facilities are armed on this thread.
 const F_PROFILE: u8 = 1;
 const F_TRACE: u8 = 2;
-const F_PROGRESS: u8 = 4;
-const F_METRICS: u8 = 8;
 
-/// What [`enter`] arms on this thread. A facility left at its default
-/// (`false` / `None`) stays as the enclosing slot had it, so a query
+/// What [`enter`] arms on this thread. A facility left at `false`
+/// stays as the enclosing slot had it, so a query
 /// that does not trace still reports to a tracer its caller armed.
 #[derive(Default)]
 pub struct Observers {
@@ -177,11 +175,6 @@ pub struct Observers {
     pub profile: bool,
     /// Trace into an in-memory ring ([`ObsGuard::finish`] returns it).
     pub trace: bool,
-    /// Live progress, fed by [`progress::on_rows`] / [`progress::on_mem`].
-    pub progress: Option<Arc<ProgressState>>,
-    /// The per-query registry [`metrics::both`] writes beside the
-    /// global one.
-    pub metrics: Option<Arc<Registry>>,
     /// Run the I/O simulator for the guard's lifetime, unless the caller
     /// already runs it. The profile's I/O footer is read before it stops.
     pub simulate_io: bool,
@@ -197,16 +190,12 @@ struct Armed {
     /// inside it extends.
     prefix: Option<String>,
     tracer: Option<trace::Tracer>,
-    progress: Option<Arc<ProgressState>>,
-    metrics: Option<Arc<Registry>>,
 }
 
 impl Armed {
     fn flags(&self) -> u8 {
         (u8::from(self.collector.is_some()) * F_PROFILE)
             | (u8::from(self.tracer.is_some()) * F_TRACE)
-            | (u8::from(self.progress.is_some()) * F_PROGRESS)
-            | (u8::from(self.metrics.is_some()) * F_METRICS)
     }
 }
 
@@ -228,8 +217,6 @@ thread_local! {
                 scopes: Vec::new(),
                 prefix: None,
                 tracer: None,
-                progress: None,
-                metrics: None,
             }),
         }
     };
@@ -262,12 +249,6 @@ fn exchange(other: &mut Armed, mask: u8) {
         if mask & F_TRACE != 0 {
             std::mem::swap(&mut armed.tracer, &mut other.tracer);
         }
-        if mask & F_PROGRESS != 0 {
-            std::mem::swap(&mut armed.progress, &mut other.progress);
-        }
-        if mask & F_METRICS != 0 {
-            std::mem::swap(&mut armed.metrics, &mut other.metrics);
-        }
         s.flags.set(armed.flags());
     });
 }
@@ -292,8 +273,6 @@ pub fn enter(observers: Observers) -> ObsGuard {
         scopes: Vec::new(),
         prefix: None,
         tracer: observers.trace.then(trace::Tracer::default),
-        progress: observers.progress,
-        metrics: observers.metrics,
     };
     let mask = mine.flags();
     let simulate_io = observers.simulate_io && !iosim::is_enabled();

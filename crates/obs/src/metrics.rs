@@ -7,13 +7,14 @@
 //!   singleton accumulating across queries (queries executed, rows
 //!   produced, errors by variant, governor outcomes, memory high-water
 //!   marks, Q-error distribution);
-//! * **per-query** — an [`Arc<Registry>`] armed around one query through
-//!   [`crate::Observers::metrics`] on the thread that executes it.
+//! * **per-query** — a fresh [`Registry`] the query lifecycle fills once,
+//!   when the query finishes, from the same record, profile and Q-errors
+//!   it writes into the global registry.
 //!
 //! Everything recorded here is *commutative* (counter adds, gauge maxima,
 //! histogram observations), so a per-query registry is byte-identical
-//! from run to run of the same query. Wall-clock durations therefore
-//! never enter the per-query scope.
+//! from run to run of the same query. Wall-clock durations, and the slow
+//! count derived from them, therefore never enter the per-query scope.
 //!
 //! The registry is zero-dependency: a `Mutex<BTreeMap>` keyed by
 //! `(name, labels)`. The BTreeMap ordering is what makes the exposition
@@ -33,6 +34,13 @@ pub const HIST_LE: [u64; 15] = [
 
 /// Total bucket count including `+Inf`.
 pub const HIST_BUCKETS: usize = HIST_LE.len() + 1;
+
+/// The `le` label of bucket `i`.
+fn le_label(i: usize) -> String {
+    HIST_LE
+        .get(i)
+        .map_or_else(|| "+Inf".to_string(), u64::to_string)
+}
 
 fn bucket_for(v: u64) -> usize {
     HIST_LE
@@ -174,56 +182,26 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::default)
 }
 
-/// Apply `f` to every active scope: the global registry always, plus the
-/// per-query registry when one is armed. This is what instrumentation
-/// points (governor hooks, the query lifecycle) call so both scopes agree.
-pub fn both(f: impl Fn(&Registry)) {
-    f(global());
-    if crate::armed(crate::F_METRICS) {
-        if let Some(reg) = crate::with_armed(|a| a.metrics.clone()) {
-            f(&reg);
-        }
-    }
-}
-
 /// An immutable copy of a registry's contents, ready to render.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Snapshot {
     pub entries: Vec<(Key, Metric)>,
 }
 
-fn write_label_value(out: &mut String, v: &str) {
-    // Prometheus label values escape `\`, `"` and newlines; the JSON
-    // escaper covers those (it also quotes the value, which matches the
-    // exposition syntax, and escapes control characters our values never
-    // contain anyway).
-    json::write_string(out, v);
-}
-
+/// `{k="v",…}`, or nothing without labels. Prometheus label values
+/// escape `\`, `"` and newlines; the JSON escaper covers those (it also
+/// quotes the value, which matches the exposition syntax).
 fn write_labels(out: &mut String, labels: &[(String, String)], extra: Option<(&str, &str)>) {
-    if labels.is_empty() && extra.is_none() {
-        return;
-    }
-    out.push('{');
-    let mut first = true;
-    for (k, v) in labels {
-        if !first {
-            out.push(',');
-        }
-        first = false;
+    let all = labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+    for (i, (k, v)) in all.chain(extra).enumerate() {
+        out.push(if i == 0 { '{' } else { ',' });
         out.push_str(k);
         out.push('=');
-        write_label_value(out, v);
+        json::write_string(out, v);
     }
-    if let Some((k, v)) = extra {
-        if !first {
-            out.push(',');
-        }
-        out.push_str(k);
-        out.push('=');
-        write_label_value(out, v);
+    if !labels.is_empty() || extra.is_some() {
+        out.push('}');
     }
-    out.push('}');
 }
 
 impl Snapshot {
@@ -274,13 +252,8 @@ impl Snapshot {
                     let mut cum = 0u64;
                     for (i, b) in buckets.iter().enumerate() {
                         cum += b;
-                        let le = if i < HIST_LE.len() {
-                            HIST_LE[i].to_string()
-                        } else {
-                            "+Inf".to_string()
-                        };
                         out.push_str(&format!("{}_bucket", key.name));
-                        write_labels(&mut out, &key.labels, Some(("le", &le)));
+                        write_labels(&mut out, &key.labels, Some(("le", &le_label(i))));
                         out.push_str(&format!(" {cum}\n"));
                     }
                     out.push_str(&format!("{}_sum", key.name));
@@ -336,11 +309,7 @@ impl Snapshot {
                         if i > 0 {
                             out.push_str(", ");
                         }
-                        if i < HIST_LE.len() {
-                            out.push_str(&format!("\"{}\": {b}", HIST_LE[i]));
-                        } else {
-                            out.push_str(&format!("\"+Inf\": {b}"));
-                        }
+                        out.push_str(&format!("\"{}\": {b}", le_label(i)));
                     }
                     out.push('}');
                 }
@@ -354,7 +323,6 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn bucket_boundaries() {
@@ -451,23 +419,6 @@ mod tests {
             assert!(parsed.get("metric").unwrap().as_str().is_some());
         }
         assert_eq!(jsonl.lines().count(), 2);
-    }
-
-    #[test]
-    fn query_scope_install_and_both() {
-        let reg = Arc::new(Registry::new());
-        {
-            let _g = crate::enter(crate::Observers {
-                metrics: Some(reg.clone()),
-                ..crate::Observers::default()
-            });
-            both(|m| m.counter_add("scoped_total", &[], 1));
-        }
-        // Once the guard is gone, only the global registry records.
-        both(|m| m.counter_add("scoped_total", &[], 1));
-        assert_eq!(reg.snapshot().counter_total("scoped_total"), 1);
-        // The global registry saw both.
-        assert!(global().snapshot().counter_total("scoped_total") >= 2);
     }
 
     #[test]

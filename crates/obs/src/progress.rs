@@ -1,13 +1,14 @@
 //! Live per-query progress estimation.
 //!
 //! A [`ProgressState`] is built by the query entry point (`Database::
-//! execute`) alongside the governor guard and armed on the executing
-//! thread through [`crate::Observers::progress`]. While the query runs, the engine's
-//! governor cadence (`governor::tick`, every 1024 rows) feeds
-//! [`on_rows`], and every memory-budget charge feeds [`on_mem`], so a
-//! [`ProgressSnapshot`] — phase, percent complete, rows processed vs.
-//! estimated, elapsed wall time, memory high-water — is readable *from
-//! any thread* through the shared `Arc` at any point during execution.
+//! execute`) and installed with the governor in the engine's query
+//! context on the executing thread. While the query runs, the governor
+//! cadence (`governor::tick`, every 1024 rows) calls
+//! [`ProgressState::add_rows`], and every memory-budget charge calls
+//! [`ProgressState::raise_mem`], so a [`ProgressSnapshot`] — phase,
+//! percent complete, rows processed vs. estimated, elapsed wall time,
+//! memory high-water — is readable *from any thread* through the shared
+//! `Arc` at any point during execution.
 //!
 //! Determinism contract: progress is an *observer*, never a participant.
 //! It touches no operator counter, allocates nothing on the per-row hot
@@ -32,12 +33,10 @@ use crate::json;
 #[derive(Debug)]
 pub struct ProgressState {
     /// Rows counted by the engine's checkpoint cadence (whole
-    /// [`on_rows`] steps only; lags the truth by at most one step per
-    /// live scan loop).
-    rows_ticked: AtomicU64,
-    /// Exact row total supplied by [`ProgressState::finish`] (0 until
-    /// the query completes).
-    rows_final: AtomicU64,
+    /// [`ProgressState::add_rows`] steps only; lags the truth by at most
+    /// one step per live scan loop), raised to the exact total by
+    /// [`ProgressState::finish`].
+    rows: AtomicU64,
     /// Planner-estimated total rows the query will process (sum of the
     /// cardinality estimates over every plan node; 0 = no estimate).
     rows_estimated: AtomicU64,
@@ -59,8 +58,7 @@ impl Default for ProgressState {
 impl ProgressState {
     pub fn new() -> ProgressState {
         ProgressState {
-            rows_ticked: AtomicU64::new(0),
-            rows_final: AtomicU64::new(0),
+            rows: AtomicU64::new(0),
             rows_estimated: AtomicU64::new(0),
             mem_high_water: AtomicU64::new(0),
             done: AtomicBool::new(false),
@@ -79,7 +77,7 @@ impl ProgressState {
     /// reported them. Called from the engine's checkpoint cadence on
     /// whichever thread is scanning.
     pub fn add_rows(&self, n: u64, phase: &str) {
-        self.rows_ticked.fetch_add(n, Ordering::Relaxed);
+        self.rows.fetch_add(n, Ordering::Relaxed);
         let mut cur = self.phase.lock().unwrap_or_else(|e| e.into_inner());
         if *cur != phase {
             phase.clone_into(&mut cur);
@@ -95,24 +93,15 @@ impl ProgressState {
     /// `rows` total (typically the merged profile's row counters) and
     /// pinning the percentage at 100.
     pub fn finish(&self, rows: u64, phase: &str) {
-        let ticked = self.rows_ticked.load(Ordering::Relaxed);
-        self.rows_final.store(rows.max(ticked), Ordering::Relaxed);
-        {
-            let mut cur = self.phase.lock().unwrap_or_else(|e| e.into_inner());
-            phase.clone_into(&mut cur);
-        }
+        self.rows.fetch_max(rows, Ordering::Relaxed);
+        phase.clone_into(&mut self.phase.lock().unwrap_or_else(|e| e.into_inner()));
         self.done.store(true, Ordering::Release);
     }
 
     /// A point-in-time view, readable from any thread.
     pub fn snapshot(&self) -> ProgressSnapshot {
         let done = self.done.load(Ordering::Acquire);
-        let ticked = self.rows_ticked.load(Ordering::Relaxed);
-        let rows_processed = if done {
-            self.rows_final.load(Ordering::Relaxed).max(ticked)
-        } else {
-            ticked
-        };
+        let rows_processed = self.rows.load(Ordering::Relaxed);
         let rows_estimated = self.rows_estimated.load(Ordering::Relaxed);
         let percent = if done {
             100
@@ -171,53 +160,18 @@ impl ProgressSnapshot {
     }
 }
 
-/// Engine hook: `n` more rows went through a scan loop in `phase`.
-/// No-op when no progress state is armed.
-pub fn on_rows(n: u64, phase: &str) {
-    with_progress(|state| state.add_rows(n, phase));
-}
-
-/// Engine hook: governed memory usage reached `total` bytes. No-op when
-/// no progress state is armed.
-pub fn on_mem(total: u64) {
-    with_progress(|state| state.raise_mem(total));
-}
-
-fn with_progress(f: impl FnOnce(&ProgressState)) {
-    if crate::armed(crate::F_PROGRESS) {
-        crate::with_armed(|a| a.progress.as_deref().map(f));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{enter, ObsGuard, Observers};
-    use std::sync::Arc;
-
-    fn arm(state: &Arc<ProgressState>) -> ObsGuard {
-        enter(Observers {
-            progress: Some(state.clone()),
-            ..Observers::default()
-        })
-    }
-
-    #[test]
-    fn hooks_are_inert_without_installation() {
-        assert!(!crate::armed(crate::F_PROGRESS));
-        on_rows(1024, "join-scan");
-        on_mem(4096);
-    }
 
     #[test]
     fn snapshots_track_rows_phase_and_memory() {
-        let p = Arc::new(ProgressState::new());
+        let p = ProgressState::new();
         p.set_estimated(4096);
-        let _g = arm(&p);
-        on_rows(1024, "join-scan");
-        on_mem(500);
-        on_rows(1024, "nest-scan");
-        on_mem(300); // below high water: ignored
+        p.add_rows(1024, "join-scan");
+        p.raise_mem(500);
+        p.add_rows(1024, "nest-scan");
+        p.raise_mem(300); // below high water: ignored
         let s = p.snapshot();
         assert_eq!(s.rows_processed, 2048);
         assert_eq!(s.rows_estimated, 4096);
@@ -273,20 +227,6 @@ mod tests {
         let s = p.snapshot();
         assert!(s.rows_processed >= last.rows_processed);
         assert_eq!(s.percent, 100);
-    }
-
-    #[test]
-    fn install_guard_restores_previous_state() {
-        let outer = Arc::new(ProgressState::new());
-        let _og = arm(&outer);
-        {
-            let inner = Arc::new(ProgressState::new());
-            let _ig = arm(&inner);
-            on_rows(1024, "inner");
-            assert_eq!(inner.snapshot().rows_processed, 1024);
-        }
-        on_rows(1024, "outer");
-        assert_eq!(outer.snapshot().rows_processed, 1024);
     }
 
     #[test]

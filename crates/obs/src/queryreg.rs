@@ -24,7 +24,9 @@ use crate::progress::ProgressState;
 /// Completed-query records a database's registry keeps.
 pub const RING_CAPACITY: usize = 256;
 
-/// One finished query.
+/// One finished query: computed once when it finishes, and read by every
+/// reporter — this registry, the metrics scopes, the trace's `QueryEnd`
+/// and the slow-query log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryRecord {
     /// Query id, unique within its registry (monotonically increasing
@@ -35,7 +37,7 @@ pub struct QueryRecord {
     pub sql: String,
     /// `"ok"`, `"cancelled"`, `"resource-exhausted"`, `"worker-panicked"`,
     /// `"sql"`, `"storage"`, or `"error"`.
-    pub outcome: String,
+    pub outcome: &'static str,
     pub wall_ms: u64,
     /// Result rows produced (0 on error).
     pub rows: u64,
@@ -46,7 +48,7 @@ pub struct QueryRecord {
     pub mem_bytes: u64,
     /// The execution strategy that answered the query (auto resolved to
     /// its concrete choice).
-    pub strategy: String,
+    pub strategy: &'static str,
     /// The session the query ran under (0 = none: internal or legacy
     /// callers that bypassed the session layer).
     pub session: u64,
@@ -139,12 +141,12 @@ mod tests {
         QueryRecord {
             id,
             sql: sql.to_string(),
-            outcome: "ok".to_string(),
+            outcome: "ok",
             wall_ms: 1,
             rows: 2,
             qerror_x100: 100,
             mem_bytes: 0,
-            strategy: "original".to_string(),
+            strategy: "original",
             session: 0,
         }
     }

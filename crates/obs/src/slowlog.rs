@@ -24,18 +24,14 @@
 
 use crate::json::{self, Json};
 use crate::progress::ProgressSnapshot;
+use crate::queryreg::QueryRecord;
 use crate::Profile;
 
 /// Everything one slow-query record carries.
 pub struct SlowRecord<'a> {
-    /// The statement as the plan cache keyed it (already normalized by
-    /// the caller).
-    pub statement: &'a str,
-    pub outcome: &'a str,
-    pub wall_ms: u64,
-    pub rows: u64,
-    pub strategy: &'a str,
-    pub mem_bytes: u64,
+    /// The finished query; its `sql` is the statement as the plan cache
+    /// keyed it.
+    pub query: &'a QueryRecord,
     /// Rendered plan text, when one was produced for this query.
     pub plan: Option<&'a str>,
     /// The merged per-operator profile, when one was collected.
@@ -47,16 +43,17 @@ pub struct SlowRecord<'a> {
 impl SlowRecord<'_> {
     /// One newline-terminated JSONL line.
     pub fn to_jsonl(&self) -> String {
+        let q = self.query;
         let mut out = String::from("{\"statement\": ");
-        json::write_string(&mut out, self.statement);
+        json::write_string(&mut out, &q.sql);
         out.push_str(", \"outcome\": ");
-        json::write_string(&mut out, self.outcome);
+        json::write_string(&mut out, q.outcome);
         out.push_str(&format!(
             ", \"wall_ms\": {}, \"rows\": {}, \"strategy\": ",
-            self.wall_ms, self.rows
+            q.wall_ms, q.rows
         ));
-        json::write_string(&mut out, self.strategy);
-        out.push_str(&format!(", \"mem_bytes\": {}", self.mem_bytes));
+        json::write_string(&mut out, q.strategy);
+        out.push_str(&format!(", \"mem_bytes\": {}", q.mem_bytes));
         out.push_str(", \"plan\": ");
         match self.plan {
             Some(p) => json::write_string(&mut out, p),
@@ -157,13 +154,19 @@ mod tests {
     }
 
     fn record<'a>(progress: &'a ProgressSnapshot, profile: Option<&'a Profile>) -> SlowRecord<'a> {
+        static QUERY: std::sync::OnceLock<QueryRecord> = std::sync::OnceLock::new();
         SlowRecord {
-            statement: "select \"weird\" from t",
-            outcome: "ok",
-            wall_ms: 7,
-            rows: 12,
-            strategy: "original",
-            mem_bytes: 0,
+            query: QUERY.get_or_init(|| QueryRecord {
+                id: 1,
+                sql: "select \"weird\" from t".to_string(),
+                outcome: "ok",
+                wall_ms: 7,
+                rows: 12,
+                qerror_x100: 0,
+                mem_bytes: 0,
+                strategy: "original",
+                session: 0,
+            }),
             plan: None,
             profile,
             progress,

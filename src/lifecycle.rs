@@ -8,14 +8,15 @@
 //! 2. **Early exits** — `ANALYZE`, `nra_sys.*` introspection and
 //!    `explain_only` return before any per-query state exists.
 //! 3. **Stages** — admission permit → catalog read guard → [`Stages`]
-//!    (registry entry → one observability slot: profile, trace, progress,
-//!    per-query metrics, I/O simulator → governor, beside the caller's
-//!    batch-width override → a fresh fault plan). Every
+//!    (registry entry → one observability slot: profile, trace, I/O
+//!    simulator → one query context: governor and live progress, beside
+//!    the caller's batch-width override → a fresh fault plan). Every
 //!    stage is RAII: whatever was acquired is released in reverse order on
 //!    every path out, including an unwind.
 //! 4. **Run** — [`Database::run_statements`] under `exec::contain`.
-//! 5. **Finish** — one [`Summary`] computed once and handed to the four
-//!    reporters: counters, registry record, slow log, analyzed plan.
+//! 5. **Finish** — one [`QueryRecord`] computed once and read by every
+//!    reporter: the global and per-query metrics, the trace's `QueryEnd`,
+//!    the slow log and the registry.
 
 use std::io::Write;
 use std::path::Path;
@@ -24,16 +25,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use nra_core::{CardEstimates, Engine, PhysPlan};
-use nra_engine::exec;
-use nra_engine::{ctx, governor, Config, Governor};
+use nra_engine::{ctx, exec, faultinject, governor, Config, EngineError, Governor};
 use nra_obs::metrics::{self, Registry};
-use nra_obs::progress::{self, ProgressState};
+use nra_obs::progress::ProgressState;
 use nra_obs::queryreg::{QueryRecord, QueryRegistry};
 use nra_obs::trace::{self, TraceEvent};
 use nra_obs::{slowlog, ObsGuard, Observers, Profile};
 use nra_storage::fault::{self, FaultGuard, FaultPlan};
 use nra_storage::{Catalog, Relation};
 
+use crate::plancache::Planned;
 use crate::{sys, Database, NraError, QueryOptions, QueryOutcome};
 
 /// Who is executing: the session stamped into the query registry, and
@@ -59,8 +60,23 @@ struct Query<'a> {
     caller: Caller,
 }
 
+impl Query<'_> {
+    /// Whether the query fills a per-query metrics scope: for
+    /// `QueryOutcome::metrics` or the `NRA_METRICS` sink.
+    fn per_query_metrics(&self) -> bool {
+        self.options.collect_metrics || self.config.metrics_path.is_some()
+    }
+
+    /// Whether the query collects a profile: for `outcome.profile`, the
+    /// per-query metrics, and the Q-error actuals behind the trace's
+    /// `qerror_summary` event.
+    fn profiled(&self) -> bool {
+        self.options.collect_profile || self.per_query_metrics() || self.options.collect_trace
+    }
+}
+
 /// The result and the plan it ran (shared with the plan cache).
-type Executed = Result<(Relation, Arc<PhysPlan>), NraError>;
+type Executed = Result<(Relation, Arc<Planned>), NraError>;
 
 impl Database {
     /// The real entry point behind [`Database::execute`] and
@@ -121,51 +137,16 @@ impl Database {
         let result = governor::checkpoint("query-start")
             .map_err(NraError::Engine)
             .and_then(|()| exec::contain("query", || self.run_statements(&cat, &query, progress)));
-        stages.finish(&query, &cat, result)
+        stages.finish(query, result)
     }
 }
 
-/// Live progress, armed on this thread by the observability slot, plus
-/// the query's row in the database's running table. The governor's
-/// row-checkpoint cadence feeds the progress state, so operator counters
-/// are untouched.
+/// The query's row in the database's running table, with its live
+/// progress; dropped uncompleted (an unwind), it leaves without a record.
 struct RegistryEntry<'a> {
     registry: &'a QueryRegistry,
     progress: Arc<ProgressState>,
     id: Option<u64>,
-}
-
-impl<'a> RegistryEntry<'a> {
-    fn open(registry: &'a QueryRegistry, statement: &str) -> RegistryEntry<'a> {
-        let progress = Arc::new(ProgressState::new());
-        RegistryEntry {
-            id: Some(registry.register(statement, progress.clone())),
-            registry,
-            progress,
-        }
-    }
-
-    /// Pin the progress snapshot to 100% with the profile's row total
-    /// (the governor-cadence ticks undercount by design) and move the
-    /// query from the running table into the completed ring.
-    fn complete(&mut self, q: &Query<'_>, s: &Summary, processed: u64) {
-        self.progress.raise_mem(s.mem_high_water);
-        let phase = if s.outcome == "ok" { "done" } else { s.outcome };
-        self.progress.finish(processed, phase);
-        if let Some(id) = self.id.take() {
-            self.registry.complete(QueryRecord {
-                id,
-                sql: q.statement.clone(),
-                outcome: s.outcome.to_string(),
-                wall_ms: s.wall_ms,
-                rows: s.rows,
-                qerror_x100: s.qerror_max_x100,
-                mem_bytes: s.mem_high_water,
-                strategy: s.strategy.to_string(),
-                session: q.caller.session,
-            });
-        }
-    }
 }
 
 impl Drop for RegistryEntry<'_> {
@@ -176,18 +157,6 @@ impl Drop for RegistryEntry<'_> {
     }
 }
 
-/// What one query did, computed once in [`Stages::finish`] and read by
-/// every reporter.
-struct Summary {
-    /// `"ok"`, the engine error's variant name, `"storage"` or `"sql"`.
-    outcome: &'static str,
-    wall_ms: u64,
-    rows: u64,
-    strategy: &'static str,
-    mem_high_water: u64,
-    qerror_max_x100: u64,
-}
-
 /// The per-query stages in acquisition order (see the module docs).
 /// Fields are declared in *reverse* acquisition order: Rust drops fields
 /// top to bottom, so an early return or unwind releases the last stage
@@ -195,94 +164,81 @@ struct Summary {
 struct Stages<'a> {
     /// The query's own fault plan, armed on this thread.
     _faults: Option<FaultGuard>,
+    /// The governor and live progress, installed in this thread's query
+    /// context.
     ctx: ctx::CtxGuard,
     governor: Option<Arc<Governor>>,
-    /// Profile, trace, progress, per-query metrics and the I/O simulator,
-    /// armed as this thread's one observability slot.
+    /// Profile, trace and the I/O simulator, armed as this thread's one
+    /// observability slot.
     obs: ObsGuard,
-    /// This query armed its own profile collector.
-    profile: bool,
-    /// This query armed its own tracer.
-    traced: bool,
     started: Instant,
     entry: Option<RegistryEntry<'a>>,
-    query_metrics: Option<Arc<Registry>>,
 }
 
 impl<'a> Stages<'a> {
     fn enter(db: &'a Database, q: &Query<'_>, faults: Option<FaultPlan>) -> Stages<'a> {
-        // A fresh per-query registry on this thread; the
-        // process-cumulative registry keeps accumulating regardless.
-        let query_metrics = (q.options.collect_metrics || q.config.metrics_path.is_some())
-            .then(|| Arc::new(Registry::new()));
-        let entry =
-            (!q.caller.introspection).then(|| RegistryEntry::open(db.queries(), &q.statement));
-        // Per-operator stats feed `outcome.profile`, the derived
-        // per-query metrics, and the Q-error actuals behind the trace's
-        // `qerror_summary` event.
-        let profile =
-            q.options.collect_profile || query_metrics.is_some() || q.options.collect_trace;
-        let traced = q.options.collect_trace;
+        let entry = (!q.caller.introspection).then(|| {
+            let (registry, progress) = (db.queries(), Arc::new(ProgressState::new()));
+            let id = Some(registry.register(&q.statement, progress.clone()));
+            RegistryEntry {
+                registry,
+                progress,
+                id,
+            }
+        });
         let obs = nra_obs::enter(Observers {
-            profile,
-            trace: traced,
-            progress: entry.as_ref().map(|e| e.progress.clone()),
-            metrics: query_metrics.clone(),
+            profile: q.profiled(),
+            trace: q.options.collect_trace,
             simulate_io: q.options.simulate_io,
         });
-        if traced {
+        if q.options.collect_trace {
             trace::emit(|| TraceEvent::QueryStart {
                 sql: q.sql.to_string(),
             });
         }
         let started = Instant::now();
         // Ungoverned queries install `None`, keeping the context's flag
-        // byte at 0 whatever the caller had installed. The caller's
-        // batch-width override passes through unchanged.
+        // byte clear of the governor's bits whatever the caller had
+        // installed. The caller's batch-width override passes through
+        // unchanged.
         let governor = q.options.governor(q.config).map(Arc::new);
-        let ctx = governor::install(governor.clone());
+        let progress = entry.as_ref().map(|e| e.progress.clone());
+        let ctx = ctx::update(|c| {
+            c.governor = governor.clone();
+            c.progress = progress;
+        });
         Stages {
             _faults: faults.map(fault::install),
             ctx,
             governor,
             obs,
-            profile,
-            traced,
             started,
             entry,
-            query_metrics,
         }
     }
 
-    /// Tear the stages down in order, compute the [`Summary`] once, and
-    /// run the reporters. Failed queries report too — they are exactly
-    /// when telemetry matters.
-    fn finish(
-        self,
-        q: &Query<'_>,
-        cat: &Catalog,
-        result: Executed,
-    ) -> Result<QueryOutcome, NraError> {
+    /// Tear the stages down in order, compute the query's one
+    /// [`QueryRecord`], and hand it to every reporter: the metrics
+    /// scopes, the trace, the slow log and the registry. Failed queries
+    /// report too — they are exactly when telemetry matters.
+    fn finish(self, q: Query<'_>, result: Executed) -> Result<QueryOutcome, NraError> {
         let Stages {
             _faults,
             ctx,
             governor,
             obs,
-            profile,
-            traced,
             started,
-            mut entry,
-            query_metrics,
+            entry,
         } = self;
-        let outcome = match &result {
-            Ok(_) => "ok",
-            Err(NraError::Engine(e)) => e.variant_name(),
-            Err(NraError::Storage(_)) => "storage",
-            Err(NraError::Sql(_)) => "sql",
+        let (outcome, intervention) = match &result {
+            Ok(_) => ("ok", None),
+            Err(NraError::Engine(e)) => (e.variant_name(), intervention(e)),
+            Err(NraError::Storage(_)) => ("storage", None),
+            Err(NraError::Sql(_)) => ("sql", None),
         };
         // The profile is read while the simulator still runs (it stops
         // with `obs`): its I/O footer comes from the live counters.
-        let mut profile = profile.then(nra_obs::snapshot);
+        let mut profile = q.profiled().then(nra_obs::snapshot);
         if let Some(p) = &mut profile {
             let label = match outcome {
                 "ok" | "cancelled" | "resource-exhausted" | "worker-panicked" => outcome,
@@ -304,51 +260,82 @@ impl<'a> Stages<'a> {
         }
 
         // The plan that ran names the strategy and carries the estimates.
-        let ran = result.as_ref().ok().map(|(_, plan)| &**plan);
-        let estimates = match (&profile, ran) {
-            (Some(_), Some(plan)) => Some(plan.estimate(cat)),
-            _ => None,
+        let ran = result.as_ref().ok().map(|(_, planned)| &**planned);
+        let qerrors = match (&profile, ran) {
+            (Some(p), Some(ran)) => qerrors(p, &ran.estimates),
+            _ => Vec::new(),
         };
-        let summary = Summary {
+        let per_query_metrics = q.per_query_metrics();
+        let record = QueryRecord {
+            id: entry.as_ref().and_then(|e| e.id).unwrap_or(0),
+            sql: q.statement,
             outcome,
-            qerror_max_x100: report_qerror(profile.as_ref(), estimates.as_ref()),
             wall_ms: started.elapsed().as_millis() as u64,
             rows: result.as_ref().map_or(0, |(rel, _)| rel.len() as u64),
-            strategy: ran.map_or(q.options.engine, PhysPlan::engine).name(),
-            mem_high_water,
+            qerror_x100: qerrors.iter().copied().max().unwrap_or(0),
+            mem_bytes: mem_high_water,
+            strategy: ran.map_or(q.options.engine, |r| r.plan.engine()).name(),
+            session: q.caller.session,
         };
-        record_counters(&summary, profile.as_ref());
-        if let Some(entry) = &mut entry {
-            let processed = profile
-                .as_ref()
-                .map_or(0, |p| p.ops.iter().map(|(_, s)| s.rows_in).sum());
-            entry.complete(q, &summary, processed);
+        // Introspection calls are never slow: they have no registry entry.
+        let slow = entry.is_some()
+            && (q.options.slow_ms.or(q.config.slow_ms)).is_some_and(|t| record.wall_ms >= t);
+        let report = |reg: &Registry, slow| {
+            record_metrics(reg, &record, profile.as_ref(), &qerrors, intervention, slow);
+        };
+        report(metrics::global(), slow);
+        // A fresh per-query scope, written once. Slowness is wall time,
+        // so it stays out of the scope that must repeat exactly.
+        let metrics = per_query_metrics.then(|| {
+            let reg = Registry::new();
+            report(&reg, false);
+            reg.snapshot()
+        });
+        if let (Some(path), Some(snap)) = (&q.config.metrics_path, &metrics) {
+            append_line(Path::new(path), &snap.to_jsonl());
         }
-        if traced && result.is_ok() {
+
+        // Pin the progress snapshot to 100% with the profile's row total
+        // (the governor-cadence ticks undercount by design).
+        let progress = entry.as_ref().map(|e| {
+            e.progress.raise_mem(mem_high_water);
+            let processed =
+                (profile.as_ref()).map_or(0, |p| p.ops.iter().map(|(_, s)| s.rows_in).sum());
+            let phase = if outcome == "ok" { "done" } else { outcome };
+            e.progress.finish(processed, phase);
+            e.progress.snapshot()
+        });
+        if q.options.collect_trace && result.is_ok() {
             trace::emit(|| TraceEvent::QueryEnd {
-                rows: summary.rows,
+                rows: record.rows,
                 wall_ns: started.elapsed().as_nanos() as u64,
             });
         }
         let (_, trace) = obs.finish();
 
-        // Snapshot the per-query scope before it is torn down, and feed
-        // the `NRA_METRICS` sink.
-        let metrics = query_metrics.as_ref().map(|r| r.snapshot());
-        if let (Some(path), Some(snap)) = (&q.config.metrics_path, &metrics) {
-            append_line(Path::new(path), &snap.to_jsonl());
-        }
-
         // The analyzed plan is the plan that ran.
-        let plan = match (&profile, ran, &estimates) {
-            (Some(p), Some(ran), Some(est)) if q.options.collect_profile => {
-                Some(ran.render_analyzed(p, est, summary.rows))
+        let plan = match (&profile, ran) {
+            (Some(p), Some(ran)) if q.options.collect_profile => {
+                Some(ran.plan.render_analyzed(p, &ran.estimates, record.rows))
             }
             _ => None,
         };
-        let progress = entry.as_ref().map(|e| e.progress.snapshot());
-        if let Some(progress) = &progress {
-            report_slow(q, &summary, plan.as_deref(), profile.as_ref(), progress);
+        if let (true, Some(progress)) = (slow, &progress) {
+            let path =
+                (q.options.slow_log.as_deref()).or(q.config.slow_log.as_deref().map(Path::new));
+            if let Some(path) = path {
+                let line = slowlog::SlowRecord {
+                    query: &record,
+                    plan: plan.as_deref(),
+                    profile: profile.as_ref(),
+                    progress,
+                };
+                append_line(path, &line.to_jsonl());
+            }
+        }
+        if let Some(mut entry) = entry {
+            entry.id = None;
+            entry.registry.complete(record);
         }
 
         let (rows, _) = result?;
@@ -363,13 +350,26 @@ impl<'a> Stages<'a> {
     }
 }
 
-/// Cardinality feedback: planner estimates vs. measured actuals as the
-/// per-node Q-error (×100; 100 = perfect), to the trace and both metric
-/// scopes. Returns the worst node (0 when nothing was comparable).
-fn report_qerror(profile: Option<&Profile>, estimates: Option<&CardEstimates>) -> u64 {
-    let (Some(profile), Some(estimates)) = (profile, estimates) else {
-        return 0;
-    };
+/// The governor intervention that stopped a query, as
+/// `nra_governor_interventions_total` labels it. A query stops at its
+/// first intervention, so the error it returns names the only one.
+fn intervention(e: &EngineError) -> Option<&'static str> {
+    use faultinject::INJECTED_ALLOC_BYTES;
+    Some(match e {
+        EngineError::Cancelled { .. } => "cancelled",
+        EngineError::ResourceExhausted {
+            requested: INJECTED_ALLOC_BYTES,
+            ..
+        } => "fault-injected",
+        EngineError::ResourceExhausted { .. } => "resource-exhausted",
+        _ => return None,
+    })
+}
+
+/// Cardinality feedback: the per-node Q-error (×100; 100 = perfect) of
+/// each planner estimate against its measured actual, summarized to the
+/// trace.
+fn qerrors(profile: &Profile, estimates: &CardEstimates) -> Vec<u64> {
     let qerrs: Vec<u64> = estimates
         .iter()
         .filter_map(|(key, est)| {
@@ -377,74 +377,68 @@ fn report_qerror(profile: Option<&Profile>, estimates: Option<&CardEstimates>) -
             Some(nra_core::qerror_x100(est, act))
         })
         .collect();
-    let Some(max_x100) = qerrs.iter().copied().max() else {
-        return 0;
-    };
-    let nodes = qerrs.len();
-    let mean_x100 = qerrs.iter().sum::<u64>() / nodes as u64;
-    trace::emit(|| TraceEvent::QErrorSummary {
-        nodes,
-        max_x100,
-        mean_x100,
-    });
-    metrics::both(|m| {
-        for q in &qerrs {
-            m.observe("nra_qerror_x100", &[], *q);
-        }
-    });
-    max_x100
-}
-
-/// Query-level counters, recorded in both scopes. Everything here is
-/// derived from the profile or the result, never from timing, so the
-/// per-query scope is the same on every run of a query.
-fn record_counters(s: &Summary, profile: Option<&Profile>) {
-    metrics::both(|m| {
-        m.counter_add("nra_queries_total", &[("outcome", s.outcome)], 1);
-        if s.outcome == "ok" {
-            m.counter_add("nra_rows_produced_total", &[], s.rows);
-        } else {
-            m.counter_add("nra_errors_total", &[("variant", s.outcome)], 1);
-        }
-        if let Some(p) = profile {
-            record_op_metrics(m, p);
-        }
-    });
-}
-
-/// Slow-query log: threshold from the options or `NRA_SLOW_MS` (`0`
-/// logs everything); the record goes to the options' or `NRA_SLOW_LOG`'s
-/// path when one is configured.
-fn report_slow(
-    q: &Query<'_>,
-    s: &Summary,
-    plan: Option<&str>,
-    profile: Option<&Profile>,
-    progress: &progress::ProgressSnapshot,
-) {
-    let threshold = q.options.slow_ms.or(q.config.slow_ms);
-    if threshold.is_none_or(|t| s.wall_ms < t) {
-        return;
+    if let Some(max_x100) = qerrs.iter().copied().max() {
+        let nodes = qerrs.len();
+        let mean_x100 = qerrs.iter().sum::<u64>() / nodes as u64;
+        trace::emit(|| TraceEvent::QErrorSummary {
+            nodes,
+            max_x100,
+            mean_x100,
+        });
     }
-    metrics::both(|m| m.counter_add("nra_slow_queries_total", &[], 1));
-    let path = q
-        .options
-        .slow_log
-        .as_deref()
-        .or(q.config.slow_log.as_deref().map(Path::new));
-    if let Some(path) = path {
-        let record = slowlog::SlowRecord {
-            statement: &q.statement,
-            outcome: s.outcome,
-            wall_ms: s.wall_ms,
-            rows: s.rows,
-            strategy: s.strategy,
-            mem_bytes: s.mem_high_water,
-            plan,
-            profile,
-            progress,
-        };
-        append_line(path, &record.to_jsonl());
+    qerrs
+}
+
+/// Record one finished query into `reg`: its outcome and rows, its
+/// governor intervention, its Q-errors, its profile's per-operator
+/// counters and, when `slow`, the slow count. Everything but `slow` is
+/// derived from the record, the profile and the estimates, never from
+/// timing, so a per-query registry is the same on every run of a query.
+/// Wall times stay out of the operator counters for the same reason.
+fn record_metrics(
+    reg: &Registry,
+    r: &QueryRecord,
+    profile: Option<&Profile>,
+    qerrors: &[u64],
+    intervention: Option<&str>,
+    slow: bool,
+) {
+    reg.counter_add("nra_queries_total", &[("outcome", r.outcome)], 1);
+    if r.outcome == "ok" {
+        reg.counter_add("nra_rows_produced_total", &[], r.rows);
+    } else {
+        reg.counter_add("nra_errors_total", &[("variant", r.outcome)], 1);
+    }
+    if let Some(action) = intervention {
+        reg.counter_add("nra_governor_interventions_total", &[("action", action)], 1);
+    }
+    for q in qerrors {
+        reg.observe("nra_qerror_x100", &[], *q);
+    }
+    if slow {
+        reg.counter_add("nra_slow_queries_total", &[], 1);
+    }
+    for (name, s) in profile.map_or(&[][..], |p| &p.ops) {
+        let labels = [("op", name.as_str())];
+        reg.counter_add("nra_op_invocations_total", &labels, s.invocations);
+        reg.counter_add("nra_op_rows_in_total", &labels, s.rows_in);
+        reg.counter_add("nra_op_rows_out_total", &labels, s.rows_out);
+        for (metric, v) in [
+            ("nra_op_hash_entries_total", s.hash_entries),
+            ("nra_op_hash_bytes_total", s.hash_bytes),
+            ("nra_op_nest_groups_total", s.nest_groups),
+            ("nra_op_padded_total", s.padded),
+        ] {
+            if v > 0 {
+                reg.counter_add(metric, &labels, v);
+            }
+        }
+        for (count, outcome) in [(s.pass, "pass"), (s.fail, "fail"), (s.unknown, "unknown")] {
+            if count > 0 {
+                let labels = [("op", name.as_str()), ("outcome", outcome)];
+                reg.counter_add("nra_op_link_outcomes_total", &labels, count);
+            }
+        }
     }
 }
 
@@ -477,7 +471,7 @@ impl Database {
         }
         self.shared.invalidate_plans();
         self.after_durable_mutation();
-        metrics::both(|m| m.counter_add("nra_analyze_total", &[("table", table)], 1));
+        metrics::global().counter_add("nra_analyze_total", &[("table", table)], 1);
         let mut plan = format!("analyze {table}: {} row(s)\n", stats.row_count);
         for col in &stats.columns {
             plan.push_str(&format!(
@@ -517,7 +511,11 @@ impl Database {
                 plan
             }
             None => {
-                let plan = Arc::new(build_plan(cat, q.sql, engine)?);
+                let plan = build_plan(cat, q.sql, engine)?;
+                let plan = Arc::new(Planned {
+                    estimates: plan.estimate(cat),
+                    plan,
+                });
                 if let Some(key) = cache_key {
                     let plans = &self.shared.plans;
                     plans.insert(version, key.to_string(), engine, Arc::clone(&plan));
@@ -528,10 +526,10 @@ impl Database {
         // Seed the progress denominator from the planner's cardinality
         // estimates.
         if let Some(p) = progress {
-            p.set_estimated(plan.estimate(cat).iter().map(|(_, v)| v).sum());
+            p.set_estimated(plan.estimates.iter().map(|(_, v)| v).sum());
         }
         let mut exec_phase = trace::phase(|| "execute".to_string());
-        let rel = nra_core::run(&plan, cat)?;
+        let rel = nra_core::run(&plan.plan, cat)?;
         exec_phase.set_rows(rel.len() as u64);
         drop(exec_phase);
         Ok((rel, plan))
@@ -547,39 +545,4 @@ fn build_plan(cat: &Catalog, sql: &str, engine: Engine) -> Result<PhysPlan, NraE
         nra_sql::bind_statement(&query, cat)?,
         engine,
     )?)
-}
-
-/// Project a merged profile into per-operator metric counters.
-///
-/// Wall times stay out deliberately: every counter recorded here is
-/// identical on every run, which is what makes the per-query metrics
-/// scope deterministic.
-fn record_op_metrics(reg: &Registry, profile: &Profile) {
-    for (name, s) in &profile.ops {
-        let labels = [("op", name.as_str())];
-        reg.counter_add("nra_op_invocations_total", &labels, s.invocations);
-        reg.counter_add("nra_op_rows_in_total", &labels, s.rows_in);
-        reg.counter_add("nra_op_rows_out_total", &labels, s.rows_out);
-        if s.hash_entries > 0 {
-            reg.counter_add("nra_op_hash_entries_total", &labels, s.hash_entries);
-        }
-        if s.hash_bytes > 0 {
-            reg.counter_add("nra_op_hash_bytes_total", &labels, s.hash_bytes);
-        }
-        if s.nest_groups > 0 {
-            reg.counter_add("nra_op_nest_groups_total", &labels, s.nest_groups);
-        }
-        if s.padded > 0 {
-            reg.counter_add("nra_op_padded_total", &labels, s.padded);
-        }
-        for (count, outcome) in [(s.pass, "pass"), (s.fail, "fail"), (s.unknown, "unknown")] {
-            if count > 0 {
-                reg.counter_add(
-                    "nra_op_link_outcomes_total",
-                    &[("op", name.as_str()), ("outcome", outcome)],
-                    count,
-                );
-            }
-        }
-    }
 }

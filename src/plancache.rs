@@ -1,5 +1,6 @@
 //! A database's plan cache: (normalized SQL, engine) → the
-//! [`PhysPlan`] that engine's builders compiled for the statement.
+//! [`PhysPlan`] that engine's builders compiled for the statement, with
+//! the planner's estimates for it.
 //!
 //! Each database owns one ([`DbShared`](crate::database::DbShared)), so
 //! two databases never share plans even for identical SQL — a
@@ -12,7 +13,8 @@
 //! writes (DDL, `INSERT`, `ANALYZE`, and direct
 //! [`Database::catalog_mut`](crate::Database::catalog_mut) access) also
 //! purge the cache eagerly, so `nra_sys.plan_cache` never shows plans a
-//! changed schema has orphaned.
+//! changed schema has orphaned — and a cached plan's estimates are the
+//! ones a fresh build would compute.
 //!
 //! The cache is bounded at [`CAPACITY`] entries with FIFO eviction:
 //! its footprint is O(capacity × plan size) regardless of how long the
@@ -27,11 +29,20 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use nra_core::{Engine, PhysPlan};
+use nra_core::{CardEstimates, Engine, PhysPlan};
 use nra_obs::metrics;
 
 /// Maximum cached plans per database.
 pub(crate) const CAPACITY: usize = 256;
+
+/// A plan and the planner's cardinality estimates for it — the progress
+/// denominator and the analyzed plan's `est` column — computed once per
+/// build, so a cache hit calls no estimator.
+#[derive(Debug)]
+pub(crate) struct Planned {
+    pub plan: PhysPlan,
+    pub estimates: CardEstimates,
+}
 
 /// One statement's plan under one engine. Built once per miss and shared
 /// from then on: the cache, every hit and the lifecycle's `finish` hold
@@ -41,7 +52,7 @@ struct Entry {
     engine: Engine,
     version: u64,
     hits: u64,
-    plan: Arc<PhysPlan>,
+    plan: Arc<Planned>,
 }
 
 /// One database's cache (see the module docs).
@@ -98,7 +109,7 @@ impl PlanCache {
         version: u64,
         sql_norm: &str,
         engine: Engine,
-    ) -> Option<Arc<PhysPlan>> {
+    ) -> Option<Arc<Planned>> {
         let (found, invalidated) = {
             let mut c = self.lock();
             let entry = (c.map.get_mut(sql_norm))
@@ -136,7 +147,7 @@ impl PlanCache {
         version: u64,
         sql_norm: String,
         engine: Engine,
-        plan: Arc<PhysPlan>,
+        plan: Arc<Planned>,
     ) {
         let mut c = self.lock();
         let entry = Entry {
@@ -189,7 +200,7 @@ impl PlanCache {
                 let entry = entries.iter().find(|e| e.engine == *engine)?;
                 Some(CacheRow {
                     statement: k.clone(),
-                    strategy: entry.plan.engine().name(),
+                    strategy: entry.plan.plan.engine().name(),
                     hits: entry.hits,
                     version: entry.version,
                 })
@@ -209,10 +220,16 @@ mod tests {
         let schema = Schema::new(vec![Column::new("a", ColumnType::Int)]);
         cat.add_table(Table::new("t", schema)).unwrap();
         let bound = nra_sql::parse_and_bind("select a from t", &cat).unwrap();
-        let plan = |engine| Arc::new(nra_core::build(bound.clone().into(), engine).unwrap());
+        let planned = |engine| {
+            let plan = nra_core::build(bound.clone().into(), engine).unwrap();
+            Arc::new(Planned {
+                estimates: plan.estimate(&cat),
+                plan,
+            })
+        };
         let (auto, baseline) = (Engine::default(), Engine::Baseline);
         let cache = PlanCache::default();
-        let plan = plan(auto);
+        let plan = planned(auto);
         cache.insert(3, "select a from t".to_string(), auto, Arc::clone(&plan));
         assert!(cache.lookup(3, "select a from t", baseline).is_none());
         let first = cache.lookup(3, "select a from t", auto).expect("hit");
@@ -221,11 +238,15 @@ mod tests {
         assert_eq!(cache.snapshot()[0].hits, 2);
 
         // Each engine has its own entry and row.
-        let other = Arc::new(nra_core::build(bound.into(), baseline).unwrap());
-        cache.insert(3, "select a from t".to_string(), baseline, other);
+        cache.insert(
+            3,
+            "select a from t".to_string(),
+            baseline,
+            planned(baseline),
+        );
         let rows = cache.snapshot();
         let names: Vec<&str> = rows.iter().map(|r| r.strategy).collect();
-        assert_eq!(names, [plan.engine().name(), "baseline"]);
+        assert_eq!(names, [plan.plan.engine().name(), "baseline"]);
 
         // A schema-version mismatch drops the entry instead of serving it.
         assert!(cache.lookup(4, "select a from t", auto).is_none());

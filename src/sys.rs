@@ -42,9 +42,10 @@ use nra_storage::{Catalog, Column, ColumnType, Schema, Table, Tuple, Value};
 pub(crate) const PREFIX: &str = "nra_sys.";
 
 /// Cheap textual gate: only queries that can possibly reference the
-/// system schema pay the extra parse in [`dispatch`].
+/// system schema pay the extra parse in [`dispatch`]. An ASCII
+/// case-insensitive search that copies nothing.
 pub(crate) fn mentions_sys(sql: &str) -> bool {
-    sql.to_ascii_lowercase().contains("nra_sys")
+    (sql.as_bytes().windows(b"nra_sys".len())).any(|w| w.eq_ignore_ascii_case(b"nra_sys"))
 }
 
 /// Intercept `sql` if it references any `nra_sys.*` table: build the
@@ -175,12 +176,12 @@ fn queries_table(name: &str, db: &Database) -> Table {
             vec![
                 int(r.id),
                 Value::Str(r.sql),
-                Value::Str(r.outcome),
+                Value::str(r.outcome),
                 int(r.wall_ms),
                 int(r.rows),
                 int(r.qerror_x100),
                 int(r.mem_bytes),
-                Value::Str(r.strategy),
+                Value::str(r.strategy),
                 int(r.session),
             ]
         })
@@ -418,4 +419,16 @@ fn operators_table(name: &str) -> Table {
         })
         .collect();
     fill(table, rows)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn mentions_sys_ignores_ascii_case() {
+        assert!(mentions_sys("select * from NRA_SYS.queries") && mentions_sys("nra_sys"));
+        assert!(!mentions_sys("select c from nra_sy where d = 'NRA SYS'"));
+        assert!(!mentions_sys(""));
+    }
 }

@@ -52,6 +52,7 @@ fn assert_lifecycle_balanced(db: &Database, sql: &str, point: &str) {
     assert!(!nra::storage::iosim::is_enabled(), "{point}: iosim left on");
     let ctx = nra::engine::ctx::current();
     assert!(ctx.governor.is_none(), "{point}: governor left installed");
+    assert!(ctx.progress.is_none(), "{point}: progress left installed");
     let running = db
         .connect()
         .execute("select sql from nra_sys.running")

@@ -152,12 +152,12 @@ fn running_table_reflects_registered_queries() {
         .complete(nra::obs::queryreg::QueryRecord {
             id,
             sql: "select 991001 from fake".to_string(),
-            outcome: "ok".to_string(),
+            outcome: "ok",
             wall_ms: 0,
             rows: 0,
             qerror_x100: 0,
             mem_bytes: 0,
-            strategy: "original".to_string(),
+            strategy: "original",
             session: 0,
         });
     assert_eq!(out.rows.len(), 1, "registered query is visible");

@@ -1,9 +1,15 @@
 //! Property-based agreement tests: random small databases (with NULLs)
 //! and randomly shaped nested queries; every execution strategy must match
-//! the tuple-iteration oracle. Formerly proptest; now seeded-deterministic
-//! so the suite runs with no external crates. The corpora deliberately
-//! include NULL join keys (σ̄-padded tuples, NULL-key nest groups) and
-//! empty inputs.
+//! the tuple-iteration oracle, in memory and — for a seeded subset — over
+//! a durable database checkpointed and reopened, and a repeat of a query
+//! is a plan-cache hit under every engine. Metamorphic oracles check
+//! equivalent spellings of a link against each other, oracle included.
+//! Formerly proptest; now seeded-deterministic so the suite runs with no
+//! external crates. The corpora deliberately include NULL join keys
+//! (σ̄-padded tuples, NULL-key nest groups) and empty inputs.
+
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use nra::engine::EngineError;
 use nra::{Database, Engine, QueryOptions, Strategy as NraStrategy};
@@ -88,26 +94,34 @@ enum Corr {
     AdjacentEq,
     /// Non-equality to the adjacent outer block.
     AdjacentNe,
+    /// `<` to the adjacent outer block.
+    AdjacentLt,
+    /// `>` to the adjacent outer block.
+    AdjacentGt,
     /// Equality to the root block (non-adjacent for depth-2 blocks).
     RootEq,
 }
 
 fn corr(rng: &mut Pcg32) -> Corr {
-    // Weights mirror the old proptest distribution: 1/4/2/2.
-    match rng.index(9) {
+    // Weights: the old proptest distribution's 1/4/2/2, plus 1 each for
+    // `<` and `>`.
+    match rng.index(11) {
         0 => Corr::None,
         1..=4 => Corr::AdjacentEq,
         5 | 6 => Corr::AdjacentNe,
+        7 => Corr::AdjacentLt,
+        8 => Corr::AdjacentGt,
         _ => Corr::RootEq,
     }
 }
 
-fn db_from(
-    t0: &[(Option<i64>, Option<i64>)],
-    t1: &[(Option<i64>, Option<i64>)],
-    t2: &[(Option<i64>, Option<i64>)],
-) -> Database {
-    let db = Database::new();
+type Rows = [(Option<i64>, Option<i64>)];
+
+fn db_from(t0: &Rows, t1: &Rows, t2: &Rows) -> Database {
+    fill(Database::new(), t0, t1, t2)
+}
+
+fn fill(db: Database, t0: &Rows, t1: &Rows, t2: &Rows) -> Database {
     for (name, cols, data) in [
         ("t0", ("a", "b"), t0),
         ("t1", ("c", "d"), t1),
@@ -138,6 +152,55 @@ fn corr_sql(corr: Corr, inner_col: &str, outer_col: &str) -> Option<String> {
         Corr::None => None,
         Corr::AdjacentEq | Corr::RootEq => Some(format!("{inner_col} = {outer_col}")),
         Corr::AdjacentNe => Some(format!("{inner_col} <> {outer_col}")),
+        Corr::AdjacentLt => Some(format!("{inner_col} < {outer_col}")),
+        Corr::AdjacentGt => Some(format!("{inner_col} > {outer_col}")),
+    }
+}
+
+/// A durable database holding the same tables: created and filled
+/// through the write-ahead log, checkpointed, and reopened from the
+/// snapshot. Its directory goes with it.
+struct Reopened {
+    db: Database,
+    dir: PathBuf,
+}
+
+impl Reopened {
+    fn new(t0: &Rows, t1: &Rows, t2: &Rows) -> Reopened {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("nra-agree-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = fill(Database::open(&dir).unwrap(), t0, t1, t2);
+        db.checkpoint().unwrap();
+        drop(db);
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(
+            db.recovery().unwrap().replayed,
+            0,
+            "the snapshot holds every row"
+        );
+        Reopened { db, dir }
+    }
+}
+
+impl Drop for Reopened {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// Every `DURABLE_EVERY`-th generated case also runs over a [`Reopened`]
+/// copy of its tables.
+const DURABLE_EVERY: usize = 8;
+
+/// [`check_all`] on `db`, and on a reopened durable copy of its tables
+/// for every [`DURABLE_EVERY`]-th case.
+fn check_case(case: usize, db: &Database, tables: [&Rows; 3], sql: &str) {
+    check_all(db, sql);
+    if case.is_multiple_of(DURABLE_EVERY) {
+        let [t0, t1, t2] = tables;
+        check_all(&Reopened::new(t0, t1, t2).db, sql);
     }
 }
 
@@ -148,10 +211,8 @@ fn run(db: &Database, sql: &str, engine: Engine) -> Relation {
         .rows
 }
 
-/// Compare every applicable strategy against the oracle on one query, at
-/// batch widths {1, 3, 1024}. A strategy is skipped only when its builder
-/// refuses the query.
-fn check_all(db: &Database, sql: &str) {
+/// The baseline, `Auto`, and every strategy whose builder accepts `sql`.
+fn engines_for(db: &Database, sql: &str) -> Vec<Engine> {
     let bound = match db.prepare(sql) {
         Ok(b) => b,
         Err(e) => panic!("query failed to bind: {sql}: {e}"),
@@ -169,6 +230,15 @@ fn check_all(db: &Database, sql: &str) {
             }
         }
     }
+    engines
+}
+
+/// Compare every applicable strategy against the oracle on one query, at
+/// batch widths {1, 3, 1024}. A strategy is skipped only when its builder
+/// refuses the query. The width-1 run plans and caches each engine's
+/// plan; the width-3 and width-1024 runs must be plan-cache hits.
+fn check_all(db: &Database, sql: &str) {
+    let engines = engines_for(db, sql);
     for width in [1, 3, 1024] {
         let _width = nra::engine::vec::set_batch_rows(Some(width));
         let oracle = run(db, sql, Engine::Reference);
@@ -181,35 +251,123 @@ fn check_all(db: &Database, sql: &str) {
             );
         }
     }
+    assert_every_engine_hit(db, sql, engines.len() + 1);
+}
+
+/// `nra_sys.plan_cache` holds `engines` entries for `sql`, one per engine
+/// (the oracle's included), each hit by the two runs after the first.
+fn assert_every_engine_hit(db: &Database, sql: &str, engines: usize) {
+    let statement = Value::str(nra::sql::normalize::normalize(sql));
+    let cache = db
+        .connect()
+        .execute("select statement, strategy, hits from nra_sys.plan_cache")
+        .unwrap()
+        .rows;
+    let mine: Vec<_> = (cache.rows().iter())
+        .filter(|r| r[0] == statement)
+        .collect();
+    assert_eq!(mine.len(), engines, "one cache entry per engine for {sql}");
+    for r in mine {
+        assert_eq!(r[2], Value::Int(2), "{} missed the cache on {sql}", r[1]);
+    }
+}
+
+/// One generated one-level case: the outer and inner tables and the
+/// subquery body (correlation and an optional local predicate).
+struct OneLevel {
+    t0: Vec<(Option<i64>, Option<i64>)>,
+    t1: Vec<(Option<i64>, Option<i64>)>,
+    body: String,
+}
+
+/// Draws in the order `one_level_queries_agree` always has: the tables,
+/// then `before_corr` (its link), then the correlation and the local
+/// predicate.
+fn one_level<T>(rng: &mut Pcg32, before_corr: impl FnOnce(&mut Pcg32) -> T) -> (OneLevel, T) {
+    let t0 = rows(rng);
+    let t1 = rows(rng);
+    let drawn = before_corr(rng);
+    let cr = corr(rng);
+    let with_local = rng.bool(0.5);
+    let mut body_parts = Vec::new();
+    if let Some(c) = corr_sql(cr, "t1.c", "t0.a") {
+        body_parts.push(c);
+    }
+    if with_local {
+        body_parts.push("t1.d >= 1".to_string());
+    }
+    if body_parts.is_empty() {
+        body_parts.push("1 = 1".to_string());
+    }
+    let body = body_parts.join(" and ");
+    (OneLevel { t0, t1, body }, drawn)
 }
 
 /// One-level nested queries: every link operator × correlation shape.
 #[test]
 fn one_level_queries_agree() {
     let mut rng = Pcg32::new(0x5eed_3001);
-    for _case in 0..64 {
-        let t0 = rows(&mut rng);
-        let t1 = rows(&mut rng);
-        let lk = link(&mut rng);
-        let cr = corr(&mut rng);
-        let with_local = rng.bool(0.5);
-
-        let db = db_from(&t0, &t1, &[]);
-        let mut body_parts = Vec::new();
-        if let Some(c) = corr_sql(cr, "t1.c", "t0.a") {
-            body_parts.push(c);
-        }
-        if with_local {
-            body_parts.push("t1.d >= 1".to_string());
-        }
-        if body_parts.is_empty() {
-            body_parts.push("1 = 1".to_string());
-        }
+    for case in 0..64 {
+        let (c, lk) = one_level(&mut rng, link);
+        let db = db_from(&c.t0, &c.t1, &[]);
         let sql = format!(
             "select a, b from t0 where {}",
-            lk.render("t0.b", "t1.d", "t1", &body_parts.join(" and "))
+            lk.render("t0.b", "t1.d", "t1", &c.body)
         );
-        check_all(&db, &sql);
+        check_case(case, &db, [&c.t0, &c.t1, &[]], &sql);
+    }
+}
+
+/// Metamorphic oracles over the one-level generator: spellings of one
+/// link that SQL defines as equivalent return the same multiset under
+/// every engine, the oracle included — `IN` and `= SOME`; `NOT IN`,
+/// `<> ALL` and `NOT (… IN …)`; `EXISTS` and `0 < count(*)`; `NOT EXISTS`
+/// and `0 = count(*)`.
+#[test]
+fn one_level_equivalent_spellings_agree() {
+    let mut rng = Pcg32::new(0x5eed_3004);
+    for _case in 0..48 {
+        let (c, ()) = one_level(&mut rng, |_| ());
+        let db = db_from(&c.t0, &c.t1, &[]);
+        let q = |select: &str| format!("(select {select} from t1 where {})", c.body);
+        let families = [
+            vec![
+                format!("t0.b in {}", q("t1.d")),
+                format!("t0.b = some {}", q("t1.d")),
+            ],
+            vec![
+                format!("t0.b not in {}", q("t1.d")),
+                format!("t0.b <> all {}", q("t1.d")),
+                format!("not (t0.b in {})", q("t1.d")),
+            ],
+            vec![
+                format!("exists {}", q("*")),
+                format!("0 < {}", q("count(*)")),
+            ],
+            vec![
+                format!("not exists {}", q("*")),
+                format!("0 = {}", q("count(*)")),
+            ],
+        ];
+        for family in families {
+            let mut first: Option<(String, Relation)> = None;
+            for pred in family {
+                let sql = format!("select a, b from t0 where {pred}");
+                let mut engines = engines_for(&db, &sql);
+                engines.push(Engine::Reference);
+                for engine in engines {
+                    let got = run(&db, &sql, engine);
+                    match &first {
+                        None => first = Some((sql.clone(), got)),
+                        Some((anchor, want)) => assert!(
+                            got.multiset_eq(want),
+                            "{engine:?} on {sql}\ndisagrees with {anchor}\n\
+                             got:\n{got}\nwant:\n{want}"
+                        ),
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -218,7 +376,7 @@ fn one_level_queries_agree() {
 #[test]
 fn two_level_queries_agree() {
     let mut rng = Pcg32::new(0x5eed_3002);
-    for _case in 0..64 {
+    for case in 0..64 {
         let t0 = rows(&mut rng);
         let t1 = rows(&mut rng);
         let t2 = rows(&mut rng);
@@ -243,7 +401,7 @@ fn two_level_queries_agree() {
             "select a, b from t0 where {}",
             lk1.render("t0.b", "t1.d", "t1", &mid_body)
         );
-        check_all(&db, &sql);
+        check_case(case, &db, [&t0, &t1, &t2], &sql);
     }
 }
 
@@ -251,7 +409,7 @@ fn two_level_queries_agree() {
 #[test]
 fn tree_queries_agree() {
     let mut rng = Pcg32::new(0x5eed_3003);
-    for _case in 0..64 {
+    for case in 0..64 {
         let t0 = rows(&mut rng);
         let t1 = rows(&mut rng);
         let t2 = rows(&mut rng);
@@ -268,7 +426,7 @@ fn tree_queries_agree() {
             lk1.render("t0.b", "t1.d", "t1", &b1),
             lk2.render("t0.a", "t2.f", "t2", &b2)
         );
-        check_all(&db, &sql);
+        check_case(case, &db, [&t0, &t1, &t2], &sql);
     }
 }
 
@@ -284,7 +442,6 @@ fn paper_query_q_agreement() {
 /// negative links.
 #[test]
 fn empty_relation_agreement() {
-    type Rows = [(Option<i64>, Option<i64>)];
     let cases: [(&Rows, &Rows); 3] = [
         (&[], &[(Some(1), Some(2)), (None, Some(0))]),
         (&[(Some(1), Some(2)), (Some(0), None)], &[]),

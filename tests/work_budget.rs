@@ -65,12 +65,12 @@ const SLACK: f64 = 0.02;
 
 /// Committed ceilings: `(class, [Auto, Optimized, Original])`.
 const CEILINGS: [(&str, [u64; 3]); 6] = [
-    ("q1", [3_670, 5_191, 13_162]),
-    ("q2a", [7_283, 19_083, 54_654]),
-    ("q2b", [11_030, 22_882, 68_327]),
-    ("q3b", [24_288, 24_306, 76_508]),
-    ("q3c", [7_374, 16_244, 29_391]),
-    ("q1agg", [2_338, 3_859, 8_502]),
+    ("q1", [3_655, 5_162, 13_134]),
+    ("q2a", [7_266, 19_048, 54_619]),
+    ("q2b", [11_013, 22_847, 68_292]),
+    ("q3b", [24_271, 24_271, 76_473]),
+    ("q3c", [7_357, 16_209, 29_356]),
+    ("q1agg", [2_323, 3_830, 8_474]),
 ];
 
 const ENGINES: [Strategy; 3] = [Strategy::Auto, Strategy::Optimized, Strategy::Original];
