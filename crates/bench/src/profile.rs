@@ -29,7 +29,7 @@ pub fn profile_query(pq: &PreparedQuery<'_>, series: Series, io_cfg: &IoConfig) 
     });
     iosim::enable(*io_cfg);
     pq.run(series).expect("profiled query runs");
-    let profile = obs.finish().0.expect("collector was armed");
+    let profile = obs.finish().expect("collector was armed");
     iosim::disable();
     profile
 }

@@ -62,7 +62,9 @@ fn query_q_profiles(width: usize) -> Json {
         .filter_map(|engine| {
             let opts = QueryOptions::new().engine(engine).collect_profile(true);
             match db.execute(QUERY_Q, &opts) {
-                Err(NraError::Engine(EngineError::Unsupported(_))) => None,
+                Err(e) if matches!(e.cause(), NraError::Engine(EngineError::Unsupported(_))) => {
+                    None
+                }
                 out => Some((engine.name(), out.unwrap().profile.unwrap())),
             }
         })

@@ -284,8 +284,8 @@ mod tests {
         let pushdown = Engine::NestedRelational(Strategy::BottomUpPushdown);
         let plan = build(bq.clone().into(), pushdown).unwrap();
         assert_eq!(plan.engine(), Engine::NestedRelational(Strategy::BottomUp));
-        let (rejected, why) = &plan.rejected()[0];
-        assert_eq!(*rejected, Strategy::BottomUpPushdown);
+        let (rejected, why) = &plan.decisions(&cat).0[0].alternatives[0];
+        assert_eq!(rejected, Strategy::BottomUpPushdown.name());
         assert!(why.contains("not an equality"), "{why}");
         let want = reference::evaluate(&bq, &cat).unwrap();
         assert!(run(&plan, &cat).unwrap().multiset_eq(&want));

@@ -24,7 +24,7 @@ use nra_engine::baseline::unnest::execute_positive;
 use nra_engine::ops::setops;
 use nra_engine::planning::project_select;
 use nra_engine::{baseline, reference, EngineError};
-use nra_obs::trace::{self, TraceEvent};
+use nra_obs::{Decision, RewriteStep};
 use nra_sql::{BExpr, BoundQuery, BoundStatement, LinkOp, QueryBlock, SetOpKind, SubqueryEdge};
 use nra_storage::{Catalog, CmpOp, Relation};
 
@@ -34,7 +34,7 @@ use crate::compute::{
 };
 use crate::linking::{LinkSelection, SetQuant};
 use crate::optimize::{linear, pipeline};
-use crate::planner::{emit_decision, Engine, Strategy};
+use crate::planner::{decisions, Engine, Strategy};
 
 mod render;
 pub use render::node_stats;
@@ -155,7 +155,7 @@ pub(crate) struct CascadeLevel {
     pub(crate) pseudo: bool,
 }
 
-/// The §4.2 rewrite a plan embodies, reported as a trace `RewriteStep`.
+/// The §4.2 rewrite a plan embodies (see [`RewriteStep`]).
 #[derive(Debug, Clone, Copy)]
 enum Rewrite {
     FuseNestSelect,
@@ -168,7 +168,7 @@ impl Rewrite {
     /// The rewrite's effect as a delta against the Algorithm-1 pipeline of
     /// the query's `n` blocks: the root π, one base input per block, and
     /// σ + υ + ⟕ per edge.
-    fn event(self, query: &BoundQuery) -> TraceEvent {
+    fn step(self, query: &BoundQuery) -> RewriteStep {
         let n = query.root.block_count();
         let before = 1 + n + 3 * (n - 1);
         let (rule, after) = match self {
@@ -183,8 +183,8 @@ impl Rewrite {
             // Every ⟕ + υ + σ triple collapses into one semijoin.
             Rewrite::PositiveSemijoin => ("positive-semijoin-rewrite", 2 * n),
         };
-        TraceEvent::RewriteStep {
-            rule: rule.to_string(),
+        RewriteStep {
+            rule,
             nodes_before: before,
             nodes_after: after,
         }
@@ -198,11 +198,33 @@ impl PhysPlan {
         self.arms[0].engine
     }
 
-    /// Strategies the first arm's builder passed over, with why, in the
-    /// order tried.
-    pub fn rejected(&self) -> Vec<(Strategy, String)> {
-        let arm = &self.arms[0];
-        describe(&arm.rejected, &arm.query)
+    /// The decision log of every arm, in arm order: why each block runs
+    /// under its arm's strategy (a baseline arm: the plan family System A
+    /// picks over `catalog`), and the §4.2 rewrite each arm's plan embodies.
+    /// A reference arm decides nothing.
+    pub fn decisions(&self, catalog: &Catalog) -> (Vec<Decision>, Vec<RewriteStep>) {
+        let log = (self.arms.iter()).flat_map(|arm| match arm.engine {
+            Engine::NestedRelational(strategy) => {
+                let rejected = describe(&arm.rejected, &arm.query);
+                decisions(&arm.query, strategy, &rejected, arm.forced)
+            }
+            Engine::Baseline => {
+                let (name, reason, alternatives) = baseline::choice(&arm.query, catalog);
+                let block = arm.query.root.id;
+                vec![Decision {
+                    block,
+                    name,
+                    reason,
+                    alternatives,
+                }]
+            }
+            Engine::Reference => Vec::new(),
+        });
+        let rewrites = self
+            .arms
+            .iter()
+            .filter_map(|arm| Some(arm.rewrite?.step(&arm.query)));
+        (log.collect(), rewrites.collect())
     }
 
     /// The planner's cardinality estimates under the keys the plan's
@@ -276,9 +298,8 @@ fn plan_arm(query: BoundQuery, engine: Engine) -> Result<Arm, EngineError> {
     })
 }
 
-/// Execute a plan: each arm logs its decision and rewrite (when tracing)
-/// and runs its operator tree, then the statement's nodes run over the
-/// arms' results.
+/// Execute a plan: each arm runs its operator tree, then the statement's
+/// nodes run over the arms' results.
 pub fn run(plan: &PhysPlan, catalog: &Catalog) -> Result<Relation, EngineError> {
     plan.step(&plan.root, catalog)
 }
@@ -326,16 +347,6 @@ impl PhysPlan {
     fn run_arm(&self, i: usize, catalog: &Catalog) -> Result<Relation, EngineError> {
         let arm = &self.arms[i];
         let _arm = self.label(i).map(|label| nra_obs::prefix_scope(|| label));
-        if let (true, Engine::NestedRelational(strategy)) = (trace::enabled(), arm.engine) {
-            {
-                let _plan = trace::phase(|| "plan".to_string());
-                let rejected = describe(&arm.rejected, &arm.query);
-                emit_decision(&arm.query, strategy, &rejected, arm.forced);
-            }
-            if let Some(rewrite) = arm.rewrite {
-                trace::emit(|| rewrite.event(&arm.query));
-            }
-        }
         eval(&arm.root, &arm.query, catalog)
     }
 }

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::fmt::Write;
 
 use nra_engine::baseline;
-use nra_obs::trace::fmt_ns;
+use nra_obs::fmt_ns;
 use nra_obs::{OpStats, Profile};
 use nra_sql::{BExpr, BPred, BoundQuery, LinkOp, QueryBlock, SetOpKind, SubqueryEdge};
 use nra_storage::Catalog;

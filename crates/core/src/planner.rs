@@ -1,12 +1,11 @@
-//! Strategy selection for the nested relational approach, with
-//! trace-visible decision logging. The decision is made once, when a
-//! plan is built ([`crate::plan::build`]); when query-lifecycle tracing is
-//! active ([`nra_obs::trace`]), running the plan emits a `StrategyChosen`
-//! event for every query block explaining why the chosen strategy applies
-//! to it, and the root block's event names every alternative rejected at
-//! plan time with its reason.
+//! Strategy selection for the nested relational approach, with an
+//! explainable decision log. The decision is made once, when a plan is
+//! built ([`crate::plan::build`]); the plan reports it as one
+//! [`Decision`] per query block explaining why the chosen strategy
+//! applies to it, the root block's naming every alternative rejected at
+//! plan time with its reason (the query trace renders them).
 
-use nra_obs::trace::{self, TraceEvent};
+use nra_obs::Decision;
 use nra_sql::{BoundQuery, QueryBlock};
 
 /// An execution strategy for the nested relational approach.
@@ -43,7 +42,7 @@ impl Strategy {
         Strategy::Original,
     ];
 
-    /// Stable kebab-case name (used in trace events and CLI flags).
+    /// Stable kebab-case name (used in the decision log and CLI flags).
     pub fn name(self) -> &'static str {
         match self {
             Strategy::Original => "original",
@@ -116,21 +115,12 @@ impl Engine {
     }
 }
 
-/// Why one query block is (or is not) served by the chosen strategy.
-#[derive(Debug, Clone)]
-pub struct BlockChoice {
-    /// The block's id (the paper's `T_i` subscript).
-    pub block: usize,
-    /// Human-readable, non-empty justification.
-    pub reason: String,
-}
-
 /// The planner's full, explainable decision: the chosen strategy, a
 /// per-block justification, and the strategies it rejected with reasons.
 #[derive(Debug, Clone)]
 pub struct StrategyDecision {
     pub chosen: Strategy,
-    pub blocks: Vec<BlockChoice>,
+    pub blocks: Vec<Decision>,
     /// `(rejected strategy, why)` in the order they were considered.
     pub rejected: Vec<(Strategy, String)>,
 }
@@ -142,14 +132,21 @@ pub fn decide(query: &BoundQuery) -> StrategyDecision {
     let (chosen, rejected) = crate::plan::auto(query);
     StrategyDecision {
         chosen,
-        blocks: block_reasons(query, chosen),
+        blocks: decisions(query, chosen, &rejected, false),
         rejected,
     }
 }
 
-/// Per-block justification for running `strategy` on `query` — a reason is
-/// produced for *every* block, including forced (non-auto) strategies.
-pub fn block_reasons(query: &BoundQuery, strategy: Strategy) -> Vec<BlockChoice> {
+/// The decision log of running `strategy` on `query`: one [`Decision`]
+/// with a non-empty reason for *every* block, forced (non-auto)
+/// strategies included, the root block's carrying the alternatives
+/// rejected at plan time.
+pub(crate) fn decisions(
+    query: &BoundQuery,
+    strategy: Strategy,
+    rejected: &[(Strategy, String)],
+    forced: bool,
+) -> Vec<Decision> {
     let mut blocks = Vec::new();
     let linear = query.root.is_linear();
     query.root.visit(&mut |block: &QueryBlock, edge| {
@@ -235,45 +232,20 @@ pub fn block_reasons(query: &BoundQuery, strategy: Strategy) -> Vec<BlockChoice>
                 }
             }
         };
-        blocks.push(BlockChoice {
+        blocks.push(Decision {
             block: block.id,
-            reason,
+            name: strategy.name().to_string(),
+            reason: match forced {
+                true => format!("forced by caller: {reason}"),
+                false => reason,
+            },
+            alternatives: (rejected.iter())
+                .filter(|_| edge.is_none())
+                .map(|(s, why)| (s.name().to_string(), why.clone()))
+                .collect(),
         });
     });
     blocks
-}
-
-/// Emit one `StrategyChosen` trace event per block; the root block's
-/// event carries the alternatives rejected at plan time. No-op when
-/// tracing is off.
-pub(crate) fn emit_decision(
-    query: &BoundQuery,
-    strategy: Strategy,
-    rejected: &[(Strategy, String)],
-    forced: bool,
-) {
-    if !trace::enabled() {
-        return;
-    }
-    for (i, choice) in block_reasons(query, strategy).into_iter().enumerate() {
-        let event = TraceEvent::StrategyChosen {
-            block: choice.block,
-            name: strategy.name().to_string(),
-            reason: if forced {
-                format!("forced by caller: {}", choice.reason)
-            } else {
-                choice.reason
-            },
-            alternatives: if i == 0 {
-                (rejected.iter())
-                    .map(|(s, why)| (s.name().to_string(), why.clone()))
-                    .collect()
-            } else {
-                Vec::new()
-            },
-        };
-        trace::emit(|| event);
-    }
 }
 
 #[cfg(test)]
@@ -353,8 +325,7 @@ mod tests {
             let d = decide(&q);
             let plan = crate::plan::build(q.into(), Engine::default()).unwrap();
             assert_eq!(plan.engine(), Engine::NestedRelational(d.chosen), "{sql}");
-            let rejected = |r: &[(Strategy, String)]| r.iter().map(|(s, _)| *s).collect::<Vec<_>>();
-            assert_eq!(rejected(&plan.rejected()), rejected(&d.rejected), "{sql}");
+            assert_eq!(plan.decisions(&cat).0, d.blocks, "{sql}");
         }
     }
 

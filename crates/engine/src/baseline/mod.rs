@@ -98,7 +98,7 @@ fn expr_not_null(expr: Option<&BExpr>, block: &QueryBlock, catalog: &Catalog) ->
 }
 
 impl BaselineChoice {
-    /// Stable kebab-case name (used in trace events).
+    /// Stable kebab-case name (used in the trace's decision log).
     pub fn name(self) -> &'static str {
         match self {
             BaselineChoice::SemiAntiCascade => "semi-anti-cascade",
@@ -108,70 +108,62 @@ impl BaselineChoice {
     }
 }
 
-/// Emit a `StrategyChosen` trace event for the baseline optimizer's
-/// decision, with the rejected plan families and why System A's rules
-/// exclude them. No-op when tracing is off.
-fn emit_choice(query: &BoundQuery, catalog: &Catalog, choice: BaselineChoice) {
-    nra_obs::trace::emit(|| {
-        let unnestable = all_edges_unnestable(&query.root, catalog);
-        let mut alternatives = Vec::new();
-        let reason = match choice {
-            BaselineChoice::SemiAntiCascade => {
-                "linear correlated query, every link transformable: bottom-up \
-                 semijoin/antijoin cascade (set-oriented unnesting)"
-                    .to_string()
-            }
-            BaselineChoice::PositiveUnnest => {
-                alternatives.push((
-                    BaselineChoice::SemiAntiCascade.name().to_string(),
-                    if unnestable {
-                        "correlation is not linear (adjacent-block only)".to_string()
-                    } else {
-                        "an ALL/NOT IN edge lacks NOT NULL on both linking \
-                         attributes, or an aggregate link blocks the antijoin"
-                            .to_string()
-                    },
-                ));
-                "all linking operators positive: generalized semijoin unnesting \
-                 (tolerates non-adjacent correlation)"
-                    .to_string()
-            }
-            BaselineChoice::NestedIteration => {
-                alternatives.push((
-                    BaselineChoice::SemiAntiCascade.name().to_string(),
-                    if query.is_linear_correlated() {
-                        "an ALL/NOT IN edge lacks NOT NULL on both linking \
-                         attributes, or an aggregate link blocks the antijoin"
-                            .to_string()
-                    } else {
-                        "query is not linear correlated".to_string()
-                    },
-                ));
-                alternatives.push((
-                    BaselineChoice::PositiveUnnest.name().to_string(),
-                    "a negative or aggregate linking operator rules out pure \
-                     semijoin unnesting"
-                        .to_string(),
-                ));
-                "no unnesting transform applies: tuple-at-a-time nested \
-                 iteration with index probes"
-                    .to_string()
-            }
-        };
-        nra_obs::trace::TraceEvent::StrategyChosen {
-            block: query.root.id,
-            name: format!("baseline/{}", choice.name()),
-            reason,
-            alternatives,
+/// The baseline optimizer's decision for the trace's decision log:
+/// `(name, reason, alternatives)`, the alternatives being the rejected
+/// plan families with why System A's rules exclude them.
+pub fn choice(query: &BoundQuery, catalog: &Catalog) -> (String, String, Vec<(String, String)>) {
+    let choice = choose(query, catalog);
+    let unnestable = all_edges_unnestable(&query.root, catalog);
+    let mut alternatives = Vec::new();
+    let reason = match choice {
+        BaselineChoice::SemiAntiCascade => {
+            "linear correlated query, every link transformable: bottom-up \
+             semijoin/antijoin cascade (set-oriented unnesting)"
+                .to_string()
         }
-    });
+        BaselineChoice::PositiveUnnest => {
+            alternatives.push((
+                BaselineChoice::SemiAntiCascade.name().to_string(),
+                if unnestable {
+                    "correlation is not linear (adjacent-block only)".to_string()
+                } else {
+                    "an ALL/NOT IN edge lacks NOT NULL on both linking \
+                     attributes, or an aggregate link blocks the antijoin"
+                        .to_string()
+                },
+            ));
+            "all linking operators positive: generalized semijoin unnesting \
+             (tolerates non-adjacent correlation)"
+                .to_string()
+        }
+        BaselineChoice::NestedIteration => {
+            alternatives.push((
+                BaselineChoice::SemiAntiCascade.name().to_string(),
+                if query.is_linear_correlated() {
+                    "an ALL/NOT IN edge lacks NOT NULL on both linking \
+                     attributes, or an aggregate link blocks the antijoin"
+                        .to_string()
+                } else {
+                    "query is not linear correlated".to_string()
+                },
+            ));
+            alternatives.push((
+                BaselineChoice::PositiveUnnest.name().to_string(),
+                "a negative or aggregate linking operator rules out pure \
+                 semijoin unnesting"
+                    .to_string(),
+            ));
+            "no unnesting transform applies: tuple-at-a-time nested \
+             iteration with index probes"
+                .to_string()
+        }
+    };
+    (format!("baseline/{}", choice.name()), reason, alternatives)
 }
 
 /// Execute `query` with the plan family System A would pick.
 pub fn execute(query: &BoundQuery, catalog: &Catalog) -> Result<Relation, EngineError> {
-    let choice = choose(query, catalog);
-    emit_choice(query, catalog, choice);
-    match choice {
+    match choose(query, catalog) {
         BaselineChoice::SemiAntiCascade => unnest::execute(query, catalog),
         BaselineChoice::PositiveUnnest => unnest::execute_positive(query, catalog),
         BaselineChoice::NestedIteration => {

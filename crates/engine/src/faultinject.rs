@@ -37,15 +37,7 @@ pub fn hit(site: &str) -> Result<(), EngineError> {
 
 #[cold]
 fn fire(site: &str, kind: FaultKind, n: u64) -> Result<(), EngineError> {
-    let panic = kind == FaultKind::Panic;
-    nra_obs::trace::emit(|| nra_obs::trace::TraceEvent::Governor {
-        action: "fault-injected".into(),
-        detail: format!(
-            "{site} ({}, hit {n})",
-            if panic { "panic" } else { "alloc-fail" }
-        ),
-    });
-    if panic {
+    if kind == FaultKind::Panic {
         panic!("injected fault at `{site}` (hit {n})");
     }
     Err(EngineError::ResourceExhausted {

@@ -156,10 +156,6 @@ fn charge_armed(site: &str, bytes: u64) -> Result<(), EngineError> {
         c.progress(|p| p.raise_mem(total));
         let limit = g.mem_limit.unwrap_or(u64::MAX);
         if total > limit {
-            nra_obs::trace::emit(|| nra_obs::trace::TraceEvent::Governor {
-                action: "resource-exhausted".into(),
-                detail: format!("{site} (used {total} of {limit} bytes)"),
-            });
             return Err(EngineError::ResourceExhausted {
                 operator: site.to_string(),
                 requested: bytes,
@@ -251,10 +247,6 @@ fn checkpoint_armed(phase: &str) -> Result<(), EngineError> {
         let cancelled = g.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
             || g.deadline.is_some_and(|d| Instant::now() >= d);
         if cancelled {
-            nra_obs::trace::emit(|| nra_obs::trace::TraceEvent::Governor {
-                action: "cancelled".into(),
-                detail: phase.to_string(),
-            });
             return Err(EngineError::Cancelled {
                 phase: phase.to_string(),
             });
@@ -470,10 +462,6 @@ impl AdmissionController {
                             &[],
                             1,
                         );
-                        nra_obs::trace::emit(|| nra_obs::trace::TraceEvent::Governor {
-                            action: "admission-rejected".into(),
-                            detail: detail.clone(),
-                        });
                         return Err(EngineError::Admission {
                             detail,
                             waited_ms: self.config.queue_timeout_ms,

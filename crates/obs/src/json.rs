@@ -4,7 +4,7 @@
 //! Two halves:
 //!
 //! * [`escape`] / [`write_string`] — the one string-escaping routine used
-//!   by [`crate::Profile::to_json`], the trace JSONL sink and the bench
+//!   by [`crate::Profile::to_json`], the trace's JSONL and the bench
 //!   profile bundles, so qualified operator names with quotes, backslashes
 //!   or control characters serialize identically everywhere;
 //! * [`Json`] + [`Json::parse`] — a small recursive-descent reader, enough

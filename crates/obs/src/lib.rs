@@ -2,17 +2,18 @@
 //!
 //! Runtime execution observability for the nested relational subquery
 //! processor: per-operator [`OpStats`], span timers, machine-readable
-//! [`Profile`]s, lifecycle traces ([`trace`]), live progress
-//! ([`progress`]), metrics ([`metrics`]), the query registry
-//! ([`queryreg`]) and the slow-query log ([`slowlog`]).
+//! [`Profile`]s with the query's pipeline [`phase`]s, the lifecycle
+//! trace rendered from them ([`trace`]), live progress ([`progress`]),
+//! metrics ([`metrics`]), the query registry ([`queryreg`]) and the
+//! slow-query log ([`slowlog`]).
 //!
-//! What a query collects on its thread — the stats collector and the
-//! tracer — lives in one thread-local slot, armed by one [`enter`] whose
-//! guard restores the enclosing slot. Metrics, the registry record and
-//! the slow log are written once when the query finishes; live progress
-//! rides in the engine's query context beside the governor that feeds it.
-//! The instrumented operators read a single flags byte when nothing is
-//! armed (no allocation, no timing syscalls):
+//! What a query collects on its thread — the stats collector — lives in
+//! one thread-local slot, armed by one [`enter`] whose guard restores the
+//! enclosing slot. Metrics, the registry record, the trace and the slow
+//! log are written once when the query finishes; live progress rides in
+//! the engine's query context beside the governor that feeds it. The
+//! instrumented operators read a single flag when nothing is armed (no
+//! allocation, no timing syscalls):
 //!
 //! ```
 //! let obs = nra_obs::enter(nra_obs::Observers { profile: true, ..Default::default() });
@@ -22,7 +23,7 @@
 //!     span.rows_in(100);
 //!     span.rows_out(42);
 //! } // span drop records wall time under "b2/join"
-//! let profile = obs.finish().0.unwrap();
+//! let profile = obs.finish().unwrap();
 //! assert_eq!(profile.get("b2/join").unwrap().rows_out, 42);
 //! println!("{}", profile.to_json());
 //! ```
@@ -41,6 +42,8 @@ pub mod progress;
 pub mod queryreg;
 pub mod slowlog;
 pub mod trace;
+
+pub use trace::fmt_ns;
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -136,6 +139,7 @@ struct Collector {
     /// Insertion order of qualified names, for stable reporting.
     order: Vec<String>,
     ops: HashMap<String, OpStats>,
+    phases: Vec<Phase>,
 }
 
 impl Collector {
@@ -156,25 +160,21 @@ impl Collector {
                 .iter()
                 .map(|n| (n.clone(), self.ops[n].clone()))
                 .collect(),
+            phases: self.phases.clone(),
             io: iosim::is_enabled().then(iosim::stats),
             outcome: None,
         }
     }
 }
 
-/// Slot flag bits: which facilities are armed on this thread.
-const F_PROFILE: u8 = 1;
-const F_TRACE: u8 = 2;
-
-/// What [`enter`] arms on this thread. A facility left at `false`
-/// stays as the enclosing slot had it, so a query
-/// that does not trace still reports to a tracer its caller armed.
+/// What [`enter`] arms on this thread.
 #[derive(Default)]
 pub struct Observers {
-    /// Collect per-operator stats ([`ObsGuard::finish`] returns them).
+    /// Collect per-operator stats and phases ([`ObsGuard::finish`]
+    /// returns them). Left at `false`, the enclosing slot's collector
+    /// stays armed, so a query that does not profile still reports to a
+    /// collector its caller armed.
     pub profile: bool,
-    /// Trace into an in-memory ring ([`ObsGuard::finish`] returns it).
-    pub trace: bool,
     /// Run the I/O simulator for the guard's lifetime, unless the caller
     /// already runs it. The profile's I/O footer is read before it stops.
     pub simulate_io: bool,
@@ -183,26 +183,17 @@ pub struct Observers {
 /// Everything armed on one thread.
 struct Armed {
     collector: Option<Collector>,
-    /// The scope-label stack, shared by the stats collector and the
-    /// tracer so both qualify operators identically.
+    /// The scope-label stack qualifying operator names.
     scopes: Vec<String>,
     /// The label of the open [`prefix_scope`], which every scope opened
     /// inside it extends.
     prefix: Option<String>,
-    tracer: Option<trace::Tracer>,
-}
-
-impl Armed {
-    fn flags(&self) -> u8 {
-        (u8::from(self.collector.is_some()) * F_PROFILE)
-            | (u8::from(self.tracer.is_some()) * F_TRACE)
-    }
 }
 
 /// The one per-thread observability slot. The disarmed hooks read only
-/// `flags`, the same way `nra_engine::ctx` gates the governor.
+/// `profiling`, the same way `nra_engine::ctx` gates the governor.
 struct Slot {
-    flags: Cell<u8>,
+    profiling: Cell<bool>,
     armed: RefCell<Armed>,
 }
 
@@ -211,21 +202,14 @@ struct Slot {
 thread_local! {
     static SLOT: Slot = const {
         Slot {
-            flags: Cell::new(0),
+            profiling: Cell::new(false),
             armed: RefCell::new(Armed {
                 collector: None,
                 scopes: Vec::new(),
                 prefix: None,
-                tracer: None,
             }),
         }
     };
-}
-
-/// Whether any facility in `mask` is armed on this thread.
-#[inline]
-fn armed(mask: u8) -> bool {
-    SLOT.with(|s| s.flags.get() & mask != 0)
 }
 
 fn with_armed<R>(f: impl FnOnce(&mut Armed) -> R) -> R {
@@ -236,30 +220,27 @@ fn with_collector(f: impl FnOnce(&mut Collector)) {
     with_armed(|a| a.collector.as_mut().map(f));
 }
 
-/// Swap the scope stack and the facilities in `mask` between this
+/// Swap the scope stack, and the collector when `profile`, between this
 /// thread's slot and `other`.
-fn exchange(other: &mut Armed, mask: u8) {
+fn exchange(other: &mut Armed, profile: bool) {
     SLOT.with(|s| {
         let mut armed = s.armed.borrow_mut();
         std::mem::swap(&mut armed.scopes, &mut other.scopes);
         std::mem::swap(&mut armed.prefix, &mut other.prefix);
-        if mask & F_PROFILE != 0 {
+        if profile {
             std::mem::swap(&mut armed.collector, &mut other.collector);
         }
-        if mask & F_TRACE != 0 {
-            std::mem::swap(&mut armed.tracer, &mut other.tracer);
-        }
-        s.flags.set(armed.flags());
+        s.profiling.set(armed.collector.is_some());
     });
 }
 
 /// Restores the enclosing slot on drop (see [`enter`]).
 #[must_use = "dropping the guard immediately restores the enclosing slot"]
 pub struct ObsGuard {
-    /// The facilities this guard armed.
-    mask: u8,
-    /// What the enclosing slot had in those facilities; `None` once
-    /// restored.
+    /// This guard armed its own collector.
+    profile: bool,
+    /// What the enclosing slot had in what this guard swapped; `None`
+    /// once restored.
     outer: Option<Armed>,
     /// This guard started the I/O simulator and stops it.
     simulate_io: bool,
@@ -268,43 +249,40 @@ pub struct ObsGuard {
 /// Arm `observers` on this thread until the returned guard is finished or
 /// dropped; either restores the enclosing slot exactly, so arming nests.
 pub fn enter(observers: Observers) -> ObsGuard {
+    let profile = observers.profile;
     let mut mine = Armed {
-        collector: observers.profile.then(Collector::default),
+        collector: profile.then(Collector::default),
         scopes: Vec::new(),
         prefix: None,
-        tracer: observers.trace.then(trace::Tracer::default),
     };
-    let mask = mine.flags();
     let simulate_io = observers.simulate_io && !iosim::is_enabled();
     if simulate_io {
         iosim::enable(iosim::IoConfig::default());
     }
-    exchange(&mut mine, mask);
+    exchange(&mut mine, profile);
     ObsGuard {
-        mask,
+        profile,
         outer: Some(mine),
         simulate_io,
     }
 }
 
 impl ObsGuard {
-    /// Restore the enclosing slot and return what this guard collected:
-    /// the profile, if it armed one (its I/O footer read before the
-    /// simulator stops), and the trace, if it armed a tracer.
-    pub fn finish(mut self) -> (Option<Profile>, Option<trace::Trace>) {
+    /// Restore the enclosing slot and return the profile, if this guard
+    /// armed a collector (its I/O footer read before the simulator
+    /// stops).
+    pub fn finish(mut self) -> Option<Profile> {
         self.restore()
     }
 
-    fn restore(&mut self) -> (Option<Profile>, Option<trace::Trace>) {
-        let Some(mut mine) = self.outer.take() else {
-            return (None, None);
-        };
-        exchange(&mut mine, self.mask);
+    fn restore(&mut self) -> Option<Profile> {
+        let mut mine = self.outer.take()?;
+        exchange(&mut mine, self.profile);
         let profile = mine.collector.as_ref().map(Collector::profile);
         if self.simulate_io {
             iosim::disable();
         }
-        (profile, mine.tracer.map(trace::Tracer::finish))
+        profile
     }
 }
 
@@ -315,32 +293,23 @@ impl Drop for ObsGuard {
 }
 
 /// Whether per-operator stats are being collected on this thread.
+#[inline]
 pub fn is_enabled() -> bool {
-    armed(F_PROFILE)
-}
-
-/// Snapshot the stats collected so far without stopping collection.
-/// Returns an empty profile when collection is disabled.
-pub fn snapshot() -> Profile {
-    with_armed(|a| a.collector.as_ref().map(Collector::profile)).unwrap_or_default()
+    SLOT.with(|s| s.profiling.get())
 }
 
 /// A scope label (typically a query-block id like `b2`) qualifying every
 /// span or record made while it is alive. Only the innermost scope
 /// applies — recursive executors replace rather than concatenate — except
-/// that a [`prefix_scope`] qualifies the scopes opened inside it. When the
-/// tracer is active, the scope is also a trace phase, so operator events
-/// nest under their block in the span tree.
+/// that a [`prefix_scope`] qualifies the scopes opened inside it.
 pub struct Scope {
     active: bool,
     /// Opened by [`prefix_scope`].
     prefix: bool,
-    /// Keeps the trace phase open for the scope's lifetime.
-    _phase: Option<trace::PhaseGuard>,
 }
 
-/// Push a scope label. The closure is only invoked when collection or
-/// tracing is enabled, so disabled runs pay no formatting.
+/// Push a scope label. The closure is only invoked when collection is
+/// enabled, so disabled runs pay no formatting.
 pub fn scope<F: FnOnce() -> String>(label: F) -> Scope {
     open_scope(label, false)
 }
@@ -354,15 +323,13 @@ pub fn prefix_scope<F: FnOnce() -> String>(label: F) -> Scope {
 }
 
 fn open_scope<F: FnOnce() -> String>(label: F, prefix: bool) -> Scope {
-    if !armed(F_PROFILE | F_TRACE) {
+    if !is_enabled() {
         return Scope {
             active: false,
             prefix,
-            _phase: None,
         };
     }
     let label = label();
-    let phase = trace::enabled().then(|| trace::phase(|| label.clone()));
     with_armed(|a| {
         let label = match &a.prefix {
             Some(outer) => format!("{outer}/{label}"),
@@ -376,7 +343,6 @@ fn open_scope<F: FnOnce() -> String>(label: F, prefix: bool) -> Scope {
     Scope {
         active: true,
         prefix,
-        _phase: phase,
     }
 }
 
@@ -409,18 +375,16 @@ struct SpanInner {
 }
 
 /// A span timer: accumulates counters locally and merges them (plus wall
-/// time) into the collector on drop; when the tracer is active it also
-/// emits a [`trace::TraceEvent::Op`] under the same qualified name, which
-/// is what lets traces and profiles correlate. Inert (`None` inner, no
-/// allocation) when both collection and tracing are disabled.
+/// time) into the collector on drop. Inert (`None` inner, no allocation)
+/// when collection is disabled.
 pub struct Span {
     inner: Option<Box<SpanInner>>,
 }
 
 /// Open a span under the current scope. The name closure is only invoked
-/// when collection or tracing is enabled.
+/// when collection is enabled.
 pub fn span<F: FnOnce() -> String>(name: F) -> Span {
-    if !armed(F_PROFILE | F_TRACE) {
+    if !is_enabled() {
         return Span { inner: None };
     }
     let name = qualified(name());
@@ -506,14 +470,56 @@ impl Drop for Span {
         if let Some(inner) = self.inner.take() {
             let mut inner = *inner;
             inner.stats.wall_ns += inner.start.elapsed().as_nanos() as u64;
-            // A span may be live for the tracer alone.
             with_collector(|col| col.merge(&inner.name, &inner.stats));
-            trace::emit(|| trace::TraceEvent::Op {
-                name: inner.name.clone(),
-                wall_ns: inner.stats.wall_ns,
-                rows_in: inner.stats.rows_in,
-                rows_out: inner.stats.rows_out,
-            });
+        }
+    }
+}
+
+/// One pipeline phase of a query — `parse`, `bind`, `plan` or `execute` —
+/// with its wall time and what it counted (tokens, blocks, result rows),
+/// when it counts something. Phases run one after another, so a profile
+/// lists them in the order they ran.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Phase {
+    pub name: &'static str,
+    pub wall_ns: u64,
+    pub rows: Option<u64>,
+}
+
+/// An open [`phase`]: records it into the collector on drop, also on an
+/// early return or an unwind. Inert when collection was disabled at
+/// creation.
+pub struct PhaseGuard(Option<(Instant, Phase)>);
+
+/// Open a pipeline phase.
+pub fn phase(name: &'static str) -> PhaseGuard {
+    let (wall_ns, rows) = (0, None);
+    PhaseGuard(is_enabled().then(|| {
+        (
+            Instant::now(),
+            Phase {
+                name,
+                wall_ns,
+                rows,
+            },
+        )
+    }))
+}
+
+impl PhaseGuard {
+    /// What the phase counted, reported when it closes.
+    pub fn rows(&mut self, n: usize) {
+        if let Some((_, phase)) = &mut self.0 {
+            phase.rows = Some(n as u64);
+        }
+    }
+}
+
+impl Drop for PhaseGuard {
+    fn drop(&mut self) {
+        if let Some((start, mut phase)) = self.0.take() {
+            phase.wall_ns = start.elapsed().as_nanos() as u64;
+            with_collector(|col| col.phases.push(phase));
         }
     }
 }
@@ -536,11 +542,36 @@ pub fn record(name: &str, f: impl FnOnce(&mut OpStats)) {
     });
 }
 
+/// One line of a plan's decision log: why query block `block` runs under
+/// the plan named `name`, and, on an arm's root block, every alternative
+/// passed over at plan time with why. The planner reports it; the trace
+/// renders it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Decision {
+    pub block: usize,
+    pub name: String,
+    pub reason: String,
+    pub alternatives: Vec<(String, String)>,
+}
+
+/// A §4.2 rewrite a plan embodies, and its effect on the operator count
+/// of the Algorithm-1 pipeline of the same query.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RewriteStep {
+    pub rule: &'static str,
+    pub nodes_before: usize,
+    pub nodes_after: usize,
+}
+
 /// A finished (or snapshotted) collection: per-operator stats in first-use
-/// order, plus the I/O simulator's page counts when it was enabled.
+/// order, the pipeline phases in the order they ran, plus the I/O
+/// simulator's page counts when it was enabled. The phases are kept apart
+/// from the operators: metrics, `EXPLAIN ANALYZE` and [`Profile::to_json`]
+/// read only the operators.
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
     pub ops: Vec<(String, OpStats)>,
+    pub phases: Vec<Phase>,
     pub io: Option<IoStats>,
     /// How the query finished, when the caller recorded it: `"ok"`,
     /// `"cancelled"`, `"resource-exhausted"`, `"worker-panicked"`, or
@@ -553,11 +584,6 @@ impl Profile {
     /// Look up an operator by its qualified name.
     pub fn get(&self, name: &str) -> Option<&OpStats> {
         self.ops.iter().find(|(n, _)| n == name).map(|(_, s)| s)
-    }
-
-    /// No operators recorded and no I/O folded in.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty() && self.io.is_none()
     }
 
     /// Sum of wall time over all operators (overlapping spans may double
@@ -647,13 +673,6 @@ mod tests {
         })
     }
 
-    pub(crate) fn tracing() -> ObsGuard {
-        enter(Observers {
-            trace: true,
-            ..Observers::default()
-        })
-    }
-
     #[test]
     fn disabled_spans_are_inert() {
         assert!(!is_enabled());
@@ -662,8 +681,7 @@ mod tests {
         sp.rows_in(5);
         sp.rows_out(5);
         drop(sp);
-        assert!(snapshot().is_empty());
-        assert!(enter(Observers::default()).finish().0.is_none());
+        assert!(enter(Observers::default()).finish().is_none());
     }
 
     #[test]
@@ -681,7 +699,7 @@ mod tests {
             let mut sp = span(|| "join".to_string());
             sp.rows_in(2);
         }
-        let profile = obs.finish().0.unwrap();
+        let profile = obs.finish().unwrap();
         let j = profile.get("b2/join").unwrap();
         assert_eq!(j.invocations, 2);
         assert_eq!(j.rows_in, 12);
@@ -699,7 +717,7 @@ mod tests {
             let _inner = scope(|| "b2".to_string());
             span(|| "nest".to_string()).group(3);
         }
-        let profile = obs.finish().0.unwrap();
+        let profile = obs.finish().unwrap();
         assert!(profile.get("b2/nest").is_some());
         assert!(profile.get("b1/nest").is_none());
     }
@@ -714,12 +732,34 @@ mod tests {
             span(|| "join".to_string()).rows_out(2);
         }
         span(|| "sort".to_string());
-        let profile = obs.finish().0.unwrap();
+        let profile = obs.finish().unwrap();
         let names: Vec<&str> = profile.ops.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             names,
             ["a1/scan", "a1/b2/join", "a2/scan", "a2/b2/join", "sort"]
         );
+    }
+
+    #[test]
+    fn phases_record_in_order_apart_from_ops() {
+        let mut parse = phase("parse");
+        parse.rows(7);
+        drop(parse);
+        let obs = profiling();
+        {
+            let mut parse = phase("parse");
+            parse.rows(7);
+        }
+        {
+            let _execute = phase("execute");
+            span(|| "scan".to_string()).rows_out(1);
+        }
+        let profile = obs.finish().unwrap();
+        let phases: Vec<_> = profile.phases.iter().map(|p| (p.name, p.rows)).collect();
+        assert_eq!(phases, [("parse", Some(7)), ("execute", None)]);
+        assert!(profile.phases.iter().all(|p| p.wall_ns > 0));
+        assert_eq!(profile.ops.len(), 1, "phases are not operators");
+        assert!(!profile.to_json().contains("execute"));
     }
 
     #[test]
@@ -747,7 +787,7 @@ mod tests {
         let obs = profiling();
         record("b3/link", |s| s.record_outcome(Truth::True));
         record("b3/link", |s| s.record_outcome(Truth::Unknown));
-        let profile = obs.finish().0.unwrap();
+        let profile = obs.finish().unwrap();
         let l = profile.get("b3/link").unwrap();
         assert_eq!((l.pass, l.unknown), (1, 1));
     }
@@ -762,7 +802,7 @@ mod tests {
             sp.group(0);
             sp.rows_out(2);
         }
-        let profile = obs.finish().0.unwrap();
+        let profile = obs.finish().unwrap();
         let json = profile.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"name\": \"nest\""));
@@ -779,7 +819,7 @@ mod tests {
         iosim::enable(IoConfig::default());
         iosim::charge_seq_scan(1000, 4);
         span(|| "scan".to_string()).rows_out(1000);
-        let profile = obs.finish().0.unwrap();
+        let profile = obs.finish().unwrap();
         let io = iosim::disable().unwrap();
         assert!(io.seq_pages > 0);
         assert_eq!(profile.io.unwrap().seq_pages, io.seq_pages);
@@ -793,32 +833,10 @@ mod tests {
             let _s = scope(|| "b\"2\\".to_string());
             span(|| "υ-nest".to_string()).rows_out(1);
         }
-        let json = obs.finish().0.unwrap().to_json();
+        let json = obs.finish().unwrap().to_json();
         assert!(json.contains("\"name\": \"b\\\"2\\\\/υ-nest\""), "{json}");
         let parsed = json::Json::parse(&json).unwrap();
         let ops = parsed.get("ops").unwrap().as_arr().unwrap();
         assert_eq!(ops[0].get("name").unwrap().as_str(), Some("b\"2\\/υ-nest"));
-    }
-
-    #[test]
-    fn span_emits_trace_op_event_without_collector() {
-        assert!(!is_enabled());
-        let obs = tracing();
-        {
-            let _s = scope(|| "b9".to_string());
-            let mut sp = span(|| "join".to_string());
-            assert!(sp.active(), "span is live for the tracer alone");
-            sp.rows_in(3);
-            sp.rows_out(1);
-        }
-        // Nothing reached the (disabled) stats collector...
-        assert!(snapshot().is_empty());
-        // ...but the tracer saw the block phase and the qualified op.
-        let t = obs.finish().1.unwrap();
-        assert!(t.events().any(|e| matches!(
-            e,
-            trace::TraceEvent::Op { name, rows_in: 3, rows_out: 1, .. } if name == "b9/join"
-        )));
-        assert!(t.phase_wall_ns("b9").is_some());
     }
 }

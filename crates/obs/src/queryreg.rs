@@ -25,7 +25,7 @@ use crate::progress::ProgressState;
 pub const RING_CAPACITY: usize = 256;
 
 /// One finished query: computed once when it finishes, and read by every
-/// reporter — this registry, the metrics scopes, the trace's `QueryEnd`
+/// reporter — this registry, the metrics scopes, the trace's end line
 /// and the slow-query log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryRecord {

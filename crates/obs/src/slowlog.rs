@@ -195,7 +195,7 @@ mod tests {
     fn records_embed_profiles() {
         let obs = crate::tests::profiling();
         crate::span(|| "join".to_string()).rows_out(3);
-        let profile = obs.finish().0.unwrap();
+        let profile = obs.finish().unwrap();
         let snap = snapshot();
         let line = record(&snap, Some(&profile)).to_jsonl();
         validate(&line).unwrap();

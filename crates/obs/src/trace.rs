@@ -1,238 +1,64 @@
-//! Query-lifecycle tracing: hierarchical spans with typed, structured
-//! events.
+//! The query-lifecycle trace: a rendering of facts one query already
+//! recorded, made once when it finishes.
 //!
-//! Where the sibling profile collector ([`crate::Profile`]) answers *how
-//! much* each operator did, tracing answers *what happened and why* across
-//! the whole front-to-back pipeline: lex → parse → bind → block analysis →
-//! strategy selection → rewrite → execute. The instrumented layers emit
-//! [`TraceEvent`]s — `QueryStart`, `Parsed`, `Bound`, `StrategyChosen`
-//! (with the planner's reason and the rejected alternatives),
-//! `RewriteStep`, per-phase `PhaseStart`/`PhaseDone`, per-operator `Op`
-//! (sharing the profile's qualified names, so traces and profiles
-//! correlate), and `QueryEnd` — at a nesting depth maintained by the
-//! armed tracer.
-//!
-//! A tracer is armed through [`crate::enter`] with
-//! [`crate::Observers::trace`]. It records every event into an in-memory
-//! ring, handed back as a [`Trace`] by [`crate::ObsGuard::finish`]; a
-//! trace is read after the fact, as an indented tree
-//! ([`Trace::render_tree`]) or as JSONL ([`Trace::to_jsonl`]).
-//!
-//! Like the profile collector, tracing is disabled by default and costs a
-//! single flags check per potential event when off — event construction
-//! is behind closures that never run while disabled.
+//! Where the profile ([`crate::Profile`]) answers *how much* each operator
+//! did, the trace answers *what happened and why*: the statement, the
+//! pipeline phases (parse → bind → plan → execute) with their wall times,
+//! the planner's per-block strategy decisions with every rejected
+//! alternative, the §4.2 rewrite the plan embodies, the operators under
+//! the profile's qualified names, the Q-error summary, what the governor
+//! did, and the end of the query. Nothing records into a trace while the
+//! query runs: the query lifecycle fills a [`Trace`] from the query's
+//! record, its profile and its plan, and a reader renders it as an
+//! indented tree ([`Trace::render_tree`]) or as JSONL
+//! ([`Trace::to_jsonl`]).
 //!
 //! ```
-//! use nra_obs::trace::{self, TraceEvent};
+//! use nra_obs::trace::Trace;
+//! use nra_obs::Phase;
 //!
-//! let obs = nra_obs::enter(nra_obs::Observers { trace: true, ..Default::default() });
-//! trace::emit(|| TraceEvent::QueryStart { sql: "select 1".into() });
-//! {
-//!     let mut ph = trace::phase(|| "parse".to_string());
-//!     ph.set_rows(1);
-//! }
-//! let t = obs.finish().1.unwrap();
-//! assert_eq!(t.entries.len(), 3); // QueryStart, PhaseStart, PhaseDone
+//! let trace = Trace {
+//!     sql: "select 1".into(),
+//!     phases: vec![Phase { name: "parse", wall_ns: 1_500, rows: Some(2) }],
+//!     done: Some((1, 40_000)),
+//!     ..Trace::default()
+//! };
+//! let tree = trace.render_tree();
+//! assert!(tree.contains("◀ parse done in 1.5µs, rows=2"));
+//! assert!(tree.ends_with("● done: 1 row(s) in 40.0µs\n"));
+//! assert_eq!(trace.to_jsonl().lines().count(), 4);
 //! ```
 
-use std::collections::VecDeque;
-use std::fmt;
-use std::time::Instant;
+use std::fmt::Display;
 
-use crate::json;
+use crate::{json, Decision, OpStats, Phase, RewriteStep};
 
-/// A typed event in the life of one query.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// The query text enters the pipeline.
-    QueryStart { sql: String },
-    /// Lexing + parsing succeeded; `tokens` is the lexer's token count.
-    Parsed { tokens: usize },
-    /// Binding succeeded: block count and the linking operators in
-    /// depth-first order (`LinkOp::describe` strings).
-    Bound {
-        blocks: usize,
-        linking_ops: Vec<String>,
-    },
-    /// The planner picked a strategy for one query block, with the reason
-    /// and every rejected alternative `(name, why it was rejected)`.
-    StrategyChosen {
-        block: usize,
-        name: String,
-        reason: String,
-        alternatives: Vec<(String, String)>,
-    },
-    /// An algebraic rewrite was applied, shrinking (or reshaping) the
-    /// operator tree from `nodes_before` to `nodes_after` nodes.
-    RewriteStep {
-        rule: String,
-        nodes_before: usize,
-        nodes_after: usize,
-    },
-    /// A pipeline phase (or execution scope, e.g. a query block `b2`)
-    /// opened; subsequent events nest one level deeper until its
-    /// `PhaseDone`.
-    PhaseStart { phase: String },
-    /// The matching phase closed, with its wall time and (when known) the
-    /// rows it produced.
-    PhaseDone {
-        phase: String,
-        wall_ns: u64,
-        rows: Option<u64>,
-    },
-    /// One operator span finished (same qualified names as
-    /// [`crate::Profile`], so traces and profiles correlate by name).
-    Op {
-        name: String,
-        wall_ns: u64,
-        rows_in: u64,
-        rows_out: u64,
-    },
-    /// The resource governor intervened or reported: `action` is one of
-    /// `cancelled`, `resource-exhausted`, `fault-injected`, or
-    /// `mem-high-water` (the per-query memory high-water mark, emitted
-    /// once at query end for every governed query); `detail` names the
-    /// phase or fault site where it happened, or carries the byte count.
-    Governor { action: String, detail: String },
-    /// Per-query cardinality-feedback summary: over the `nodes` plan
-    /// nodes with both an estimate and a measured actual, the maximum and
-    /// mean Q-error (`max(est/act, act/est)`, scaled by 100 — a perfect
-    /// plan scores 100/100).
-    QErrorSummary {
-        nodes: usize,
-        max_x100: u64,
-        mean_x100: u64,
-    },
-    /// The query finished with `rows` result tuples.
-    QueryEnd { rows: u64, wall_ns: u64 },
-}
-
-impl TraceEvent {
-    /// Snake-case discriminator used as the JSONL `event` field.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::QueryStart { .. } => "query_start",
-            TraceEvent::Parsed { .. } => "parsed",
-            TraceEvent::Bound { .. } => "bound",
-            TraceEvent::StrategyChosen { .. } => "strategy_chosen",
-            TraceEvent::RewriteStep { .. } => "rewrite_step",
-            TraceEvent::PhaseStart { .. } => "phase_start",
-            TraceEvent::PhaseDone { .. } => "phase_done",
-            TraceEvent::Op { .. } => "op",
-            TraceEvent::Governor { .. } => "governor",
-            TraceEvent::QErrorSummary { .. } => "qerror_summary",
-            TraceEvent::QueryEnd { .. } => "query_end",
-        }
-    }
-
-    /// One JSON object (no trailing newline) carrying the depth and every
-    /// event field.
-    pub fn to_json(&self, depth: usize) -> String {
-        let mut out = format!("{{\"depth\": {depth}, \"event\": \"{}\"", self.kind());
-        match self {
-            TraceEvent::QueryStart { sql } => {
-                out.push_str(", \"sql\": ");
-                json::write_string(&mut out, sql);
-            }
-            TraceEvent::Parsed { tokens } => out.push_str(&format!(", \"tokens\": {tokens}")),
-            TraceEvent::Bound {
-                blocks,
-                linking_ops,
-            } => {
-                out.push_str(&format!(", \"blocks\": {blocks}, \"linking_ops\": ["));
-                for (i, op) in linking_ops.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    json::write_string(&mut out, op);
-                }
-                out.push(']');
-            }
-            TraceEvent::StrategyChosen {
-                block,
-                name,
-                reason,
-                alternatives,
-            } => {
-                out.push_str(&format!(", \"block\": {block}, \"name\": "));
-                json::write_string(&mut out, name);
-                out.push_str(", \"reason\": ");
-                json::write_string(&mut out, reason);
-                out.push_str(", \"alternatives\": [");
-                for (i, (alt, why)) in alternatives.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str("{\"name\": ");
-                    json::write_string(&mut out, alt);
-                    out.push_str(", \"reason\": ");
-                    json::write_string(&mut out, why);
-                    out.push('}');
-                }
-                out.push(']');
-            }
-            TraceEvent::RewriteStep {
-                rule,
-                nodes_before,
-                nodes_after,
-            } => {
-                out.push_str(", \"rule\": ");
-                json::write_string(&mut out, rule);
-                out.push_str(&format!(
-                    ", \"nodes_before\": {nodes_before}, \"nodes_after\": {nodes_after}"
-                ));
-            }
-            TraceEvent::PhaseStart { phase } => {
-                out.push_str(", \"phase\": ");
-                json::write_string(&mut out, phase);
-            }
-            TraceEvent::PhaseDone {
-                phase,
-                wall_ns,
-                rows,
-            } => {
-                out.push_str(", \"phase\": ");
-                json::write_string(&mut out, phase);
-                out.push_str(&format!(", \"wall_ns\": {wall_ns}, \"rows\": "));
-                match rows {
-                    Some(n) => out.push_str(&n.to_string()),
-                    None => out.push_str("null"),
-                }
-            }
-            TraceEvent::Op {
-                name,
-                wall_ns,
-                rows_in,
-                rows_out,
-            } => {
-                out.push_str(", \"name\": ");
-                json::write_string(&mut out, name);
-                out.push_str(&format!(
-                    ", \"wall_ns\": {wall_ns}, \"rows_in\": {rows_in}, \"rows_out\": {rows_out}"
-                ));
-            }
-            TraceEvent::Governor { action, detail } => {
-                out.push_str(", \"action\": ");
-                json::write_string(&mut out, action);
-                out.push_str(", \"detail\": ");
-                json::write_string(&mut out, detail);
-            }
-            TraceEvent::QErrorSummary {
-                nodes,
-                max_x100,
-                mean_x100,
-            } => {
-                out.push_str(&format!(
-                    ", \"nodes\": {nodes}, \"max_x100\": {max_x100}, \"mean_x100\": {mean_x100}"
-                ));
-            }
-            TraceEvent::QueryEnd { rows, wall_ns } => {
-                out.push_str(&format!(", \"rows\": {rows}, \"wall_ns\": {wall_ns}"));
-            }
-        }
-        out.push('}');
-        out
-    }
+/// The trace of one query.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Trace {
+    /// The statement as submitted.
+    pub sql: String,
+    /// The plan came from the plan cache: no parse, bind or plan phase
+    /// ran.
+    pub plan_cache_hit: bool,
+    /// The pipeline phases in the order they ran.
+    pub phases: Vec<Phase>,
+    /// The planner's decision log, one entry per block of every arm.
+    pub strategies: Vec<Decision>,
+    /// The §4.2 rewrites the plan embodies.
+    pub rewrites: Vec<RewriteStep>,
+    /// The operators, under the profile's qualified names.
+    pub ops: Vec<(String, OpStats)>,
+    /// Per-node Q-errors (×100; 100 is a perfect estimate).
+    pub qerrors: Vec<u64>,
+    /// What the governor did, `(action, detail)`: `cancelled`,
+    /// `resource-exhausted` or `fault-injected` with the phase or site
+    /// where it stopped the query, and `mem-high-water` with the byte
+    /// count of every governed query.
+    pub governor: Vec<(&'static str, String)>,
+    /// Result rows and wall time of a query that finished; `None` when it
+    /// failed.
+    pub done: Option<(u64, u64)>,
 }
 
 /// Render nanoseconds human-readably (`421ns`, `3.1µs`, `12.4ms`, `1.73s`).
@@ -245,256 +71,165 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceEvent::QueryStart { sql } => write!(f, "● query: {sql}"),
-            TraceEvent::Parsed { tokens } => write!(f, "· parsed: {tokens} token(s)"),
-            TraceEvent::Bound {
-                blocks,
-                linking_ops,
-            } => {
-                write!(f, "· bound: {blocks} block(s)")?;
-                if !linking_ops.is_empty() {
-                    write!(f, "; links: {}", linking_ops.join(", "))?;
-                }
-                Ok(())
-            }
-            TraceEvent::StrategyChosen {
-                block,
-                name,
-                reason,
-                alternatives,
-            } => {
-                write!(f, "· strategy[b{block}]: {name} — {reason}")?;
-                for (alt, why) in alternatives {
-                    write!(f, "; rejected {alt}: {why}")?;
-                }
-                Ok(())
-            }
-            TraceEvent::RewriteStep {
-                rule,
-                nodes_before,
-                nodes_after,
-            } => write!(
-                f,
-                "· rewrite {rule}: {nodes_before} → {nodes_after} node(s)"
-            ),
-            TraceEvent::PhaseStart { phase } => write!(f, "▶ {phase}"),
-            TraceEvent::PhaseDone {
-                phase,
-                wall_ns,
-                rows,
-            } => {
-                write!(f, "◀ {phase} done in {}", fmt_ns(*wall_ns))?;
-                if let Some(n) = rows {
-                    write!(f, ", rows={n}")?;
-                }
-                Ok(())
-            }
-            TraceEvent::Op {
-                name,
-                wall_ns,
-                rows_in,
-                rows_out,
-            } => write!(
-                f,
-                "• op {name}: rows {rows_in}→{rows_out} in {}",
-                fmt_ns(*wall_ns)
-            ),
-            TraceEvent::Governor { action, detail } => {
-                write!(f, "⚠ governor: {action} at `{detail}`")
-            }
-            TraceEvent::QErrorSummary {
-                nodes,
-                max_x100,
-                mean_x100,
-            } => write!(
-                f,
-                "· q-error: {nodes} node(s), max ×{:.1}, mean ×{:.1}",
-                *max_x100 as f64 / 100.0,
-                *mean_x100 as f64 / 100.0
-            ),
-            TraceEvent::QueryEnd { rows, wall_ns } => {
-                write!(f, "● done: {rows} row(s) in {}", fmt_ns(*wall_ns))
-            }
-        }
+/// The JSON fields of one line after its `depth` and `event`.
+#[derive(Default)]
+struct Fields(String);
+
+impl Fields {
+    fn str(mut self, key: &str, value: &str) -> Fields {
+        self.0.push_str(&format!(", \"{key}\": "));
+        json::write_string(&mut self.0, value);
+        self
+    }
+
+    fn raw(mut self, key: &str, value: impl Display) -> Fields {
+        self.0.push_str(&format!(", \"{key}\": {value}"));
+        self
+    }
+
+    /// The fields as a JSON object of their own.
+    fn object(self) -> String {
+        format!("{{{}}}", self.0.strip_prefix(", ").unwrap_or_default())
     }
 }
 
-/// One recorded event with its tree depth (0 = top level).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEntry {
-    pub depth: usize,
-    pub event: TraceEvent,
-}
+/// The rendered lines: `(depth, text, JSON object)`.
+#[derive(Default)]
+struct Lines(Vec<(usize, String, String)>);
 
-/// A finished trace: the recorded entries in emission order (plus how many
-/// were dropped if the ring overflowed).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Trace {
-    pub entries: Vec<TraceEntry>,
-    pub dropped: u64,
+impl Lines {
+    fn push(&mut self, depth: usize, text: String, event: &str, fields: Fields) {
+        let json = format!("{{\"depth\": {depth}, \"event\": \"{event}\"{}}}", fields.0);
+        self.0.push((depth, text, json));
+    }
+
+    fn governor(&mut self, action: &str, detail: &str) {
+        let fields = Fields::default().str("action", action);
+        let text = format!("⚠ governor: {action} at `{detail}`");
+        self.push(0, text, "governor", fields.str("detail", detail));
+    }
 }
 
 impl Trace {
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The events in order, without depths.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.entries.iter().map(|e| &e.event)
-    }
-
-    /// Wall time of the first completed phase with this name.
-    pub fn phase_wall_ns(&self, name: &str) -> Option<u64> {
-        self.events().find_map(|e| match e {
-            TraceEvent::PhaseDone { phase, wall_ns, .. } if phase == name => Some(*wall_ns),
-            _ => None,
-        })
-    }
-
-    /// Every `StrategyChosen` event, in order.
-    pub fn strategy_events(&self) -> Vec<&TraceEvent> {
-        self.events()
-            .filter(|e| matches!(e, TraceEvent::StrategyChosen { .. }))
-            .collect()
-    }
-
     /// Pretty indented tree, two spaces per level.
     pub fn render_tree(&self) -> String {
         let mut out = String::new();
-        for entry in &self.entries {
-            for _ in 0..entry.depth {
-                out.push_str("  ");
-            }
-            out.push_str(&entry.event.to_string());
+        for (depth, text, _) in self.lines().0 {
+            out.push_str(&"  ".repeat(depth));
+            out.push_str(&text);
             out.push('\n');
-        }
-        if self.dropped > 0 {
-            out.push_str(&format!("({} earlier event(s) dropped)\n", self.dropped));
         }
         out
     }
 
-    /// JSONL: one event object per line, in order.
+    /// JSONL: one object per line of the tree, in order, each with its
+    /// `depth` and `event` kind.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for entry in &self.entries {
-            out.push_str(&entry.event.to_json(entry.depth));
-            out.push('\n');
+        (self.lines().0.into_iter())
+            .map(|(_, _, json)| json + "\n")
+            .collect()
+    }
+
+    fn lines(&self) -> Lines {
+        let mut out = Lines::default();
+        let sql = Fields::default().str("sql", &self.sql);
+        out.push(0, format!("● query: {}", self.sql), "query_start", sql);
+        if self.plan_cache_hit {
+            out.governor("plan-cache", "hit");
+        }
+        for phase in &self.phases {
+            let start = Fields::default().str("phase", phase.name);
+            out.push(0, format!("▶ {}", phase.name), "phase_start", start);
+            match phase.name {
+                "plan" => self.decisions(&mut out, 1),
+                "execute" => self.ops(&mut out, 1),
+                _ => {}
+            }
+            let mut text = format!("◀ {} done in {}", phase.name, fmt_ns(phase.wall_ns));
+            if let Some(n) = phase.rows {
+                text.push_str(&format!(", rows={n}"));
+            }
+            let rows = phase.rows.map_or("null".to_string(), |n| n.to_string());
+            let done = (Fields::default().str("phase", phase.name))
+                .raw("wall_ns", phase.wall_ns)
+                .raw("rows", rows);
+            out.push(0, text, "phase_done", done);
+        }
+        let ran = |name| self.phases.iter().any(|p| p.name == name);
+        if !ran("plan") {
+            self.decisions(&mut out, 0);
+        }
+        if !ran("execute") {
+            self.ops(&mut out, 0);
+        }
+        if let Some(max) = self.qerrors.iter().copied().max() {
+            let nodes = self.qerrors.len();
+            let mean = self.qerrors.iter().sum::<u64>() / nodes as u64;
+            let text = format!(
+                "· q-error: {nodes} node(s), max ×{:.1}, mean ×{:.1}",
+                max as f64 / 100.0,
+                mean as f64 / 100.0
+            );
+            let fields = (Fields::default().raw("nodes", nodes))
+                .raw("max_x100", max)
+                .raw("mean_x100", mean);
+            out.push(0, text, "qerror_summary", fields);
+        }
+        for (action, detail) in &self.governor {
+            out.governor(action, detail);
+        }
+        if let Some((rows, wall_ns)) = self.done {
+            let text = format!("● done: {rows} row(s) in {}", fmt_ns(wall_ns));
+            let fields = Fields::default().raw("rows", rows).raw("wall_ns", wall_ns);
+            out.push(0, text, "query_end", fields);
         }
         out
     }
-}
 
-/// Events an armed tracer keeps in its in-memory ring (oldest dropped
-/// first).
-const RING_CAPACITY: usize = 4096;
-
-/// An armed tracer (see [`crate::Observers::trace`]): the span-tree
-/// depth and the in-memory ring.
-#[derive(Default)]
-pub(crate) struct Tracer {
-    depth: usize,
-    ring: VecDeque<TraceEntry>,
-    dropped: u64,
-}
-
-impl Tracer {
-    fn record(&mut self, event: TraceEvent) {
-        if self.ring.len() == RING_CAPACITY {
-            self.ring.pop_front();
-            self.dropped += 1;
+    fn decisions(&self, out: &mut Lines, depth: usize) {
+        for c in &self.strategies {
+            let mut text = format!("· strategy[b{}]: {} — {}", c.block, c.name, c.reason);
+            let mut alternatives = Vec::new();
+            for (alt, why) in &c.alternatives {
+                text.push_str(&format!("; rejected {alt}: {why}"));
+                alternatives.push(
+                    Fields::default()
+                        .str("name", alt)
+                        .str("reason", why)
+                        .object(),
+                );
+            }
+            let fields = (Fields::default().raw("block", c.block))
+                .str("name", &c.name)
+                .str("reason", &c.reason)
+                .raw("alternatives", format!("[{}]", alternatives.join(", ")));
+            out.push(depth, text, "strategy_chosen", fields);
         }
-        self.ring.push_back(TraceEntry {
-            depth: self.depth,
-            event,
-        });
-    }
-
-    /// Hand the ring back.
-    pub(crate) fn finish(self) -> Trace {
-        Trace {
-            entries: self.ring.into(),
-            dropped: self.dropped,
+        for r in &self.rewrites {
+            let text = format!(
+                "· rewrite {}: {} → {} node(s)",
+                r.rule, r.nodes_before, r.nodes_after
+            );
+            let fields = (Fields::default().str("rule", r.rule))
+                .raw("nodes_before", r.nodes_before)
+                .raw("nodes_after", r.nodes_after);
+            out.push(depth, text, "rewrite_step", fields);
         }
     }
-}
 
-/// Whether a tracer is armed on this thread.
-pub fn enabled() -> bool {
-    crate::armed(crate::F_TRACE)
-}
-
-/// Emit one event at the current depth. The closure only runs when
-/// tracing is enabled, so disabled call sites pay a single flags check
-/// and no event construction.
-pub fn emit<F: FnOnce() -> TraceEvent>(f: F) {
-    if !enabled() {
-        return;
-    }
-    let event = f();
-    with_tracer(|tracer| tracer.record(event));
-}
-
-fn with_tracer(f: impl FnOnce(&mut Tracer)) {
-    crate::with_armed(|a| a.tracer.as_mut().map(f));
-}
-
-/// An open phase: emitted `PhaseStart` and deepened the tree on creation;
-/// emits `PhaseDone` with the measured wall time (and optional row count)
-/// on drop. Inert when tracing is disabled at creation.
-pub struct PhaseGuard {
-    inner: Option<(String, Instant)>,
-    rows: Option<u64>,
-}
-
-/// Open a phase. The name closure only runs when tracing is enabled.
-pub fn phase<F: FnOnce() -> String>(name: F) -> PhaseGuard {
-    if !enabled() {
-        return PhaseGuard {
-            inner: None,
-            rows: None,
-        };
-    }
-    let name = name();
-    emit(|| TraceEvent::PhaseStart {
-        phase: name.clone(),
-    });
-    with_tracer(|tracer| tracer.depth += 1);
-    PhaseGuard {
-        inner: Some((name, Instant::now())),
-        rows: None,
-    }
-}
-
-impl PhaseGuard {
-    /// Whether this phase is live (tracing was enabled at creation).
-    pub fn active(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Attach a produced-row count to the closing `PhaseDone`.
-    pub fn set_rows(&mut self, rows: u64) {
-        if self.inner.is_some() {
-            self.rows = Some(rows);
-        }
-    }
-}
-
-impl Drop for PhaseGuard {
-    fn drop(&mut self) {
-        if let Some((name, start)) = self.inner.take() {
-            let wall_ns = start.elapsed().as_nanos() as u64;
-            with_tracer(|tracer| tracer.depth = tracer.depth.saturating_sub(1));
-            let rows = self.rows;
-            emit(|| TraceEvent::PhaseDone {
-                phase: name,
-                wall_ns,
-                rows,
-            });
+    fn ops(&self, out: &mut Lines, depth: usize) {
+        for (name, s) in &self.ops {
+            let text = format!(
+                "• op {name}: rows {}→{} in {}",
+                s.rows_in,
+                s.rows_out,
+                fmt_ns(s.wall_ns)
+            );
+            let fields = (Fields::default().str("name", name))
+                .raw("wall_ns", s.wall_ns)
+                .raw("rows_in", s.rows_in)
+                .raw("rows_out", s.rows_out);
+            out.push(depth, text, "op", fields);
         }
     }
 }
@@ -502,110 +237,56 @@ impl Drop for PhaseGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::tracing;
-
-    #[test]
-    fn disabled_tracing_is_inert() {
-        assert!(!enabled());
-        emit(|| unreachable!("event closure must not run when disabled"));
-        let ph = phase(|| unreachable!("phase name must not run when disabled"));
-        assert!(!ph.active());
-        drop(ph);
-        assert!(!enabled());
-    }
-
-    #[test]
-    fn ring_records_nested_phases() {
-        let obs = tracing();
-        emit(|| TraceEvent::QueryStart {
-            sql: "select 1".into(),
-        });
-        {
-            let mut outer = phase(|| "execute".to_string());
-            outer.set_rows(7);
-            let _inner = phase(|| "b2".to_string());
-            emit(|| TraceEvent::Op {
-                name: "b2/join".into(),
-                wall_ns: 10,
-                rows_in: 4,
-                rows_out: 2,
-            });
-        }
-        let trace = obs.finish().1.unwrap();
-        assert_eq!(trace.dropped, 0);
-        let depths: Vec<usize> = trace.entries.iter().map(|e| e.depth).collect();
-        // QueryStart(0), execute start(0), b2 start(1), op(2),
-        // b2 done(1), execute done(0)
-        assert_eq!(depths, vec![0, 0, 1, 2, 1, 0]);
-        assert_eq!(trace.phase_wall_ns("execute").map(|ns| ns > 0), Some(true));
-        match trace.entries.last().map(|e| &e.event) {
-            Some(TraceEvent::PhaseDone { phase, rows, .. }) => {
-                assert_eq!(phase, "execute");
-                assert_eq!(*rows, Some(7));
-            }
-            other => panic!("unexpected tail event {other:?}"),
-        }
-        let tree = trace.render_tree();
-        assert!(tree.contains("▶ execute"));
-        assert!(tree.contains("    • op b2/join"));
-    }
-
-    #[test]
-    fn ring_overflow_drops_oldest() {
-        let obs = tracing();
-        for i in 0..RING_CAPACITY + 3 {
-            emit(|| TraceEvent::Parsed { tokens: i });
-        }
-        let trace = obs.finish().1.unwrap();
-        assert_eq!(trace.dropped, 3);
-        assert_eq!(trace.entries.len(), RING_CAPACITY);
-        assert_eq!(
-            trace.events().next(),
-            Some(&TraceEvent::Parsed { tokens: 3 })
-        );
-        assert_eq!(
-            trace.events().last(),
-            Some(&TraceEvent::Parsed {
-                tokens: RING_CAPACITY + 2
-            })
-        );
-        assert!(trace.render_tree().contains("3 earlier event(s) dropped"));
-    }
+    use crate::json::Json;
 
     #[test]
     fn jsonl_escapes_and_roundtrips() {
-        let event = TraceEvent::Op {
-            name: "b2/nest[υ \"quoted\\name\"]".into(),
-            wall_ns: 5,
-            rows_in: 1,
-            rows_out: 1,
+        let name = "b2/nest[υ \"quoted\\name\"]";
+        let trace = Trace {
+            sql: "select 'a\tb'".into(),
+            ops: vec![(name.into(), OpStats::default())],
+            ..Trace::default()
         };
-        let line = event.to_json(3);
-        let parsed = crate::json::Json::parse(&line).unwrap();
-        assert_eq!(parsed.get("depth").unwrap().as_u64(), Some(3));
-        assert_eq!(parsed.get("event").unwrap().as_str(), Some("op"));
-        assert_eq!(
-            parsed.get("name").unwrap().as_str(),
-            Some("b2/nest[υ \"quoted\\name\"]")
-        );
+        let jsonl = trace.to_jsonl();
+        let lines: Vec<Json> = jsonl.lines().map(|l| Json::parse(l).unwrap()).collect();
+        assert_eq!(lines[0].get("sql").unwrap().as_str(), Some("select 'a\tb'"));
+        assert_eq!(lines[1].get("depth").unwrap().as_u64(), Some(0));
+        assert_eq!(lines[1].get("event").unwrap().as_str(), Some("op"));
+        assert_eq!(lines[1].get("name").unwrap().as_str(), Some(name));
     }
 
     #[test]
     fn strategy_event_serializes_alternatives() {
-        let event = TraceEvent::StrategyChosen {
-            block: 2,
-            name: "optimized".into(),
-            reason: "linear chain".into(),
-            alternatives: vec![("positive-rewrite".into(), "negative link `<> all`".into())],
+        let trace = Trace {
+            phases: vec![Phase {
+                name: "plan",
+                wall_ns: 5,
+                rows: None,
+            }],
+            strategies: vec![Decision {
+                block: 2,
+                name: "optimized".into(),
+                reason: "linear chain".into(),
+                alternatives: vec![("positive-rewrite".into(), "negative link `<> all`".into())],
+            }],
+            ..Trace::default()
         };
-        let parsed = crate::json::Json::parse(&event.to_json(1)).unwrap();
+        let jsonl = trace.to_jsonl();
+        let line = jsonl
+            .lines()
+            .find(|l| l.contains("strategy_chosen"))
+            .unwrap();
+        let parsed = Json::parse(line).unwrap();
+        assert_eq!(parsed.get("depth").unwrap().as_u64(), Some(1), "under plan");
         let alts = parsed.get("alternatives").unwrap().as_arr().unwrap();
         assert_eq!(alts.len(), 1);
         assert_eq!(
             alts[0].get("name").unwrap().as_str(),
             Some("positive-rewrite")
         );
-        assert!(event.to_string().contains("rejected positive-rewrite"));
+        assert!(trace
+            .render_tree()
+            .contains("  · strategy[b2]: optimized — linear chain; rejected positive-rewrite"));
     }
 
     #[test]
@@ -614,5 +295,17 @@ mod tests {
         assert_eq!(fmt_ns(3_100), "3.1µs");
         assert_eq!(fmt_ns(12_400_000), "12.4ms");
         assert_eq!(fmt_ns(1_730_000_000), "1.73s");
+        let phase = |name| Phase {
+            name,
+            wall_ns: 3_100,
+            rows: None,
+        };
+        let trace = Trace {
+            phases: vec![phase("plan"), phase("execute")],
+            ..Trace::default()
+        };
+        assert!(trace
+            .render_tree()
+            .contains("◀ plan done in 3.1µs\n▶ execute"));
     }
 }

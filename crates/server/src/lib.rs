@@ -51,7 +51,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use nra::{Database, Engine, NraError, QueryOptions, Session};
+use nra::{Database, Engine, QueryOptions, Session};
 
 /// How often a blocked reader wakes up — to check the shutdown flag on
 /// the server side, or to re-poll the socket in [`Client`]. Bounds
@@ -144,16 +144,6 @@ fn unescape(field: &str) -> String {
     out
 }
 
-/// The error label on the wire: the same taxonomy the metrics registry
-/// uses for `nra_errors_total{variant=...}`.
-fn error_kind(e: &NraError) -> &'static str {
-    match e {
-        NraError::Sql(_) => "sql",
-        NraError::Storage(_) => "storage",
-        NraError::Engine(e) => e.variant_name(),
-    }
-}
-
 /// A parsed `ok` response: column names plus stringified rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
@@ -189,16 +179,21 @@ pub fn serve(db: Database, addr: impl ToSocketAddrs) -> io::Result<ServerHandle>
                         }
                         let session = db.connect();
                         let stop = Arc::clone(&stop);
-                        let handle = std::thread::Builder::new()
+                        let spawned = std::thread::Builder::new()
                             .name("nra-server-conn".into())
                             .spawn(move || {
                                 // Connection errors only affect that
                                 // connection; the socket closing is the
                                 // ordinary end of a conversation.
                                 let _ = Connection::new(stream, session, stop).run();
-                            })
-                            .expect("spawn connection thread");
-                        conns.lock().unwrap().push(handle);
+                            });
+                        // Reap the connections that ended, so the list
+                        // holds live ones only. A thread the OS refuses
+                        // drops this one connection (its socket closes
+                        // with the closure) and the loop keeps accepting.
+                        let mut conns = conns.lock().unwrap();
+                        conns.retain(|h| !h.is_finished());
+                        conns.extend(spawned);
                     }
                     Err(_) if stop.load(Ordering::SeqCst) => return,
                     Err(_) => continue,
@@ -384,21 +379,21 @@ impl Connection {
                     Some((stmt, sql)) if !sql.trim().is_empty() => {
                         match self.session.prepare(stmt, sql.trim()) {
                             Ok(()) => self.ok_empty(),
-                            Err(e) => self.err(error_kind(&e), &e.to_string()),
+                            Err(e) => self.err(e.variant_name(), &e.to_string()),
                         }
                     }
                     _ => self.err("protocol", ".prepare takes a name and a statement"),
                 },
                 "exec" => match self.session.execute_prepared(args) {
                     Ok(out) => self.ok_outcome(&out),
-                    Err(e) => self.err(error_kind(&e), &e.to_string()),
+                    Err(e) => self.err(e.variant_name(), &e.to_string()),
                 },
                 other => self.err("protocol", &format!("unknown command `.{other}`")),
             }
         } else {
             match self.session.execute(line) {
                 Ok(out) => self.ok_outcome(&out),
-                Err(e) => self.err(error_kind(&e), &e.to_string()),
+                Err(e) => self.err(e.variant_name(), &e.to_string()),
             }
         }
     }
@@ -654,6 +649,31 @@ mod tests {
             assert_eq!(wire, escape(s), "{s:?}");
             assert_eq!(unescape(&wire), s, "{s:?}");
         }
+    }
+
+    /// Finished connection threads are reaped at accept time: after 50
+    /// sequential connect / query / close cycles the server holds at most
+    /// the handles of the connections still closing. The connections are
+    /// opened one at a time.
+    #[test]
+    fn accept_reaps_finished_connections() {
+        let server = serve(Database::new(), "127.0.0.1:0").unwrap();
+        for _ in 0..50 {
+            let mut client = Client::connect(server.addr()).unwrap();
+            client.query(".ping").unwrap();
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            let held = server.conns.lock().unwrap().len();
+            if held <= 2 {
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "{held} handles held");
+            std::thread::sleep(Duration::from_millis(20));
+            // Reaping happens at accept: knock once more.
+            drop(TcpStream::connect(server.addr()).unwrap());
+        }
+        server.shutdown();
     }
 
     #[test]

@@ -19,12 +19,7 @@ use crate::bound::{BExpr, BPred};
 use crate::error::SqlError;
 
 /// Bind a parsed statement against a catalog.
-///
-/// When query-lifecycle tracing is active ([`nra_obs::trace`]), binding
-/// runs under a `bind` phase and a `Bound` event reports the block count
-/// and the linking operators found during block analysis.
 pub fn bind(stmt: &SelectStmt, catalog: &Catalog) -> Result<BoundQuery, SqlError> {
-    let _phase = nra_obs::trace::phase(|| "bind".to_string());
     let mut binder = Binder {
         catalog,
         used_names: HashSet::new(),
@@ -34,23 +29,23 @@ pub fn bind(stmt: &SelectStmt, catalog: &Catalog) -> Result<BoundQuery, SqlError
     let mut scopes = Vec::new();
     let (root, _, _) = binder.bind_block(stmt, &mut scopes, BlockRole::Root)?;
     let num_blocks = binder.next_id - 1;
-    let query = BoundQuery {
+    Ok(BoundQuery {
         root,
         qualifier_block: binder.qualifier_block,
         num_blocks,
-    };
-    nra_obs::trace::emit(|| nra_obs::trace::TraceEvent::Bound {
-        blocks: query.num_blocks,
-        linking_ops: query.link_ops().iter().map(|op| op.describe()).collect(),
-    });
-    Ok(query)
+    })
 }
 
 /// Bind a whole statement: every `SELECT` arm, each further arm checked
 /// against the first arm's arity, and `ORDER BY` resolved against the
 /// first arm's output columns (by name under [`Schema::resolve`]'s rules,
 /// or by 1-based position).
+///
+/// When a profile is being collected ([`nra_obs::phase`]), binding runs
+/// under a `bind` phase that counts the blocks of every arm of a statement
+/// that bound.
 pub fn bind_statement(query: &Query, catalog: &Catalog) -> Result<BoundStatement, SqlError> {
+    let mut phase = nra_obs::phase("bind");
     let first = bind(&query.first, catalog)?;
     let width = first.root.select.len();
     let compounds = (query.compounds.iter())
@@ -63,7 +58,7 @@ pub fn bind_statement(query: &Query, catalog: &Catalog) -> Result<BoundStatement
                 ))),
             }
         })
-        .collect::<Result<_, _>>()?;
+        .collect::<Result<Vec<_>, _>>()?;
     let output = || {
         let select = first.root.select.iter();
         Schema::new(
@@ -90,6 +85,8 @@ pub fn bind_statement(query: &Query, catalog: &Catalog) -> Result<BoundStatement
             Ok((position, *desc))
         })
         .collect::<Result<_, _>>()?;
+    let blocks = (compounds.iter()).fold(first.num_blocks, |n, (_, _, arm)| n + arm.num_blocks);
+    phase.rows(blocks);
     Ok(BoundStatement {
         first,
         compounds,

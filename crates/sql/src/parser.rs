@@ -23,11 +23,11 @@ pub fn parse(input: &str) -> Result<SelectStmt, SqlError> {
 /// ...]* [ORDER BY expr [ASC|DESC], ...] [LIMIT n]`, optionally
 /// `;`-terminated.
 ///
-/// When query-lifecycle tracing is active ([`nra_obs::trace`]), the whole
-/// lex + parse runs under a `parse` phase and a `Parsed` event reports the
-/// token count.
+/// When a profile is being collected ([`nra_obs::phase`]), the whole lex +
+/// parse runs under a `parse` phase that counts the tokens of a statement
+/// that parsed.
 pub fn parse_query(input: &str) -> Result<Query, SqlError> {
-    let _phase = nra_obs::trace::phase(|| "parse".to_string());
+    let mut phase = nra_obs::phase("parse");
     let tokens = lex(input)?;
     let ntokens = tokens.len();
     let mut p = Parser {
@@ -93,7 +93,7 @@ pub fn parse_query(input: &str) -> Result<Query, SqlError> {
         p.advance();
     }
     p.expect(TokenKind::Eof)?;
-    nra_obs::trace::emit(|| nra_obs::trace::TraceEvent::Parsed { tokens: ntokens });
+    phase.rows(ntokens);
     Ok(Query {
         first,
         compounds,
@@ -115,7 +115,7 @@ pub enum Statement {
 
 /// Parse `ANALYZE <table> [;]` if the input is an ANALYZE statement,
 /// returning the table name; `Ok(None)` when the input starts with
-/// anything else (so query parsing — and its trace events — run exactly
+/// anything else (so query parsing — and its `parse` phase — run exactly
 /// once for regular queries).
 pub fn parse_analyze(input: &str) -> Result<Option<String>, SqlError> {
     let tokens = lex(input)?;

@@ -20,7 +20,7 @@
 //! :memlimit <bytes|off>         per-query memory budget for governed allocations
 //! :explain <sql>                the plan :engine builds + each arm's tree expression
 //! :analyze <sql>                EXPLAIN ANALYZE: the plan that ran + measured stats
-//! :trace <sql>                  query-lifecycle trace (parse/bind/plan/execute)
+//! :trace <sql>                  query-lifecycle trace (parse/bind/plan/execute), also of a failed query
 //! :metrics                      process-cumulative metrics (Prometheus text)
 //! :ps                           currently-running queries with live progress
 //! :history [n]                  last n completed queries (whole ring by default)
@@ -210,13 +210,7 @@ fn run_batch(args: &[String], durable: Option<Database>) -> Result<(), String> {
     let original = QueryOptions::new().strategy(Strategy::Original);
     match mode {
         "--explain-analyze" => analyze(&session, &sql, original)?,
-        _ => {
-            let out = session
-                .execute_with(&sql, &QueryOptions::new().collect_trace(true))
-                .map_err(err)?;
-            print!("{}", out.trace.expect("trace collected").render_tree());
-            println!("-- {} row(s)", out.rows.len());
-        }
+        _ => trace(&session, &sql, QueryOptions::new())?,
     }
     Ok(())
 }
@@ -254,15 +248,7 @@ impl Shell {
                 "memlimit" => self.cmd_memlimit(args),
                 "explain" => self.cmd_explain(args),
                 "analyze" => analyze(&self.session, args, self.opts()),
-                "trace" => {
-                    let out = self
-                        .session
-                        .execute_with(args, &self.opts().collect_trace(true))
-                        .map_err(err)?;
-                    print!("{}", out.trace.expect("trace collected").render_tree());
-                    println!("-- {} row(s)", out.rows.len());
-                    Ok(())
-                }
+                "trace" => trace(&self.session, args, self.opts()),
                 "metrics" => {
                     let snap = nra::obs::metrics::global().snapshot();
                     if snap.is_empty() {
@@ -542,6 +528,21 @@ fn analyze(session: &Session, sql: &str, opts: QueryOptions) -> Result<(), Strin
     Ok(())
 }
 
+/// Print the trace of `sql` and its row count. A failed query prints the
+/// trace its report carries, then fails with its error.
+fn trace(session: &Session, sql: &str, opts: QueryOptions) -> Result<(), String> {
+    let result = session.execute_with(sql, &opts.collect_trace(true));
+    let out = match &result {
+        Ok(out) => Some(out),
+        Err(e) => e.report(),
+    };
+    if let Some(trace) = out.and_then(|out| out.trace.as_ref()) {
+        print!("{}", trace.render_tree());
+    }
+    println!("-- {} row(s)", result.map_err(err)?.rows.len());
+    Ok(())
+}
+
 fn err(e: impl std::fmt::Display) -> String {
     e.to_string()
 }
@@ -560,7 +561,7 @@ const HELP: &str = "\
 :memlimit <bytes|off>         per-query memory budget for governed allocations
 :explain <sql>                the plan :engine builds + each arm's tree expression
 :analyze <sql>                EXPLAIN ANALYZE: the plan that ran + measured stats
-:trace <sql>                  query-lifecycle trace (parse/bind/plan/execute)
+:trace <sql>                  query-lifecycle trace (parse/bind/plan/execute), also of a failed query
 :metrics                      process-cumulative metrics (Prometheus text)
 :ps                           currently-running queries with live progress
 :history [n]                  last n completed queries (the whole ring by default)

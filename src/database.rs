@@ -339,11 +339,15 @@ impl Database {
     /// order, and every profile counter except wall times are identical
     /// on every run.
     ///
-    /// Observability nests: a profile collector or tracer the caller
-    /// armed on this thread (`nra_obs::enter`) is set aside while the
-    /// query collects its own under the corresponding option, and is
-    /// restored intact on return; without the option, the query reports
-    /// to the caller's.
+    /// Observability nests: a profile collector the caller armed on
+    /// this thread (`nra_obs::enter`) is set aside while the query
+    /// collects its own for a profile, metrics or a trace, and is
+    /// restored intact on return; without those options, the query
+    /// reports to the caller's.
+    ///
+    /// A query that fails after its caller asked for a profile, metrics
+    /// or a trace returns [`NraError::Failed`]: the error with the report
+    /// it built. Without those options, the error alone.
     ///
     /// This is the one-shot path (session id 0). Multi-statement
     /// clients should hold a [`Session`](crate::Session) from
@@ -439,7 +443,33 @@ mod tests {
         let profile = out.profile.expect("profile requested");
         assert!(!profile.ops.is_empty());
         assert!(out.plan.expect("Algorithm 1 plan").contains("rows="));
-        assert!(!out.trace.expect("trace requested").entries.is_empty());
+        let trace = out.trace.expect("trace requested");
+        assert_eq!(trace.ops, profile.ops, "the trace renders the profile");
+        let phases: Vec<&str> = trace.phases.iter().map(|p| p.name).collect();
+        assert_eq!(phases, ["parse", "bind", "plan", "execute"]);
+        assert_eq!(
+            trace.done.map(|(rows, _)| rows),
+            Some(out.rows.len() as u64)
+        );
+    }
+
+    #[test]
+    fn a_failed_query_returns_its_report_only_when_asked() {
+        let db = db();
+        let sql = "select k from nope";
+        let plain = db.execute(sql, &QueryOptions::new()).unwrap_err();
+        assert!(matches!(plain, NraError::Sql(_)), "{plain:?}");
+        assert!(plain.report().is_none());
+        let failed = (db.execute(sql, &QueryOptions::new().collect_trace(true))).unwrap_err();
+        assert!(matches!(failed, NraError::Failed(_)), "{failed:?}");
+        assert_eq!(failed, plain, "errors compare by their cause");
+        assert_eq!(failed.to_string(), plain.to_string());
+        assert_eq!(failed.variant_name(), "sql");
+        let report = failed.report().expect("a trace was asked for");
+        assert!(report.rows.is_empty() && report.plan.is_none());
+        let trace = report.trace.as_ref().expect("trace requested");
+        assert!(trace.done.is_none(), "a failed query has no end line");
+        assert_eq!(trace.phases.last().map(|p| p.name), Some("bind"));
     }
 
     #[test]

@@ -74,7 +74,7 @@ mod sys;
 
 pub use database::{CatalogMut, CatalogRef, Database};
 pub use durable::{DurabilityInfo, RecoveryReport};
-pub use error::NraError;
+pub use error::{Failed, NraError};
 pub use options::{QueryOptions, QueryOutcome};
 pub use session::Session;
 

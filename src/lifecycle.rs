@@ -8,15 +8,17 @@
 //! 2. **Early exits** — `ANALYZE`, `nra_sys.*` introspection and
 //!    `explain_only` return before any per-query state exists.
 //! 3. **Stages** — admission permit → catalog read guard → [`Stages`]
-//!    (registry entry → one observability slot: profile, trace, I/O
-//!    simulator → one query context: governor and live progress, beside
-//!    the caller's batch-width override → a fresh fault plan). Every
-//!    stage is RAII: whatever was acquired is released in reverse order on
-//!    every path out, including an unwind.
+//!    (registry entry → one observability slot: profile with the
+//!    pipeline phases, I/O simulator → one query context: governor and
+//!    live progress, beside the caller's batch-width override → a fresh
+//!    fault plan). Every stage is RAII: whatever was acquired is released
+//!    in reverse order on every path out, including an unwind.
 //! 4. **Run** — [`Database::run_statements`] under `exec::contain`.
 //! 5. **Finish** — one [`QueryRecord`] computed once and read by every
-//!    reporter: the global and per-query metrics, the trace's `QueryEnd`,
-//!    the slow log and the registry.
+//!    reporter: the global and per-query metrics, the slow log and the
+//!    registry. The trace is rendered from the record, the profile and
+//!    the plan. A failed query whose caller asked for an artifact returns
+//!    them with its error ([`NraError::Failed`]).
 
 use std::io::Write;
 use std::path::Path;
@@ -29,13 +31,13 @@ use nra_engine::{ctx, exec, faultinject, governor, Config, EngineError, Governor
 use nra_obs::metrics::{self, Registry};
 use nra_obs::progress::ProgressState;
 use nra_obs::queryreg::{QueryRecord, QueryRegistry};
-use nra_obs::trace::{self, TraceEvent};
+use nra_obs::trace::Trace;
 use nra_obs::{slowlog, ObsGuard, Observers, Profile};
 use nra_storage::fault::{self, FaultGuard, FaultPlan};
-use nra_storage::{Catalog, Relation};
+use nra_storage::{Catalog, Relation, Schema};
 
 use crate::plancache::Planned;
-use crate::{sys, Database, NraError, QueryOptions, QueryOutcome};
+use crate::{sys, Database, Failed, NraError, QueryOptions, QueryOutcome};
 
 /// Who is executing: the session stamped into the query registry, and
 /// whether this is the nested call answering an `nra_sys.*` query — which
@@ -68,15 +70,16 @@ impl Query<'_> {
     }
 
     /// Whether the query collects a profile: for `outcome.profile`, the
-    /// per-query metrics, and the Q-error actuals behind the trace's
-    /// `qerror_summary` event.
+    /// per-query metrics, and the phases, operators and Q-errors the
+    /// trace renders.
     fn profiled(&self) -> bool {
         self.options.collect_profile || self.per_query_metrics() || self.options.collect_trace
     }
 }
 
-/// The result and the plan it ran (shared with the plan cache).
-type Executed = Result<(Relation, Arc<Planned>), NraError>;
+/// The result, the plan it ran (shared with the plan cache), and whether
+/// that plan came from the plan cache.
+type Executed = Result<(Relation, Arc<Planned>, bool), NraError>;
 
 impl Database {
     /// The real entry point behind [`Database::execute`] and
@@ -108,9 +111,10 @@ impl Database {
         // A fault entry its site refuses fails before anything runs.
         let faults = options.fault_plan(config)?;
 
-        // A refused query never registers, traces or profiles: the gate
-        // sits before any per-query state exists. The permit reserves
-        // exactly the budget the query's governor will enforce.
+        // A refused query never registers, traces or profiles, and has no
+        // report to return: the gate sits before any per-query state
+        // exists. The permit reserves exactly the budget the query's
+        // governor will enforce.
         let mem_reserve = options.mem_limit_bytes.or(config.mem_limit).unwrap_or(0);
         let _permit = self
             .admission()
@@ -137,7 +141,7 @@ impl Database {
         let result = governor::checkpoint("query-start")
             .map_err(NraError::Engine)
             .and_then(|()| exec::contain("query", || self.run_statements(&cat, &query, progress)));
-        stages.finish(query, result)
+        stages.finish(query, &cat, result)
     }
 }
 
@@ -168,7 +172,7 @@ struct Stages<'a> {
     /// context.
     ctx: ctx::CtxGuard,
     governor: Option<Arc<Governor>>,
-    /// Profile, trace and the I/O simulator, armed as this thread's one
+    /// The profile and the I/O simulator, armed as this thread's one
     /// observability slot.
     obs: ObsGuard,
     started: Instant,
@@ -188,14 +192,8 @@ impl<'a> Stages<'a> {
         });
         let obs = nra_obs::enter(Observers {
             profile: q.profiled(),
-            trace: q.options.collect_trace,
             simulate_io: q.options.simulate_io,
         });
-        if q.options.collect_trace {
-            trace::emit(|| TraceEvent::QueryStart {
-                sql: q.sql.to_string(),
-            });
-        }
         let started = Instant::now();
         // Ungoverned queries install `None`, keeping the context's flag
         // byte clear of the governor's bits whatever the caller had
@@ -219,9 +217,15 @@ impl<'a> Stages<'a> {
 
     /// Tear the stages down in order, compute the query's one
     /// [`QueryRecord`], and hand it to every reporter: the metrics
-    /// scopes, the trace, the slow log and the registry. Failed queries
-    /// report too — they are exactly when telemetry matters.
-    fn finish(self, q: Query<'_>, result: Executed) -> Result<QueryOutcome, NraError> {
+    /// scopes, the slow log and the registry, then render the trace.
+    /// Failed queries report too — they are exactly when telemetry
+    /// matters — and return what their caller asked for with the error.
+    fn finish(
+        self,
+        q: Query<'_>,
+        cat: &Catalog,
+        result: Executed,
+    ) -> Result<QueryOutcome, NraError> {
         let Stages {
             _faults,
             ctx,
@@ -232,13 +236,13 @@ impl<'a> Stages<'a> {
         } = self;
         let (outcome, intervention) = match &result {
             Ok(_) => ("ok", None),
-            Err(NraError::Engine(e)) => (e.variant_name(), intervention(e)),
-            Err(NraError::Storage(_)) => ("storage", None),
-            Err(NraError::Sql(_)) => ("sql", None),
+            Err(e) => (e.variant_name(), intervention(e)),
         };
-        // The profile is read while the simulator still runs (it stops
-        // with `obs`): its I/O footer comes from the live counters.
-        let mut profile = q.profiled().then(nra_obs::snapshot);
+        // The stages go in reverse order; the profile is read before the
+        // simulator stops with `obs`, so its I/O footer comes from the
+        // live counters.
+        drop(ctx);
+        let mut profile = obs.finish();
         if let Some(p) = &mut profile {
             let label = match outcome {
                 "ok" | "cancelled" | "resource-exhausted" | "worker-panicked" => outcome,
@@ -249,29 +253,27 @@ impl<'a> Stages<'a> {
         // `mem_used()` is the query's memory high-water mark. It goes to
         // the trace and a process-level gauge, never the per-query scope,
         // which holds only counters derived from the profile.
-        drop(ctx);
         let mem_high_water = governor.as_ref().map_or(0, |g| g.mem_used());
         if governor.is_some() {
-            trace::emit(|| TraceEvent::Governor {
-                action: "mem-high-water".to_string(),
-                detail: format!("{mem_high_water} bytes"),
-            });
             metrics::global().gauge_max("nra_query_mem_high_water_bytes", &[], mem_high_water);
         }
 
         // The plan that ran names the strategy and carries the estimates.
-        let ran = result.as_ref().ok().map(|(_, planned)| &**planned);
+        let ran = result.as_ref().ok().map(|(_, planned, _)| &**planned);
         let qerrors = match (&profile, ran) {
             (Some(p), Some(ran)) => qerrors(p, &ran.estimates),
             _ => Vec::new(),
         };
         let per_query_metrics = q.per_query_metrics();
+        // A caller that asked for an artifact gets it with the error.
+        let o = q.options;
+        let reports = o.collect_profile || o.collect_metrics || o.collect_trace;
         let record = QueryRecord {
             id: entry.as_ref().and_then(|e| e.id).unwrap_or(0),
             sql: q.statement,
             outcome,
             wall_ms: started.elapsed().as_millis() as u64,
-            rows: result.as_ref().map_or(0, |(rel, _)| rel.len() as u64),
+            rows: result.as_ref().map_or(0, |(rel, ..)| rel.len() as u64),
             qerror_x100: qerrors.iter().copied().max().unwrap_or(0),
             mem_bytes: mem_high_water,
             strategy: ran.map_or(q.options.engine, |r| r.plan.engine()).name(),
@@ -280,8 +282,9 @@ impl<'a> Stages<'a> {
         // Introspection calls are never slow: they have no registry entry.
         let slow = entry.is_some()
             && (q.options.slow_ms.or(q.config.slow_ms)).is_some_and(|t| record.wall_ms >= t);
+        let action = intervention.map(|(action, _)| action);
         let report = |reg: &Registry, slow| {
-            record_metrics(reg, &record, profile.as_ref(), &qerrors, intervention, slow);
+            record_metrics(reg, &record, profile.as_ref(), &qerrors, action, slow);
         };
         report(metrics::global(), slow);
         // A fresh per-query scope, written once. Slowness is wall time,
@@ -305,13 +308,6 @@ impl<'a> Stages<'a> {
             e.progress.finish(processed, phase);
             e.progress.snapshot()
         });
-        if q.options.collect_trace && result.is_ok() {
-            trace::emit(|| TraceEvent::QueryEnd {
-                rows: record.rows,
-                wall_ns: started.elapsed().as_nanos() as u64,
-            });
-        }
-        let (_, trace) = obs.finish();
 
         // The analyzed plan is the plan that ran.
         let plan = match (&profile, ran) {
@@ -333,60 +329,77 @@ impl<'a> Stages<'a> {
                 append_line(path, &line.to_jsonl());
             }
         }
+
+        let trace = q.options.collect_trace.then(|| {
+            let stopped = intervention.map(|(action, at)| (action, at.to_string()));
+            let high_water =
+                (governor.is_some()).then(|| ("mem-high-water", format!("{mem_high_water} bytes")));
+            let (strategies, rewrites) =
+                ran.map_or_else(Default::default, |r| r.plan.decisions(cat));
+            let profile = profile.clone().unwrap_or_default();
+            Trace {
+                sql: q.sql.to_string(),
+                plan_cache_hit: matches!(result, Ok((.., true))),
+                phases: profile.phases,
+                strategies,
+                rewrites,
+                ops: profile.ops,
+                qerrors,
+                governor: stopped.into_iter().chain(high_water).collect(),
+                done: (result.is_ok()).then(|| (record.rows, started.elapsed().as_nanos() as u64)),
+            }
+        });
         if let Some(mut entry) = entry {
             entry.id = None;
             entry.registry.complete(record);
         }
 
-        let (rows, _) = result?;
-        Ok(QueryOutcome {
-            rows,
+        let out = QueryOutcome {
+            rows: Relation::new(Schema::empty()),
             plan,
             profile: profile.filter(|_| q.options.collect_profile),
             metrics,
             trace,
             progress,
-        })
+        };
+        match result {
+            Ok((rows, ..)) => Ok(QueryOutcome { rows, ..out }),
+            Err(error) if reports => Err(NraError::Failed(Box::new(Failed { error, report: out }))),
+            Err(error) => Err(error),
+        }
     }
 }
 
 /// The governor intervention that stopped a query, as
-/// `nra_governor_interventions_total` labels it. A query stops at its
-/// first intervention, so the error it returns names the only one.
-fn intervention(e: &EngineError) -> Option<&'static str> {
+/// `nra_governor_interventions_total` labels it, with the phase or
+/// operator site where it stopped the query. A query stops at its first
+/// intervention, so the error it returns names the only one.
+fn intervention(e: &NraError) -> Option<(&'static str, &str)> {
     use faultinject::INJECTED_ALLOC_BYTES;
+    let NraError::Engine(e) = e else {
+        return None;
+    };
     Some(match e {
-        EngineError::Cancelled { .. } => "cancelled",
+        EngineError::Cancelled { phase } => ("cancelled", phase),
         EngineError::ResourceExhausted {
+            operator,
             requested: INJECTED_ALLOC_BYTES,
             ..
-        } => "fault-injected",
-        EngineError::ResourceExhausted { .. } => "resource-exhausted",
+        } => ("fault-injected", operator),
+        EngineError::ResourceExhausted { operator, .. } => ("resource-exhausted", operator),
         _ => return None,
     })
 }
 
 /// Cardinality feedback: the per-node Q-error (×100; 100 = perfect) of
-/// each planner estimate against its measured actual, summarized to the
-/// trace.
+/// each planner estimate against its measured actual.
 fn qerrors(profile: &Profile, estimates: &CardEstimates) -> Vec<u64> {
-    let qerrs: Vec<u64> = estimates
-        .iter()
+    (estimates.iter())
         .filter_map(|(key, est)| {
             let act = nra_core::node_stats(profile, key)?.rows_out;
             Some(nra_core::qerror_x100(est, act))
         })
-        .collect();
-    if let Some(max_x100) = qerrs.iter().copied().max() {
-        let nodes = qerrs.len();
-        let mean_x100 = qerrs.iter().sum::<u64>() / nodes as u64;
-        trace::emit(|| TraceEvent::QErrorSummary {
-            nodes,
-            max_x100,
-            mean_x100,
-        });
-    }
-    qerrs
+        .collect()
 }
 
 /// Record one finished query into `reg`: its outcome and rows, its
@@ -502,14 +515,10 @@ impl Database {
         // Introspection calls never use the cache (their overlay
         // databases are transient).
         let cache_key = (!q.caller.introspection).then_some(q.statement.as_str());
-        let plan = match cache_key.and_then(|key| self.shared.plans.lookup(version, key, engine)) {
-            Some(plan) => {
-                trace::emit(|| TraceEvent::Governor {
-                    action: "plan-cache".to_string(),
-                    detail: "hit".to_string(),
-                });
-                plan
-            }
+        let cached = cache_key.and_then(|key| self.shared.plans.lookup(version, key, engine));
+        let hit = cached.is_some();
+        let plan = match cached {
+            Some(plan) => plan,
             None => {
                 let plan = build_plan(cat, q.sql, engine)?;
                 let plan = Arc::new(Planned {
@@ -528,11 +537,10 @@ impl Database {
         if let Some(p) = progress {
             p.set_estimated(plan.estimates.iter().map(|(_, v)| v).sum());
         }
-        let mut exec_phase = trace::phase(|| "execute".to_string());
+        let mut execute = nra_obs::phase("execute");
         let rel = nra_core::run(&plan.plan, cat)?;
-        exec_phase.set_rows(rel.len() as u64);
-        drop(exec_phase);
-        Ok((rel, plan))
+        execute.rows(rel.len());
+        Ok((rel, plan, hit))
     }
 }
 
@@ -541,8 +549,7 @@ impl Database {
 /// engine's builder cannot plan.
 fn build_plan(cat: &Catalog, sql: &str, engine: Engine) -> Result<PhysPlan, NraError> {
     let query = nra_sql::parse_query(sql)?;
-    Ok(nra_core::build(
-        nra_sql::bind_statement(&query, cat)?,
-        engine,
-    )?)
+    let statement = nra_sql::bind_statement(&query, cat)?;
+    let _plan = nra_obs::phase("plan");
+    Ok(nra_core::build(statement, engine)?)
 }

@@ -86,8 +86,9 @@ impl QueryOptions {
         self
     }
 
-    /// Capture the query-lifecycle trace (parse/bind/plan/execute phases,
-    /// planner decisions, rewrites, operator events);
+    /// Render the query-lifecycle trace (parse/bind/plan/execute phases,
+    /// planner decisions, rewrites, operators) when the query finishes,
+    /// from its record, its profile and its plan;
     /// [`QueryOutcome::trace`] is then `Some`.
     pub fn collect_trace(mut self, on: bool) -> QueryOptions {
         self.collect_trace = on;
@@ -201,7 +202,9 @@ impl QueryOptions {
 }
 
 /// Everything a [`Database::execute`](crate::Database::execute) call
-/// produced.
+/// produced. A query that fails after its caller asked for a profile,
+/// metrics or a trace returns one as the report of
+/// [`NraError::Failed`](crate::NraError::Failed), without rows or plan.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
     /// The result relation (empty with an empty schema under
@@ -217,7 +220,7 @@ pub struct QueryOutcome {
     /// [`QueryOptions::collect_metrics`] (or the `NRA_METRICS` knob).
     /// The same on every run of a query, by construction.
     pub metrics: Option<obs::metrics::Snapshot>,
-    /// The captured lifecycle trace, when requested.
+    /// The rendered lifecycle trace, when requested.
     pub trace: Option<obs::trace::Trace>,
     /// The final progress snapshot (100% on success). `None` for
     /// `explain_only`, `ANALYZE` and introspection (`nra_sys.*`) calls,

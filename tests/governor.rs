@@ -4,7 +4,6 @@
 //! "database stays usable" half of each test checks a real answer.
 
 use nra::engine::EngineError;
-use nra::obs::trace::{self, TraceEvent};
 use nra::storage::fault;
 use nra::tpch::paper_example::{expected_query_q_result, rst_catalog, QUERY_Q};
 use nra::{
@@ -16,9 +15,11 @@ fn paper_db() -> Database {
     Database::from_catalog(rst_catalog())
 }
 
+/// The engine error a query failed with, whether or not it returned a
+/// report beside it.
 fn engine_err(err: NraError) -> EngineError {
-    match err {
-        NraError::Engine(e) => e,
+    match err.cause() {
+        NraError::Engine(e) => e.clone(),
         other => panic!("expected an engine error, got {other:?}"),
     }
 }
@@ -43,12 +44,12 @@ fn all_stages() -> QueryOptions {
 }
 
 /// After a query that failed at `point`, nothing of it is left on this
-/// thread or in the process-wide tables, and the same thread answers
-/// Query Q correctly. `sql` is the (uniquely spelled) statement that
+/// thread (no collector, no I/O simulator, no governor or progress) or in
+/// the process-wide tables, and the same thread answers Query Q
+/// correctly. `sql` is the (uniquely spelled) statement that
 /// failed: other tests in this binary register queries concurrently.
 fn assert_lifecycle_balanced(db: &Database, sql: &str, point: &str) {
     assert!(!nra::obs::is_enabled(), "{point}: collector left enabled");
-    assert!(!trace::enabled(), "{point}: tracer left running");
     assert!(!nra::storage::iosim::is_enabled(), "{point}: iosim left on");
     let ctx = nra::engine::ctx::current();
     assert!(ctx.governor.is_none(), "{point}: governor left installed");
@@ -126,7 +127,7 @@ fn lifecycle_balances_on_every_failure_path() {
         drop(held);
         match expect {
             Some(expect) => assert!(expect(&engine_err(err.clone())), "{point}: {err:?}"),
-            None => assert!(matches!(err, NraError::Sql(_)), "{point}: {err:?}"),
+            None => assert!(matches!(err.cause(), NraError::Sql(_)), "{point}: {err:?}"),
         }
         assert_lifecycle_balanced(&db, &sql, point);
     }
@@ -192,34 +193,37 @@ fn cancellation_leaves_database_usable() {
 }
 
 /// timeout_ms(0) cancels at the first checkpoint; the error names the
-/// interrupted phase and the trace carries a matching governor event.
+/// interrupted phase and the trace its report carries has a matching
+/// governor line.
 #[test]
 fn timeout_zero_reports_interrupted_phase_in_trace() {
     let db = paper_db();
-    // execute() drops its own trace on error, so arm a tracer on this
-    // thread directly and read it back after the failure.
-    let obs = nra::obs::enter(nra::obs::Observers {
-        trace: true,
-        ..Default::default()
-    });
-    let result = db
+    let err = db
         .connect()
-        .execute_with(QUERY_Q, &QueryOptions::new().timeout_ms(0));
-    let captured = obs.finish().1.expect("tracer armed");
+        .execute_with(
+            QUERY_Q,
+            &QueryOptions::new().timeout_ms(0).collect_trace(true),
+        )
+        .expect_err("timeout 0 must cancel");
+    let trace = (err.report())
+        .and_then(|report| report.trace.clone())
+        .expect("a failed query returns the trace it was asked for");
 
-    let phase = match engine_err(result.expect_err("timeout 0 must cancel")) {
+    let phase = match engine_err(err) {
         EngineError::Cancelled { phase } => phase,
         other => panic!("expected Cancelled, got {other:?}"),
     };
     assert!(!phase.is_empty());
     assert!(
-        captured.entries.iter().any(|e| matches!(
-            &e.event,
-            TraceEvent::Governor { action, detail }
-                if action == "cancelled" && detail == &phase
-        )),
-        "no governor-cancelled event for phase {phase:?} in {} trace entries",
-        captured.entries.len()
+        trace.governor.contains(&("cancelled", phase.clone())),
+        "no governor-cancelled line for phase {phase:?} in {:?}",
+        trace.governor
+    );
+    let line = format!("⚠ governor: cancelled at `{phase}`");
+    assert!(
+        trace.render_tree().contains(&line),
+        "{}",
+        trace.render_tree()
     );
 }
 

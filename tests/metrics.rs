@@ -1,8 +1,8 @@
 //! The metrics registry through the public API: per-query scope
 //! determinism across runs, what one query adds to each scope on its
 //! success and failure paths, cardinality feedback (Q-error) on a
-//! known-skewed join, `ANALYZE` idempotence, and the Prometheus/JSONL
-//! exposition formats.
+//! known-skewed join, `ANALYZE` idempotence, the Prometheus/JSONL
+//! exposition formats, and the report a failed query returns.
 //!
 //! Every test here takes [`serial`]: the characterization test reads
 //! exact deltas of the process-global registry and sets `NRA_METRICS`
@@ -12,15 +12,25 @@ use std::ffi::OsString;
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 
+use nra::engine::EngineError;
+use nra::obs::json::Json;
 use nra::obs::metrics::{self, Metric, Registry, Snapshot};
+use nra::obs::trace::Trace;
 use nra::storage::{Column, ColumnType, Value};
 use nra::tpch::paper_example::{rst_catalog, QUERY_Q};
-use nra::{Database, FaultKind, QueryOptions, Strategy};
+use nra::{Database, FaultKind, NraError, QueryOptions, Strategy};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The first JSONL line of `trace` whose `key` field is `value`.
+fn trace_line(trace: &Trace, key: &str, value: &str) -> Option<Json> {
+    (trace.to_jsonl().lines())
+        .map(|line| Json::parse(line).expect("trace JSONL parses"))
+        .find(|doc| doc.get(key).and_then(Json::as_str) == Some(value))
 }
 
 /// Per-query metrics exclude wall times by construction, so the rendered
@@ -120,21 +130,15 @@ fn qerror_is_recorded_on_skewed_joins() {
     }
 
     let trace = out.trace.expect("trace requested");
-    let summary = trace
-        .entries
-        .iter()
-        .find(|e| e.event.kind() == "qerror_summary")
-        .expect("per-query Q-error summary event");
-    let json = summary.event.to_json(0);
-    assert!(json.contains("\"nodes\""), "{json}");
+    let summary =
+        trace_line(&trace, "event", "qerror_summary").expect("per-query Q-error summary line");
+    let nodes = summary.get("nodes").and_then(Json::as_u64);
+    assert!(nodes.is_some_and(|n| n > 0), "{nodes:?}");
     // ANALYZE told the planner the probe side is a single value (ndv=1),
     // yet 10 rows match each outer tuple; the worst node must be well
     // over a perfect ×1.0 (=100).
-    let max = json
-        .split("\"max_x100\": ")
-        .nth(1)
-        .and_then(|s| s.split([',', '}']).next())
-        .and_then(|s| s.trim().parse::<u64>().ok())
+    let max = (summary.get("max_x100"))
+        .and_then(Json::as_u64)
         .expect("max_x100 field");
     assert!(max > 100, "skewed join should miss: max_x100={max}");
 }
@@ -215,7 +219,7 @@ nra_query_mem_high_water_bytes 4096
     assert_eq!(text, expected);
 }
 
-/// The trace's governor event and the process gauge agree on the memory
+/// The trace's governor line and the process gauge agree on the memory
 /// high-water mark of a governed query.
 #[test]
 fn governor_high_water_trace_and_gauge_agree() {
@@ -231,15 +235,10 @@ fn governor_high_water_trace_and_gauge_agree() {
         )
         .unwrap();
     let trace = out.trace.expect("trace requested");
-    let hw_event = trace
-        .entries
-        .iter()
-        .map(|e| e.event.to_json(0))
-        .find(|j| j.contains("mem-high-water"))
+    let hw_line = trace_line(&trace, "action", "mem-high-water")
         .expect("governed query publishes its memory high-water mark");
-    let bytes: u64 = hw_event
-        .split("\"detail\": \"")
-        .nth(1)
+    let bytes: u64 = (hw_line.get("detail"))
+        .and_then(Json::as_str)
         .and_then(|s| s.split(' ').next())
         .and_then(|s| s.parse().ok())
         .expect("detail carries a byte count");
@@ -386,6 +385,56 @@ fn one_query_adds_the_same_metrics_on_every_path() {
         assert_eq!((case, sunk), (case, golden_sink));
         let delta = global_delta(&before, &after);
         assert_eq!((case, delta), (case, golden_global));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A failed query whose caller asked for metrics and a trace returns them
+/// with its error, on each governor intervention: the report's metrics
+/// snapshot is the line the `NRA_METRICS` sink got for the same query,
+/// and its trace names the intervention at the phase or operator site
+/// the error names.
+#[test]
+fn a_failed_query_reports_its_metrics_and_trace() {
+    let _serial = serial();
+    let dir = std::env::temp_dir().join(format!("nra-metrics-failed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let original = || {
+        (QueryOptions::new().strategy(Strategy::Original))
+            .collect_metrics(true)
+            .collect_trace(true)
+    };
+    let cases = [
+        ("timeout", original().timeout_ms(0), "cancelled"),
+        ("mem", original().mem_limit_bytes(1), "resource-exhausted"),
+        (
+            "fault",
+            original().fault("join-build", 1, FaultKind::AllocFail),
+            "fault-injected",
+        ),
+    ];
+    for (case, opts, action) in cases {
+        let sink = dir.join(format!("{case}.jsonl"));
+        let _ = std::fs::remove_file(&sink);
+        let db = database_with_sink(&sink);
+        let err = db.connect().execute_with(QUERY_Q, &opts).expect_err(case);
+        let report = err.report().expect("artifacts were asked for");
+        let snap = report.metrics.as_ref().expect("metrics requested");
+        let sunk = std::fs::read_to_string(&sink).unwrap();
+        assert_eq!((case, snap.to_jsonl()), (case, sunk));
+        let detail = match err.cause() {
+            NraError::Engine(EngineError::Cancelled { phase }) => phase,
+            NraError::Engine(EngineError::ResourceExhausted { operator, .. }) => operator,
+            other => panic!("{case}: {other:?}"),
+        };
+        let trace = report.trace.as_ref().expect("trace requested");
+        let tree = trace.render_tree();
+        let line = format!("⚠ governor: {action} at `{detail}`");
+        assert!(tree.contains(&line), "{case}: no {line:?} in\n{tree}");
+        assert!(
+            !tree.contains("● done"),
+            "{case}: a failed query has no end\n{tree}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,7 +3,8 @@
 //! the tuple-iteration oracle, in memory and — for a seeded subset — over
 //! a durable database checkpointed and reopened, and a repeat of a query
 //! is a plan-cache hit under every engine. Metamorphic oracles check
-//! equivalent spellings of a link against each other, oracle included.
+//! equivalent spellings of a link against each other, conjunct order, and
+//! bag conservativity (doubling rows), oracle included.
 //! Formerly proptest; now seeded-deterministic so the suite runs with no
 //! external crates. The corpora deliberately include NULL join keys
 //! (σ̄-padded tuples, NULL-key nest groups) and empty inputs.
@@ -368,6 +369,115 @@ fn one_level_equivalent_spellings_agree() {
                 }
             }
         }
+    }
+}
+
+/// Every engine that plans `sql` on `db`, the oracle included, returns
+/// `want`, the anchor `why` derives.
+fn assert_every_engine_returns(db: &Database, sql: &str, want: &Relation, why: &str) {
+    let mut engines = engines_for(db, sql);
+    engines.push(Engine::Reference);
+    for engine in engines {
+        let got = run(db, sql, engine);
+        assert!(
+            got.multiset_eq(want),
+            "{engine:?} on {sql}\ndisagrees with {why}\ngot:\n{got}\nwant:\n{want}"
+        );
+    }
+}
+
+/// Every row of `rows` twice.
+fn doubled<T: Clone>(rows: &[T]) -> Vec<T> {
+    rows.iter().chain(rows).cloned().collect()
+}
+
+/// A generated tree query: its tables and its two subquery conjuncts.
+struct Tree {
+    t0: Vec<(Option<i64>, Option<i64>)>,
+    t1: Vec<(Option<i64>, Option<i64>)>,
+    t2: Vec<(Option<i64>, Option<i64>)>,
+    first: String,
+    second: String,
+}
+
+impl Tree {
+    /// Both links drawn from `links`, as `tree_queries_agree` draws them.
+    fn new(rng: &mut Pcg32, links: fn(&mut Pcg32) -> Link) -> Tree {
+        let (t0, t1, t2) = (rows(rng), rows(rng), rows(rng));
+        let (lk1, lk2) = (links(rng), links(rng));
+        let b1 = corr_sql(corr(rng), "t1.c", "t0.a").unwrap_or_else(|| "1 = 1".to_string());
+        let b2 = corr_sql(corr(rng), "t2.e", "t0.b").unwrap_or_else(|| "1 = 1".to_string());
+        let first = lk1.render("t0.b", "t1.d", "t1", &b1);
+        let second = lk2.render("t0.a", "t2.f", "t2", &b2);
+        Tree {
+            t0,
+            t1,
+            t2,
+            first,
+            second,
+        }
+    }
+
+    fn sql(&self) -> String {
+        format!(
+            "select a, b from t0 where {} and {}",
+            self.first, self.second
+        )
+    }
+}
+
+/// Metamorphic oracle: `L1 and L2` and `L2 and L1` over a generated tree
+/// query return the same multiset under every engine.
+#[test]
+fn tree_query_conjunct_order_is_irrelevant() {
+    let mut rng = Pcg32::new(0x5eed_3005);
+    for _case in 0..48 {
+        let t = Tree::new(&mut rng, link);
+        let db = db_from(&t.t0, &t.t1, &t.t2);
+        let want = run(&db, &t.sql(), Engine::Reference);
+        let swapped = format!("select a, b from t0 where {} and {}", t.second, t.first);
+        assert_every_engine_returns(&db, &swapped, &want, &t.sql());
+    }
+}
+
+/// Metamorphic oracle, bag conservativity (Ricciotti, *Mixing set and bag
+/// semantics*): a subquery never reads the outer table's multiplicities,
+/// so doubling every outer row doubles every output multiplicity.
+#[test]
+fn doubling_the_outer_table_doubles_every_multiplicity() {
+    let mut rng = Pcg32::new(0x5eed_3006);
+    for _case in 0..48 {
+        let t = Tree::new(&mut rng, link);
+        let once = run(&db_from(&t.t0, &t.t1, &t.t2), &t.sql(), Engine::Reference);
+        let want = Relation::with_rows(once.schema().clone(), doubled(once.rows()));
+        let db = db_from(&doubled(&t.t0), &t.t1, &t.t2);
+        assert_every_engine_returns(&db, &t.sql(), &want, "the answer over t0 once, doubled");
+    }
+}
+
+/// A link that reads its subquery as a set: every link but an aggregate
+/// comparison, which becomes a quantified one.
+fn set_link(rng: &mut Pcg32) -> Link {
+    match link(rng) {
+        Link::Agg(op, _) => Link::Quant(op, "some"),
+        other => other,
+    }
+}
+
+/// Metamorphic oracle: `EXISTS`, `IN` and the quantified comparisons read
+/// their subquery as a set, so doubling every row of a table used only
+/// below the root changes no answer.
+#[test]
+fn doubling_an_inner_table_changes_no_set_link() {
+    let mut rng = Pcg32::new(0x5eed_3007);
+    for case in 0..48 {
+        let t = Tree::new(&mut rng, set_link);
+        let want = run(&db_from(&t.t0, &t.t1, &t.t2), &t.sql(), Engine::Reference);
+        let db = match case % 2 {
+            0 => db_from(&t.t0, &doubled(&t.t1), &t.t2),
+            _ => db_from(&t.t0, &t.t1, &doubled(&t.t2)),
+        };
+        assert_every_engine_returns(&db, &t.sql(), &want, "the answer before doubling");
     }
 }
 
