@@ -23,10 +23,7 @@ use crate::{PreparedQuery, Series};
 /// benchmarks are single-threaded); a collector the caller armed is
 /// restored.
 pub fn profile_query(pq: &PreparedQuery<'_>, series: Series, io_cfg: &IoConfig) -> Profile {
-    let obs = nra_obs::enter(nra_obs::Observers {
-        profile: true,
-        ..nra_obs::Observers::default()
-    });
+    let obs = nra_obs::enter(true);
     iosim::enable(*io_cfg);
     pq.run(series).expect("profiled query runs");
     let profile = obs.finish().expect("collector was armed");

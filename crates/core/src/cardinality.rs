@@ -260,6 +260,11 @@ mod tests {
         cat
     }
 
+    fn analyze(cat: &mut Catalog, table: &str) {
+        let t = cat.table_mut(table).unwrap();
+        t.set_stats(t.compute_stats());
+    }
+
     #[test]
     fn qerror_basics() {
         assert_eq!(qerror_x100(10, 10), 100);
@@ -289,12 +294,12 @@ mod tests {
 
     #[test]
     fn analyze_sharpens_equality_estimates() {
-        let cat = catalog();
+        let mut cat = catalog();
         let sql = "select a from r where a = 3";
         let q = parse_and_bind(sql, &cat).unwrap();
         let without = estimate(&q, &cat).get("scan").unwrap();
         assert_eq!(without, 10, "default 0.1 selectivity");
-        cat.table("r").unwrap().analyze();
+        analyze(&mut cat, "r");
         let with = estimate(&q, &cat).get("scan").unwrap();
         assert_eq!(with, 10, "ndv(a)=10 gives 1/10 of 100 rows");
         // A higher-cardinality column sharpens further.
@@ -304,9 +309,9 @@ mod tests {
 
     #[test]
     fn outer_join_preserves_outer_cardinality() {
-        let cat = catalog();
-        cat.table("r").unwrap().analyze();
-        cat.table("s").unwrap().analyze();
+        let mut cat = catalog();
+        analyze(&mut cat, "r");
+        analyze(&mut cat, "s");
         let q = parse_and_bind(
             "select a from r where b in (select f from s where s.e = r.a)",
             &cat,

@@ -9,15 +9,19 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Zero cost when idle.** [`charge`] and [`checkpoint`] open with an
-//!    `#[inline]` check of the context's flag byte; with no limit, no
-//!    deadline and no token the flag is 0 and both are a single
-//!    thread-local load. The committed benchmark baselines run
-//!    with the governor compiled in but disarmed.
-//! 2. **Exact when armed.** Every memory charge is added straight to the
-//!    [`Governor`]'s counter (one uncontended `Relaxed` `fetch_add` — a
-//!    query runs on one thread), so the first charge that crosses the
-//!    limit is the one that fails.
+//! 1. **Every query counts its memory; only the checks are gated.** The
+//!    query lifecycle installs a governor for every query it executes,
+//!    limits or not, and every memory charge is added straight to its
+//!    counter (one uncontended `Relaxed` `fetch_add` — a query runs on
+//!    one thread), the figure `nra_sys.queries`, the trace and the memory
+//!    gauge report. The limit check runs only when a limit is set.
+//!    [`checkpoint`] opens with an `#[inline]` check of the context's flag
+//!    byte; with no deadline and no token it is a single thread-local
+//!    load. With no governor installed (operators driven outside the
+//!    lifecycle, as the benchmark baselines are) [`charge`] is one load
+//!    too.
+//! 2. **Exact when armed.** The first charge that crosses the limit is
+//!    the one that fails.
 //! 3. **Determinism preserved.** Charges are sums over the same
 //!    allocations in the same order, so a query under its budget behaves
 //!    byte-identically to an ungoverned run, and one over it fails at
@@ -106,63 +110,53 @@ impl Governor {
         self
     }
 
-    /// Whether installing this governor would arm anything at all.
-    /// Ungoverned queries skip installation entirely, keeping the
-    /// context's flag byte at 0.
-    pub fn is_armed(&self) -> bool {
-        self.mem_limit.is_some() || self.deadline.is_some() || self.cancel.is_some()
-    }
-
     /// Bytes charged so far.
     pub fn mem_used(&self) -> u64 {
         self.mem_used.load(Ordering::Relaxed)
     }
 
     pub(crate) fn flags(&self) -> u8 {
-        let mut f = 0;
-        if self.mem_limit.is_some() {
-            f |= F_MEM;
-        }
         if self.deadline.is_some() || self.cancel.is_some() {
-            f |= F_CANCEL;
+            F_COUNT | F_CANCEL
+        } else {
+            F_COUNT
         }
-        f
     }
 }
 
-const F_MEM: u8 = 1;
+/// A governor is installed: charges are counted.
+const F_COUNT: u8 = 1;
+/// A deadline or a token is set: checkpoints check them.
 const F_CANCEL: u8 = 2;
 
-/// Charge `bytes` of governed allocation against the query budget on
-/// behalf of `site`. A single thread-local flag check when no memory
-/// limit is armed.
+/// Charge `bytes` of governed allocation to the installed governor on
+/// behalf of `site`, failing when that crosses its memory limit. A single
+/// thread-local flag check when no governor is installed.
 #[inline]
 pub fn charge(site: &str, bytes: u64) -> Result<(), EngineError> {
-    if ctx::with(|c| c.flags.get()) & F_MEM == 0 {
+    if ctx::with(|c| c.flags.get()) & F_COUNT == 0 {
         return Ok(());
     }
-    charge_armed(site, bytes)
+    charge_counted(site, bytes)
 }
 
-fn charge_armed(site: &str, bytes: u64) -> Result<(), EngineError> {
+fn charge_counted(site: &str, bytes: u64) -> Result<(), EngineError> {
     ctx::with(|c| {
         let cur = c.governor.borrow();
         let Some(g) = cur.as_ref() else {
             return Ok(());
         };
         let total = g.mem_used.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        // Live progress sees the high water (only memory-armed queries
-        // reach this path).
+        // Live progress sees the high water.
         c.progress(|p| p.raise_mem(total));
-        let limit = g.mem_limit.unwrap_or(u64::MAX);
-        if total > limit {
-            return Err(EngineError::ResourceExhausted {
+        match g.mem_limit {
+            Some(limit) if total > limit => Err(EngineError::ResourceExhausted {
                 operator: site.to_string(),
                 requested: bytes,
                 limit,
-            });
+            }),
+            _ => Ok(()),
         }
-        Ok(())
     })
 }
 
@@ -707,11 +701,20 @@ mod tests {
         assert!(s.contains("concurrency cap"), "{s}");
     }
 
+    /// A governor with no limit, deadline or token arms no check but
+    /// still counts every charge: the high-water mark of any query.
     #[test]
     fn unarmed_governor_is_not_installed_armed() {
-        assert!(!Governor::new().is_armed());
-        assert!(Governor::new().mem_limit(1).is_armed());
-        assert!(Governor::new().timeout_ms(1).is_armed());
-        assert!(Governor::new().cancel_token(CancelToken::new()).is_armed());
+        assert_eq!(Governor::new().flags(), F_COUNT);
+        assert_eq!(Governor::new().mem_limit(1).flags(), F_COUNT);
+        assert_eq!(Governor::new().timeout_ms(1).flags(), F_COUNT | F_CANCEL);
+        let token = Governor::new().cancel_token(CancelToken::new());
+        assert_eq!(token.flags(), F_COUNT | F_CANCEL);
+        let g = Arc::new(Governor::new());
+        let _guard = install(Some(g.clone()));
+        charge("join", u64::MAX / 2).unwrap();
+        charge("join", 1).unwrap();
+        assert_eq!(g.mem_used(), u64::MAX / 2 + 1);
+        assert!(checkpoint("scan").is_ok());
     }
 }

@@ -9,14 +9,16 @@
 //!
 //! What a query collects on its thread — the stats collector — lives in
 //! one thread-local slot, armed by one [`enter`] whose guard restores the
-//! enclosing slot. Metrics, the registry record, the trace and the slow
-//! log are written once when the query finishes; live progress rides in
-//! the engine's query context beside the governor that feeds it. The
-//! instrumented operators read a single flag when nothing is armed (no
-//! allocation, no timing syscalls):
+//! enclosing slot. The slot arms only the profile: whoever wants the I/O
+//! simulator's page counts enables it around the call
+//! (`nra_storage::iosim::enable`). Metrics, the registry record, the
+//! trace and the slow log are written once when the query finishes; live
+//! progress rides in the engine's query context beside the governor that
+//! feeds it. The instrumented operators read a single flag when nothing
+//! is armed (no allocation, no timing syscalls):
 //!
 //! ```
-//! let obs = nra_obs::enter(nra_obs::Observers { profile: true, ..Default::default() });
+//! let obs = nra_obs::enter(true);
 //! {
 //!     let _scope = nra_obs::scope(|| "b2".to_string());
 //!     let mut span = nra_obs::span(|| "join".to_string());
@@ -167,19 +169,6 @@ impl Collector {
     }
 }
 
-/// What [`enter`] arms on this thread.
-#[derive(Default)]
-pub struct Observers {
-    /// Collect per-operator stats and phases ([`ObsGuard::finish`]
-    /// returns them). Left at `false`, the enclosing slot's collector
-    /// stays armed, so a query that does not profile still reports to a
-    /// collector its caller armed.
-    pub profile: bool,
-    /// Run the I/O simulator for the guard's lifetime, unless the caller
-    /// already runs it. The profile's I/O footer is read before it stops.
-    pub simulate_io: bool,
-}
-
 /// Everything armed on one thread.
 struct Armed {
     collector: Option<Collector>,
@@ -242,35 +231,31 @@ pub struct ObsGuard {
     /// What the enclosing slot had in what this guard swapped; `None`
     /// once restored.
     outer: Option<Armed>,
-    /// This guard started the I/O simulator and stops it.
-    simulate_io: bool,
 }
 
-/// Arm `observers` on this thread until the returned guard is finished or
-/// dropped; either restores the enclosing slot exactly, so arming nests.
-pub fn enter(observers: Observers) -> ObsGuard {
-    let profile = observers.profile;
+/// Open a fresh scope stack on this thread, and with `profile` a fresh
+/// per-operator stats collector ([`ObsGuard::finish`] returns it),
+/// until the returned guard is finished or dropped; either restores the
+/// enclosing slot exactly, so arming nests. Without `profile`, the
+/// enclosing slot's collector stays armed, so a query that does not
+/// profile still reports to a collector its caller armed.
+pub fn enter(profile: bool) -> ObsGuard {
     let mut mine = Armed {
         collector: profile.then(Collector::default),
         scopes: Vec::new(),
         prefix: None,
     };
-    let simulate_io = observers.simulate_io && !iosim::is_enabled();
-    if simulate_io {
-        iosim::enable(iosim::IoConfig::default());
-    }
     exchange(&mut mine, profile);
     ObsGuard {
         profile,
         outer: Some(mine),
-        simulate_io,
     }
 }
 
 impl ObsGuard {
     /// Restore the enclosing slot and return the profile, if this guard
-    /// armed a collector (its I/O footer read before the simulator
-    /// stops).
+    /// armed a collector (with the I/O simulator's counts, when it is
+    /// on).
     pub fn finish(mut self) -> Option<Profile> {
         self.restore()
     }
@@ -278,11 +263,7 @@ impl ObsGuard {
     fn restore(&mut self) -> Option<Profile> {
         let mut mine = self.outer.take()?;
         exchange(&mut mine, self.profile);
-        let profile = mine.collector.as_ref().map(Collector::profile);
-        if self.simulate_io {
-            iosim::disable();
-        }
-        profile
+        mine.collector.as_ref().map(Collector::profile)
     }
 }
 
@@ -667,10 +648,7 @@ mod tests {
     use super::*;
 
     pub(crate) fn profiling() -> ObsGuard {
-        enter(Observers {
-            profile: true,
-            ..Observers::default()
-        })
+        enter(true)
     }
 
     #[test]
@@ -681,7 +659,7 @@ mod tests {
         sp.rows_in(5);
         sp.rows_out(5);
         drop(sp);
-        assert!(enter(Observers::default()).finish().is_none());
+        assert!(enter(false).finish().is_none());
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub struct Trace {
     /// What the governor did, `(action, detail)`: `cancelled`,
     /// `resource-exhausted` or `fault-injected` with the phase or site
     /// where it stopped the query, and `mem-high-water` with the byte
-    /// count of every governed query.
+    /// count of every executed query.
     pub governor: Vec<(&'static str, String)>,
     /// Result rows and wall time of a query that finished; `None` when it
     /// failed.

@@ -17,9 +17,9 @@
 //! ```text
 //! .ping                      liveness probe
 //! .session                   one-row result with this connection's session id
-//! .set <key> <value>         set a session default: engine,
-//!                            timeout_ms, mem_limit
-//!                            (value `off`/`auto` resets to the default);
+//! .set <key> <value>         set a session default (`Session::set`):
+//!                            engine, timeout_ms, mem_limit
+//!                            (value `off` resets to the default);
 //!                            `threads <n>` is accepted and ignored
 //! .prepare <name> <sql>      validate + remember a statement
 //! .exec <name>               run a prepared statement
@@ -51,7 +51,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use nra::{Database, Engine, QueryOptions, Session};
+use nra::{Database, Session};
 
 /// How often a blocked reader wakes up — to check the shutdown flag on
 /// the server side, or to re-poll the socket in [`Client`]. Bounds
@@ -253,35 +253,9 @@ impl Drop for ServerHandle {
     }
 }
 
-/// The per-connection session defaults, rebuilt into [`QueryOptions`]
-/// after every `.set` (mirrors the CLI shell's knobs).
-#[derive(Default)]
-struct ConnConfig {
-    engine: Option<Engine>,
-    timeout_ms: Option<u64>,
-    mem_limit: Option<u64>,
-}
-
-impl ConnConfig {
-    fn options(&self) -> QueryOptions {
-        let mut opts = QueryOptions::new();
-        if let Some(engine) = self.engine {
-            opts = opts.engine(engine);
-        }
-        if let Some(ms) = self.timeout_ms {
-            opts = opts.timeout_ms(ms);
-        }
-        if let Some(bytes) = self.mem_limit {
-            opts = opts.mem_limit_bytes(bytes);
-        }
-        opts
-    }
-}
-
 struct Connection {
     stream: TcpStream,
     session: Session,
-    config: ConnConfig,
     stop: Arc<AtomicBool>,
     /// Bytes received but not yet terminated by a newline.
     pending: Vec<u8>,
@@ -294,7 +268,6 @@ impl Connection {
         Connection {
             stream,
             session,
-            config: ConnConfig::default(),
             stop,
             pending: Vec::new(),
             out: String::new(),
@@ -371,9 +344,12 @@ impl Connection {
                     encode_table(&mut self.out, &["session"], &[vec![self.session.id()]]);
                     self.send()
                 }
-                "set" => match self.cmd_set(args) {
-                    Ok(()) => self.ok_empty(),
-                    Err(msg) => self.err("protocol", &msg),
+                "set" => match args.split_once(' ') {
+                    Some((key, value)) => match self.session.set(key, value.trim()) {
+                        Ok(()) => self.ok_empty(),
+                        Err(msg) => self.err("protocol", &msg),
+                    },
+                    None => self.err("protocol", ".set takes a key and a value"),
                 },
                 "prepare" => match args.split_once(' ') {
                     Some((stmt, sql)) if !sql.trim().is_empty() => {
@@ -396,62 +372,6 @@ impl Connection {
                 Err(e) => self.err(e.variant_name(), &e.to_string()),
             }
         }
-    }
-
-    fn cmd_set(&mut self, args: &str) -> Result<(), String> {
-        let (key, value) = args
-            .split_once(' ')
-            .map(|(k, v)| (k, v.trim()))
-            .ok_or(".set takes a key and a value")?;
-        let off = value.eq_ignore_ascii_case("off") || value.eq_ignore_ascii_case("auto");
-        match key {
-            "engine" => {
-                self.config.engine = if off {
-                    None
-                } else {
-                    Some(Engine::parse(value)?)
-                }
-            }
-            // Accepted and ignored — execution is sequential per query —
-            // but still validated. Removed together with the benchmark's
-            // `nested_parallel` workload in the benchmark's own change.
-            "threads" => {
-                if !off {
-                    value
-                        .parse::<usize>()
-                        .map_err(|_| format!("threads takes a count, got `{value}`"))?;
-                }
-            }
-            "timeout_ms" => {
-                self.config.timeout_ms = if off {
-                    None
-                } else {
-                    Some(
-                        value
-                            .parse()
-                            .map_err(|_| format!("timeout_ms takes milliseconds, got `{value}`"))?,
-                    )
-                }
-            }
-            "mem_limit" => {
-                self.config.mem_limit = if off {
-                    None
-                } else {
-                    Some(
-                        value
-                            .parse()
-                            .map_err(|_| format!("mem_limit takes bytes, got `{value}`"))?,
-                    )
-                }
-            }
-            other => {
-                return Err(format!(
-                    "unknown setting `{other}` (engine, threads, timeout_ms, mem_limit)"
-                ))
-            }
-        }
-        self.session.set_defaults(self.config.options());
-        Ok(())
     }
 
     fn ok_empty(&mut self) -> io::Result<()> {

@@ -5,7 +5,7 @@
 //! is what the SQL binder resolves `FROM` items against.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{OnceLock, RwLock};
+use std::sync::OnceLock;
 
 use crate::column::{ColumnData, ColumnStore};
 use crate::error::StorageError;
@@ -14,7 +14,7 @@ use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
-/// Per-column statistics gathered by [`Table::analyze`].
+/// Per-column statistics gathered by [`Table::compute_stats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnStats {
     pub name: String,
@@ -24,7 +24,7 @@ pub struct ColumnStats {
     pub null_count: u64,
 }
 
-/// Table-level statistics gathered by [`Table::analyze`] — the input to
+/// Table-level statistics gathered by [`Table::compute_stats`] — the input to
 /// the planner's cardinality estimates (selectivity `1/ndv` for equality
 /// predicates, null fraction for `IS NULL`, row counts for scans).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,10 +53,9 @@ pub struct Table {
     image: OnceLock<Relation>,
     /// Column indices of the declared primary key (empty if none).
     primary_key: Vec<usize>,
-    /// Statistics from the last `ANALYZE`, if any. Interior-mutable so
-    /// `ANALYZE` can run through the shared-catalog query path; inserts
-    /// invalidate it.
-    stats: RwLock<Option<TableStats>>,
+    /// Statistics from the last `ANALYZE`, if any; inserts invalidate
+    /// them.
+    stats: Option<TableStats>,
 }
 
 impl Clone for Table {
@@ -70,7 +69,7 @@ impl Clone for Table {
             len: self.len,
             image: OnceLock::new(),
             primary_key: self.primary_key.clone(),
-            stats: RwLock::new(self.stats.read().unwrap_or_else(|e| e.into_inner()).clone()),
+            stats: self.stats.clone(),
         }
     }
 }
@@ -89,7 +88,7 @@ impl Table {
             len: 0,
             image: OnceLock::new(),
             primary_key: vec![],
-            stats: RwLock::new(None),
+            stats: None,
         }
     }
 
@@ -226,14 +225,14 @@ impl Table {
     /// after an insert.
     pub(crate) fn invalidate_derived(&mut self) {
         self.image.take();
-        *self.stats.write().unwrap_or_else(|e| e.into_inner()) = None;
+        self.stats = None;
     }
 
-    /// Gather row count, per-column NDV and null counts (the `ANALYZE`
-    /// statement), store them on the table, and return a copy. Fully
-    /// deterministic — re-running over unchanged data yields identical
-    /// stats — and idempotent.
-    pub fn analyze(&self) -> TableStats {
+    /// Gather row count, per-column NDV and null counts: what the
+    /// `ANALYZE` statement logs and then installs with
+    /// [`Table::set_stats`]. Fully deterministic — re-running over
+    /// unchanged data yields identical stats.
+    pub fn compute_stats(&self) -> TableStats {
         let columns = (self.schema.columns().iter().zip(&self.columns))
             .map(|(decl, col)| {
                 let valid = (0..self.len).filter(|&i| !col.is_null(i));
@@ -256,24 +255,21 @@ impl Table {
                 }
             })
             .collect();
-        let stats = TableStats {
+        TableStats {
             row_count: self.len as u64,
             columns,
-        };
-        *self.stats.write().unwrap_or_else(|e| e.into_inner()) = Some(stats.clone());
-        stats
+        }
     }
 
-    /// Install statistics directly, as if [`Table::analyze`] had produced
-    /// them — used by crash recovery to replay a logged `ANALYZE` and by
-    /// snapshot load, where rescanning would recompute the same values.
-    pub fn set_stats(&self, stats: TableStats) {
-        *self.stats.write().unwrap_or_else(|e| e.into_inner()) = Some(stats);
+    /// Install statistics: an `ANALYZE`'s, once its record is logged, or
+    /// a logged or snapshotted one at recovery.
+    pub fn set_stats(&mut self, stats: TableStats) {
+        self.stats = Some(stats);
     }
 
-    /// Statistics from the last [`Table::analyze`], if still valid.
+    /// Statistics from the last `ANALYZE`, if still valid.
     pub fn stats(&self) -> Option<TableStats> {
-        self.stats.read().unwrap_or_else(|e| e.into_inner()).clone()
+        self.stats.clone()
     }
 }
 
@@ -349,7 +345,8 @@ mod tests {
     #[test]
     fn insert_many_is_all_or_nothing() {
         let mut t = table();
-        let stats = t.analyze();
+        let stats = t.compute_stats();
+        t.set_stats(stats.clone());
         let bad = vec![
             vec![Value::Int(3), Value::Int(30)],
             vec![Value::Null, Value::Int(40)], // id is NOT NULL
@@ -395,24 +392,25 @@ mod tests {
     #[test]
     fn analyze_is_idempotent_and_invalidated_by_insert() {
         let mut t = table();
-        assert!(t.stats().is_none(), "no stats before ANALYZE");
-        let s1 = t.analyze();
+        let s1 = t.compute_stats();
+        assert!(t.stats().is_none(), "computing installs nothing");
         assert_eq!(s1.row_count, 2);
         assert_eq!(s1.column("id").unwrap().ndv, 2);
         assert_eq!(s1.column("v").unwrap().ndv, 1);
         assert_eq!(s1.column("v").unwrap().null_count, 1);
-        let s2 = t.analyze();
+        t.set_stats(s1.clone());
+        let s2 = t.compute_stats();
         assert_eq!(s1, s2, "ANALYZE is idempotent over unchanged data");
         assert_eq!(t.stats(), Some(s2));
         t.insert(vec![Value::Int(3), Value::Int(30)]).unwrap();
         assert!(t.stats().is_none(), "insert invalidates stats");
-        assert_eq!(t.analyze().row_count, 3);
+        assert_eq!(t.compute_stats().row_count, 3);
     }
 
     #[test]
     fn clone_carries_stats() {
-        let t = table();
-        t.analyze();
+        let mut t = table();
+        t.set_stats(t.compute_stats());
         let c = t.clone();
         assert_eq!(c.stats(), t.stats());
     }

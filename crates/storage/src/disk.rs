@@ -651,7 +651,7 @@ mod tests {
             ],
         ])
         .unwrap();
-        t.analyze();
+        t.set_stats(t.compute_stats());
         cat.add_table(t).unwrap();
         cat
     }

@@ -110,26 +110,50 @@ impl WalRecord {
         Ok(rec)
     }
 
+    /// Check the record against `catalog` without changing it: after
+    /// `Ok`, [`WalRecord::apply`] cannot fail. A writer checks before it
+    /// logs, so the log holds only records that apply.
+    pub fn check(&self, catalog: &Catalog) -> Result<(), StorageError> {
+        match self {
+            WalRecord::CreateTable(table) if catalog.contains(table.name()) => {
+                Err(StorageError::DuplicateTable(table.name().to_string()))
+            }
+            WalRecord::CreateTable(_) => Ok(()),
+            WalRecord::Insert { table, rows } => {
+                let t = catalog.table(table)?;
+                rows.iter().try_for_each(|row| t.validate(row))
+            }
+            WalRecord::Analyze { table, .. } => catalog.table(table).map(|_| ()),
+        }
+    }
+
+    /// Apply the record to `catalog`: `CreateTable` adds the table,
+    /// `Insert` appends the rows (all or nothing), `Analyze` installs the
+    /// statistics.
+    pub fn apply(self, catalog: &mut Catalog) -> Result<(), StorageError> {
+        match self {
+            WalRecord::CreateTable(table) => catalog.add_table(table),
+            WalRecord::Insert { table, rows } => catalog.table_mut(&table)?.insert_many(rows),
+            WalRecord::Analyze { table, stats } => {
+                catalog.table_mut(&table)?.set_stats(stats);
+                Ok(())
+            }
+        }
+    }
+
     /// Decode a record's kind and payload (the body past its LSN) and
     /// apply it to `catalog`. An `Insert` decodes its rows straight into
-    /// the table's lanes, never as `Tuple`s. Records were validated
-    /// before they were logged, so any failure means log and catalog
-    /// disagree.
-    fn apply(cur: &mut Cursor<'_>, catalog: &mut Catalog) -> Result<(), String> {
+    /// the table's lanes, never as `Tuple`s. Records were checked before
+    /// they were logged, so any failure means log and catalog disagree.
+    fn replay_one(cur: &mut Cursor<'_>, catalog: &mut Catalog) -> Result<(), String> {
         let kind = cur.u8()?;
         if kind == 2 {
             let table = catalog.table_mut(cur.str_ref()?);
             disk::get_rows_into(cur, table.map_err(|e| e.to_string())?)?;
             return cur.finish();
         }
-        match WalRecord::decode(kind, cur)? {
-            WalRecord::CreateTable(table) => catalog.add_table(table),
-            WalRecord::Analyze { table, stats } => {
-                catalog.table(&table).map(|t| t.set_stats(stats))
-            }
-            WalRecord::Insert { .. } => unreachable!("applied above"),
-        }
-        .map_err(|e| e.to_string())
+        let rec = WalRecord::decode(kind, cur)?;
+        rec.apply(catalog).map_err(|e| e.to_string())
     }
 }
 
@@ -320,7 +344,7 @@ pub fn replay_into(
         if lsn <= after_lsn {
             return Ok(());
         }
-        WalRecord::apply(cur, catalog)?;
+        WalRecord::replay_one(cur, catalog)?;
         applied += 1;
         Ok(())
     })?;

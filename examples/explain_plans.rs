@@ -7,6 +7,7 @@
 //! cargo run --example explain_plans
 //! ```
 
+use nra::storage::iosim::{self, IoConfig};
 use nra::storage::{Column, ColumnType, Value};
 use nra::{Database, Engine, QueryOptions, Session, Strategy};
 
@@ -27,12 +28,12 @@ fn show(session: &Session, sql: &str) {
             .unwrap();
         println!("explain, {}:\n{}", strategy.name(), explain.plan.unwrap());
     }
-    let analyzed = session
-        .execute_with(
-            sql,
-            &QueryOptions::new().collect_profile(true).simulate_io(true),
-        )
-        .unwrap();
+    // The I/O simulator runs around the call, so the plan's footer
+    // carries page counts.
+    iosim::enable(IoConfig::default());
+    let analyzed = session.execute_with(sql, &QueryOptions::new().collect_profile(true));
+    iosim::disable();
+    let analyzed = analyzed.unwrap();
     println!("explain analyze (measured):\n{}", analyzed.plan.unwrap());
     println!("result:\n{}\n", analyzed.rows);
 }

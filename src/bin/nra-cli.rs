@@ -54,19 +54,16 @@ use std::io::{BufRead, BufReader, Write};
 use std::time::Instant;
 
 use nra::storage::csv::{read_rows, write_relation, CsvOptions};
+use nra::storage::iosim::{self, IoConfig};
 use nra::storage::{Column, ColumnType, Schema, Table};
-use nra::{Database, Engine, QueryOptions, Session, Strategy};
+use nra::{Database, QueryOptions, Session, Strategy};
 
-/// The interactive shell drives one [`Session`]: the engine and limit
-/// knobs below are mirrored into the session's default
-/// [`QueryOptions`] whenever they change, and every SQL line executes
-/// through [`Session::execute`].
+/// The interactive shell drives one [`Session`]: `:engine`, `:timeout`
+/// and `:memlimit` set its defaults ([`Session::set`]), and every SQL
+/// line executes through [`Session::execute`].
 struct Shell {
     session: Session,
-    engine: Engine,
     timing: bool,
-    timeout_ms: Option<u64>,
-    mem_limit: Option<u64>,
 }
 
 fn main() {
@@ -101,10 +98,7 @@ fn main() {
     }
     let mut shell = Shell {
         session: durable.unwrap_or_default().connect(),
-        engine: Engine::default(),
         timing: false,
-        timeout_ms: None,
-        mem_limit: None,
     };
     println!("nra-cli — nested relational subquery processor (:help for commands)");
     let stdin = std::io::stdin();
@@ -243,9 +237,9 @@ impl Shell {
                     println!("checkpoint written at lsn {lsn}");
                     Ok(())
                 }
-                "engine" => self.cmd_engine(args),
-                "timeout" => self.cmd_timeout(args),
-                "memlimit" => self.cmd_memlimit(args),
+                "engine" => self.cmd_set("engine", args),
+                "timeout" => self.cmd_set("timeout_ms", args),
+                "memlimit" => self.cmd_set("mem_limit", args),
                 "explain" => self.cmd_explain(args),
                 "analyze" => analyze(&self.session, args, self.opts()),
                 "trace" => trace(&self.session, args, self.opts()),
@@ -312,25 +306,10 @@ impl Shell {
         self.session.database()
     }
 
-    /// The shell's standing execution options (engine and resource
-    /// limits) — mirrored into the session defaults by
-    /// [`Shell::sync_defaults`].
+    /// The session's standing options (engine and resource limits), for
+    /// the commands that add to them.
     fn opts(&self) -> QueryOptions {
-        let mut opts = QueryOptions::new().engine(self.engine);
-        if let Some(ms) = self.timeout_ms {
-            opts = opts.timeout_ms(ms);
-        }
-        if let Some(bytes) = self.mem_limit {
-            opts = opts.mem_limit_bytes(bytes);
-        }
-        opts
-    }
-
-    /// Push the current knob values into the session's default options
-    /// so plain SQL lines (via [`Session::execute`]) pick them up.
-    fn sync_defaults(&mut self) {
-        let opts = self.opts();
-        self.session.set_defaults(opts);
+        self.session.defaults().clone()
     }
 
     fn run_sql(&self, sql: &str) -> Result<(), String> {
@@ -357,8 +336,9 @@ impl Shell {
         for name in cat.table_names() {
             println!("{name}: {} rows", cat.table(name).unwrap().len());
         }
+        let defaults = self.opts();
         self.session = Database::from_catalog(cat).connect();
-        self.sync_defaults();
+        self.session.set_defaults(defaults);
         Ok(())
     }
 
@@ -460,40 +440,19 @@ impl Shell {
         Ok(())
     }
 
-    fn cmd_engine(&mut self, args: &str) -> Result<(), String> {
-        self.engine = Engine::parse(args)?;
-        println!("engine set to {:?}", self.engine);
-        self.sync_defaults();
-        Ok(())
-    }
-
-    fn cmd_timeout(&mut self, args: &str) -> Result<(), String> {
-        if args.eq_ignore_ascii_case("off") || args.is_empty() {
-            self.timeout_ms = None;
-            println!("timeout off");
-        } else {
-            let ms: u64 = args
-                .parse()
-                .map_err(|_| ":timeout takes milliseconds or `off`".to_string())?;
-            self.timeout_ms = Some(ms);
-            println!("timeout set to {ms} ms (queries cancel cooperatively)");
+    /// `:engine`, `:timeout` and `:memlimit`: one session setting each;
+    /// no value means `off`.
+    fn cmd_set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        let value = if value.is_empty() { "off" } else { value };
+        self.session.set(key, value)?;
+        let off = value.eq_ignore_ascii_case("off");
+        match key {
+            "engine" => println!("engine set to {:?}", self.session.engine()),
+            "timeout_ms" if off => println!("timeout off"),
+            "timeout_ms" => println!("timeout set to {value} ms (queries cancel cooperatively)"),
+            _ if off => println!("memory limit off"),
+            _ => println!("memory limit set to {value} bytes per query"),
         }
-        self.sync_defaults();
-        Ok(())
-    }
-
-    fn cmd_memlimit(&mut self, args: &str) -> Result<(), String> {
-        if args.eq_ignore_ascii_case("off") || args.is_empty() {
-            self.mem_limit = None;
-            println!("memory limit off");
-        } else {
-            let bytes: u64 = args
-                .parse()
-                .map_err(|_| ":memlimit takes a byte count or `off`".to_string())?;
-            self.mem_limit = Some(bytes);
-            println!("memory limit set to {bytes} bytes per query");
-        }
-        self.sync_defaults();
         Ok(())
     }
 
@@ -504,7 +463,7 @@ impl Shell {
         print!("{}", out.plan.expect("explain_only sets plan"));
         let query = nra::sql::parse_query(sql).map_err(err)?;
         let statement = nra::sql::bind_statement(&query, &self.db().catalog()).map_err(err)?;
-        let trees = nra::core::build(statement, self.engine)
+        let trees = nra::core::build(statement, self.session.engine())
             .map_err(err)?
             .tree_expression();
         for (i, tree) in trees.iter().enumerate() {
@@ -519,12 +478,14 @@ impl Shell {
     }
 }
 
-/// EXPLAIN ANALYZE: run `sql` profiled under `opts` and print the plan
-/// that ran.
+/// EXPLAIN ANALYZE: run `sql` profiled under `opts`, with the I/O
+/// simulator on, and print the plan that ran with its `-- io:` footer.
 fn analyze(session: &Session, sql: &str, opts: QueryOptions) -> Result<(), String> {
-    let opts = opts.collect_profile(true).simulate_io(true);
-    let out = session.execute_with(sql, &opts).map_err(err)?;
-    print!("{}", out.plan.ok_or("no plan rendered for this query")?);
+    iosim::enable(IoConfig::default());
+    let result = session.execute_with(sql, &opts.collect_profile(true));
+    iosim::disable();
+    let plan = result.map_err(err)?.plan;
+    print!("{}", plan.ok_or("no plan rendered for this query")?);
     Ok(())
 }
 

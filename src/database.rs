@@ -4,16 +4,17 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
 use nra_engine::{AdmissionConfig, AdmissionController, Config, EngineError};
 use nra_obs::queryreg::{self, QueryRegistry};
 use nra_sql::{BoundQuery, SqlError};
-use nra_storage::{Catalog, Column, Schema, StorageError, Table, Tuple};
+use nra_storage::wal::WalRecord;
+use nra_storage::{Catalog, Column, Schema, Table, Tuple};
 
 use crate::lifecycle::Caller;
 use crate::plancache::PlanCache;
-use crate::{durable, storage, sys, NraError, QueryOptions, QueryOutcome};
+use crate::{durable, sys, NraError, QueryOptions, QueryOutcome};
 
 /// State shared by every handle to one database: the catalog behind a
 /// readers-writer lock, the configuration it was built under, the schema
@@ -27,9 +28,8 @@ pub(crate) struct DbShared {
     /// front.
     config: Result<Config, EngineError>,
     catalog: RwLock<Catalog>,
-    /// Bumped on every catalog write (DDL, insert, `ANALYZE`, or a
-    /// [`Database::catalog_mut`] guard dropping). A cached plan is
-    /// served only while its recorded version still matches. Durable
+    /// Bumped on every catalog write ([`Database::commit`]). A cached
+    /// plan is served only while its recorded version still matches. Durable
     /// databases restore it to the last applied LSN on open, so plans
     /// cached before a crash can never match a recovered catalog.
     pub(crate) version: AtomicU64,
@@ -42,15 +42,6 @@ pub(crate) struct DbShared {
     /// (`None` for in-memory databases). Lock order: the catalog lock
     /// is always taken before this mutex.
     pub(crate) durable: Option<Mutex<durable::Durability>>,
-}
-
-impl DbShared {
-    /// Record a catalog write: bump the schema version and purge the
-    /// plan cache.
-    pub(crate) fn invalidate_plans(&self) {
-        self.version.fetch_add(1, Ordering::SeqCst);
-        self.plans.purge();
-    }
 }
 
 /// Shared-read access to a database's catalog (see
@@ -68,41 +59,6 @@ impl std::ops::Deref for CatalogRef<'_> {
     }
 }
 
-/// Exclusive access to a database's catalog (see
-/// [`Database::catalog_mut`]). Dropping the guard bumps the schema
-/// version and purges the database's plan cache, so direct
-/// catalog surgery follows the same discipline as
-/// [`Database::create_table`] / [`Database::insert`].
-pub struct CatalogMut<'a> {
-    guard: Option<RwLockWriteGuard<'a, Catalog>>,
-    shared: &'a DbShared,
-}
-
-impl std::ops::Deref for CatalogMut<'_> {
-    type Target = Catalog;
-
-    fn deref(&self) -> &Catalog {
-        self.guard.as_deref().expect("guard present until drop")
-    }
-}
-
-impl std::ops::DerefMut for CatalogMut<'_> {
-    fn deref_mut(&mut self) -> &mut Catalog {
-        self.guard.as_deref_mut().expect("guard present until drop")
-    }
-}
-
-impl Drop for CatalogMut<'_> {
-    fn drop(&mut self) {
-        // Bump the version before releasing the write lock: a reader
-        // admitted right after the release already sees the new version
-        // and can never revive a stale cached plan.
-        self.shared.version.fetch_add(1, Ordering::SeqCst);
-        drop(self.guard.take());
-        self.shared.plans.purge();
-    }
-}
-
 /// An in-memory database: a catalog plus query execution.
 ///
 /// A `Database` value is a cheap handle onto shared state — cloning it
@@ -110,8 +66,7 @@ impl Drop for CatalogMut<'_> {
 /// *same* catalog, plan cache, query registry and session counter. Read queries
 /// on different handles run concurrently under a shared catalog lock;
 /// catalog writes ([`create_table`](Database::create_table),
-/// [`insert`](Database::insert), `ANALYZE`,
-/// [`catalog_mut`](Database::catalog_mut)) take the lock exclusively
+/// [`insert`](Database::insert), `ANALYZE`) take the lock exclusively
 /// and wait for in-flight queries to drain.
 ///
 /// Multi-statement clients should open a [`Session`](crate::Session) via
@@ -215,21 +170,6 @@ impl Database {
         }
     }
 
-    /// Exclusive catalog access, waiting for in-flight queries to
-    /// drain. Dropping the returned guard bumps the schema version and
-    /// invalidates this database's cached plans.
-    pub fn catalog_mut(&self) -> CatalogMut<'_> {
-        CatalogMut {
-            guard: Some(
-                self.shared
-                    .catalog
-                    .write()
-                    .unwrap_or_else(|e| e.into_inner()),
-            ),
-            shared: &self.shared,
-        }
-    }
-
     /// Replace the admission controller gating this database's queries
     /// (concurrency cap, aggregate memory reservations, queue timeout).
     /// In-flight permits stay with the controller that issued them; new
@@ -279,40 +219,44 @@ impl Database {
                 "`nra_sys` is a reserved schema; cannot create table `{name}`"
             ))));
         }
-        let mut guard = self.catalog_mut();
-        if guard.contains(table.name()) {
-            return Err(NraError::Storage(StorageError::DuplicateTable(
-                table.name().to_string(),
-            )));
-        }
-        // Write-ahead: the record is durable before the table exists.
-        if self.is_durable() {
-            self.durable_log(&storage::wal::WalRecord::CreateTable(table.clone()))?;
-        }
-        guard.add_table(table)?;
-        drop(guard);
-        self.after_durable_mutation();
-        Ok(())
+        self.commit(|_| Ok(WalRecord::CreateTable(table)))
     }
 
-    /// Insert rows into a table (validating types, arity, NOT NULL).
+    /// Insert rows into a table (validating types, arity, NOT NULL), all
+    /// or nothing.
     pub fn insert(&self, table: &str, rows: Vec<Tuple>) -> Result<(), NraError> {
-        let mut guard = self.catalog_mut();
-        let t = guard.table_mut(table)?;
-        if self.is_durable() {
-            // Pre-validate every row so the logged record is exactly
-            // what the in-memory apply will accept: an acknowledged
-            // insert is all-or-nothing on disk and in memory.
-            for row in &rows {
-                t.validate(row)?;
-            }
-            self.durable_log(&storage::wal::WalRecord::Insert {
-                table: table.to_string(),
-                rows: rows.clone(),
-            })?;
+        let table = table.to_string();
+        self.commit(|_| Ok(WalRecord::Insert { table, rows }))
+    }
+
+    /// The one catalog write path. Under the catalog write lock, from the
+    /// check to the apply: build the record from the catalog as it is,
+    /// check it, append it to the write-ahead log (durable databases
+    /// only; the fsync lands before anything changes), apply it, and bump
+    /// the schema version. Then purge the cached plans and take a due
+    /// checkpoint. A record that fails anywhere before the apply leaves
+    /// the catalog untouched.
+    pub(crate) fn commit(
+        &self,
+        record: impl FnOnce(&Catalog) -> Result<WalRecord, NraError>,
+    ) -> Result<(), NraError> {
+        let shared = &self.shared;
+        let mut cat = shared.catalog.write().unwrap_or_else(|e| e.into_inner());
+        let record = record(&cat)?;
+        if let Some(durable) = &shared.durable {
+            record.check(&cat)?;
+            durable
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .append(&record)?;
         }
-        t.insert_many(rows)?;
-        drop(guard);
+        record.apply(&mut cat)?;
+        // Bump the version before releasing the write lock: a reader
+        // admitted right after the release already sees the new version
+        // and can never revive a stale cached plan.
+        shared.version.fetch_add(1, Ordering::SeqCst);
+        drop(cat);
+        shared.plans.purge();
         self.after_durable_mutation();
         Ok(())
     }

@@ -5,12 +5,15 @@
 //!
 //! Protocol (write-ahead, fsync-on-commit):
 //!
-//! 1. A durable mutation (`CREATE TABLE`, `INSERT`, `ANALYZE`) validates
-//!    fully in memory first, so the apply step cannot fail.
+//! 1. Every mutation (`CREATE TABLE`, `INSERT`, `ANALYZE`) goes through
+//!    `Database::commit`, which holds the catalog write lock from the
+//!    check to the apply. Its record is checked against the catalog
+//!    first, so the apply step cannot fail.
 //! 2. The record is appended to `wal.log` and fsynced *before* the
 //!    in-memory catalog changes. If the append or fsync fails, the call
 //!    errors and the catalog is untouched — an acknowledged mutation is
-//!    always on disk, an unacknowledged one never survives recovery.
+//!    always on disk, an unacknowledged one is never visible, before or
+//!    after recovery.
 //! 3. A checkpoint writes the whole catalog to `snapshot-<lsn>.nra`
 //!    (write-tmp → fsync → rename → fsync-dir), then truncates the log.
 //!
@@ -109,6 +112,38 @@ fn storage_err(e: StorageError) -> NraError {
 
 fn io_nra(context: &str, e: std::io::Error) -> NraError {
     NraError::Storage(StorageError::Io(format!("{context}: {e}")))
+}
+
+impl Durability {
+    /// Append one record to the WAL and fsync it. [`Database::commit`]
+    /// calls it with the catalog write lock held, *before* the in-memory
+    /// apply — write-ahead discipline.
+    pub(crate) fn append(&mut self, rec: &WalRecord) -> Result<(), NraError> {
+        if let Some(why) = &self.poisoned {
+            return Err(NraError::Storage(StorageError::Io(format!(
+                "durable mutations disabled: {why}; reopen the database"
+            ))));
+        }
+        let lsn = self.last_lsn + 1;
+        let _faults = self.faults.clone().map(fault::install);
+        match self.wal.append_sync(lsn, rec) {
+            Ok(bytes) => {
+                self.last_lsn = lsn;
+                self.records_since_checkpoint += 1;
+                let m = metrics::global();
+                m.counter_add("nra_wal_appends_total", &[], 1);
+                m.counter_add("nra_wal_bytes_total", &[], bytes);
+                m.counter_add("nra_wal_fsyncs_total", &[], 1);
+                Ok(())
+            }
+            Err(e) => {
+                if self.wal.is_poisoned() {
+                    self.poisoned = Some(e.to_string());
+                }
+                Err(storage_err(e))
+            }
+        }
+    }
 }
 
 impl Database {
@@ -243,40 +278,6 @@ impl Database {
         disk::sweep_snapshots(&d.dir, lsn);
         metrics::global().counter_add("nra_checkpoints_total", &[], 1);
         Ok(lsn)
-    }
-
-    /// Append one record to the WAL and fsync it (no-op for in-memory
-    /// databases). Called with the catalog write lock held, *before*
-    /// the in-memory apply — write-ahead discipline.
-    pub(crate) fn durable_log(&self, rec: &WalRecord) -> Result<(), NraError> {
-        let Some(dmx) = &self.shared.durable else {
-            return Ok(());
-        };
-        let mut d = dmx.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(why) = &d.poisoned {
-            return Err(NraError::Storage(StorageError::Io(format!(
-                "durable mutations disabled: {why}; reopen the database"
-            ))));
-        }
-        let lsn = d.last_lsn + 1;
-        let _faults = d.faults.clone().map(fault::install);
-        match d.wal.append_sync(lsn, rec) {
-            Ok(bytes) => {
-                d.last_lsn = lsn;
-                d.records_since_checkpoint += 1;
-                let m = metrics::global();
-                m.counter_add("nra_wal_appends_total", &[], 1);
-                m.counter_add("nra_wal_bytes_total", &[], bytes);
-                m.counter_add("nra_wal_fsyncs_total", &[], 1);
-                Ok(())
-            }
-            Err(e) => {
-                if d.wal.is_poisoned() {
-                    d.poisoned = Some(e.to_string());
-                }
-                Err(storage_err(e))
-            }
-        }
     }
 
     /// Take an automatic checkpoint when enough records accumulated.

@@ -72,7 +72,7 @@ mod plancache;
 mod session;
 mod sys;
 
-pub use database::{CatalogMut, CatalogRef, Database};
+pub use database::{CatalogRef, Database};
 pub use durable::{DurabilityInfo, RecoveryReport};
 pub use error::{Failed, NraError};
 pub use options::{QueryOptions, QueryOutcome};

@@ -8,8 +8,8 @@
 //! 2. **Early exits** — `ANALYZE`, `nra_sys.*` introspection and
 //!    `explain_only` return before any per-query state exists.
 //! 3. **Stages** — admission permit → catalog read guard → [`Stages`]
-//!    (registry entry → one observability slot: profile with the
-//!    pipeline phases, I/O simulator → one query context: governor and
+//!    (registry entry → one observability slot: the profile with the
+//!    pipeline phases → one query context: governor and
 //!    live progress, beside the caller's batch-width override → a fresh
 //!    fault plan). Every stage is RAII: whatever was acquired is released
 //!    in reverse order on every path out, including an unwind.
@@ -32,8 +32,9 @@ use nra_obs::metrics::{self, Registry};
 use nra_obs::progress::ProgressState;
 use nra_obs::queryreg::{QueryRecord, QueryRegistry};
 use nra_obs::trace::Trace;
-use nra_obs::{slowlog, ObsGuard, Observers, Profile};
+use nra_obs::{slowlog, ObsGuard, Profile};
 use nra_storage::fault::{self, FaultGuard, FaultPlan};
+use nra_storage::wal::WalRecord;
 use nra_storage::{Catalog, Relation, Schema};
 
 use crate::plancache::Planned;
@@ -171,9 +172,8 @@ struct Stages<'a> {
     /// The governor and live progress, installed in this thread's query
     /// context.
     ctx: ctx::CtxGuard,
-    governor: Option<Arc<Governor>>,
-    /// The profile and the I/O simulator, armed as this thread's one
-    /// observability slot.
+    governor: Arc<Governor>,
+    /// The profile, armed as this thread's one observability slot.
     obs: ObsGuard,
     started: Instant,
     entry: Option<RegistryEntry<'a>>,
@@ -190,19 +190,15 @@ impl<'a> Stages<'a> {
                 id,
             }
         });
-        let obs = nra_obs::enter(Observers {
-            profile: q.profiled(),
-            simulate_io: q.options.simulate_io,
-        });
+        let obs = nra_obs::enter(q.profiled());
         let started = Instant::now();
-        // Ungoverned queries install `None`, keeping the context's flag
-        // byte clear of the governor's bits whatever the caller had
-        // installed. The caller's batch-width override passes through
+        // Every query gets a governor, which counts its memory whatever
+        // it enforces. The caller's batch-width override passes through
         // unchanged.
-        let governor = q.options.governor(q.config).map(Arc::new);
+        let governor = Arc::new(q.options.governor(q.config));
         let progress = entry.as_ref().map(|e| e.progress.clone());
         let ctx = ctx::update(|c| {
-            c.governor = governor.clone();
+            c.governor = Some(governor.clone());
             c.progress = progress;
         });
         Stages {
@@ -238,9 +234,7 @@ impl<'a> Stages<'a> {
             Ok(_) => ("ok", None),
             Err(e) => (e.variant_name(), intervention(e)),
         };
-        // The stages go in reverse order; the profile is read before the
-        // simulator stops with `obs`, so its I/O footer comes from the
-        // live counters.
+        // The stages go in reverse order.
         drop(ctx);
         let mut profile = obs.finish();
         if let Some(p) = &mut profile {
@@ -253,10 +247,8 @@ impl<'a> Stages<'a> {
         // `mem_used()` is the query's memory high-water mark. It goes to
         // the trace and a process-level gauge, never the per-query scope,
         // which holds only counters derived from the profile.
-        let mem_high_water = governor.as_ref().map_or(0, |g| g.mem_used());
-        if governor.is_some() {
-            metrics::global().gauge_max("nra_query_mem_high_water_bytes", &[], mem_high_water);
-        }
+        let mem_high_water = governor.mem_used();
+        metrics::global().gauge_max("nra_query_mem_high_water_bytes", &[], mem_high_water);
 
         // The plan that ran names the strategy and carries the estimates.
         let ran = result.as_ref().ok().map(|(_, planned, _)| &**planned);
@@ -332,8 +324,7 @@ impl<'a> Stages<'a> {
 
         let trace = q.options.collect_trace.then(|| {
             let stopped = intervention.map(|(action, at)| (action, at.to_string()));
-            let high_water =
-                (governor.is_some()).then(|| ("mem-high-water", format!("{mem_high_water} bytes")));
+            let high_water = ("mem-high-water", format!("{mem_high_water} bytes"));
             let (strategies, rewrites) =
                 ran.map_or_else(Default::default, |r| r.plan.decisions(cat));
             let profile = profile.clone().unwrap_or_default();
@@ -345,7 +336,7 @@ impl<'a> Stages<'a> {
                 rewrites,
                 ops: profile.ops,
                 qerrors,
-                governor: stopped.into_iter().chain(high_water).collect(),
+                governor: stopped.into_iter().chain([high_water]).collect(),
                 done: (result.is_ok()).then(|| (record.rows, started.elapsed().as_nanos() as u64)),
             }
         });
@@ -468,30 +459,26 @@ fn append_line(path: &Path, line: &str) {
 impl Database {
     /// `ANALYZE <table>`: recompute per-column statistics (distinct-value
     /// and null counts) used by the cardinality estimator, returning the
-    /// summary as plan text. Counts as a catalog write for plan-cache
-    /// purposes: fresh statistics can change strategy and estimate
-    /// choices, so cached plans are invalidated.
+    /// summary as plan text. A catalog write like any other: the stats
+    /// are computed under the write lock, logged before they are
+    /// installed (losing them across a restart would silently change
+    /// plan shapes), and cached plans are invalidated, since fresh
+    /// statistics can change strategy and estimate choices.
     fn run_analyze(&self, table: &str) -> Result<QueryOutcome, NraError> {
-        let stats = self.catalog().table(table)?.analyze();
-        if self.is_durable() {
-            // Statistics steer the planner; losing them across a
-            // restart would silently change plan shapes, so ANALYZE is
-            // logged like any other catalog mutation.
-            self.durable_log(&nra_storage::wal::WalRecord::Analyze {
-                table: table.to_string(),
-                stats: stats.clone(),
-            })?;
-        }
-        self.shared.invalidate_plans();
-        self.after_durable_mutation();
+        let mut plan = String::new();
+        self.commit(|cat| {
+            let stats = cat.table(table)?.compute_stats();
+            plan = format!("analyze {table}: {} row(s)\n", stats.row_count);
+            for col in &stats.columns {
+                plan.push_str(&format!(
+                    "  {}: ndv={} nulls={}\n",
+                    col.name, col.ndv, col.null_count
+                ));
+            }
+            let table = table.to_string();
+            Ok(WalRecord::Analyze { table, stats })
+        })?;
         metrics::global().counter_add("nra_analyze_total", &[("table", table)], 1);
-        let mut plan = format!("analyze {table}: {} row(s)\n", stats.row_count);
-        for col in &stats.columns {
-            plan.push_str(&format!(
-                "  {}: ndv={} nulls={}\n",
-                col.name, col.ndv, col.null_count
-            ));
-        }
         Ok(QueryOutcome::plan_only(plan))
     }
 

@@ -31,9 +31,8 @@ pub struct QueryOptions {
     pub(crate) collect_metrics: bool,
     pub(crate) collect_trace: bool,
     pub(crate) explain_only: bool,
-    pub(crate) simulate_io: bool,
     pub(crate) mem_limit_bytes: Option<u64>,
-    timeout_ms: Option<u64>,
+    pub(crate) timeout_ms: Option<u64>,
     cancel: Option<CancelToken>,
     faults: Vec<Fault>,
     pub(crate) slow_ms: Option<u64>,
@@ -102,13 +101,6 @@ impl QueryOptions {
         self
     }
 
-    /// Run the I/O simulator for the duration of the call (unless the
-    /// caller already enabled it), so profiles carry page counts.
-    pub fn simulate_io(mut self, on: bool) -> QueryOptions {
-        self.simulate_io = on;
-        self
-    }
-
     /// Memory budget for this call, in bytes. Governed allocations (hash
     /// join builds, nest group buffers, sort scratch, materialized
     /// intermediates) are charged against it; exceeding the budget fails
@@ -167,8 +159,9 @@ impl QueryOptions {
     }
 
     /// The [`Governor`] these options describe over the database's
-    /// `config` defaults (`NRA_MEM_LIMIT`); `None` when nothing is armed.
-    pub(crate) fn governor(&self, config: &Config) -> Option<Governor> {
+    /// `config` defaults (`NRA_MEM_LIMIT`). Every executed query installs
+    /// one, so its memory is counted even with nothing to enforce.
+    pub(crate) fn governor(&self, config: &Config) -> Governor {
         let mut gov = Governor::new();
         if let Some(bytes) = self.mem_limit_bytes.or(config.mem_limit) {
             gov = gov.mem_limit(bytes);
@@ -179,7 +172,7 @@ impl QueryOptions {
         if let Some(token) = &self.cancel {
             gov = gov.cancel_token(token.clone());
         }
-        gov.is_armed().then_some(gov)
+        gov
     }
 
     /// The fresh fault plan one query arms: this call's entries, else the

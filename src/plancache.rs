@@ -10,8 +10,7 @@
 //! exactly the plan a miss would build, under every engine. Each records
 //! the database's schema version at insert time; a lookup whose version no
 //! longer matches drops the entry and counts an invalidation. Catalog
-//! writes (DDL, `INSERT`, `ANALYZE`, and direct
-//! [`Database::catalog_mut`](crate::Database::catalog_mut) access) also
+//! writes (DDL, `INSERT`, `ANALYZE`: the one `Database::commit`) also
 //! purge the cache eagerly, so `nra_sys.plan_cache` never shows plans a
 //! changed schema has orphaned — and a cached plan's estimates are the
 //! ones a fresh build would compute.

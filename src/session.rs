@@ -3,7 +3,8 @@
 //!
 //! A [`Session`] owns what is *per client* in a multi-client setting:
 //! default [`QueryOptions`] applied to every statement (engine,
-//! memory/timeout governor limits, …), a set of
+//! memory/timeout governor limits, …; [`Session::set`] parses them from
+//! text for the front ends), a set of
 //! named prepared statements, and the session id stamped into the query
 //! registry (`nra_sys.queries.session`). Everything *shared* — the
 //! catalog, the plan cache, the admission controller, metrics — lives
@@ -34,7 +35,7 @@
 use std::collections::HashMap;
 
 use crate::lifecycle::Caller;
-use crate::{sys, Database, NraError, QueryOptions, QueryOutcome};
+use crate::{sys, Database, Engine, NraError, QueryOptions, QueryOutcome};
 use nra_sql::SqlError;
 
 /// A connection-scoped handle for executing queries against a
@@ -84,6 +85,46 @@ impl Session {
     /// [`QueryOptions`] chainable builder).
     pub fn set_defaults(&mut self, defaults: QueryOptions) {
         self.defaults = defaults;
+    }
+
+    /// The engine [`Session::execute`] runs statements under.
+    pub fn engine(&self) -> Engine {
+        self.defaults.engine
+    }
+
+    /// Set one session default from its text form — the one parser behind
+    /// `nra-server`'s `.set` and the shell's `:engine`, `:timeout` and
+    /// `:memlimit`: `engine` takes any name [`Engine::parse`] accepts,
+    /// `timeout_ms` milliseconds and `mem_limit` bytes. The value `off`
+    /// clears the setting, so the database's default applies (`engine
+    /// off` is the default engine, as `engine auto` is).
+    /// `threads` takes a count and is accepted and ignored: every query
+    /// runs sequentially on its calling thread. It stays because
+    /// `benchmark/` sends it, until the benchmark's own change drops its
+    /// `nested_parallel` workload.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        let off = value.eq_ignore_ascii_case("off");
+        let number = |unit: &str| match value.parse() {
+            _ if off => Ok(None),
+            Ok(n) => Ok(Some(n)),
+            Err(_) => Err(format!("{key} takes {unit}, got `{value}`")),
+        };
+        let defaults = &mut self.defaults;
+        match key {
+            "engine" if off => defaults.engine = Engine::default(),
+            "engine" => defaults.engine = Engine::parse(value)?,
+            "timeout_ms" => defaults.timeout_ms = number("milliseconds")?,
+            "mem_limit" => defaults.mem_limit_bytes = number("bytes")?,
+            "threads" => {
+                number("a count")?;
+            }
+            other => {
+                return Err(format!(
+                    "unknown setting `{other}` (engine, threads, timeout_ms, mem_limit)"
+                ))
+            }
+        }
+        Ok(())
     }
 
     /// Execute `sql` under the session's default options.
@@ -145,3 +186,49 @@ const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<Session>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Strategy;
+
+    fn limits(s: &Session) -> (Option<u64>, Option<u64>) {
+        (s.defaults.timeout_ms, s.defaults.mem_limit_bytes)
+    }
+
+    #[test]
+    fn set_parses_each_setting_and_off_clears_it() {
+        let mut s = Database::new().connect();
+        s.set("engine", "original").unwrap();
+        s.set("timeout_ms", "250").unwrap();
+        s.set("mem_limit", "4096").unwrap();
+        s.set("threads", "2").unwrap();
+        assert_eq!(s.engine(), Engine::NestedRelational(Strategy::Original));
+        assert_eq!(limits(&s), (Some(250), Some(4096)));
+
+        // A malformed value or an unknown key is refused and changes
+        // nothing.
+        for (key, value, why) in [
+            ("engine", "warp", "unknown engine `warp`"),
+            (
+                "timeout_ms",
+                "soon",
+                "timeout_ms takes milliseconds, got `soon`",
+            ),
+            ("mem_limit", "-1", "mem_limit takes bytes, got `-1`"),
+            ("threads", "four", "threads takes a count, got `four`"),
+            ("bogus", "1", "unknown setting `bogus`"),
+        ] {
+            let err = s.set(key, value).unwrap_err();
+            assert!(err.contains(why), "{key} {value}: {err}");
+        }
+        assert_eq!(s.engine(), Engine::NestedRelational(Strategy::Original));
+        assert_eq!(limits(&s), (Some(250), Some(4096)));
+
+        for key in ["engine", "timeout_ms", "mem_limit", "threads"] {
+            s.set(key, "off").unwrap();
+        }
+        assert_eq!(s.engine(), Engine::default());
+        assert_eq!(limits(&s), (None, None));
+    }
+}

@@ -340,6 +340,45 @@ fn fsync_failure_rolls_back_without_poisoning() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A failed `ANALYZE` is not visible: its stats are neither installed on
+/// the table nor listed by `nra_sys.table_stats`, before or after a
+/// reopen. Under an fsync failure the log was rolled back; under a short
+/// write the database is poisoned as well.
+#[test]
+fn a_failed_analyze_leaves_no_stats() {
+    for (site, kind, poisoned) in [
+        (fault::WAL_FSYNC, FaultKind::IoError, false),
+        (fault::WAL_APPEND, FaultKind::ShortWrite, true),
+    ] {
+        let dir = scratch(&format!("analyze-{site}"));
+        let db = Database::open(&dir).unwrap();
+        db.create_table("kv", kv_columns(), &["k"]).unwrap();
+        db.insert("kv", kv_rows(0..5)).unwrap();
+
+        let mut plan = FaultPlan::default();
+        plan.push(site, 1, kind);
+        let guard = fault::install(plan);
+        assert!(db.execute("analyze kv", &opts()).is_err(), "{site}");
+        drop(guard);
+        assert_eq!(db.durability().unwrap().poisoned, poisoned, "{site}");
+        assert_no_stats(&db, site);
+        drop(db);
+
+        let db = Database::open(&dir).unwrap();
+        assert_no_stats(&db, site);
+        assert_eq!(db.catalog().table("kv").unwrap().len(), 5, "{site}");
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+fn assert_no_stats(db: &Database, site: &str) {
+    assert_eq!(db.catalog().table("kv").unwrap().stats(), None, "{site}");
+    let analyzed = "select column_name from nra_sys.table_stats \
+                    where table_name = 'kv' and column_name is not null";
+    assert_eq!(rows(db, analyzed), Vec::<Tuple>::new(), "{site}");
+}
+
 /// The crash matrix: every I/O site crossed with every failure kind.
 /// Each cell opens the database, arms exactly one fault, drives a
 /// mutation into it (an insert for the WAL sites, a checkpoint for the
@@ -526,10 +565,14 @@ fn replay_builds_what_insert_many_builds() {
                         rows,
                     }
                 }
-                None => WalRecord::Analyze {
-                    table: "kv".into(),
-                    stats: expected.analyze(),
-                },
+                None => {
+                    let stats = expected.compute_stats();
+                    expected.set_stats(stats.clone());
+                    WalRecord::Analyze {
+                        table: "kv".into(),
+                        stats,
+                    }
+                }
             };
             wal.append_sync(lsn, &rec).unwrap();
         }

@@ -5,6 +5,7 @@
 //! strategy on Query Q and the six TPC-H classes.
 
 use nra::obs;
+use nra::storage::iosim::{self, IoConfig};
 use nra::storage::Value;
 use nra::tpch::paper_example::{rst_catalog, QUERY_Q};
 use nra::tpch::TpchConfig;
@@ -15,20 +16,19 @@ fn db() -> Database {
     Database::from_catalog(rst_catalog())
 }
 
-/// `EXPLAIN ANALYZE` through the unified API: profile + simulated I/O
-/// under the Original strategy, reading the rendered analyzed plan.
+/// `EXPLAIN ANALYZE` through the unified API: a profile under the
+/// Original strategy, with the I/O simulator on around the call, reading
+/// the rendered analyzed plan.
 fn analyze(db: &Database) -> String {
-    db.connect()
-        .execute_with(
-            QUERY_Q,
-            &QueryOptions::new()
-                .strategy(Strategy::Original)
-                .collect_profile(true)
-                .simulate_io(true),
-        )
-        .unwrap()
-        .plan
-        .unwrap()
+    iosim::enable(IoConfig::default());
+    let out = db.connect().execute_with(
+        QUERY_Q,
+        &QueryOptions::new()
+            .strategy(Strategy::Original)
+            .collect_profile(true),
+    );
+    iosim::disable();
+    out.unwrap().plan.unwrap()
 }
 
 /// The deterministic skeleton of the analyzed plan: operator shapes and
@@ -253,10 +253,7 @@ fn plan_artifacts_follow_options() {
 #[test]
 fn profiled_query_restores_the_callers_collector() {
     let database = db();
-    let outer = obs::enter(obs::Observers {
-        profile: true,
-        ..Default::default()
-    });
+    let outer = obs::enter(true);
     obs::span(|| "caller-before".to_string()).rows_out(1);
     let inner = analyze(&database);
     assert!(inner.contains("rows=2→2"), "{inner}");

@@ -39,12 +39,12 @@ fn all_stages() -> QueryOptions {
         .collect_profile(true)
         .collect_trace(true)
         .collect_metrics(true)
-        .simulate_io(true)
         .mem_limit_bytes(64 << 20)
 }
 
 /// After a query that failed at `point`, nothing of it is left on this
-/// thread (no collector, no I/O simulator, no governor or progress) or in
+/// thread (no collector, no governor or progress; the query never starts
+/// the I/O simulator) or in
 /// the process-wide tables, and the same thread answers Query Q
 /// correctly. `sql` is the (uniquely spelled) statement that
 /// failed: other tests in this binary register queries concurrently.

@@ -234,14 +234,7 @@ fn governor_high_water_trace_and_gauge_agree() {
                 .collect_trace(true),
         )
         .unwrap();
-    let trace = out.trace.expect("trace requested");
-    let hw_line = trace_line(&trace, "action", "mem-high-water")
-        .expect("governed query publishes its memory high-water mark");
-    let bytes: u64 = (hw_line.get("detail"))
-        .and_then(Json::as_str)
-        .and_then(|s| s.split(' ').next())
-        .and_then(|s| s.parse().ok())
-        .expect("detail carries a byte count");
+    let bytes = high_water(&out.trace.expect("trace requested"));
     let gauge = nra::obs::metrics::global()
         .snapshot()
         .get("nra_query_mem_high_water_bytes", &[])
@@ -254,6 +247,60 @@ fn governor_high_water_trace_and_gauge_agree() {
         ),
         other => panic!("high-water metric is not a gauge: {other:?}"),
     }
+}
+
+/// The byte count of `trace`'s `mem-high-water` line.
+fn high_water(trace: &Trace) -> u64 {
+    let hw_line = trace_line(trace, "action", "mem-high-water")
+        .expect("an executed query publishes its memory high-water mark");
+    (hw_line.get("detail"))
+        .and_then(Json::as_str)
+        .and_then(|s| s.split(' ').next())
+        .and_then(|s| s.parse().ok())
+        .expect("detail carries a byte count")
+}
+
+/// Every query counts its memory, whatever armed its governor: Query Q
+/// ungoverned, under a timeout alone and under a memory limit reports
+/// one and the same non-zero count in `nra_sys.queries.mem_bytes` and in
+/// its trace's `mem-high-water` line, and the process gauge holds at
+/// least that much. The per-query metrics scope stays free of it.
+#[test]
+fn every_query_counts_its_memory() {
+    let _serial = serial();
+    let original = || {
+        (QueryOptions::new().strategy(Strategy::Original))
+            .collect_trace(true)
+            .collect_metrics(true)
+    };
+    let mut counts = Vec::new();
+    for (case, opts) in [
+        ("ungoverned", original()),
+        ("timeout", original().timeout_ms(60_000)),
+        ("limit", original().mem_limit_bytes(1 << 30)),
+    ] {
+        let db = Database::from_catalog(rst_catalog());
+        let out = db.connect().execute_with(QUERY_Q, &opts).unwrap();
+        let traced = high_water(out.trace.as_ref().expect("trace requested"));
+        let recorded = db
+            .connect()
+            .execute("select mem_bytes from nra_sys.queries")
+            .unwrap()
+            .rows;
+        assert_eq!(recorded.rows(), [vec![Value::Int(traced as i64)]], "{case}");
+        let scope = out.metrics.expect("metrics requested").render_prometheus();
+        assert!(!scope.contains("mem_high_water"), "{case}: {scope}");
+        match metrics::global()
+            .snapshot()
+            .get("nra_query_mem_high_water_bytes", &[])
+        {
+            Some(Metric::Gauge(v)) => assert!(*v >= traced, "{case}: gauge {v} < {traced}"),
+            other => panic!("{case}: no high-water gauge: {other:?}"),
+        }
+        counts.push(traced);
+    }
+    assert!(counts[0] > 0, "{counts:?}");
+    assert!(counts.iter().all(|&c| c == counts[0]), "{counts:?}");
 }
 
 /// Build a database whose configuration is the defaults plus

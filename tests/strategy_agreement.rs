@@ -2,7 +2,9 @@
 //! and randomly shaped nested queries; every execution strategy must match
 //! the tuple-iteration oracle, in memory and — for a seeded subset — over
 //! a durable database checkpointed and reopened, and a repeat of a query
-//! is a plan-cache hit under every engine. Metamorphic oracles check
+//! is a plan-cache hit under every engine. A seeded share of cases
+//! declares every column NOT NULL and holds no NULL: the paper's §5
+//! licence, under which the baseline antijoins `ALL` / `NOT IN` links. Metamorphic oracles check
 //! equivalent spellings of a link against each other, conjunct order, and
 //! bag conservativity (doubling rows), oracle included.
 //! Formerly proptest; now seeded-deterministic so the suite runs with no
@@ -12,14 +14,17 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use nra::engine::baseline::{self, BaselineChoice};
 use nra::engine::EngineError;
+use nra::sql::{LinkOp, QueryBlock};
 use nra::{Database, Engine, QueryOptions, Strategy as NraStrategy};
 use nra_storage::rng::Pcg32;
 use nra_storage::{Column, ColumnType, Relation, Value};
 
-/// A cell: small domain so joins actually match; `None` is NULL.
-fn cell(rng: &mut Pcg32) -> Option<i64> {
-    if rng.bool(1.0 / 9.0) {
+/// A cell: small domain so joins actually match; `None` is NULL, never
+/// drawn for a `not_null` table.
+fn cell(rng: &mut Pcg32, not_null: bool) -> Option<i64> {
+    if !not_null && rng.bool(1.0 / 9.0) {
         None
     } else {
         Some(rng.range_i64(0, 5))
@@ -27,8 +32,29 @@ fn cell(rng: &mut Pcg32) -> Option<i64> {
 }
 
 fn rows(rng: &mut Pcg32) -> Vec<(Option<i64>, Option<i64>)> {
+    rows_of(rng, false)
+}
+
+fn rows_of(rng: &mut Pcg32, not_null: bool) -> Vec<(Option<i64>, Option<i64>)> {
     let n = rng.index(10);
-    (0..n).map(|_| (cell(rng), cell(rng))).collect()
+    (0..n)
+        .map(|_| (cell(rng, not_null), cell(rng, not_null)))
+        .collect()
+}
+
+/// The share of generated cases whose every column is declared NOT NULL.
+const LICENSED_SHARE: f64 = 0.25;
+
+/// Whether the baseline runs `sql` as its semi/anti cascade although the
+/// query has an `ALL` or `NOT IN` link: a case the NOT NULL licence
+/// reaches.
+fn licence_used(db: &Database, sql: &str) -> bool {
+    fn has_all(block: &QueryBlock) -> bool {
+        (block.children.iter()).any(|e| matches!(e.link, LinkOp::All(_)) || has_all(&e.block))
+    }
+    let query = db.prepare(sql).unwrap();
+    has_all(&query.root)
+        && baseline::choose(&query, &db.catalog()) == BaselineChoice::SemiAntiCascade
 }
 
 fn to_value(v: Option<i64>) -> Value {
@@ -119,24 +145,23 @@ fn corr(rng: &mut Pcg32) -> Corr {
 type Rows = [(Option<i64>, Option<i64>)];
 
 fn db_from(t0: &Rows, t1: &Rows, t2: &Rows) -> Database {
-    fill(Database::new(), t0, t1, t2)
+    fill(Database::new(), false, [t0, t1, t2])
 }
 
-fn fill(db: Database, t0: &Rows, t1: &Rows, t2: &Rows) -> Database {
+/// Create and fill `t0`, `t1` and `t2`; with `not_null`, every column is
+/// declared NOT NULL.
+fn fill(db: Database, not_null: bool, [t0, t1, t2]: [&Rows; 3]) -> Database {
+    let column = |name| match not_null {
+        true => Column::not_null(name, ColumnType::Int),
+        false => Column::new(name, ColumnType::Int),
+    };
     for (name, cols, data) in [
         ("t0", ("a", "b"), t0),
         ("t1", ("c", "d"), t1),
         ("t2", ("e", "f"), t2),
     ] {
-        db.create_table(
-            name,
-            vec![
-                Column::new(cols.0, ColumnType::Int),
-                Column::new(cols.1, ColumnType::Int),
-            ],
-            &[],
-        )
-        .unwrap();
+        db.create_table(name, vec![column(cols.0), column(cols.1)], &[])
+            .unwrap();
         db.insert(
             name,
             data.iter()
@@ -167,12 +192,12 @@ struct Reopened {
 }
 
 impl Reopened {
-    fn new(t0: &Rows, t1: &Rows, t2: &Rows) -> Reopened {
+    fn new(not_null: bool, tables: [&Rows; 3]) -> Reopened {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("nra-agree-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let db = fill(Database::open(&dir).unwrap(), t0, t1, t2);
+        let db = fill(Database::open(&dir).unwrap(), not_null, tables);
         db.checkpoint().unwrap();
         drop(db);
         let db = Database::open(&dir).unwrap();
@@ -195,14 +220,17 @@ impl Drop for Reopened {
 /// copy of its tables.
 const DURABLE_EVERY: usize = 8;
 
-/// [`check_all`] on `db`, and on a reopened durable copy of its tables
-/// for every [`DURABLE_EVERY`]-th case.
-fn check_case(case: usize, db: &Database, tables: [&Rows; 3], sql: &str) {
-    check_all(db, sql);
+/// [`check_all`] over `tables` (every column NOT NULL when `not_null`),
+/// and over a reopened durable copy of them for every
+/// [`DURABLE_EVERY`]-th case. Returns whether the case used the NOT NULL
+/// licence ([`licence_used`]).
+fn check_case(case: usize, not_null: bool, tables: [&Rows; 3], sql: &str) -> bool {
+    let db = fill(Database::new(), not_null, tables);
+    check_all(&db, sql);
     if case.is_multiple_of(DURABLE_EVERY) {
-        let [t0, t1, t2] = tables;
-        check_all(&Reopened::new(t0, t1, t2).db, sql);
+        check_all(&Reopened::new(not_null, tables).db, sql);
     }
+    licence_used(&db, sql)
 }
 
 fn run(db: &Database, sql: &str, engine: Engine) -> Relation {
@@ -276,17 +304,22 @@ fn assert_every_engine_hit(db: &Database, sql: &str, engines: usize) {
 /// One generated one-level case: the outer and inner tables and the
 /// subquery body (correlation and an optional local predicate).
 struct OneLevel {
+    not_null: bool,
     t0: Vec<(Option<i64>, Option<i64>)>,
     t1: Vec<(Option<i64>, Option<i64>)>,
     body: String,
 }
 
-/// Draws in the order `one_level_queries_agree` always has: the tables,
-/// then `before_corr` (its link), then the correlation and the local
-/// predicate.
-fn one_level<T>(rng: &mut Pcg32, before_corr: impl FnOnce(&mut Pcg32) -> T) -> (OneLevel, T) {
-    let t0 = rows(rng);
-    let t1 = rows(rng);
+/// Draws in the order `one_level_queries_agree` always has: the tables
+/// (no NULL when `not_null`), then `before_corr` (its link), then the
+/// correlation and the local predicate.
+fn one_level<T>(
+    rng: &mut Pcg32,
+    not_null: bool,
+    before_corr: impl FnOnce(&mut Pcg32) -> T,
+) -> (OneLevel, T) {
+    let t0 = rows_of(rng, not_null);
+    let t1 = rows_of(rng, not_null);
     let drawn = before_corr(rng);
     let cr = corr(rng);
     let with_local = rng.bool(0.5);
@@ -301,22 +334,31 @@ fn one_level<T>(rng: &mut Pcg32, before_corr: impl FnOnce(&mut Pcg32) -> T) -> (
         body_parts.push("1 = 1".to_string());
     }
     let body = body_parts.join(" and ");
-    (OneLevel { t0, t1, body }, drawn)
+    let case = OneLevel {
+        not_null,
+        t0,
+        t1,
+        body,
+    };
+    (case, drawn)
 }
 
-/// One-level nested queries: every link operator × correlation shape.
+/// One-level nested queries: every link operator × correlation shape,
+/// some under the NOT NULL licence.
 #[test]
 fn one_level_queries_agree() {
     let mut rng = Pcg32::new(0x5eed_3001);
+    let mut licensed = 0;
     for case in 0..64 {
-        let (c, lk) = one_level(&mut rng, link);
-        let db = db_from(&c.t0, &c.t1, &[]);
+        let not_null = rng.bool(LICENSED_SHARE);
+        let (c, lk) = one_level(&mut rng, not_null, link);
         let sql = format!(
             "select a, b from t0 where {}",
             lk.render("t0.b", "t1.d", "t1", &c.body)
         );
-        check_case(case, &db, [&c.t0, &c.t1, &[]], &sql);
+        licensed += check_case(case, c.not_null, [&c.t0, &c.t1, &[]], &sql) as usize;
     }
+    assert!(licensed > 0, "no case used the NOT NULL licence");
 }
 
 /// Metamorphic oracles over the one-level generator: spellings of one
@@ -328,7 +370,7 @@ fn one_level_queries_agree() {
 fn one_level_equivalent_spellings_agree() {
     let mut rng = Pcg32::new(0x5eed_3004);
     for _case in 0..48 {
-        let (c, ()) = one_level(&mut rng, |_| ());
+        let (c, ()) = one_level(&mut rng, false, |_| ());
         let db = db_from(&c.t0, &c.t1, &[]);
         let q = |select: &str| format!("(select {select} from t1 where {})", c.body);
         let families = [
@@ -482,20 +524,22 @@ fn doubling_an_inner_table_changes_no_set_link() {
 }
 
 /// Two-level chains: link × link × correlation (including non-adjacent
-/// correlation back to the root, the paper's Query Q / Query 3 shape).
+/// correlation back to the root, the paper's Query Q / Query 3 shape),
+/// some under the NOT NULL licence.
 #[test]
 fn two_level_queries_agree() {
     let mut rng = Pcg32::new(0x5eed_3002);
+    let mut licensed = 0;
     for case in 0..64 {
-        let t0 = rows(&mut rng);
-        let t1 = rows(&mut rng);
-        let t2 = rows(&mut rng);
+        let not_null = rng.bool(LICENSED_SHARE);
+        let t0 = rows_of(&mut rng, not_null);
+        let t1 = rows_of(&mut rng, not_null);
+        let t2 = rows_of(&mut rng, not_null);
         let lk1 = link(&mut rng);
         let lk2 = link(&mut rng);
         let cr1 = corr(&mut rng);
         let cr2 = corr(&mut rng);
 
-        let db = db_from(&t0, &t1, &t2);
         let inner_corr = match cr2 {
             Corr::RootEq => corr_sql(cr2, "t2.e", "t0.a"),
             other => corr_sql(other, "t2.e", "t1.c"),
@@ -511,24 +555,27 @@ fn two_level_queries_agree() {
             "select a, b from t0 where {}",
             lk1.render("t0.b", "t1.d", "t1", &mid_body)
         );
-        check_case(case, &db, [&t0, &t1, &t2], &sql);
+        licensed += check_case(case, not_null, [&t0, &t1, &t2], &sql) as usize;
     }
+    assert!(licensed > 0, "no case used the NOT NULL licence");
 }
 
-/// Tree queries: two subqueries hanging off the root.
+/// Tree queries: two subqueries hanging off the root, some with every
+/// column NOT NULL. A tree is not linear, so the baseline never takes
+/// the cascade here and the licence changes only the data.
 #[test]
 fn tree_queries_agree() {
     let mut rng = Pcg32::new(0x5eed_3003);
     for case in 0..64 {
-        let t0 = rows(&mut rng);
-        let t1 = rows(&mut rng);
-        let t2 = rows(&mut rng);
+        let not_null = rng.bool(LICENSED_SHARE);
+        let t0 = rows_of(&mut rng, not_null);
+        let t1 = rows_of(&mut rng, not_null);
+        let t2 = rows_of(&mut rng, not_null);
         let lk1 = link(&mut rng);
         let lk2 = link(&mut rng);
         let cr1 = corr(&mut rng);
         let cr2 = corr(&mut rng);
 
-        let db = db_from(&t0, &t1, &t2);
         let b1 = corr_sql(cr1, "t1.c", "t0.a").unwrap_or_else(|| "1 = 1".to_string());
         let b2 = corr_sql(cr2, "t2.e", "t0.b").unwrap_or_else(|| "1 = 1".to_string());
         let sql = format!(
@@ -536,7 +583,7 @@ fn tree_queries_agree() {
             lk1.render("t0.b", "t1.d", "t1", &b1),
             lk2.render("t0.a", "t2.f", "t2", &b2)
         );
-        check_case(case, &db, [&t0, &t1, &t2], &sql);
+        check_case(case, not_null, [&t0, &t1, &t2], &sql);
     }
 }
 
